@@ -48,6 +48,7 @@ from .spaces import (
     named_example,
     read_distance_csv,
     read_edge_list,
+    s_matrix,
     squared_intervals,
     strict_cauchy_schwarz_check,
     write_distance_csv,
@@ -72,20 +73,17 @@ from .signature import (
     kernel_reconstruction_check,
     limit_signature_trajectory,
     mds_embed,
-    s_matrix,
     sampled_signature_trajectory,
     space_signature,
     verify_isometry,
 )
 from .constructions import (
     CountableRadoModel,
-    er_adjacency,
     perturb_to_max_negative,
     prescribed_signature_space,
     quadratic_gap_clique,
     rado_consistency_check,
     rado_metric_space,
-    rado_s_matrix,
     residue_class_clique,
     union_r_matrix,
     union_space,

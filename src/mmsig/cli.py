@@ -15,20 +15,20 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .constructions import (
     CountableRadoModel,
-    er_adjacency,
     perturb_to_max_negative,
     prescribed_signature_space,
     quadratic_gap_clique,
-    rado_s_matrix,
     residue_class_clique,
     union_space,
 )
 from .errors import BadParams, InvalidInput, MmsigError
 from .linalg import inertia
-from .sampling import DiscreteMeasure, load_measure
+from .sampling import DiscreteMeasure, load_measure, parse_measure_spec
 from .signature import (
     classify_embeddability,
     embedding_to_json,
@@ -53,6 +53,7 @@ from .spectral import (
     ks_to_semicircle,
     rado_ratio_trials,
     ratio_summary,
+    sampled_prefix_trajectory,
     summary_to_json,
     worker_count,
     write_esd_csv,
@@ -178,8 +179,6 @@ def _parse_sizes(text, n):
 def cmd_trajectory(args) -> int:
     if args.model_p is not None:
         # countable-model source: sample vertices, nest their dedup prefixes
-        from mmsig.spectral import sampled_prefix_trajectory
-
         if args.m_max is None:
             raise InvalidInput("model trajectory needs --m-max")
         model = CountableRadoModel(
@@ -219,6 +218,8 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if not args.output:
+        raise InvalidInput("construct needs --output")
     if args.kind == "prescribed":
         if args.n is None or args.p is None:
             raise InvalidInput("prescribed needs --n and --p")
@@ -236,8 +237,6 @@ def cmd_construct(args) -> int:
         space = union_space(comps, args.h)
     else:
         raise InvalidInput(f"unknown construct kind {args.kind!r}")
-    if not args.output:
-        raise InvalidInput("construct needs --output")
     write_distance_csv(space, args.output, comment=_provenance_comment(args))
     ine = centered_signature(space, args.tol)
     print(f"wrote {space.n}-point space, centered inertia {ine.counts()}")
@@ -245,26 +244,10 @@ def cmd_construct(args) -> int:
 
 
 def _parse_measure(spec: str, n=None) -> DiscreteMeasure:
+    """A measure JSON file if ``spec`` names one, else a string rule."""
     if os.path.exists(spec):
         return load_measure(spec, n=n)
-    name, _, rest = spec.partition(":")
-    if name == "uniform":
-        if n is None:
-            raise InvalidInput("uniform measure needs a finite space")
-        return DiscreteMeasure.uniform(n)
-    if name == "geometric":
-        if not rest:
-            raise InvalidInput("geometric measure needs a ratio, e.g. geometric:0.9")
-        return DiscreteMeasure.geometric(float(rest))
-    if name == "super_geometric":
-        return DiscreteMeasure.super_geometric()
-    if name == "class_biased":
-        parts = rest.split(":") if rest else []
-        if not parts or not parts[0]:
-            raise InvalidInput("class_biased needs j, e.g. class_biased:30")
-        q = float(parts[1]) if len(parts) > 1 else 0.9
-        return DiscreteMeasure.class_biased(int(parts[0]), q)
-    raise InvalidInput(f"unknown measure {spec!r}")
+    return parse_measure_spec(spec, n=n)
 
 
 def _parse_clique(args):
@@ -285,8 +268,8 @@ def _parse_clique(args):
 
 
 def cmd_rado(args) -> int:
-    if args.p is None or not (0.0 < args.p < 1.0):
-        raise BadParams(f"edge probability must be in (0, 1), got {args.p!r}")
+    if args.p is None:
+        raise BadParams("rado needs --p, the edge probability")
     model = CountableRadoModel(
         edge_prob=args.p,
         seed=args.model_seed if args.model_seed is not None else args.seed,
@@ -324,10 +307,9 @@ def cmd_rado(args) -> int:
             fh.write(summary_to_json(doc) + "\n")
         print(f"wrote {prefix}_ratio.csv and {prefix}_summary.json")
         return 0
-    if args.N is None:
-        raise InvalidInput("need --N for the spectral run")
-    graph = er_adjacency(model, args.N)
-    S = rado_s_matrix(graph)
+    if args.N is None or args.N < 1:
+        raise InvalidInput("the spectral run needs --N >= 1")
+    S = model.s_matrix_on(np.arange(args.N))
     e = esd(S)
     sigma = 1.5 * math.sqrt(args.p * (1.0 - args.p))
     ks = ks_to_semicircle(e, sigma)
@@ -335,7 +317,7 @@ def cmd_rado(args) -> int:
     write_esd_csv(e, f"{prefix}_esd.csv", comment=_provenance_comment(args))
     doc = {
         "N": args.N,
-        "edges": len(graph.edges),
+        "edges": int(np.count_nonzero(S == -0.5)) // 2,
         "sigma": sigma,
         "ks_to_semicircle": ks,
         "inertia": list(ine.counts()),

@@ -3,7 +3,9 @@ seeded countable random-graph models.
 
 The countable model materializes adjacency lazily: the bit for a pair (i, j)
 is a 64-bit mix of (seed, min, max) compared against p * 2^64, so truncations
-of any size are prefix-consistent and O(1) in memory.
+of any size are prefix-consistent and O(1) in memory. Its {1, 2} distance
+rule gives the -d^2/2 matrix one builder, ``CountableRadoModel.s_matrix_on``:
+-1/2 on edges, -2 on non-edges, 0 on the diagonal.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .errors import (
     TriangleViolation,
 )
 from .linalg import DEFAULT_TOL_REL, double_center, inertia
-from .spaces import FiniteMetricSpace, Graph, from_distance_matrix
-from .signature import s_matrix
+from .spaces import FiniteMetricSpace, _min_strict_slack, from_distance_matrix, s_matrix
 
 _MASK64 = (1 << 64) - 1
 _EPS_FLOOR = 1e-300
@@ -33,14 +34,6 @@ _EPS_FLOOR = 1e-300
 
 # ---------------------------------------------------------------------------
 # Signature-prescribing perturbation
-
-
-def _strict_triangle_ok(D: np.ndarray) -> bool:
-    try:
-        from_distance_matrix(D, strict=True)
-    except TriangleViolation:
-        return False
-    return True
 
 
 def perturb_to_max_negative(
@@ -91,7 +84,7 @@ def _perturb_with_eps(space, seed, tol_rel):
     g2 *= d_min / float(g2.max())
 
     D2 = space.dist**2
-    slack = _min_triangle_slack(space.dist)
+    slack, _ = _min_strict_slack(space.dist)  # finite: n >= 3 here
     eps = 0.5 * slack / float(g2.max())
     while True:
         if eps < _EPS_FLOOR:
@@ -109,28 +102,15 @@ def _perturb_with_eps(space, seed, tol_rel):
         if float(np.abs(D_eps - space.dist).max()) > eps:
             eps *= 0.5
             continue
-        if not _strict_triangle_ok(D_eps):
+        try:
+            out = from_distance_matrix(D_eps, strict=True, labels=space.labels)
+        except TriangleViolation:
             eps *= 0.5
             continue
-        out = from_distance_matrix(D_eps, labels=space.labels)
         ine = inertia(double_center(s_matrix(out)), tol_rel)
         if ine.s_plus == s_plus and ine.s_minus == target_minus:
             return out, eps
         eps *= 0.5
-
-
-def _min_triangle_slack(D: np.ndarray) -> float:
-    n = D.shape[0]
-    best = np.inf
-    for j in range(n):
-        slack = D[:, j][:, None] + D[j, :][None, :] - D
-        mask = np.ones_like(slack, dtype=bool)
-        mask[j, :] = False
-        mask[:, j] = False
-        np.fill_diagonal(mask, False)
-        if mask.any():
-            best = min(best, float(slack[mask].min()))
-    return best if np.isfinite(best) else 1.0
 
 
 def prescribed_signature_space(
@@ -160,9 +140,12 @@ def prescribed_signature_space(
         D = np.sqrt((diffp**2).sum(axis=2))
         D = 0.5 * (D + D.T)
         np.fill_diagonal(D, 0.0)
-        if (D + np.eye(N) == 0).any() or not _strict_triangle_ok(D):
+        if (D + np.eye(N) == 0).any():
             continue
-        base = from_distance_matrix(D)
+        try:
+            base = from_distance_matrix(D, strict=True)
+        except TriangleViolation:
+            continue
         return perturb_to_max_negative(base, seed=(seed ^ (attempt + 1)), tol_rel=tol_rel)
     raise BadParams("could not sample a generic strictly-triangular point set")
 
@@ -339,12 +322,12 @@ class CountableRadoModel:
 
     def s_matrix_on(self, indices) -> np.ndarray:
         """-d^2/2 on sampled indices with the {1, 2} distance rule: adjacent
-        pairs at 1, distinct non-adjacent at 2, repeated indices at 0."""
+        pairs at 1, distinct non-adjacent at 2, repeated indices at 0. Zeros
+        are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0."""
         idx = np.asarray(indices, dtype=np.int64)
         adj = self.adjacency_block(idx)
         distinct = idx[:, None] != idx[None, :]
-        d2 = np.where(adj, 1.0, np.where(distinct, 4.0, 0.0))
-        return -0.5 * d2
+        return np.where(adj, -0.5, np.where(distinct, -2.0, 0.0))
 
     def metric_on(self, indices) -> FiniteMetricSpace:
         """The {1, 2}-valued metric on distinct vertex indices."""
@@ -357,27 +340,6 @@ class CountableRadoModel:
         return from_distance_matrix(D, labels=tuple(f"v{i}" for i in idx))
 
 
-def er_adjacency(model: CountableRadoModel, n: int) -> Graph:
-    """Induced graph on the first n vertices; prefix-consistent in n."""
-    if n < 1:
-        raise BadParams("graph order must be >= 1")
-    adj = model.adjacency_block(np.arange(n))
-    ii, jj = np.nonzero(np.triu(adj, k=1))
-    return Graph(n, frozenset(zip(ii.tolist(), jj.tolist())))
-
-
-def rado_s_matrix(g: Graph) -> np.ndarray:
-    """(3/2) A - 2 off the diagonal, 0 on it.
-
-    Coincides with -d^2/2 of the hop metric exactly when the graph is
-    connected with diameter at most 2 (see rado_consistency_check).
-    """
-    A = g.adjacency_matrix()
-    S = 1.5 * A - 2.0
-    np.fill_diagonal(S, 0.0)
-    return S
-
-
 def rado_metric_space(model: CountableRadoModel, n: int) -> FiniteMetricSpace:
     """The {1, 2}-valued metric of the first n model vertices."""
     if n < 1:
@@ -385,14 +347,13 @@ def rado_metric_space(model: CountableRadoModel, n: int) -> FiniteMetricSpace:
     return model.metric_on(np.arange(n))
 
 
-def rado_consistency_check(g: Graph) -> bool:
-    """True iff the {1, 2} formula matrix equals the true hop metric, i.e.
+def rado_consistency_check(adj) -> bool:
+    """True iff the {1, 2} rule on a boolean adjacency block, such as
+    ``CountableRadoModel.adjacency_block``, equals the true hop metric, i.e.
     the graph is connected with diameter at most 2."""
-    A = g.adjacency_matrix()
-    if g.n == 1:
-        return True
+    A = np.asarray(adj, dtype=float)
     reach = A + A @ A
-    off = ~np.eye(g.n, dtype=bool)
+    off = ~np.eye(A.shape[0], dtype=bool)
     return bool((reach[off] > 0).all())
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidMeasure
 from .linalg import DEFAULT_TOL_REL, Inertia, inertia, validate_weights, weighted_center
-from .spaces import FiniteMetricSpace
+from .spaces import FiniteMetricSpace, s_matrix
 
 _TAIL = 1e-18
 
@@ -102,23 +102,51 @@ class DiscreteMeasure:
         )
 
 
+# Positional parameters of the string form name[:a[:b]] of each named rule.
+_RULE_PARAMS = {
+    "uniform": (),
+    "geometric": ("q",),
+    "super_geometric": (),
+    "class_biased": ("j", "q"),
+}
+
+
 def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
-    """Measure from a JSON-style spec: a weight array or a named rule."""
+    """Measure from a spec: a weight array, a JSON-style rule such as
+    {"type": "class_biased", "j": 30, "q": 0.9}, or the same rule as the
+    string name[:a[:b]]: uniform, geometric:q, super_geometric or
+    class_biased:j[:q], with q defaulting to 0.9 for class_biased.
+
+    ``n`` is the point count that the uniform rule needs.
+    """
     if isinstance(spec, DiscreteMeasure):
         return spec
+    if isinstance(spec, str):
+        kind, _, rest = spec.partition(":")
+        if kind not in _RULE_PARAMS:
+            raise InvalidMeasure(f"unknown measure rule {kind!r}")
+        values = rest.split(":") if rest else []
+        keys = _RULE_PARAMS[kind]
+        if len(values) > len(keys):
+            raise InvalidMeasure(f"too many parameters in measure {spec!r}")
+        spec = {"type": kind, **{k: v for k, v in zip(keys, values) if v}}
     if isinstance(spec, (list, tuple, np.ndarray)):
         return DiscreteMeasure.from_weights(spec)
     if isinstance(spec, dict):
         kind = spec.get("type")
         if kind == "uniform":
             if n is None:
-                raise InvalidMeasure("uniform rule needs the point count")
+                raise InvalidMeasure("uniform measure needs the point count of a finite space")
             return DiscreteMeasure.uniform(n)
         if kind == "geometric":
+            if "q" not in spec:
+                raise InvalidMeasure("geometric measure needs a ratio, e.g. geometric:0.9")
             return DiscreteMeasure.geometric(float(spec["q"]))
         if kind == "super_geometric":
             return DiscreteMeasure.super_geometric()
         if kind == "class_biased":
+            if "j" not in spec:
+                raise InvalidMeasure("class_biased needs j, e.g. class_biased:30")
             return DiscreteMeasure.class_biased(
                 int(spec["j"]), float(spec.get("q", 0.9))
             )
@@ -136,26 +164,24 @@ class SampleTrajectory:
     """An i.i.d. sample of point indices plus its repetition-cancelled form.
 
     ``dedup`` keeps the first occurrence of every index in order of first
-    appearance, mirroring the sampling scheme without repetitions.
+    appearance, mirroring the sampling scheme without repetitions;
+    ``first_draws`` holds the increasing positions in ``raw`` of those first
+    occurrences, so the dedup of ``raw[:m]`` is
+    ``dedup[:searchsorted(first_draws, m)]``.
     """
 
     seed: int
     raw: np.ndarray
     dedup: np.ndarray = field(init=False)
+    first_draws: np.ndarray = field(init=False)
 
     def __post_init__(self):
         raw = np.asarray(self.raw, dtype=np.int64)
-        raw = np.ascontiguousarray(raw)
-        raw.flags.writeable = False
-        object.__setattr__(self, "raw", raw)
-        if raw.size:
-            _, first = np.unique(raw, return_index=True)
-            dedup = raw[np.sort(first)]
-        else:
-            dedup = np.empty(0, dtype=np.int64)
-        dedup = np.ascontiguousarray(dedup)
-        dedup.flags.writeable = False
-        object.__setattr__(self, "dedup", dedup)
+        first = np.sort(np.unique(raw, return_index=True)[1])
+        for name, a in (("raw", raw), ("first_draws", first), ("dedup", raw[first])):
+            a = np.ascontiguousarray(a)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:
@@ -179,14 +205,6 @@ def trial_seed(seed: int, trial: int) -> int:
     return (seed ^ trial) & (2**64 - 1)
 
 
-def _squared_distance_matrix(space: FiniteMetricSpace, indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= space.n):
-        raise InvalidInput("trajectory indices out of range for the space")
-    sub = space.dist[np.ix_(idx, idx)]
-    return -0.5 * sub**2
-
-
 def dedup_matrix_invariance(
     space: FiniteMetricSpace,
     traj: SampleTrajectory,
@@ -198,8 +216,11 @@ def dedup_matrix_invariance(
     leaves s_minus and s_plus unchanged and drops exactly one zero eigenvalue
     per cancelled row.
     """
-    raw = inertia(_squared_distance_matrix(space, traj.raw), tol_rel)
-    ded = inertia(_squared_distance_matrix(space, traj.dedup), tol_rel)
+    if traj.raw.size and (traj.raw.min() < 0 or traj.raw.max() >= space.n):
+        raise InvalidInput("trajectory indices out of range for the space")
+    S = s_matrix(space)
+    raw = inertia(S[np.ix_(traj.raw, traj.raw)], tol_rel)
+    ded = inertia(S[np.ix_(traj.dedup, traj.dedup)], tol_rel)
     return raw, ded
 
 
@@ -210,13 +231,12 @@ def k_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:
     its inertia is the inertia of the unnormalized scaling operator.
     """
     w = validate_weights(measure.weights, space.n)
-    S = -0.5 * space.dist**2
     root = np.sqrt(w)
-    out = S * np.outer(root, root)
+    out = s_matrix(space) * np.outer(root, root)
     return 0.5 * (out + out.T)
 
 
 def t_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:
     """Measure-centered companion of k_matrix (see linalg.weighted_center)."""
     w = validate_weights(measure.weights, space.n)
-    return weighted_center(-0.5 * space.dist**2, w)
+    return weighted_center(s_matrix(space), w)

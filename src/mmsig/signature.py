@@ -1,6 +1,7 @@
-"""Signature computations: the -d^2/2 matrix and its centered form,
-limit-signature trajectories over nested subsets, embeddability
-classification, and the indefinite scaling embedding with isometry check.
+"""Signature computations: inertia of the -d^2/2 matrix
+(``spaces.s_matrix``) and of its centered form, limit-signature trajectories
+over nested subsets, embeddability classification, and the indefinite
+scaling embedding with isometry check.
 
 Sign convention for embeddings: coordinates attached to negative eigenvalues
 come first, matching R^(n,p) with the form -sum_1^n + sum_(n+1)^(n+p).
@@ -24,14 +25,9 @@ from .linalg import (
     zero_threshold,
 )
 from .sampling import DiscreteMeasure, gv_sample, t_matrix
-from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, squared_intervals
+from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, s_matrix, squared_intervals
 
 STABILIZATION_WINDOW = 25
-
-
-def s_matrix(space: FiniteMetricSpace) -> np.ndarray:
-    """-d^2/2: hollow, symmetric, strictly negative off the diagonal."""
-    return -0.5 * space.dist**2
 
 
 def space_signature(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:

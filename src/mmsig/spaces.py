@@ -1,9 +1,10 @@
 """Finite metric spaces and their constructors.
 
 A FiniteMetricSpace is a validated distance matrix with labels; everything
-else in the package consumes it. Constructors cover raw matrices, graphs
-with hop metric, Euclidean and pseudo-Euclidean point sets, and the named
-example families (tripod, extended tripod, simplex, sphere samples).
+else in the package consumes it, mostly through ``s_matrix`` (-d^2/2).
+Constructors cover raw matrices, graphs with hop metric, Euclidean and
+pseudo-Euclidean point sets, and the named example families (tripod,
+extended tripod, simplex, sphere samples).
 """
 
 from __future__ import annotations
@@ -97,12 +98,6 @@ class Graph:
             adj[v].append(u)
         return adj
 
-    def adjacency_matrix(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            A[u, v] = A[v, u] = 1.0
-        return A
-
 
 @dataclass(frozen=True)
 class PseudoEuclideanPointSet:
@@ -163,6 +158,26 @@ def _default_labels(n: int, prefix: str = "p") -> tuple:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
+def s_matrix(space: FiniteMetricSpace) -> np.ndarray:
+    """-d^2/2: hollow, symmetric, strictly negative off the diagonal."""
+    return -0.5 * space.dist**2
+
+
+def _min_strict_slack(D: np.ndarray):
+    """Smallest d(i,j) + d(j,k) - d(i,k) over distinct triples, with its
+    witness (i, j, k); (inf, None) below three points."""
+    best, witness = np.inf, None
+    for j in range(D.shape[0]):
+        slack = D[:, j][:, None] + D[j, :][None, :] - D
+        slack[j, :] = np.inf
+        slack[:, j] = np.inf
+        np.fill_diagonal(slack, np.inf)
+        i, k = np.unravel_index(int(np.argmin(slack)), slack.shape)
+        if slack[i, k] < best:
+            best, witness = float(slack[i, k]), (int(i), j, int(k))
+    return best, witness
+
+
 def _check_triangle(D: np.ndarray, strict: bool, strict_margin: float):
     n = D.shape[0]
     if n < 3:
@@ -171,8 +186,6 @@ def _check_triangle(D: np.ndarray, strict: bool, strict_margin: float):
     tol = TRIANGLE_TOL_REL * diam
     worst_gap = -np.inf
     worst = None
-    min_slack = np.inf
-    min_slack_triple = None
     for j in range(n):
         # slack[i, k] = d(i,j) + d(j,k) - d(i,k)
         slack = D[:, j][:, None] + D[j, :][None, :] - D
@@ -181,30 +194,20 @@ def _check_triangle(D: np.ndarray, strict: bool, strict_margin: float):
         if g > worst_gap:
             i, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
             worst_gap, worst = g, (int(i), j, int(k))
-        if strict:
-            mask = np.ones_like(slack, dtype=bool)
-            mask[j, :] = False
-            mask[:, j] = False
-            np.fill_diagonal(mask, False)
-            if mask.any():
-                masked = np.where(mask, slack, np.inf)
-                i, k = np.unravel_index(int(np.argmin(masked)), masked.shape)
-                if masked[i, k] < min_slack:
-                    min_slack = float(masked[i, k])
-                    min_slack_triple = (int(i), j, int(k))
     if worst_gap > tol:
         i, j, k = worst
         raise TriangleViolation(
             (i, j, k),
             f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {worst_gap!r}",
         )
-    if strict and min_slack <= strict_margin:
-        i, j, k = min_slack_triple
-        raise TriangleViolation(
-            (i, j, k),
-            f"strict triangle inequality fails: d({i},{k}) = "
-            f"d({i},{j}) + d({j},{k}) up to slack {min_slack!r}",
-        )
+    if strict:
+        min_slack, (i, j, k) = _min_strict_slack(D)
+        if min_slack <= strict_margin:
+            raise TriangleViolation(
+                (i, j, k),
+                f"strict triangle inequality fails: d({i},{k}) = "
+                f"d({i},{j}) + d({j},{k}) up to slack {min_slack!r}",
+            )
 
 
 def from_distance_matrix(

@@ -22,6 +22,7 @@ from .constructions import CountableRadoModel
 from .errors import InvalidInput
 from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, inertia
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
+from .signature import STABILIZATION_WINDOW, limit_signature_trajectory
 
 
 class ESD(NamedTuple):
@@ -125,7 +126,8 @@ def rado_ratio_experiment(
     each checkpoint.
 
     Signatures are computed on the repetition-cancelled prefix, which leaves
-    the ratio unchanged and the eigensolves small.
+    the ratio unchanged and the eigensolves small. The dedup prefixes are
+    nested, so -d^2/2 is built once on the full dedup and sliced.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(m_max)
@@ -134,22 +136,19 @@ def rado_ratio_experiment(
         b <= a for a, b in zip(checkpoints, checkpoints[1:])
     ):
         raise InvalidInput("checkpoints must be increasing and within m_max")
-    raw = gv_sample(measure, m_max, seed).raw
-    sizes = []
+    traj = gv_sample(measure, m_max, seed)
+    S = model.s_matrix_on(traj.dedup)
+    sizes = tuple(int(k) for k in np.searchsorted(traj.first_draws, checkpoints))
     inertias = []
     deltas = []
-    for m in checkpoints:
-        prefix = raw[:m]
-        _, first = np.unique(prefix, return_index=True)
-        dedup = prefix[np.sort(first)]
-        ine = inertia(model.s_matrix_on(dedup), tol_rel)
-        sizes.append(int(dedup.size))
+    for k in sizes:
+        ine = inertia(S[:k, :k], tol_rel)
         inertias.append(ine)
         deltas.append(delta_ratio(ine))
     return RatioTrajectory(
         seed=seed,
         m_values=checkpoints,
-        dedup_sizes=tuple(sizes),
+        dedup_sizes=sizes,
         inertias=tuple(inertias),
         deltas=tuple(deltas),
         measure_rule=measure.rule,
@@ -163,14 +162,10 @@ def sampled_prefix_trajectory(
     seed: int,
     sizes=None,
     tol_rel: float = DEFAULT_TOL_REL,
-    window: int | None = None,
+    window: int = STABILIZATION_WINDOW,
 ):
     """Signature trajectory along the dedup prefixes of vertices sampled
     i.i.d. from the measure, with distances from the model's {1, 2} rule."""
-    from .signature import STABILIZATION_WINDOW, limit_signature_trajectory
-
-    if window is None:
-        window = STABILIZATION_WINDOW
     dedup = gv_sample(measure, m_max, seed).dedup
     if dedup.size == 0:
         raise InvalidInput("empty sample; increase m_max")

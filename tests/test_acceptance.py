@@ -14,12 +14,10 @@ import numpy as np
 
 from mmsig.constructions import (
     CountableRadoModel,
-    er_adjacency,
     perturb_to_max_negative,
     prescribed_signature_space,
     quadratic_gap_clique,
     rado_metric_space,
-    rado_s_matrix,
     residue_class_clique,
     union_r_matrix,
     union_space,
@@ -270,7 +268,7 @@ def test_criterion_08_semicircle():
     sigma = 1.5 * np.sqrt(0.25)
     for seed in RADO_SEEDS:
         model = CountableRadoModel(edge_prob=0.5, seed=seed)
-        S = rado_s_matrix(er_adjacency(model, 1000))
+        S = model.s_matrix_on(np.arange(1000))
         ks_hits += ks_to_semicircle(esd(S), sigma) <= 0.05
         delta_hits += 0.9 <= delta_ratio(inertia(S)) <= 1.1
     assert ks_hits >= 19, f"KS passes: {ks_hits}/20"

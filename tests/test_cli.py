@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmsig.cli import main
+from mmsig.constructions import CountableRadoModel
 from mmsig.spaces import named_example, read_distance_csv, write_distance_csv, write_edge_list, Graph
 
 
@@ -140,6 +141,13 @@ class TestConstruct:
         ) == 0
         assert read_distance_csv(out).n == 8
 
+    def test_missing_output_exits_2_before_building(self, monkeypatch):
+        def build(*args, **kwargs):
+            pytest.fail("construct built a space without --output")
+
+        monkeypatch.setattr("mmsig.cli.prescribed_signature_space", build)
+        assert run(["construct", "prescribed", "--n", 40, "--p", 20]) == 2
+
     def test_union_diameter_guard_exits_2(self, tmp_path):
         a = tmp_path / "a.csv"
         write_distance_csv(named_example("tripod"), a)
@@ -154,6 +162,8 @@ class TestRado:
         assert run(["rado", "--p", 0.5, "--N", 120, "--seed", 7, "--output-prefix", prefix]) == 0
         doc = json.loads((tmp_path / "run_summary.json").read_text())
         assert doc["N"] == 120 and 0 < doc["ks_to_semicircle"] < 1
+        adj = CountableRadoModel(edge_prob=0.5, seed=7).adjacency_block(np.arange(120))
+        assert doc["edges"] == np.count_nonzero(np.triu(adj, k=1))
         esd_lines = (tmp_path / "run_esd.csv").read_text().strip().splitlines()
         assert len(esd_lines) == 2 + 120
         out = capsys.readouterr().out
@@ -161,6 +171,12 @@ class TestRado:
 
     def test_bad_probability_exits_2(self):
         assert run(["rado", "--p", 1.5, "--N", 10]) == 2
+        assert run(["rado", "--N", 10]) == 2
+
+    def test_empty_order_exits_2(self, tmp_path):
+        prefix = tmp_path / "run"
+        assert run(["rado", "--p", 0.5, "--N", 0, "--output-prefix", prefix]) == 2
+        assert not (tmp_path / "run_summary.json").exists()
 
     def test_ratio_run(self, tmp_path):
         prefix = tmp_path / "ratio"

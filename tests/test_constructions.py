@@ -4,7 +4,6 @@ import pytest
 from mmsig.constructions import (
     CountableRadoModel,
     _perturb_with_eps,
-    er_adjacency,
     model_from_json,
     model_to_json,
     perturb_to_max_negative,
@@ -12,7 +11,6 @@ from mmsig.constructions import (
     quadratic_gap_clique,
     rado_consistency_check,
     rado_metric_space,
-    rado_s_matrix,
     residue_class_clique,
     union_r_matrix,
     union_space,
@@ -148,12 +146,12 @@ class TestRadoModel:
             CountableRadoModel(edge_prob=1.0, seed=1)
 
     def test_effectively_empty_and_complete(self):
-        empty = er_adjacency(CountableRadoModel(edge_prob=1e-18, seed=3), 30)
-        assert len(empty.edges) == 0
-        full = er_adjacency(
-            CountableRadoModel(edge_prob=0.9999999999999999, seed=3), 30
+        empty = CountableRadoModel(edge_prob=1e-18, seed=3).adjacency_block(np.arange(30))
+        assert not empty.any()
+        full = CountableRadoModel(edge_prob=0.9999999999999999, seed=3).adjacency_block(
+            np.arange(30)
         )
-        assert len(full.edges) == 30 * 29 // 2
+        assert np.array_equal(full, ~np.eye(30, dtype=bool))
 
     def test_scalar_matches_block(self):
         model = CountableRadoModel(edge_prob=0.37, seed=123)
@@ -164,10 +162,12 @@ class TestRadoModel:
 
     def test_prefix_consistency(self):
         model = CountableRadoModel(edge_prob=0.5, seed=7)
-        g_small = er_adjacency(model, 25)
-        g_big = er_adjacency(model, 60)
-        small_edges = {e for e in g_big.edges if max(e) < 25}
-        assert small_edges == g_small.edges
+        small = model.adjacency_block(np.arange(25))
+        big = model.adjacency_block(np.arange(60))
+        assert np.array_equal(big[:25, :25], small)
+        assert np.array_equal(
+            model.s_matrix_on(np.arange(60))[:25, :25], model.s_matrix_on(np.arange(25))
+        )
 
     def test_edge_density_concentration(self):
         # binomial oracle: at N=400 the density is within 0.5 +- 0.01 with
@@ -175,8 +175,8 @@ class TestRadoModel:
         hits = 0
         trials = 60
         for seed in range(trials):
-            g = er_adjacency(CountableRadoModel(edge_prob=0.5, seed=seed), 400)
-            density = len(g.edges) / (400 * 399 / 2)
+            S = CountableRadoModel(edge_prob=0.5, seed=seed).s_matrix_on(np.arange(400))
+            density = (np.count_nonzero(S == -0.5) // 2) / (400 * 399 / 2)
             hits += abs(density - 0.5) <= 0.01
         assert hits / trials >= 0.99
 
@@ -211,36 +211,47 @@ class TestRadoModel:
             model_to_json(CountableRadoModel(0.25, 1, planted_clique=residue_class_clique(3)))
 
 
+def _adjacency(n, edges):
+    A = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        A[u, v] = A[v, u] = True
+    return A
+
+
 class TestRadoSMatrix:
     def test_complete_graph(self):
-        g = Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
-        S = rado_s_matrix(g)
+        model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=frozenset({0, 1, 2}))
+        S = model.s_matrix_on(np.arange(3))
         off = S[~np.eye(3, dtype=bool)]
         assert (off == -0.5).all()
+        assert (np.diag(S) == 0.0).all()
 
     def test_empty_graph(self):
-        S = rado_s_matrix(Graph(3))
+        S = CountableRadoModel(edge_prob=1e-18, seed=3).s_matrix_on(np.arange(3))
         off = S[~np.eye(3, dtype=bool)]
         assert (off == -2.0).all()
+        assert (np.diag(S) == 0.0).all() and not np.signbit(np.diag(S)).any()
 
     def test_matches_hop_metric_at_diameter_two(self):
         model = CountableRadoModel(edge_prob=0.5, seed=31)
-        g = er_adjacency(model, 40)
-        assert rado_consistency_check(g)
-        np.testing.assert_array_equal(rado_s_matrix(g), s_matrix(from_graph(g)))
+        adj = model.adjacency_block(np.arange(40))
+        assert rado_consistency_check(adj)
+        g = Graph(40, frozenset(zip(*np.nonzero(np.triu(adj, k=1)))))
+        np.testing.assert_array_equal(model.s_matrix_on(np.arange(40)), s_matrix(from_graph(g)))
 
     def test_consistency_check_paths(self):
-        p3 = Graph(3, frozenset({(0, 1), (1, 2)}))
-        p4 = Graph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        p3 = _adjacency(3, [(0, 1), (1, 2)])
+        p4 = _adjacency(4, [(0, 1), (1, 2), (2, 3)])
         assert rado_consistency_check(p3)
         assert not rado_consistency_check(p4)
-        assert not rado_consistency_check(Graph(2))  # disconnected pair
+        assert not rado_consistency_check(_adjacency(2, []))  # disconnected pair
+        assert rado_consistency_check(_adjacency(1, []))
 
     def test_er_consistency_rate(self):
         # oracle: P(diameter > 2) <= N^2 (1 - p^2)^(N-2) ~ 3e-21 at N=200
         hits = sum(
             rado_consistency_check(
-                er_adjacency(CountableRadoModel(edge_prob=0.5, seed=s), 200)
+                CountableRadoModel(edge_prob=0.5, seed=s).adjacency_block(np.arange(200))
             )
             for s in range(40)
         )

@@ -71,6 +71,21 @@ class TestDiscreteMeasure:
         path.write_text(json.dumps({"type": "geometric", "q": 0.9}))
         assert load_measure(path).rule["q"] == 0.9
 
+    def test_parse_string_specs(self):
+        assert parse_measure_spec("uniform", n=4).n == 4
+        assert parse_measure_spec("geometric:0.8").rule == {"type": "geometric", "q": 0.8}
+        assert parse_measure_spec("super_geometric").rule == {"type": "super_geometric"}
+        assert parse_measure_spec("class_biased:30").rule == {
+            "type": "class_biased", "j": 30, "q": 0.9,
+        }
+        assert parse_measure_spec("class_biased:4:0.7").rule == {
+            "type": "class_biased", "j": 4, "q": 0.7,
+        }
+        for bad in ("geometric", "geometric:", "class_biased", "class_biased::0.9",
+                    "zeta:2", "geometric:0.9:5", "uniform"):
+            with pytest.raises(InvalidMeasure):
+                parse_measure_spec(bad)
+
 
 class TestGvSample:
     def test_empty(self):

@@ -131,6 +131,21 @@ class TestRatioExperiment:
         assert default_checkpoints(16) == (16,)
         assert default_checkpoints(5) == (5,)
 
+    def test_sliced_checkpoints_match_rebuilt_prefixes(self):
+        model = CountableRadoModel(
+            edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31)
+        )
+        measure = DiscreteMeasure.class_biased(30, 0.9)
+        for seed in range(3):
+            traj = rado_ratio_experiment(model, measure, m_max=3000, seed=seed)
+            raw = gv_sample(measure, 3000, seed=seed).raw
+            for m, k, ine in zip(traj.m_values, traj.dedup_sizes, traj.inertias):
+                prefix = raw[:m]
+                _, first = np.unique(prefix, return_index=True)
+                dedup = prefix[np.sort(first)]
+                assert k == dedup.size
+                assert inertia(model.s_matrix_on(dedup)) == ine
+
     def test_delta_equals_raw_matrix_delta(self):
         # repetition cancelling leaves both signature counts unchanged, so
         # the dedup-based ratio matches the raw-sequence matrix's ratio
