@@ -55,7 +55,6 @@ from .spectral import (
     ratio_summary,
     sampled_prefix_trajectory,
     summary_to_json,
-    worker_count,
     write_esd_csv,
     write_ratio_csv,
 )
@@ -165,15 +164,27 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _int_arg(text, what):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InvalidInput(f"{what} must be an integer, got {text!r}") from exc
+
+
 def _parse_sizes(text, n):
     if not text:
         return None
-    parts = [int(x) for x in text.split(":")]
+    parts = [_int_arg(x, "--sizes entry") for x in text.split(":")]
     if len(parts) == 1:
         return [parts[0]]
     lo, hi = parts[0], parts[1]
     step = parts[2] if len(parts) > 2 else 1
-    return list(range(lo, min(hi, n) + 1, step))
+    if step < 1:
+        raise InvalidInput(f"--sizes step must be >= 1, got {step}")
+    sizes = list(range(lo, min(hi, n) + 1, step))
+    if not sizes:
+        raise InvalidInput(f"--sizes {text!r} selects no prefix of the {n} points")
+    return sizes
 
 
 def cmd_trajectory(args) -> int:
@@ -254,13 +265,15 @@ def _parse_clique(args):
     if args.clique and args.clique_rule:
         raise InvalidInput("give either --clique or --clique-rule, not both")
     if args.clique:
-        return frozenset(int(x) for x in args.clique.split(",") if x.strip())
+        return frozenset(
+            _int_arg(x, "--clique index") for x in args.clique.split(",") if x.strip()
+        )
     if args.clique_rule:
         name, _, param = args.clique_rule.partition(":")
         if name == "modular":
             if not param:
                 raise InvalidInput("modular clique rule needs a modulus")
-            return residue_class_clique(int(param))
+            return residue_class_clique(_int_arg(param, "clique modulus"))
         if name == "quadratic":
             return quadratic_gap_clique()
         raise InvalidInput(f"unknown clique rule {args.clique_rule!r}")
@@ -287,7 +300,6 @@ def cmd_rado(args) -> int:
             trials=args.trials,
             seed=args.seed,
             tol_rel=args.tol,
-            workers=worker_count(),
         )
         write_ratio_csv(
             trajectories, f"{prefix}_ratio.csv", comment=_provenance_comment(args)

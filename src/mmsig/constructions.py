@@ -26,7 +26,7 @@ from .errors import (
     TriangleViolation,
 )
 from .linalg import DEFAULT_TOL_REL, double_center, inertia
-from .spaces import FiniteMetricSpace, _min_strict_slack, from_distance_matrix, s_matrix
+from .spaces import FiniteMetricSpace, _check_triangle, from_distance_matrix, s_matrix
 
 _MASK64 = (1 << 64) - 1
 _EPS_FLOOR = 1e-300
@@ -55,7 +55,7 @@ def perturb_to_max_negative(
 
 def _perturb_with_eps(space, seed, tol_rel):
     try:
-        from_distance_matrix(space.dist, strict=True, labels=space.labels)
+        slack = _check_triangle(space.dist, strict=True, strict_margin=0.0)
     except TriangleViolation as exc:
         raise StrictnessViolated(
             f"input must satisfy the strict triangle inequality: {exc}"
@@ -84,8 +84,7 @@ def _perturb_with_eps(space, seed, tol_rel):
     g2 *= d_min / float(g2.max())
 
     D2 = space.dist**2
-    slack, _ = _min_strict_slack(space.dist)  # finite: n >= 3 here
-    eps = 0.5 * slack / float(g2.max())
+    eps = 0.5 * slack / float(g2.max())  # finite: n >= 3 past the early return
     while True:
         if eps < _EPS_FLOOR:
             raise EpsilonUnderflow(

@@ -4,10 +4,16 @@ complements, and the centering transforms everything else builds on.
 Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
 validation gate. Inertia counting uses the eigenvalue spectrum as the source
 of truth, with the zero threshold ``theta = tol_rel * n * max|lambda|``.
+``single_threaded_blas`` is the one place that controls BLAS threading.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +31,13 @@ SCHUR_RCOND_MIN = 1e-12
 _SYM_SLACK = 1e-12
 
 _WEIGHT_SUM_TOL = 1e-12
+
+# (get, set) thread-count symbols of OpenBLAS: numpy's wheel build first, then
+# the plain names of a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class Inertia(NamedTuple):
@@ -100,6 +113,71 @@ def _eigenvalues(a) -> np.ndarray:
         raise NoConvergence(
             f"eigensolver failed for matrix of order {A.shape[0]}: {exc}"
         ) from exc
+
+
+@functools.cache
+def _openblas_thread_api():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, found once through ``/proc/self/maps``; None when no OpenBLAS is
+    mapped (MKL, Accelerate, no ``/proc``) or it lacks both symbol pairs."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = [line.split()[-1] for line in fh]
+    except OSError:
+        return None
+    for path in dict.fromkeys(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _BlasPin:
+    """How many ``single_threaded_blas`` bodies are open, and the count saved
+    when the first one opened."""
+
+    lock = threading.Lock()
+    depth = 0
+    saved = 0
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Pin OpenBLAS to one thread for the body; restore the previous count.
+
+    Meant around a pool of threads that each run their own eigensolves, so
+    that the pool's workers do not each start OpenBLAS threads of their own.
+    The count is process-global: any other BLAS work in the process, on any
+    thread, also runs single-threaded until the body ends. Bodies that
+    overlap, on one thread or several, pin once and restore once, when the
+    last one ends. Does nothing when ``_openblas_thread_api`` finds no
+    OpenBLAS.
+    """
+    api = _openblas_thread_api()
+    if api is None:
+        yield
+        return
+    get, put = api
+    with _BlasPin.lock:
+        if _BlasPin.depth == 0:
+            _BlasPin.saved = get()
+            put(1)
+        _BlasPin.depth += 1
+    try:
+        yield
+    finally:
+        with _BlasPin.lock:
+            _BlasPin.depth -= 1
+            if _BlasPin.depth == 0:
+                put(_BlasPin.saved)
 
 
 def zero_threshold(eigenvalues: np.ndarray, tol_rel: float) -> float:

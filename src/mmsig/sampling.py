@@ -111,6 +111,18 @@ _RULE_PARAMS = {
 }
 
 
+def _rule_param(spec: dict, key: str, convert, default=None):
+    """``spec[key]`` (``default`` when absent) converted by int or float."""
+    value = spec.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        what = "an integer" if convert is int else "a number"
+        raise InvalidMeasure(
+            f"{spec['type']} measure parameter {key} must be {what}, got {value!r}"
+        ) from exc
+
+
 def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
     """Measure from a spec: a weight array, a JSON-style rule such as
     {"type": "class_biased", "j": 30, "q": 0.9}, or the same rule as the
@@ -141,14 +153,14 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
         if kind == "geometric":
             if "q" not in spec:
                 raise InvalidMeasure("geometric measure needs a ratio, e.g. geometric:0.9")
-            return DiscreteMeasure.geometric(float(spec["q"]))
+            return DiscreteMeasure.geometric(_rule_param(spec, "q", float))
         if kind == "super_geometric":
             return DiscreteMeasure.super_geometric()
         if kind == "class_biased":
             if "j" not in spec:
                 raise InvalidMeasure("class_biased needs j, e.g. class_biased:30")
             return DiscreteMeasure.class_biased(
-                int(spec["j"]), float(spec.get("q", 0.9))
+                _rule_param(spec, "j", int), _rule_param(spec, "q", float, 0.9)
             )
         raise InvalidMeasure(f"unknown measure rule {kind!r}")
     raise InvalidMeasure(f"cannot interpret measure spec {spec!r}")

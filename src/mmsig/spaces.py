@@ -178,36 +178,30 @@ def _min_strict_slack(D: np.ndarray):
     return best, witness
 
 
-def _check_triangle(D: np.ndarray, strict: bool, strict_margin: float):
-    n = D.shape[0]
-    if n < 3:
-        return
-    diam = float(D.max())
-    tol = TRIANGLE_TOL_REL * diam
-    worst_gap = -np.inf
-    worst = None
-    for j in range(n):
-        # slack[i, k] = d(i,j) + d(j,k) - d(i,k)
-        slack = D[:, j][:, None] + D[j, :][None, :] - D
-        gap = -slack
-        g = float(gap.max())
-        if g > worst_gap:
-            i, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
-            worst_gap, worst = g, (int(i), j, int(k))
-    if worst_gap > tol:
-        i, j, k = worst
+def _check_triangle(D: np.ndarray, strict: bool, strict_margin: float) -> float:
+    """Raise TriangleViolation unless the triangle inequality holds up to
+    TRIANGLE_TOL_REL of the diameter and, with ``strict``, every distinct
+    triple has slack above ``strict_margin``.
+
+    One ``_min_strict_slack`` scan decides both: the triples (i, j, i) and
+    (i, i, k) have slack 2 d(i,j) and 0, so a violation is a distinct triple.
+    Returns the smallest slack (inf below three points).
+    """
+    min_slack, witness = _min_strict_slack(D)
+    if witness is None:
+        return min_slack
+    i, j, k = witness
+    if min_slack < -TRIANGLE_TOL_REL * float(D.max()):
         raise TriangleViolation(
-            (i, j, k),
-            f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {worst_gap!r}",
+            witness, f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {-min_slack!r}"
         )
-    if strict:
-        min_slack, (i, j, k) = _min_strict_slack(D)
-        if min_slack <= strict_margin:
-            raise TriangleViolation(
-                (i, j, k),
-                f"strict triangle inequality fails: d({i},{k}) = "
-                f"d({i},{j}) + d({j},{k}) up to slack {min_slack!r}",
-            )
+    if strict and min_slack <= strict_margin:
+        raise TriangleViolation(
+            witness,
+            f"strict triangle inequality fails: d({i},{k}) = "
+            f"d({i},{j}) + d({j},{k}) up to slack {min_slack!r}",
+        )
+    return min_slack
 
 
 def from_distance_matrix(

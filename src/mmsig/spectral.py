@@ -20,7 +20,7 @@ import numpy as np
 
 from .constructions import CountableRadoModel
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, inertia
+from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, inertia, single_threaded_blas
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
 from .signature import STABILIZATION_WINDOW, limit_signature_trajectory
 
@@ -176,7 +176,12 @@ def sampled_prefix_trajectory(
 
 
 def worker_count() -> int:
-    """Worker cap from MMS_SIG_THREADS; defaults to serial execution."""
+    """Worker cap from MMS_SIG_THREADS; defaults to serial execution.
+
+    Set it to the number of cores: while more than one worker runs, OpenBLAS
+    is pinned to one thread (see ``rado_ratio_trials``), so the workers
+    alone fill the cores and OPENBLAS_NUM_THREADS need not be set.
+    """
     raw = os.environ.get("MMS_SIG_THREADS", "")
     try:
         n = int(raw)
@@ -195,7 +200,16 @@ def rado_ratio_trials(
     tol_rel: float = DEFAULT_TOL_REL,
     workers: int | None = None,
 ) -> list:
-    """Independent repetitions with derived seeds seed XOR trial index."""
+    """Independent repetitions with derived seeds seed XOR trial index.
+
+    ``workers`` defaults to ``worker_count()``. With more than one worker the
+    trials run on a thread pool, and OpenBLAS is pinned to one thread while
+    the pool runs (``linalg.single_threaded_blas``); the previous count is
+    restored afterwards, also when a trial raises. The pin is process-global,
+    so other BLAS work in the same process runs single-threaded meanwhile.
+    A serial run keeps threaded BLAS. Results do not depend on the worker
+    count.
+    """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     if workers is None:
@@ -213,7 +227,7 @@ def rado_ratio_trials(
 
     if workers <= 1:
         return [run(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, range(trials)))
 
 

@@ -205,6 +205,25 @@ class TestRado:
         doc = json.loads((tmp_path / "cls_summary.json").read_text())
         assert doc["final_delta_quantiles"]["q000"] >= 1.0
 
+    def test_ratio_artifacts_independent_of_worker_threads(self, tmp_path, monkeypatch):
+        argv = [
+            "rado", "--ratio", "--p", 0.5, "--measure", "class_biased:6:0.8",
+            "--clique-rule", "modular:7", "--m-max", 400, "--trials", 4, "--seed", 11,
+        ]
+        artifacts = []
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("MMS_SIG_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MMS_SIG_THREADS", threads)
+            prefix = tmp_path / f"threads{threads}"
+            assert run(argv + ["--output-prefix", prefix]) == 0
+            artifacts.append(
+                [(tmp_path / f"threads{threads}_{name}").read_bytes()
+                 for name in ("ratio.csv", "summary.json")]
+            )
+        assert artifacts[0] == artifacts[1]
+
     def test_unknown_measure_exits_2(self):
         assert run(["rado", "--ratio", "--p", 0.5, "--measure", "zeta:2", "--m-max", 10]) == 2
 
@@ -229,3 +248,28 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "mmsig" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["rado", "--ratio", "--p", "0.5", "--measure", "geometric:abc", "--m-max", "10"], "abc"),
+        (["rado", "--ratio", "--p", "0.5", "--measure", "class_biased:x", "--m-max", "10"], "x"),
+        (["rado", "--p", "0.5", "--N", "5", "--clique-rule", "modular:x"], "x"),
+        (["rado", "--p", "0.5", "--N", "5", "--clique", "1,x"], "x"),
+        (["trajectory", "--example", "tripod_extended", "--n", "10", "--sizes", "a:5"], "a"),
+    ],
+    ids=["geometric-q", "class-biased-j", "clique-modulus", "clique-index", "sizes"],
+)
+def test_non_numeric_parameter_exits_2(argv, bad, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(bad) in err
+
+
+@pytest.mark.parametrize("sizes", ["1:5:0", "1:5:-1", "5:1", "20:30"])
+def test_sizes_selecting_no_prefix_exit_2(sizes, capsys):
+    argv = ["trajectory", "--example", "tripod_extended", "--n", "10", "--sizes", sizes]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: --sizes")

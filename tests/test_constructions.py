@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
+from mmsig import spaces
+from mmsig.cli import main
 from mmsig.constructions import (
     CountableRadoModel,
     _perturb_with_eps,
@@ -79,6 +83,27 @@ class TestPrescribed:
         sp = prescribed_signature_space(1, 2, seed=21)
         sig = space_signature(sp)
         assert sig.s_plus in (2, 3) and sig.s_minus in (1, 2)
+
+    def test_construct_scans_each_matrix_once_per_validation(self, monkeypatch, tmp_path):
+        # every binding of the triangle scan in the package records its matrix
+        scanned = []
+        real = spaces._min_strict_slack
+
+        def counting(D):
+            scanned.append(np.array(D).tobytes())
+            return real(D)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("mmsig")]:
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+        out = tmp_path / "p.csv"
+        assert main(["construct", "prescribed", "--n", "3", "--p", "2", "--output", str(out)]) == 0
+        # the sphere sample: once when sampled, once as the perturbation's
+        # input; then each perturbed candidate once
+        assert len(scanned) >= 3
+        assert scanned[0] == scanned[1]
+        assert len(set(scanned)) == len(scanned) - 1
 
     def test_bad_params(self):
         with pytest.raises(BadParams):

@@ -1,7 +1,8 @@
 """Source layout rules that the package keeps.
 
 Imports sit at module level: a function-local import hides a dependency
-between modules and usually papers over an import cycle.
+between modules and usually papers over an import cycle. Only ``linalg``
+imports ``ctypes``, so BLAS thread control stays in one place.
 """
 
 import ast
@@ -27,3 +28,20 @@ def test_no_imports_inside_functions():
         for name, line in _function_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert not found, "function-local imports: " + ", ".join(found)
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_only_linalg_imports_ctypes():
+    importers = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if "ctypes" in set(_imported_modules(ast.parse(path.read_text(), str(path))))
+    )
+    assert importers == ["linalg.py"]

@@ -19,6 +19,7 @@ from mmsig.linalg import inertia
 from mmsig.sampling import DiscreteMeasure, t_matrix
 from mmsig.spaces import (
     Graph,
+    _min_strict_slack,
     PseudoEuclideanPointSet,
     from_distance_matrix,
     from_euclidean_points,
@@ -73,6 +74,74 @@ class TestFromDistanceMatrix:
             D = random_metric_matrix(rng, int(rng.integers(2, 12)))
             sp = from_distance_matrix(D)
             assert brute_triangle_ok(sp.dist, tol=1e-12 * sp.diameter)
+
+
+def _two_pass_triangle_check(D, strict):
+    """Reference: a non-strict scan over all triples, then the strict scan."""
+    n = D.shape[0]
+    if n < 3:
+        return
+    worst_gap, worst = -np.inf, None
+    for j in range(n):
+        gap = -(D[:, j][:, None] + D[j, :][None, :] - D)
+        if float(gap.max()) > worst_gap:
+            i, k = np.unravel_index(int(np.argmax(gap)), gap.shape)
+            worst_gap, worst = float(gap.max()), (int(i), j, int(k))
+    if worst_gap > 1e-12 * float(D.max()):
+        i, j, k = worst
+        raise TriangleViolation(
+            worst, f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {worst_gap!r}"
+        )
+    if strict:
+        slack, (i, j, k) = _min_strict_slack(D)
+        if slack <= 0.0:
+            raise TriangleViolation(
+                (i, j, k),
+                f"strict triangle inequality fails: d({i},{k}) = "
+                f"d({i},{j}) + d({j},{k}) up to slack {slack!r}",
+            )
+
+
+def _outcome(check, D, strict):
+    try:
+        check(D, strict=strict)
+    except TriangleViolation as exc:
+        return exc.triple, str(exc)
+    return None
+
+
+class TestTriangleScan:
+    """One scan decides both the non-strict and the strict triangle test."""
+
+    def _matrices(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            n = int(rng.integers(3, 9))
+            yield random_metric_matrix(rng, n)  # strict
+            M = rng.uniform(0.1, 3.0, size=(n, n))  # mostly violating
+            D = 0.5 * (M + M.T)
+            np.fill_diagonal(D, 0.0)
+            yield D
+            x = rng.permutation(n).astype(float)  # collinear: slack exactly 0
+            D = np.abs(x[:, None] - x[None, :])
+            yield D
+            i, k = np.unravel_index(int(np.argmax(D)), D.shape)
+            for stretch in (1e-13, 1e-10):  # violation inside, then past, the tolerance
+                E = D.copy()
+                E[i, k] = E[k, i] = D[i, k] * (1.0 + stretch)
+                yield E
+
+    def test_matches_brute_force_and_two_pass_reference(self):
+        kinds = set()
+        for D in self._matrices():
+            ok = brute_triangle_ok(D, tol=1e-12 * D.max())
+            strict_ok = ok and brute_triangle_ok(D, strict=True)
+            kinds.add((ok, strict_ok))
+            for strict, expected in ((False, ok), (True, strict_ok)):
+                got = _outcome(from_distance_matrix, D, strict)
+                assert (got is None) == expected
+                assert got == _outcome(_two_pass_triangle_check, D, strict)
+        assert kinds == {(True, True), (True, False), (False, False)}
 
 
 class TestFromGraph:

@@ -1,13 +1,15 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mmsig import linalg, spectral
 from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import InvalidInput
-from mmsig.linalg import Inertia, double_center, inertia
-from mmsig.sampling import DiscreteMeasure, gv_sample
+from mmsig.linalg import Inertia, double_center, inertia, single_threaded_blas
+from mmsig.sampling import DiscreteMeasure, gv_sample, trial_seed
 from mmsig.spectral import (
     ESD,
     default_checkpoints,
@@ -202,6 +204,9 @@ class TestRatioExperiment:
             model, measure, m_max=128, trials=4, seed=2, checkpoints=[128], workers=4
         )
         assert [t.deltas for t in serial] == [t.deltas for t in threaded]
+        assert [[i.counts() for i in t.inertias] for t in serial] == [
+            [i.counts() for i in t.inertias] for t in threaded
+        ]
 
     def test_biased_measure_grows_delta(self):
         # planted infinite clique split into residue classes: the ratio of
@@ -235,6 +240,94 @@ class TestRatioExperiment:
             rado_ratio_experiment(
                 model, DiscreteMeasure.geometric(0.5), m_max=10, checkpoints=[4, 20]
             )
+
+
+@pytest.fixture
+def openblas_two_threads():
+    """OpenBLAS's (get, set) pair with the count set to 2, restored afterwards."""
+    api = linalg._openblas_thread_api()
+    if api is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS found through /proc/self/maps")
+    get, put = api
+    saved = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(saved)
+
+
+class TestBlasPin:
+    def _recording(self, monkeypatch, get, fail_seed=None):
+        seen = []
+        real = spectral.rado_ratio_experiment
+
+        def experiment(*args, **kwargs):
+            seen.append(get())
+            if kwargs["seed"] == fail_seed:
+                raise RuntimeError("trial failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "rado_ratio_experiment", experiment)
+        return seen
+
+    def _trials(self, workers):
+        return rado_ratio_trials(
+            CountableRadoModel(edge_prob=0.5, seed=1), DiscreteMeasure.geometric(0.8),
+            m_max=64, trials=4, seed=2, checkpoints=[64], workers=workers,
+        )
+
+    def test_pool_pins_one_thread_and_restores(self, monkeypatch, openblas_two_threads):
+        seen = self._recording(monkeypatch, openblas_two_threads)
+        self._trials(workers=2)
+        assert seen == [1, 1, 1, 1]
+        assert openblas_two_threads() == 2
+
+    def test_serial_run_keeps_threaded_blas(self, monkeypatch, openblas_two_threads):
+        seen = self._recording(monkeypatch, openblas_two_threads)
+        self._trials(workers=1)
+        assert seen == [2, 2, 2, 2]
+
+    def test_restored_after_a_trial_raises(self, monkeypatch, openblas_two_threads):
+        self._recording(monkeypatch, openblas_two_threads, fail_seed=trial_seed(2, 1))
+        with pytest.raises(RuntimeError):
+            self._trials(workers=2)
+        assert openblas_two_threads() == 2
+
+    def test_overlapping_pins_restore_the_first_count(self, openblas_two_threads):
+        # thread a pins, b pins, a ends, b ends: the count must go back to 2
+        a_pinned, b_pinned, a_done = (threading.Event() for _ in range(3))
+        seen = []
+
+        def a():
+            with single_threaded_blas():
+                a_pinned.set()
+                b_pinned.wait(10)
+            seen.append(openblas_two_threads())
+            a_done.set()
+
+        def b():
+            a_pinned.wait(10)
+            with single_threaded_blas():
+                b_pinned.set()
+                a_done.wait(10)
+
+        threads = [threading.Thread(target=f) for f in (a, b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1]  # b's body is still open when a's ends
+        assert openblas_two_threads() == 2
+
+    def test_no_openblas_leaves_blas_alone(self, monkeypatch):
+        api = linalg._openblas_thread_api()
+        before = api[0]() if api else None
+        monkeypatch.setattr(linalg, "_openblas_thread_api", lambda: None)
+        with single_threaded_blas():
+            assert (api[0]() if api else None) == before
+        assert (api[0]() if api else None) == before
 
 
 class TestSampledPrefixTrajectory:
