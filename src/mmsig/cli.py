@@ -22,8 +22,6 @@ from .constructions import (
     CountableRadoModel,
     perturb_to_max_negative,
     prescribed_signature_space,
-    quadratic_gap_clique,
-    residue_class_clique,
     union_space,
 )
 from .errors import BadParams, InvalidInput, MmsigError
@@ -60,6 +58,7 @@ from .spectral import (
 )
 
 EMBED_RESIDUAL_REL = 1e-6
+DEFAULT_MODEL_MEASURE = "geometric:0.9"
 
 
 def _provenance(args) -> dict:
@@ -192,12 +191,8 @@ def cmd_trajectory(args) -> int:
         # countable-model source: sample vertices, nest their dedup prefixes
         if args.m_max is None:
             raise InvalidInput("model trajectory needs --m-max")
-        model = CountableRadoModel(
-            edge_prob=args.model_p,
-            seed=args.model_seed if args.model_seed is not None else args.seed,
-            planted_clique=_parse_clique(args),
-        )
-        measure = _parse_measure(args.measure or "geometric:0.9")
+        model = _model_from_args(args, args.model_p)
+        measure = _parse_measure(args.measure or DEFAULT_MODEL_MEASURE)
         traj = sampled_prefix_trajectory(
             model, measure, args.m_max, args.seed, tol_rel=args.tol
         )
@@ -261,38 +256,28 @@ def _parse_measure(spec: str, n=None) -> DiscreteMeasure:
     return parse_measure_spec(spec, n=n)
 
 
-def _parse_clique(args):
+def _model_from_args(args, p) -> CountableRadoModel:
+    """The model of the ``_add_model_args`` options with edge probability p."""
     if args.clique and args.clique_rule:
         raise InvalidInput("give either --clique or --clique-rule, not both")
+    clique = args.clique_rule or None
     if args.clique:
-        return frozenset(
-            _int_arg(x, "--clique index") for x in args.clique.split(",") if x.strip()
-        )
-    if args.clique_rule:
-        name, _, param = args.clique_rule.partition(":")
-        if name == "modular":
-            if not param:
-                raise InvalidInput("modular clique rule needs a modulus")
-            return residue_class_clique(_int_arg(param, "clique modulus"))
-        if name == "quadratic":
-            return quadratic_gap_clique()
-        raise InvalidInput(f"unknown clique rule {args.clique_rule!r}")
-    return None
+        clique = [_int_arg(x, "--clique index") for x in args.clique.split(",") if x.strip()]
+    seed = args.model_seed if args.model_seed is not None else args.seed
+    return CountableRadoModel(edge_prob=p, seed=seed, planted_clique=clique)
 
 
 def cmd_rado(args) -> int:
     if args.p is None:
         raise BadParams("rado needs --p, the edge probability")
-    model = CountableRadoModel(
-        edge_prob=args.p,
-        seed=args.model_seed if args.model_seed is not None else args.seed,
-        planted_clique=_parse_clique(args),
-    )
+    model = _model_from_args(args, args.p)
     prefix = args.output_prefix or "rado"
     if args.ratio:
-        measure = _parse_measure(args.measure or "geometric:0.9")
+        measure = _parse_measure(args.measure or DEFAULT_MODEL_MEASURE)
         if args.m_max is None:
             raise InvalidInput("--ratio needs --m-max")
+        if args.min_fraction is not None and args.delta_threshold is None:
+            raise InvalidInput("--min-fraction needs --delta-threshold")
         trajectories = rado_ratio_trials(
             model,
             measure,
@@ -344,6 +329,12 @@ def cmd_rado(args) -> int:
     return 0
 
 
+def _add_model_args(sub):
+    sub.add_argument("--model-seed", type=int, help="adjacency seed (default --seed)")
+    sub.add_argument("--clique", help="comma-separated planted clique indices")
+    sub.add_argument("--clique-rule", help="planted clique rule: modular:MOD or quadratic")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmsig",
@@ -370,9 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", help="sample instead of deterministic nesting")
     p.add_argument("--m-max", type=int, help="sample size for --measure")
     p.add_argument("--model-p", type=float, help="sample a countable model instead")
-    p.add_argument("--model-seed", type=int, help="adjacency seed (default --seed)")
-    p.add_argument("--clique", help="comma-separated planted clique indices")
-    p.add_argument("--clique-rule", help="predicate clique: modular:MOD or quadratic")
+    _add_model_args(p)
     p.set_defaults(func=cmd_trajectory)
 
     p = subs.add_parser("construct", help="build spaces with prescribed signatures")
@@ -388,11 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("rado", help="random-graph spectra and ratio experiments")
     p.add_argument("--p", type=float, help="edge probability")
     p.add_argument("--N", type=int, help="truncation order for the spectral run")
-    p.add_argument("--model-seed", type=int, help="adjacency seed (default --seed)")
-    p.add_argument("--clique", help="comma-separated planted clique indices")
-    p.add_argument(
-        "--clique-rule", help="predicate clique: modular:MOD or quadratic"
-    )
+    _add_model_args(p)
     p.add_argument("--ratio", action="store_true", help="run the ratio experiment")
     p.add_argument("--measure", help="sampling measure for --ratio")
     p.add_argument("--m-max", type=int, help="draws per trial for --ratio")

@@ -6,14 +6,16 @@ is a 64-bit mix of (seed, min, max) compared against p * 2^64, so truncations
 of any size are prefix-consistent and O(1) in memory. Its {1, 2} distance
 rule gives the -d^2/2 matrix one builder, ``CountableRadoModel.s_matrix_on``:
 -1/2 on edges, -2 on non-edges, 0 on the diagonal.
+
+A planted clique is a frozen rule with a vectorized ``members(idx)``;
+``parse_clique_spec`` reads every spelling of one and ``spec()`` writes its
+JSON form, so models pickle and round-trip through ``model_to_json``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -199,37 +201,59 @@ def union_r_matrix(components, h: float) -> np.ndarray:
 # Countable random graph models
 
 
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
+def _vmix64(x):
+    """SplitMix64 finalizer on a uint64 array or scalar, modulo 2^64."""
+    with np.errstate(over="ignore"):
+        x = x ^ (x >> np.uint64(30))
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
     return x
 
 
-def _vmix64(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return x
+@dataclass(frozen=True)
+class IndexClique:
+    """Planted clique on an explicit set of vertex indices."""
+
+    indices: tuple = ()
+
+    def __post_init__(self):
+        indices = tuple(sorted({int(i) for i in self.indices}))
+        if indices and indices[0] < 0:
+            raise BadParams("clique indices must be nonnegative")
+        object.__setattr__(self, "indices", indices)
+
+    def members(self, idx) -> np.ndarray:
+        return np.isin(np.asarray(idx, dtype=np.int64), self.indices)
+
+    def spec(self) -> list:
+        return list(self.indices)
 
 
-def residue_class_clique(modulus: int) -> Callable[[int], bool]:
+@dataclass(frozen=True)
+class ResidueClassClique:
     """Clique membership: every index not divisible by ``modulus``.
 
     With modulus j+1 this splits the clique into j residue classes matching
     the class-biased measure's layout (class 0 is the non-clique part).
     """
-    if modulus < 2:
-        raise BadParams("modulus must be >= 2")
-    return lambda i: (i % modulus) != 0
+
+    modulus: int
+
+    def __post_init__(self):
+        if self.modulus < 2:
+            raise BadParams("modulus must be >= 2")
+
+    def members(self, idx) -> np.ndarray:
+        return np.asarray(idx, dtype=np.int64) % self.modulus != 0
+
+    def spec(self) -> dict:
+        return {"rule": "modular", "modulus": self.modulus}
 
 
-def quadratic_gap_clique() -> Callable[[int], bool]:
+@dataclass(frozen=True)
+class QuadraticGapClique:
     """Clique membership with non-clique vertices at 1-based positions
     k^2 + k, so that the first N^2 + N vertices hold N^2 clique members.
 
@@ -237,21 +261,55 @@ def quadratic_gap_clique() -> Callable[[int], bool]:
     ratio of prefix signatures diverges.
     """
 
-    def member(i: int) -> bool:
-        x = i + 1
-        k = (math.isqrt(4 * x + 1) - 1) // 2
+    def members(self, idx) -> np.ndarray:
+        x = np.asarray(idx, dtype=np.int64) + 1
+        v = 4 * x + 1
+        # floor(sqrt(v)) in floating point is off by at most one; correct it
+        r = np.floor(np.sqrt(v)).astype(np.int64)
+        r -= r * r > v
+        r += (r + 1) * (r + 1) <= v
+        k = (r - 1) // 2
         return k * k + k != x
 
-    return member
+    def spec(self) -> dict:
+        return {"rule": "quadratic"}
+
+
+residue_class_clique = ResidueClassClique
+quadratic_gap_clique = QuadraticGapClique
+
+
+def parse_clique_spec(spec):
+    """A clique rule from a CLI string (``modular:M``, ``quadratic``), the JSON
+    form that ``spec()`` writes, or a collection of vertex indices."""
+    if spec is None or isinstance(spec, (IndexClique, ResidueClassClique, QuadraticGapClique)):
+        return spec
+    if isinstance(spec, str):
+        name, _, param = spec.partition(":")
+        spec = {"rule": name, "modulus": param} if param else {"rule": name}
+    if not isinstance(spec, dict):
+        return IndexClique(spec)
+    name, modulus = spec.get("rule"), spec.get("modulus")
+    if name == "quadratic":
+        return QuadraticGapClique()
+    if name != "modular":
+        raise InvalidInput(f"unknown clique rule {name!r}")
+    if modulus is None:
+        raise InvalidInput("modular clique rule needs a modulus")
+    try:
+        return ResidueClassClique(int(modulus))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"clique modulus must be an integer, got {modulus!r}") from exc
 
 
 @dataclass(frozen=True)
 class CountableRadoModel:
     """Seeded infinite Bernoulli adjacency over the natural numbers.
 
-    ``planted_clique`` may be an explicit index collection or a membership
-    predicate; planted pairs are always adjacent. Adjacency is symmetric,
-    self-loop free, and a pure function of (seed, min(i,j), max(i,j)).
+    ``planted_clique`` is None or a clique rule; any spec that
+    ``parse_clique_spec`` reads, such as an index collection, is turned into
+    one. Planted pairs are always adjacent. Adjacency is symmetric, self-loop
+    free, and a pure function of (seed, min(i,j), max(i,j)).
     """
 
     edge_prob: float
@@ -259,41 +317,14 @@ class CountableRadoModel:
     planted_clique: object = None
 
     def __post_init__(self):
+        object.__setattr__(self, "planted_clique", parse_clique_spec(self.planted_clique))
         if not (0.0 < self.edge_prob < 1.0):
             raise BadParams(f"edge probability must be in (0, 1), got {self.edge_prob!r}")
-        pc = self.planted_clique
-        if pc is not None and not callable(pc):
-            pc = frozenset(int(i) for i in pc)
-            if pc and min(pc) < 0:
-                raise BadParams("clique indices must be nonnegative")
-            object.__setattr__(self, "planted_clique", pc)
-
-    @property
-    def _threshold(self) -> int:
-        return int(self.edge_prob * 2.0**64)
-
-    def in_clique(self, i: int) -> bool:
-        pc = self.planted_clique
-        if pc is None:
-            return False
-        if callable(pc):
-            return bool(pc(int(i)))
-        return int(i) in pc
-
-    def adjacent(self, i: int, j: int) -> bool:
-        i, j = int(i), int(j)
-        if i == j:
-            return False
-        if self.in_clique(i) and self.in_clique(j):
-            return True
-        lo, hi = (i, j) if i < j else (j, i)
-        h = _mix64(_mix64(_mix64(self.seed) ^ lo) ^ hi)
-        return h < self._threshold
 
     def _clique_flags(self, indices: np.ndarray) -> np.ndarray:
-        return np.fromiter(
-            (self.in_clique(int(i)) for i in indices), dtype=bool, count=len(indices)
-        )
+        if self.planted_clique is None:
+            return np.zeros(indices.shape, dtype=bool)
+        return self.planted_clique.members(indices)
 
     def adjacency_block(self, indices) -> np.ndarray:
         """Boolean adjacency among (possibly repeated) indices; repeated
@@ -301,23 +332,15 @@ class CountableRadoModel:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and idx.min() < 0:
             raise InvalidInput("vertex indices must be nonnegative")
-        n = idx.size
-        out = np.zeros((n, n), dtype=bool)
-        if n < 2:
-            return out
-        ii, jj = np.triu_indices(n, k=1)
-        a, b = idx[ii], idx[jj]
-        lo = np.minimum(a, b).astype(np.uint64)
-        hi = np.maximum(a, b).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = _vmix64(_vmix64(np.full(lo.shape, _mix64(self.seed), dtype=np.uint64) ^ lo) ^ hi)
-        bits = h < np.uint64(self._threshold)
+        u = idx.astype(np.uint64)
+        # the hash depends on (min, max) only, so the full square is symmetric
+        h = _vmix64(np.minimum.outer(u, u) ^ _vmix64(np.uint64(self.seed & _MASK64)))
+        h ^= np.maximum.outer(u, u)
+        adj = _vmix64(h) < np.uint64(int(self.edge_prob * 2.0**64))
         flags = self._clique_flags(idx)
-        bits = bits | (flags[ii] & flags[jj])
-        bits = bits & (a != b)
-        out[ii, jj] = bits
-        out[jj, ii] = bits
-        return out
+        adj |= np.logical_and.outer(flags, flags)
+        adj &= idx[:, None] != idx[None, :]
+        return adj
 
     def s_matrix_on(self, indices) -> np.ndarray:
         """-d^2/2 on sampled indices with the {1, 2} distance rule: adjacent
@@ -357,12 +380,12 @@ def rado_consistency_check(adj) -> bool:
 
 
 def model_to_json(model: CountableRadoModel) -> str:
-    pc = model.planted_clique
-    if callable(pc):
-        raise InvalidInput("predicate cliques are not JSON-serializable")
+    """``p``, ``seed`` and the planted clique's ``spec()``: a sorted index list
+    or a rule such as ``{"rule": "modular", "modulus": 31}``. Every form
+    reads back through ``model_from_json`` to an equal model."""
     doc = {"p": model.edge_prob, "seed": model.seed}
-    if pc is not None:
-        doc["planted_clique"] = sorted(int(i) for i in pc)
+    if model.planted_clique is not None:
+        doc["planted_clique"] = model.planted_clique.spec()
     return json.dumps(doc, sort_keys=True)
 
 
@@ -371,5 +394,5 @@ def model_from_json(text: str) -> CountableRadoModel:
     return CountableRadoModel(
         edge_prob=float(doc["p"]),
         seed=int(doc["seed"]),
-        planted_clique=frozenset(doc["planted_clique"]) if "planted_clique" in doc else None,
+        planted_clique=doc.get("planted_clique"),
     )

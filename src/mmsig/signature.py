@@ -54,11 +54,20 @@ class SignatureTrajectory:
             yield (size, ine.s_minus, ine.s_zero, ine.s_plus, ine.tol)
 
 
-def _trajectory_from_prefixes(prefix_matrices, sizes, tol_rel, window):
+def _trajectory_from_prefixes(S, sizes, tol_rel, window) -> SignatureTrajectory:
+    """Inertias of the leading blocks ``S[:k, :k]`` for the prefix ``sizes``
+    (default every size from 1), where ``S`` is -d^2/2 in nesting order.
+    The arguments are checked before the first eigensolve."""
+    n = S.shape[0]
+    if window < 1:
+        raise InvalidInput("stabilization window must be >= 1")
+    sizes = range(1, n + 1) if sizes is None else [int(s) for s in sizes]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])) or any(s < 1 or s > n for s in sizes):
+        raise InvalidInput("sizes must be increasing and within the order length")
     inertias = []
     prev = None
-    for size, S in zip(sizes, prefix_matrices):
-        ine = inertia(S, tol_rel)
+    for size in sizes:
+        ine = inertia(S[:size, :size], tol_rel)
         if prev is not None and (
             ine.s_minus < prev.s_minus or ine.s_plus < prev.s_plus
         ):
@@ -68,15 +77,13 @@ def _trajectory_from_prefixes(prefix_matrices, sizes, tol_rel, window):
             )
         prev = ine
         inertias.append(ine)
-    if window < 1:
-        raise InvalidInput("stabilization window must be >= 1")
     stabilized = None
     if len(inertias) >= window:
         tail = [i.signature for i in inertias[-window:]]
         if all(t == tail[0] for t in tail):
             stabilized = tail[0]
     return SignatureTrajectory(
-        sizes=tuple(int(s) for s in sizes),
+        sizes=tuple(sizes),
         inertias=tuple(inertias),
         window=window,
         stabilized=stabilized,
@@ -105,18 +112,8 @@ def limit_signature_trajectory(
         raise InvalidInput("nesting order must not repeat points")
     if order.size and (order.min() < 0 or order.max() >= space.n):
         raise InvalidInput("nesting order has out-of-range indices")
-    if sizes is None:
-        sizes = range(1, order.size + 1)
-    sizes = [int(s) for s in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or any(
-        s < 1 or s > order.size for s in sizes
-    ):
-        raise InvalidInput("sizes must be increasing and within the order length")
-    S_full = s_matrix(space)
-    prefixes = (
-        S_full[np.ix_(order[:size], order[:size])] for size in sizes
-    )
-    return _trajectory_from_prefixes(prefixes, sizes, tol_rel, window)
+    S = s_matrix(space)[np.ix_(order, order)]
+    return _trajectory_from_prefixes(S, sizes, tol_rel, window)
 
 
 def sampled_signature_trajectory(
@@ -222,17 +219,12 @@ def classify_embeddability(
     )
 
 
-def kernel_reconstruction_check(
-    space: FiniteMetricSpace,
-    measure: DiscreteMeasure,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> float:
+def kernel_reconstruction_check(space: FiniteMetricSpace, measure: DiscreteMeasure) -> float:
     """Rebuild the centered kernel matrix from its full eigendecomposition.
 
     Returns the max entrywise deviation of V diag(lambda) V^T from the
     matrix; stays at machine scale relative to its norm.
     """
-    del tol_rel  # accepted for interface symmetry; reconstruction is exact
     T = t_matrix(space, measure)
     vals, vecs = eig_sym(T)
     rebuilt = (vecs * vals[None, :]) @ vecs.T

@@ -22,7 +22,7 @@ from .constructions import CountableRadoModel
 from .errors import InvalidInput
 from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, inertia, single_threaded_blas
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
-from .signature import STABILIZATION_WINDOW, limit_signature_trajectory
+from .signature import STABILIZATION_WINDOW, _trajectory_from_prefixes
 
 
 class ESD(NamedTuple):
@@ -165,14 +165,11 @@ def sampled_prefix_trajectory(
     window: int = STABILIZATION_WINDOW,
 ):
     """Signature trajectory along the dedup prefixes of vertices sampled
-    i.i.d. from the measure, with distances from the model's {1, 2} rule."""
+    i.i.d. from the measure; the model's {1, 2} table needs no triangle scan."""
     dedup = gv_sample(measure, m_max, seed).dedup
     if dedup.size == 0:
         raise InvalidInput("empty sample; increase m_max")
-    space = model.metric_on(dedup)
-    return limit_signature_trajectory(
-        space, sizes=sizes, tol_rel=tol_rel, window=window
-    )
+    return _trajectory_from_prefixes(model.s_matrix_on(dedup), sizes, tol_rel, window)
 
 
 def worker_count() -> int:
@@ -255,8 +252,10 @@ def ratio_summary(
 
     With ``delta_threshold`` the summary also reports the fraction of trials
     whose trajectory reaches the threshold at any checkpoint, and with
-    ``min_fraction`` a pass/fail verdict against that fraction.
+    ``min_fraction``, which needs the threshold, a pass/fail verdict.
     """
+    if min_fraction is not None and delta_threshold is None:
+        raise InvalidInput("min_fraction needs delta_threshold")
     finals = np.asarray([t.final_delta for t in trajectories], dtype=float)
     finite = finals[np.isfinite(finals)]
     qs = {}

@@ -243,6 +243,17 @@ class TestRado:
         assert doc["pass"] is True
 
 
+    def test_min_fraction_without_threshold_exits_2(self, tmp_path, capsys):
+        prefix = tmp_path / "mf"
+        argv = [
+            "rado", "--ratio", "--p", 0.5, "--measure", "geometric:0.9",
+            "--m-max", 50, "--trials", 3, "--min-fraction", 0.5, "--output-prefix", prefix,
+        ]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --min-fraction")
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])

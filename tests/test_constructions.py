@@ -1,3 +1,5 @@
+import math
+import pickle
 import sys
 
 import numpy as np
@@ -7,9 +9,11 @@ from mmsig import spaces
 from mmsig.cli import main
 from mmsig.constructions import (
     CountableRadoModel,
+    IndexClique,
     _perturb_with_eps,
     model_from_json,
     model_to_json,
+    parse_clique_spec,
     perturb_to_max_negative,
     prescribed_signature_space,
     quadratic_gap_clique,
@@ -30,7 +34,10 @@ from mmsig.sampling import DiscreteMeasure, t_matrix
 from mmsig.signature import centered_signature, s_matrix, space_signature
 from mmsig.spaces import Graph, from_euclidean_points, from_graph, named_example
 
-from util_oracles import random_cospherical_points, unit_square_corners
+from util_oracles import rado_adjacent, random_cospherical_points, unit_square_corners
+
+# one planted clique of each kind, and none
+CLIQUES = [None, frozenset({0, 2, 5, 11, 12}), residue_class_clique(3), quadratic_gap_clique()]
 
 
 class TestPerturb:
@@ -179,11 +186,15 @@ class TestRadoModel:
         assert np.array_equal(full, ~np.eye(30, dtype=bool))
 
     def test_scalar_matches_block(self):
-        model = CountableRadoModel(edge_prob=0.37, seed=123)
-        block = model.adjacency_block(np.arange(40))
-        for i in range(40):
-            for j in range(40):
-                assert block[i, j] == model.adjacent(i, j)
+        # every clique kind, repeated indices, a large index, a negative seed
+        idx = np.array([*range(40), 3, 17, 17, 0, 12, 1_000_003])
+        for seed in (123, -5):
+            for clique in CLIQUES:
+                model = CountableRadoModel(edge_prob=0.37, seed=seed, planted_clique=clique)
+                block = model.adjacency_block(idx)
+                for a, i in enumerate(idx):
+                    for b, j in enumerate(idx):
+                        assert block[a, b] == rado_adjacent(model, i, j), (clique, i, j)
 
     def test_prefix_consistency(self):
         model = CountableRadoModel(edge_prob=0.5, seed=7)
@@ -219,21 +230,72 @@ class TestRadoModel:
         assert np.array_equal(clique_sub.dist, named_example("simplex", n=4).dist)
 
     def test_predicate_cliques(self):
-        member = residue_class_clique(4)
-        assert [member(i) for i in range(8)] == [
+        assert residue_class_clique(4).members(np.arange(8)).tolist() == [
             False, True, True, True, False, True, True, True,
         ]
-        qg = quadratic_gap_clique()
+        members = quadratic_gap_clique().members(np.arange(30))
         # non-clique vertices sit at 1-based positions k^2 + k = 2, 6, 12, ...
-        non_clique = [i for i in range(30) if not qg(i)]
-        assert non_clique == [1, 5, 11, 19, 29]
+        assert np.flatnonzero(~members).tolist() == [1, 5, 11, 19, 29]
+
+    def test_members_match_scalar_rules(self):
+        def quadratic(i):
+            x = i + 1
+            k = (math.isqrt(4 * x + 1) - 1) // 2
+            return k * k + k != x
+
+        idx = np.arange(200_001)
+        expected = [quadratic(i) for i in range(200_001)]
+        assert quadratic_gap_clique().members(idx).tolist() == expected
+        # around k^2 + k for k near 2^25, where 4x + 1 is near 2^52
+        big = np.array(
+            [k * k + k + d for k in (2**25 - 1, 2**25, 2**25 + 7) for d in range(-3, 3)]
+        )
+        assert quadratic_gap_clique().members(big).tolist() == [quadratic(int(i)) for i in big]
+        for m in (2, 3, 31):
+            assert residue_class_clique(m).members(idx[:500]).tolist() == [
+                i % m != 0 for i in range(500)
+            ]
+        chosen = {0, 2, 5, 11, 12}
+        explicit = CountableRadoModel(0.5, 1, planted_clique=[12, 5, 0, 2, 11, 5]).planted_clique
+        assert explicit == IndexClique((0, 2, 5, 11, 12))
+        assert explicit.members(idx[:50]).tolist() == [i in chosen for i in range(50)]
+        assert not IndexClique().members(idx[:5]).any()
 
     def test_json_round_trip(self):
-        model = CountableRadoModel(0.25, 42, planted_clique=frozenset({0, 2}))
-        back = model_from_json(model_to_json(model))
-        assert back == model
-        with pytest.raises(InvalidInput):
-            model_to_json(CountableRadoModel(0.25, 1, planted_clique=residue_class_clique(3)))
+        for clique in [*CLIQUES, frozenset(), residue_class_clique(31)]:
+            model = CountableRadoModel(0.25, 42, planted_clique=clique)
+            back = model_from_json(model_to_json(model))
+            assert back == model
+            assert model_to_json(back) == model_to_json(model)
+        # the index-list format written before rules were serializable
+        old = model_from_json('{"p": 0.25, "planted_clique": [2, 0], "seed": 42}')
+        assert old == CountableRadoModel(0.25, 42, planted_clique=frozenset({0, 2}))
+        rule = model_to_json(CountableRadoModel(0.25, 1, planted_clique=residue_class_clique(3)))
+        assert '"planted_clique": {"modulus": 3, "rule": "modular"}' in rule
+
+    def test_pickle_round_trip(self):
+        idx = np.arange(60)
+        for clique in CLIQUES:
+            model = CountableRadoModel(0.4, 8, planted_clique=clique)
+            back = pickle.loads(pickle.dumps(model))
+            assert back == model
+            np.testing.assert_array_equal(back.adjacency_block(idx), model.adjacency_block(idx))
+
+    def test_clique_spec_forms(self):
+        assert parse_clique_spec("modular:31") == parse_clique_spec(
+            {"rule": "modular", "modulus": 31}
+        ) == residue_class_clique(31)
+        assert parse_clique_spec("quadratic") == parse_clique_spec(
+            {"rule": "quadratic"}
+        ) == quadratic_gap_clique()
+        assert parse_clique_spec([3, 1]) == IndexClique((1, 3))
+        assert parse_clique_spec(None) is None
+        for bad in ("cubic", "modular", "modular:x", {"rule": "modular"}, {"modulus": 3}):
+            with pytest.raises(InvalidInput):
+                parse_clique_spec(bad)
+        for bad in ("modular:1", [1, -2]):
+            with pytest.raises(BadParams):
+                parse_clique_spec(bad)
 
 
 def _adjacency(n, edges):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mmsig import signature
 from mmsig.errors import ConeViolation, InvalidInput
 from mmsig.sampling import DiscreteMeasure
 from mmsig.signature import (
@@ -137,6 +138,13 @@ class TestTrajectory:
         assert traj.stabilized is None  # s_plus grows at every step
         same = limit_signature_trajectory(sp, sizes=[6], window=1)
         assert same.stabilized == (1, 5)
+
+    def test_window_checked_before_eigensolves(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(signature, "inertia", lambda *a: calls.append(a))
+        with pytest.raises(InvalidInput):
+            limit_signature_trajectory(named_example("simplex", n=30), window=0)
+        assert calls == []
 
     def test_bad_order_rejected(self):
         sp = named_example("simplex", n=4)

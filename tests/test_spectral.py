@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mmsig import linalg, spectral
+from mmsig import linalg, spaces, spectral
 from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import InvalidInput
 from mmsig.linalg import Inertia, double_center, inertia, single_threaded_blas
@@ -233,6 +233,8 @@ class TestRatioExperiment:
         doc = ratio_summary(trajectories, provenance={"seed": 0})
         assert doc["trials"] == 2
         assert "q050" in doc["final_delta_quantiles"]
+        with pytest.raises(InvalidInput):
+            ratio_summary(trajectories, min_fraction=0.5)
 
     def test_checkpoint_validation(self):
         model = CountableRadoModel(edge_prob=0.5, seed=5)
@@ -356,6 +358,18 @@ class TestSampledPrefixTrajectory:
         assert [i.counts() for i in traj.inertias] == [
             i.counts() for i in direct.inertias
         ]
+
+    def test_no_triangle_scan(self, monkeypatch):
+        # the {1, 2} table is a metric by construction; nothing validates it
+        def scan(*args, **kwargs):
+            raise AssertionError("triangle scan on a {1, 2} model table")
+
+        monkeypatch.setattr(spaces, "_check_triangle", scan)
+        model = CountableRadoModel(edge_prob=0.5, seed=13, planted_clique=residue_class_clique(5))
+        traj = spectral.sampled_prefix_trajectory(
+            model, DiscreteMeasure.geometric(0.9), m_max=200, seed=2
+        )
+        assert len(traj.sizes) == traj.sizes[-1] > 1
 
     def test_empty_sample_rejected(self):
         from mmsig.spectral import sampled_prefix_trajectory

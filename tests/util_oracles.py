@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: eigenvalues via the
 characteristic polynomial, triangle checks via triple loops, Gram matrices
-straight from coordinates.
+straight from coordinates, random-graph adjacency one pair at a time in
+Python integers.
 """
 
 import numpy as np
@@ -39,6 +40,36 @@ def brute_triangle_ok(D, tol=0.0, strict=False):
                 elif D[i, k] > D[i, j] + D[j, k] + tol:
                     return False
     return True
+
+
+MASK64 = (1 << 64) - 1
+
+
+def mix64(x):
+    """SplitMix64 finalizer on one Python integer."""
+    x &= MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & MASK64
+    x ^= x >> 31
+    return x
+
+
+def rado_adjacent(model, i, j):
+    """Scalar adjacency of vertices i and j in a ``CountableRadoModel``.
+
+    The bit is the hash of (seed, min, max) against p * 2^64; planted pairs
+    are adjacent, and a vertex is not adjacent to itself.
+    """
+    i, j = int(i), int(j)
+    if i == j:
+        return False
+    pc = model.planted_clique
+    if pc is not None and pc.members([i, j]).all():
+        return True
+    lo, hi = min(i, j), max(i, j)
+    return mix64(mix64(mix64(model.seed) ^ lo) ^ hi) < int(model.edge_prob * 2.0**64)
 
 
 def centered_gram(points):
