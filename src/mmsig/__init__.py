@@ -96,6 +96,5 @@ from .spectral import (
     ks_to_semicircle,
     rado_ratio_experiment,
     rado_ratio_trials,
-    sampled_prefix_trajectory,
     semicircle_cdf,
 )

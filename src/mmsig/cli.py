@@ -26,13 +26,12 @@ from .constructions import (
 )
 from .errors import BadParams, InvalidInput, MmsigError
 from .linalg import inertia
-from .sampling import DiscreteMeasure, load_measure, parse_measure_spec
+from .sampling import DiscreteMeasure, load_measure, parse_measure_spec, sample_order
 from .signature import (
     classify_embeddability,
     embedding_to_json,
     limit_signature_trajectory,
     mds_embed,
-    sampled_signature_trajectory,
     space_signature,
     centered_signature,
     verify_isometry,
@@ -51,7 +50,6 @@ from .spectral import (
     ks_to_semicircle,
     rado_ratio_trials,
     ratio_summary,
-    sampled_prefix_trajectory,
     summary_to_json,
     write_esd_csv,
     write_ratio_csv,
@@ -63,7 +61,7 @@ DEFAULT_MODEL_MEASURE = "geometric:0.9"
 
 def _provenance(args) -> dict:
     return {
-        "seed": int(getattr(args, "seed", 0) or 0),
+        "seed": args.seed,
         "tol_rel": args.tol,
         "version": __version__,
     }
@@ -112,9 +110,9 @@ def _add_space_args(sub):
     sub.add_argument("--dim", type=int, help="sphere dimension")
 
 
-def _add_common(sub):
-    sub.add_argument("--output", help="output path (default stdout)")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
+def _add_common(sub, output=True):
+    if output:
+        sub.add_argument("--output", help="output path (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=float, default=1e-9, help="relative zero tolerance")
 
@@ -187,28 +185,26 @@ def _parse_sizes(text, n):
 
 
 def cmd_trajectory(args) -> int:
-    if args.model_p is not None:
-        # countable-model source: sample vertices, nest their dedup prefixes
-        if args.m_max is None:
-            raise InvalidInput("model trajectory needs --m-max")
-        model = _model_from_args(args, args.model_p)
-        measure = _parse_measure(args.measure or DEFAULT_MODEL_MEASURE)
-        traj = sampled_prefix_trajectory(
-            model, measure, args.m_max, args.seed, tol_rel=args.tol
-        )
-    elif args.measure:
-        space = _load_space(args)
-        measure = _parse_measure(args.measure, n=space.n)
-        if args.m_max is None:
-            raise InvalidInput("sampled trajectory needs --m-max")
-        traj = sampled_signature_trajectory(
-            space, measure, args.m_max, args.seed, tol_rel=args.tol
-        )
+    if args.model_p is None:
+        for dest in ("clique", "clique_rule", "model_seed"):
+            if getattr(args, dest) is not None:
+                raise InvalidInput(f"--{dest.replace('_', '-')} needs --model-p")
+        source = _load_space(args)
+        n, spec = source.n, args.measure
     else:
-        space = _load_space(args)
-        traj = limit_signature_trajectory(
-            space, sizes=_parse_sizes(args.sizes, space.n), tol_rel=args.tol
-        )
+        if args.example or args.input:
+            raise InvalidInput("--model-p samples a countable model; drop --example and --input")
+        source = _model_from_args(args, args.model_p)
+        n, spec = None, args.measure or DEFAULT_MODEL_MEASURE
+    if spec is None:
+        order = np.arange(n)
+    else:
+        if args.m_max is None:
+            raise InvalidInput("a sampled trajectory needs --m-max")
+        order = sample_order(_parse_measure(spec, n=n), args.m_max, args.seed)
+    traj = limit_signature_trajectory(
+        source, order, sizes=_parse_sizes(args.sizes, len(order)), tol_rel=args.tol
+    )
     if args.output:
         write_trajectory_csv(traj, args.output, comment=_provenance_comment(args))
     else:
@@ -343,28 +339,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mmsig {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: an undeclared option such as rado's --output must
+    # exit 2, not be read as the longer --output-prefix.
 
-    p = subs.add_parser("analyze", help="signatures and embeddability verdict")
+    p = subs.add_parser("analyze", help="signatures and embeddability verdict", allow_abbrev=False)
     _add_space_args(p)
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_analyze)
 
-    p = subs.add_parser("embed", help="indefinite scaling embedding")
+    p = subs.add_parser("embed", help="indefinite scaling embedding", allow_abbrev=False)
     _add_space_args(p)
     _add_common(p)
     p.set_defaults(func=cmd_embed)
 
-    p = subs.add_parser("trajectory", help="signatures along nested prefixes")
+    p = subs.add_parser("trajectory", help="signatures along nested prefixes", allow_abbrev=False)
     _add_space_args(p)
     _add_common(p)
     p.add_argument("--sizes", help="prefix sizes lo:hi[:step]")
     p.add_argument("--measure", help="sample instead of deterministic nesting")
-    p.add_argument("--m-max", type=int, help="sample size for --measure")
+    p.add_argument("--m-max", type=int, help="draws for --measure or --model-p")
     p.add_argument("--model-p", type=float, help="sample a countable model instead")
     _add_model_args(p)
     p.set_defaults(func=cmd_trajectory)
 
-    p = subs.add_parser("construct", help="build spaces with prescribed signatures")
+    p = subs.add_parser(
+        "construct", help="build spaces with prescribed signatures", allow_abbrev=False
+    )
     p.add_argument("kind", choices=["prescribed", "perturb", "union"])
     p.add_argument("--n", type=int, help="target s_minus for prescribed")
     p.add_argument("--p", type=int, help="target s_plus for prescribed")
@@ -374,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_construct)
 
-    p = subs.add_parser("rado", help="random-graph spectra and ratio experiments")
+    p = subs.add_parser(
+        "rado", help="random-graph spectra and ratio experiments", allow_abbrev=False
+    )
     p.add_argument("--p", type=float, help="edge probability")
     p.add_argument("--N", type=int, help="truncation order for the spectral run")
     _add_model_args(p)
@@ -391,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --delta-threshold, add a pass/fail verdict at this fraction",
     )
     p.add_argument("--output-prefix", help="prefix for output files")
-    _add_common(p)
+    _add_common(p, output=False)
     p.set_defaults(func=cmd_rado)
     return parser
 
@@ -400,10 +403,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MmsigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MmsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -212,6 +212,15 @@ def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
     return SampleTrajectory(seed=seed, raw=raw.astype(np.int64))
 
 
+def sample_order(measure: DiscreteMeasure, m: int, seed: int) -> np.ndarray:
+    """The nesting order of a sampled trajectory: the distinct indices of m
+    draws in order of first appearance (``gv_sample(...).dedup``), never empty."""
+    order = gv_sample(measure, m, seed).dedup
+    if order.size == 0:
+        raise InvalidInput("empty sample; increase m_max")
+    return order
+
+
 def trial_seed(seed: int, trial: int) -> int:
     """Derived per-trial seed; keeps parallel trials deterministic."""
     return (seed ^ trial) & (2**64 - 1)
@@ -228,11 +237,8 @@ def dedup_matrix_invariance(
     leaves s_minus and s_plus unchanged and drops exactly one zero eigenvalue
     per cancelled row.
     """
-    if traj.raw.size and (traj.raw.min() < 0 or traj.raw.max() >= space.n):
-        raise InvalidInput("trajectory indices out of range for the space")
-    S = s_matrix(space)
-    raw = inertia(S[np.ix_(traj.raw, traj.raw)], tol_rel)
-    ded = inertia(S[np.ix_(traj.dedup, traj.dedup)], tol_rel)
+    raw = inertia(space.s_matrix_on(traj.raw), tol_rel)
+    ded = inertia(space.s_matrix_on(traj.dedup), tol_rel)
     return raw, ded
 
 

@@ -24,7 +24,7 @@ from .linalg import (
     inertia,
     zero_threshold,
 )
-from .sampling import DiscreteMeasure, gv_sample, t_matrix
+from .sampling import DiscreteMeasure, sample_order, t_matrix
 from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, s_matrix, squared_intervals
 
 STABILIZATION_WINDOW = 25
@@ -54,16 +54,38 @@ class SignatureTrajectory:
             yield (size, ine.s_minus, ine.s_zero, ine.s_plus, ine.tol)
 
 
-def _trajectory_from_prefixes(S, sizes, tol_rel, window) -> SignatureTrajectory:
-    """Inertias of the leading blocks ``S[:k, :k]`` for the prefix ``sizes``
-    (default every size from 1), where ``S`` is -d^2/2 in nesting order.
-    The arguments are checked before the first eigensolve."""
-    n = S.shape[0]
+def limit_signature_trajectory(
+    source,
+    order=None,
+    sizes=None,
+    tol_rel: float = DEFAULT_TOL_REL,
+    window: int = STABILIZATION_WINDOW,
+) -> SignatureTrajectory:
+    """Signatures of -d^2/2 on nested prefixes of a point order.
+
+    ``source`` is a FiniteMetricSpace or a ``CountableRadoModel``; its
+    ``s_matrix_on`` builds -d^2/2 on the order, and rejects out-of-range
+    indices. ``order`` lists distinct point indices, default the natural
+    order of a space (a model has none); ``sizes`` the increasing prefix
+    sizes to evaluate, default every size from 1. The arguments are checked
+    before the first eigensolve. A stabilized (s_minus, s_plus) is reported
+    when the last ``window`` evaluations agree; a plateau is evidence, never
+    a proof, since the true limit may be infinite.
+    """
+    if order is None:
+        if not isinstance(source, FiniteMetricSpace):
+            raise InvalidInput("a countable model needs a nesting order")
+        order = np.arange(source.n)
+    order = np.asarray(list(order), dtype=int)
+    if len(set(order.tolist())) != len(order):
+        raise InvalidInput("nesting order must not repeat points")
     if window < 1:
         raise InvalidInput("stabilization window must be >= 1")
+    n = order.size
     sizes = range(1, n + 1) if sizes is None else [int(s) for s in sizes]
     if any(b <= a for a, b in zip(sizes, sizes[1:])) or any(s < 1 or s > n for s in sizes):
         raise InvalidInput("sizes must be increasing and within the order length")
+    S = source.s_matrix_on(order)
     inertias = []
     prev = None
     for size in sizes:
@@ -90,34 +112,8 @@ def _trajectory_from_prefixes(S, sizes, tol_rel, window) -> SignatureTrajectory:
     )
 
 
-def limit_signature_trajectory(
-    space: FiniteMetricSpace,
-    order=None,
-    sizes=None,
-    tol_rel: float = DEFAULT_TOL_REL,
-    window: int = STABILIZATION_WINDOW,
-) -> SignatureTrajectory:
-    """Signatures of -d^2/2 on nested prefixes of a deterministic point order.
-
-    ``order`` is a permutation (or prefix) of the point indices, default the
-    natural order; ``sizes`` the increasing prefix sizes to evaluate, default
-    every size from 1. A stabilized (s_minus, s_plus) is reported when the
-    last ``window`` evaluations agree; a plateau is evidence, never a proof,
-    since the true limit may be infinite.
-    """
-    if order is None:
-        order = np.arange(space.n)
-    order = np.asarray(list(order), dtype=int)
-    if len(set(order.tolist())) != len(order):
-        raise InvalidInput("nesting order must not repeat points")
-    if order.size and (order.min() < 0 or order.max() >= space.n):
-        raise InvalidInput("nesting order has out-of-range indices")
-    S = s_matrix(space)[np.ix_(order, order)]
-    return _trajectory_from_prefixes(S, sizes, tol_rel, window)
-
-
 def sampled_signature_trajectory(
-    space: FiniteMetricSpace,
+    source,
     measure: DiscreteMeasure,
     m_max: int,
     seed: int,
@@ -128,16 +124,12 @@ def sampled_signature_trajectory(
     """Trajectory along the dedup prefixes of an i.i.d. sample.
 
     Draws m_max points from the measure and nests the distinct ones in order
-    of first appearance; once the sample covers the support the signature
-    equals the full space's.
+    of first appearance (``sampling.sample_order``). ``source`` is a space or
+    a countable model, as in ``limit_signature_trajectory``. On a space, once
+    the sample covers the support the signature equals the full space's.
     """
-    traj = gv_sample(measure, m_max, seed)
-    order = traj.dedup
-    if order.size == 0:
-        raise InvalidInput("empty sample; increase m_max")
-    return limit_signature_trajectory(
-        space, order=order, sizes=sizes, tol_rel=tol_rel, window=window
-    )
+    order = sample_order(measure, m_max, seed)
+    return limit_signature_trajectory(source, order, sizes=sizes, tol_rel=tol_rel, window=window)
 
 
 def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> PseudoEuclideanPointSet:

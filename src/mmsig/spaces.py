@@ -61,6 +61,14 @@ class FiniteMetricSpace:
     def diameter(self) -> float:
         return float(self.dist.max())
 
+    def s_matrix_on(self, indices) -> np.ndarray:
+        """-d^2/2 on the given (possibly repeated) point indices, in their
+        order; entry for entry equal to ``s_matrix(self)[np.ix_(idx, idx)]``."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise InvalidInput(f"point indices out of range for a {self.n}-point space")
+        return -0.5 * self.dist[np.ix_(idx, idx)] ** 2
+
     def subspace(self, indices) -> "FiniteMetricSpace":
         """Restriction to a tuple of distinct point indices (order kept)."""
         idx = np.asarray(list(indices), dtype=int)

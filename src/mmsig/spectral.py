@@ -22,7 +22,6 @@ from .constructions import CountableRadoModel
 from .errors import InvalidInput
 from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, inertia, single_threaded_blas
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
-from .signature import STABILIZATION_WINDOW, _trajectory_from_prefixes
 
 
 class ESD(NamedTuple):
@@ -153,23 +152,6 @@ def rado_ratio_experiment(
         deltas=tuple(deltas),
         measure_rule=measure.rule,
     )
-
-
-def sampled_prefix_trajectory(
-    model: CountableRadoModel,
-    measure: DiscreteMeasure,
-    m_max: int,
-    seed: int,
-    sizes=None,
-    tol_rel: float = DEFAULT_TOL_REL,
-    window: int = STABILIZATION_WINDOW,
-):
-    """Signature trajectory along the dedup prefixes of vertices sampled
-    i.i.d. from the measure; the model's {1, 2} table needs no triangle scan."""
-    dedup = gv_sample(measure, m_max, seed).dedup
-    if dedup.size == 0:
-        raise InvalidInput("empty sample; increase m_max")
-    return _trajectory_from_prefixes(model.s_matrix_on(dedup), sizes, tol_rel, window)
 
 
 def worker_count() -> int:

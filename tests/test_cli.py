@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from mmsig import cli
 from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
+from mmsig.sampling import DiscreteMeasure, gv_sample
 from mmsig.spaces import named_example, read_distance_csv, write_distance_csv, write_edge_list, Graph
 
 
@@ -110,6 +112,86 @@ class TestTrajectory:
         lines = out.read_text().strip().splitlines()
         assert lines[1] == "size,s_minus,s_zero,s_plus,theta"
         assert len(lines) > 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model-p", 0.5, "--m-max", 100],
+            ["--example", "tripod_extended", "--n", 10, "--measure", "uniform", "--m-max", 50],
+        ],
+        ids=["model", "space-sampled"],
+    )
+    def test_sizes_on_sampled_sources(self, argv, capsys):
+        assert run(["trajectory", *argv, "--sizes", "1:3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+
+    def test_sizes_clipped_to_distinct_draws(self, capsys):
+        distinct = gv_sample(DiscreteMeasure.geometric(0.9), 100, seed=0).dedup.size
+        assert run(["trajectory", "--model-p", 0.5, "--m-max", 100, "--sizes", "5:3000"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()[1:] if line[0].isdigit()]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(5, distinct + 1))
+
+    def test_sample_outside_the_space_exits_2(self, capsys):
+        argv = ["trajectory", "--example", "tripod", "--measure", "geometric:0.5", "--m-max", 50]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--example", "simplex", "--n", 8],
+            ["--example", "tripod", "--measure", "uniform", "--m-max", 80],
+            ["--model-p", 0.5, "--m-max", 100],
+        ],
+        ids=["space", "space-sampled", "model"],
+    )
+    def test_one_trajectory_call_per_source(self, argv, monkeypatch, capsys):
+        calls = []
+        real = cli.limit_signature_trajectory
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "limit_signature_trajectory", counted)
+        assert run(["trajectory", *argv]) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model-p", 0.5, "--m-max", 30, "--input", "nofile.csv"],
+        ["--model-p", 0.5, "--m-max", 30, "--example", "tripod"],
+        ["--example", "tripod", "--clique", "1,2"],
+        ["--example", "tripod", "--clique-rule", "quadratic"],
+        ["--example", "tripod", "--model-seed", 3],
+    ],
+    ids=["model-input", "model-example", "clique", "clique-rule", "model-seed"],
+)
+def test_trajectory_options_its_source_ignores_exit_2(argv, capsys):
+    assert run(["trajectory", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--example", "tripod", "--format", "csv"],
+        ["trajectory", "--example", "tripod", "--format", "csv"],
+        ["construct", "prescribed", "--n", 2, "--p", 2, "--format", "csv"],
+        ["rado", "--p", 0.5, "--N", 5, "--format", "csv"],
+        ["rado", "--p", 0.5, "--N", 5, "--output", "x.json"],
+    ],
+    ids=["embed-format", "trajectory-format", "construct-format", "rado-format", "rado-output"],
+)
+def test_removed_options_exit_2(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConstruct:

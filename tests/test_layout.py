@@ -4,18 +4,25 @@ Imports sit at module level: a function-local import hides a dependency
 between modules and usually papers over an import cycle. Only ``linalg``
 imports ``ctypes``, so BLAS thread control stays in one place. The names
 that the benchmark's tracer looks up in the package stay bound, so a
-refactor cannot break the benchmark while these tests pass.
+refactor cannot break the benchmark while these tests pass. Every option a
+subcommand declares is read by it, so the CLI offers no option that does
+nothing.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import mmsig.cli
 import mmsig.linalg
 import mmsig.signature
 import mmsig.spectral
+from mmsig.spaces import from_euclidean_points, named_example, write_distance_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mmsig"
@@ -85,3 +92,62 @@ def test_names_the_benchmark_traces_stay_bound():
                 assert name in vars(cls), f"mmsig.{layer}.{cls_name}.{name}"
     assert mmsig.cli.inertia is mmsig.signature.inertia is mmsig.linalg.inertia
     assert mmsig.spectral._eigenvalues is mmsig.linalg._eigenvalues
+
+
+# Invocations per subcommand whose union reads every declared option.
+REPRESENTATIVE_RUNS = {
+    "analyze": [
+        ["--example", "sphere", "--n", "6", "--dim", "2", "--format", "csv", "--output", "a.csv"],
+        ["--input", "tripod.csv", "--input-format", "csv"],
+    ],
+    "embed": [
+        ["--example", "simplex", "--n", "3", "--output", "e.json"],
+        ["--input", "tripod.csv"],
+    ],
+    "trajectory": [
+        ["--example", "simplex", "--n", "5", "--sizes", "2:5"],
+        ["--input", "tripod.csv", "--measure", "uniform", "--m-max", "20", "--output", "t.csv"],
+        ["--model-p", "0.5", "--m-max", "30", "--model-seed", "4", "--clique", "0,2"],
+    ],
+    "construct": [
+        ["prescribed", "--n", "2", "--p", "2", "--output", "c.csv"],
+        ["perturb", "--input", "points.csv", "--output", "x.csv"],
+        ["union", "--inputs", "tripod.csv", "tripod.csv", "--h", "1.0", "--output", "u.csv"],
+    ],
+    "rado": [
+        ["--p", "0.5", "--N", "20", "--clique-rule", "modular:3", "--output-prefix", "r"],
+        ["--p", "0.5", "--ratio", "--measure", "geometric:0.8", "--m-max", "40", "--trials", "2",
+         "--delta-threshold", "1", "--min-fraction", "0.5"],
+    ],
+}
+
+
+def _attribute_reads(argv):
+    """Names a subcommand reads from its parsed arguments."""
+    args = mmsig.cli.build_parser().parse_args(argv)
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    assert args.func(Recording(**vars(args))) == 0
+    return reads
+
+
+@pytest.mark.parametrize("command", sorted(REPRESENTATIVE_RUNS))
+def test_every_declared_option_is_read(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_distance_csv(named_example("tripod"), "tripod.csv")
+    points = np.random.default_rng(3).normal(size=(5, 2))
+    write_distance_csv(from_euclidean_points(points), "points.csv")
+    subparsers = next(
+        a for a in mmsig.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(subparsers.choices) == sorted(REPRESENTATIVE_RUNS)
+    actions = subparsers.choices[command]._actions
+    declared = {a.dest for a in actions if not isinstance(a, argparse._HelpAction)}
+    runs = REPRESENTATIVE_RUNS[command]
+    read = set().union(*(_attribute_reads([command, *argv]) for argv in runs))
+    assert declared - read == set()

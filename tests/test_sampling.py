@@ -154,6 +154,14 @@ class TestDedupInvariance:
         assert ded.counts() == (1, 0, 1)
         assert raw.counts() == (1, 1, 1)
 
+    def test_out_of_range_rejected(self):
+        class FakeTraj:
+            raw = np.array([0, 3, 0])
+            dedup = np.array([0, 3])
+
+        with pytest.raises(InvalidInput):
+            dedup_matrix_invariance(named_example("simplex", n=3), FakeTraj())
+
     def test_tripod_covered(self):
         sp = named_example("tripod")
         traj = gv_sample(DiscreteMeasure.uniform(4), 60, seed=3)

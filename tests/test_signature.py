@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from mmsig import signature
+from mmsig import signature, spaces
+from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import ConeViolation, InvalidInput
-from mmsig.sampling import DiscreteMeasure
+from mmsig.sampling import DiscreteMeasure, gv_sample
 from mmsig.signature import (
     centered_signature,
     classify_embeddability,
@@ -52,6 +53,16 @@ class TestSMatrix:
         sp = named_example("simplex", n=5)
         expect = -0.5 * (np.ones((5, 5)) - np.eye(5))
         np.testing.assert_array_equal(s_matrix(sp), expect)
+
+    def test_s_matrix_on_equals_slice(self):
+        sp = from_distance_matrix(random_metric_matrix(np.random.default_rng(4), 9))
+        idx = [3, 0, 8, 3, 5]
+        # bit for bit, so trajectories read the matrices they read before
+        assert sp.s_matrix_on(idx).tobytes() == s_matrix(sp)[np.ix_(idx, idx)].tobytes()
+        assert sp.s_matrix_on([]).shape == (0, 0)
+        for bad in ([0, 9], [-1]):
+            with pytest.raises(InvalidInput):
+                sp.s_matrix_on(bad)
 
 
 class TestSpaceSignature:
@@ -152,6 +163,13 @@ class TestTrajectory:
             limit_signature_trajectory(sp, order=[0, 0, 1])
         with pytest.raises(InvalidInput):
             limit_signature_trajectory(sp, sizes=[3, 2])
+        for order in ([0, 4], [-1, 0]):
+            with pytest.raises(InvalidInput):
+                limit_signature_trajectory(sp, order=order)
+
+    def test_model_needs_an_order(self):
+        with pytest.raises(InvalidInput):
+            limit_signature_trajectory(CountableRadoModel(edge_prob=0.5, seed=1))
 
     def test_csv_output(self, tmp_path):
         sp = named_example("simplex", n=5)
@@ -161,6 +179,46 @@ class TestTrajectory:
         lines = path.read_text().strip().splitlines()
         assert lines[1] == "size,s_minus,s_zero,s_plus,theta"
         assert len(lines) == 2 + len(traj.sizes)
+
+
+class TestSampledTrajectory:
+    def test_monotone_and_deterministic(self):
+        model = CountableRadoModel(edge_prob=0.5, seed=13)
+        measure = DiscreteMeasure.geometric(0.9)
+        a = sampled_signature_trajectory(model, measure, m_max=400, seed=6)
+        b = sampled_signature_trajectory(model, measure, m_max=400, seed=6)
+        assert a.sizes == b.sizes
+        assert [i.counts() for i in a.inertias] == [i.counts() for i in b.inertias]
+        sigs = [i.signature for i in a.inertias]
+        assert all(x[0] <= y[0] and x[1] <= y[1] for x, y in zip(sigs, sigs[1:]))
+
+    def test_matches_direct_metric_on_dedup(self):
+        model = CountableRadoModel(edge_prob=0.4, seed=21)
+        measure = DiscreteMeasure.geometric(0.8)
+        traj = sampled_signature_trajectory(model, measure, m_max=200, seed=3)
+        dedup = gv_sample(measure, 200, seed=3).dedup
+        direct = limit_signature_trajectory(model.metric_on(dedup))
+        assert traj.sizes == direct.sizes
+        assert [i.counts() for i in traj.inertias] == [
+            i.counts() for i in direct.inertias
+        ]
+
+    def test_no_triangle_scan(self, monkeypatch):
+        # the {1, 2} table is a metric by construction; nothing validates it
+        def scan(*args, **kwargs):
+            raise AssertionError("triangle scan on a {1, 2} model table")
+
+        monkeypatch.setattr(spaces, "_check_triangle", scan)
+        model = CountableRadoModel(edge_prob=0.5, seed=13, planted_clique=residue_class_clique(5))
+        traj = sampled_signature_trajectory(
+            model, DiscreteMeasure.geometric(0.9), m_max=200, seed=2
+        )
+        assert len(traj.sizes) == traj.sizes[-1] > 1
+
+    def test_empty_sample_rejected(self):
+        for source in (CountableRadoModel(edge_prob=0.5, seed=1), named_example("tripod")):
+            with pytest.raises(InvalidInput):
+                sampled_signature_trajectory(source, DiscreteMeasure.geometric(0.5), 0, seed=1)
 
 
 class TestMdsEmbed:

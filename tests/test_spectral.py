@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mmsig import linalg, spaces, spectral
+from mmsig import linalg, spectral
 from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import InvalidInput
 from mmsig.linalg import Inertia, double_center, inertia, single_threaded_blas
@@ -330,50 +330,3 @@ class TestBlasPin:
         with single_threaded_blas():
             assert (api[0]() if api else None) == before
         assert (api[0]() if api else None) == before
-
-
-class TestSampledPrefixTrajectory:
-    def test_monotone_and_deterministic(self):
-        from mmsig.spectral import sampled_prefix_trajectory
-
-        model = CountableRadoModel(edge_prob=0.5, seed=13)
-        measure = DiscreteMeasure.geometric(0.9)
-        a = sampled_prefix_trajectory(model, measure, m_max=400, seed=6)
-        b = sampled_prefix_trajectory(model, measure, m_max=400, seed=6)
-        assert a.sizes == b.sizes
-        assert [i.counts() for i in a.inertias] == [i.counts() for i in b.inertias]
-        sigs = [i.signature for i in a.inertias]
-        assert all(x[0] <= y[0] and x[1] <= y[1] for x, y in zip(sigs, sigs[1:]))
-
-    def test_matches_direct_metric_on_dedup(self):
-        from mmsig.signature import limit_signature_trajectory
-        from mmsig.spectral import sampled_prefix_trajectory
-
-        model = CountableRadoModel(edge_prob=0.4, seed=21)
-        measure = DiscreteMeasure.geometric(0.8)
-        traj = sampled_prefix_trajectory(model, measure, m_max=200, seed=3)
-        dedup = gv_sample(measure, 200, seed=3).dedup
-        direct = limit_signature_trajectory(model.metric_on(dedup))
-        assert traj.sizes == direct.sizes
-        assert [i.counts() for i in traj.inertias] == [
-            i.counts() for i in direct.inertias
-        ]
-
-    def test_no_triangle_scan(self, monkeypatch):
-        # the {1, 2} table is a metric by construction; nothing validates it
-        def scan(*args, **kwargs):
-            raise AssertionError("triangle scan on a {1, 2} model table")
-
-        monkeypatch.setattr(spaces, "_check_triangle", scan)
-        model = CountableRadoModel(edge_prob=0.5, seed=13, planted_clique=residue_class_clique(5))
-        traj = spectral.sampled_prefix_trajectory(
-            model, DiscreteMeasure.geometric(0.9), m_max=200, seed=2
-        )
-        assert len(traj.sizes) == traj.sizes[-1] > 1
-
-    def test_empty_sample_rejected(self):
-        from mmsig.spectral import sampled_prefix_trajectory
-
-        model = CountableRadoModel(edge_prob=0.5, seed=1)
-        with pytest.raises(InvalidInput):
-            sampled_prefix_trajectory(model, DiscreteMeasure.geometric(0.5), 0, seed=1)
