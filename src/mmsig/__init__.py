@@ -20,6 +20,7 @@ from .errors import (
     NegativeDistance,
     NoConvergence,
     NonzeroDiagonal,
+    NumericalContractError,
     SingularBlock,
     StrictnessViolated,
     TriangleViolation,
@@ -34,6 +35,7 @@ from .linalg import (
     eig_sym,
     haynsworth_check,
     inertia,
+    prefix_inertias,
     schur_complement,
     weighted_center,
 )

@@ -2,7 +2,8 @@
 
 Subcommands mirror the library one-to-one: analyze, embed, trajectory,
 construct, rado. Exit codes: 0 success, 1 numerical-contract failure
-(e.g. an embedding residual above threshold), 2 input or validation error.
+(an embedding residual above threshold, or a ``NumericalContractError``),
+2 input or validation error, including an option the run would ignore.
 Every artifact embeds {seed, tol_rel, version}; identical invocations
 produce byte-identical files.
 """
@@ -24,7 +25,7 @@ from .constructions import (
     prescribed_signature_space,
     union_space,
 )
-from .errors import BadParams, InvalidInput, MmsigError
+from .errors import BadParams, InvalidInput, MmsigError, NumericalContractError
 from .linalg import inertia
 from .sampling import DiscreteMeasure, load_measure, parse_measure_spec, sample_order
 from .signature import (
@@ -57,6 +58,7 @@ from .spectral import (
 
 EMBED_RESIDUAL_REL = 1e-6
 DEFAULT_MODEL_MEASURE = "geometric:0.9"
+DEFAULT_TRIALS = 20
 
 
 def _provenance(args) -> dict:
@@ -73,17 +75,21 @@ def _provenance_comment(args) -> str:
 
 
 def _load_space(args):
+    """The space of ``--example`` or ``--input``; an option that the chosen
+    source does not read exits 2 rather than being dropped."""
+    if args.example and args.input:
+        raise InvalidInput("give either --example or --input, not both")
+    params = {key: getattr(args, key) for key in ("n", "dim") if getattr(args, key) is not None}
     if args.example:
-        params = {}
-        if args.n is not None:
-            params["n"] = args.n
-        if args.dim is not None:
-            params["dim"] = args.dim
+        if args.input_format is not None:
+            raise InvalidInput("--input-format applies to --input, not --example")
         if args.example in ("sphere", "sphere_sqrt"):
             params.setdefault("seed", args.seed or 0)
         return named_example(args.example, **params)
     if args.input:
-        fmt = args.input_format
+        if params:
+            raise InvalidInput("--n and --dim apply to --example, not --input")
+        fmt = args.input_format or "auto"
         if fmt == "auto":
             fmt = "csv" if args.input.endswith(".csv") else "edges"
         if fmt == "csv":
@@ -104,7 +110,8 @@ def _add_space_args(sub):
     sub.add_argument("--example", help="named example space")
     sub.add_argument("--input", help="distance CSV or edge-list file")
     sub.add_argument(
-        "--input-format", choices=["auto", "csv", "edges"], default="auto"
+        "--input-format", choices=["auto", "csv", "edges"],
+        help="format of --input (default auto: csv for *.csv, else edges)",
     )
     sub.add_argument("--n", type=int, help="point count for sized examples")
     sub.add_argument("--dim", type=int, help="sphere dimension")
@@ -192,11 +199,16 @@ def cmd_trajectory(args) -> int:
         source = _load_space(args)
         n, spec = source.n, args.measure
     else:
-        if args.example or args.input:
-            raise InvalidInput("--model-p samples a countable model; drop --example and --input")
+        if any(getattr(args, d) is not None for d in ("example", "input", "input_format", "n", "dim")):
+            raise InvalidInput(
+                "--model-p samples a countable model; drop --example, --input, "
+                "--input-format, --n and --dim"
+            )
         source = _model_from_args(args, args.model_p)
         n, spec = None, args.measure or DEFAULT_MODEL_MEASURE
     if spec is None:
+        if args.m_max is not None:
+            raise InvalidInput("--m-max needs --measure: the natural order draws nothing")
         order = np.arange(n)
     else:
         if args.m_max is None:
@@ -269,6 +281,8 @@ def cmd_rado(args) -> int:
     model = _model_from_args(args, args.p)
     prefix = args.output_prefix or "rado"
     if args.ratio:
+        if args.N is not None:
+            raise InvalidInput("--N applies to the spectral run, not --ratio")
         measure = _parse_measure(args.measure or DEFAULT_MODEL_MEASURE)
         if args.m_max is None:
             raise InvalidInput("--ratio needs --m-max")
@@ -278,7 +292,7 @@ def cmd_rado(args) -> int:
             model,
             measure,
             args.m_max,
-            trials=args.trials,
+            trials=DEFAULT_TRIALS if args.trials is None else args.trials,
             seed=args.seed,
             tol_rel=args.tol,
         )
@@ -300,6 +314,9 @@ def cmd_rado(args) -> int:
             fh.write(summary_to_json(doc) + "\n")
         print(f"wrote {prefix}_ratio.csv and {prefix}_summary.json")
         return 0
+    for dest in ("measure", "m_max", "trials", "delta_threshold", "min_fraction"):
+        if getattr(args, dest) is not None:
+            raise InvalidInput(f"--{dest.replace('_', '-')} applies to --ratio only")
     if args.N is None or args.N < 1:
         raise InvalidInput("the spectral run needs --N >= 1")
     S = model.s_matrix_on(np.arange(args.N))
@@ -384,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", action="store_true", help="run the ratio experiment")
     p.add_argument("--measure", help="sampling measure for --ratio")
     p.add_argument("--m-max", type=int, help="draws per trial for --ratio")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, help=f"trials for --ratio (default {DEFAULT_TRIALS})")
     p.add_argument(
         "--delta-threshold", type=float,
         help="report the fraction of trials whose ratio reaches this value",
@@ -403,6 +420,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NumericalContractError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (MmsigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 Everything derives from MmsigError so callers (and the CLI) can treat
 "bad input or failed validation" uniformly; numerical-contract failures
-get their own branch.
+get their own branch, NumericalContractError, on which the CLI exits 1
+rather than 2.
 """
 
 
@@ -14,11 +15,15 @@ class InvalidInput(MmsigError):
     """Malformed argument: wrong shape, non-finite entries, bad parameter."""
 
 
-class NoConvergence(MmsigError):
+class NumericalContractError(MmsigError):
+    """A computation on valid input broke a numerical guarantee."""
+
+
+class NoConvergence(NumericalContractError):
     """The eigensolver exceeded its iteration cap."""
 
 
-class SingularBlock(MmsigError):
+class SingularBlock(NumericalContractError):
     """Principal submatrix too close to singular for a Schur complement."""
 
 
@@ -83,7 +88,7 @@ class StrictnessViolated(MmsigError):
     """Input space does not satisfy the strict triangle inequality."""
 
 
-class EpsilonUnderflow(MmsigError):
+class EpsilonUnderflow(NumericalContractError):
     """Perturbation halving reached the underflow floor; degenerate input."""
 
 
@@ -96,7 +101,7 @@ class DiameterTooLarge(MmsigError):
         self.pair = tuple(pair)
 
 
-class MonotonicityViolation(MmsigError):
+class MonotonicityViolation(NumericalContractError):
     """Trajectory counts decreased along nested prefixes.
 
     Signals an eigensolver or tolerance bug, never a mathematical outcome.

@@ -3,7 +3,9 @@ complements, and the centering transforms everything else builds on.
 
 Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
 validation gate. Inertia counting uses the eigenvalue spectrum as the source
-of truth, with the zero threshold ``theta = tol_rel * n * max|lambda|``.
+of truth, with the zero threshold ``theta = tol_rel * n * max|lambda|``;
+``prefix_inertias`` counts a family of leading blocks against one threshold,
+by certified bordering where it can.
 ``single_threaded_blas`` is the one place that controls BLAS threading.
 """
 
@@ -31,6 +33,18 @@ SCHUR_RCOND_MIN = 1e-12
 _SYM_SLACK = 1e-12
 
 _WEIGHT_SUM_TOL = 1e-12
+
+# A bordered prefix step is accepted only when 1/||S_k^{-1}||_F, a lower
+# bound on the smallest |eigenvalue| of S_k, exceeds the zero band by this
+# factor; the factor absorbs the roundoff of the bordered inverse.
+BORDER_SAFETY = 10.0
+
+# The least bound a bordered step is checked against, relative to max|lambda|.
+# Bordering pivots without choice: through blocks whose smallest |eigenvalue|
+# is near the bound, a pivot carries an error up to about
+# eps * max|lambda|^2 / bound, which stays below the bound only while the
+# bound exceeds sqrt(eps) * max|lambda|. The default band is wider already.
+_BORDER_FLOOR = float(np.sqrt(np.finfo(float).eps))
 
 # (get, set) thread-count symbols of OpenBLAS: numpy's wheel build first, then
 # the plain names of a system OpenBLAS.
@@ -187,20 +201,111 @@ def zero_threshold(eigenvalues: np.ndarray, tol_rel: float) -> float:
     return tol_rel * len(eigenvalues) * float(np.abs(eigenvalues).max())
 
 
-def inertia_of_eigenvalues(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
-    """Count eigenvalues below -theta, within +-theta, above theta."""
-    if tol_rel < 0:
-        raise InvalidInput("tol_rel must be nonnegative")
-    vals = np.asarray(vals, dtype=float)
-    theta = zero_threshold(vals, tol_rel)
+def _band_counts(vals: np.ndarray, theta: float) -> Inertia:
     s_minus = int(np.sum(vals < -theta))
     s_plus = int(np.sum(vals > theta))
     return Inertia(s_minus, len(vals) - s_minus - s_plus, s_plus, theta)
 
 
+def inertia_of_eigenvalues(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
+    """Count eigenvalues below -theta, within +-theta, above theta."""
+    if tol_rel < 0:
+        raise InvalidInput("tol_rel must be nonnegative")
+    vals = np.asarray(vals, dtype=float)
+    return _band_counts(vals, zero_threshold(vals, tol_rel))
+
+
 def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """Inertia triple of a symmetric matrix."""
     return inertia_of_eigenvalues(_eigenvalues(a), tol_rel)
+
+
+def _clear_of(vals: np.ndarray, bound: float) -> bool:
+    """Whether 1/||A^{-1}||_F, from A's eigenvalues, exceeds ``bound``."""
+    mags = np.abs(vals)
+    return bool(mags.min() > bound and 1.0 / np.sqrt(np.sum(mags**-2.0)) > bound)
+
+
+def _border(A: np.ndarray, inv: np.ndarray, k: int, bound: float) -> int:
+    """Extend ``inv[:k, :k]``, the inverse of ``A[:k, :k]``, in place to the
+    inverse of ``A[:k+1, :k+1]``.
+
+    Returns the sign of the Schur complement ``c - b^T A_k^{-1} b`` when
+    ``1/||A_{k+1}^{-1}||_F > bound``, which proves every eigenvalue of
+    ``A[:k+1, :k+1]`` has modulus above ``bound``; otherwise 0, and ``inv``
+    no longer holds an inverse.
+    """
+    b = A[:k, k]
+    x = inv[:k, :k] @ b
+    s = A[k, k] - b @ x
+    if not abs(s) > bound:
+        return 0
+    inv[:k, :k] += np.outer(x, x / s)
+    inv[:k, k] = inv[k, :k] = -x / s
+    inv[k, k] = 1.0 / s
+    block = inv[: k + 1, : k + 1]
+    if not np.sqrt(np.einsum("ij,ij->", block, block)) * bound < 1.0:
+        return 0
+    return 1 if s > 0 else -1
+
+
+def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
+    """Inertias of the leading blocks ``a[:k, :k]`` for increasing ``sizes``,
+    all against one zero band.
+
+    The band is theta = tol_rel * N * max|lambda| of the block of the largest
+    size N, from one eigensolve. By Cauchy interlacing it bounds the theta of
+    every smaller block, so s_minus and s_plus never decrease along the sizes.
+    Block k+1 is counted from block k by bordering the inverse of block k
+    (O(k^2) per step): by Haynsworth inertia additivity the count gains the
+    sign of the Schur complement ``c - b^T S_k^{-1} b``. A step counts only
+    when ``1/||S_{k+1}^{-1}||_F > BORDER_SAFETY * theta``, which proves no
+    eigenvalue of the block lies in the band. That bound is never below
+    ``_BORDER_FLOOR * max|lambda|``, so a zero or tiny tol_rel certifies no
+    sign that roundoff could flip. A requested size whose step fails is
+    eigensolved; the inverse is rebuilt at the first eigensolve that shows a
+    block that far clear of the band.
+    """
+    if tol_rel < 0:
+        raise InvalidInput("tol_rel must be nonnegative")
+    A = as_sym_matrix(a)
+    sizes = [int(k) for k in sizes]
+    if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])) or any(
+        k < 1 or k > A.shape[0] for k in sizes
+    ):
+        raise InvalidInput("sizes must be increasing and within the matrix order")
+    if not sizes:
+        return []
+    N = sizes[-1]
+    top = _eigenvalues(A[:N, :N])
+    theta = zero_threshold(top, tol_rel)
+    bound = max(BORDER_SAFETY * theta, _BORDER_FLOOR * float(np.abs(top).max()))
+    wanted = set(sizes)
+    inv = np.empty((N, N))
+    anchored = True  # the empty block is its own inverse
+    s_minus = s_plus = 0
+    out = []
+    for k in range(1, N + 1):
+        sign = _border(A, inv, k - 1, bound) if anchored else 0
+        if sign:
+            if sign < 0:
+                s_minus += 1
+            else:
+                s_plus += 1
+            ine = Inertia(s_minus, 0, s_plus, theta)
+        elif k in wanted:
+            vals = top if k == N else _eigenvalues(A[:k, :k])
+            ine = _band_counts(vals, theta)
+            anchored = k < N and _clear_of(vals, bound)
+            if anchored:
+                s_minus, s_plus = ine.s_minus, ine.s_plus
+                inv[:k, :k] = np.linalg.inv(A[:k, :k])
+        else:
+            anchored = False
+            continue
+        if k in wanted:
+            out.append(ine)
+    return out
 
 
 def _normalize_block(block, n: int) -> np.ndarray:

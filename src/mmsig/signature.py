@@ -22,6 +22,7 @@ from .linalg import (
     double_center,
     eig_sym,
     inertia,
+    prefix_inertias,
     zero_threshold,
 )
 from .sampling import DiscreteMeasure, sample_order, t_matrix
@@ -68,7 +69,9 @@ def limit_signature_trajectory(
     indices. ``order`` lists distinct point indices, default the natural
     order of a space (a model has none); ``sizes`` the increasing prefix
     sizes to evaluate, default every size from 1. The arguments are checked
-    before the first eigensolve. A stabilized (s_minus, s_plus) is reported
+    before the first eigensolve. Every prefix is counted against the zero
+    band of the largest one (``linalg.prefix_inertias``), so all rows share
+    one theta. A stabilized (s_minus, s_plus) is reported
     when the last ``window`` evaluations agree; a plateau is evidence, never
     a proof, since the true limit may be infinite.
     """
@@ -81,24 +84,14 @@ def limit_signature_trajectory(
         raise InvalidInput("nesting order must not repeat points")
     if window < 1:
         raise InvalidInput("stabilization window must be >= 1")
-    n = order.size
-    sizes = range(1, n + 1) if sizes is None else [int(s) for s in sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])) or any(s < 1 or s > n for s in sizes):
-        raise InvalidInput("sizes must be increasing and within the order length")
-    S = source.s_matrix_on(order)
-    inertias = []
-    prev = None
-    for size in sizes:
-        ine = inertia(S[:size, :size], tol_rel)
-        if prev is not None and (
-            ine.s_minus < prev.s_minus or ine.s_plus < prev.s_plus
-        ):
+    sizes = range(1, order.size + 1) if sizes is None else [int(s) for s in sizes]
+    inertias = prefix_inertias(source.s_matrix_on(order), sizes, tol_rel)
+    for size, prev, ine in zip(sizes[1:], inertias, inertias[1:]):
+        if ine.s_minus < prev.s_minus or ine.s_plus < prev.s_plus:
             raise MonotonicityViolation(
                 f"signature decreased from {prev.signature} to {ine.signature} "
                 f"at prefix size {size}; eigensolver or tolerance bug"
             )
-        prev = ine
-        inertias.append(ine)
     stabilized = None
     if len(inertias) >= window:
         tail = [i.signature for i in inertias[-window:]]

@@ -237,11 +237,16 @@ def from_distance_matrix(
     if (diag != 0).any():
         i = int(np.nonzero(diag)[0][0])
         raise NonzeroDiagonal(f"d({i},{i}) = {diag[i]!r} != 0")
-    off = D + np.eye(D.shape[0])
+    off = D.copy()
+    np.fill_diagonal(off, np.inf)
     if (off == 0).any():
         i, j = np.unravel_index(int(np.argmin(off)), D.shape)
         raise ZeroOffDiagonal(f"distinct points {i} and {j} are at distance 0")
-    _check_triangle(D, strict, strict_margin)
+    # With max <= 2 min off the diagonal, d(i,j) + d(j,k) >= 2 min >= d(i,k)
+    # for every triple, in floating point too (doubling is exact and rounding
+    # monotone), so only strict validation needs the scan.
+    if strict or D.max() > 2 * off.min():
+        _check_triangle(D, strict, strict_margin)
     if labels is None:
         labels = _default_labels(D.shape[0])
     elif len(labels) != D.shape[0]:
@@ -250,7 +255,8 @@ def from_distance_matrix(
 
 
 def from_graph(g: Graph) -> FiniteMetricSpace:
-    """Hop-count (breadth-first) metric of a connected graph."""
+    """Hop-count (breadth-first) metric of a connected graph; raises
+    Disconnected otherwise."""
     adj = g.adjacency_lists()
     n = g.n
     D = np.full((n, n), -1.0)
@@ -270,7 +276,10 @@ def from_graph(g: Graph) -> FiniteMetricSpace:
     if (D < 0).any():
         i, j = np.unravel_index(int(np.argmin(D)), D.shape)
         raise Disconnected((int(i), int(j)), f"no path between vertices {i} and {j}")
-    return from_distance_matrix(D, labels=_default_labels(n, "v"))
+    # A connected graph's hop metric is a metric by construction: symmetric,
+    # hollow, positive off the diagonal, and a shortest-path length obeys the
+    # triangle inequality. So it skips validation, the O(n^3) scan included.
+    return FiniteMetricSpace(D, _default_labels(n, "v"))
 
 
 def from_euclidean_points(pts, labels=None) -> FiniteMetricSpace:
@@ -362,6 +371,16 @@ def _sphere_matrix(dim: int, n: int, seed: int) -> np.ndarray:
     return D
 
 
+# The parameters each named example takes, all of them required.
+_EXAMPLE_PARAMS = {
+    "tripod": (),
+    "tripod_extended": ("n",),
+    "simplex": ("n",),
+    "sphere": ("dim", "n", "seed"),
+    "sphere_sqrt": ("dim", "n", "seed"),
+}
+
+
 def named_example(name: str, **params) -> FiniteMetricSpace:
     """Build one of the named example spaces.
 
@@ -371,35 +390,35 @@ def named_example(name: str, **params) -> FiniteMetricSpace:
     sphere(dim, n, seed)     geodesic distances of uniform points on S^dim
     sphere_sqrt(dim, n, seed)  square root of the geodesic distance
     """
-    def need(key):
-        if key not in params:
-            raise BadParams(f"{name} requires parameter {key!r}")
-        return params[key]
-
+    if name not in _EXAMPLE_PARAMS:
+        raise UnknownName(f"unknown example {name!r}")
+    wanted = set(_EXAMPLE_PARAMS[name])
+    missing, extra = sorted(wanted - set(params)), sorted(set(params) - wanted)
+    if missing:
+        raise BadParams(f"{name} requires parameter {missing[0]!r}")
+    if extra:
+        raise BadParams(f"{name} takes no parameter {extra[0]!r}")
     if name == "tripod":
         return from_distance_matrix(_tripod_matrix(4))
     if name == "tripod_extended":
-        n = int(need("n"))
+        n = int(params["n"])
         if n < 5:
             raise BadParams("tripod_extended needs n >= 5")
         return from_distance_matrix(_tripod_matrix(n))
     if name == "simplex":
-        n = int(need("n"))
+        n = int(params["n"])
         if n < 2:
             raise BadParams("simplex needs n >= 2")
         D = np.ones((n, n)) - np.eye(n)
         return from_distance_matrix(D)
     if name in ("sphere", "sphere_sqrt"):
-        dim = int(need("dim"))
-        n = int(need("n"))
-        seed = int(need("seed"))
+        dim, n, seed = (int(params[key]) for key in ("dim", "n", "seed"))
         if dim < 1 or n < 1:
             raise BadParams("sphere needs dim >= 1 and n >= 1")
         D = _sphere_matrix(dim, n, seed)
         if name == "sphere_sqrt":
             D = np.sqrt(D)
         return from_distance_matrix(D)
-    raise UnknownName(f"unknown example {name!r}")
 
 
 # ---------------------------------------------------------------------------

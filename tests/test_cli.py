@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from mmsig import cli
+from mmsig import cli, linalg
 from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
+from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence, SingularBlock
 from mmsig.sampling import DiscreteMeasure, gv_sample
 from mmsig.spaces import named_example, read_distance_csv, write_distance_csv, write_edge_list, Graph
 
@@ -46,6 +47,25 @@ class TestAnalyze:
     def test_missing_input_exits_2(self):
         assert run(["analyze"]) == 2
         assert run(["analyze", "--input", "/nonexistent/file.csv"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--example", "tripod", "--n", 7, "--dim", 3],
+            ["--example", "tripod", "--n", 7],
+            ["--example", "simplex", "--n", 4, "--dim", 2],
+            ["--example", "tripod", "--input-format", "edges"],
+            ["--example", "tripod", "--input", "tripod.csv"],
+            ["--input", "tripod.csv", "--n", 4],
+        ],
+        ids=["fixed-size-n-dim", "fixed-size-n", "simplex-dim", "input-format", "both-sources",
+             "input-n"],
+    )
+    def test_options_the_space_ignores_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_distance_csv(named_example("tripod"), "tripod.csv")
+        assert run(["analyze", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -132,6 +152,28 @@ class TestTrajectory:
         rows = [line for line in capsys.readouterr().out.splitlines()[1:] if line[0].isdigit()]
         assert [int(row.split(",")[0]) for row in rows] == list(range(5, distinct + 1))
 
+    def test_sizes_with_gaps(self, capsys):
+        argv = ["trajectory", "--example", "tripod_extended", "--n", 60, "--sizes", "1:60:7"]
+        assert run(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(1, 61, 7))
+        assert [int(r[3]) for r in rows[1:]] == [k - 2 for k in range(8, 61, 7)]
+
+    def test_model_trajectory_borders_its_prefixes(self, tmp_path, monkeypatch):
+        # about 400 prefixes; one eigensolve for the band, the rest only where
+        # a bordered step fails its certificate
+        orders = []
+        real = linalg._eigenvalues
+        monkeypatch.setattr(linalg, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
+        out = tmp_path / "traj.csv"
+        argv = ["trajectory", "--model-p", 0.5, "--measure", "geometric:0.99", "--m-max", 3000,
+                "--seed", 5, "--output", out]
+        assert run(argv) == 0
+        rows = out.read_text().strip().splitlines()[2:]
+        assert len(rows) > 350
+        assert len(orders) < 60
+        assert len({row.split(",")[4] for row in rows}) == 1  # one theta per family
+
     def test_sample_outside_the_space_exits_2(self, capsys):
         argv = ["trajectory", "--example", "tripod", "--measure", "geometric:0.5", "--m-max", 50]
         assert run(argv) == 2
@@ -167,8 +209,11 @@ class TestTrajectory:
         ["--example", "tripod", "--clique", "1,2"],
         ["--example", "tripod", "--clique-rule", "quadratic"],
         ["--example", "tripod", "--model-seed", 3],
+        ["--example", "simplex", "--n", 4, "--m-max", 50],
+        ["--model-p", 0.5, "--m-max", 30, "--n", 5],
     ],
-    ids=["model-input", "model-example", "clique", "clique-rule", "model-seed"],
+    ids=["model-input", "model-example", "clique", "clique-rule", "model-seed",
+         "natural-order-m-max", "model-n"],
 )
 def test_trajectory_options_its_source_ignores_exit_2(argv, capsys):
     assert run(["trajectory", *argv]) == 2
@@ -325,6 +370,24 @@ class TestRado:
         assert doc["pass"] is True
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--N", 10, "--trials", 3],
+            ["--N", 10, "--measure", "uniform"],
+            ["--N", 10, "--m-max", 50],
+            ["--N", 10, "--delta-threshold", 2.0],
+            ["--N", 10, "--min-fraction", 0.5],
+            ["--ratio", "--N", 10, "--m-max", 50],
+        ],
+        ids=["trials", "measure", "m-max", "delta-threshold", "min-fraction", "ratio-N"],
+    )
+    def test_options_the_run_ignores_exit_2(self, extra, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["rado", "--p", 0.5, *extra]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_min_fraction_without_threshold_exits_2(self, tmp_path, capsys):
         prefix = tmp_path / "mf"
         argv = [
@@ -359,6 +422,18 @@ def test_non_numeric_parameter_exits_2(argv, bad, tmp_path, monkeypatch, capsys)
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(bad) in err
+
+
+@pytest.mark.parametrize(
+    "error", [MonotonicityViolation, NoConvergence, SingularBlock, EpsilonUnderflow]
+)
+def test_numerical_contract_failures_exit_1(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error("numerical contract broken")
+
+    monkeypatch.setattr(cli, "space_signature", fail)
+    assert run(["analyze", "--example", "tripod"]) == 1
+    assert capsys.readouterr().err == "error: numerical contract broken\n"
 
 
 @pytest.mark.parametrize("sizes", ["1:5:0", "1:5:-1", "5:1", "20:30"])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mmsig import linalg
+from mmsig.constructions import CountableRadoModel
 from mmsig.errors import InvalidInput, InvalidMeasure, SingularBlock
 from mmsig.linalg import (
     as_sym_matrix,
@@ -8,15 +10,19 @@ from mmsig.linalg import (
     eig_sym,
     haynsworth_check,
     inertia,
+    prefix_inertias,
     schur_complement,
     weighted_center,
 )
+from mmsig.sampling import DiscreteMeasure, sample_order
+from mmsig.spaces import from_euclidean_points, named_example
 
 from util_oracles import (
     b_matrix,
     centered_gram,
     charpoly_eigenvalues,
     count_inertia,
+    prefix_counts_by_eigvalsh,
     random_symmetric,
     unit_square_corners,
 )
@@ -95,6 +101,98 @@ class TestInertia:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidInput):
             inertia(np.eye(2), tol_rel=-1.0)
+
+
+def _eigensolve_orders(monkeypatch):
+    """Orders of the blocks ``linalg._eigenvalues`` solves from now on."""
+    orders = []
+    real = linalg._eigenvalues
+
+    def counted(a):
+        orders.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_eigenvalues", counted)
+    return orders
+
+
+def _model_s(n_draws=3000, seed=11):
+    order = sample_order(DiscreteMeasure.geometric(0.99), n_draws, seed)
+    return CountableRadoModel(edge_prob=0.5, seed=3).s_matrix_on(order)
+
+
+class TestPrefixInertias:
+    FAMILIES = {
+        "tripod_extended": lambda: named_example("tripod_extended", n=120).s_matrix_on(range(120)),
+        "simplex": lambda: named_example("simplex", n=80).s_matrix_on(range(80)),
+        "sphere": lambda: named_example("sphere", dim=2, n=150, seed=13).s_matrix_on(range(150)),
+        "rado_model": _model_s,
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_eigvalsh_on_every_prefix(self, family, monkeypatch):
+        S = self.FAMILIES[family]()
+        N = S.shape[0]
+        sizes = list(range(1, N + 1))
+        whole = inertia(S)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert {i.tol for i in got} == {whole.tol}  # one band: the largest block's
+        assert got[-1] == whole
+        if family in ("tripod_extended", "simplex"):
+            # the hollow 1x1 block is singular and the 2x2 block re-anchors;
+            # bordering certifies every other step
+            assert orders == [N, 1, 2]
+        if family == "rado_model":
+            # some bordered step failed its certificate and was eigensolved,
+            # and the counts above still match
+            assert any(2 < k < N for k in orders)
+            assert len(orders) < N // 5
+
+    def test_sizes_with_gaps(self):
+        S = _model_s()
+        sizes = [3, 4, 40, 41, 150, 300]
+        got = prefix_inertias(S, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert [i.n for i in got] == sizes
+
+    def test_exact_signs_at_zero_tolerance(self):
+        S = named_example("tripod_extended", n=30).s_matrix_on(range(30))
+        got = prefix_inertias(S, range(1, 31), tol_rel=0.0)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, list(range(1, 31)), 0.0)
+        assert {i.tol for i in got} == {0.0}
+
+    @staticmethod
+    def _weak_direction():
+        # a rank-6 Gram form whose sixth direction is weaker by 1e-9: its
+        # 6x6 block is regular but so ill conditioned that a bordered inverse
+        # through it carries pivot errors far above eps * max|lambda|
+        X = np.random.default_rng(4).normal(size=(40, 6))
+        return X @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0, 1e-9]) @ X.T
+
+    @pytest.mark.parametrize("family", ["planar_points", "weak_direction"])
+    def test_zero_tolerance_on_a_singular_family(self, family):
+        # With tol_rel = 0 the band is empty, so only the floor of the
+        # certificate keeps roundoff-sized pivots from being counted. S of
+        # planar points has rank <= 4: every larger block is singular.
+        if family == "planar_points":
+            pts = np.random.default_rng(4).normal(size=(60, 2))
+            S = from_euclidean_points(pts).s_matrix_on(range(60))
+        else:
+            S = self._weak_direction()
+        sizes = list(range(1, len(S) + 1))
+        got = prefix_inertias(S, sizes, tol_rel=0.0)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 0.0)
+
+    def test_bad_sizes_rejected(self):
+        S = named_example("simplex", n=5).s_matrix_on(range(5))
+        for sizes in ([0, 2], [2, 6], [3, 3], [4, 2]):
+            with pytest.raises(InvalidInput):
+                prefix_inertias(S, sizes)
+        with pytest.raises(InvalidInput):
+            prefix_inertias(S, [2], tol_rel=-1.0)
+        assert prefix_inertias(S, []) == []
 
 
 class TestSchurComplement:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mmsig import signature, spaces
+from mmsig import linalg, spaces
 from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import ConeViolation, InvalidInput
 from mmsig.sampling import DiscreteMeasure, gv_sample
@@ -152,10 +152,23 @@ class TestTrajectory:
 
     def test_window_checked_before_eigensolves(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(signature, "inertia", lambda *a: calls.append(a))
+        monkeypatch.setattr(linalg, "_eigenvalues", lambda *a: calls.append(a))
         with pytest.raises(InvalidInput):
             limit_signature_trajectory(named_example("simplex", n=30), window=0)
         assert calls == []
+
+    @pytest.mark.parametrize("seed", [5, 13, 26])
+    def test_sphere_counts_against_one_band(self, seed):
+        # Counted against each prefix's own theta, these samples lost a
+        # negative or positive count along the way (MonotonicityViolation at
+        # prefixes 148, 27 and 200). One band for the family keeps them
+        # monotone, and the full space keeps its signature.
+        sp = named_example("sphere", dim=2, n=200, seed=seed)
+        traj = limit_signature_trajectory(sp)
+        assert traj.inertias[-1] == space_signature(sp)
+        assert {i.tol for i in traj.inertias} == {space_signature(sp).tol}
+        sig = [i.signature for i in traj.inertias]
+        assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(sig, sig[1:]))
 
     def test_bad_order_rejected(self):
         sp = named_example("simplex", n=4)

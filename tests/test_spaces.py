@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsig import spaces
 from mmsig.errors import (
     AsymmetryError,
     BadParams,
@@ -142,6 +143,28 @@ class TestTriangleScan:
                 assert (got is None) == expected
                 assert got == _outcome(_two_pass_triangle_check, D, strict)
         assert kinds == {(True, True), (True, False), (False, False)}
+
+
+    def test_scan_only_where_the_distance_ratio_leaves_doubt(self, monkeypatch):
+        # max <= 2 min off the diagonal decides the inequality without a scan,
+        # and a hop metric is a metric by construction; strict validation and
+        # wider ratios still scan.
+        scans = []
+        real = spaces._min_strict_slack
+        monkeypatch.setattr(spaces, "_min_strict_slack", lambda D: scans.append(len(D)) or real(D))
+        ring = from_graph(Graph(40, frozenset((i, (i + 1) % 40) for i in range(40))))
+        upper = np.triu(np.random.default_rng(2).random((50, 50)) < 0.5, k=1)
+        table = np.where(upper | upper.T, 1.0, 2.0)
+        np.fill_diagonal(table, 0.0)
+        from_distance_matrix(table)
+        for name, params in (("tripod", {}), ("simplex", {"n": 6}), ("tripod_extended", {"n": 9})):
+            named_example(name, **params)
+        assert scans == []
+        from_distance_matrix(named_example("simplex", n=5).dist, strict=True)
+        from_distance_matrix(ring.dist)
+        with pytest.raises(TriangleViolation):
+            from_distance_matrix([[0.0, 1.0, 2.0 + 1e-9], [1.0, 0.0, 1.0], [2.0 + 1e-9, 1.0, 0.0]])
+        assert scans == [5, 40, 3]
 
 
 class TestFromGraph:
@@ -298,6 +321,9 @@ class TestNamedExamples:
             named_example("tripod_extended", n=4)
         with pytest.raises(BadParams):
             named_example("sphere", dim=0, n=3, seed=1)
+        for name, params in (("tripod", {"n": 7}), ("simplex", {"n": 4, "dim": 2})):
+            with pytest.raises(BadParams, match="takes no parameter"):
+                named_example(name, **params)
 
 
 class TestRoundTrips:

@@ -125,3 +125,11 @@ def b_matrix(n):
         [[0, 4, 4, 1], [4, 0, 4, 1], [4, 4, 0, 1], [1, 1, 1, 0]], dtype=float
     )
     return B
+
+
+def prefix_counts_by_eigvalsh(S, sizes, tol_rel=1e-9):
+    """(s_minus, s_zero, s_plus) of each leading block S[:k, :k], one
+    eigvalsh per block, all against the zero band of the largest block."""
+    top = np.linalg.eigvalsh(S[: sizes[-1], : sizes[-1]])
+    theta = tol_rel * sizes[-1] * float(np.abs(top).max())
+    return [count_inertia(np.linalg.eigvalsh(S[:k, :k]), theta) for k in sizes]
