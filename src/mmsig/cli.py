@@ -231,26 +231,26 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
+# The options each construct kind reads, all of them required.
+_CONSTRUCT_OPTIONS = {"prescribed": ("n", "p"), "perturb": ("input",), "union": ("inputs", "h")}
+
+
 def cmd_construct(args) -> int:
     if not args.output:
         raise InvalidInput("construct needs --output")
+    for dest in sum(_CONSTRUCT_OPTIONS.values(), ()):
+        reads = dest in _CONSTRUCT_OPTIONS[args.kind]
+        if reads != (getattr(args, dest) is not None):
+            verb = "needs" if reads else "takes no"
+            raise InvalidInput(f"construct {args.kind} {verb} --{dest}")
     if args.kind == "prescribed":
-        if args.n is None or args.p is None:
-            raise InvalidInput("prescribed needs --n and --p")
         space = prescribed_signature_space(args.n, args.p, args.seed, args.tol)
     elif args.kind == "perturb":
-        if not args.input:
-            raise InvalidInput("perturb needs --input")
         space = perturb_to_max_negative(
             read_distance_csv(args.input, strict=True), args.seed, args.tol
         )
-    elif args.kind == "union":
-        if not args.inputs or args.h is None:
-            raise InvalidInput("union needs --inputs and --h")
-        comps = [read_distance_csv(p) for p in args.inputs]
-        space = union_space(comps, args.h)
     else:
-        raise InvalidInput(f"unknown construct kind {args.kind!r}")
+        space = union_space([read_distance_csv(p) for p in args.inputs], args.h)
     write_distance_csv(space, args.output, comment=_provenance_comment(args))
     ine = centered_signature(space, args.tol)
     print(f"wrote {space.n}-point space, centered inertia {ine.counts()}")

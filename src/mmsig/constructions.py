@@ -28,7 +28,9 @@ from .errors import (
     TriangleViolation,
 )
 from .linalg import DEFAULT_TOL_REL, double_center, inertia
-from .spaces import FiniteMetricSpace, _check_triangle, from_distance_matrix, s_matrix
+from .spaces import (
+    FiniteMetricSpace, _check_triangle, _pairwise_sq_diffs, from_distance_matrix, s_matrix,
+)
 
 _MASK64 = (1 << 64) - 1
 _EPS_FLOOR = 1e-300
@@ -76,8 +78,7 @@ def _perturb_with_eps(space, seed, tol_rel):
             break
     else:
         raise BadParams("could not draw linearly independent directions")
-    diff = v[:, None, :] - v[None, :, :]
-    g2 = (diff**2).sum(axis=2)
+    g2 = _pairwise_sq_diffs(v)
     np.fill_diagonal(g2, 0.0)
     # Rescale directions so |d^2 - d_eps^2| <= eps * d_min; then
     # |d - d_eps| <= eps/2-ish, making the eps-bound condition reachable.
@@ -137,8 +138,7 @@ def prescribed_signature_space(
         centered = pts - pts.mean(axis=0, keepdims=True)
         if np.linalg.matrix_rank(centered) < p:
             continue
-        diffp = pts[:, None, :] - pts[None, :, :]
-        D = np.sqrt((diffp**2).sum(axis=2))
+        D = np.sqrt(_pairwise_sq_diffs(pts))
         D = 0.5 * (D + D.T)
         np.fill_diagonal(D, 0.0)
         if (D + np.eye(N) == 0).any():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import os
 import threading
 from typing import NamedTuple
@@ -45,6 +46,11 @@ BORDER_SAFETY = 10.0
 # eps * max|lambda|^2 / bound, which stays below the bound only while the
 # bound exceeds sqrt(eps) * max|lambda|. The default band is wider already.
 _BORDER_FLOOR = float(np.sqrt(np.finfo(float).eps))
+
+# The largest gap between requested sizes that is bordered rather than
+# eigensolved. One bordering step at order k costs 1/9 (k = 50) to 1/51
+# (k = 1600) of an eigvalsh of that order, so eight never cost more than one.
+BORDER_MAX_GAP = 8
 
 # (get, set) thread-count symbols of OpenBLAS: numpy's wheel build first, then
 # the plain names of a system OpenBLAS.
@@ -207,17 +213,13 @@ def _band_counts(vals: np.ndarray, theta: float) -> Inertia:
     return Inertia(s_minus, len(vals) - s_minus - s_plus, s_plus, theta)
 
 
-def inertia_of_eigenvalues(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
-    """Count eigenvalues below -theta, within +-theta, above theta."""
+def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
+    """Inertia triple of a symmetric matrix: its eigenvalues below -theta,
+    within +-theta and above theta."""
     if tol_rel < 0:
         raise InvalidInput("tol_rel must be nonnegative")
-    vals = np.asarray(vals, dtype=float)
+    vals = _eigenvalues(a)
     return _band_counts(vals, zero_threshold(vals, tol_rel))
-
-
-def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
-    """Inertia triple of a symmetric matrix."""
-    return inertia_of_eigenvalues(_eigenvalues(a), tol_rel)
 
 
 def _clear_of(vals: np.ndarray, bound: float) -> bool:
@@ -256,15 +258,16 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     The band is theta = tol_rel * N * max|lambda| of the block of the largest
     size N, from one eigensolve. By Cauchy interlacing it bounds the theta of
     every smaller block, so s_minus and s_plus never decrease along the sizes.
-    Block k+1 is counted from block k by bordering the inverse of block k
-    (O(k^2) per step): by Haynsworth inertia additivity the count gains the
-    sign of the Schur complement ``c - b^T S_k^{-1} b``. A step counts only
-    when ``1/||S_{k+1}^{-1}||_F > BORDER_SAFETY * theta``, which proves no
+    A size at most ``BORDER_MAX_GAP`` above the last counted block is counted
+    from it by bordering the inverse (O(k^2) per order): by Haynsworth inertia
+    additivity each order adds the sign of the Schur complement
+    ``c - b^T S_k^{-1} b``. A step counts only when
+    ``1/||S_{k+1}^{-1}||_F > BORDER_SAFETY * theta``, which proves no
     eigenvalue of the block lies in the band. That bound is never below
     ``_BORDER_FLOOR * max|lambda|``, so a zero or tiny tol_rel certifies no
-    sign that roundoff could flip. A requested size whose step fails is
-    eigensolved; the inverse is rebuilt at the first eigensolve that shows a
-    block that far clear of the band.
+    sign that roundoff could flip. Any other size is eigensolved; the inverse
+    is rebuilt there when the next size is within the gap and the eigenvalues
+    show the block that far clear of the band.
     """
     if tol_rel < 0:
         raise InvalidInput("tol_rel must be nonnegative")
@@ -280,31 +283,26 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     top = _eigenvalues(A[:N, :N])
     theta = zero_threshold(top, tol_rel)
     bound = max(BORDER_SAFETY * theta, _BORDER_FLOOR * float(np.abs(top).max()))
-    wanted = set(sizes)
     inv = np.empty((N, N))
-    anchored = True  # the empty block is its own inverse
+    anchor = 0  # inv holds the inverse of A[:anchor, :anchor]; None: of no block
     s_minus = s_plus = 0
     out = []
-    for k in range(1, N + 1):
-        sign = _border(A, inv, k - 1, bound) if anchored else 0
-        if sign:
-            if sign < 0:
-                s_minus += 1
-            else:
-                s_plus += 1
-            ine = Inertia(s_minus, 0, s_plus, theta)
-        elif k in wanted:
-            vals = top if k == N else _eigenvalues(A[:k, :k])
-            ine = _band_counts(vals, theta)
-            anchored = k < N and _clear_of(vals, bound)
-            if anchored:
-                s_minus, s_plus = ine.s_minus, ine.s_plus
-                inv[:k, :k] = np.linalg.inv(A[:k, :k])
-        else:
-            anchored = False
-            continue
-        if k in wanted:
-            out.append(ine)
+    for k, after in zip(sizes, sizes[1:] + [None]):
+        if anchor is not None and k - anchor <= BORDER_MAX_GAP:
+            steps = (_border(A, inv, j, bound) for j in range(anchor, k))
+            signs = list(itertools.takewhile(bool, steps))
+            if len(signs) == k - anchor:
+                s_minus, s_plus = s_minus + signs.count(-1), s_plus + signs.count(1)
+                out.append(Inertia(s_minus, 0, s_plus, theta))
+                anchor = k
+                continue
+        vals = top if k == N else _eigenvalues(A[:k, :k])
+        out.append(_band_counts(vals, theta))
+        anchor = None
+        if after is not None and after - k <= BORDER_MAX_GAP and _clear_of(vals, bound):
+            s_minus, s_plus = out[-1].s_minus, out[-1].s_plus
+            inv[:k, :k] = np.linalg.inv(A[:k, :k])
+            anchor = k
     return out
 
 

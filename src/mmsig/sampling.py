@@ -222,8 +222,10 @@ def sample_order(measure: DiscreteMeasure, m: int, seed: int) -> np.ndarray:
 
 
 def trial_seed(seed: int, trial: int) -> int:
-    """Derived per-trial seed; keeps parallel trials deterministic."""
-    return (seed ^ trial) & (2**64 - 1)
+    """Seed of trial ``trial``: the ``trial``-th ``SeedSequence(seed)`` child,
+    so trials of different seeds share no seed, whatever the worker count."""
+    child = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(trial,))
+    return int(child.generate_state(1, np.uint64)[0])
 
 
 def dedup_matrix_invariance(

@@ -145,13 +145,19 @@ class PseudoEuclideanPointSet:
         return self.points.shape[0]
 
 
+def _pairwise_sq_diffs(P: np.ndarray) -> np.ndarray:
+    """sum_c (P[i, c] - P[j, c])^2, one row at a time: n x n memory, where the
+    n x n x d difference tensor would take d times that."""
+    out = np.empty((len(P), len(P)))
+    for i, row in enumerate(P):
+        out[i] = ((row - P) ** 2).sum(axis=1)
+    return out
+
+
 def squared_intervals(ps: PseudoEuclideanPointSet) -> np.ndarray:
     """Pairwise squared intervals (z_i - z_j, z_i - z_j)_(n,p)."""
-    pts = ps.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    neg = (diff[:, :, : ps.n_neg] ** 2).sum(axis=2)
-    pos = (diff[:, :, ps.n_neg :] ** 2).sum(axis=2)
-    return pos - neg
+    k = ps.n_neg
+    return _pairwise_sq_diffs(ps.points[:, k:]) - _pairwise_sq_diffs(ps.points[:, :k])
 
 
 def indefinite_form(ps: PseudoEuclideanPointSet, u, v) -> float:
@@ -289,8 +295,7 @@ def from_euclidean_points(pts, labels=None) -> FiniteMetricSpace:
         raise InvalidInput(f"points must be a 2-d array, got shape {P.shape}")
     if not np.isfinite(P).all():
         raise InvalidInput("points have non-finite coordinates")
-    diff = P[:, None, :] - P[None, :, :]
-    D = np.sqrt((diff**2).sum(axis=2))
+    D = np.sqrt(_pairwise_sq_diffs(P))
     D = 0.5 * (D + D.T)
     np.fill_diagonal(D, 0.0)
     off = D + np.eye(D.shape[0])

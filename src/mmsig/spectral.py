@@ -3,7 +3,9 @@ semicircle comparison, and the positive/negative ratio experiments.
 
 Statistical acceptance thresholds are desk-scale surrogates for the
 asymptotic statements they operationalize; every stochastic experiment is
-seeded and trials derive their seeds as seed XOR trial index.
+seeded, and trials derive their seeds with ``sampling.trial_seed``. The
+checkpoints of one ratio trial are nested prefixes of one sample, counted
+by ``signature.limit_signature_trajectory`` against one zero band.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 
 from .constructions import CountableRadoModel
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, inertia, single_threaded_blas
+from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, single_threaded_blas
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
+from .signature import limit_signature_trajectory
 
 
 class ESD(NamedTuple):
@@ -101,8 +104,10 @@ class RatioTrajectory:
     m_values: tuple
     dedup_sizes: tuple
     inertias: tuple
-    deltas: tuple
-    measure_rule: dict | None
+
+    @property
+    def deltas(self) -> tuple:
+        return tuple(delta_ratio(ine) for ine in self.inertias)
 
     @property
     def final_delta(self) -> float:
@@ -126,7 +131,8 @@ def rado_ratio_experiment(
 
     Signatures are computed on the repetition-cancelled prefix, which leaves
     the ratio unchanged and the eigensolves small. The dedup prefixes are
-    nested, so -d^2/2 is built once on the full dedup and sliced.
+    nested, so one ``limit_signature_trajectory`` counts them all against
+    one zero band; checkpoints that add no new point share a count.
     """
     if checkpoints is None:
         checkpoints = default_checkpoints(m_max)
@@ -136,22 +142,12 @@ def rado_ratio_experiment(
     ):
         raise InvalidInput("checkpoints must be increasing and within m_max")
     traj = gv_sample(measure, m_max, seed)
-    S = model.s_matrix_on(traj.dedup)
     sizes = tuple(int(k) for k in np.searchsorted(traj.first_draws, checkpoints))
-    inertias = []
-    deltas = []
-    for k in sizes:
-        ine = inertia(S[:k, :k], tol_rel)
-        inertias.append(ine)
-        deltas.append(delta_ratio(ine))
-    return RatioTrajectory(
-        seed=seed,
-        m_values=checkpoints,
-        dedup_sizes=sizes,
-        inertias=tuple(inertias),
-        deltas=tuple(deltas),
-        measure_rule=measure.rule,
-    )
+    distinct = sorted(set(sizes))
+    counted = limit_signature_trajectory(model, traj.dedup, sizes=distinct, tol_rel=tol_rel)
+    by_size = dict(zip(distinct, counted.inertias))
+    inertias = tuple(by_size[k] for k in sizes)
+    return RatioTrajectory(seed=seed, m_values=checkpoints, dedup_sizes=sizes, inertias=inertias)
 
 
 def worker_count() -> int:
@@ -179,7 +175,7 @@ def rado_ratio_trials(
     tol_rel: float = DEFAULT_TOL_REL,
     workers: int | None = None,
 ) -> list:
-    """Independent repetitions with derived seeds seed XOR trial index.
+    """Independent repetitions, trial t seeded with ``trial_seed(seed, t)``.
 
     ``workers`` defaults to ``worker_count()``. With more than one worker the
     trials run on a thread pool, and OpenBLAS is pinned to one thread while

@@ -174,6 +174,20 @@ class TestTrajectory:
         assert len(orders) < 60
         assert len({row.split(",")[4] for row in rows}) == 1  # one theta per family
 
+    def test_model_trajectory_borders_across_sizes_with_gaps(self, tmp_path, monkeypatch):
+        # every second prefix of about 400: the gaps of 2 are bordered too
+        orders = []
+        real = linalg._eigenvalues
+        monkeypatch.setattr(linalg, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
+        out = tmp_path / "traj.csv"
+        argv = ["trajectory", "--model-p", 0.5, "--measure", "geometric:0.99", "--m-max", 3000,
+                "--seed", 5, "--sizes", "1:3000:2", "--output", out]
+        assert run(argv) == 0
+        rows = out.read_text().strip().splitlines()[2:]
+        N = 2 * len(rows) - 1  # the sizes are 1, 3, ..., N
+        assert int(rows[-1].split(",")[0]) == N > 350
+        assert len(orders) < N / 5
+
     def test_sample_outside_the_space_exits_2(self, capsys):
         argv = ["trajectory", "--example", "tripod", "--measure", "geometric:0.5", "--m-max", 50]
         assert run(argv) == 2
@@ -274,6 +288,34 @@ class TestConstruct:
 
         monkeypatch.setattr("mmsig.cli.prescribed_signature_space", build)
         assert run(["construct", "prescribed", "--n", 40, "--p", 20]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prescribed", "--n", 2, "--p", 2, "--h", 1.0],
+            ["prescribed", "--n", 2, "--p", 2, "--inputs", "x.csv", "y.csv"],
+            ["prescribed", "--n", 2, "--p", 2, "--input", "z.csv"],
+            ["perturb", "--input", "z.csv", "--n", 2],
+            ["perturb", "--input", "z.csv", "--h", 1.0],
+            ["union", "--inputs", "x.csv", "y.csv", "--h", 1.0, "--p", 2],
+            ["union", "--inputs", "x.csv", "y.csv", "--h", 1.0, "--input", "z.csv"],
+            ["prescribed", "--n", 2],
+            ["union", "--inputs", "x.csv", "y.csv"],
+        ],
+        ids=["prescribed-h", "prescribed-inputs", "prescribed-input", "perturb-n",
+             "perturb-h", "union-p", "union-input", "prescribed-no-p", "union-no-h"],
+    )
+    def test_options_the_kind_ignores_or_lacks_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        def build(*args, **kwargs):
+            pytest.fail("construct built a space with a wrong set of options")
+
+        for name in ("prescribed_signature_space", "perturb_to_max_negative", "union_space",
+                     "read_distance_csv"):
+            monkeypatch.setattr(cli, name, build)
+        out = tmp_path / "c.csv"
+        assert run(["construct", *argv, "--output", out]) == 2
+        assert capsys.readouterr().err.startswith("error: construct ")
+        assert not out.exists()
 
     def test_union_diameter_guard_exits_2(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -157,6 +157,25 @@ class TestPrefixInertias:
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert [i.n for i in got] == sizes
 
+    def test_wide_gaps_are_eigensolved_not_bordered(self, monkeypatch):
+        S = _model_s()
+        sizes = [20, 40, 60, 61, 69, 150, 300]
+        borders = []
+        real = linalg._border
+
+        def counted(A, inv, k, bound):
+            borders.append(k)
+            return real(A, inv, k, bound)
+
+        monkeypatch.setattr(linalg, "_border", counted)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        # only 60 -> 61 -> 69 is within BORDER_MAX_GAP; 60 is eigensolved first
+        assert set(borders) <= set(range(60, 69))
+        assert orders[0] == 300 and {20, 40, 60, 150} <= set(orders)
+        assert 300 not in orders[1:]
+
     def test_exact_signs_at_zero_tolerance(self):
         S = named_example("tripod_extended", n=30).s_matrix_on(range(30))
         got = prefix_inertias(S, range(1, 31), tol_rel=0.0)

@@ -129,9 +129,15 @@ class TestGvSample:
         )
         assert hits / 200 >= 0.999
 
-    def test_trial_seed_derivation(self):
-        assert trial_seed(5, 3) == 5 ^ 3
-        assert trial_seed(2**64 - 1, 1) == 2**64 - 2
+    def test_neighbouring_seeds_share_no_trial_seed(self):
+        # seed XOR trial gave seeds 0 and 1 the same 20 trial seeds
+        zero = {trial_seed(0, t) for t in range(20)}
+        one = {trial_seed(1, t) for t in range(20)}
+        assert len(zero) == len(one) == 20
+        assert zero.isdisjoint(one)
+        child = np.random.SeedSequence(5).spawn(4)[3]
+        assert trial_seed(5, 3) == int(child.generate_state(1, np.uint64)[0])
+        assert trial_seed(-1, 1) == trial_seed(2**64 - 1, 1)
 
 
 class TestDedupInvariance:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmsig import spaces
+from mmsig.constructions import CountableRadoModel, rado_metric_space
 from mmsig.errors import (
     AsymmetryError,
     BadParams,
@@ -18,6 +21,7 @@ from mmsig.errors import (
 )
 from mmsig.linalg import inertia
 from mmsig.sampling import DiscreteMeasure, t_matrix
+from mmsig.signature import mds_embed
 from mmsig.spaces import (
     Graph,
     _min_strict_slack,
@@ -35,7 +39,12 @@ from mmsig.spaces import (
     write_edge_list,
 )
 
-from util_oracles import b_matrix, brute_triangle_ok, random_metric_matrix
+from util_oracles import (
+    b_matrix,
+    brute_triangle_ok,
+    random_metric_matrix,
+    tensor_squared_intervals,
+)
 
 
 class TestFromDistanceMatrix:
@@ -219,6 +228,13 @@ class TestFromEuclidean:
         sp = from_euclidean_points([[0.0], [1.0], [3.0]])
         assert sp.dist[0, 2] == 3.0
 
+    def test_distances_match_the_difference_tensor(self):
+        pts = np.random.default_rng(5).normal(size=(40, 7))
+        D = np.sqrt(tensor_squared_intervals(pts, 0))
+        D = 0.5 * (D + D.T)
+        np.fill_diagonal(D, 0.0)
+        assert np.array_equal(from_euclidean_points(pts).dist, D)
+
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicatePoints):
             from_euclidean_points([[1.0, 2.0], [1.0, 2.0]])
@@ -245,6 +261,29 @@ class TestPseudoEuclidean:
                 n_neg=1, n_pos=1, points=np.array([[0.0, 0.0], [1.0, 0.5]])
             )
         assert exc.value.value == pytest.approx(-0.75)
+
+    @staticmethod
+    def _rado_embedding(n):
+        # a {1, 2} space embeds with about n - 1 axes of both signs
+        return mds_embed(rado_metric_space(CountableRadoModel(edge_prob=0.5, seed=7), n))
+
+    def test_intervals_match_the_difference_tensor(self):
+        ps = self._rado_embedding(120)
+        assert ps.n_neg > 0 and ps.n_pos > 0
+        want = tensor_squared_intervals(ps.points, ps.n_neg)
+        assert np.array_equal(squared_intervals(ps), want)
+
+    def test_intervals_need_no_difference_tensor(self):
+        ps = self._rado_embedding(200)
+        n, d = ps.points.shape
+        tracemalloc.start()
+        try:
+            squared_intervals(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few n x n matrices; the n x n x d tensor alone is d / 8 times more
+        assert d > 150 and peak < 8 * n * n * 8
 
     def test_intervals_match_form(self):
         ps = PseudoEuclideanPointSet(

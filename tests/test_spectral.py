@@ -23,7 +23,7 @@ from mmsig.spectral import (
     write_ratio_csv,
 )
 
-from util_oracles import random_symmetric
+from util_oracles import prefix_counts_by_eigvalsh, random_symmetric
 
 
 def semicircle_density(sigma, x):
@@ -134,6 +134,8 @@ class TestRatioExperiment:
         assert default_checkpoints(5) == (5,)
 
     def test_sliced_checkpoints_match_rebuilt_prefixes(self):
+        # each checkpoint counts the dedup of its own prefix of draws, all
+        # against the zero band of the trial's largest checkpoint
         model = CountableRadoModel(
             edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31)
         )
@@ -141,12 +143,63 @@ class TestRatioExperiment:
         for seed in range(3):
             traj = rado_ratio_experiment(model, measure, m_max=3000, seed=seed)
             raw = gv_sample(measure, 3000, seed=seed).raw
-            for m, k, ine in zip(traj.m_values, traj.dedup_sizes, traj.inertias):
+            for m, k in zip(traj.m_values, traj.dedup_sizes):
                 prefix = raw[:m]
                 _, first = np.unique(prefix, return_index=True)
                 dedup = prefix[np.sort(first)]
                 assert k == dedup.size
-                assert inertia(model.s_matrix_on(dedup)) == ine
+            S = model.s_matrix_on(dedup)  # the dedup of all m_max draws
+            want = prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
+            assert [ine.counts() for ine in traj.inertias] == want
+            assert len({ine.tol for ine in traj.inertias}) == 1
+
+    @pytest.mark.parametrize(
+        "measure, m_max, seed",
+        [(DiscreteMeasure.class_biased(30, 0.9), 3000, 0), (DiscreteMeasure.uniform(100), 1000, 3)],
+        ids=["class-biased", "tied-sizes"],
+    )
+    def test_one_eigensolve_per_distinct_size(self, measure, m_max, seed, monkeypatch):
+        # default checkpoints more than BORDER_MAX_GAP points apart are each
+        # eigensolved once, the largest first for the band, and never bordered;
+        # checkpoints that add no point share their size's count
+        model = CountableRadoModel(
+            edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31)
+        )
+        orders = []
+        real = linalg._eigenvalues
+        monkeypatch.setattr(linalg, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
+        monkeypatch.setattr(linalg, "_border", lambda *a: pytest.fail("bordered a wide gap"))
+        traj = rado_ratio_experiment(model, measure, m_max=m_max, seed=seed)
+        distinct = sorted(set(traj.dedup_sizes))
+        assert min(np.diff([0] + distinct)) > linalg.BORDER_MAX_GAP
+        assert orders == distinct[-1:] + distinct[:-1]
+
+    def test_tied_checkpoints_share_one_count(self):
+        model = CountableRadoModel(edge_prob=0.5, seed=3)
+        measure = DiscreteMeasure.geometric(0.3)
+        traj = rado_ratio_experiment(model, measure, m_max=200, seed=1)
+        assert traj.m_values == (16, 32, 64, 128, 200)
+        assert traj.dedup_sizes == (2, 2, 3, 6, 6)
+        assert traj.inertias[0] == traj.inertias[1]
+        assert traj.inertias[3] == traj.inertias[4]
+        S = model.s_matrix_on(gv_sample(measure, 200, seed=1).dedup)
+        assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
+        assert traj.deltas == tuple(delta_ratio(i) for i in traj.inertias)
+
+    def test_one_trajectory_call_per_trial(self, monkeypatch):
+        calls = []
+        real = spectral.limit_signature_trajectory
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["sizes"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "limit_signature_trajectory", counted)
+        trajectories = rado_ratio_trials(
+            CountableRadoModel(edge_prob=0.5, seed=1), DiscreteMeasure.geometric(0.8),
+            m_max=256, trials=3, seed=2, workers=1,
+        )
+        assert calls == [sorted(set(t.dedup_sizes)) for t in trajectories]
 
     def test_delta_equals_raw_matrix_delta(self):
         # repetition cancelling leaves both signature counts unchanged, so

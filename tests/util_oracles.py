@@ -133,3 +133,11 @@ def prefix_counts_by_eigvalsh(S, sizes, tol_rel=1e-9):
     top = np.linalg.eigvalsh(S[: sizes[-1], : sizes[-1]])
     theta = tol_rel * sizes[-1] * float(np.abs(top).max())
     return [count_inertia(np.linalg.eigvalsh(S[:k, :k]), theta) for k in sizes]
+
+
+def tensor_squared_intervals(points, n_neg):
+    """Squared pseudo-Euclidean intervals straight from the n x n x d
+    difference tensor, positive axes minus the first ``n_neg`` axes."""
+    P = np.asarray(points, dtype=float)
+    diff = P[:, None, :] - P[None, :, :]
+    return (diff[:, :, n_neg:] ** 2).sum(axis=2) - (diff[:, :, :n_neg] ** 2).sum(axis=2)
