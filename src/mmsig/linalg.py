@@ -5,7 +5,7 @@ Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
 validation gate. Inertia counting uses the eigenvalue spectrum as the source
 of truth, with the zero threshold ``theta = tol_rel * n * max|lambda|``;
 ``prefix_inertias`` counts a family of leading blocks against one threshold,
-by certified bordering where it can.
+by certified Schur blocks where they cost less than an eigensolve.
 ``single_threaded_blas`` is the one place that controls BLAS threading.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
+import math
 import os
 import threading
 from typing import NamedTuple
@@ -35,22 +35,16 @@ _SYM_SLACK = 1e-12
 
 _WEIGHT_SUM_TOL = 1e-12
 
-# A bordered prefix step is accepted only when 1/||S_k^{-1}||_F, a lower
-# bound on the smallest |eigenvalue| of S_k, exceeds the zero band by this
-# factor; the factor absorbs the roundoff of the bordered inverse.
+# A Schur step to a prefix block S_k counts only when 1/||S_k^{-1}||_F, a
+# lower bound on the smallest |eigenvalue| of S_k, exceeds the zero band by
+# this factor, which absorbs the roundoff of the updated inverse.
 BORDER_SAFETY = 10.0
 
-# The least bound a bordered step is checked against, relative to max|lambda|.
-# Bordering pivots without choice: through blocks whose smallest |eigenvalue|
-# is near the bound, a pivot carries an error up to about
-# eps * max|lambda|^2 / bound, which stays below the bound only while the
-# bound exceeds sqrt(eps) * max|lambda|. The default band is wider already.
+# The least bound a step is checked against, relative to max|lambda|. Steps
+# pivot without choice: a Schur complement through blocks near the bound
+# carries an error up to about eps * max|lambda|^2 / bound, below the bound
+# only while it exceeds sqrt(eps) * max|lambda|. The default band is wider.
 _BORDER_FLOOR = float(np.sqrt(np.finfo(float).eps))
-
-# The largest gap between requested sizes that is bordered rather than
-# eigensolved. One bordering step at order k costs 1/9 (k = 50) to 1/51
-# (k = 1600) of an eigvalsh of that order, so eight never cost more than one.
-BORDER_MAX_GAP = 8
 
 # (get, set) thread-count symbols of OpenBLAS: numpy's wheel build first, then
 # the plain names of a system OpenBLAS.
@@ -213,11 +207,15 @@ def _band_counts(vals: np.ndarray, theta: float) -> Inertia:
     return Inertia(s_minus, len(vals) - s_minus - s_plus, s_plus, theta)
 
 
+def _check_tol_rel(tol_rel) -> None:
+    if not (math.isfinite(tol_rel) and tol_rel >= 0):  # NaN, inf: every eigenvalue is zero
+        raise InvalidInput(f"tol_rel must be finite and nonnegative, got {tol_rel!r}")
+
+
 def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """Inertia triple of a symmetric matrix: its eigenvalues below -theta,
     within +-theta and above theta."""
-    if tol_rel < 0:
-        raise InvalidInput("tol_rel must be nonnegative")
+    _check_tol_rel(tol_rel)
     vals = _eigenvalues(a)
     return _band_counts(vals, zero_threshold(vals, tol_rel))
 
@@ -228,27 +226,33 @@ def _clear_of(vals: np.ndarray, bound: float) -> bool:
     return bool(mags.min() > bound and 1.0 / np.sqrt(np.sum(mags**-2.0)) > bound)
 
 
-def _border(A: np.ndarray, inv: np.ndarray, k: int, bound: float) -> int:
-    """Extend ``inv[:k, :k]``, the inverse of ``A[:k, :k]``, in place to the
-    inverse of ``A[:k+1, :k+1]``.
-
-    Returns the sign of the Schur complement ``c - b^T A_k^{-1} b`` when
-    ``1/||A_{k+1}^{-1}||_F > bound``, which proves every eigenvalue of
-    ``A[:k+1, :k+1]`` has modulus above ``bound``; otherwise 0, and ``inv``
-    no longer holds an inverse.
-    """
-    b = A[:k, k]
-    x = inv[:k, :k] @ b
-    s = A[k, k] - b @ x
-    if not abs(s) > bound:
-        return 0
-    inv[:k, :k] += np.outer(x, x / s)
-    inv[:k, k] = inv[k, :k] = -x / s
-    inv[k, k] = 1.0 / s
-    block = inv[: k + 1, : k + 1]
+def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float):
+    """Extend ``inv[:a, :a]``, the inverse of A_a = ``A[:a, :a]``, in place to
+    that of A_k through C = A_k / A_a; return C's count of negative eigenvalues
+    if ``1/||A_k^{-1}||_F > bound`` proves A_k's eigenvalues all exceed
+    ``bound`` in modulus, else None (``inv`` then holds no inverse)."""
+    B = A[:a, a:k]
+    X = inv[:a, :a] @ B
+    C = A[a:k, a:k] - B.T @ X
+    if k - a == 1:  # a scalar complement needs no eigensolve
+        vals = C[0]
+        if not abs(vals[0]) > bound:
+            return None
+        c_inv = 1.0 / C
+        Y = X * c_inv
+        inv[:a, :a] += Y * X.T  # numpy's rank-1 matmul is slow
+    else:  # C^{-1} is a block of A_k^{-1}, so a C this close to singular fails too
+        vals, vecs = eig_sym(0.5 * (C + C.T))
+        if not _clear_of(vals, bound):
+            return None
+        c_inv = (vecs / vals) @ vecs.T
+        Y = X @ c_inv
+        inv[:a, :a] += Y @ X.T
+    inv[:a, a:k], inv[a:k, :a], inv[a:k, a:k] = -Y, -Y.T, c_inv
+    block = inv[:k, :k]
     if not np.sqrt(np.einsum("ij,ij->", block, block)) * bound < 1.0:
-        return 0
-    return 1 if s > 0 else -1
+        return None
+    return int(np.count_nonzero(vals < 0))
 
 
 def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
@@ -256,21 +260,16 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     all against one zero band.
 
     The band is theta = tol_rel * N * max|lambda| of the block of the largest
-    size N, from one eigensolve. By Cauchy interlacing it bounds the theta of
+    size N, the one eigensolve. By Cauchy interlacing it bounds the theta of
     every smaller block, so s_minus and s_plus never decrease along the sizes.
-    A size at most ``BORDER_MAX_GAP`` above the last counted block is counted
-    from it by bordering the inverse (O(k^2) per order): by Haynsworth inertia
-    additivity each order adds the sign of the Schur complement
-    ``c - b^T S_k^{-1} b``. A step counts only when
-    ``1/||S_{k+1}^{-1}||_F > BORDER_SAFETY * theta``, which proves no
-    eigenvalue of the block lies in the band. That bound is never below
-    ``_BORDER_FLOOR * max|lambda|``, so a zero or tiny tol_rel certifies no
-    sign that roundoff could flip. Any other size is eigensolved; the inverse
-    is rebuilt there when the next size is within the gap and the eigenvalues
-    show the block that far clear of the band.
+    A smaller size k is counted from the last counted size a by a certified
+    ``_schur_step`` (Haynsworth additivity) when a >= k // 2, since a wider
+    step costs more than an eigensolve of order k, and from the empty block
+    when the next size is a step from k. Other sizes, and those whose step
+    fails its certificate, are eigensolved; the steps resume from one whose
+    next size is a step and whose eigenvalues clear the certificate's bound.
     """
-    if tol_rel < 0:
-        raise InvalidInput("tol_rel must be nonnegative")
+    _check_tol_rel(tol_rel)
     A = as_sym_matrix(a)
     sizes = [int(k) for k in sizes]
     if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])) or any(
@@ -284,26 +283,26 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     theta = zero_threshold(top, tol_rel)
     bound = max(BORDER_SAFETY * theta, _BORDER_FLOOR * float(np.abs(top).max()))
     inv = np.empty((N, N))
-    anchor = 0  # inv holds the inverse of A[:anchor, :anchor]; None: of no block
+    anchor = 0  # inv holds the inverse of A[:anchor, :anchor]; -1: of no block
     s_minus = s_plus = 0
     out = []
-    for k, after in zip(sizes, sizes[1:] + [None]):
-        if anchor is not None and k - anchor <= BORDER_MAX_GAP:
-            steps = (_border(A, inv, j, bound) for j in range(anchor, k))
-            signs = list(itertools.takewhile(bool, steps))
-            if len(signs) == k - anchor:
-                s_minus, s_plus = s_minus + signs.count(-1), s_plus + signs.count(1)
+    for k, after in zip(sizes, sizes[1:]):
+        next_steps = after < N and k >= after // 2
+        if anchor >= k // 2 or anchor == 0 and next_steps:
+            neg = _schur_step(A, inv, anchor, k, bound)
+            if neg is not None:
+                s_minus, s_plus = s_minus + neg, s_plus + k - anchor - neg
                 out.append(Inertia(s_minus, 0, s_plus, theta))
                 anchor = k
                 continue
-        vals = top if k == N else _eigenvalues(A[:k, :k])
+        vals = _eigenvalues(A[:k, :k])
         out.append(_band_counts(vals, theta))
-        anchor = None
-        if after is not None and after - k <= BORDER_MAX_GAP and _clear_of(vals, bound):
+        anchor = -1
+        if next_steps and _clear_of(vals, bound):
             s_minus, s_plus = out[-1].s_minus, out[-1].s_plus
             inv[:k, :k] = np.linalg.inv(A[:k, :k])
             anchor = k
-    return out
+    return out + [_band_counts(top, theta)]
 
 
 def _normalize_block(block, n: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from .errors import ConeViolation, InvalidInput, MonotonicityViolation
 from .linalg import (
     DEFAULT_TOL_REL,
     Inertia,
+    _check_tol_rel,
     double_center,
     eig_sym,
     inertia,
@@ -26,7 +27,7 @@ from .linalg import (
     zero_threshold,
 )
 from .sampling import DiscreteMeasure, sample_order, t_matrix
-from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, s_matrix, squared_intervals
+from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, s_matrix
 
 STABILIZATION_WINDOW = 25
 
@@ -133,6 +134,7 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     first. The embedding is an isometry of the space onto its image and the
     image satisfies the cone condition.
     """
+    _check_tol_rel(tol_rel)
     T = double_center(s_matrix(space))
     vals, vecs = eig_sym(T)
     theta = zero_threshold(vals, tol_rel)
@@ -161,7 +163,7 @@ def verify_isometry(
         raise InvalidInput(
             f"embedding has {embedding.n} points, space has {space.n}"
         )
-    sq = squared_intervals(embedding)
+    sq = embedding.intervals
     scale = float(np.abs(sq).max()) if sq.size else 0.0
     theta = tol_rel * space.n * scale
     worst = float(sq.min()) if sq.size else 0.0

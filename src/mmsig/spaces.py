@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +111,7 @@ class Graph:
 @dataclass(frozen=True)
 class PseudoEuclideanPointSet:
     """Points in R^(n,p): first n_neg coordinates carry the negative sign of
-    the bilinear form. The pairwise cone condition (all squared intervals
+    the bilinear form. The cone condition (all squared ``intervals``
     nonnegative) is checked at construction."""
 
     n_neg: int
@@ -129,7 +130,7 @@ class PseudoEuclideanPointSet:
         if not np.isfinite(pts).all():
             raise InvalidInput("points have non-finite coordinates")
         object.__setattr__(self, "points", _frozen(pts))
-        sq = squared_intervals(self)
+        sq = self.intervals
         scale = float(np.abs(sq).max()) if sq.size else 0.0
         worst = float(sq.min()) if sq.size else 0.0
         if worst < -CONE_TOL_REL * scale:
@@ -143,6 +144,11 @@ class PseudoEuclideanPointSet:
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def intervals(self) -> np.ndarray:
+        """``squared_intervals``, computed once for the cone check and later readers."""
+        return _frozen(squared_intervals(self))
 
 
 def _pairwise_sq_diffs(P: np.ndarray) -> np.ndarray:
@@ -311,8 +317,7 @@ def from_pseudo_euclidean(ps: PseudoEuclideanPointSet) -> FiniteMetricSpace:
     The cone condition makes the intervals real but does not imply the
     triangle inequality, which is validated here and raised on failure.
     """
-    sq = squared_intervals(ps)
-    D = np.sqrt(np.maximum(sq, 0.0))
+    D = np.sqrt(np.maximum(ps.intervals, 0.0))
     D = 0.5 * (D + D.T)
     np.fill_diagonal(D, 0.0)
     return from_distance_matrix(D)
@@ -325,7 +330,7 @@ def strict_cauchy_schwarz_check(ps: PseudoEuclideanPointSet, i: int, j: int, k: 
     d(z_i,z_k) < d(z_i,z_j) + d(z_j,z_k) for cone-admissible triples.
     """
     pts = ps.points
-    sq = squared_intervals(ps)
+    sq = ps.intervals
     scale = float(np.abs(sq).max()) if sq.size else 0.0
     theta = CONE_TOL_REL * scale
     for a, b in ((i, j), (j, k), (i, k)):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mmsig import cli, linalg
+from mmsig import cli, linalg, spaces
 from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
 from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence, SingularBlock
@@ -100,6 +100,34 @@ class TestEmbed:
         assert run(["embed", "--input", src, "--output", out]) == 0
         doc = json.loads(out.read_text())
         assert doc["points"] == [[]]
+
+    def test_intervals_are_computed_once(self, tmp_path, monkeypatch):
+        # the cone check at construction and the isometry check share one
+        # matrix of squared intervals: a positive and a negative part
+        calls = []
+        real = spaces._pairwise_sq_diffs
+        monkeypatch.setattr(spaces, "_pairwise_sq_diffs", lambda P: calls.append(P) or real(P))
+        assert run(["embed", "--example", "tripod", "--output", tmp_path / "emb.json"]) == 0
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--example", "tripod"],
+        ["trajectory", "--example", "simplex", "--n", 5],
+        ["rado", "--p", 0.5, "--N", 3],
+        ["embed", "--example", "tripod"],
+    ],
+    ids=["analyze", "trajectory", "rado", "embed"],
+)
+def test_tolerance_must_be_finite_and_nonnegative(argv, tol, tmp_path, monkeypatch, capsys):
+    # NaN and inf counted every eigenvalue as zero and exited 0
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + [f"--tol={tol}"]) == 2
+    assert "tol_rel must be finite and nonnegative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTrajectory:

@@ -22,6 +22,8 @@ import mmsig.cli
 import mmsig.linalg
 import mmsig.signature
 import mmsig.spectral
+from mmsig.constructions import CountableRadoModel, residue_class_clique
+from mmsig.sampling import DiscreteMeasure
 from mmsig.spaces import from_euclidean_points, named_example, write_distance_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +94,29 @@ def test_names_the_benchmark_traces_stay_bound():
                 assert name in vars(cls), f"mmsig.{layer}.{cls_name}.{name}"
     assert mmsig.cli.inertia is mmsig.signature.inertia is mmsig.linalg.inertia
     assert mmsig.spectral._eigenvalues is mmsig.linalg._eigenvalues
+
+
+def test_every_prefix_eigensolve_is_traced(monkeypatch):
+    # The tracer counts eigensolves at linalg._eigenvalues and linalg.eig_sym
+    # only, so every LAPACK eigensolve of a ratio trial and of an all-prefix
+    # trajectory has to go through one of them.
+    lapack, traced = [], []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, _f=real: lapack.append(len(a)) or _f(a))
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, lambda *a: pytest.fail("untraced eigensolve"))
+    for name in ("_eigenvalues", "eig_sym"):
+        real = getattr(mmsig.linalg, name)
+        monkeypatch.setattr(mmsig.linalg, name, lambda a, _f=real: traced.append(len(a)) or _f(a))
+    model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31))
+    mmsig.spectral.rado_ratio_experiment(
+        model, DiscreteMeasure.class_biased(30, 0.9), m_max=3000, seed=0
+    )
+    mmsig.signature.sampled_signature_trajectory(
+        model, DiscreteMeasure.geometric(0.99), m_max=3000, seed=5
+    )
+    assert len(lapack) > 10 and lapack == traced
 
 
 # Invocations per subcommand whose union reads every declared option.

@@ -116,6 +116,20 @@ def _eigensolve_orders(monkeypatch):
     return orders
 
 
+def _schur_steps(monkeypatch):
+    """(a, k, certified) of each ``linalg._schur_step`` from now on."""
+    steps = []
+    real = linalg._schur_step
+
+    def counted(A, inv, a, k, bound):
+        signs = real(A, inv, a, k, bound)
+        steps.append((a, k, signs is not None))
+        return signs
+
+    monkeypatch.setattr(linalg, "_schur_step", counted)
+    return steps
+
+
 def _model_s(n_draws=3000, seed=11):
     order = sample_order(DiscreteMeasure.geometric(0.99), n_draws, seed)
     return CountableRadoModel(edge_prob=0.5, seed=3).s_matrix_on(order)
@@ -157,30 +171,58 @@ class TestPrefixInertias:
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert [i.n for i in got] == sizes
 
-    def test_wide_gaps_are_eigensolved_not_bordered(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "family, tol_rel",
+        [("weak_direction", 0.0), ("planar_points", 0.0), ("sphere", 1e-9)],
+    )
+    def test_gapped_sizes_take_certified_schur_blocks(self, family, tol_rel, monkeypatch):
+        S = {
+            "weak_direction": self._weak_direction,
+            "planar_points": self._planar_points,
+            "sphere": self.FAMILIES["sphere"],
+        }[family]()
+        sizes = sorted({int(k) for k in np.geomspace(2, len(S), 12)})
+        steps = _schur_steps(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=tol_rel)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+        # the first sizes are steps, and some steps add a certified block of
+        # several orders at once
+        assert [k for _, k, _ in steps[:2]] == sizes[:2]
+        assert any(k - a > 1 and certified for a, k, certified in steps)
+
+    def test_failed_block_falls_back_to_an_eigensolve(self, monkeypatch):
+        # S of planar points has rank <= 4, so the step from 3 to 6 points
+        # cannot be certified at tol 0 and block 6 is eigensolved
+        S = self._planar_points()
+        sizes = [3, 6, 12, len(S)]
+        steps = _schur_steps(monkeypatch)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=0.0)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 0.0)
+        assert steps[:2] == [(0, 3, True), (3, 6, False)]
+        assert orders[:2] == [len(S), 6]
+
+    def test_a_block_wider_than_its_anchor_is_eigensolved(self, monkeypatch):
         S = _model_s()
-        sizes = [20, 40, 60, 61, 69, 150, 300]
-        borders = []
-        real = linalg._border
-
-        def counted(A, inv, k, bound):
-            borders.append(k)
-            return real(A, inv, k, bound)
-
-        monkeypatch.setattr(linalg, "_border", counted)
+        N = len(S)
+        sizes = [2, N - 1, N]
+        steps = _schur_steps(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        # only 60 -> 61 -> 69 is within BORDER_MAX_GAP; 60 is eigensolved first
-        assert set(borders) <= set(range(60, 69))
-        assert orders[0] == 300 and {20, 40, 60, 150} <= set(orders)
-        assert 300 not in orders[1:]
+        assert steps == [] and orders == [N, 2, N - 1]
 
     def test_exact_signs_at_zero_tolerance(self):
         S = named_example("tripod_extended", n=30).s_matrix_on(range(30))
         got = prefix_inertias(S, range(1, 31), tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, list(range(1, 31)), 0.0)
         assert {i.tol for i in got} == {0.0}
+
+    @staticmethod
+    def _planar_points():
+        # S of 60 planar points has rank <= 4: every larger block is singular
+        pts = np.random.default_rng(4).normal(size=(60, 2))
+        return from_euclidean_points(pts).s_matrix_on(range(60))
 
     @staticmethod
     def _weak_direction():

@@ -158,21 +158,21 @@ class TestRatioExperiment:
         [(DiscreteMeasure.class_biased(30, 0.9), 3000, 0), (DiscreteMeasure.uniform(100), 1000, 3)],
         ids=["class-biased", "tied-sizes"],
     )
-    def test_one_eigensolve_per_distinct_size(self, measure, m_max, seed, monkeypatch):
-        # default checkpoints more than BORDER_MAX_GAP points apart are each
-        # eigensolved once, the largest first for the band, and never bordered;
-        # checkpoints that add no point share their size's count
+    def test_one_eigensolve_per_trial(self, measure, m_max, seed, monkeypatch):
+        # the largest checkpoint is eigensolved for the band; every other one
+        # is counted by a Schur step from the one before; checkpoints that add
+        # no point share their size's count
         model = CountableRadoModel(
             edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31)
         )
         orders = []
         real = linalg._eigenvalues
         monkeypatch.setattr(linalg, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
-        monkeypatch.setattr(linalg, "_border", lambda *a: pytest.fail("bordered a wide gap"))
         traj = rado_ratio_experiment(model, measure, m_max=m_max, seed=seed)
         distinct = sorted(set(traj.dedup_sizes))
-        assert min(np.diff([0] + distinct)) > linalg.BORDER_MAX_GAP
-        assert orders == distinct[-1:] + distinct[:-1]
+        assert len(distinct) > 4 and orders == distinct[-1:]
+        S = model.s_matrix_on(gv_sample(measure, m_max, seed=seed).dedup)
+        assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
 
     def test_tied_checkpoints_share_one_count(self):
         model = CountableRadoModel(edge_prob=0.5, seed=3)
