@@ -122,9 +122,9 @@ def _schur_steps(monkeypatch):
     real = linalg._schur_step
 
     def counted(A, inv, a, k, bound):
-        signs = real(A, inv, a, k, bound)
-        steps.append((a, k, signs is not None))
-        return signs
+        neg = real(A, inv, a, k, bound)
+        steps.append((a, k, neg is not None))
+        return neg
 
     monkeypatch.setattr(linalg, "_schur_step", counted)
     return steps
