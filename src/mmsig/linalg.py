@@ -282,7 +282,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     top = _eigenvalues(A[:N, :N])
     theta = zero_threshold(top, tol_rel)
     bound = max(BORDER_SAFETY * theta, _BORDER_FLOOR * float(np.abs(top).max()))
-    inv = np.empty((N, N))
+    inv = np.empty((max(sizes[:-1], default=0),) * 2)  # no step reaches N
     anchor = 0  # inv holds the inverse of A[:anchor, :anchor]; -1: of no block
     s_minus = s_plus = 0
     out = []

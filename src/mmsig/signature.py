@@ -223,14 +223,17 @@ def kernel_reconstruction_check(space: FiniteMetricSpace, measure: DiscreteMeasu
 
 
 def embedding_to_json(embedding: PseudoEuclideanPointSet, provenance: dict | None = None) -> str:
-    doc = {
-        "n_neg": embedding.n_neg,
-        "n_pos": embedding.n_pos,
-        "points": [[float(x) for x in row] for row in embedding.points],
-    }
+    """``json.dumps(doc, sort_keys=True, indent=2)``, whose indent means the
+    pure-Python encoder, with the points rows encoded by the C encoder."""
+    doc = {"n_neg": embedding.n_neg, "n_pos": embedding.n_pos, "points": None}
     if provenance:
         doc.update(provenance)
-    return json.dumps(doc, sort_keys=True, indent=2)
+    head = json.dumps(doc, sort_keys=True, indent=2)
+    row = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+    rows = [f"[\n      {text[1:-1]}\n    ]" if len(text) > 2 else text
+            for text in map(row, embedding.points.tolist())]
+    points = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    return head.replace('\n  "points": null', f'\n  "points": {points}', 1)
 
 
 def embedding_from_json(text: str) -> PseudoEuclideanPointSet:

@@ -184,17 +184,28 @@ def s_matrix(space: FiniteMetricSpace) -> np.ndarray:
 
 
 def _min_strict_slack(D: np.ndarray):
-    """Smallest d(i,j) + d(j,k) - d(i,k) over distinct triples, with its
-    witness (i, j, k); (inf, None) below three points."""
+    """Smallest d(i,j) + d(j,k) - d(i,k) over distinct triples and its witness
+    (i, j, k), i < k, least in (j, i, k) order; (inf, None) below three points.
+    Row i takes k > i only (slack is symmetric in i, k): the half min-plus row
+    T[k, j] = d(j,k) + d(i,j), +inf where j is k or i. Rounded subtraction is
+    monotone, so min_j T[k, j] - d(i,k) is the least slack bit for bit."""
+    n = D.shape[0]
+    E = D.copy()
+    np.fill_diagonal(E, np.inf)
+    buf = np.empty((n - 1, n))
     best, witness = np.inf, None
-    for j in range(D.shape[0]):
-        slack = D[:, j][:, None] + D[j, :][None, :] - D
-        slack[j, :] = np.inf
-        slack[:, j] = np.inf
-        np.fill_diagonal(slack, np.inf)
-        i, k = np.unravel_index(int(np.argmin(slack)), slack.shape)
-        if slack[i, k] < best:
-            best, witness = float(slack[i, k]), (int(i), j, int(k))
+    for i in range(n - 1):
+        T = np.add(E[i + 1:], E[i], out=buf[: n - 1 - i])
+        c = D[i, i + 1:]
+        slack = T[np.arange(n - 1 - i), T.argmin(axis=1)] - c
+        low = slack.min()
+        if low > best or low == np.inf:  # below three points every slack is inf
+            continue
+        ties = np.flatnonzero(slack == low)  # other sums may round to this slack
+        js = (T[ties] - c[ties, None] == low).argmax(axis=1)
+        t = int(js.argmin())
+        if low < best or js[t] < witness[1]:
+            best, witness = float(low), (i, int(js[t]), i + 1 + int(ties[t]))
     return best, witness
 
 
@@ -271,9 +282,10 @@ def from_graph(g: Graph) -> FiniteMetricSpace:
     Disconnected otherwise."""
     adj = g.adjacency_lists()
     n = g.n
-    D = np.full((n, n), -1.0)
+    D = np.empty((n, n))
     for src in range(n):
-        D[src, src] = 0.0
+        dist = [-1] * n
+        dist[src] = 0
         frontier = [src]
         level = 0
         while frontier:
@@ -281,10 +293,11 @@ def from_graph(g: Graph) -> FiniteMetricSpace:
             nxt = []
             for u in frontier:
                 for v in adj[u]:
-                    if D[src, v] < 0:
-                        D[src, v] = level
+                    if dist[v] < 0:
+                        dist[v] = level
                         nxt.append(v)
             frontier = nxt
+        D[src] = dist
     if (D < 0).any():
         i, j = np.unravel_index(int(np.argmin(D)), D.shape)
         raise Disconnected((int(i), int(j)), f"no path between vertices {i} and {j}")
@@ -451,22 +464,25 @@ def read_distance_csv(path, strict: bool = False) -> FiniteMetricSpace:
         rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise InvalidInput(f"{path}: empty distance CSV")
-    labels = tuple(s.strip() for s in rows[0])
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(labels):
-            raise InvalidInput(
-                f"{path}:{lineno}: expected {len(labels)} columns, got {len(row)}"
-            )
-        try:
-            data.append([float(x) for x in row])
-        except ValueError as exc:
-            raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+    labels, data = tuple(s.strip() for s in rows[0]), rows[1:]
+    try:  # numpy parses each field as Python's float() does
+        D = np.array(data, dtype=float).reshape(len(data), len(labels))
+    except ValueError:  # a ragged row or a bad field: name the first one
+        for lineno, row in enumerate(data, start=2):
+            if len(row) != len(labels):
+                raise InvalidInput(
+                    f"{path}:{lineno}: expected {len(labels)} columns, got {len(row)}"
+                ) from None
+            try:
+                [float(x) for x in row]
+            except ValueError as exc:
+                raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+        raise
     if len(data) != len(labels):
         raise InvalidInput(
             f"{path}: header has {len(labels)} labels but {len(data)} rows follow"
         )
-    return from_distance_matrix(np.asarray(data), strict=strict, labels=labels)
+    return from_distance_matrix(D, strict=strict, labels=labels)
 
 
 def write_edge_list(graph: Graph, path):

@@ -67,25 +67,47 @@ def test_only_linalg_imports_ctypes():
 
 
 def _tracer_tables():
-    """``PRIVATE`` and ``METHODS`` of perfbench/tracer.py, read without
-    importing it."""
+    """``PRIVATE``, ``METHODS`` and the span names that perfbench/tracer.py
+    looks up by string (``EIGENSOLVES``, ``IO_SPANS`` and the names that
+    ``layer_metrics`` compares a span's name with), read without importing
+    it."""
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    tables = {}
+    tables, spans = {}, set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             name = getattr(node.targets[0], "id", None)
             if name in ("PRIVATE", "METHODS"):
                 tables[name] = ast.literal_eval(node.value)
+            elif name in ("EIGENSOLVES", "IO_SPANS"):
+                spans |= ast.literal_eval(node.value)
+    metrics = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"
+    )
+    for node in ast.walk(metrics):
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "name":
+            for value in node.comparators:
+                if isinstance(value, (ast.Constant, ast.Tuple)):
+                    found = ast.literal_eval(value)
+                    spans |= {found} if isinstance(found, str) else set(found)
     assert set(tables) == {"PRIVATE", "METHODS"}
-    return tables["PRIVATE"], tables["METHODS"]
+    assert {"spaces.read_distance_csv", "spaces.from_graph", "signature.embedding_to_json"} <= spans
+    return tables["PRIVATE"], tables["METHODS"], spans
 
 
 def test_names_the_benchmark_traces_stay_bound():
-    private, methods = _tracer_tables()
+    private, methods, spans = _tracer_tables()
     for layer, names in private.items():
         module = importlib.import_module(f"mmsig.{layer}")
         for name in names:
             assert inspect.isfunction(getattr(module, name, None)), f"mmsig.{layer}.{name}"
+    for span in sorted(spans):
+        # the tracer wraps a module's own functions: the public ones and PRIVATE
+        layer, name = span.split(".")
+        module = importlib.import_module(f"mmsig.{layer}")
+        func = getattr(module, name, None)
+        assert inspect.isfunction(func) and func.__module__ == module.__name__, f"mmsig.{span}"
+        assert not name.startswith("_") or name in private.get(layer, ()), f"mmsig.{span}"
     for layer, classes in methods.items():
         module = importlib.import_module(f"mmsig.{layer}")
         for cls_name, names in classes.items():

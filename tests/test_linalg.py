@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,21 @@ class TestPrefixInertias:
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert steps == [] and orders == [N, 2, N - 1]
+
+    @pytest.mark.parametrize("sizes", [[2, 4], []])
+    def test_inverse_buffer_stops_below_the_largest_size(self, sizes):
+        # the largest block is eigensolved, never reached by a Schur step, so
+        # the inverse buffer needs only the second-largest order
+        N = 300
+        S = random_symmetric(np.random.default_rng(0), N)
+        tracemalloc.start()
+        try:
+            got = prefix_inertias(S, sizes + [N])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes + [N])
+        assert peak < 8 * N * N // 2
 
     def test_exact_signs_at_zero_tolerance(self):
         S = named_example("tripod_extended", n=30).s_matrix_on(range(30))

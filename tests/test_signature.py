@@ -30,8 +30,11 @@ from mmsig.spaces import (
 )
 
 from util_oracles import (
+    circle_operator_eigenvalues,
+    embedding_json_by_indent,
     random_cospherical_points,
     random_metric_matrix,
+    sphere2_operator_eigenvalues,
     unit_square_corners,
 )
 
@@ -356,3 +359,61 @@ class TestEmbedClassifyConsistency:
         assert doc["n_neg"] == 1 and doc["n_pos"] == 2
         back = embedding_from_json(text)
         assert np.array_equal(back.points, emb.points)
+
+    @pytest.mark.parametrize(
+        "provenance",
+        [None, {"seed": 5, "tol_rel": 1e-9, "version": "0.1.0"},
+         {"alpha": [1, 2.5], "zeta": {"points": None, "text": '\n  "points": null'}}],
+    )
+    def test_embedding_json_matches_the_indenting_encoder(self, provenance):
+        upper = np.triu(np.random.default_rng(8).random((40, 40)) < 0.5, k=1)
+        one_two = np.where(upper | upper.T, 1.0, 2.0)
+        np.fill_diagonal(one_two, 0.0)
+        embeddings = [
+            mds_embed(sp)
+            for sp in (
+                named_example("tripod"),
+                named_example("simplex", n=5),
+                named_example("sphere", dim=2, n=30, seed=3),
+                from_distance_matrix(one_two),
+                from_distance_matrix([[0.0]]),  # one point, zero width
+            )
+        ]
+        embeddings.append(PseudoEuclideanPointSet(1, 1, np.zeros((0, 2))))  # no points
+        assert embeddings[-2].points.shape == (1, 0)
+        for emb in embeddings:
+            assert embedding_to_json(emb, provenance) == embedding_json_by_indent(emb, provenance)
+
+
+class TestSphereOperatorOracle:
+    """S/n of n uniform points on a sphere with the geodesic metric tends to
+    the integral operator of the kernel -theta^2/2, whose eigenvalues are
+    known in closed form. The largest-|lambda| eigenvalues of the sample
+    take the operator's signs, so both s_minus and s_plus of the sphere
+    grow without bound."""
+
+    @staticmethod
+    def _largest(space, count):
+        vals = linalg.eig_sym(s_matrix(space) / space.n).eigenvalues
+        return vals[np.argsort(-np.abs(vals), kind="stable")][:count]
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_circle(self, n):
+        # arc lengths straight from the angles: the circle's points are
+        # nearly collinear, so arccos of a Gram entry is too coarse here
+        angles = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, n)
+        gap = np.abs(angles[:, None] - angles[None, :])
+        space = from_distance_matrix(np.minimum(gap, 2.0 * np.pi - gap))
+        expect = circle_operator_eigenvalues(11)  # -pi^2/6, then +-1/k^2 twice, k <= 5
+        got = self._largest(space, 11)
+        assert (np.sign(got) == np.sign(expect)).all()
+        assert np.abs(got - expect).max() < 0.2
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_two_sphere(self, n):
+        lam = sphere2_operator_eigenvalues(3)  # degree l has multiplicity 2l + 1
+        expect = np.repeat(lam, 2 * np.arange(4) + 1)
+        got = self._largest(named_example("sphere", dim=2, n=n, seed=n), len(expect))
+        assert list(np.abs(lam)) == sorted(np.abs(lam), reverse=True)
+        assert (np.sign(got) == np.sign(expect)).all()
+        assert np.abs(got - expect).max() < 0.2

@@ -13,6 +13,7 @@ from mmsig.errors import (
     ConeViolation,
     Disconnected,
     DuplicatePoints,
+    InvalidInput,
     NegativeDistance,
     NonzeroDiagonal,
     TriangleViolation,
@@ -42,6 +43,8 @@ from mmsig.spaces import (
 from util_oracles import (
     b_matrix,
     brute_triangle_ok,
+    hop_distances_by_bfs,
+    min_strict_slack_by_sweep,
     random_metric_matrix,
     tensor_squared_intervals,
 )
@@ -153,6 +156,35 @@ class TestTriangleScan:
                 assert got == _outcome(_two_pass_triangle_check, D, strict)
         assert kinds == {(True, True), (True, False), (False, False)}
 
+    @staticmethod
+    def _fuzzed(rng, n):
+        """One symmetric hollow matrix of each kind: ties, violations,
+        metrics, and values whose slack rounds to equal for different sums."""
+        values = {
+            "one_two": [1.0, 2.0],
+            "small_integers": [1.0, 2.0, 3.0, 4.0],
+            "rounding": [1.0, 1.0 + 2**-52, 2.0, 3.0, 3.0 + 2**-51, 8.0],
+        }
+        for pool in values.values():
+            upper = np.triu(rng.choice(pool, size=(n, n)), k=1)
+            yield upper + upper.T
+        M = rng.uniform(0.1, 3.0, size=(n, n))
+        D = 0.5 * (M + M.T)
+        np.fill_diagonal(D, 0.0)
+        yield D
+        yield random_metric_matrix(rng, n)
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float)  # lattice: collinear ties
+        yield np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+
+    def test_half_scan_matches_the_full_sweep(self):
+        # minimum and witness, bit for bit, including the (j, i, k) tie-break
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            for D in self._fuzzed(rng, int(rng.integers(3, 13))):
+                assert _min_strict_slack(D) == min_strict_slack_by_sweep(D)
+        for n in (1, 2):
+            D = np.ones((n, n)) - np.eye(n)
+            assert _min_strict_slack(D) == min_strict_slack_by_sweep(D) == (np.inf, None)
 
     def test_scan_only_where_the_distance_ratio_leaves_doubt(self, monkeypatch):
         # max <= 2 min off the diagonal decides the inequality without a scan,
@@ -190,6 +222,32 @@ class TestFromGraph:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             from_graph(Graph(3, frozenset({(0, 1)})))
+
+    def test_matches_per_entry_bfs(self):
+        # random graphs, half of them given a spanning path; a disconnected
+        # one names the first unreachable pair in row-major order
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.15), k=1)
+            edges = set(zip(*(idx.tolist() for idx in np.nonzero(upper))))
+            if trial % 2:
+                order = rng.permutation(n).tolist()
+                edges |= {(min(u, v), max(u, v)) for u, v in zip(order, order[1:])}
+            g = Graph(n, frozenset(edges))
+            ref = hop_distances_by_bfs(g)
+            if (ref < 0).any():
+                i, j = np.unravel_index(int(np.argmin(ref)), ref.shape)
+                with pytest.raises(Disconnected) as exc:
+                    from_graph(g)
+                assert exc.value.pair == (i, j)
+                assert str(exc.value) == f"no path between vertices {i} and {j}"
+                outcomes.add("disconnected")
+            else:
+                assert np.array_equal(from_graph(g).dist, ref)
+                outcomes.add("connected")
+        assert outcomes == {"connected", "disconnected"}
 
     def test_union_example_as_graph(self):
         # two tripods and one 3-point clique, cross distance 1 realized by
@@ -382,6 +440,41 @@ class TestRoundTrips:
         back = read_distance_csv(path)
         assert back.labels == sp.labels
         assert np.array_equal(back.dist, sp.dist)
+
+    def test_distance_csv_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "space.csv"
+        path.write_text('# a comment\n\n a ,"b, quoted"\n  # indented comment\n'
+                        '0,"1.5"\n\n1.5, 0 \n')
+        sp = read_distance_csv(path)
+        assert sp.labels == ("a", "b, quoted")
+        assert np.array_equal(sp.dist, [[0.0, 1.5], [1.5, 0.0]])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,c\n0,1,1\n1,0\n1,1,0\n", "{path}:3: expected 3 columns, got 2"),
+            ("a,b\n0,1\n1,0,2\n", "{path}:3: expected 2 columns, got 3"),
+            ("a,b,c\n0,1,x\n1,0,1\n1,1,0\n",
+             "{path}:2: could not convert string to float: 'x'"),
+            ("a,b,c\n0,1,1\n1,0,\n1,1,0\n",
+             "{path}:3: could not convert string to float: ''"),
+            # the first bad row is named, whichever check it fails
+            ("a,b,c\n0,1,1\n1,0,1e\n1,1\n",
+             "{path}:3: could not convert string to float: '1e'"),
+            ("a,b,c\n0,1\n1,0,nope\n1,1,0\n", "{path}:2: expected 3 columns, got 2"),
+            ("a,b,c\n0,1,1\n1,0,1\n", "{path}: header has 3 labels but 2 rows follow"),
+            ("a,b\n0,1\n1,0\n1,1\n", "{path}: header has 2 labels but 3 rows follow"),
+            ("a,b\n", "{path}: header has 2 labels but 0 rows follow"),
+            ("", "{path}: empty distance CSV"),
+            ("# only a comment\n\n", "{path}: empty distance CSV"),
+        ],
+    )
+    def test_distance_csv_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput) as exc:
+            read_distance_csv(path)
+        assert str(exc.value) == message.format(path=path)
 
     def test_edge_list_round_trip(self, tmp_path):
         g = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))

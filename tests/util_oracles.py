@@ -3,8 +3,11 @@
 These deliberately avoid the library's own code paths: eigenvalues via the
 characteristic polynomial, triangle checks via triple loops, Gram matrices
 straight from coordinates, random-graph adjacency one pair at a time in
-Python integers.
+Python integers. Others are plain, slower forms of a vectorized library
+routine, which must match them exactly.
 """
+
+import json
 
 import numpy as np
 
@@ -141,3 +144,79 @@ def tensor_squared_intervals(points, n_neg):
     P = np.asarray(points, dtype=float)
     diff = P[:, None, :] - P[None, :, :]
     return (diff[:, :, n_neg:] ** 2).sum(axis=2) - (diff[:, :, :n_neg] ** 2).sum(axis=2)
+
+
+def min_strict_slack_by_sweep(D):
+    """Smallest d(i,j) + d(j,k) - d(i,k) over distinct triples and its
+    witness (i, j, k), by a full n x n slack table for each middle point j,
+    ascending; the first minimum wins. (inf, None) below three points."""
+    best, witness = np.inf, None
+    for j in range(D.shape[0]):
+        slack = D[:, j][:, None] + D[j, :][None, :] - D
+        slack[j, :] = np.inf
+        slack[:, j] = np.inf
+        np.fill_diagonal(slack, np.inf)
+        i, k = np.unravel_index(int(np.argmin(slack)), slack.shape)
+        if slack[i, k] < best:
+            best, witness = float(slack[i, k]), (int(i), j, int(k))
+    return best, witness
+
+
+def hop_distances_by_bfs(graph):
+    """Breadth-first hop counts from every vertex, written into an n x n
+    float array entry by entry; -1 marks an unreachable pair."""
+    adj = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    D = np.full((graph.n, graph.n), -1.0)
+    for src in range(graph.n):
+        D[src, src] = 0.0
+        frontier, level = [src], 0
+        while frontier:
+            level += 1
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if D[src, v] < 0:
+                        D[src, v] = level
+                        nxt.append(v)
+            frontier = nxt
+    return D
+
+
+def embedding_json_by_indent(embedding, provenance=None):
+    """The embedding document through json's indenting encoder."""
+    doc = {
+        "n_neg": embedding.n_neg,
+        "n_pos": embedding.n_pos,
+        "points": [[float(x) for x in row] for row in embedding.points],
+    }
+    if provenance:
+        doc.update(provenance)
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def circle_operator_eigenvalues(count):
+    """The ``count`` largest-|lambda| eigenvalues, in that order, of the
+    integral operator with kernel -theta^2/2 (theta the arc length) on the
+    circle with the uniform probability measure: -pi^2/6 on the constants,
+    then (-1)^(k+1)/k^2 on cos(k t) and sin(k t), twice each."""
+    vals = [-np.pi**2 / 6]
+    k = 1
+    while len(vals) < count:
+        vals += [(-1) ** (k + 1) / k**2] * 2
+        k += 1
+    return np.array(vals[:count])
+
+
+def sphere2_operator_eigenvalues(degree_max):
+    """Funk-Hecke eigenvalues lambda_l = 1/2 int_{-1}^{1} -arccos(t)^2/2
+    P_l(t) dt, l = 0..degree_max, of the kernel -theta^2/2 on S^2 with the
+    uniform probability measure; lambda_l has multiplicity 2l + 1."""
+    t, w = np.polynomial.legendre.leggauss(400)
+    kernel = -0.5 * np.arccos(t) ** 2
+    return np.array([
+        0.5 * np.sum(w * kernel * np.polynomial.legendre.Legendre.basis(l)(t))
+        for l in range(degree_max + 1)
+    ])
