@@ -27,7 +27,7 @@ from .errors import (
     StrictnessViolated,
     TriangleViolation,
 )
-from .linalg import DEFAULT_TOL_REL, double_center, inertia
+from .linalg import DEFAULT_TOL_REL, _check_tol_rel, _eigenvalues, _zero_band, double_center, inertia
 from .spaces import (
     FiniteMetricSpace, _check_triangle, _pairwise_sq_diffs, from_distance_matrix, s_matrix,
 )
@@ -66,10 +66,16 @@ def _perturb_with_eps(space, seed, tol_rel):
         ) from exc
     n = space.n
     T = double_center(s_matrix(space))
-    s_plus = inertia(T, tol_rel).s_plus
+    _check_tol_rel(tol_rel)
+    vals = _eigenvalues(T)
+    theta = _zero_band(n, tol_rel, float(np.abs(vals).max()))[0]
+    s_plus = int(np.sum(vals > theta))
     target_minus = n - 1 - s_plus
     if s_plus == n - 1:
         return space, 0.0  # already maximal, nothing to perturb
+    # T moves by (eps/2) Pi g2 Pi: by Weyl no eigenvalue moves more than its
+    # norm, and theta by tol_rel * n times that. The target_minus-th needs
+    need = float(vals[target_minus - 1] + theta) / (1.0 + tol_rel * n)  # to pass -theta
 
     rng = np.random.Generator(np.random.Philox(np.uint64(seed & _MASK64)))
     for _ in range(100):
@@ -87,8 +93,14 @@ def _perturb_with_eps(space, seed, tol_rel):
     g2 *= d_min / float(g2.max())
 
     D2 = space.dist**2
+    weyl = 0.5 * float(np.linalg.norm(double_center(g2)))  # Frobenius >= 2-norm
+    roundoff = n * np.finfo(float).eps * float(np.linalg.norm(D2))  # sqrt/square round trip
     eps = 0.5 * slack / float(g2.max())  # finite: n >= 3 past the early return
     while True:
+        move = eps * weyl + roundoff
+        if move < need:
+            raise EpsilonUnderflow(f"at eps = {eps!r} no eigenvalue moves more than {move!r}, "
+                                   f"but the signature contract needs a move of {need!r}")
         if eps < _EPS_FLOOR:
             raise EpsilonUnderflow(
                 "halving reached 1e-300 without meeting the signature contract"

@@ -5,7 +5,8 @@ Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
 validation gate. Inertia counting uses the eigenvalue spectrum as the source
 of truth, with the zero threshold ``theta = tol_rel * n * max|lambda|``;
 ``prefix_inertias`` counts a family of leading blocks against one threshold,
-by certified Schur blocks where they cost less than an eigensolve.
+from a Perron bracket of max|lambda|, by certified Schur blocks where they
+cost less than an eigensolve.
 ``single_threaded_blas`` is the one place that controls BLAS threading.
 """
 
@@ -44,7 +45,8 @@ BORDER_SAFETY = 10.0
 # pivot without choice: a Schur complement through blocks near the bound
 # carries an error up to about eps * max|lambda|^2 / bound, below the bound
 # only while it exceeds sqrt(eps) * max|lambda|. The default band is wider.
-_BORDER_FLOOR = float(np.sqrt(np.finfo(float).eps))
+_EPS = float(np.finfo(float).eps)
+_BORDER_FLOOR = float(np.sqrt(_EPS))
 
 # (get, set) thread-count symbols of OpenBLAS: numpy's wheel build first, then
 # the plain names of a system OpenBLAS.
@@ -194,11 +196,35 @@ def single_threaded_blas():
                 put(_BlasPin.saved)
 
 
-def zero_threshold(eigenvalues: np.ndarray, tol_rel: float) -> float:
-    """theta = tol_rel * n * max|lambda|; scale-invariant zero cutoff."""
-    if len(eigenvalues) == 0:
-        return 0.0
-    return tol_rel * len(eigenvalues) * float(np.abs(eigenvalues).max())
+def _zero_band(n: int, tol_rel: float, rho: float, rho_hi: float | None = None) -> tuple:
+    """(theta, bound) of a block of order n whose max|lambda| is rho <= rho_hi:
+    the zero band theta = tol_rel * n * rho, and the least |eigenvalue| a Schur
+    certificate must prove, a safe multiple of theta or of rho_hi."""
+    hi = rho if rho_hi is None else rho_hi
+    return tol_rel * n * rho, max(BORDER_SAFETY * tol_rel * n * hi, _BORDER_FLOOR * hi)
+
+
+def _perron_bracket(A: np.ndarray):
+    """(Rayleigh quotient, upper bound) of max|lambda| of ``A``, or None.
+
+    For ``A <= 0`` with no zero row, as -d^2/2 on distinct points, max|lambda|
+    is the Perron root of -A, which the quotients (-A x)_i / x_i of every x > 0
+    bracket (Collatz-Wielandt); so does the Rayleigh quotient, their x_i^2-
+    weighted mean. A power iteration from the ones vector closes the bracket.
+    """
+    if not A.max() <= 0:
+        return None
+    x = np.ones(len(A))
+    for _ in range(64):  # an open bracket leaves the band to an eigensolve
+        y = -(A @ x)
+        q = y / x
+        lo, hi = float(q.min()), float(q.max())
+        if not lo > 0:
+            return None
+        if hi - lo <= 1e-14 * hi:  # hi gains the roundoff of sums of nonnegative terms
+            return float(x @ y) / float(x @ x), hi * (1.0 + (len(A) + 2) * _EPS)
+        x = y / hi
+    return None
 
 
 def _band_counts(vals: np.ndarray, theta: float) -> Inertia:
@@ -217,7 +243,7 @@ def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     within +-theta and above theta."""
     _check_tol_rel(tol_rel)
     vals = _eigenvalues(a)
-    return _band_counts(vals, zero_threshold(vals, tol_rel))
+    return _band_counts(vals, _zero_band(len(vals), tol_rel, float(np.abs(vals).max()))[0])
 
 
 def _clear_of(vals: np.ndarray, bound: float) -> bool:
@@ -230,7 +256,8 @@ def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float):
     """Extend ``inv[:a, :a]``, the inverse of A_a = ``A[:a, :a]``, in place to
     that of A_k through C = A_k / A_a; return C's count of negative eigenvalues
     if ``1/||A_k^{-1}||_F > bound`` proves A_k's eigenvalues all exceed
-    ``bound`` in modulus, else None (``inv`` then holds no inverse)."""
+    ``bound`` in modulus, else None (``inv`` then holds no inverse). A k past
+    the order of ``inv`` writes only its leading block."""
     B = A[:a, a:k]
     X = inv[:a, :a] @ B
     C = A[a:k, a:k] - B.T @ X
@@ -248,9 +275,10 @@ def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float):
         c_inv = (vecs / vals) @ vecs.T
         Y = X @ c_inv
         inv[:a, :a] += Y @ X.T
-    inv[:a, a:k], inv[a:k, :a], inv[a:k, a:k] = -Y, -Y.T, c_inv
-    block = inv[:k, :k]
-    if not np.sqrt(np.einsum("ij,ij->", block, block)) * bound < 1.0:
+    if k <= len(inv):
+        inv[:a, a:k], inv[a:k, :a], inv[a:k, a:k] = -Y, -Y.T, c_inv
+    parts = (inv[:a, :a], Y, Y, c_inv)  # the blocks of A_k^{-1}
+    if not np.sqrt(sum(np.einsum("ij,ij->", p, p) for p in parts)) * bound < 1.0:
         return None
     return int(np.count_nonzero(vals < 0))
 
@@ -260,14 +288,16 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     all against one zero band.
 
     The band is theta = tol_rel * N * max|lambda| of the block of the largest
-    size N, the one eigensolve. By Cauchy interlacing it bounds the theta of
-    every smaller block, so s_minus and s_plus never decrease along the sizes.
-    A smaller size k is counted from the last counted size a by a certified
+    size N, with max|lambda| from a ``_perron_bracket``, or from an eigensolve
+    of that block when there is none. By Cauchy interlacing it bounds the theta
+    of every smaller block, so s_minus and s_plus never decrease along the
+    sizes. A size k is counted from the last counted size a by a certified
     ``_schur_step`` (Haynsworth additivity) when a >= k // 2, since a wider
     step costs more than an eigensolve of order k, and from the empty block
     when the next size is a step from k. Other sizes, and those whose step
     fails its certificate, are eigensolved; the steps resume from one whose
     next size is a step and whose eigenvalues clear the certificate's bound.
+    A certified count is the same for every theta below the bound.
     """
     _check_tol_rel(tol_rel)
     A = as_sym_matrix(a)
@@ -279,15 +309,18 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     if not sizes:
         return []
     N = sizes[-1]
-    top = _eigenvalues(A[:N, :N])
-    theta = zero_threshold(top, tol_rel)
-    bound = max(BORDER_SAFETY * theta, _BORDER_FLOOR * float(np.abs(top).max()))
-    inv = np.empty((max(sizes[:-1], default=0),) * 2)  # no step reaches N
+    rho, top = _perron_bracket(A[:N, :N]), None
+    if rho is None:  # not -d^2/2-like, or no closed bracket: the band's eigensolve
+        top = _eigenvalues(A[:N, :N])
+        rho = (float(np.abs(top).max()),) * 2
+    theta, bound = _zero_band(N, tol_rel, *rho)
+    counted = sizes if top is None else sizes[:-1]
+    inv = np.empty((max(sizes[:-1], default=0),) * 2)  # a step to N writes no new rows
     anchor = 0  # inv holds the inverse of A[:anchor, :anchor]; -1: of no block
     s_minus = s_plus = 0
     out = []
-    for k, after in zip(sizes, sizes[1:]):
-        next_steps = after < N and k >= after // 2
+    for k, after in zip(counted, counted[1:] + [None]):
+        next_steps = after is not None and k >= after // 2
         if anchor >= k // 2 or anchor == 0 and next_steps:
             neg = _schur_step(A, inv, anchor, k, bound)
             if neg is not None:
@@ -302,7 +335,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
             s_minus, s_plus = out[-1].s_minus, out[-1].s_plus
             inv[:k, :k] = np.linalg.inv(A[:k, :k])
             anchor = k
-    return out + [_band_counts(top, theta)]
+    return out if top is None else out + [_band_counts(top, theta)]
 
 
 def _normalize_block(block, n: int) -> np.ndarray:

@@ -20,11 +20,11 @@ from .linalg import (
     DEFAULT_TOL_REL,
     Inertia,
     _check_tol_rel,
+    _zero_band,
     double_center,
     eig_sym,
     inertia,
     prefix_inertias,
-    zero_threshold,
 )
 from .sampling import DiscreteMeasure, sample_order, t_matrix
 from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, s_matrix
@@ -137,7 +137,7 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     _check_tol_rel(tol_rel)
     T = double_center(s_matrix(space))
     vals, vecs = eig_sym(T)
-    theta = zero_threshold(vals, tol_rel)
+    theta = _zero_band(len(vals), tol_rel, float(np.abs(vals).max()))[0]
     neg = np.where(vals < -theta)[0]          # ascending: most negative first
     pos = np.where(vals > theta)[0][::-1]     # largest positive first
     keep = np.concatenate([neg, pos]).astype(int)
@@ -164,8 +164,7 @@ def verify_isometry(
             f"embedding has {embedding.n} points, space has {space.n}"
         )
     sq = embedding.intervals
-    scale = float(np.abs(sq).max()) if sq.size else 0.0
-    theta = tol_rel * space.n * scale
+    theta = _zero_band(space.n, tol_rel, float(np.abs(sq).max()) if sq.size else 0.0)[0]
     worst = float(sq.min()) if sq.size else 0.0
     if worst < -theta:
         i, j = np.unravel_index(int(np.argmin(sq)), sq.shape)

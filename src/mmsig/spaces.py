@@ -386,12 +386,11 @@ def _sphere_points(dim: int, n: int, seed: int) -> np.ndarray:
 
 
 def _sphere_matrix(dim: int, n: int, seed: int) -> np.ndarray:
+    """Geodesic distances 2 atan2(|p - q|, |p + q|), exact to roundoff at
+    every angle, where the arccos of a Gram entry near +-1 is not."""
     pts = _sphere_points(dim, n, seed)
-    g = np.clip(pts @ pts.T, -1.0, 1.0)
-    D = np.arccos(g)
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
-    return D
+    norm = np.linalg.norm
+    return np.array([2.0 * np.arctan2(norm(p - pts, axis=1), norm(p + pts, axis=1)) for p in pts])
 
 
 # The parameters each named example takes, all of them required.
@@ -461,14 +460,16 @@ def write_distance_csv(space: FiniteMetricSpace, path, comment: str | None = Non
 
 def read_distance_csv(path, strict: bool = False) -> FiniteMetricSpace:
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows:
+        reader = csv.reader(fh)  # line_num: the file line a row ends on
+        kept = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
+    if not kept:
         raise InvalidInput(f"{path}: empty distance CSV")
+    lines, rows = zip(*kept)
     labels, data = tuple(s.strip() for s in rows[0]), rows[1:]
     try:  # numpy parses each field as Python's float() does
         D = np.array(data, dtype=float).reshape(len(data), len(labels))
     except ValueError:  # a ragged row or a bad field: name the first one
-        for lineno, row in enumerate(data, start=2):
+        for lineno, row in zip(lines[1:], data):
             if len(row) != len(labels):
                 raise InvalidInput(
                     f"{path}:{lineno}: expected {len(labels)} columns, got {len(row)}"

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mmsig import spaces
+from mmsig import constructions, spaces
 from mmsig.cli import main
 from mmsig.constructions import (
     CountableRadoModel,
@@ -26,6 +26,7 @@ from mmsig.constructions import (
 from mmsig.errors import (
     BadParams,
     DiameterTooLarge,
+    EpsilonUnderflow,
     InvalidInput,
     StrictnessViolated,
 )
@@ -69,6 +70,30 @@ class TestPerturb:
         out, eps = _perturb_with_eps(sp, seed=4, tol_rel=1e-9)
         assert eps > 0
         assert np.abs(out.dist - sp.dist).max() <= eps
+
+    def test_weyl_bound_stops_before_the_first_candidate(self, tmp_path, monkeypatch, capsys):
+        # Ten band eigenvalues of this sample's T must each move by about
+        # 3.7e-6 to pass below -theta; a perturbation from the starting eps
+        # moves none by more than about 2.5e-10, and halving only shrinks it.
+        # Without the stop, 969 candidates were scanned and eigensolved.
+        candidates = []
+        real = constructions.from_distance_matrix
+        monkeypatch.setattr(constructions, "from_distance_matrix",
+                            lambda *a, **k: candidates.append(1) or real(*a, **k))
+        sp = named_example("sphere", dim=2, n=80, seed=3)
+        with pytest.raises(EpsilonUnderflow, match=r"moves more than \S+, but .* move of \S+$"):
+            perturb_to_max_negative(sp, seed=1)
+        assert candidates == []
+        src = tmp_path / "sphere80.csv"
+        spaces.write_distance_csv(sp, src)
+        assert main(["construct", "perturb", "--input", str(src), "--seed", "1",
+                     "--output", str(tmp_path / "out.csv")]) == 1
+        assert "signature contract needs a move of" in capsys.readouterr().err
+        # a reachable contract is untouched by the stop
+        small = named_example("sphere", dim=2, n=40, seed=3)
+        s_plus = centered_signature(small).s_plus
+        out = perturb_to_max_negative(small, seed=1)
+        assert centered_signature(out).signature == (39 - s_plus, s_plus)
 
     def test_determinism(self):
         sp = from_euclidean_points(unit_square_corners())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmsig import linalg
-from mmsig.constructions import CountableRadoModel
+from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import InvalidInput, InvalidMeasure, SingularBlock
 from mmsig.linalg import (
     as_sym_matrix,
@@ -16,8 +16,9 @@ from mmsig.linalg import (
     schur_complement,
     weighted_center,
 )
-from mmsig.sampling import DiscreteMeasure, sample_order
+from mmsig.sampling import DiscreteMeasure, gv_sample, sample_order, trial_seed
 from mmsig.spaces import from_euclidean_points, named_example
+from mmsig.spectral import default_checkpoints
 
 from util_oracles import (
     b_matrix,
@@ -25,6 +26,7 @@ from util_oracles import (
     charpoly_eigenvalues,
     count_inertia,
     prefix_counts_by_eigvalsh,
+    random_cospherical_points,
     random_symmetric,
     unit_square_corners,
 )
@@ -154,12 +156,14 @@ class TestPrefixInertias:
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert {i.tol for i in got} == {whole.tol}  # one band: the largest block's
-        assert got[-1] == whole
+        # one band: the largest block's, its max|lambda| from a Perron bracket
+        assert len({i.tol for i in got}) == 1
+        assert got[-1].tol == pytest.approx(whole.tol, rel=1e-13, abs=0.0)
+        assert got[-1].counts() == whole.counts()
         if family in ("tripod_extended", "simplex"):
             # the hollow 1x1 block is singular and the 2x2 block re-anchors;
-            # bordering certifies every other step
-            assert orders == [N, 1, 2]
+            # bordering certifies every other step, the largest too
+            assert orders == [1, 2]
         if family == "rado_model":
             # some bordered step failed its certificate and was eigensolved,
             # and the counts above still match
@@ -202,7 +206,8 @@ class TestPrefixInertias:
         got = prefix_inertias(S, sizes, tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 0.0)
         assert steps[:2] == [(0, 3, True), (3, 6, False)]
-        assert orders[:2] == [len(S), 6]
+        # 12 and 60 are too wide a step from the last certified block
+        assert orders == [6, 12, len(S)]
 
     def test_a_block_wider_than_its_anchor_is_eigensolved(self, monkeypatch):
         S = _model_s()
@@ -212,12 +217,14 @@ class TestPrefixInertias:
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert steps == [] and orders == [N, 2, N - 1]
+        # N - 1 anchors the step to N, which needs no eigensolve
+        assert steps == [(N - 1, N, True)] and orders == [2, N - 1]
 
     @pytest.mark.parametrize("sizes", [[2, 4], []])
     def test_inverse_buffer_stops_below_the_largest_size(self, sizes):
-        # the largest block is eigensolved, never reached by a Schur step, so
-        # the inverse buffer needs only the second-largest order
+        # a step to the largest size writes no rows of its inverse, and this
+        # one is eigensolved, so the inverse buffer needs only the
+        # second-largest order
         N = 300
         S = random_symmetric(np.random.default_rng(0), N)
         tracemalloc.start()
@@ -271,6 +278,93 @@ class TestPrefixInertias:
         with pytest.raises(InvalidInput):
             prefix_inertias(S, [2], tol_rel=-1.0)
         assert prefix_inertias(S, []) == []
+
+
+def _class_biased_trial(seed, m_max=3000):
+    """-d^2/2 on the dedup sample of one class-biased ratio trial, with its
+    distinct checkpoint sizes."""
+    model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31))
+    sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
+    sizes = np.searchsorted(sample.first_draws, default_checkpoints(m_max))
+    return model.s_matrix_on(sample.dedup), sorted({int(k) for k in sizes})
+
+
+class TestPerronBand:
+    FAMILIES = {
+        "rado_trial": lambda: _class_biased_trial(5)[0],
+        "sphere": lambda: named_example("sphere", dim=2, n=200, seed=5).s_matrix_on(range(200)),
+        "simplex": lambda: named_example("simplex", n=80).s_matrix_on(range(80)),
+        "tripod_extended": lambda: named_example("tripod_extended", n=120).s_matrix_on(range(120)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bracket_holds_the_largest_modulus(self, family):
+        S = self.FAMILIES[family]()
+        N = len(S)
+        rho = float(np.abs(np.linalg.eigvalsh(S)).max())
+        rho_hat, rho_hi = linalg._perron_bracket(S)
+        # a Rayleigh quotient of -S is at most its Perron root, the upper end
+        # at least; both within roundoff of eigvalsh's value
+        assert rho_hat <= rho * (1 + N * EPS) and rho <= rho_hi
+        assert rho_hi - rho_hat <= (1e-14 + (N + 3) * EPS) * rho_hi
+        theta = prefix_inertias(S, [N // 2, N])[-1].tol
+        assert theta == pytest.approx(1e-9 * N * rho, rel=1e-13, abs=0.0)
+
+    def test_class_biased_trials_match_eigvalsh(self, monkeypatch):
+        # every largest checkpoint is counted by a Schur step
+        orders = _eigensolve_orders(monkeypatch)
+        for seed in range(16):
+            S, sizes = _class_biased_trial(seed, m_max=1200)
+            got = prefix_inertias(S, sizes)
+            assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes), seed
+            assert sizes[-1] not in orders
+        assert len(orders) <= 2
+
+    @pytest.mark.parametrize("dim, n", [(2, 200), (3, 120)])
+    def test_sphere_families_eigensolve_their_largest_block(self, dim, n, monkeypatch):
+        # the steps of these sphere families fail their certificates, so no
+        # anchor leads to the largest block and it is eigensolved, against the
+        # band of the bracket
+        S = named_example("sphere", dim=dim, n=n, seed=1).s_matrix_on(range(n))
+        sizes = list(range(1, n + 1))
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert orders[-1] == n and linalg._perron_bracket(S) is not None
+
+    def test_a_failed_largest_step_is_eigensolved(self, monkeypatch):
+        # 12 cospherical points of R^10: S has rank 11, so the step from 11
+        # points to 12 cannot be certified
+        P = random_cospherical_points(np.random.default_rng(1), 12, 10)
+        S = from_euclidean_points(P).s_matrix_on(range(12))
+        steps = _schur_steps(monkeypatch)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, [8, 11, 12], tol_rel=0.0)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, [8, 11, 12], 0.0)
+        assert steps == [(0, 8, True), (8, 11, True), (11, 12, False)] and orders == [12]
+
+    @pytest.mark.parametrize("kind", ["generic", "positive_entry", "slow_bracket"])
+    def test_no_bracket_takes_the_eigensolve(self, kind, monkeypatch):
+        if kind == "generic":
+            S = random_symmetric(np.random.default_rng(2), 60)
+        elif kind == "positive_entry":
+            S = named_example("sphere", dim=2, n=60, seed=1).s_matrix_on(range(60))
+            S[0, 1] = S[1, 0] = 0.25
+        else:  # a cluster and a far point: -S has an eigenvalue near minus its Perron root
+            x = np.concatenate([np.random.default_rng(2).uniform(0, 1, 30), [100.0]])
+            S = from_euclidean_points(x[:, None]).s_matrix_on(range(31))
+        N = len(S)
+        assert linalg._perron_bracket(S) is None
+        orders = _eigensolve_orders(monkeypatch)
+        sizes = [N // 2, N - 1, N]
+        got = prefix_inertias(S, sizes)
+        assert orders[0] == N
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert got[-1] == inertia(S)  # the eigensolve's theta, bit for bit
+
+    def test_one_point(self):
+        assert prefix_inertias(np.zeros((1, 1)), [1]) == [linalg.Inertia(0, 1, 0, 0.0)]
+        assert prefix_inertias([[-2.0]], [1])[0].counts() == (1, 0, 0)
 
 
 class TestSchurComplement:

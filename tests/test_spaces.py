@@ -397,6 +397,18 @@ class TestNamedExamples:
         assert sp.dist.max() <= np.pi + 1e-12
         assert brute_triangle_ok(sp.dist, tol=1e-12 * sp.diameter)
 
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_circle_samples_pass_their_own_triangle_check(self, n):
+        # arccos of Gram entries near 1 lost about eps / angle and broke
+        # nearly collinear triples on 21 of these 60 samples
+        for seed in range(20):
+            sp = named_example("sphere", dim=1, n=n, seed=seed)
+            if seed < 2:  # arcs from the points' own angles
+                pts = spaces._sphere_points(1, n, seed)
+                gap = np.abs(np.subtract.outer(*[np.arctan2(pts[:, 1], pts[:, 0])] * 2))
+                np.testing.assert_allclose(sp.dist, np.minimum(gap, 2 * np.pi - gap),
+                                           rtol=0, atol=1e-14)
+
     def test_sphere_sqrt_is_hilbertian(self):
         # square-rooted geodesic distances embed in Hilbert space: s_minus(T)=0
         for n in (10, 25):
@@ -470,6 +482,23 @@ class TestRoundTrips:
         ],
     )
     def test_distance_csv_errors_name_the_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput) as exc:
+            read_distance_csv(path)
+        assert str(exc.value) == message.format(path=path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# comment\na,b\n0,x\n1,0\n", "{path}:3: could not convert string to float: 'x'"),
+            ("a,b\n\n# note\n0,1\n\n1,0,2\n", "{path}:6: expected 2 columns, got 3"),
+            ('a,b\n0,"1\n"\n1,y\n', "{path}:4: could not convert string to float: 'y'"),
+        ],
+        ids=["comment", "blank-and-comment", "quoted-newline"],
+    )
+    def test_distance_csv_errors_count_file_lines(self, tmp_path, text, message):
+        # comment and blank lines count; a quoted field may span lines
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(InvalidInput) as exc:
