@@ -26,7 +26,7 @@ from .constructions import (
     union_space,
 )
 from .errors import BadParams, InvalidInput, MmsigError, NumericalContractError
-from .linalg import inertia
+from .linalg import inertia  # noqa: F401  unused; perfbench's tracer test still checks this binding
 from .sampling import DiscreteMeasure, load_measure, parse_measure_spec, sample_order
 from .signature import (
     classify_embeddability,
@@ -47,7 +47,7 @@ from .spaces import (
 )
 from .spectral import (
     delta_ratio,
-    esd,
+    esd_and_inertia,
     ks_to_semicircle,
     rado_ratio_trials,
     ratio_summary,
@@ -320,10 +320,9 @@ def cmd_rado(args) -> int:
     if args.N is None or args.N < 1:
         raise InvalidInput("the spectral run needs --N >= 1")
     S = model.s_matrix_on(np.arange(args.N))
-    e = esd(S)
+    e, ine = esd_and_inertia(S, args.tol)
     sigma = 1.5 * math.sqrt(args.p * (1.0 - args.p))
     ks = ks_to_semicircle(e, sigma)
-    ine = inertia(S, args.tol)
     write_esd_csv(e, f"{prefix}_esd.csv", comment=_provenance_comment(args))
     doc = {
         "N": args.N,

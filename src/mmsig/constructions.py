@@ -34,6 +34,7 @@ from .spaces import (
 
 _MASK64 = (1 << 64) - 1
 _EPS_FLOOR = 1e-300
+_HASH_ROWS = 64  # rows of adjacency hashed at a time, a block that stays in cache
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +215,9 @@ def union_r_matrix(components, h: float) -> np.ndarray:
 
 
 def _vmix64(x):
-    """SplitMix64 finalizer on a uint64 array or scalar, modulo 2^64."""
+    """SplitMix64 finalizer modulo 2^64, in place on a uint64 array."""
     with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(30))
+        x ^= x >> np.uint64(30)
         x *= np.uint64(0xBF58476D1CE4E5B9)
         x ^= x >> np.uint64(27)
         x *= np.uint64(0x94D049BB133111EB)
@@ -345,10 +346,14 @@ class CountableRadoModel:
         if idx.size and idx.min() < 0:
             raise InvalidInput("vertex indices must be nonnegative")
         u = idx.astype(np.uint64)
-        # the hash depends on (min, max) only, so the full square is symmetric
-        h = _vmix64(np.minimum.outer(u, u) ^ _vmix64(np.uint64(self.seed & _MASK64)))
-        h ^= np.maximum.outer(u, u)
-        adj = _vmix64(h) < np.uint64(int(self.edge_prob * 2.0**64))
+        key, cut = _vmix64(np.uint64(self.seed & _MASK64)), np.uint64(int(self.edge_prob * 2.0**64))
+        adj = np.empty((idx.size,) * 2, dtype=bool)
+        # the hash depends on (min, max) only: hash each row block from r0 on, mirror it below
+        for r0 in range(0, idx.size, _HASH_ROWS):
+            rows, cols = u[r0 : r0 + _HASH_ROWS, None], u[None, r0:]
+            h = _vmix64(np.minimum(rows, cols) ^ key) ^ np.maximum(rows, cols)
+            adj[r0 : r0 + _HASH_ROWS, r0:] = block = _vmix64(h) < cut
+            adj[r0:, r0 : r0 + _HASH_ROWS] = block.T
         flags = self._clique_flags(idx)
         adj |= np.logical_and.outer(flags, flags)
         adj &= idx[:, None] != idx[None, :]
@@ -359,17 +364,16 @@ class CountableRadoModel:
         pairs at 1, distinct non-adjacent at 2, repeated indices at 0. Zeros
         are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0."""
         idx = np.asarray(indices, dtype=np.int64)
-        adj = self.adjacency_block(idx)
-        distinct = idx[:, None] != idx[None, :]
-        return np.where(adj, -0.5, np.where(distinct, -2.0, 0.0))
+        S = self.adjacency_block(idx) * 1.5 - 2.0  # -1/2 on edges, -2 off: np.where is slower
+        S[idx[:, None] == idx[None, :]] = 0.0
+        return S
 
     def metric_on(self, indices) -> FiniteMetricSpace:
         """The {1, 2}-valued metric on distinct vertex indices."""
         idx = np.asarray(indices, dtype=np.int64)
         if len(set(idx.tolist())) != idx.size:
             raise InvalidInput("metric_on needs distinct vertex indices")
-        adj = self.adjacency_block(idx)
-        D = np.where(adj, 1.0, 2.0)
+        D = 2.0 - self.adjacency_block(idx)  # 1 on edges, 2 off them
         np.fill_diagonal(D, 0.0)
         return from_distance_matrix(D, labels=tuple(f"v{i}" for i in idx))
 

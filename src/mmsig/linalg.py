@@ -238,12 +238,17 @@ def _check_tol_rel(tol_rel) -> None:
         raise InvalidInput(f"tol_rel must be finite and nonnegative, got {tol_rel!r}")
 
 
-def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
-    """Inertia triple of a symmetric matrix: its eigenvalues below -theta,
-    within +-theta and above theta."""
+def spectrum_inertia(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
+    """Inertia triple of a spectrum: its values below -theta, within +-theta and above."""
     _check_tol_rel(tol_rel)
-    vals = _eigenvalues(a)
+    vals = np.asarray(vals, dtype=float)
     return _band_counts(vals, _zero_band(len(vals), tol_rel, float(np.abs(vals).max()))[0])
+
+
+def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
+    """``spectrum_inertia`` of the eigenvalues of a symmetric matrix."""
+    _check_tol_rel(tol_rel)
+    return spectrum_inertia(_eigenvalues(a), tol_rel)
 
 
 def _clear_of(vals: np.ndarray, bound: float) -> bool:

@@ -22,7 +22,9 @@ import numpy as np
 
 from .constructions import CountableRadoModel
 from .errors import InvalidInput
-from .linalg import DEFAULT_TOL_REL, Inertia, _eigenvalues, single_threaded_blas
+from .linalg import (
+    DEFAULT_TOL_REL, Inertia, _check_tol_rel, _eigenvalues, single_threaded_blas, spectrum_inertia,
+)
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
 from .signature import limit_signature_trajectory
 
@@ -35,9 +37,14 @@ class ESD(NamedTuple):
 
 
 def esd(a) -> ESD:
+    return esd_and_inertia(a)[0]
+
+
+def esd_and_inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
+    """(ESD, inertia) from one eigensolve; the inertia counts the raw eigenvalues."""
+    _check_tol_rel(tol_rel)
     vals = _eigenvalues(a)
-    n = vals.shape[0]
-    return ESD(n, np.sort(vals / math.sqrt(n)))
+    return ESD(len(vals), np.sort(vals / math.sqrt(len(vals)))), spectrum_inertia(vals, tol_rel)
 
 
 def semicircle_cdf(sigma: float, x) -> float | np.ndarray:

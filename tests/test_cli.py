@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mmsig import cli, linalg, spaces
+from mmsig import cli, linalg, spaces, spectral
 from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
 from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence, SingularBlock
@@ -353,7 +353,37 @@ class TestConstruct:
         ) == 2
 
 
+def _record_eigensolves(monkeypatch):
+    """The orders of the matrices eigensolved through ``linalg._eigenvalues``,
+    at its binding in ``linalg`` and at the one ``spectral`` imports."""
+    orders = []
+    real = linalg._eigenvalues
+    for module in (linalg, spectral):
+        monkeypatch.setattr(module, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
+    return orders
+
+
 class TestRado:
+    def test_spectral_run_eigensolves_once(self, tmp_path, monkeypatch):
+        # the ESD and the inertia both come from the one spectrum of S
+        orders = _record_eigensolves(monkeypatch)
+        prefix = tmp_path / "run"
+        assert run(["rado", "--p", 0.5, "--N", 120, "--output-prefix", prefix]) == 0
+        assert orders == [120]
+        S = CountableRadoModel(edge_prob=0.5, seed=0).s_matrix_on(np.arange(120))
+        doc = json.loads((tmp_path / "run_summary.json").read_text())
+        assert doc["inertia"] == list(linalg.inertia(S).counts())
+        rows = (tmp_path / "run_esd.csv").read_text().strip().splitlines()[2:]
+        values = np.array([float(row.split(",")[1]) for row in rows])
+        assert values.tobytes() == np.sort(np.linalg.eigvalsh(S) / np.sqrt(120)).tobytes()
+
+    def test_tolerance_is_checked_before_the_eigensolve(self, tmp_path, monkeypatch, capsys):
+        orders = _record_eigensolves(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run(["rado", "--p", 0.5, "--N", 50, "--tol", "nan"]) == 2
+        assert orders == []
+        assert capsys.readouterr().err == "error: tol_rel must be finite and nonnegative, got nan\n"
+
     def test_spectral_run(self, tmp_path, capsys):
         prefix = tmp_path / "run"
         assert run(["rado", "--p", 0.5, "--N", 120, "--seed", 7, "--output-prefix", prefix]) == 0

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsig import constructions, spaces
 from mmsig.cli import main
@@ -35,7 +37,13 @@ from mmsig.sampling import DiscreteMeasure, t_matrix
 from mmsig.signature import centered_signature, s_matrix, space_signature
 from mmsig.spaces import Graph, from_euclidean_points, from_graph, named_example
 
-from util_oracles import rado_adjacent, random_cospherical_points, unit_square_corners
+from util_oracles import (
+    full_square_adjacency,
+    full_square_s_matrix,
+    rado_adjacent,
+    random_cospherical_points,
+    unit_square_corners,
+)
 
 # one planted clique of each kind, and none
 CLIQUES = [None, frozenset({0, 2, 5, 11, 12}), residue_class_clique(3), quadratic_gap_clique()]
@@ -396,3 +404,56 @@ class TestRadoSMatrix:
         sub = sp.subspace(clique_idx)
         t = t_matrix(sub, DiscreteMeasure.uniform(len(clique_idx)))
         assert inertia(t).s_minus == 0
+
+
+def _vertex_indices(kind, n, rng):
+    """n vertex indices: the first n, a shuffle of far ones, or draws with repeats."""
+    if kind == "prefix":
+        return np.arange(n)
+    if kind == "shuffled":
+        return rng.permutation(n) + (2**61 - 2 - n)  # QuadraticGapClique is exact up to here
+    return rng.integers(0, max(n // 3, 1), size=n)
+
+
+def _assert_matches_full_square(model, idx):
+    adj, S = model.adjacency_block(idx), model.s_matrix_on(idx)
+    assert adj.tobytes() == full_square_adjacency(model, idx).tobytes()
+    assert S.tobytes() == full_square_s_matrix(model, idx).tobytes()
+    assert adj.shape == S.shape == (len(idx),) * 2
+    assert not np.signbit(S[S == 0]).any()
+
+
+class TestBlockedAdjacency:
+    # the row-blocked kernel against the full-square hash of every ordered pair
+
+    @pytest.mark.parametrize("clique", CLIQUES, ids=["none", "index", "residue", "quadratic"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 1000])
+    def test_block_edges_and_clique_kinds(self, n, clique):
+        rng = np.random.default_rng(n)
+        for p, kind in ((1e-12, "repeats"), (0.5, "shuffled"), (1.0 - 1e-12, "prefix")):
+            model = CountableRadoModel(edge_prob=p, seed=2**64 + 12345, planted_clique=clique)
+            _assert_matches_full_square(model, _vertex_indices(kind, n, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(st.integers(0, 200), st.sampled_from([63, 64, 65, 129, 1000])),
+        kind=st.sampled_from(["prefix", "shuffled", "repeats"]),
+        p=st.floats(1e-15, 1.0 - 1e-15),
+        seed=st.integers(-(2**63), 2**70),
+        clique=st.sampled_from(CLIQUES),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_square(self, n, kind, p, seed, clique, draw):
+        model = CountableRadoModel(edge_prob=p, seed=seed, planted_clique=clique)
+        _assert_matches_full_square(model, _vertex_indices(kind, n, np.random.default_rng(draw)))
+
+    def test_hashes_each_unordered_pair_once(self, monkeypatch):
+        # only the 64 x 64 blocks on the diagonal are hashed in both orders;
+        # the full square hashed 2 * n^2 entries, two finalizer passes each
+        hashed = []
+        real = constructions._vmix64
+        monkeypatch.setattr(constructions, "_vmix64", lambda x: hashed.append(np.size(x)) or real(x))
+        n = 1000
+        CountableRadoModel(edge_prob=0.5, seed=3).adjacency_block(np.arange(n))
+        per_pass = (sum(hashed) - 1) / 2  # less the seed's scalar mix
+        assert n * (n + 1) / 2 <= per_pass <= n * (n + 1) / 2 + 32 * n

@@ -115,6 +115,8 @@ def test_names_the_benchmark_traces_stay_bound():
             for name in names:
                 assert name in vars(cls), f"mmsig.{layer}.{cls_name}.{name}"
     assert mmsig.cli.inertia is mmsig.signature.inertia is mmsig.linalg.inertia
+    assert mmsig.spectral.spectrum_inertia is mmsig.linalg.spectrum_inertia
+    assert mmsig.cli.esd_and_inertia is mmsig.spectral.esd_and_inertia
     assert mmsig.spectral._eigenvalues is mmsig.linalg._eigenvalues
 
 

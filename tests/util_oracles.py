@@ -75,6 +75,42 @@ def rado_adjacent(model, i, j):
     return mix64(mix64(mix64(model.seed) ^ lo) ^ hi) < int(model.edge_prob * 2.0**64)
 
 
+def vmix64(x):
+    """SplitMix64 finalizer on a uint64 array or scalar, modulo 2^64, into a
+    new array."""
+    with np.errstate(over="ignore"):
+        x = x ^ (x >> np.uint64(30))
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return x
+
+
+def full_square_adjacency(model, indices):
+    """``CountableRadoModel.adjacency_block`` with every ordered pair hashed,
+    over whole n x n outer products, as the model built it before its
+    row-blocked kernel."""
+    idx = np.asarray(indices, dtype=np.int64)
+    u = idx.astype(np.uint64)
+    h = vmix64(np.minimum.outer(u, u) ^ vmix64(np.uint64(model.seed & MASK64)))
+    h ^= np.maximum.outer(u, u)
+    adj = vmix64(h) < np.uint64(int(model.edge_prob * 2.0**64))
+    pc = model.planted_clique
+    flags = np.zeros(idx.shape, dtype=bool) if pc is None else pc.members(idx)
+    adj |= np.logical_and.outer(flags, flags)
+    adj &= idx[:, None] != idx[None, :]
+    return adj
+
+
+def full_square_s_matrix(model, indices):
+    """``CountableRadoModel.s_matrix_on`` from ``full_square_adjacency``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    adj = full_square_adjacency(model, idx)
+    distinct = idx[:, None] != idx[None, :]
+    return np.where(adj, -0.5, np.where(distinct, -2.0, 0.0))
+
+
 def centered_gram(points):
     """Gram matrix of mean-centered coordinates."""
     P = np.asarray(points, dtype=float)
