@@ -25,7 +25,7 @@ from .constructions import (
     prescribed_signature_space,
     union_space,
 )
-from .errors import BadParams, InvalidInput, MmsigError, NumericalContractError
+from .errors import InvalidInput, MmsigError, NumericalContractError
 from .linalg import inertia  # noqa: F401  unused; perfbench's tracer test still checks this binding
 from .sampling import DiscreteMeasure, load_measure, parse_measure_spec, sample_order
 from .signature import (
@@ -75,27 +75,18 @@ def _provenance_comment(args) -> str:
 
 
 def _load_space(args):
-    """The space of ``--example`` or ``--input``; an option that the chosen
-    source does not read exits 2 rather than being dropped."""
-    if args.example and args.input:
-        raise InvalidInput("give either --example or --input, not both")
-    params = {key: getattr(args, key) for key in ("n", "dim") if getattr(args, key) is not None}
+    """The space of ``--example`` or ``--input``."""
     if args.example:
-        if args.input_format is not None:
-            raise InvalidInput("--input-format applies to --input, not --example")
+        params = {key: getattr(args, key) for key in ("n", "dim") if getattr(args, key) is not None}
         if args.example in ("sphere", "sphere_sqrt"):
-            params.setdefault("seed", args.seed or 0)
+            params["seed"] = args.seed
         return named_example(args.example, **params)
-    if args.input:
-        if params:
-            raise InvalidInput("--n and --dim apply to --example, not --input")
-        fmt = args.input_format or "auto"
-        if fmt == "auto":
-            fmt = "csv" if args.input.endswith(".csv") else "edges"
-        if fmt == "csv":
-            return read_distance_csv(args.input)
-        return from_graph(read_edge_list(args.input))
-    raise InvalidInput("need --example or --input")
+    fmt = args.input_format or "auto"
+    if fmt == "auto":
+        fmt = "csv" if args.input.endswith(".csv") else "edges"
+    if fmt == "csv":
+        return read_distance_csv(args.input)
+    return from_graph(read_edge_list(args.input))
 
 
 def _emit(text: str, output):
@@ -104,24 +95,6 @@ def _emit(text: str, output):
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _add_space_args(sub):
-    sub.add_argument("--example", help="named example space")
-    sub.add_argument("--input", help="distance CSV or edge-list file")
-    sub.add_argument(
-        "--input-format", choices=["auto", "csv", "edges"],
-        help="format of --input (default auto: csv for *.csv, else edges)",
-    )
-    sub.add_argument("--n", type=int, help="point count for sized examples")
-    sub.add_argument("--dim", type=int, help="sphere dimension")
-
-
-def _add_common(sub, output=True):
-    if output:
-        sub.add_argument("--output", help="output path (default stdout)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--tol", type=float, default=1e-9, help="relative zero tolerance")
 
 
 def cmd_analyze(args) -> int:
@@ -193,36 +166,21 @@ def _parse_sizes(text, n):
 
 def cmd_trajectory(args) -> int:
     if args.model_p is None:
-        for dest in ("clique", "clique_rule", "model_seed"):
-            if getattr(args, dest) is not None:
-                raise InvalidInput(f"--{dest.replace('_', '-')} needs --model-p")
         source = _load_space(args)
         n, spec = source.n, args.measure
     else:
-        if any(getattr(args, d) is not None for d in ("example", "input", "input_format", "n", "dim")):
-            raise InvalidInput(
-                "--model-p samples a countable model; drop --example, --input, "
-                "--input-format, --n and --dim"
-            )
         source = _model_from_args(args, args.model_p)
         n, spec = None, args.measure or DEFAULT_MODEL_MEASURE
-    if spec is None:
-        if args.m_max is not None:
-            raise InvalidInput("--m-max needs --measure: the natural order draws nothing")
+    if not spec:
         order = np.arange(n)
     else:
-        if args.m_max is None:
-            raise InvalidInput("a sampled trajectory needs --m-max")
         order = sample_order(_parse_measure(spec, n=n), args.m_max, args.seed)
     traj = limit_signature_trajectory(
         source, order, sizes=_parse_sizes(args.sizes, len(order)), tol_rel=args.tol
     )
-    if args.output:
-        write_trajectory_csv(traj, args.output, comment=_provenance_comment(args))
-    else:
-        print("size,s_minus,s_zero,s_plus,theta")
-        for size, sm, s0, sp, theta in traj.rows():
-            print(f"{size},{sm},{s0},{sp},{theta!r}")
+    # to stdout without the provenance comment when there is no --output
+    comment = _provenance_comment(args) if args.output else None
+    write_trajectory_csv(traj, args.output, comment=comment)
     if traj.stabilized is not None:
         print(
             f"tentative plateau (s_minus, s_plus) = {traj.stabilized} "
@@ -231,18 +189,7 @@ def cmd_trajectory(args) -> int:
     return 0
 
 
-# The options each construct kind reads, all of them required.
-_CONSTRUCT_OPTIONS = {"prescribed": ("n", "p"), "perturb": ("input",), "union": ("inputs", "h")}
-
-
 def cmd_construct(args) -> int:
-    if not args.output:
-        raise InvalidInput("construct needs --output")
-    for dest in sum(_CONSTRUCT_OPTIONS.values(), ()):
-        reads = dest in _CONSTRUCT_OPTIONS[args.kind]
-        if reads != (getattr(args, dest) is not None):
-            verb = "needs" if reads else "takes no"
-            raise InvalidInput(f"construct {args.kind} {verb} --{dest}")
     if args.kind == "prescribed":
         space = prescribed_signature_space(args.n, args.p, args.seed, args.tol)
     elif args.kind == "perturb":
@@ -265,9 +212,7 @@ def _parse_measure(spec: str, n=None) -> DiscreteMeasure:
 
 
 def _model_from_args(args, p) -> CountableRadoModel:
-    """The model of the ``_add_model_args`` options with edge probability p."""
-    if args.clique and args.clique_rule:
-        raise InvalidInput("give either --clique or --clique-rule, not both")
+    """The model of --model-seed, --clique and --clique-rule with edge probability p."""
     clique = args.clique_rule or None
     if args.clique:
         clique = [_int_arg(x, "--clique index") for x in args.clique.split(",") if x.strip()]
@@ -276,18 +221,10 @@ def _model_from_args(args, p) -> CountableRadoModel:
 
 
 def cmd_rado(args) -> int:
-    if args.p is None:
-        raise BadParams("rado needs --p, the edge probability")
     model = _model_from_args(args, args.p)
     prefix = args.output_prefix or "rado"
     if args.ratio:
-        if args.N is not None:
-            raise InvalidInput("--N applies to the spectral run, not --ratio")
         measure = _parse_measure(args.measure or DEFAULT_MODEL_MEASURE)
-        if args.m_max is None:
-            raise InvalidInput("--ratio needs --m-max")
-        if args.min_fraction is not None and args.delta_threshold is None:
-            raise InvalidInput("--min-fraction needs --delta-threshold")
         trajectories = rado_ratio_trials(
             model,
             measure,
@@ -310,14 +247,10 @@ def cmd_rado(args) -> int:
             delta_threshold=args.delta_threshold,
             min_fraction=args.min_fraction,
         )
-        with open(f"{prefix}_summary.json", "w") as fh:
-            fh.write(summary_to_json(doc) + "\n")
+        _emit(summary_to_json(doc), f"{prefix}_summary.json")
         print(f"wrote {prefix}_ratio.csv and {prefix}_summary.json")
         return 0
-    for dest in ("measure", "m_max", "trials", "delta_threshold", "min_fraction"):
-        if getattr(args, dest) is not None:
-            raise InvalidInput(f"--{dest.replace('_', '-')} applies to --ratio only")
-    if args.N is None or args.N < 1:
+    if args.N < 1:
         raise InvalidInput("the spectral run needs --N >= 1")
     S = model.s_matrix_on(np.arange(args.N))
     e, ine = esd_and_inertia(S, args.tol)
@@ -334,17 +267,118 @@ def cmd_rado(args) -> int:
         **_provenance(args),
         "model": {"p": args.p, "seed": model.seed},
     }
-    with open(f"{prefix}_summary.json", "w") as fh:
-        fh.write(summary_to_json(doc) + "\n")
+    _emit(summary_to_json(doc), f"{prefix}_summary.json")
     print(f"KS to semicircle: {ks!r}")
     print(f"delta: {doc['delta']!r}")
     return 0
 
 
-def _add_model_args(sub):
-    sub.add_argument("--model-seed", type=int, help="adjacency seed (default --seed)")
-    sub.add_argument("--clique", help="comma-separated planted clique indices")
-    sub.add_argument("--clique-rule", help="planted clique rule: modular:MOD or quadratic")
+# The runs of each subcommand, one row each: (command, run, the options that
+# pick the run, the other options it needs, the options it also reads). A
+# command runs its first row whose picking options are all given, and
+# construct's kind picks its row by name. Every run also reads --seed and
+# --tol. ``build_parser`` declares a command's options from its rows, and
+# ``_check_options`` holds the options given to the row they pick.
+RUNS = (
+    ("analyze", "input", ("input",), (), ("input_format", "format", "output")),
+    ("analyze", "example", (), ("example",), ("n", "dim", "format", "output")),
+    ("embed", "input", ("input",), (), ("input_format", "output")),
+    ("embed", "example", (), ("example",), ("n", "dim", "output")),
+    ("trajectory", "model", ("model_p",), ("m_max",),
+     ("measure", "model_seed", "clique", "clique_rule", "sizes", "output")),
+    ("trajectory", "sampled input", ("input", "measure"), ("m_max",),
+     ("input_format", "sizes", "output")),
+    ("trajectory", "sampled example", ("measure",), ("example", "m_max"),
+     ("n", "dim", "sizes", "output")),
+    ("trajectory", "input", ("input",), (), ("input_format", "sizes", "output")),
+    ("trajectory", "example", (), ("example",), ("n", "dim", "sizes", "output")),
+    ("construct", "prescribed", (), ("n", "p", "output"), ()),
+    ("construct", "perturb", (), ("input", "output"), ()),
+    ("construct", "union", (), ("inputs", "h", "output"), ()),
+    ("rado", "ratio", ("ratio",), ("p", "m_max"),
+     ("measure", "trials", "delta_threshold", "min_fraction",
+      "model_seed", "clique", "clique_rule", "output_prefix")),
+    ("rado", "spectral", (), ("p", "N"), ("model_seed", "clique", "clique_rule", "output_prefix")),
+)
+
+# Rules between two options on every run that reads the first.
+PAIRS = (("clique", "excludes", "clique_rule"), ("min_fraction", "needs", "delta_threshold"))
+
+# The argparse keywords of each option by its dest; a (command, dest) key
+# overrides them for one command.
+OPTIONS = {
+    "example": dict(help="named example space"),
+    "input": dict(help="distance CSV or edge-list file"),
+    "input_format": dict(
+        choices=["auto", "csv", "edges"],
+        help="format of --input (default auto: csv for *.csv, else edges)",
+    ),
+    "n": dict(type=int, help="point count of a sized example; construct prescribed: s_minus"),
+    "dim": dict(type=int, help="sphere dimension"),
+    "format": dict(choices=["json", "csv"], default="json"),
+    "output": dict(help="output path (default stdout)"),
+    "sizes": dict(help="prefix sizes lo:hi[:step]"),
+    "measure": dict(help="sampling measure: a rule or a measure JSON file"),
+    "m_max": dict(type=int, help="draws of a sampled trajectory or of each --ratio trial"),
+    "model_p": dict(type=float, help="sample a countable model instead"),
+    "model_seed": dict(type=int, help="adjacency seed (default --seed)"),
+    "clique": dict(help="comma-separated planted clique indices"),
+    "clique_rule": dict(help="planted clique rule: modular:MOD or quadratic"),
+    "p": dict(type=float, help="edge probability"),
+    ("construct", "p"): dict(type=int, help="target s_plus for prescribed"),
+    "inputs": dict(nargs="+", help="component CSVs for union"),
+    "h": dict(type=float, help="cross-component distance for union"),
+    "N": dict(type=int, help="truncation order for the spectral run"),
+    "ratio": dict(action="store_true", help="run the ratio experiment"),
+    "trials": dict(type=int, help=f"trials for --ratio (default {DEFAULT_TRIALS})"),
+    "delta_threshold": dict(type=float, help="report the fraction of trials reaching this ratio"),
+    "min_fraction": dict(type=float, help="add a pass/fail verdict: that fraction >= this value"),
+    "output_prefix": dict(help="prefix for output files"),
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=float, default=1e-9, help="relative zero tolerance"),
+}
+
+COMMANDS = {
+    "analyze": (cmd_analyze, "signatures and embeddability verdict"),
+    "embed": (cmd_embed, "indefinite scaling embedding"),
+    "trajectory": (cmd_trajectory, "signatures along nested prefixes"),
+    "construct": (cmd_construct, "build spaces with prescribed signatures"),
+    "rado": (cmd_rado, "random-graph spectra and ratio experiments"),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _declared(command: str) -> list:
+    """The options of ``command`` by dest: those of its rows, then seed and tol."""
+    dests = [dest for row in RUNS if row[0] == command for dest in (*row[2], *row[3], *row[4])]
+    return list(dict.fromkeys([*dests, "seed", "tol"]))
+
+
+def _check_options(args) -> None:
+    """Raise ``InvalidInput`` for an option that the run picked by ``args``
+    needs and lacks or would not read, and for a broken ``PAIRS`` rule."""
+    # None, a store_true's False and an empty string are not given; 0 is
+    given = {
+        dest for dest, value in vars(args).items()
+        if value is not None and value is not False and value != ""
+    }
+    command, run, picks, needs, reads = next(
+        row for row in RUNS
+        if row[0] == args.command and getattr(args, "kind", row[1]) == row[1]
+        and given.issuperset(row[2])
+    )
+    for dest in needs:
+        if dest not in given:
+            raise InvalidInput(f"{command} {run} needs {_flag(dest)}")
+    for dest in _declared(command):
+        if dest in given and dest not in (*picks, *needs, *reads, "seed", "tol"):
+            raise InvalidInput(f"{command} {run} takes no {_flag(dest)}")
+    for first, verb, second in PAIRS:
+        if first in given and (second in given) == (verb == "excludes"):
+            raise InvalidInput(f"{_flag(first)} {verb} {_flag(second)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,69 +389,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mmsig {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    # No abbreviations: an undeclared option such as rado's --output must
-    # exit 2, not be read as the longer --output-prefix.
-
-    p = subs.add_parser("analyze", help="signatures and embeddability verdict", allow_abbrev=False)
-    _add_space_args(p)
-    _add_common(p)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("embed", help="indefinite scaling embedding", allow_abbrev=False)
-    _add_space_args(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_embed)
-
-    p = subs.add_parser("trajectory", help="signatures along nested prefixes", allow_abbrev=False)
-    _add_space_args(p)
-    _add_common(p)
-    p.add_argument("--sizes", help="prefix sizes lo:hi[:step]")
-    p.add_argument("--measure", help="sample instead of deterministic nesting")
-    p.add_argument("--m-max", type=int, help="draws for --measure or --model-p")
-    p.add_argument("--model-p", type=float, help="sample a countable model instead")
-    _add_model_args(p)
-    p.set_defaults(func=cmd_trajectory)
-
-    p = subs.add_parser(
-        "construct", help="build spaces with prescribed signatures", allow_abbrev=False
-    )
-    p.add_argument("kind", choices=["prescribed", "perturb", "union"])
-    p.add_argument("--n", type=int, help="target s_minus for prescribed")
-    p.add_argument("--p", type=int, help="target s_plus for prescribed")
-    p.add_argument("--input", help="input distance CSV for perturb")
-    p.add_argument("--inputs", nargs="+", help="component CSVs for union")
-    p.add_argument("--h", type=float, help="cross-component distance for union")
-    _add_common(p)
-    p.set_defaults(func=cmd_construct)
-
-    p = subs.add_parser(
-        "rado", help="random-graph spectra and ratio experiments", allow_abbrev=False
-    )
-    p.add_argument("--p", type=float, help="edge probability")
-    p.add_argument("--N", type=int, help="truncation order for the spectral run")
-    _add_model_args(p)
-    p.add_argument("--ratio", action="store_true", help="run the ratio experiment")
-    p.add_argument("--measure", help="sampling measure for --ratio")
-    p.add_argument("--m-max", type=int, help="draws per trial for --ratio")
-    p.add_argument("--trials", type=int, help=f"trials for --ratio (default {DEFAULT_TRIALS})")
-    p.add_argument(
-        "--delta-threshold", type=float,
-        help="report the fraction of trials whose ratio reaches this value",
-    )
-    p.add_argument(
-        "--min-fraction", type=float,
-        help="with --delta-threshold, add a pass/fail verdict at this fraction",
-    )
-    p.add_argument("--output-prefix", help="prefix for output files")
-    _add_common(p, output=False)
-    p.set_defaults(func=cmd_rado)
+    for command, (func, text) in COMMANDS.items():
+        # No abbreviations: an undeclared option such as rado's --output must
+        # exit 2, not be read as the longer --output-prefix.
+        sub = subs.add_parser(command, help=text, allow_abbrev=False)
+        if command == "construct":
+            sub.add_argument("kind", choices=[row[1] for row in RUNS if row[0] == command])
+        for dest in _declared(command):
+            sub.add_argument(_flag(dest), **OPTIONS.get((command, dest), OPTIONS[dest]))
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except NumericalContractError as exc:
         print(f"error: {exc}", file=sys.stderr)

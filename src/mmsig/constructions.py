@@ -29,10 +29,10 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL_REL, _check_tol_rel, _eigenvalues, _zero_band, double_center, inertia
 from .spaces import (
-    FiniteMetricSpace, _check_triangle, _pairwise_sq_diffs, from_distance_matrix, s_matrix,
+    _MASK64, FiniteMetricSpace, _check_triangle, _pairwise_sq_diffs, _philox, from_distance_matrix,
+    s_matrix,
 )
 
-_MASK64 = (1 << 64) - 1
 _EPS_FLOOR = 1e-300
 _HASH_ROWS = 64  # rows of adjacency hashed at a time, a block that stays in cache
 
@@ -78,7 +78,7 @@ def _perturb_with_eps(space, seed, tol_rel):
     # norm, and theta by tol_rel * n times that. The target_minus-th needs
     need = float(vals[target_minus - 1] + theta) / (1.0 + tol_rel * n)  # to pass -theta
 
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed & _MASK64)))
+    rng = _philox(seed)
     for _ in range(100):
         v = rng.normal(size=(n, n))
         if np.linalg.matrix_rank(v) == n:
@@ -141,7 +141,7 @@ def prescribed_signature_space(
     if n < 1 or p < 2:
         raise BadParams("prescribed signature needs n >= 1 and p >= 2")
     N = n + p + 1
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed & _MASK64)))
+    rng = _philox(seed)
     for attempt in range(100):
         pts = rng.normal(size=(N, p))
         norms = np.linalg.norm(pts, axis=1)
@@ -275,14 +275,14 @@ class QuadraticGapClique:
     """
 
     def members(self, idx) -> np.ndarray:
-        x = np.asarray(idx, dtype=np.int64) + 1
-        v = 4 * x + 1
-        # floor(sqrt(v)) in floating point is off by at most one; correct it
-        r = np.floor(np.sqrt(v)).astype(np.int64)
-        r -= r * r > v
-        r += (r + 1) * (r + 1) <= v
-        k = (r - 1) // 2
-        return k * k + k != x
+        # x = idx + 1 <= 2^63 and k (k + 1) for k up to 2^31.5 fit in uint64
+        x = np.asarray(idx, dtype=np.int64).astype(np.uint64) + 1
+        # the largest k with k (k + 1) <= x: floor(sqrt(x)) in floating point
+        # is k or k + 1 give or take one; correct it
+        k = np.floor(np.sqrt(x.astype(float))).astype(np.uint64)
+        k -= k * (k + 1) > x
+        k += (k + 1) * (k + 2) <= x
+        return k * (k + 1) != x
 
     def spec(self) -> dict:
         return {"rule": "quadratic"}

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidMeasure
 from .linalg import DEFAULT_TOL_REL, Inertia, inertia, validate_weights, weighted_center
-from .spaces import FiniteMetricSpace, s_matrix
+from .spaces import _MASK64, FiniteMetricSpace, _philox, s_matrix
 
 _TAIL = 1e-18
 
@@ -206,7 +206,7 @@ def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
         raise InvalidInput("sample size must be nonnegative")
     if not isinstance(measure, DiscreteMeasure):
         measure = parse_measure_spec(measure)
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed & (2**64 - 1))))
+    rng = _philox(seed)
     u = rng.random(m)
     raw = np.searchsorted(measure.cumulative(), u, side="right")
     return SampleTrajectory(seed=seed, raw=raw.astype(np.int64))
@@ -224,7 +224,7 @@ def sample_order(measure: DiscreteMeasure, m: int, seed: int) -> np.ndarray:
 def trial_seed(seed: int, trial: int) -> int:
     """Seed of trial ``trial``: the ``trial``-th ``SeedSequence(seed)`` child,
     so trials of different seeds share no seed, whatever the worker count."""
-    child = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=(trial,))
+    child = np.random.SeedSequence(seed & _MASK64, spawn_key=(trial,))
     return int(child.generate_state(1, np.uint64)[0])
 
 

@@ -9,7 +9,6 @@ come first, matching R^(n,p) with the form -sum_1^n + sum_(n+1)^(n+p).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .linalg import (
     prefix_inertias,
 )
 from .sampling import DiscreteMeasure, sample_order, t_matrix
-from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, s_matrix
+from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, _write_csv, s_matrix
 
 STABILIZATION_WINDOW = 25
 
@@ -247,10 +246,6 @@ def embedding_from_json(text: str) -> PseudoEuclideanPointSet:
 
 
 def write_trajectory_csv(traj: SignatureTrajectory, path, comment: str | None = None):
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["size", "s_minus", "s_zero", "s_plus", "theta"])
-        for size, sm, s0, sp, theta in traj.rows():
-            writer.writerow([size, sm, s0, sp, repr(theta)])
+    """CSV rows (size, s_minus, s_zero, s_plus, theta); to stdout if ``path`` is empty."""
+    rows = ([size, sm, s0, sp, repr(theta)] for size, sm, s0, sp, theta in traj.rows())
+    _write_csv(path, ["size", "s_minus", "s_zero", "s_plus", "theta"], rows, comment)

@@ -9,7 +9,9 @@ extended tripod, simplex, sphere samples).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,6 +36,14 @@ TRIANGLE_TOL_REL = 1e-12
 
 # Relative slack before a squared pseudo-Euclidean interval counts as negative.
 CONE_TOL_REL = 1e-12
+
+_MASK64 = (1 << 64) - 1
+
+
+def _philox(seed: int) -> np.random.Generator:
+    """The package's generator: Philox keyed by ``seed`` mod 2^64, so that
+    every integer, a negative one too, is a seed."""
+    return np.random.Generator(np.random.Philox(np.uint64(seed & _MASK64)))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -370,7 +380,7 @@ def _tripod_matrix(n: int) -> np.ndarray:
 
 
 def _sphere_points(dim: int, n: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _philox(seed)
     for _ in range(100):
         pts = rng.normal(size=(n, dim + 1))
         norms = np.linalg.norm(pts, axis=1)
@@ -447,15 +457,23 @@ def named_example(name: str, **params) -> FiniteMetricSpace:
 # File formats: distance-matrix CSV and edge-list text
 
 
-def write_distance_csv(space: FiniteMetricSpace, path, comment: str | None = None):
-    """Header row of labels, then n rows of n floats (round-trip exact)."""
-    with open(path, "w", newline="") as fh:
+def _write_csv(path, header, rows, comment: str | None = None):
+    """The one CSV writer: a ``# comment`` line if given, the header, then the
+    rows. To the file at ``path`` with csv's CRLF row ends, or to stdout with
+    plain newlines when ``path`` is empty. Floats come in as ``repr`` strings,
+    so they read back exactly."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(space.labels)
-        for row in space.dist:
-            writer.writerow([repr(float(x)) for x in row])
+        writer = csv.writer(fh, lineterminator="\r\n" if path else "\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_distance_csv(space: FiniteMetricSpace, path, comment: str | None = None):
+    """Header row of labels, then n rows of n floats (round-trip exact)."""
+    rows = ([repr(float(x)) for x in row] for row in space.dist)
+    _write_csv(path, space.labels, rows, comment)
 
 
 def read_distance_csv(path, strict: bool = False) -> FiniteMetricSpace:

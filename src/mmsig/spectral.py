@@ -10,7 +10,6 @@ by ``signature.limit_signature_trajectory`` against one zero band.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -27,6 +26,7 @@ from .linalg import (
 )
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
 from .signature import limit_signature_trajectory
+from .spaces import _write_csv
 
 
 class ESD(NamedTuple):
@@ -94,13 +94,15 @@ def default_checkpoints(m_max: int, start: int = 16) -> tuple:
     """Geometric checkpoint schedule start, 2*start, ..., capped at m_max."""
     if m_max < 1:
         raise InvalidInput("m_max must be >= 1")
+    if start < 1:
+        raise InvalidInput(f"start must be >= 1, got {start}")
     pts = []
     m = start
     while m < m_max:
         pts.append(m)
         m *= 2
     pts.append(m_max)
-    return tuple(p for p in pts if p >= 1)
+    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -215,16 +217,12 @@ def rado_ratio_trials(
 
 def write_ratio_csv(trajectories, path, comment: str | None = None):
     """CSV rows (trial, m, s_minus, s_zero, s_plus, delta)."""
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "m", "s_minus", "s_zero", "s_plus", "delta"])
-        for t, traj in enumerate(trajectories):
-            for m, ine, delta in zip(traj.m_values, traj.inertias, traj.deltas):
-                writer.writerow(
-                    [t, m, ine.s_minus, ine.s_zero, ine.s_plus, repr(delta)]
-                )
+    rows = (
+        [t, m, ine.s_minus, ine.s_zero, ine.s_plus, repr(delta)]
+        for t, traj in enumerate(trajectories)
+        for m, ine, delta in zip(traj.m_values, traj.inertias, traj.deltas)
+    )
+    _write_csv(path, ["trial", "m", "s_minus", "s_zero", "s_plus", "delta"], rows, comment)
 
 
 def ratio_summary(
@@ -265,13 +263,9 @@ def ratio_summary(
 
 
 def write_esd_csv(e: ESD, path, comment: str | None = None):
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(e.values):
-            writer.writerow([i, repr(float(v))])
+    """CSV rows (index, value) of the sorted ESD values."""
+    rows = ([i, repr(float(v))] for i, v in enumerate(e.values))
+    _write_csv(path, ["index", "value"], rows, comment)
 
 
 def summary_to_json(doc: dict) -> str:

@@ -67,6 +67,18 @@ class TestAnalyze:
         assert run(["analyze", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_negative_seed_is_taken_mod_2_64(self, tmp_path):
+        # Philox rejected a negative seed with an uncaught ValueError (exit 1)
+        reports = []
+        for seed in (-1, 2**64 - 1):
+            out = tmp_path / f"seed{seed}.json"
+            argv = ["analyze", "--example", "sphere", "--dim", 2, "--n", 5, "--seed", seed]
+            assert run([*argv, "--output", out]) == 0
+            doc = json.loads(out.read_text())
+            assert doc.pop("seed") == seed
+            reports.append(doc)
+        assert reports[0] == reports[1]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["analyze", "--example", "sphere", "--dim", 2, "--n", 9, "--seed", 3, "--output", a])
@@ -140,6 +152,16 @@ class TestTrajectory:
         assert lines[1] == "size,s_minus,s_zero,s_plus,theta"
         last = lines[-1].split(",")
         assert last[0] == "8" and last[3] == "7"
+
+    def test_stdout_table_is_the_file_without_its_comment(self, tmp_path, capsys):
+        argv = ["trajectory", "--example", "tripod_extended", "--n", 12, "--sizes", "2:12"]
+        out = tmp_path / "traj.csv"
+        assert run([*argv, "--output", out]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        comment, table = out.read_text().split("\n", 1)  # read_text turns CRLF into \n
+        assert comment.startswith("# mmsig version=")
+        assert capsys.readouterr().out == table
 
     def test_sampled(self, capsys):
         assert run(
@@ -497,6 +519,22 @@ class TestRado:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: --min-fraction")
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rado", "--p", 0.5, "--N", 5],
+        ["trajectory", "--model-p", 0.5, "--m-max", 30],
+        ["rado", "--ratio", "--p", 0.5, "--m-max", 30],
+    ],
+    ids=["rado", "trajectory", "rado-ratio"],
+)
+def test_clique_and_clique_rule_exclude_each_other(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--clique", "1,2", "--clique-rule", "quadratic"]) == 2
+    assert capsys.readouterr().err == "error: --clique excludes --clique-rule\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

@@ -284,6 +284,13 @@ class TestRadoModel:
             [k * k + k + d for k in (2**25 - 1, 2**25, 2**25 + 7) for d in range(-3, 3)]
         )
         assert quadratic_gap_clique().members(big).tolist() == [quadratic(int(i)) for i in big]
+        # and up to the largest int64 index; 4x + 1 overflows int64 from 2^61 on
+        ks = (2**30 + 3, 2**31, 3037000498, 3037000499)  # k^2 + k <= 2^63 - 1 up to here
+        top = [k * k + k + d for k in ks for d in range(-3, 3)]
+        rng = np.random.default_rng(7)
+        far = [*top, 2**61 - 2, 2**61, 2**62, 2**63 - 1,
+               *rng.integers(2**61, 2**63 - 1, size=1000, endpoint=True).tolist()]
+        assert quadratic_gap_clique().members(far).tolist() == [quadratic(i) for i in far]
         for m in (2, 3, 31):
             assert residue_class_clique(m).members(idx[:500]).tolist() == [
                 i % m != 0 for i in range(500)
@@ -411,7 +418,7 @@ def _vertex_indices(kind, n, rng):
     if kind == "prefix":
         return np.arange(n)
     if kind == "shuffled":
-        return rng.permutation(n) + (2**61 - 2 - n)  # QuadraticGapClique is exact up to here
+        return (2**63 - 1) - rng.permutation(n)  # up to the largest int64 index
     return rng.integers(0, max(n // 3, 1), size=n)
 
 

@@ -4,9 +4,9 @@ Imports sit at module level: a function-local import hides a dependency
 between modules and usually papers over an import cycle. Only ``linalg``
 imports ``ctypes``, so BLAS thread control stays in one place. The names
 that the benchmark's tracer looks up in the package stay bound, so a
-refactor cannot break the benchmark while these tests pass. Every option a
-subcommand declares is read by it, so the CLI offers no option that does
-nothing.
+refactor cannot break the benchmark while these tests pass. Every run of
+``cli.RUNS`` reads each option it takes, and refuses each option it lacks
+or does not take, so the CLI offers no option that does nothing.
 """
 
 import argparse
@@ -143,37 +143,86 @@ def test_every_prefix_eigensolve_is_traced(monkeypatch):
     assert len(lapack) > 10 and lapack == traced
 
 
-# Invocations per subcommand whose union reads every declared option.
-REPRESENTATIVE_RUNS = {
-    "analyze": [
-        ["--example", "sphere", "--n", "6", "--dim", "2", "--format", "csv", "--output", "a.csv"],
-        ["--input", "tripod.csv", "--input-format", "csv"],
-    ],
-    "embed": [
-        ["--example", "simplex", "--n", "3", "--output", "e.json"],
-        ["--input", "tripod.csv"],
-    ],
-    "trajectory": [
-        ["--example", "simplex", "--n", "5", "--sizes", "2:5"],
-        ["--input", "tripod.csv", "--measure", "uniform", "--m-max", "20", "--output", "t.csv"],
-        ["--model-p", "0.5", "--m-max", "30", "--model-seed", "4", "--clique", "0,2"],
-    ],
-    "construct": [
-        ["prescribed", "--n", "2", "--p", "2", "--output", "c.csv"],
-        ["perturb", "--input", "points.csv", "--output", "x.csv"],
-        ["union", "--inputs", "tripod.csv", "tripod.csv", "--h", "1.0", "--output", "u.csv"],
-    ],
-    "rado": [
-        ["--p", "0.5", "--N", "20", "--clique-rule", "modular:3", "--output-prefix", "r"],
-        ["--p", "0.5", "--ratio", "--measure", "geometric:0.8", "--m-max", "40", "--trials", "2",
-         "--delta-threshold", "1", "--min-fraction", "0.5"],
-    ],
+# A value for each option; OVERRIDES replaces some of them for a command or
+# for one run of it.
+VALUES = {
+    "example": ["sphere"], "n": ["6"], "dim": ["2"], "input": ["tripod.csv"],
+    "input_format": ["csv"], "format": ["csv"], "output": ["out.txt"], "sizes": ["1:3"],
+    "measure": ["uniform"], "m_max": ["20"], "model_p": ["0.5"], "model_seed": ["4"],
+    "clique": ["0,2"], "clique_rule": ["modular:3"], "p": ["0.5"],
+    "inputs": ["tripod.csv", "tripod.csv"], "h": ["1.0"], "N": ["20"], "ratio": [],
+    "trials": ["2"], "delta_threshold": ["1"], "min_fraction": ["0.5"], "output_prefix": ["r"],
+    "seed": ["3"], "tol": ["1e-9"],
+}
+OVERRIDES = {
+    "construct": {"n": ["2"], "p": ["2"]},
+    ("construct", "perturb"): {"input": ["points.csv"]},
+    ("trajectory", "model"): {"measure": ["geometric:0.8"]},
+    ("rado", "ratio"): {"measure": ["geometric:0.8"], "m_max": ["40"]},
 }
 
 
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _argv(row, dests):
+    """The argv of ``row``'s run that gives the options ``dests``."""
+    command, run = row[:2]
+    argv = [command, run] if command == "construct" else [command]
+    for dest in dests:
+        values = VALUES[dest]
+        for key in (command, (command, run)):
+            values = OVERRIDES.get(key, {}).get(dest, values)
+        argv += [_flag(dest), *values]
+    return argv
+
+
+def _row_dests(row):
+    """Every option ``row`` picks, needs or reads, then --seed and --tol."""
+    return [*row[2], *row[3], *row[4], "seed", "tol"]
+
+
+def _full_runs(row):
+    """Option lists of the row's run that give every option it reads, each
+    of two excluding options in a run of its own."""
+    runs = [_row_dests(row)]
+    for first, verb, second in mmsig.cli.PAIRS:
+        if verb == "excludes" and {first, second} <= set(runs[0]):
+            runs = [[d for d in dests if d != drop] for dests in runs for drop in (first, second)]
+    return runs
+
+
+def _subparsers():
+    action = next(
+        a for a in mmsig.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+def _declared_options(command):
+    return {a.dest for a in _subparsers()[command]._actions if a.option_strings} - {"help"}
+
+
+def _row_id(row):
+    return f"{row[0]}-{row[1].replace(' ', '-')}"
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    """A working directory holding the input files the runs name."""
+    monkeypatch.chdir(tmp_path)
+    write_distance_csv(named_example("tripod"), "tripod.csv")
+    points = np.random.default_rng(3).normal(size=(5, 2))
+    write_distance_csv(from_euclidean_points(points), "points.csv")
+    return tmp_path
+
+
 def _attribute_reads(argv):
-    """Names a subcommand reads from its parsed arguments."""
+    """Names the run of ``argv`` reads from its parsed arguments, once its
+    options have passed the check."""
     args = mmsig.cli.build_parser().parse_args(argv)
+    mmsig.cli._check_options(args)
     reads = set()
 
     class Recording(argparse.Namespace):
@@ -185,18 +234,51 @@ def _attribute_reads(argv):
     return reads
 
 
-@pytest.mark.parametrize("command", sorted(REPRESENTATIVE_RUNS))
-def test_every_declared_option_is_read(command, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    write_distance_csv(named_example("tripod"), "tripod.csv")
-    points = np.random.default_rng(3).normal(size=(5, 2))
-    write_distance_csv(from_euclidean_points(points), "points.csv")
-    subparsers = next(
-        a for a in mmsig.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    assert sorted(subparsers.choices) == sorted(REPRESENTATIVE_RUNS)
-    actions = subparsers.choices[command]._actions
-    declared = {a.dest for a in actions if not isinstance(a, argparse._HelpAction)}
-    runs = REPRESENTATIVE_RUNS[command]
-    read = set().union(*(_attribute_reads([command, *argv]) for argv in runs))
-    assert declared - read == set()
+def test_each_command_declares_the_options_of_its_runs():
+    commands = {row[0] for row in mmsig.cli.RUNS}
+    assert sorted(_subparsers()) == sorted(commands)
+    for command in commands:
+        rows = [row for row in mmsig.cli.RUNS if row[0] == command]
+        assert _declared_options(command) == set().union(*map(_row_dests, rows)), command
+    kind = next(a for a in _subparsers()["construct"]._actions if a.dest == "kind")
+    assert kind.choices == [row[1] for row in mmsig.cli.RUNS if row[0] == "construct"]
+
+
+@pytest.mark.parametrize("row", mmsig.cli.RUNS, ids=_row_id)
+def test_each_run_reads_every_option_it_takes(row, workdir):
+    read = set().union(*(_attribute_reads(_argv(row, dests)) for dests in _full_runs(row)))
+    assert set(_row_dests(row)) - read == set()
+
+
+@pytest.mark.parametrize("row", mmsig.cli.RUNS, ids=_row_id)
+def test_each_run_refuses_a_missing_or_foreign_option(row, workdir, capsys):
+    command, run, picks, needs, _ = row
+    dests = _full_runs(row)[0]
+    inputs = sorted(workdir.iterdir())
+    for dest in needs:
+        assert mmsig.cli.main(_argv(row, [d for d in dests if d != dest])) == 2
+        assert capsys.readouterr().err == f"error: {command} {run} needs {_flag(dest)}\n"
+    for dest in picks:  # another run is picked, and it refuses the options left
+        assert mmsig.cli.main(_argv(row, [d for d in dests if d != dest])) == 2
+    # an option that picks another run exits 2 with that run's error
+    picking = {dest for other in mmsig.cli.RUNS if other[0] == command for dest in other[2]}
+    for dest in sorted(_declared_options(command) - set(_row_dests(row))):
+        capsys.readouterr()
+        assert mmsig.cli.main(_argv(row, [*dests, dest])) == 2
+        if dest not in picking:
+            assert capsys.readouterr().err == f"error: {command} {run} takes no {_flag(dest)}\n"
+    assert sorted(workdir.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("row", mmsig.cli.RUNS, ids=_row_id)
+def test_each_run_checks_the_option_pairs_it_reads(row, workdir, capsys):
+    dests = _full_runs(row)[0]
+    inputs = sorted(workdir.iterdir())
+    for first, verb, second in mmsig.cli.PAIRS:
+        if first not in _row_dests(row):
+            continue
+        pair = [d for d in dests if d not in (first, second)] + [first]
+        pair += [second] if verb == "excludes" else []
+        assert mmsig.cli.main(_argv(row, pair)) == 2
+        assert capsys.readouterr().err == f"error: {_flag(first)} {verb} {_flag(second)}\n"
+    assert sorted(workdir.iterdir()) == inputs

@@ -1,10 +1,15 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mmsig
 from mmsig import linalg, spectral
 from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import InvalidInput
@@ -132,6 +137,29 @@ class TestRatioExperiment:
         assert default_checkpoints(100) == (16, 32, 64, 100)
         assert default_checkpoints(16) == (16,)
         assert default_checkpoints(5) == (5,)
+        assert default_checkpoints(5, start=1) == (1, 2, 4, 5)
+
+    @pytest.mark.parametrize("start", [0, -3])
+    def test_start_below_one_is_rejected(self, start):
+        # the doubling never passed m_max from start <= 0: run the call in a
+        # child with a deadline and 1 GiB of address space, so a loop that
+        # never ends fails the test instead of hanging it
+        code = (
+            "from mmsig.errors import InvalidInput\n"
+            "from mmsig.spectral import default_checkpoints\n"
+            "try:\n"
+            f"    default_checkpoints(100, start={start})\n"
+            "except InvalidInput as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(mmsig.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == f"start must be >= 1, got {start}\n"
 
     def test_sliced_checkpoints_match_rebuilt_prefixes(self):
         # each checkpoint counts the dedup of its own prefix of draws, all
