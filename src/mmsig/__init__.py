@@ -21,7 +21,6 @@ from .errors import (
     NoConvergence,
     NonzeroDiagonal,
     NumericalContractError,
-    SingularBlock,
     StrictnessViolated,
     TriangleViolation,
     UnknownName,
@@ -33,10 +32,8 @@ from .linalg import (
     as_sym_matrix,
     double_center,
     eig_sym,
-    haynsworth_check,
     inertia,
     prefix_inertias,
-    schur_complement,
     weighted_center,
 )
 from .spaces import (
@@ -52,14 +49,12 @@ from .spaces import (
     read_edge_list,
     s_matrix,
     squared_intervals,
-    strict_cauchy_schwarz_check,
     write_distance_csv,
     write_edge_list,
 )
 from .sampling import (
     DiscreteMeasure,
     SampleTrajectory,
-    dedup_matrix_invariance,
     gv_sample,
     k_matrix,
     load_measure,
@@ -72,7 +67,6 @@ from .signature import (
     SignatureTrajectory,
     centered_signature,
     classify_embeddability,
-    kernel_reconstruction_check,
     limit_signature_trajectory,
     mds_embed,
     sampled_signature_trajectory,
@@ -85,7 +79,6 @@ from .constructions import (
     prescribed_signature_space,
     quadratic_gap_clique,
     rado_consistency_check,
-    rado_metric_space,
     residue_class_clique,
     union_r_matrix,
     union_space,

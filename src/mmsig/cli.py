@@ -194,7 +194,7 @@ def cmd_construct(args) -> int:
         space = prescribed_signature_space(args.n, args.p, args.seed, args.tol)
     elif args.kind == "perturb":
         space = perturb_to_max_negative(
-            read_distance_csv(args.input, strict=True), args.seed, args.tol
+            read_distance_csv(args.input), args.seed, args.tol
         )
     else:
         space = union_space([read_distance_csv(p) for p in args.inputs], args.h)

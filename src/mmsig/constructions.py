@@ -378,13 +378,6 @@ class CountableRadoModel:
         return from_distance_matrix(D, labels=tuple(f"v{i}" for i in idx))
 
 
-def rado_metric_space(model: CountableRadoModel, n: int) -> FiniteMetricSpace:
-    """The {1, 2}-valued metric of the first n model vertices."""
-    if n < 1:
-        raise BadParams("space order must be >= 1")
-    return model.metric_on(np.arange(n))
-
-
 def rado_consistency_check(adj) -> bool:
     """True iff the {1, 2} rule on a boolean adjacency block, such as
     ``CountableRadoModel.adjacency_block``, equals the true hop metric, i.e.

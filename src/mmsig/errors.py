@@ -23,10 +23,6 @@ class NoConvergence(NumericalContractError):
     """The eigensolver exceeded its iteration cap."""
 
 
-class SingularBlock(NumericalContractError):
-    """Principal submatrix too close to singular for a Schur complement."""
-
-
 class InvalidMeasure(MmsigError):
     """Weights are negative, do not sum to one, or do not match the space."""
 

@@ -1,12 +1,14 @@
-"""Dense symmetric linear algebra: eigendecomposition, inertia, Schur
-complements, and the centering transforms everything else builds on.
+"""Dense symmetric linear algebra: eigendecomposition, inertia, and the
+centering transforms everything else builds on.
 
 Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
 validation gate. Inertia counting uses the eigenvalue spectrum as the source
 of truth, with the zero threshold ``theta = tol_rel * n * max|lambda|``;
 ``prefix_inertias`` counts a family of leading blocks against one threshold,
 from a Perron bracket of max|lambda|, by certified Schur blocks where they
-cost less than an eigensolve.
+cost less than an eigensolve. ``_schur_step`` is the one Schur complement:
+it adds a block's counts by Haynsworth additivity and updates the inverse
+the next step starts from.
 ``single_threaded_blas`` is the one place that controls BLAS threading.
 """
 
@@ -22,13 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidMeasure, NoConvergence, SingularBlock
+from .errors import InvalidInput, InvalidMeasure, NoConvergence
 
 DEFAULT_TOL_REL = 1e-9
-
-# Reciprocal condition number a pivot block must clear before we trust its
-# Schur complement.
-SCHUR_RCOND_MIN = 1e-12
 
 # Roundoff slack allowed before declaring an input asymmetric; inputs inside
 # the slack are symmetrized exactly.
@@ -341,52 +339,6 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
             inv[:k, :k] = np.linalg.inv(A[:k, :k])
             anchor = k
     return out if top is None else out + [_band_counts(top, theta)]
-
-
-def _normalize_block(block, n: int) -> np.ndarray:
-    idx = np.asarray(sorted(set(int(i) for i in block)), dtype=int)
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        raise InvalidInput(f"block indices out of range for order {n}")
-    return idx
-
-
-def schur_complement(a, block) -> np.ndarray:
-    """Schur complement A / A[block, block].
-
-    The block must be well conditioned: its reciprocal condition estimate
-    (min|lambda| / max|lambda|) has to reach SCHUR_RCOND_MIN, otherwise
-    SingularBlock is raised.
-    """
-    A = as_sym_matrix(a)
-    n = A.shape[0]
-    idx = _normalize_block(block, n)
-    if idx.size == 0:
-        return A.copy()
-    if idx.size == n:
-        raise InvalidInput("block must leave at least one row outside")
-    rest = np.setdiff1d(np.arange(n), idx)
-    A11 = A[np.ix_(idx, idx)]
-    vals = _eigenvalues(A11)
-    vmax = float(np.abs(vals).max())
-    rcond = float(np.abs(vals).min()) / vmax if vmax > 0 else 0.0
-    if rcond < SCHUR_RCOND_MIN:
-        raise SingularBlock(
-            f"block of order {idx.size} has rcond {rcond:.3e} < {SCHUR_RCOND_MIN:.0e}"
-        )
-    A12 = A[np.ix_(idx, rest)]
-    A22 = A[np.ix_(rest, rest)]
-    out = A22 - A12.T @ np.linalg.solve(A11, A12)
-    return 0.5 * (out + out.T)
-
-
-def haynsworth_check(a, block, tol_rel: float = DEFAULT_TOL_REL) -> bool:
-    """Inertia additivity: inertia(A) == inertia(block) + inertia(A/block)."""
-    A = as_sym_matrix(a)
-    idx = _normalize_block(block, A.shape[0])
-    whole = inertia(A, tol_rel).counts()
-    part = inertia(A[np.ix_(idx, idx)], tol_rel).counts()
-    comp = inertia(schur_complement(A, idx), tol_rel).counts()
-    return whole == tuple(p + c for p, c in zip(part, comp))
 
 
 def double_center(s) -> np.ndarray:

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, InvalidMeasure
-from .linalg import DEFAULT_TOL_REL, Inertia, inertia, validate_weights, weighted_center
+from .linalg import validate_weights, weighted_center
 from .spaces import _MASK64, FiniteMetricSpace, _philox, s_matrix
 
 _TAIL = 1e-18
+_SUPPORT_MAX = 10**6  # the most points a countable measure materializes
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ class DiscreteMeasure:
         if not (0.0 < q < 1.0):
             raise InvalidMeasure(f"geometric ratio must be in (0, 1), got {q!r}")
         length = max(int(math.ceil(math.log(_TAIL) / math.log(q))) + 1, 2)
-        if length > 10**6:
+        if length > _SUPPORT_MAX:
             raise InvalidMeasure(
                 f"geometric ratio {q!r} needs {length} support points; too close to 1"
             )
@@ -96,6 +97,9 @@ class DiscreteMeasure:
         if j < 1:
             raise InvalidMeasure("class count parameter j must be >= 1")
         levels = DiscreteMeasure.geometric(level_q).weights
+        size = levels.size * (j + 1)
+        if size > _SUPPORT_MAX:
+            raise InvalidMeasure(f"class_biased j={j} needs {size} support points, over {_SUPPORT_MAX}")
         w = np.repeat(levels, j + 1) / (j + 1)
         return cls(
             w / w.sum(), rule={"type": "class_biased", "j": j, "q": level_q}
@@ -226,22 +230,6 @@ def trial_seed(seed: int, trial: int) -> int:
     so trials of different seeds share no seed, whatever the worker count."""
     child = np.random.SeedSequence(seed & _MASK64, spawn_key=(trial,))
     return int(child.generate_state(1, np.uint64)[0])
-
-
-def dedup_matrix_invariance(
-    space: FiniteMetricSpace,
-    traj: SampleTrajectory,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> tuple[Inertia, Inertia]:
-    """Inertia of the raw-sequence matrix next to its repetition-cancelled one.
-
-    Duplicated indices produce identical rows and columns; cancelling them
-    leaves s_minus and s_plus unchanged and drops exactly one zero eigenvalue
-    per cancelled row.
-    """
-    raw = inertia(space.s_matrix_on(traj.raw), tol_rel)
-    ded = inertia(space.s_matrix_on(traj.dedup), tol_rel)
-    return raw, ded
 
 
 def k_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:

@@ -25,7 +25,7 @@ from .linalg import (
     inertia,
     prefix_inertias,
 )
-from .sampling import DiscreteMeasure, sample_order, t_matrix
+from .sampling import DiscreteMeasure, sample_order
 from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, _write_csv, s_matrix
 
 STABILIZATION_WINDOW = 25
@@ -202,18 +202,6 @@ def classify_embeddability(
     return EmbeddabilityVerdict(
         kind=kind, n_neg=cert.s_minus, n_pos=cert.s_plus, certificate=cert
     )
-
-
-def kernel_reconstruction_check(space: FiniteMetricSpace, measure: DiscreteMeasure) -> float:
-    """Rebuild the centered kernel matrix from its full eigendecomposition.
-
-    Returns the max entrywise deviation of V diag(lambda) V^T from the
-    matrix; stays at machine scale relative to its norm.
-    """
-    T = t_matrix(space, measure)
-    vals, vecs = eig_sym(T)
-    rebuilt = (vecs * vals[None, :]) @ vecs.T
-    return float(np.abs(rebuilt - T).max())
 
 
 # ---------------------------------------------------------------------------

@@ -176,14 +176,6 @@ def squared_intervals(ps: PseudoEuclideanPointSet) -> np.ndarray:
     return _pairwise_sq_diffs(ps.points[:, k:]) - _pairwise_sq_diffs(ps.points[:, :k])
 
 
-def indefinite_form(ps: PseudoEuclideanPointSet, u, v) -> float:
-    """The R^(n,p) bilinear form of two coordinate vectors."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    k = ps.n_neg
-    return float(u[k:] @ v[k:] - u[:k] @ v[:k])
-
-
 def _default_labels(n: int, prefix: str = "p") -> tuple:
     return tuple(f"{prefix}{i}" for i in range(n))
 
@@ -346,26 +338,6 @@ def from_pseudo_euclidean(ps: PseudoEuclideanPointSet) -> FiniteMetricSpace:
     return from_distance_matrix(D)
 
 
-def strict_cauchy_schwarz_check(ps: PseudoEuclideanPointSet, i: int, j: int, k: int) -> bool:
-    """True iff (z_i - z_j, z_j - z_k) < d(z_i,z_j) * d(z_j,z_k).
-
-    Equivalent to the strict triangle inequality
-    d(z_i,z_k) < d(z_i,z_j) + d(z_j,z_k) for cone-admissible triples.
-    """
-    pts = ps.points
-    sq = ps.intervals
-    scale = float(np.abs(sq).max()) if sq.size else 0.0
-    theta = CONE_TOL_REL * scale
-    for a, b in ((i, j), (j, k), (i, k)):
-        if sq[a, b] < -theta:
-            raise ConeViolation(
-                (a, b), float(sq[a, b]), f"pair ({a}, {b}) violates the cone condition"
-            )
-    lhs = indefinite_form(ps, pts[i] - pts[j], pts[j] - pts[k])
-    rhs = np.sqrt(max(sq[i, j], 0.0)) * np.sqrt(max(sq[j, k], 0.0))
-    return lhs < rhs
-
-
 # ---------------------------------------------------------------------------
 # Named examples
 
@@ -476,7 +448,7 @@ def write_distance_csv(space: FiniteMetricSpace, path, comment: str | None = Non
     _write_csv(path, space.labels, rows, comment)
 
 
-def read_distance_csv(path, strict: bool = False) -> FiniteMetricSpace:
+def read_distance_csv(path) -> FiniteMetricSpace:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)  # line_num: the file line a row ends on
         kept = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
@@ -501,7 +473,7 @@ def read_distance_csv(path, strict: bool = False) -> FiniteMetricSpace:
         raise InvalidInput(
             f"{path}: header has {len(labels)} labels but {len(data)} rows follow"
         )
-    return from_distance_matrix(D, strict=strict, labels=labels)
+    return from_distance_matrix(D, labels=labels)
 
 
 def write_edge_list(graph: Graph, path):

@@ -11,19 +11,20 @@ import functools
 import time
 
 import numpy as np
+import pytest
 
+from mmsig import linalg
 from mmsig.constructions import (
     CountableRadoModel,
     perturb_to_max_negative,
     prescribed_signature_space,
     quadratic_gap_clique,
-    rado_metric_space,
     residue_class_clique,
     union_r_matrix,
     union_space,
 )
-from mmsig.linalg import eig_sym, haynsworth_check, inertia, schur_complement
-from mmsig.sampling import DiscreteMeasure, dedup_matrix_invariance, gv_sample, k_matrix, t_matrix
+from mmsig.linalg import eig_sym, inertia, prefix_inertias
+from mmsig.sampling import DiscreteMeasure, gv_sample, k_matrix, t_matrix
 from mmsig.signature import (
     centered_signature,
     limit_signature_trajectory,
@@ -55,15 +56,39 @@ def criterion(num, title):
     return wrap
 
 
+def _tripod_prefix_steps(k):
+    """Counts of ``prefix_inertias(-b_matrix(4 + k) / 2, [4, 4 + k])``, and
+    the (a, k, negatives) of each ``linalg._schur_step`` that it ran."""
+    steps = []
+    real = linalg._schur_step
+
+    def counted(A, inv, a, size, bound):
+        neg = real(A, inv, a, size, bound)
+        steps.append((a, size, neg))
+        return neg
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_schur_step", counted)
+        got = prefix_inertias(-b_matrix(4 + k) / 2, [4, 4 + k])
+    return [i.counts() for i in got], steps
+
+
 @criterion(1, "exact paper values")
 def test_criterion_01_exact_values():
     start = time.time()
     assert inertia(b_matrix(4)).counts() == (3, 0, 1)
     for k in range(1, 21):
-        assert inertia(b_matrix(4 + k)).counts() == (k + 2, 0, 2)
-        schur = schur_complement(b_matrix(4 + k), range(4))
+        B = b_matrix(4 + k)
+        assert inertia(B).counts() == (k + 2, 0, 2)
+        schur = B[4:, 4:] - B[4:, :4] @ np.linalg.solve(B[:4, :4], B[:4, 4:])
         expect = (4.0 / 3.0) * (8.0 * np.eye(k) + 11.0 * (np.ones((k, k)) - np.eye(k)))
         assert np.abs(schur - expect).max() <= 1e-12
+    # -b/2 has b's counts with their signs flipped; its complement of the
+    # head, -1/2 of the one above, has one negative eigenvalue
+    for k in range(1, 6):
+        counts, steps = _tripod_prefix_steps(k)
+        assert counts == [(1, 0, 3), (2, 0, k + 2)]
+        assert steps == [(0, 4, 1), (4, 4 + k, 1)]
     assert space_signature(named_example("tripod")).signature == (1, 3)
     for n in range(2, 51):
         vals = eig_sym(s_matrix(named_example("simplex", n=n))).eigenvalues
@@ -74,11 +99,9 @@ def test_criterion_01_exact_values():
 
 @criterion(2, "Haynsworth additivity, exact count match")
 def test_criterion_02_haynsworth():
-    for k in range(1, 21):
-        assert haynsworth_check(b_matrix(4 + k), range(4))
+    cases = [(b_matrix(4 + k), 4) for k in range(1, 21)]
     rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 200:
+    while len(cases) < 20 + 200:
         n = int(rng.integers(2, 13))
         b = int(rng.integers(1, n))
         A = random_symmetric(rng, n)
@@ -87,8 +110,17 @@ def test_criterion_02_haynsworth():
         d = rng.uniform(0.5, 2.0, size=b) * rng.choice([-1.0, 1.0], size=b)
         A[:b, :b] = (q * d[None, :]) @ q.T
         A = 0.5 * (A + A.T)
-        assert haynsworth_check(A, range(b))
-        checked += 1
+        cases.append((A, b))
+    for A, b in cases:
+        comp = A[b:, b:] - A[b:, :b] @ np.linalg.solve(A[:b, :b], A[:b, b:])
+        parts = inertia(A[:b, :b]).counts(), inertia(comp).counts()
+        assert inertia(A).counts() == tuple(x + y for x, y in zip(*parts))
+    # the package's own complement: the step from the head of -b/2 adds its
+    # negatives and positives to the head's counts
+    for k in range(1, 6):
+        (head, whole), steps = _tripod_prefix_steps(k)
+        assert steps[-1] == (4, 4 + k, 1)
+        assert whole == (head[0] + 1, 0, head[2] + k - 1) == inertia(-b_matrix(4 + k) / 2).counts()
 
 
 @criterion(3, "Euclidean baselines (cospherical general position)")
@@ -210,7 +242,7 @@ def test_criterion_07_property_suites():
         n = int(rng.integers(2, 8))
         sp = from_distance_matrix(random_metric_matrix(rng, n))
         traj = gv_sample(DiscreteMeasure.uniform(n), int(rng.integers(1, 30)), seed=trial)
-        raw, ded = dedup_matrix_invariance(sp, traj)
+        raw, ded = inertia(sp.s_matrix_on(traj.raw)), inertia(sp.s_matrix_on(traj.dedup))
         assert raw.signature == ded.signature
         assert raw.s_zero - ded.s_zero == traj.raw.size - traj.dedup.size
     assert time.time() - t < 30
@@ -346,7 +378,7 @@ def test_criterion_10_trajectories():
 
     for seed in range(46):
         model = CountableRadoModel(edge_prob=0.5, seed=seed)
-        sp = rado_metric_space(model, 200)
+        sp = model.metric_on(np.arange(200))
         traj = limit_signature_trajectory(sp, sizes=range(2, 201))
         steps += len(traj.sizes)
 

@@ -6,7 +6,7 @@ import pytest
 from mmsig import cli, linalg, spaces, spectral
 from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
-from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence, SingularBlock
+from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence
 from mmsig.sampling import DiscreteMeasure, gv_sample
 from mmsig.spaces import named_example, read_distance_csv, write_distance_csv, write_edge_list, Graph
 
@@ -323,6 +323,14 @@ class TestConstruct:
         out = tmp_path / "out.csv"
         assert run(["construct", "perturb", "--input", src, "--seed", 1, "--output", out]) == 0
 
+    def test_perturb_of_collinear_points_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
+        out = tmp_path / "out.csv"
+        assert run(["construct", "perturb", "--input", src, "--seed", 1, "--output", out]) == 2
+        assert "strict triangle inequality" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_union(self, tmp_path):
         a = tmp_path / "a.csv"
         write_distance_csv(named_example("tripod"), a)
@@ -441,6 +449,17 @@ class TestRado:
         assert doc["measure"] == {"type": "geometric", "q": 0.8}
         lines = (tmp_path / "ratio_ratio.csv").read_text().strip().splitlines()
         assert lines[1].startswith("trial,m,")
+
+    def test_class_biased_support_over_the_limit_exits_2(self, tmp_path, capsys):
+        # 3001 classes of 395 levels at q = 0.9: 1,185,395 points, over 10^6
+        prefix = tmp_path / "cb"
+        argv = ["rado", "--ratio", "--p", 0.5, "--m-max", 10, "--output-prefix", prefix]
+        assert run(argv + ["--measure", "class_biased:3000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: class_biased j=3000 needs 1185395 support points, over 1000000\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        assert run(argv + ["--measure", "class_biased:2000"]) == 0  # 790,395 points
 
     def test_ratio_with_clique_rule(self, tmp_path):
         prefix = tmp_path / "cls"
@@ -562,9 +581,7 @@ def test_non_numeric_parameter_exits_2(argv, bad, tmp_path, monkeypatch, capsys)
     assert err.startswith("error: ") and repr(bad) in err
 
 
-@pytest.mark.parametrize(
-    "error", [MonotonicityViolation, NoConvergence, SingularBlock, EpsilonUnderflow]
-)
+@pytest.mark.parametrize("error", [MonotonicityViolation, NoConvergence, EpsilonUnderflow])
 def test_numerical_contract_failures_exit_1(error, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise error("numerical contract broken")

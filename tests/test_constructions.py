@@ -20,7 +20,6 @@ from mmsig.constructions import (
     prescribed_signature_space,
     quadratic_gap_clique,
     rado_consistency_check,
-    rado_metric_space,
     residue_class_clique,
     union_r_matrix,
     union_space,
@@ -253,7 +252,7 @@ class TestRadoModel:
         model = CountableRadoModel(
             edge_prob=0.3, seed=5, planted_clique=frozenset({1, 4, 6, 9})
         )
-        sp = rado_metric_space(model, 12)
+        sp = model.metric_on(np.arange(12))
         for a in (1, 4, 6, 9):
             for b in (1, 4, 6, 9):
                 if a != b:
@@ -388,7 +387,7 @@ class TestRadoSMatrix:
         model = CountableRadoModel(edge_prob=0.5, seed=2)
         sub = model.metric_on([3, 17, 5, 90])
         assert sub.labels == ("v3", "v17", "v5", "v90")
-        big = rado_metric_space(model, 100)
+        big = model.metric_on(np.arange(100))
         np.testing.assert_array_equal(
             sub.dist, big.dist[np.ix_([3, 17, 5, 90], [3, 17, 5, 90])]
         )
@@ -397,7 +396,7 @@ class TestRadoSMatrix:
 
     def test_rado_metric_space_signature_floor(self):
         model = CountableRadoModel(edge_prob=0.5, seed=2)
-        sp = rado_metric_space(model, 30)
+        sp = model.metric_on(np.arange(30))
         sig = space_signature(sp)
         assert sig.s_minus >= 1 and sig.s_plus >= 1
 
@@ -406,7 +405,7 @@ class TestRadoSMatrix:
         model = CountableRadoModel(
             edge_prob=0.5, seed=4, planted_clique=residue_class_clique(2)
         )
-        sp = rado_metric_space(model, 20)
+        sp = model.metric_on(np.arange(20))
         clique_idx = [i for i in range(20) if i % 2 != 0]
         sub = sp.subspace(clique_idx)
         t = t_matrix(sub, DiscreteMeasure.uniform(len(clique_idx)))

@@ -5,15 +5,13 @@ import pytest
 
 from mmsig import linalg
 from mmsig.constructions import CountableRadoModel, residue_class_clique
-from mmsig.errors import InvalidInput, InvalidMeasure, SingularBlock
+from mmsig.errors import InvalidInput, InvalidMeasure
 from mmsig.linalg import (
     as_sym_matrix,
     double_center,
     eig_sym,
-    haynsworth_check,
     inertia,
     prefix_inertias,
-    schur_complement,
     weighted_center,
 )
 from mmsig.sampling import DiscreteMeasure, gv_sample, sample_order, trial_seed
@@ -367,46 +365,72 @@ class TestPerronBand:
         assert prefix_inertias([[-2.0]], [1])[0].counts() == (1, 0, 0)
 
 
+def _schur_step_from(A, a, k, bound=0.0):
+    """``linalg._schur_step`` from the leading block of order a, with its
+    inverse from ``np.linalg.inv``, to the block of order k: (the negatives
+    it adds, or None, and the inverse buffer after the step)."""
+    A = np.asarray(A, dtype=float)
+    inv = np.zeros((k, k))
+    inv[:a, :a] = np.linalg.inv(A[:a, :a])
+    return linalg._schur_step(A, inv, a, k, bound), inv
+
+
 class TestSchurComplement:
+    # _schur_step is the one Schur complement: the count of A_k / A_a and the
+    # inverse of A_k, built from that of A_a
+
     def test_block_diagonal(self):
         P = np.array([[2.0, 1.0], [1.0, 2.0]])
         Q = np.array([[5.0]])
         A = np.block([[P, np.zeros((2, 1))], [np.zeros((1, 2)), Q]])
-        np.testing.assert_allclose(schur_complement(A, [0, 1]), Q)
+        neg, inv = _schur_step_from(A, 2, 3)
+        assert neg == 0
+        np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-14, atol=1e-15)
+        assert inv[2, 2] == 1.0 / 5.0  # the complement is Q
 
     def test_two_by_two_closed_form(self):
         a, b, c = 3.0, 2.0, 7.0
-        out = schur_complement(np.array([[a, b], [b, c]]), [0])
-        np.testing.assert_allclose(out, [[c - b * b / a]])
+        neg, inv = _schur_step_from([[a, b], [b, c]], 1, 2)
+        assert neg == 0
+        assert inv[1, 1] == pytest.approx(1.0 / (c - b * b / a), rel=1e-14)
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_extended_tripod_block(self, k):
-        # Schur complement of the 4-point head: (4/3) * (8 diag, 11 off)
-        out = schur_complement(b_matrix(4 + k), range(4))
-        expect = (4.0 / 3.0) * (8.0 * np.eye(k) + 11.0 * (np.ones((k, k)) - np.eye(k)))
-        np.testing.assert_allclose(out, expect, atol=1e-12)
+        # b's complement of the 4-point head is (4/3)(8 I + 11 (J - I)), so
+        # that of -b/2 has one eigenvalue -(2/3)(11 k - 3) and k - 1 at 2
+        neg, inv = _schur_step_from(-0.5 * b_matrix(4 + k), 4, 4 + k)
+        comp = -(2.0 / 3.0) * (8.0 * np.eye(k) + 11.0 * (np.ones((k, k)) - np.eye(k)))
+        np.testing.assert_allclose(inv[4:, 4:], np.linalg.inv(comp), rtol=1e-12, atol=1e-14)
+        assert neg == 1
 
     def test_singular_block(self):
         A = np.zeros((3, 3))
         A[2, 2] = 1.0
-        with pytest.raises(SingularBlock):
-            schur_complement(A, [0, 1])
-
-    def test_full_block_rejected(self):
-        with pytest.raises(InvalidInput):
-            schur_complement(np.eye(2), [0, 1])
+        assert _schur_step_from(A, 0, 2)[0] is None  # a zero block complement
+        assert _schur_step_from(np.ones((2, 2)), 1, 2)[0] is None  # a zero scalar one
+        # a complement of 1e-12 counts at the bound 0 and fails the bound 1e-9
+        near = [[1.0, 1.0], [1.0, 1.0 + 1e-12]]
+        assert _schur_step_from(near, 1, 2)[0] == 0
+        assert _schur_step_from(near, 1, 2, bound=1e-9)[0] is None
 
 
 class TestHaynsworth:
+    # inertia additivity through _schur_step: the counts of A_a plus those of
+    # A_k / A_a are the counts of A_k
+
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_extended_tripod(self, k):
-        # (3,0,1) + (k-1,0,1) = (k+2,0,2)
-        B = b_matrix(4 + k)
-        assert haynsworth_check(B, range(4))
-        assert inertia(schur_complement(B, range(4))).counts() == (k - 1, 0, 1)
+        # (1,0,3) + (1,0,k-1) = (2,0,k+2), b's counts with their signs flipped
+        S = -0.5 * b_matrix(4 + k)
+        assert _schur_step_from(S, 0, 4)[0] == inertia(S[:4, :4]).s_minus == 1
+        assert _schur_step_from(S, 4, 4 + k)[0] == 1
+        assert inertia(S).counts() == (2, 0, k + 2)
 
     def test_tiny_diagonal(self):
-        assert haynsworth_check(np.diag([1.0, -1.0]), [0])
+        A = np.diag([1.0, -1.0])
+        assert _schur_step_from(A, 0, 1)[0] == 0
+        assert _schur_step_from(A, 1, 2)[0] == 1
+        assert inertia(A).counts() == (1, 0, 1)
 
     def test_random_well_conditioned(self):
         rng = np.random.default_rng(11)
@@ -417,14 +441,12 @@ class TestHaynsworth:
             d = rng.uniform(0.5, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4)
             A[:4, :4] = (q * d[None, :]) @ q.T
             A = 0.5 * (A + A.T)
-            assert haynsworth_check(A, range(4))
-            # oracle: recompute both sides from raw eigenvalue counts
+            neg, inv = _schur_step_from(A, 4, 10)
+            # oracle: raw eigenvalue counts of A and of its leading block
             whole = count_inertia(np.linalg.eigvalsh(A), 1e-10)
             blk = count_inertia(np.linalg.eigvalsh(A[:4, :4]), 1e-10)
-            comp = count_inertia(
-                np.linalg.eigvalsh(schur_complement(A, range(4))), 1e-10
-            )
-            assert whole == tuple(b + c for b, c in zip(blk, comp))
+            assert whole == (blk[0] + neg, 0, blk[2] + 6 - neg)
+            np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-9, atol=1e-9)
 
 
 class TestDoubleCenter:

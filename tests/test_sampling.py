@@ -9,7 +9,6 @@ from mmsig.errors import InvalidInput, InvalidMeasure
 from mmsig.linalg import double_center, inertia
 from mmsig.sampling import (
     DiscreteMeasure,
-    dedup_matrix_invariance,
     gv_sample,
     k_matrix,
     load_measure,
@@ -57,6 +56,14 @@ class TestDiscreteMeasure:
         # class masses all equal 1/(j+1)
         for c in range(j + 1):
             assert w[c :: j + 1].sum() == pytest.approx(1.0 / (j + 1))
+
+    def test_support_limit(self):
+        # 395 levels at q = 0.9 in each of j + 1 classes; at most 10^6 points
+        assert DiscreteMeasure.class_biased(2530).n == 2531 * 395
+        with pytest.raises(InvalidMeasure, match="1000140 support points"):
+            DiscreteMeasure.class_biased(2531)
+        with pytest.raises(InvalidMeasure, match="too close to 1"):
+            DiscreteMeasure.geometric(1 - 1e-5)
 
     def test_parse_and_load(self, tmp_path):
         m = parse_measure_spec([0.25, 0.75])
@@ -141,38 +148,32 @@ class TestGvSample:
 
 
 class TestDedupInvariance:
+    # cancelling a repeated index drops one zero eigenvalue of -d^2/2 and
+    # keeps s_minus and s_plus
+
     def test_single_repeated_point(self):
         sp = named_example("simplex", n=3)
         traj = gv_sample(DiscreteMeasure([1.0, 0.0, 0.0]), 2, seed=0)
-        raw, ded = dedup_matrix_invariance(sp, traj)
+        raw, ded = inertia(sp.s_matrix_on(traj.raw)), inertia(sp.s_matrix_on(traj.dedup))
         assert raw.counts() == (0, 2, 0)
         assert ded.counts() == (0, 1, 0)
 
     def test_repeat_pattern_on_simplex(self):
         sp = named_example("simplex", n=3)
-
-        class FakeTraj:
-            raw = np.array([1, 2, 1])
-            dedup = np.array([1, 2])
-
-        raw, ded = dedup_matrix_invariance(sp, FakeTraj())
+        raw, ded = inertia(sp.s_matrix_on([1, 2, 1])), inertia(sp.s_matrix_on([1, 2]))
         # oracle: the 2-point simplex has S eigenvalues (-1/2, 1/2)
         assert ded.counts() == (1, 0, 1)
         assert raw.counts() == (1, 1, 1)
 
     def test_out_of_range_rejected(self):
-        class FakeTraj:
-            raw = np.array([0, 3, 0])
-            dedup = np.array([0, 3])
-
         with pytest.raises(InvalidInput):
-            dedup_matrix_invariance(named_example("simplex", n=3), FakeTraj())
+            named_example("simplex", n=3).s_matrix_on([0, 3, 0])
 
     def test_tripod_covered(self):
         sp = named_example("tripod")
         traj = gv_sample(DiscreteMeasure.uniform(4), 60, seed=3)
         assert traj.dedup.size == 4
-        raw, ded = dedup_matrix_invariance(sp, traj)
+        raw, ded = inertia(sp.s_matrix_on(traj.raw)), inertia(sp.s_matrix_on(traj.dedup))
         assert raw.signature == ded.signature == (1, 3)
         assert raw.s_zero - ded.s_zero == traj.raw.size - traj.dedup.size
 
@@ -184,12 +185,8 @@ class TestDedupInvariance:
     def test_invariance_property(self, indices, seed):
         rng = np.random.default_rng(seed)
         sp = from_distance_matrix_cached(rng)
-
-        class T:
-            raw = np.array(indices)
-            dedup = np.array(sorted(set(indices), key=indices.index))
-
-        raw, ded = dedup_matrix_invariance(sp, T())
+        dedup = sorted(set(indices), key=indices.index)
+        raw, ded = inertia(sp.s_matrix_on(indices)), inertia(sp.s_matrix_on(dedup))
         assert raw.signature == ded.signature
         assert raw.s_zero - ded.s_zero == len(indices) - len(set(indices))
 

@@ -6,13 +6,12 @@ import pytest
 from mmsig import linalg, spaces
 from mmsig.constructions import CountableRadoModel, residue_class_clique
 from mmsig.errors import ConeViolation, InvalidInput
-from mmsig.sampling import DiscreteMeasure, gv_sample
+from mmsig.sampling import DiscreteMeasure, gv_sample, t_matrix
 from mmsig.signature import (
     centered_signature,
     classify_embeddability,
     embedding_from_json,
     embedding_to_json,
-    kernel_reconstruction_check,
     limit_signature_trajectory,
     mds_embed,
     s_matrix,
@@ -318,20 +317,24 @@ class TestClassify:
 
 
 class TestKernelReconstruction:
+    # V diag(lambda) V^T of the centered kernel matrix rebuilds it to machine scale
+
     def test_uniform_measure_machine_scale(self):
         sp = named_example("sphere", dim=2, n=15, seed=9)
-        err = kernel_reconstruction_check(sp, DiscreteMeasure.uniform(15))
+        T = t_matrix(sp, DiscreteMeasure.uniform(15))
+        vals, vecs = linalg.eig_sym(T)
         norm = np.abs(s_matrix(sp)).max()
-        assert err <= 100 * 15 * EPS * norm
+        assert np.abs((vecs * vals) @ vecs.T - T).max() <= 100 * 15 * EPS * norm
 
     def test_tripod_weighted(self):
-        sp = named_example("tripod")
-        err = kernel_reconstruction_check(sp, DiscreteMeasure([0.4, 0.3, 0.2, 0.1]))
-        assert err <= 100 * 4 * EPS * 2.0
+        T = t_matrix(named_example("tripod"), DiscreteMeasure([0.4, 0.3, 0.2, 0.1]))
+        vals, vecs = linalg.eig_sym(T)
+        assert np.abs((vecs * vals) @ vecs.T - T).max() <= 100 * 4 * EPS * 2.0
 
     def test_single_point(self):
-        sp = from_distance_matrix([[0.0]])
-        assert kernel_reconstruction_check(sp, DiscreteMeasure([1.0])) == 0.0
+        T = t_matrix(from_distance_matrix([[0.0]]), DiscreteMeasure([1.0]))
+        vals, vecs = linalg.eig_sym(T)
+        assert np.abs((vecs * vals) @ vecs.T - T).max() == 0.0
 
 
 class TestEmbedClassifyConsistency:

@@ -8,6 +8,7 @@ routine, which must match them exactly.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -68,11 +69,27 @@ def rado_adjacent(model, i, j):
     i, j = int(i), int(j)
     if i == j:
         return False
-    pc = model.planted_clique
-    if pc is not None and pc.members([i, j]).all():
+    if clique_member(model.planted_clique, i) and clique_member(model.planted_clique, j):
         return True
     lo, hi = min(i, j), max(i, j)
     return mix64(mix64(mix64(model.seed) ^ lo) ^ hi) < int(model.edge_prob * 2.0**64)
+
+
+def clique_member(clique, i):
+    """Whether vertex i is in a planted clique (None: no clique), by one
+    scalar rule per kind of its ``spec()``: an index list holds i; a modular
+    rule holds the i not divisible by its modulus; the quadratic rule holds
+    the i whose 1-based position i + 1 is not k^2 + k."""
+    if clique is None:
+        return False
+    spec, i = clique.spec(), int(i)
+    if isinstance(spec, list):
+        return i in spec
+    if spec["rule"] == "modular":
+        return i % int(spec["modulus"]) != 0
+    x = i + 1
+    k = (math.isqrt(4 * x + 1) - 1) // 2  # the largest k with k^2 + k <= x
+    return k * k + k != x
 
 
 def vmix64(x):
@@ -96,8 +113,7 @@ def full_square_adjacency(model, indices):
     h = vmix64(np.minimum.outer(u, u) ^ vmix64(np.uint64(model.seed & MASK64)))
     h ^= np.maximum.outer(u, u)
     adj = vmix64(h) < np.uint64(int(model.edge_prob * 2.0**64))
-    pc = model.planted_clique
-    flags = np.zeros(idx.shape, dtype=bool) if pc is None else pc.members(idx)
+    flags = np.array([clique_member(model.planted_clique, i) for i in idx.tolist()], dtype=bool)
     adj |= np.logical_and.outer(flags, flags)
     adj &= idx[:, None] != idx[None, :]
     return adj
