@@ -39,6 +39,7 @@ from .signature import (
     write_trajectory_csv,
 )
 from .spaces import (
+    _write_csv,
     from_graph,
     named_example,
     read_distance_csv,
@@ -118,18 +119,15 @@ def cmd_analyze(args) -> int:
         for key in ("inertia_S", "inertia_T"):
             sm, s0, sp = flat.pop(key)
             flat[f"{key}_minus"], flat[f"{key}_zero"], flat[f"{key}_plus"] = sm, s0, sp
-        header = ",".join(flat.keys())
-        row = ",".join(
-            repr(v) if isinstance(v, float) else str(v) for v in flat.values()
-        )
-        _emit(header + "\n" + row, args.output)
+        row = [repr(v) if isinstance(v, float) else str(v) for v in flat.values()]
+        _write_csv(args.output, flat.keys(), [row])
     return 0
 
 
 def cmd_embed(args) -> int:
     space = _load_space(args)
     embedding = mds_embed(space, args.tol)
-    residual = verify_isometry(embedding, space, args.tol)
+    residual = verify_isometry(embedding, space)
     text = embedding_to_json(embedding, provenance=_provenance(args))
     _emit(text, args.output)
     print(f"max residual: {residual!r}")

@@ -22,15 +22,16 @@ import numpy as np
 from .errors import (
     BadParams,
     DiameterTooLarge,
+    DuplicatePoints,
     EpsilonUnderflow,
     InvalidInput,
     StrictnessViolated,
     TriangleViolation,
 )
-from .linalg import DEFAULT_TOL_REL, _check_tol_rel, _eigenvalues, _zero_band, double_center, inertia
+from .linalg import DEFAULT_TOL_REL, _check_tol_rel, _eigenvalues, double_center, inertia, spectrum_inertia
 from .spaces import (
-    _MASK64, FiniteMetricSpace, _check_triangle, _pairwise_sq_diffs, _philox, from_distance_matrix,
-    s_matrix,
+    _MASK64, FiniteMetricSpace, _distances, _min_strict_slack, _pairwise_sq_diffs, _philox,
+    from_distance_matrix, from_euclidean_points, s_matrix,
 )
 
 _EPS_FLOOR = 1e-300
@@ -47,30 +48,32 @@ def perturb_to_max_negative(
     """Shrink squared distances along random directions until the centered
     matrix reaches the most negative signature the space allows.
 
-    Requires the strict triangle inequality. Uses d_eps^2 = d^2 - eps*|v_i -
-    v_j|^2 with i.i.d. Gaussian v_i, halving eps from an analytic start until
-    the perturbed table is a strictly triangular metric whose centered matrix
-    keeps s_plus and reaches s_minus = N - 1 - s_plus, with max|d - d_eps|
-    bounded by eps itself. On output s_plus(T_eps) = s_plus(T) and
-    s_minus(T_eps) = N - 1 - s_plus(T).
+    Requires the strict triangle inequality, which ``from_distance_matrix``
+    does not check, and raises StrictnessViolated with the tightest triple
+    otherwise. Uses d_eps^2 = d^2 - eps*|v_i - v_j|^2 with i.i.d. Gaussian
+    v_i, halving eps from an analytic start until the perturbed table is a
+    strictly triangular metric whose centered matrix keeps s_plus and reaches
+    s_minus = N - 1 - s_plus, with max|d - d_eps| bounded by eps itself. On
+    output s_plus(T_eps) = s_plus(T) and s_minus(T_eps) = N - 1 - s_plus(T).
     """
     result, _ = _perturb_with_eps(space, seed, tol_rel)
     return result
 
 
 def _perturb_with_eps(space, seed, tol_rel):
-    try:
-        slack = _check_triangle(space.dist, strict=True, strict_margin=0.0)
-    except TriangleViolation as exc:
+    slack, witness = _min_strict_slack(space.dist)
+    if not slack > 0:
+        i, j, k = witness
         raise StrictnessViolated(
-            f"input must satisfy the strict triangle inequality: {exc}"
-        ) from exc
+            f"input must satisfy the strict triangle inequality: d({i},{k}) = "
+            f"d({i},{j}) + d({j},{k}) up to slack {slack!r}"
+        )
     n = space.n
     T = double_center(s_matrix(space))
     _check_tol_rel(tol_rel)
     vals = _eigenvalues(T)
-    theta = _zero_band(n, tol_rel, float(np.abs(vals).max()))[0]
-    s_plus = int(np.sum(vals > theta))
+    ine = spectrum_inertia(vals, tol_rel)
+    theta, s_plus = ine.tol, ine.s_plus
     target_minus = n - 1 - s_plus
     if s_plus == n - 1:
         return space, 0.0  # already maximal, nothing to perturb
@@ -111,17 +114,15 @@ def _perturb_with_eps(space, seed, tol_rel):
         if (off <= 0).any():
             eps *= 0.5
             continue
-        D_eps = np.sqrt(np.maximum(d2, 0.0))
-        np.fill_diagonal(D_eps, 0.0)
-        D_eps = 0.5 * (D_eps + D_eps.T)
+        D_eps = _distances(d2)
         if float(np.abs(D_eps - space.dist).max()) > eps:
             eps *= 0.5
             continue
-        try:
-            out = from_distance_matrix(D_eps, strict=True, labels=space.labels)
-        except TriangleViolation:
+        if not _min_strict_slack(D_eps)[0] > 0:
             eps *= 0.5
             continue
+        # symmetric, hollow, positive and strictly triangular: skips validation
+        out = FiniteMetricSpace(D_eps, space.labels)
         ine = inertia(double_center(s_matrix(out)), tol_rel)
         if ine.s_plus == s_plus and ine.s_minus == target_minus:
             return out, eps
@@ -151,16 +152,11 @@ def prescribed_signature_space(
         centered = pts - pts.mean(axis=0, keepdims=True)
         if np.linalg.matrix_rank(centered) < p:
             continue
-        D = np.sqrt(_pairwise_sq_diffs(pts))
-        D = 0.5 * (D + D.T)
-        np.fill_diagonal(D, 0.0)
-        if (D + np.eye(N) == 0).any():
-            continue
         try:
-            base = from_distance_matrix(D, strict=True)
-        except TriangleViolation:
+            base = from_euclidean_points(pts)
+            return perturb_to_max_negative(base, seed=(seed ^ (attempt + 1)), tol_rel=tol_rel)
+        except (DuplicatePoints, TriangleViolation, StrictnessViolated):
             continue
-        return perturb_to_max_negative(base, seed=(seed ^ (attempt + 1)), tol_rel=tol_rel)
     raise BadParams("could not sample a generic strictly-triangular point set")
 
 

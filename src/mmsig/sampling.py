@@ -18,10 +18,21 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidMeasure
 from .linalg import validate_weights, weighted_center
-from .spaces import _MASK64, FiniteMetricSpace, _philox, s_matrix
+from .spaces import _MASK64, FiniteMetricSpace, _frozen, _philox, s_matrix
 
 _TAIL = 1e-18
 _SUPPORT_MAX = 10**6  # the most points a countable measure materializes
+
+
+def _geometric_weights(q: float, name: str) -> np.ndarray:
+    """Normalized (1 - q) q^k down to a tail below _TAIL; errors call q ``name``."""
+    if not (0.0 < q < 1.0):
+        raise InvalidMeasure(f"{name} must be in (0, 1), got {q!r}")
+    length = max(int(math.ceil(math.log(_TAIL) / math.log(q))) + 1, 2)
+    if length > _SUPPORT_MAX:
+        raise InvalidMeasure(f"{name} {q!r} needs {length} support points; too close to 1")
+    w = (1.0 - q) * q ** np.arange(length)
+    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -38,9 +49,7 @@ class DiscreteMeasure:
 
     def __post_init__(self):
         w = validate_weights(np.asarray(self.weights, dtype=float))
-        w = np.ascontiguousarray(w)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def n(self) -> int:
@@ -68,15 +77,7 @@ class DiscreteMeasure:
     @classmethod
     def geometric(cls, q: float) -> "DiscreteMeasure":
         """weights proportional to q^k over k = 0, 1, 2, ..."""
-        if not (0.0 < q < 1.0):
-            raise InvalidMeasure(f"geometric ratio must be in (0, 1), got {q!r}")
-        length = max(int(math.ceil(math.log(_TAIL) / math.log(q))) + 1, 2)
-        if length > _SUPPORT_MAX:
-            raise InvalidMeasure(
-                f"geometric ratio {q!r} needs {length} support points; too close to 1"
-            )
-        w = (1.0 - q) * q ** np.arange(length)
-        return cls(w / w.sum(), rule={"type": "geometric", "q": q})
+        return cls(_geometric_weights(q, "geometric ratio"), rule={"type": "geometric", "q": q})
 
     @classmethod
     def super_geometric(cls) -> "DiscreteMeasure":
@@ -96,7 +97,7 @@ class DiscreteMeasure:
         """
         if j < 1:
             raise InvalidMeasure("class count parameter j must be >= 1")
-        levels = DiscreteMeasure.geometric(level_q).weights
+        levels = _geometric_weights(level_q, "class_biased q")
         size = levels.size * (j + 1)
         if size > _SUPPORT_MAX:
             raise InvalidMeasure(f"class_biased j={j} needs {size} support points, over {_SUPPORT_MAX}")
@@ -195,9 +196,7 @@ class SampleTrajectory:
         raw = np.asarray(self.raw, dtype=np.int64)
         first = np.sort(np.unique(raw, return_index=True)[1])
         for name, a in (("raw", raw), ("first_draws", first), ("dedup", raw[first])):
-            a = np.ascontiguousarray(a)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(a))
 
     @property
     def m(self) -> int:

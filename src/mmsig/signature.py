@@ -14,19 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolation, InvalidInput, MonotonicityViolation
+from .errors import InvalidInput, MonotonicityViolation
 from .linalg import (
     DEFAULT_TOL_REL,
     Inertia,
     _check_tol_rel,
-    _zero_band,
     double_center,
     eig_sym,
     inertia,
     prefix_inertias,
+    spectrum_inertia,
 )
 from .sampling import DiscreteMeasure, sample_order
-from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, _write_csv, s_matrix
+from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, _distances, _write_csv, s_matrix
 
 STABILIZATION_WINDOW = 25
 
@@ -136,7 +136,7 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     _check_tol_rel(tol_rel)
     T = double_center(s_matrix(space))
     vals, vecs = eig_sym(T)
-    theta = _zero_band(len(vals), tol_rel, float(np.abs(vals).max()))[0]
+    theta = spectrum_inertia(vals, tol_rel).tol
     neg = np.where(vals < -theta)[0]          # ascending: most negative first
     pos = np.where(vals > theta)[0][::-1]     # largest positive first
     keep = np.concatenate([neg, pos]).astype(int)
@@ -152,26 +152,14 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     )
 
 
-def verify_isometry(
-    embedding: PseudoEuclideanPointSet,
-    space: FiniteMetricSpace,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> float:
-    """Largest deviation between embedded intervals and the input distances."""
+def verify_isometry(embedding: PseudoEuclideanPointSet, space: FiniteMetricSpace) -> float:
+    """Largest deviation between embedded intervals and the input distances.
+    No tolerance: the point set passed its cone check when it was built."""
     if embedding.n != space.n:
         raise InvalidInput(
             f"embedding has {embedding.n} points, space has {space.n}"
         )
-    sq = embedding.intervals
-    theta = _zero_band(space.n, tol_rel, float(np.abs(sq).max()) if sq.size else 0.0)[0]
-    worst = float(sq.min()) if sq.size else 0.0
-    if worst < -theta:
-        i, j = np.unravel_index(int(np.argmin(sq)), sq.shape)
-        raise ConeViolation(
-            (int(i), int(j)), worst, f"squared interval of ({i},{j}) is {worst!r}"
-        )
-    d = np.sqrt(np.maximum(sq, 0.0))
-    return float(np.abs(d - space.dist).max())
+    return float(np.abs(_distances(embedding.intervals) - space.dist).max())
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,15 @@ def _pairwise_sq_diffs(P: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distances(sq: np.ndarray) -> np.ndarray:
+    """The one path from squared distances or squared intervals to distances:
+    the root of the nonnegative part, symmetrized, with a zero diagonal."""
+    D = np.sqrt(np.maximum(sq, 0.0))
+    D = 0.5 * (D + D.T)
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
 def squared_intervals(ps: PseudoEuclideanPointSet) -> np.ndarray:
     """Pairwise squared intervals (z_i - z_j, z_i - z_j)_(n,p)."""
     k = ps.n_neg
@@ -211,42 +220,25 @@ def _min_strict_slack(D: np.ndarray):
     return best, witness
 
 
-def _check_triangle(D: np.ndarray, strict: bool, strict_margin: float) -> float:
+def _check_triangle(D: np.ndarray) -> None:
     """Raise TriangleViolation unless the triangle inequality holds up to
-    TRIANGLE_TOL_REL of the diameter and, with ``strict``, every distinct
-    triple has slack above ``strict_margin``.
+    TRIANGLE_TOL_REL of the diameter.
 
-    One ``_min_strict_slack`` scan decides both: the triples (i, j, i) and
+    One ``_min_strict_slack`` scan decides it: the triples (i, j, i) and
     (i, i, k) have slack 2 d(i,j) and 0, so a violation is a distinct triple.
-    Returns the smallest slack (inf below three points).
     """
     min_slack, witness = _min_strict_slack(D)
-    if witness is None:
-        return min_slack
-    i, j, k = witness
     if min_slack < -TRIANGLE_TOL_REL * float(D.max()):
+        i, j, k = witness
         raise TriangleViolation(
             witness, f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {-min_slack!r}"
         )
-    if strict and min_slack <= strict_margin:
-        raise TriangleViolation(
-            witness,
-            f"strict triangle inequality fails: d({i},{k}) = "
-            f"d({i},{j}) + d({j},{k}) up to slack {min_slack!r}",
-        )
-    return min_slack
 
 
-def from_distance_matrix(
-    d, strict: bool = False, labels=None, strict_margin: float = 0.0
-) -> FiniteMetricSpace:
-    """Validate a raw distance matrix into a FiniteMetricSpace.
-
-    With ``strict`` the triangle inequality must hold strictly (slack above
-    ``strict_margin``) for every distinct triple, as the perturbation
-    construction requires. Violations report a witness triple (i, j, k)
-    meaning d(i,k) against d(i,j) + d(j,k).
-    """
+def from_distance_matrix(d, labels=None) -> FiniteMetricSpace:
+    """Validate a raw distance matrix into a FiniteMetricSpace. The triangle
+    inequality must hold up to TRIANGLE_TOL_REL of the diameter; a violation
+    reports a witness triple (i, j, k) meaning d(i,k) against d(i,j) + d(j,k)."""
     D = np.asarray(d, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1] or D.shape[0] < 1:
         raise InvalidInput(f"distance matrix must be square, got shape {D.shape}")
@@ -269,9 +261,9 @@ def from_distance_matrix(
         raise ZeroOffDiagonal(f"distinct points {i} and {j} are at distance 0")
     # With max <= 2 min off the diagonal, d(i,j) + d(j,k) >= 2 min >= d(i,k)
     # for every triple, in floating point too (doubling is exact and rounding
-    # monotone), so only strict validation needs the scan.
-    if strict or D.max() > 2 * off.min():
-        _check_triangle(D, strict, strict_margin)
+    # monotone), so only a wider ratio needs the scan.
+    if D.max() > 2 * off.min():
+        _check_triangle(D)
     if labels is None:
         labels = _default_labels(D.shape[0])
     elif len(labels) != D.shape[0]:
@@ -316,9 +308,7 @@ def from_euclidean_points(pts, labels=None) -> FiniteMetricSpace:
         raise InvalidInput(f"points must be a 2-d array, got shape {P.shape}")
     if not np.isfinite(P).all():
         raise InvalidInput("points have non-finite coordinates")
-    D = np.sqrt(_pairwise_sq_diffs(P))
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
+    D = _distances(_pairwise_sq_diffs(P))
     off = D + np.eye(D.shape[0])
     if (off == 0).any():
         i, j = np.unravel_index(int(np.argmin(off)), D.shape)
@@ -332,10 +322,7 @@ def from_pseudo_euclidean(ps: PseudoEuclideanPointSet) -> FiniteMetricSpace:
     The cone condition makes the intervals real but does not imply the
     triangle inequality, which is validated here and raised on failure.
     """
-    D = np.sqrt(np.maximum(ps.intervals, 0.0))
-    D = 0.5 * (D + D.T)
-    np.fill_diagonal(D, 0.0)
-    return from_distance_matrix(D)
+    return from_distance_matrix(_distances(ps.intervals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -8,7 +10,10 @@ from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
 from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence
 from mmsig.sampling import DiscreteMeasure, gv_sample
-from mmsig.spaces import named_example, read_distance_csv, write_distance_csv, write_edge_list, Graph
+from mmsig.spaces import (
+    Graph, from_euclidean_points, named_example, read_distance_csv, write_distance_csv,
+    write_edge_list,
+)
 
 
 def run(argv):
@@ -30,6 +35,17 @@ class TestAnalyze:
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["inertia_S_minus"] == "1" and cells["inertia_S_plus"] == "4"
         assert cells["verdict"] == "euclidean(4)"
+
+    def test_csv_verdict_is_one_field(self, tmp_path, capsys):
+        # a row joined by hand split "pseudo(1, 2)" into two fields
+        assert run(["analyze", "--example", "tripod", "--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        header, row = csv.reader(io.StringIO(text))
+        assert len(header) == len(row) == 13
+        assert dict(zip(header, row))["verdict"] == "pseudo(1, 2)"
+        out = tmp_path / "report.csv"
+        assert run(["analyze", "--example", "tripod", "--format", "csv", "--output", out]) == 0
+        assert out.read_bytes() == text.replace("\n", "\r\n").encode()
 
     def test_triangle_violation_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -112,6 +128,16 @@ class TestEmbed:
         assert run(["embed", "--input", src, "--output", out]) == 0
         doc = json.loads(out.read_text())
         assert doc["points"] == [[]]
+
+    def test_zero_tolerance_keeps_near_coincident_points(self, tmp_path):
+        # the interval of points 0 and 1 rounds to -1.66e-15, inside the cone
+        # check's slack; a second check at the band tol * n * max = 0 exited 2
+        rng = np.random.default_rng(18)
+        P = rng.normal(size=(6, 2))
+        P[1] = P[0] + 1e-7 * rng.normal(size=2)
+        src = tmp_path / "near.csv"
+        write_distance_csv(from_euclidean_points(P), src)
+        assert run(["embed", "--input", src, "--tol", 0, "--output", tmp_path / "emb.json"]) == 0
 
     def test_intervals_are_computed_once(self, tmp_path, monkeypatch):
         # the cone check at construction and the isometry check share one
@@ -460,6 +486,17 @@ class TestRado:
         )
         assert list(tmp_path.iterdir()) == []
         assert run(argv + ["--measure", "class_biased:2000"]) == 0  # 790,395 points
+
+    @pytest.mark.parametrize("q, message", [
+        ("1.0", "class_biased q must be in (0, 1), got 1.0"),
+        ("0.99999", "class_biased q 0.99999 needs 4144634 support points; too close to 1"),
+    ])
+    def test_bad_class_biased_q_is_named_exits_2(self, q, message, tmp_path, capsys):
+        # both were reported as a bad geometric ratio
+        argv = ["rado", "--ratio", "--p", 0.5, "--measure", f"class_biased:3:{q}",
+                "--m-max", 10, "--trials", 1, "--output-prefix", tmp_path / "cb"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_ratio_with_clique_rule(self, tmp_path):
         prefix = tmp_path / "cls"

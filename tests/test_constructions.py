@@ -83,14 +83,14 @@ class TestPerturb:
         # 3.7e-6 to pass below -theta; a perturbation from the starting eps
         # moves none by more than about 2.5e-10, and halving only shrinks it.
         # Without the stop, 969 candidates were scanned and eigensolved.
-        candidates = []
-        real = constructions.from_distance_matrix
-        monkeypatch.setattr(constructions, "from_distance_matrix",
-                            lambda *a, **k: candidates.append(1) or real(*a, **k))
+        scanned = []
+        real = constructions._min_strict_slack
+        monkeypatch.setattr(constructions, "_min_strict_slack",
+                            lambda D: scanned.append(D) or real(D))
         sp = named_example("sphere", dim=2, n=80, seed=3)
         with pytest.raises(EpsilonUnderflow, match=r"moves more than \S+, but .* move of \S+$"):
             perturb_to_max_negative(sp, seed=1)
-        assert candidates == []
+        assert len(scanned) == 1 and scanned[0] is sp.dist  # the input's check, no candidate
         src = tmp_path / "sphere80.csv"
         spaces.write_distance_csv(sp, src)
         assert main(["construct", "perturb", "--input", str(src), "--seed", "1",

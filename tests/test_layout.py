@@ -2,7 +2,8 @@
 
 Imports sit at module level: a function-local import hides a dependency
 between modules and usually papers over an import cycle. Only ``linalg``
-imports ``ctypes``, so BLAS thread control stays in one place. The names
+imports ``ctypes``, so BLAS thread control stays in one place, and only
+``linalg`` references ``_zero_band``, so the zero band has one owner. The names
 that the benchmark's tracer looks up in the package stay bound, so a
 refactor cannot break the benchmark while these tests pass. Every run of
 ``cli.RUNS`` reads each option it takes, and refuses each option it lacks
@@ -64,6 +65,12 @@ def test_only_linalg_imports_ctypes():
         if "ctypes" in set(_imported_modules(ast.parse(path.read_text(), str(path))))
     )
     assert importers == ["linalg.py"]
+
+
+def test_only_linalg_references_the_zero_band():
+    # one owner of theta: the other modules read it from an Inertia
+    users = sorted(path.name for path in SRC.glob("*.py") if "_zero_band" in path.read_text())
+    assert users == ["linalg.py"]
 
 
 def _tracer_tables():

@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmsig import spaces
-from mmsig.constructions import CountableRadoModel
+from mmsig.constructions import CountableRadoModel, perturb_to_max_negative
 from mmsig.errors import (
     AsymmetryError,
     BadParams,
@@ -14,6 +15,7 @@ from mmsig.errors import (
     InvalidInput,
     NegativeDistance,
     NonzeroDiagonal,
+    StrictnessViolated,
     TriangleViolation,
     UnknownName,
     ZeroOffDiagonal,
@@ -54,11 +56,11 @@ class TestFromDistanceMatrix:
         assert sp.diameter == 1.0
 
     def test_tripod_strict_fails_on_leg_triple(self):
-        D = named_example("tripod").dist
-        from_distance_matrix(D)  # non-strict passes
-        with pytest.raises(TriangleViolation) as exc:
-            from_distance_matrix(D, strict=True)
-        i, j, k = exc.value.triple
+        tripod = from_distance_matrix(named_example("tripod").dist)  # non-strict passes
+        with pytest.raises(StrictnessViolated) as exc:
+            perturb_to_max_negative(tripod, seed=1)
+        tight = r"d\((\d),(\d)\) = d\(\1,(\d)\) \+ d\(\3,\2\) up to slack 0\.0$"
+        i, k, j = map(int, re.search(tight, str(exc.value)).groups())
         # the tight triple runs through the center point 3: 2 = 1 + 1
         assert j == 3 and i != k and i < 3 and k < 3
 
@@ -86,8 +88,8 @@ class TestFromDistanceMatrix:
             assert brute_triangle_ok(sp.dist, tol=1e-12 * sp.diameter)
 
 
-def _two_pass_triangle_check(D, strict):
-    """Reference: a non-strict scan over all triples, then the strict scan."""
+def _two_pass_triangle_check(D):
+    """Reference: a non-strict scan over all triples, one middle point j at a time."""
     n = D.shape[0]
     if n < 3:
         return
@@ -102,26 +104,19 @@ def _two_pass_triangle_check(D, strict):
         raise TriangleViolation(
             worst, f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {worst_gap!r}"
         )
-    if strict:
-        slack, (i, j, k) = _min_strict_slack(D)
-        if slack <= 0.0:
-            raise TriangleViolation(
-                (i, j, k),
-                f"strict triangle inequality fails: d({i},{k}) = "
-                f"d({i},{j}) + d({j},{k}) up to slack {slack!r}",
-            )
 
 
-def _outcome(check, D, strict):
+def _outcome(check, D):
     try:
-        check(D, strict=strict)
+        check(D)
     except TriangleViolation as exc:
         return exc.triple, str(exc)
     return None
 
 
 class TestTriangleScan:
-    """One scan decides both the non-strict and the strict triangle test."""
+    """One scan, ``_min_strict_slack``, decides both the non-strict triangle
+    test of ``from_distance_matrix`` and the strict one of ``construct``."""
 
     def _matrices(self):
         rng = np.random.default_rng(12)
@@ -147,10 +142,10 @@ class TestTriangleScan:
             ok = brute_triangle_ok(D, tol=1e-12 * D.max())
             strict_ok = ok and brute_triangle_ok(D, strict=True)
             kinds.add((ok, strict_ok))
-            for strict, expected in ((False, ok), (True, strict_ok)):
-                got = _outcome(from_distance_matrix, D, strict)
-                assert (got is None) == expected
-                assert got == _outcome(_two_pass_triangle_check, D, strict)
+            got = _outcome(from_distance_matrix, D)
+            assert (got is None) == ok
+            assert got == _outcome(_two_pass_triangle_check, D)
+            assert (_min_strict_slack(D)[0] > 0) == brute_triangle_ok(D, strict=True)
         assert kinds == {(True, True), (True, False), (False, False)}
 
     @staticmethod
@@ -185,8 +180,7 @@ class TestTriangleScan:
 
     def test_scan_only_where_the_distance_ratio_leaves_doubt(self, monkeypatch):
         # max <= 2 min off the diagonal decides the inequality without a scan,
-        # and a hop metric is a metric by construction; strict validation and
-        # wider ratios still scan.
+        # and a hop metric is a metric by construction; wider ratios still scan.
         scans = []
         real = spaces._min_strict_slack
         monkeypatch.setattr(spaces, "_min_strict_slack", lambda D: scans.append(len(D)) or real(D))
@@ -198,11 +192,10 @@ class TestTriangleScan:
         for name, params in (("tripod", {}), ("simplex", {"n": 6}), ("tripod_extended", {"n": 9})):
             named_example(name, **params)
         assert scans == []
-        from_distance_matrix(named_example("simplex", n=5).dist, strict=True)
         from_distance_matrix(ring.dist)
         with pytest.raises(TriangleViolation):
             from_distance_matrix([[0.0, 1.0, 2.0 + 1e-9], [1.0, 0.0, 1.0], [2.0 + 1e-9, 1.0, 0.0]])
-        assert scans == [5, 40, 3]
+        assert scans == [40, 3]
 
 
 class TestFromGraph:
