@@ -2,11 +2,15 @@
 centering transforms everything else builds on.
 
 Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
-validation gate. Inertia counting uses the eigenvalue spectrum as the source
-of truth, with the zero threshold ``theta = tol_rel * n * max|lambda|``;
-``prefix_inertias`` counts a family of leading blocks against one threshold,
-from a Perron bracket of max|lambda|, by certified Schur blocks where they
-cost less than an eigensolve. ``_schur_step`` is the one Schur complement:
+validation gate, passed once at each entry point: ``eig_sym``, ``inertia``,
+``prefix_inertias``, the centering transforms and
+``spectral.esd_and_inertia``. ``_eigenvalues`` takes a matrix that has
+passed it, or a leading block of one, and validates nothing. Inertia
+counting uses the eigenvalue spectrum as the source of truth, with the zero
+threshold ``theta = tol_rel * n * max|lambda|``; ``prefix_inertias`` counts
+a family of leading blocks against one threshold, from a Perron bracket of
+max|lambda|, by certified Schur blocks where they cost less than an
+eigensolve. ``_schur_step`` is the one Schur complement:
 it adds a block's counts by Haynsworth additivity and updates the inverse
 the next step starts from.
 ``single_threaded_blas`` is the one place that controls BLAS threading.
@@ -118,9 +122,9 @@ def eig_sym(a) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs)
 
 
-def _eigenvalues(a) -> np.ndarray:
-    """Eigenvalues-only path of the same LAPACK solver family."""
-    A = as_sym_matrix(a)
+def _eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues-only path of the same LAPACK solver family, of a matrix
+    that has passed ``as_sym_matrix`` (or is a leading block of one)."""
     try:
         return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:
@@ -246,7 +250,7 @@ def spectrum_inertia(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
 def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """``spectrum_inertia`` of the eigenvalues of a symmetric matrix."""
     _check_tol_rel(tol_rel)
-    return spectrum_inertia(_eigenvalues(a), tol_rel)
+    return spectrum_inertia(_eigenvalues(as_sym_matrix(a)), tol_rel)
 
 
 def _clear_of(vals: np.ndarray, bound: float) -> bool:
@@ -350,8 +354,12 @@ def double_center(s) -> np.ndarray:
 
 
 def validate_weights(w, n: int | None = None) -> np.ndarray:
-    """Check a probability vector: nonnegative, sums to 1 within 1e-12."""
-    w = np.asarray(w, dtype=float)
+    """Check a probability vector: numbers, nonnegative, sums to 1 within
+    1e-12, and of length ``n`` when ``n`` is given."""
+    try:
+        w = np.asarray(w, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidMeasure(f"weights must be numbers: {exc}") from exc
     if w.ndim != 1:
         raise InvalidMeasure(f"weights must be a vector, got shape {w.shape}")
     if n is not None and w.shape[0] != n:

@@ -134,7 +134,9 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
     string name[:a[:b]]: uniform, geometric:q, super_geometric or
     class_biased:j[:q], with q defaulting to 0.9 for class_biased.
 
-    ``n`` is the point count that the uniform rule needs.
+    ``n`` is the point count of a finite space: the uniform rule needs it,
+    and a weight array must have exactly ``n`` entries. With ``n`` None (a
+    countable model) a weight array may have any length.
     """
     if isinstance(spec, DiscreteMeasure):
         return spec
@@ -148,7 +150,7 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
             raise InvalidMeasure(f"too many parameters in measure {spec!r}")
         spec = {"type": kind, **{k: v for k, v in zip(keys, values) if v}}
     if isinstance(spec, (list, tuple, np.ndarray)):
-        return DiscreteMeasure.from_weights(spec)
+        return DiscreteMeasure.from_weights(validate_weights(spec, n))
     if isinstance(spec, dict):
         kind = spec.get("type")
         if kind == "uniform":
@@ -172,8 +174,13 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
 
 
 def load_measure(path, n: int | None = None) -> DiscreteMeasure:
-    with open(path) as fh:
-        return parse_measure_spec(json.load(fh), n=n)
+    """``parse_measure_spec`` of a JSON file; InvalidMeasure names the path
+    when the file is not UTF-8 JSON or holds no valid measure."""
+    try:
+        with open(path) as fh:
+            return parse_measure_spec(json.load(fh), n=n)
+    except (json.JSONDecodeError, UnicodeDecodeError, InvalidMeasure) as exc:
+        raise InvalidMeasure(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

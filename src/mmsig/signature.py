@@ -140,13 +140,12 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     neg = np.where(vals < -theta)[0]          # ascending: most negative first
     pos = np.where(vals > theta)[0][::-1]     # largest positive first
     keep = np.concatenate([neg, pos]).astype(int)
-    coords = vecs[:, keep] * np.sqrt(np.abs(vals[keep]))[None, :]
+    kept = vecs[:, keep]
+    coords = kept * np.sqrt(np.abs(vals[keep]))[None, :]
     # deterministic sign: largest-magnitude entry of each eigenvector positive
-    for c in range(coords.shape[1]):
-        col = vecs[:, keep[c]]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            coords[:, c] = -coords[:, c]
+    lead = np.argmax(np.abs(kept), axis=0)
+    flip = kept[lead, np.arange(keep.size)] < 0
+    coords[:, flip] = -coords[:, flip]
     return PseudoEuclideanPointSet(
         n_neg=int(neg.size), n_pos=int(pos.size), points=coords
     )

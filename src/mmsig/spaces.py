@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -162,11 +163,15 @@ class PseudoEuclideanPointSet:
 
 
 def _pairwise_sq_diffs(P: np.ndarray) -> np.ndarray:
-    """sum_c (P[i, c] - P[j, c])^2, one row at a time: n x n memory, where the
-    n x n x d difference tensor would take d times that."""
+    """sum_c (P[i, c] - P[j, c])^2, one row at a time from the diagonal on,
+    mirrored into the lower triangle: (a - b)^2 is (b - a)^2 exactly and each
+    row sums in the same order, so the result is the full square's to the
+    bit. n x n memory, where the n x n x d difference tensor would take d
+    times that."""
     out = np.empty((len(P), len(P)))
     for i, row in enumerate(P):
-        out[i] = ((row - P) ** 2).sum(axis=1)
+        out[i, i:] = ((row - P[i:]) ** 2).sum(axis=1)
+        out[i + 1:, i] = out[i, i + 1:]
     return out
 
 
@@ -435,10 +440,67 @@ def write_distance_csv(space: FiniteMetricSpace, path, comment: str | None = Non
     _write_csv(path, space.labels, rows, comment)
 
 
-def read_distance_csv(path) -> FiniteMetricSpace:
+def _is_kept(row) -> bool:
+    """Whether a ``csv.reader`` row of a distance CSV is data: not blank, and
+    its first field does not start with ``#``."""
+    return bool(row) and not row[0].lstrip().startswith("#")
+
+
+class _NotPlain(Exception):
+    """A body line that only the ``csv.reader`` path may read."""
+
+
+# The characters of a plain line: printable ASCII but the quote.
+_PLAIN_CHARS = bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
+def _plain_lines(fh):
+    """The kept lines of ``fh`` without their line ends, as ``csv.reader``
+    would split them: blank and ``#`` lines dropped. Raise _NotPlain at the
+    first line that is not plain: a bare CR line end, a character outside
+    printable ASCII, a quote, only spaces (``csv`` keeps that as a row), or
+    more characters than ``csv`` takes in one field."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        text = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+        if not text:
+            continue
+        if (not text.isascii() or text.encode().translate(None, _PLAIN_CHARS)
+                or text.isspace() or len(text) > limit):
+            raise _NotPlain
+        if not text.lstrip().startswith("#"):
+            yield text
+
+
+def _read_plain_csv(path):
+    """(labels, D) by numpy's C parser, or None where the ``csv.reader`` path
+    must decide: a body that is not plain, a header with no rows, or a body
+    that ``np.loadtxt`` refuses or reads in a shape other than n x n."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(filter(_is_kept, reader), None)
+        if header is None:
+            return None
+        lines = _plain_lines(fh)  # the file past the header
+        try:
+            first = next(lines, None)
+            if first is None:  # loadtxt would warn "input contained no data"
+                return None
+            D = np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2
+            )
+        except (_NotPlain, ValueError):
+            return None
+    labels = tuple(s.strip() for s in header)
+    return (labels, D) if D.shape == (len(labels),) * 2 else None
+
+
+def _read_any_csv(path):
+    """(labels, D) by ``csv.reader`` and ``float()``, or InvalidInput naming
+    the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)  # line_num: the file line a row ends on
-        kept = [(reader.line_num, r) for r in reader if r and not r[0].lstrip().startswith("#")]
+        kept = [(reader.line_num, r) for r in reader if _is_kept(r)]
     if not kept:
         raise InvalidInput(f"{path}: empty distance CSV")
     lines, rows = zip(*kept)
@@ -460,6 +522,27 @@ def read_distance_csv(path) -> FiniteMetricSpace:
         raise InvalidInput(
             f"{path}: header has {len(labels)} labels but {len(data)} rows follow"
         )
+    return labels, D
+
+
+def read_distance_csv(path) -> FiniteMetricSpace:
+    """The space of a distance CSV: a header row of labels, then n rows of n
+    floats; blank lines and lines whose first field starts with ``#`` are
+    skipped.
+
+    A plain body (printable ASCII with no quote, ``\\n`` or ``\\r\\n`` line
+    ends, no line of spaces only), as ``write_distance_csv`` writes it, is
+    parsed by ``np.loadtxt``, numpy's C tokenizer, whose correctly rounded
+    parser gives the doubles ``float()`` gives. Every other file, and one
+    that ``loadtxt`` refuses or reads in another shape, is read by
+    ``csv.reader`` and ``float()``, the only source of error messages. So
+    both paths give the same values and the same errors. A file that is not
+    UTF-8 or that ``csv`` cannot split raises InvalidInput too.
+    """
+    try:
+        labels, D = _read_plain_csv(path) or _read_any_csv(path)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
     return from_distance_matrix(D, labels=labels)
 
 
@@ -473,20 +556,23 @@ def write_edge_list(graph: Graph, path):
 def read_edge_list(path) -> Graph:
     edges = set()
     hi = -1
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidInput(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
-            edges.add((min(u, v), max(u, v)))
-            hi = max(hi, u, v)
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise InvalidInput(f"{path}:{lineno}: expected 'u v', got {line!r}")
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError as exc:
+                    raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+                edges.add((min(u, v), max(u, v)))
+                hi = max(hi, u, v)
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
     if hi < 0:
         raise InvalidInput(f"{path}: empty edge list")
     return Graph(hi + 1, frozenset(edges))

@@ -22,7 +22,8 @@ import numpy as np
 from .constructions import CountableRadoModel
 from .errors import InvalidInput
 from .linalg import (
-    DEFAULT_TOL_REL, Inertia, _check_tol_rel, _eigenvalues, single_threaded_blas, spectrum_inertia,
+    DEFAULT_TOL_REL, Inertia, _check_tol_rel, _eigenvalues, as_sym_matrix, single_threaded_blas,
+    spectrum_inertia,
 )
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
 from .signature import limit_signature_trajectory
@@ -43,7 +44,7 @@ def esd(a) -> ESD:
 def esd_and_inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
     """(ESD, inertia) from one eigensolve; the inertia counts the raw eigenvalues."""
     _check_tol_rel(tol_rel)
-    vals = _eigenvalues(a)
+    vals = _eigenvalues(as_sym_matrix(a))
     return ESD(len(vals), np.sort(vals / math.sqrt(len(vals)))), spectrum_inertia(vals, tol_rel)
 
 

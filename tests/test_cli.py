@@ -618,6 +618,42 @@ def test_non_numeric_parameter_exits_2(argv, bad, tmp_path, monkeypatch, capsys)
     assert err.startswith("error: ") and repr(bad) in err
 
 
+SAMPLED_SPHERE = ["trajectory", "--example", "sphere", "--dim", 2, "--n", 5, "--m-max", 10]
+RATIO = ["rado", "--ratio", "--p", 0.5, "--m-max", 10, "--trials", 1]
+
+
+@pytest.mark.parametrize(
+    "argv, name, content",
+    [
+        (["analyze", "--input"], "bad.csv", b"\xff\xfea,b\n0,1\n1,0\n"),
+        (["analyze", "--input"], "bad.edges", b"\xff\xfe0 1\n"),
+        (SAMPLED_SPHERE + ["--measure"], "m.json", b'{"type": '),
+        (RATIO + ["--measure"], "m.json", b'{"type": '),
+        (RATIO + ["--measure"], "w.json", b'[0.5, "x"]'),
+        (SAMPLED_SPHERE + ["--measure"], "w.json", b'[0.2, 0.2, 0.2, 0.2, "x"]'),
+    ],
+    ids=["csv-not-utf8", "edges-not-utf8", "truncated-json-trajectory", "truncated-json-ratio",
+         "non-number-weight-ratio", "non-number-weight-trajectory"],
+)
+def test_malformed_input_files_exit_2(argv, name, content, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    assert run(argv + [name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.5], [0.1] * 4 + [0.2] * 3], ids=["2", "7"])
+def test_weight_file_must_match_the_point_count(weights, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps(weights))
+    assert run(SAMPLED_SPHERE + ["--measure", "w.json"]) == 2
+    assert capsys.readouterr().err == f"error: w.json: expected 5 weights, got {len(weights)}\n"
+    # a countable model takes a weight vector of any length
+    assert run(RATIO + ["--measure", "w.json"]) == 0
+
+
 @pytest.mark.parametrize("error", [MonotonicityViolation, NoConvergence, EpsilonUnderflow])
 def test_numerical_contract_failures_exit_1(error, monkeypatch, capsys):
     def fail(*args, **kwargs):

@@ -16,7 +16,7 @@ from mmsig.linalg import (
 )
 from mmsig.sampling import DiscreteMeasure, gv_sample, sample_order, trial_seed
 from mmsig.spaces import from_euclidean_points, named_example
-from mmsig.spectral import default_checkpoints
+from mmsig.spectral import default_checkpoints, esd_and_inertia
 
 from util_oracles import (
     b_matrix,
@@ -103,6 +103,41 @@ class TestInertia:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(InvalidInput):
             inertia(np.eye(2), tol_rel=-1.0)
+
+
+@pytest.mark.parametrize("entry", [inertia, lambda a: esd_and_inertia(a)[1]],
+                         ids=["inertia", "esd_and_inertia"])
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (np.zeros((2, 3)), "matrix must be square, got shape (2, 3)"),
+        (np.zeros((0, 0)), "matrix must have order >= 1"),
+        (np.array([[0.0, np.inf], [np.inf, 0.0]]), "matrix has non-finite entries"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "matrix is not symmetric (max |A - A^T| = 1.000e+00)"),
+    ],
+    ids=["non-square", "empty", "non-finite", "asymmetric"],
+)
+def test_entry_points_validate(entry, a, message, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigensolved"))
+    with pytest.raises(InvalidInput) as exc:
+        entry(a)
+    assert str(exc.value) == message
+
+
+def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
+    # each eigensolved block is a block of the validated matrix; only the
+    # Schur complements, which eig_sym solves, pass the gate again
+    S = named_example("sphere", dim=2, n=200, seed=1).s_matrix_on(range(200))
+    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_eigenvalues"], 0)
+    for name in calls:
+        def counted(*args, _f=getattr(linalg, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    prefix_inertias(S, range(1, 201))
+    assert calls["_eigenvalues"] > 100
+    assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
 
 
 def _eigensolve_orders(monkeypatch):

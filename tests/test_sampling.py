@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,26 @@ class TestDiscreteMeasure:
         path = tmp_path / "measure.json"
         path.write_text(json.dumps({"type": "geometric", "q": 0.9}))
         assert load_measure(path).rule["q"] == 0.9
+
+    def test_weights_match_the_point_count(self):
+        assert parse_measure_spec([0.25, 0.75], n=2).n == 2
+        assert parse_measure_spec([0.25, 0.75]).n == 2  # a countable model: any length
+        for n in (1, 3):
+            with pytest.raises(InvalidMeasure, match=f"expected {n} weights, got 2"):
+                parse_measure_spec([0.25, 0.75], n=n)
+        with pytest.raises(InvalidMeasure, match="weights must be numbers"):
+            parse_measure_spec([0.5, "x"])
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b'{"type": ', "Expecting value"), (b"\xff\xfe[]", "'utf-8' codec can't decode"),
+         (b'[0.5, "x"]', "weights must be numbers"), (b'{"type": "uniform"}', "uniform measure needs")],
+    )
+    def test_load_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "measure.json"
+        path.write_bytes(content)
+        with pytest.raises(InvalidMeasure, match=re.escape(f"{path}: {message}")):
+            load_measure(path)
 
     def test_parse_string_specs(self):
         assert parse_measure_spec("uniform", n=4).n == 4

@@ -263,6 +263,13 @@ class TestMdsEmbed:
         b = mds_embed(sp)
         assert np.array_equal(a.points, b.points)
 
+    def test_each_axis_has_its_largest_entry_positive(self):
+        sp = CountableRadoModel(edge_prob=0.5, seed=7).metric_on(np.arange(60))
+        P = mds_embed(sp).points
+        assert P.shape[1] > 50
+        lead = np.abs(P).argmax(axis=0)
+        assert (P[lead, np.arange(P.shape[1])] > 0).all()
+
     def test_euclidean_round_trip_machine_precision(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(10, 3))

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from util_oracles import (
     brute_triangle_ok,
     hop_distances_by_bfs,
     min_strict_slack_by_sweep,
+    pairwise_sq_diffs_by_rows,
     random_metric_matrix,
     tensor_squared_intervals,
 )
@@ -287,6 +289,15 @@ class TestFromEuclidean:
         with pytest.raises(DuplicatePoints):
             from_euclidean_points([[1.0, 2.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (65, 7), (65, 300), (5, 0), (0, 4)])
+    def test_one_triangle_matches_the_full_square(self, n, d):
+        P = np.random.default_rng(n + d).normal(size=(n, d)) * 10.0 ** (np.arange(d) % 7 - 3)
+        got = spaces._pairwise_sq_diffs(P)
+        assert got.shape == (n, n)
+        assert got.tobytes() == pairwise_sq_diffs_by_rows(P).tobytes()
+        for part in (P[:, : d // 3], P[:, d // 3:]):  # the column slices of squared_intervals
+            assert spaces._pairwise_sq_diffs(part).tobytes() == pairwise_sq_diffs_by_rows(part).tobytes()
+
 
 class TestPseudoEuclidean:
     def test_reduces_to_euclidean(self):
@@ -392,6 +403,88 @@ class TestNamedExamples:
         for name, params in (("tripod", {"n": 7}), ("simplex", {"n": 4, "dim": 2})):
             with pytest.raises(BadParams, match="takes no parameter"):
                 named_example(name, **params)
+
+
+def _random_doubles(rng, size):
+    """Finite doubles drawn over their bit patterns, so every exponent,
+    subnormals among them, and the extremes and signed zeros."""
+    bits = rng.integers(0, 2**64, size=4 * size, dtype=np.uint64)
+    x = bits.view(np.float64)
+    x = x[np.isfinite(x)][:size]
+    return np.concatenate([x, [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0,
+                               1.7976931348623157e308, -1.7976931348623157e308]])
+
+
+class TestDistanceCsvParsers:
+    """``read_distance_csv`` parses a plain body with ``np.loadtxt`` and any
+    other file with ``csv.reader`` and ``float()``; both give the same values."""
+
+    def test_c_path_matches_the_csv_reader_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(18)
+        n = 24
+        values = _random_doubles(rng, n * n - 7)
+        assert values.size == n * n
+        text = ["1E5", " 2.5 ", "+3", ".5", "5.", "1e-400", "-0", "0.1"]
+        rows = [[repr(float(x)) for x in row] for row in values.reshape(n, n)]
+        rows[3][: len(text)] = text
+        for ends in ("\r\n", "\n"):
+            path = tmp_path / "random.csv"
+            labels = [f"x{i}" for i in range(n)]
+            path.write_text(
+                "# comment\n" + ",".join(labels) + ends + ends.join(",".join(r) for r in rows),
+                newline="",
+            )
+            plain = spaces._read_plain_csv(path)
+            assert plain is not None
+            labels_c, D_c = plain
+            labels_py, D_py = spaces._read_any_csv(path)
+            want = np.array([[float(x) for x in row] for row in rows])
+            assert labels_c == labels_py == tuple(labels)
+            assert D_c.tobytes() == D_py.tobytes() == want.tobytes()
+
+    def test_a_written_space_takes_the_c_path(self, tmp_path, monkeypatch):
+        sp = named_example("sphere", dim=2, n=30, seed=4)
+        path = tmp_path / "space.csv"
+        write_distance_csv(sp, path, comment="provenance")
+        monkeypatch.setattr(spaces, "_read_any_csv", lambda p: pytest.fail("csv.reader path"))
+        back = read_distance_csv(path)
+        assert back.labels == sp.labels and back.dist.tobytes() == sp.dist.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ('a,b\n0,"1.5"\n"1.5",0\n', [[0.0, 1.5], [1.5, 0.0]]),
+            ("a,b\n0,1_0\n1_0,0\n", [[0.0, 10.0], [10.0, 0.0]]),
+            ("a,b\n0,\u0661.5\n\u0661.5,0\n", [[0.0, 1.5], [1.5, 0.0]]),
+            ("a,b\r0,2\r2,0\r", [[0.0, 2.0], [2.0, 0.0]]),
+            ("a,b\n0,2\x0c\n2,\x0c0\n", [[0.0, 2.0], [2.0, 0.0]]),
+            ("a,b\n0,1#x\n1,0\n", "{path}:2: could not convert string to float: '1#x'"),
+            ("a,b\n0,1\n   \n1,0\n", "{path}:3: expected 2 columns, got 1"),
+            ("a,b\n0,1\n,\n1,0\n", "{path}:3: could not convert string to float: ''"),
+            ("a,b\n", "{path}: header has 2 labels but 0 rows follow"),
+            ("a,b\n# only a comment\n", "{path}: header has 2 labels but 0 rows follow"),
+        ],
+        ids=["quoted", "underscore", "non-ascii-digit", "bare-cr", "form-feed", "hash-in-field",
+             "spaces-only-line", "line-of-commas", "header-only", "header-and-comment"],
+    )
+    def test_other_files_take_the_csv_reader_path(self, tmp_path, text, want):
+        path = tmp_path / "other.csv"
+        path.write_text(text, newline="")
+        assert spaces._read_plain_csv(path) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no loadtxt "input contained no data"
+            if isinstance(want, str):
+                with pytest.raises(InvalidInput) as exc:
+                    read_distance_csv(path)
+                assert str(exc.value) == want.format(path=path)
+            else:
+                assert read_distance_csv(path).dist.tolist() == want
+
+    def test_a_file_that_is_not_utf8_is_invalid_input(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfea\x00,\x00b\x00\n\x00")
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+            read_distance_csv(path)
 
 
 class TestRoundTrips:

@@ -190,6 +190,17 @@ def prefix_counts_by_eigvalsh(S, sizes, tol_rel=1e-9):
     return [count_inertia(np.linalg.eigvalsh(S[:k, :k]), theta) for k in sizes]
 
 
+def pairwise_sq_diffs_by_rows(points):
+    """sum_c (P[i, c] - P[j, c])^2 with every row of the n x n square
+    computed against all of P, as ``spaces._pairwise_sq_diffs`` did before
+    it filled one triangle."""
+    P = np.asarray(points, dtype=float)
+    out = np.empty((len(P), len(P)))
+    for i, row in enumerate(P):
+        out[i] = ((row - P) ** 2).sum(axis=1)
+    return out
+
+
 def tensor_squared_intervals(points, n_neg):
     """Squared pseudo-Euclidean intervals straight from the n x n x d
     difference tensor, positive axes minus the first ``n_neg`` axes."""
