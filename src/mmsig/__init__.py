@@ -50,7 +50,6 @@ from .spaces import (
     s_matrix,
     squared_intervals,
     write_distance_csv,
-    write_edge_list,
 )
 from .sampling import (
     DiscreteMeasure,
@@ -77,9 +76,6 @@ from .constructions import (
     CountableRadoModel,
     perturb_to_max_negative,
     prescribed_signature_space,
-    quadratic_gap_clique,
-    rado_consistency_check,
-    residue_class_clique,
     union_r_matrix,
     union_space,
 )
@@ -87,7 +83,6 @@ from .spectral import (
     ESD,
     RatioTrajectory,
     delta_ratio,
-    esd,
     ks_to_semicircle,
     rado_ratio_experiment,
     rado_ratio_trials,

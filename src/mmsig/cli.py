@@ -29,6 +29,7 @@ from .errors import InvalidInput, MmsigError, NumericalContractError
 from .linalg import inertia  # noqa: F401  unused; perfbench's tracer test still checks this binding
 from .sampling import DiscreteMeasure, load_measure, parse_measure_spec, sample_order
 from .signature import (
+    STABILIZATION_WINDOW,
     classify_embeddability,
     embedding_to_json,
     limit_signature_trajectory,
@@ -150,6 +151,8 @@ def _parse_sizes(text, n):
     if not text:
         return None
     parts = [_int_arg(x, "--sizes entry") for x in text.split(":")]
+    if len(parts) > 3:
+        raise InvalidInput(f"--sizes takes lo:hi[:step], got {text!r}")
     if len(parts) == 1:
         return [parts[0]]
     lo, hi = parts[0], parts[1]
@@ -182,7 +185,7 @@ def cmd_trajectory(args) -> int:
     if traj.stabilized is not None:
         print(
             f"tentative plateau (s_minus, s_plus) = {traj.stabilized} "
-            f"over the last {traj.window} steps"
+            f"over the last {STABILIZATION_WINDOW} steps"
         )
     return 0
 

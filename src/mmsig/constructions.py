@@ -284,10 +284,6 @@ class QuadraticGapClique:
         return {"rule": "quadratic"}
 
 
-residue_class_clique = ResidueClassClique
-quadratic_gap_clique = QuadraticGapClique
-
-
 def parse_clique_spec(spec):
     """A clique rule from a CLI string (``modular:M``, ``quadratic``), the JSON
     form that ``spec()`` writes, or a collection of vertex indices."""
@@ -372,16 +368,6 @@ class CountableRadoModel:
         D = 2.0 - self.adjacency_block(idx)  # 1 on edges, 2 off them
         np.fill_diagonal(D, 0.0)
         return from_distance_matrix(D, labels=tuple(f"v{i}" for i in idx))
-
-
-def rado_consistency_check(adj) -> bool:
-    """True iff the {1, 2} rule on a boolean adjacency block, such as
-    ``CountableRadoModel.adjacency_block``, equals the true hop metric, i.e.
-    the graph is connected with diameter at most 2."""
-    A = np.asarray(adj, dtype=float)
-    reach = A + A @ A
-    off = ~np.eye(A.shape[0], dtype=bool)
-    return bool((reach[off] > 0).all())
 
 
 def model_to_json(model: CountableRadoModel) -> str:

@@ -22,6 +22,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import os
 import threading
 from typing import NamedTuple
@@ -86,7 +87,7 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def as_sym_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_sym_matrix(a) -> np.ndarray:
     """Validate ``a`` as a finite square symmetric matrix.
 
     Asymmetry up to roundoff (1e-12 relative) is symmetrized exactly;
@@ -94,17 +95,17 @@ def as_sym_matrix(a, name: str = "matrix") -> np.ndarray:
     """
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInput(f"{name} must be square, got shape {A.shape}")
+        raise InvalidInput(f"matrix must be square, got shape {A.shape}")
     if A.shape[0] < 1:
-        raise InvalidInput(f"{name} must have order >= 1")
+        raise InvalidInput("matrix must have order >= 1")
     if not np.isfinite(A).all():
-        raise InvalidInput(f"{name} has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     if not np.array_equal(A, A.T):
         scale = max(float(np.abs(A).max()), 1.0)
         gap = float(np.abs(A - A.T).max())
         if gap > _SYM_SLACK * scale:
             raise InvalidInput(
-                f"{name} is not symmetric (max |A - A^T| = {gap:.3e})"
+                f"matrix is not symmetric (max |A - A^T| = {gap:.3e})"
             )
         A = 0.5 * (A + A.T)
     return A
@@ -355,11 +356,17 @@ def double_center(s) -> np.ndarray:
 
 def validate_weights(w, n: int | None = None) -> np.ndarray:
     """Check a probability vector: numbers, nonnegative, sums to 1 within
-    1e-12, and of length ``n`` when ``n`` is given."""
-    try:
-        w = np.asarray(w, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidMeasure(f"weights must be numbers: {exc}") from exc
+    1e-12, and of length ``n`` when ``n`` is given. An array must have a
+    numeric dtype, and a list or tuple hold real numbers only, since numpy
+    would turn a string such as "0.5" or a bool into a float."""
+    if isinstance(w, np.ndarray):
+        if w.dtype.kind not in "iuf":
+            raise InvalidMeasure(f"weights must be numbers: got an array of {w.dtype}")
+    elif isinstance(w, (list, tuple)):
+        for x in w:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise InvalidMeasure(f"weights must be numbers: {x!r} is not a number")
+    w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise InvalidMeasure(f"weights must be a vector, got shape {w.shape}")
     if n is not None and w.shape[0] != n:

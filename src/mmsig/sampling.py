@@ -48,16 +48,12 @@ class DiscreteMeasure:
     rule: dict | None = None
 
     def __post_init__(self):
-        w = validate_weights(np.asarray(self.weights, dtype=float))
+        w = validate_weights(self.weights)
         object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-    @property
-    def full_support(self) -> bool:
-        return bool((self.weights > 0).all())
 
     def cumulative(self) -> np.ndarray:
         cum = np.cumsum(self.weights)
@@ -69,10 +65,6 @@ class DiscreteMeasure:
         if n < 1:
             raise InvalidMeasure("uniform measure needs n >= 1")
         return cls(np.full(n, 1.0 / n), rule={"type": "uniform"})
-
-    @classmethod
-    def from_weights(cls, w) -> "DiscreteMeasure":
-        return cls(np.asarray(w, dtype=float))
 
     @classmethod
     def geometric(cls, q: float) -> "DiscreteMeasure":
@@ -138,8 +130,6 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
     and a weight array must have exactly ``n`` entries. With ``n`` None (a
     countable model) a weight array may have any length.
     """
-    if isinstance(spec, DiscreteMeasure):
-        return spec
     if isinstance(spec, str):
         kind, _, rest = spec.partition(":")
         if kind not in _RULE_PARAMS:
@@ -150,7 +140,7 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
             raise InvalidMeasure(f"too many parameters in measure {spec!r}")
         spec = {"type": kind, **{k: v for k, v in zip(keys, values) if v}}
     if isinstance(spec, (list, tuple, np.ndarray)):
-        return DiscreteMeasure.from_weights(validate_weights(spec, n))
+        return DiscreteMeasure(validate_weights(spec, n))
     if isinstance(spec, dict):
         kind = spec.get("type")
         if kind == "uniform":
@@ -214,8 +204,6 @@ def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
     """Draw m i.i.d. indices from the measure, deterministic in the seed."""
     if m < 0:
         raise InvalidInput("sample size must be nonnegative")
-    if not isinstance(measure, DiscreteMeasure):
-        measure = parse_measure_spec(measure)
     rng = _philox(seed)
     u = rng.random(m)
     raw = np.searchsorted(measure.cumulative(), u, side="right")

@@ -47,7 +47,6 @@ class SignatureTrajectory:
 
     sizes: tuple
     inertias: tuple
-    window: int
     stabilized: tuple | None
 
     def rows(self):
@@ -57,33 +56,26 @@ class SignatureTrajectory:
 
 def limit_signature_trajectory(
     source,
-    order=None,
+    order,
     sizes=None,
     tol_rel: float = DEFAULT_TOL_REL,
-    window: int = STABILIZATION_WINDOW,
 ) -> SignatureTrajectory:
     """Signatures of -d^2/2 on nested prefixes of a point order.
 
     ``source`` is a FiniteMetricSpace or a ``CountableRadoModel``; its
     ``s_matrix_on`` builds -d^2/2 on the order, and rejects out-of-range
-    indices. ``order`` lists distinct point indices, default the natural
-    order of a space (a model has none); ``sizes`` the increasing prefix
-    sizes to evaluate, default every size from 1. The arguments are checked
-    before the first eigensolve. Every prefix is counted against the zero
-    band of the largest one (``linalg.prefix_inertias``), so all rows share
-    one theta. A stabilized (s_minus, s_plus) is reported
-    when the last ``window`` evaluations agree; a plateau is evidence, never
-    a proof, since the true limit may be infinite.
+    indices. ``order`` lists distinct point indices; ``sizes`` the
+    increasing prefix sizes to evaluate, default every size from 1. The
+    arguments are checked before the first eigensolve. Every prefix is
+    counted against the zero band of the largest one
+    (``linalg.prefix_inertias``), so all rows share one theta. A stabilized
+    (s_minus, s_plus) is reported when the last ``STABILIZATION_WINDOW``
+    evaluations agree; a plateau is evidence, never a proof, since the true
+    limit may be infinite.
     """
-    if order is None:
-        if not isinstance(source, FiniteMetricSpace):
-            raise InvalidInput("a countable model needs a nesting order")
-        order = np.arange(source.n)
     order = np.asarray(list(order), dtype=int)
     if len(set(order.tolist())) != len(order):
         raise InvalidInput("nesting order must not repeat points")
-    if window < 1:
-        raise InvalidInput("stabilization window must be >= 1")
     sizes = range(1, order.size + 1) if sizes is None else [int(s) for s in sizes]
     inertias = prefix_inertias(source.s_matrix_on(order), sizes, tol_rel)
     for size, prev, ine in zip(sizes[1:], inertias, inertias[1:]):
@@ -93,14 +85,13 @@ def limit_signature_trajectory(
                 f"at prefix size {size}; eigensolver or tolerance bug"
             )
     stabilized = None
-    if len(inertias) >= window:
-        tail = [i.signature for i in inertias[-window:]]
+    if len(inertias) >= STABILIZATION_WINDOW:
+        tail = [i.signature for i in inertias[-STABILIZATION_WINDOW:]]
         if all(t == tail[0] for t in tail):
             stabilized = tail[0]
     return SignatureTrajectory(
         sizes=tuple(sizes),
         inertias=tuple(inertias),
-        window=window,
         stabilized=stabilized,
     )
 
@@ -112,7 +103,6 @@ def sampled_signature_trajectory(
     seed: int,
     sizes=None,
     tol_rel: float = DEFAULT_TOL_REL,
-    window: int = STABILIZATION_WINDOW,
 ) -> SignatureTrajectory:
     """Trajectory along the dedup prefixes of an i.i.d. sample.
 
@@ -122,7 +112,7 @@ def sampled_signature_trajectory(
     the sample covers the support the signature equals the full space's.
     """
     order = sample_order(measure, m_max, seed)
-    return limit_signature_trajectory(source, order, sizes=sizes, tol_rel=tol_rel, window=window)
+    return limit_signature_trajectory(source, order, sizes=sizes, tol_rel=tol_rel)
 
 
 def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> PseudoEuclideanPointSet:
@@ -207,17 +197,6 @@ def embedding_to_json(embedding: PseudoEuclideanPointSet, provenance: dict | Non
             for text in map(row, embedding.points.tolist())]
     points = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
     return head.replace('\n  "points": null', f'\n  "points": {points}', 1)
-
-
-def embedding_from_json(text: str) -> PseudoEuclideanPointSet:
-    doc = json.loads(text)
-    return PseudoEuclideanPointSet(
-        n_neg=int(doc["n_neg"]),
-        n_pos=int(doc["n_pos"]),
-        points=np.asarray(doc["points"], dtype=float).reshape(
-            len(doc["points"]), int(doc["n_neg"]) + int(doc["n_pos"])
-        ),
-    )
 
 
 def write_trajectory_csv(traj: SignatureTrajectory, path, comment: str | None = None):

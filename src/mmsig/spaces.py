@@ -48,7 +48,9 @@ def _philox(seed: int) -> np.random.Generator:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only copy of ``a``: a validated object shares no memory with
+    the caller, whose later writes would otherwise change it."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -80,15 +82,6 @@ class FiniteMetricSpace:
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise InvalidInput(f"point indices out of range for a {self.n}-point space")
         return -0.5 * self.dist[np.ix_(idx, idx)] ** 2
-
-    def subspace(self, indices) -> "FiniteMetricSpace":
-        """Restriction to a tuple of distinct point indices (order kept)."""
-        idx = np.asarray(list(indices), dtype=int)
-        if len(set(idx.tolist())) != len(idx):
-            raise InvalidInput("subspace indices must be distinct")
-        return FiniteMetricSpace(
-            self.dist[np.ix_(idx, idx)], tuple(self.labels[i] for i in idx)
-        )
 
 
 @dataclass(frozen=True)
@@ -546,13 +539,6 @@ def read_distance_csv(path) -> FiniteMetricSpace:
     return from_distance_matrix(D, labels=labels)
 
 
-def write_edge_list(graph: Graph, path):
-    """One 'u v' pair per line, 0-based."""
-    with open(path, "w") as fh:
-        for u, v in sorted(graph.edges):
-            fh.write(f"{u} {v}\n")
-
-
 def read_edge_list(path) -> Graph:
     edges = set()
     hi = -1
@@ -569,7 +555,11 @@ def read_edge_list(path) -> Graph:
                     u, v = int(parts[0]), int(parts[1])
                 except ValueError as exc:
                     raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
-                edges.add((min(u, v), max(u, v)))
+                if u == v:
+                    raise InvalidInput(f"{path}:{lineno}: self-loop at vertex {u}")
+                if min(u, v) < 0:
+                    raise InvalidInput(f"{path}:{lineno}: negative vertex in edge {(u, v)}")
+                edges.add((u, v))
                 hi = max(hi, u, v)
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: {exc}") from exc

@@ -37,10 +37,6 @@ class ESD(NamedTuple):
     values: np.ndarray
 
 
-def esd(a) -> ESD:
-    return esd_and_inertia(a)[0]
-
-
 def esd_and_inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
     """(ESD, inertia) from one eigensolve; the inertia counts the raw eigenvalues."""
     _check_tol_rel(tol_rel)
@@ -91,14 +87,12 @@ def delta_ratio(ine: Inertia) -> float:
     return ine.s_plus / ine.s_minus
 
 
-def default_checkpoints(m_max: int, start: int = 16) -> tuple:
-    """Geometric checkpoint schedule start, 2*start, ..., capped at m_max."""
+def default_checkpoints(m_max: int) -> tuple:
+    """Geometric checkpoint schedule 16, 32, 64, ..., capped at m_max."""
     if m_max < 1:
         raise InvalidInput("m_max must be >= 1")
-    if start < 1:
-        raise InvalidInput(f"start must be >= 1, got {start}")
     pts = []
-    m = start
+    m = 16
     while m < m_max:
         pts.append(m)
         m *= 2
@@ -131,26 +125,19 @@ def rado_ratio_experiment(
     model: CountableRadoModel,
     measure: DiscreteMeasure,
     m_max: int,
-    checkpoints=None,
     seed: int = 0,
     tol_rel: float = DEFAULT_TOL_REL,
 ) -> RatioTrajectory:
     """Sample vertices i.i.d. from the measure (independently of the model
     seed), build -d^2/2 with the model's {1, 2} rule, and record the ratio at
-    each checkpoint.
+    each checkpoint of ``default_checkpoints(m_max)``.
 
     Signatures are computed on the repetition-cancelled prefix, which leaves
     the ratio unchanged and the eigensolves small. The dedup prefixes are
     nested, so one ``limit_signature_trajectory`` counts them all against
     one zero band; checkpoints that add no new point share a count.
     """
-    if checkpoints is None:
-        checkpoints = default_checkpoints(m_max)
-    checkpoints = tuple(int(c) for c in checkpoints)
-    if any(c < 1 or c > m_max for c in checkpoints) or any(
-        b <= a for a, b in zip(checkpoints, checkpoints[1:])
-    ):
-        raise InvalidInput("checkpoints must be increasing and within m_max")
+    checkpoints = default_checkpoints(m_max)
     traj = gv_sample(measure, m_max, seed)
     sizes = tuple(int(k) for k in np.searchsorted(traj.first_draws, checkpoints))
     distinct = sorted(set(sizes))
@@ -181,13 +168,11 @@ def rado_ratio_trials(
     m_max: int,
     trials: int,
     seed: int = 0,
-    checkpoints=None,
     tol_rel: float = DEFAULT_TOL_REL,
-    workers: int | None = None,
 ) -> list:
     """Independent repetitions, trial t seeded with ``trial_seed(seed, t)``.
 
-    ``workers`` defaults to ``worker_count()``. With more than one worker the
+    The trials run on ``worker_count()`` workers. With more than one the
     trials run on a thread pool, and OpenBLAS is pinned to one thread while
     the pool runs (``linalg.single_threaded_blas``); the previous count is
     restored afterwards, also when a trial raises. The pin is process-global,
@@ -197,15 +182,13 @@ def rado_ratio_trials(
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    if workers is None:
-        workers = worker_count()
+    workers = worker_count()
 
     def run(t):
         return rado_ratio_experiment(
             model,
             measure,
             m_max,
-            checkpoints=checkpoints,
             seed=trial_seed(seed, t),
             tol_rel=tol_rel,
         )

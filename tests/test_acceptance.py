@@ -16,10 +16,10 @@ import pytest
 from mmsig import linalg
 from mmsig.constructions import (
     CountableRadoModel,
+    QuadraticGapClique,
+    ResidueClassClique,
     perturb_to_max_negative,
     prescribed_signature_space,
-    quadratic_gap_clique,
-    residue_class_clique,
     union_r_matrix,
     union_space,
 )
@@ -34,7 +34,7 @@ from mmsig.signature import (
     verify_isometry,
 )
 from mmsig.spaces import from_distance_matrix, from_euclidean_points, named_example
-from mmsig.spectral import delta_ratio, esd, ks_to_semicircle
+from mmsig.spectral import delta_ratio, esd_and_inertia, ks_to_semicircle
 
 from util_oracles import b_matrix, random_cospherical_points, random_metric_matrix, random_symmetric
 
@@ -301,7 +301,7 @@ def test_criterion_08_semicircle():
     for seed in RADO_SEEDS:
         model = CountableRadoModel(edge_prob=0.5, seed=seed)
         S = model.s_matrix_on(np.arange(1000))
-        ks_hits += ks_to_semicircle(esd(S), sigma) <= 0.05
+        ks_hits += ks_to_semicircle(esd_and_inertia(S)[0], sigma) <= 0.05
         delta_hits += 0.9 <= delta_ratio(inertia(S)) <= 1.1
     assert ks_hits >= 19, f"KS passes: {ks_hits}/20"
     assert delta_hits >= 19, f"delta passes: {delta_hits}/20"
@@ -313,7 +313,7 @@ def test_criterion_09_class_biased():
     start = time.time()
     j = 30
     model = CountableRadoModel(
-        edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(j + 1)
+        edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(j + 1)
     )
     measure = DiscreteMeasure.class_biased(j, level_q=0.9)
     hits = 0
@@ -337,7 +337,7 @@ def test_criterion_09_super_geometric():
     from mmsig.spectral import rado_ratio_experiment
 
     model = CountableRadoModel(
-        edge_prob=0.5, seed=31337, planted_clique=quadratic_gap_clique()
+        edge_prob=0.5, seed=31337, planted_clique=QuadraticGapClique()
     )
     measure = DiscreteMeasure.super_geometric()
     hits = 0
@@ -359,18 +359,20 @@ def test_criterion_09_super_geometric():
 def test_criterion_10_trajectories():
     steps = 0
 
-    traj = limit_signature_trajectory(named_example("simplex", n=100), sizes=range(2, 101))
+    traj = limit_signature_trajectory(
+        named_example("simplex", n=100), np.arange(100), sizes=range(2, 101)
+    )
     steps += len(traj.sizes)
 
     traj = limit_signature_trajectory(
-        named_example("tripod_extended", n=254), sizes=range(5, 255)
+        named_example("tripod_extended", n=254), np.arange(254), sizes=range(5, 255)
     )
     steps += len(traj.sizes)
 
     found_three_negatives = False
     for seed in (1, 2, 3):
         sp = named_example("sphere", dim=2, n=200, seed=seed)
-        traj = limit_signature_trajectory(sp, sizes=range(2, 201))
+        traj = limit_signature_trajectory(sp, np.arange(200), sizes=range(2, 201))
         steps += len(traj.sizes)
         if any(i.s_minus >= 3 for i in traj.inertias):
             found_three_negatives = True
@@ -379,7 +381,7 @@ def test_criterion_10_trajectories():
     for seed in range(46):
         model = CountableRadoModel(edge_prob=0.5, seed=seed)
         sp = model.metric_on(np.arange(200))
-        traj = limit_signature_trajectory(sp, sizes=range(2, 201))
+        traj = limit_signature_trajectory(sp, np.arange(200), sizes=range(2, 201))
         steps += len(traj.sizes)
 
     assert steps >= 10_000, f"only {steps} prefix steps"

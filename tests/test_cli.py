@@ -11,8 +11,7 @@ from mmsig.constructions import CountableRadoModel
 from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence
 from mmsig.sampling import DiscreteMeasure, gv_sample
 from mmsig.spaces import (
-    Graph, from_euclidean_points, named_example, read_distance_csv, write_distance_csv,
-    write_edge_list,
+    from_euclidean_points, named_example, read_distance_csv, write_distance_csv,
 )
 
 
@@ -55,9 +54,8 @@ class TestAnalyze:
         assert "exceeds" in err  # witness triple reported
 
     def test_edge_list_input(self, tmp_path):
-        g = Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (3, 0)}))
         path = tmp_path / "cycle.edges"
-        write_edge_list(g, path)
+        path.write_text("0 1\n1 2\n2 3\n0 3\n")
         assert run(["analyze", "--input", path]) == 0
 
     def test_missing_input_exits_2(self):
@@ -654,6 +652,24 @@ def test_weight_file_must_match_the_point_count(weights, tmp_path, monkeypatch, 
     assert run(RATIO + ["--measure", "w.json"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv, weights",
+    [
+        (SAMPLED_SPHERE, ["0.2"] * 5),
+        (["trajectory", "--example", "simplex", "--n", 2, "--m-max", 10], [True, False]),
+        (["trajectory", "--example", "simplex", "--n", 2, "--m-max", 10], [0.5, True]),
+    ],
+    ids=["strings", "bools", "number-and-bool"],
+)
+def test_weight_that_is_not_a_json_number_exits_2(argv, weights, tmp_path, monkeypatch, capsys):
+    # numpy turned "0.2" and true into floats, and both runs exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.json").write_text(json.dumps(weights))
+    assert run(argv + ["--measure", "w.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: w.json: weights must be numbers: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error", [MonotonicityViolation, NoConvergence, EpsilonUnderflow])
 def test_numerical_contract_failures_exit_1(error, monkeypatch, capsys):
     def fail(*args, **kwargs):
@@ -669,3 +685,10 @@ def test_sizes_selecting_no_prefix_exit_2(sizes, capsys):
     argv = ["trajectory", "--example", "tripod_extended", "--n", "10", "--sizes", sizes]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: --sizes")
+
+
+def test_sizes_with_more_than_three_fields_exit_2(capsys):
+    # the fourth field was dropped, and the run exited 0
+    argv = ["trajectory", "--example", "simplex", "--n", "6", "--sizes", "1:6:2:99"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: --sizes takes lo:hi[:step], got '1:6:2:99'\n"

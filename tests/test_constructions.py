@@ -12,21 +12,21 @@ from mmsig.cli import main
 from mmsig.constructions import (
     CountableRadoModel,
     IndexClique,
+    QuadraticGapClique,
+    ResidueClassClique,
     _perturb_with_eps,
     model_from_json,
     model_to_json,
     parse_clique_spec,
     perturb_to_max_negative,
     prescribed_signature_space,
-    quadratic_gap_clique,
-    rado_consistency_check,
-    residue_class_clique,
     union_r_matrix,
     union_space,
 )
 from mmsig.errors import (
     BadParams,
     DiameterTooLarge,
+    Disconnected,
     EpsilonUnderflow,
     InvalidInput,
     StrictnessViolated,
@@ -45,7 +45,7 @@ from util_oracles import (
 )
 
 # one planted clique of each kind, and none
-CLIQUES = [None, frozenset({0, 2, 5, 11, 12}), residue_class_clique(3), quadratic_gap_clique()]
+CLIQUES = [None, frozenset({0, 2, 5, 11, 12}), ResidueClassClique(3), QuadraticGapClique()]
 
 
 class TestPerturb:
@@ -258,14 +258,14 @@ class TestRadoModel:
                 if a != b:
                     assert sp.dist[a, b] == 1.0
         assert set(np.unique(sp.dist)) <= {0.0, 1.0, 2.0}
-        clique_sub = sp.subspace([1, 4, 6, 9])
+        clique_sub = model.metric_on([1, 4, 6, 9])
         assert np.array_equal(clique_sub.dist, named_example("simplex", n=4).dist)
 
     def test_predicate_cliques(self):
-        assert residue_class_clique(4).members(np.arange(8)).tolist() == [
+        assert ResidueClassClique(4).members(np.arange(8)).tolist() == [
             False, True, True, True, False, True, True, True,
         ]
-        members = quadratic_gap_clique().members(np.arange(30))
+        members = QuadraticGapClique().members(np.arange(30))
         # non-clique vertices sit at 1-based positions k^2 + k = 2, 6, 12, ...
         assert np.flatnonzero(~members).tolist() == [1, 5, 11, 19, 29]
 
@@ -277,21 +277,21 @@ class TestRadoModel:
 
         idx = np.arange(200_001)
         expected = [quadratic(i) for i in range(200_001)]
-        assert quadratic_gap_clique().members(idx).tolist() == expected
+        assert QuadraticGapClique().members(idx).tolist() == expected
         # around k^2 + k for k near 2^25, where 4x + 1 is near 2^52
         big = np.array(
             [k * k + k + d for k in (2**25 - 1, 2**25, 2**25 + 7) for d in range(-3, 3)]
         )
-        assert quadratic_gap_clique().members(big).tolist() == [quadratic(int(i)) for i in big]
+        assert QuadraticGapClique().members(big).tolist() == [quadratic(int(i)) for i in big]
         # and up to the largest int64 index; 4x + 1 overflows int64 from 2^61 on
         ks = (2**30 + 3, 2**31, 3037000498, 3037000499)  # k^2 + k <= 2^63 - 1 up to here
         top = [k * k + k + d for k in ks for d in range(-3, 3)]
         rng = np.random.default_rng(7)
         far = [*top, 2**61 - 2, 2**61, 2**62, 2**63 - 1,
                *rng.integers(2**61, 2**63 - 1, size=1000, endpoint=True).tolist()]
-        assert quadratic_gap_clique().members(far).tolist() == [quadratic(i) for i in far]
+        assert QuadraticGapClique().members(far).tolist() == [quadratic(i) for i in far]
         for m in (2, 3, 31):
-            assert residue_class_clique(m).members(idx[:500]).tolist() == [
+            assert ResidueClassClique(m).members(idx[:500]).tolist() == [
                 i % m != 0 for i in range(500)
             ]
         chosen = {0, 2, 5, 11, 12}
@@ -301,7 +301,7 @@ class TestRadoModel:
         assert not IndexClique().members(idx[:5]).any()
 
     def test_json_round_trip(self):
-        for clique in [*CLIQUES, frozenset(), residue_class_clique(31)]:
+        for clique in [*CLIQUES, frozenset(), ResidueClassClique(31)]:
             model = CountableRadoModel(0.25, 42, planted_clique=clique)
             back = model_from_json(model_to_json(model))
             assert back == model
@@ -309,7 +309,7 @@ class TestRadoModel:
         # the index-list format written before rules were serializable
         old = model_from_json('{"p": 0.25, "planted_clique": [2, 0], "seed": 42}')
         assert old == CountableRadoModel(0.25, 42, planted_clique=frozenset({0, 2}))
-        rule = model_to_json(CountableRadoModel(0.25, 1, planted_clique=residue_class_clique(3)))
+        rule = model_to_json(CountableRadoModel(0.25, 1, planted_clique=ResidueClassClique(3)))
         assert '"planted_clique": {"modulus": 3, "rule": "modular"}' in rule
 
     def test_pickle_round_trip(self):
@@ -323,10 +323,10 @@ class TestRadoModel:
     def test_clique_spec_forms(self):
         assert parse_clique_spec("modular:31") == parse_clique_spec(
             {"rule": "modular", "modulus": 31}
-        ) == residue_class_clique(31)
+        ) == ResidueClassClique(31)
         assert parse_clique_spec("quadratic") == parse_clique_spec(
             {"rule": "quadratic"}
-        ) == quadratic_gap_clique()
+        ) == QuadraticGapClique()
         assert parse_clique_spec([3, 1]) == IndexClique((1, 3))
         assert parse_clique_spec(None) is None
         for bad in ("cubic", "modular", "modular:x", {"rule": "modular"}, {"modulus": 3}):
@@ -342,6 +342,22 @@ def _adjacency(n, edges):
     for u, v in edges:
         A[u, v] = A[v, u] = True
     return A
+
+
+def _hop_metric(adj):
+    """The hop metric of the graph of a boolean adjacency; None when the
+    graph is disconnected."""
+    try:
+        return from_graph(Graph(len(adj), frozenset(zip(*np.nonzero(np.triu(adj, k=1)))))).dist
+    except Disconnected:
+        return None
+
+
+def _one_two_rule(adj):
+    """The {1, 2} distance rule on a boolean adjacency: 1 on edges, 2 off."""
+    D = 2.0 - adj
+    np.fill_diagonal(D, 0.0)
+    return D
 
 
 class TestRadoSMatrix:
@@ -361,25 +377,26 @@ class TestRadoSMatrix:
     def test_matches_hop_metric_at_diameter_two(self):
         model = CountableRadoModel(edge_prob=0.5, seed=31)
         adj = model.adjacency_block(np.arange(40))
-        assert rado_consistency_check(adj)
+        np.testing.assert_array_equal(model.metric_on(np.arange(40)).dist, _hop_metric(adj))
         g = Graph(40, frozenset(zip(*np.nonzero(np.triu(adj, k=1)))))
         np.testing.assert_array_equal(model.s_matrix_on(np.arange(40)), s_matrix(from_graph(g)))
 
     def test_consistency_check_paths(self):
+        # the {1, 2} rule is the hop metric iff the graph is connected with
+        # diameter at most 2
         p3 = _adjacency(3, [(0, 1), (1, 2)])
         p4 = _adjacency(4, [(0, 1), (1, 2), (2, 3)])
-        assert rado_consistency_check(p3)
-        assert not rado_consistency_check(p4)
-        assert not rado_consistency_check(_adjacency(2, []))  # disconnected pair
-        assert rado_consistency_check(_adjacency(1, []))
+        assert np.array_equal(_one_two_rule(p3), _hop_metric(p3))
+        assert not np.array_equal(_one_two_rule(p4), _hop_metric(p4))
+        assert _hop_metric(_adjacency(2, [])) is None  # disconnected pair
+        assert np.array_equal(_one_two_rule(_adjacency(1, [])), _hop_metric(_adjacency(1, [])))
 
     def test_er_consistency_rate(self):
         # oracle: P(diameter > 2) <= N^2 (1 - p^2)^(N-2) ~ 3e-21 at N=200
+        idx = np.arange(200)
         hits = sum(
-            rado_consistency_check(
-                CountableRadoModel(edge_prob=0.5, seed=s).adjacency_block(np.arange(200))
-            )
-            for s in range(40)
+            np.array_equal(model.metric_on(idx).dist, _hop_metric(model.adjacency_block(idx)))
+            for model in (CountableRadoModel(edge_prob=0.5, seed=s) for s in range(40))
         )
         assert hits / 40 >= 0.99
 
@@ -403,11 +420,10 @@ class TestRadoSMatrix:
     def test_hilbertian_planted_clique_has_simplex_t(self):
         # the clique subspace is the simplex, so its centered matrix is PSD
         model = CountableRadoModel(
-            edge_prob=0.5, seed=4, planted_clique=residue_class_clique(2)
+            edge_prob=0.5, seed=4, planted_clique=ResidueClassClique(2)
         )
-        sp = model.metric_on(np.arange(20))
         clique_idx = [i for i in range(20) if i % 2 != 0]
-        sub = sp.subspace(clique_idx)
+        sub = model.metric_on(clique_idx)
         t = t_matrix(sub, DiscreteMeasure.uniform(len(clique_idx)))
         assert inertia(t).s_minus == 0
 

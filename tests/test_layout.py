@@ -7,13 +7,16 @@ imports ``ctypes``, so BLAS thread control stays in one place, and only
 that the benchmark's tracer looks up in the package stay bound, so a
 refactor cannot break the benchmark while these tests pass. Every run of
 ``cli.RUNS`` reads each option it takes, and refuses each option it lacks
-or does not take, so the CLI offers no option that does nothing.
+or does not take, so the CLI offers no option that does nothing. Every
+public top-level name in ``src`` is used elsewhere in ``src`` or named in
+the README, so the package exposes nothing that only the tests use.
 """
 
 import argparse
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +26,53 @@ import mmsig.cli
 import mmsig.linalg
 import mmsig.signature
 import mmsig.spectral
-from mmsig.constructions import CountableRadoModel, residue_class_clique
+from mmsig.constructions import CountableRadoModel, ResidueClassClique
 from mmsig.sampling import DiscreteMeasure
 from mmsig.spaces import from_euclidean_points, named_example, write_distance_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mmsig"
+
+
+def _top_level_names(tree):
+    """(public names, every name read) of each top-level statement: the
+    function, class or alias it defines, and the names and attributes it
+    refers to, imported names included."""
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        reads = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                reads.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                reads.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                reads.add(sub.name)
+        yield [n for n in names if not n.startswith("_")], reads
+
+
+def test_every_public_name_is_used_or_documented():
+    # A public function, class or alias that no other code in src refers to
+    # and that the README does not name serves only the tests; ``__init__``
+    # re-exports do not count as a use.
+    statements = [
+        found
+        for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+        for found in _top_level_names(ast.parse(path.read_text(), str(path)))
+    ]
+    readme = (ROOT / "README.md").read_text()
+    unused = [
+        name
+        for names, _ in statements
+        for name in names
+        if not any(name in reads and name not in own for own, reads in statements)
+        and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []
 
 
 def _function_imports(tree):
@@ -140,7 +184,7 @@ def test_every_prefix_eigensolve_is_traced(monkeypatch):
     for name in ("_eigenvalues", "eig_sym"):
         real = getattr(mmsig.linalg, name)
         monkeypatch.setattr(mmsig.linalg, name, lambda a, _f=real: traced.append(len(a)) or _f(a))
-    model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31))
+    model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
     mmsig.spectral.rado_ratio_experiment(
         model, DiscreteMeasure.class_biased(30, 0.9), m_max=3000, seed=0
     )

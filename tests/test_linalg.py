@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmsig import linalg
-from mmsig.constructions import CountableRadoModel, residue_class_clique
+from mmsig.constructions import CountableRadoModel, ResidueClassClique
 from mmsig.errors import InvalidInput, InvalidMeasure
 from mmsig.linalg import (
     as_sym_matrix,
@@ -316,7 +316,7 @@ class TestPrefixInertias:
 def _class_biased_trial(seed, m_max=3000):
     """-d^2/2 on the dedup sample of one class-biased ratio trial, with its
     distinct checkpoint sizes."""
-    model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=residue_class_clique(31))
+    model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
     sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
     sizes = np.searchsorted(sample.first_draws, default_checkpoints(m_max))
     return model.s_matrix_on(sample.dedup), sorted({int(k) for k in sizes})

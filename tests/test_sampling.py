@@ -26,7 +26,6 @@ from util_oracles import random_metric_matrix
 class TestDiscreteMeasure:
     def test_uniform(self):
         m = DiscreteMeasure.uniform(4)
-        assert m.full_support
         np.testing.assert_allclose(m.weights, 0.25)
 
     def test_validation(self):
@@ -34,6 +33,18 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([0.5, 0.6]))
         with pytest.raises(InvalidMeasure):
             DiscreteMeasure(np.array([1.1, -0.1]))
+
+    @pytest.mark.parametrize(
+        "weights, shown",
+        [(["0.5", "0.5"], "'0.5' is not a number"), ([True, False], "True is not a number"),
+         ([0.5, True], "True is not a number"), ([[0.5], [0.5]], "[0.5] is not a number"),
+         ([0.5, None], "None is not a number"), (np.array([True, False]), "got an array of bool")],
+        ids=["strings", "bools", "number-and-bool", "nested", "null", "bool-array"],
+    )
+    def test_weights_must_be_numbers(self, weights, shown):
+        # numpy would turn the strings and bools into floats
+        with pytest.raises(InvalidMeasure, match=re.escape(f"weights must be numbers: {shown}")):
+            DiscreteMeasure(weights)
 
     def test_geometric_rule(self):
         m = DiscreteMeasure.geometric(0.5)

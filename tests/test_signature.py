@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from mmsig import linalg, spaces
-from mmsig.constructions import CountableRadoModel, residue_class_clique
+from mmsig.constructions import CountableRadoModel, ResidueClassClique
 from mmsig.errors import InvalidInput
 from mmsig.sampling import DiscreteMeasure, gv_sample, t_matrix
 from mmsig.signature import (
+    STABILIZATION_WINDOW,
     centered_signature,
     classify_embeddability,
-    embedding_from_json,
     embedding_to_json,
     limit_signature_trajectory,
     mds_embed,
@@ -119,13 +119,13 @@ class TestCenteredSignature:
 class TestTrajectory:
     def test_simplex_prefixes(self):
         sp = named_example("simplex", n=10)
-        traj = limit_signature_trajectory(sp, sizes=range(2, 11))
+        traj = limit_signature_trajectory(sp, np.arange(10), sizes=range(2, 11))
         for size, ine in zip(traj.sizes, traj.inertias):
             assert (ine.s_minus, ine.s_plus) == (1, size - 1)
 
     def test_extended_tripod_prefixes(self):
         sp = named_example("tripod_extended", n=30)
-        traj = limit_signature_trajectory(sp, sizes=range(5, 31))
+        traj = limit_signature_trajectory(sp, np.arange(30), sizes=range(5, 31))
         pluses = [i.s_plus for i in traj.inertias]
         assert pluses == list(range(3, 29))
         assert all(i.s_minus == 2 for i in traj.inertias)
@@ -133,31 +133,30 @@ class TestTrajectory:
     def test_monotone_along_prefixes(self):
         rng = np.random.default_rng(10)
         sp = from_distance_matrix(random_metric_matrix(rng, 20))
-        traj = limit_signature_trajectory(sp)
+        traj = limit_signature_trajectory(sp, np.arange(20))
         sig = [i.signature for i in traj.inertias]
         assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(sig, sig[1:]))
 
     def test_gv_sampling_stabilizes_at_space_signature(self):
-        sp = named_example("tripod")
-        traj = sampled_signature_trajectory(
-            sp, DiscreteMeasure.uniform(4), m_max=200, seed=2, window=1
-        )
-        assert traj.inertias[-1].signature == space_signature(sp).signature
+        # 30 points in general position in R^2 have the signature (1, 3)
+        # from 4 points on, so a sample that covers them all ends on a
+        # plateau of more than STABILIZATION_WINDOW steps
+        sp = from_euclidean_points(np.random.default_rng(4).normal(size=(30, 2)))
+        traj = sampled_signature_trajectory(sp, DiscreteMeasure.uniform(30), m_max=2000, seed=2)
+        assert len(traj.sizes) == 30 > STABILIZATION_WINDOW
+        assert traj.inertias[-1].signature == space_signature(sp).signature == (1, 3)
         assert traj.stabilized == (1, 3)
 
     def test_stabilization_window(self):
-        sp = named_example("simplex", n=6)
-        traj = limit_signature_trajectory(sp, window=3)
+        sp = named_example("simplex", n=30)
+        traj = limit_signature_trajectory(sp, np.arange(30))
         assert traj.stabilized is None  # s_plus grows at every step
-        same = limit_signature_trajectory(sp, sizes=[6], window=1)
-        assert same.stabilized == (1, 5)
-
-    def test_window_checked_before_eigensolves(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(linalg, "_eigenvalues", lambda *a: calls.append(a))
-        with pytest.raises(InvalidInput):
-            limit_signature_trajectory(named_example("simplex", n=30), window=0)
-        assert calls == []
+        plane = from_euclidean_points(np.random.default_rng(4).normal(size=(30, 2)))
+        # sizes 4, 5, ... all read (1, 3): a plateau needs 25 of them
+        short = limit_signature_trajectory(plane, np.arange(30), sizes=range(4, 28))
+        assert len(short.sizes) == STABILIZATION_WINDOW - 1 and short.stabilized is None
+        full = limit_signature_trajectory(plane, np.arange(30), sizes=range(4, 29))
+        assert len(full.sizes) == STABILIZATION_WINDOW and full.stabilized == (1, 3)
 
     @pytest.mark.parametrize("seed", [5, 13, 26])
     def test_sphere_counts_against_one_band(self, seed):
@@ -166,7 +165,7 @@ class TestTrajectory:
         # prefixes 148, 27 and 200). One band for the family keeps them
         # monotone, and the full space keeps its signature.
         sp = named_example("sphere", dim=2, n=200, seed=seed)
-        traj = limit_signature_trajectory(sp)
+        traj = limit_signature_trajectory(sp, np.arange(200))
         whole = space_signature(sp)
         assert traj.inertias[-1].counts() == whole.counts()
         assert len({i.tol for i in traj.inertias}) == 1
@@ -179,18 +178,19 @@ class TestTrajectory:
         with pytest.raises(InvalidInput):
             limit_signature_trajectory(sp, order=[0, 0, 1])
         with pytest.raises(InvalidInput):
-            limit_signature_trajectory(sp, sizes=[3, 2])
+            limit_signature_trajectory(sp, np.arange(4), sizes=[3, 2])
         for order in ([0, 4], [-1, 0]):
             with pytest.raises(InvalidInput):
                 limit_signature_trajectory(sp, order=order)
 
     def test_model_needs_an_order(self):
-        with pytest.raises(InvalidInput):
+        # a model has no natural order, and neither source gets a default one
+        with pytest.raises(TypeError):
             limit_signature_trajectory(CountableRadoModel(edge_prob=0.5, seed=1))
 
     def test_csv_output(self, tmp_path):
         sp = named_example("simplex", n=5)
-        traj = limit_signature_trajectory(sp)
+        traj = limit_signature_trajectory(sp, np.arange(5))
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, path, comment="x")
         lines = path.read_text().strip().splitlines()
@@ -214,7 +214,7 @@ class TestSampledTrajectory:
         measure = DiscreteMeasure.geometric(0.8)
         traj = sampled_signature_trajectory(model, measure, m_max=200, seed=3)
         dedup = gv_sample(measure, 200, seed=3).dedup
-        direct = limit_signature_trajectory(model.metric_on(dedup))
+        direct = limit_signature_trajectory(model.metric_on(dedup), np.arange(dedup.size))
         assert traj.sizes == direct.sizes
         assert [i.counts() for i in traj.inertias] == [
             i.counts() for i in direct.inertias
@@ -226,7 +226,7 @@ class TestSampledTrajectory:
             raise AssertionError("triangle scan on a {1, 2} model table")
 
         monkeypatch.setattr(spaces, "_check_triangle", scan)
-        model = CountableRadoModel(edge_prob=0.5, seed=13, planted_clique=residue_class_clique(5))
+        model = CountableRadoModel(edge_prob=0.5, seed=13, planted_clique=ResidueClassClique(5))
         traj = sampled_signature_trajectory(
             model, DiscreteMeasure.geometric(0.9), m_max=200, seed=2
         )
@@ -359,9 +359,8 @@ class TestEmbedClassifyConsistency:
         emb = mds_embed(named_example("tripod"))
         text = embedding_to_json(emb, provenance={"seed": 0})
         doc = json.loads(text)
-        assert doc["n_neg"] == 1 and doc["n_pos"] == 2
-        back = embedding_from_json(text)
-        assert np.array_equal(back.points, emb.points)
+        assert (doc["n_neg"], doc["n_pos"]) == (emb.n_neg, emb.n_pos) == (1, 2)
+        assert np.array_equal(np.array(doc["points"]), emb.points)
 
     @pytest.mark.parametrize(
         "provenance",

@@ -22,7 +22,7 @@ from mmsig.errors import (
     ZeroOffDiagonal,
 )
 from mmsig.linalg import inertia
-from mmsig.sampling import DiscreteMeasure, t_matrix
+from mmsig.sampling import DiscreteMeasure, SampleTrajectory, t_matrix
 from mmsig.signature import mds_embed
 from mmsig.spaces import (
     Graph,
@@ -37,7 +37,6 @@ from mmsig.spaces import (
     read_edge_list,
     squared_intervals,
     write_distance_csv,
-    write_edge_list,
 )
 
 from util_oracles import (
@@ -49,6 +48,25 @@ from util_oracles import (
     random_metric_matrix,
     tensor_squared_intervals,
 )
+
+
+def test_validated_objects_share_no_memory_with_the_caller():
+    # a view of the caller's array used to become the object's array, so a
+    # later write by the caller changed a validated, read-only object
+    B = named_example("tripod").dist.copy()
+    sp = from_distance_matrix(B[:, :])
+    w = np.full(4, 0.25)
+    measure = DiscreteMeasure(w)
+    pts = np.array([[0.0, 0.0], [0.6, 1.0]])
+    ps = PseudoEuclideanPointSet(n_neg=1, n_pos=1, points=pts)
+    raw = np.array([2, 0, 2, 1])
+    sample = SampleTrajectory(seed=0, raw=raw)
+    B[0, 1], w[0], pts[1, 0], raw[0] = 5.0, 0.7, 0.9, 3
+    assert sp.dist[0, 1] == sp.dist[1, 0] == 2.0
+    assert measure.weights[0] == 0.25 and ps.points[1, 0] == 0.6
+    assert sample.raw.tolist() == [2, 0, 2, 1] and sample.dedup.tolist() == [2, 0, 1]
+    for owned in (sp.dist, measure.weights, ps.points, sample.raw):
+        assert not owned.flags.writeable
 
 
 class TestFromDistanceMatrix:
@@ -271,8 +289,8 @@ class TestFromEuclidean:
     def test_equilateral_triangle_matches_tripod_tips(self):
         pts = [[0.0, 0.0], [2.0, 0.0], [1.0, np.sqrt(3.0)]]
         sp = from_euclidean_points(pts)
-        tips = named_example("tripod").subspace([0, 1, 2])
-        np.testing.assert_allclose(sp.dist, tips.dist, atol=1e-12)
+        tips = named_example("tripod").dist[:3, :3]
+        np.testing.assert_allclose(sp.dist, tips, atol=1e-12)
 
     def test_collinear_equality_allowed(self):
         sp = from_euclidean_points([[0.0], [1.0], [3.0]])
@@ -560,6 +578,26 @@ class TestRoundTrips:
     def test_edge_list_round_trip(self, tmp_path):
         g = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
         path = tmp_path / "g.edges"
-        write_edge_list(g, path)
+        path.write_text("".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
         back = read_edge_list(path)
         assert back.n == g.n and back.edges == g.edges
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n# loop\n2 2\n", "{path}:3: self-loop at vertex 2"),
+            ("0 1\n\n-1 3\n", "{path}:3: negative vertex in edge (-1, 3)"),
+        ],
+        ids=["self-loop", "negative"],
+    )
+    def test_edge_list_errors_name_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(InvalidInput) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == message.format(path=path)
+
+    def test_edge_list_pairs_in_either_order(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("1 0\n0 1\n2 1\n")
+        assert read_edge_list(path) == Graph(3, frozenset({(0, 1), (1, 2)}))
