@@ -11,6 +11,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -382,6 +383,7 @@ def _check_options(args) -> None:
             raise InvalidInput(f"{_flag(first)} {verb} {_flag(second)}")
 
 
+@functools.cache  # built once per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmsig",

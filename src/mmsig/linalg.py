@@ -9,10 +9,12 @@ passed it, or a leading block of one, and validates nothing. Inertia
 counting uses the eigenvalue spectrum as the source of truth, with the zero
 threshold ``theta = tol_rel * n * max|lambda|``; ``prefix_inertias`` counts
 a family of leading blocks against one threshold, from a Perron bracket of
-max|lambda|, by certified Schur blocks where they cost less than an
-eigensolve. ``_schur_step`` is the one Schur complement:
-it adds a block's counts by Haynsworth additivity and updates the inverse
-the next step starts from.
+max|lambda|: by certified Schur blocks where they cost less than an
+eigensolve, by the signs of det(A_k -+ theta I) where the block one row
+smaller was counted (``_parity_counts``), and by an eigensolve otherwise.
+``_schur_step`` is the one Schur complement: it adds a block's counts by
+Haynsworth additivity and, once certified, updates the inverse the next
+step starts from.
 ``single_threaded_blas`` is the one place that controls BLAS threading.
 """
 
@@ -260,35 +262,73 @@ def _clear_of(vals: np.ndarray, bound: float) -> bool:
     return bool(mags.min() > bound and 1.0 / np.sqrt(np.sum(mags**-2.0)) > bound)
 
 
-def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float):
-    """Extend ``inv[:a, :a]``, the inverse of A_a = ``A[:a, :a]``, in place to
-    that of A_k through C = A_k / A_a; return C's count of negative eigenvalues
-    if ``1/||A_k^{-1}||_F > bound`` proves A_k's eigenvalues all exceed
-    ``bound`` in modulus, else None (``inv`` then holds no inverse). A k past
-    the order of ``inv`` writes only its leading block."""
+def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, norm2: float):
+    """Step from ``inv[:a, :a]``, the inverse of A_a = ``A[:a, :a]`` with
+    squared Frobenius norm ``norm2``, to that of A_k through C = A_k / A_a.
+
+    If ``1/||A_k^{-1}||_F > bound`` proves A_k's eigenvalues all exceed
+    ``bound`` in modulus, write A_k^{-1} into ``inv[:k, :k]`` and return C's
+    count of negative eigenvalues with ``||A_k^{-1}||_F^2``; else return None
+    and leave ``inv`` as it was: the norm is taken before any block is
+    written. A k past the order of ``inv`` writes nothing."""
+    V = inv[:a, :a]
     B = A[:a, a:k]
-    X = inv[:a, :a] @ B
+    X = V @ B
     C = A[a:k, a:k] - B.T @ X
     if k - a == 1:  # a scalar complement needs no eigensolve
         vals = C[0]
         if not abs(vals[0]) > bound:
             return None
         c_inv = 1.0 / C
-        Y = X * c_inv
-        inv[:a, :a] += Y * X.T  # numpy's rank-1 matmul is slow
     else:  # C^{-1} is a block of A_k^{-1}, so a C this close to singular fails too
         vals, vecs = eig_sym(0.5 * (C + C.T))
         if not _clear_of(vals, bound):
             return None
         c_inv = (vecs / vals) @ vecs.T
-        Y = X @ c_inv
-        inv[:a, :a] += Y @ X.T
-    if k <= len(inv):
-        inv[:a, a:k], inv[a:k, :a], inv[a:k, a:k] = -Y, -Y.T, c_inv
-    parts = (inv[:a, :a], Y, Y, c_inv)  # the blocks of A_k^{-1}
-    if not np.sqrt(sum(np.einsum("ij,ij->", p, p) for p in parts)) * bound < 1.0:
+    Y = X @ c_inv
+    if k - a == 1:  # ||V + Y X^T||^2 = ||V||^2 + 2 <V X, Y> + ||X||^2 ||Y||^2 needs no
+        # new a x a array; the roundoff of the terms, which may cancel, counts against it
+        terms = (norm2, 2.0 * np.vdot(V @ X, Y), np.vdot(X, X) * np.vdot(Y, Y))
+        lead2, slack = sum(terms), k * _EPS * sum(abs(t) for t in terms)
+    else:
+        lead = Y @ X.T
+        lead += V
+        lead2, slack = np.vdot(lead, lead), 0.0
+    # the blocks of A_k^{-1} are V + Y X^T, -Y, -Y^T and C^{-1}
+    norm2_k = lead2 + 2.0 * np.vdot(Y, Y) + np.vdot(c_inv, c_inv)
+    if not np.sqrt(max(norm2_k + slack, 0.0)) * bound < 1.0:
         return None
-    return int(np.count_nonzero(vals < 0))
+    if k <= len(inv):
+        if k - a == 1:  # along whole rows, which are contiguous; numpy's rank-1 matmul is slow
+            x = np.zeros(inv.shape[1])
+            x[:a] = X[:, 0]
+            inv[:a] += Y * x
+        else:
+            V[...] = lead
+            del lead  # before the temporaries of the blocks below
+        inv[:a, a:k], inv[a:k, :a], inv[a:k, a:k] = -Y, -Y.T, c_inv
+    return int(np.count_nonzero(vals < 0)), float(norm2_k)
+
+
+def _parity_counts(A: np.ndarray, theta: float, prev: Inertia):
+    """Inertia of the block ``A`` of order k from ``prev``, that of its
+    leading block of order k - 1, against the same band theta > 0; None
+    when a determinant vanishes or the parities contradict ``prev``.
+
+    By interlacing, A has as many eigenvalues below -theta as A_{k-1}, or
+    one more, and so below theta; the sign of det(A -+ theta I) is the
+    parity of each count."""
+    k = len(A)
+    shifted = np.stack([A, A])
+    diag = np.arange(k)
+    shifted[0, diag, diag] += theta  # det(A + theta I): (-1)^(eigenvalues below -theta)
+    shifted[1, diag, diag] -= theta  # det(A - theta I): (-1)^(eigenvalues below theta)
+    signs = np.linalg.slogdet(shifted)[0]
+    if not signs.all():
+        return None
+    below = [prev.s_minus, k - 1 - prev.s_plus]
+    lo, hi = (n + (n + int(sign < 0)) % 2 for n, sign in zip(below, signs))
+    return Inertia(lo, hi - lo, k - hi, theta) if lo <= hi else None
 
 
 def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
@@ -299,13 +339,25 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     size N, with max|lambda| from a ``_perron_bracket``, or from an eigensolve
     of that block when there is none. By Cauchy interlacing it bounds the theta
     of every smaller block, so s_minus and s_plus never decrease along the
-    sizes. A size k is counted from the last counted size a by a certified
-    ``_schur_step`` (Haynsworth additivity) when a >= k // 2, since a wider
-    step costs more than an eigensolve of order k, and from the empty block
-    when the next size is a step from k. Other sizes, and those whose step
-    fails its certificate, are eigensolved; the steps resume from one whose
-    next size is a step and whose eigenvalues clear the certificate's bound.
-    A certified count is the same for every theta below the bound.
+    sizes. Each size k is counted in one of three ways:
+
+    - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
+      a, the last size whose inverse is held, when a >= k // 2, since a wider
+      step costs more than an eigensolve of order k. The first size steps
+      from the empty block when the next size is a step from it. A step that
+      fails its certificate keeps the anchor, and the next size steps from it
+      again. A certified count is the same for every theta below the bound;
+    - by ``_parity_counts`` when size k - 1 was counted and theta exceeds the
+      certificate's floor, below which the roundoff eigenvalues of a
+      rank-deficient block may sit at +-theta;
+    - by an eigensolve otherwise, or when a determinant vanishes or the
+      parities contradict the counts of k - 1.
+
+    A size counted without a step becomes the anchor when the next size is a
+    step from it but not from the anchor and its inverse, from
+    ``np.linalg.inv``, passes the certificate. No step is tried where an
+    eigenvalue must lie in the band: the last counted size j held more in it
+    than k - j, and each added row moves at most one out.
     """
     _check_tol_rel(tol_rel)
     A = as_sym_matrix(a)
@@ -322,27 +374,37 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
         top = _eigenvalues(A[:N, :N])
         rho = (float(np.abs(top).max()),) * 2
     theta, bound = _zero_band(N, tol_rel, *rho)
+    parity = theta > _BORDER_FLOOR * rho[1]
     counted = sizes if top is None else sizes[:-1]
-    inv = np.empty((max(sizes[:-1], default=0),) * 2)  # a step to N writes no new rows
-    anchor = 0  # inv holds the inverse of A[:anchor, :anchor]; -1: of no block
-    s_minus = s_plus = 0
+    # zeros keep the columns past the anchor finite; a step to N writes nothing
+    inv = np.zeros((max(sizes[:-1], default=0),) * 2)
+    base, norm2 = Inertia(0, 0, 0, theta), 0.0  # the anchor's counts, ||inverse||_F^2
     out = []
     for k, after in zip(counted, counted[1:] + [None]):
-        next_steps = after is not None and k >= after // 2
-        if anchor >= k // 2 or anchor == 0 and next_steps:
-            neg = _schur_step(A, inv, anchor, k, bound)
-            if neg is not None:
-                s_minus, s_plus = s_minus + neg, s_plus + k - anchor - neg
-                out.append(Inertia(s_minus, 0, s_plus, theta))
-                anchor = k
+        anchor = base.n
+        wants_anchor = after is not None and anchor < after // 2 <= k
+        in_band = out and out[-1].s_zero > k - out[-1].n
+        if not in_band and (anchor >= k // 2 or wants_anchor and not out):
+            step = _schur_step(A, inv, anchor, k, bound, norm2)
+            if step is not None:
+                neg, norm2 = step
+                base = Inertia(base.s_minus + neg, 0, base.s_plus + k - anchor - neg, theta)
+                out.append(base)
                 continue
-        vals = _eigenvalues(A[:k, :k])
-        out.append(_band_counts(vals, theta))
-        anchor = -1
-        if next_steps and _clear_of(vals, bound):
-            s_minus, s_plus = out[-1].s_minus, out[-1].s_plus
-            inv[:k, :k] = np.linalg.inv(A[:k, :k])
-            anchor = k
+        ine = None
+        if parity and out and out[-1].n == k - 1:
+            ine = _parity_counts(A[:k, :k], theta, out[-1])
+        if ine is None:
+            vals = _eigenvalues(A[:k, :k])
+            ine = _band_counts(vals, theta)
+            wants_anchor = wants_anchor and _clear_of(vals, bound)
+        out.append(ine)
+        if wants_anchor and ine.s_zero == 0:
+            k_inv = np.linalg.inv(A[:k, :k])
+            k_norm2 = float(np.vdot(k_inv, k_inv))
+            if np.sqrt(k_norm2) * bound < 1.0:  # the steps' certificate
+                inv[:k, :k] = k_inv
+                base, norm2 = ine, k_norm2
     return out if top is None else out + [_band_counts(top, theta)]
 
 

@@ -151,8 +151,11 @@ class PseudoEuclideanPointSet:
 
     @cached_property
     def intervals(self) -> np.ndarray:
-        """``squared_intervals``, computed once for the cone check and later readers."""
-        return _frozen(squared_intervals(self))
+        """``squared_intervals``, computed once for the cone check and later
+        readers; no one else holds the array, so it is frozen in place."""
+        sq = squared_intervals(self)
+        sq.flags.writeable = False
+        return sq
 
 
 def _pairwise_sq_diffs(P: np.ndarray) -> np.ndarray:

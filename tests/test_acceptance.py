@@ -62,10 +62,10 @@ def _tripod_prefix_steps(k):
     steps = []
     real = linalg._schur_step
 
-    def counted(A, inv, a, size, bound):
-        neg = real(A, inv, a, size, bound)
-        steps.append((a, size, neg))
-        return neg
+    def counted(A, inv, a, size, bound, norm2):
+        step = real(A, inv, a, size, bound, norm2)
+        steps.append((a, size, None if step is None else step[0]))
+        return step
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_schur_step", counted)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -17,6 +18,27 @@ from mmsig.spaces import (
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    # two main calls parse with one ArgumentParser tree
+    parsers, built = [], []
+    parse_args, init = argparse.ArgumentParser.parse_args, argparse.ArgumentParser.__init__
+
+    def spy_parse(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    def spy_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy_parse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    for _ in range(2):
+        assert run(["analyze", "--example", "tripod", "--output", tmp_path / "a.json"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert len(built) <= 1 + len(cli.COMMANDS)  # the top parser and one per command, or none
 
 
 class TestAnalyze:

@@ -174,7 +174,8 @@ def test_names_the_benchmark_traces_stay_bound():
 def test_every_prefix_eigensolve_is_traced(monkeypatch):
     # The tracer counts eigensolves at linalg._eigenvalues and linalg.eig_sym
     # only, so every LAPACK eigensolve of a ratio trial and of an all-prefix
-    # trajectory has to go through one of them.
+    # trajectory has to go through one of them. The trajectory counts most
+    # prefixes by Schur steps and determinant parity, so few are eigensolved.
     lapack, traced = [], []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -191,7 +192,7 @@ def test_every_prefix_eigensolve_is_traced(monkeypatch):
     mmsig.signature.sampled_signature_trajectory(
         model, DiscreteMeasure.geometric(0.99), m_max=3000, seed=5
     )
-    assert len(lapack) > 10 and lapack == traced
+    assert len(lapack) > 5 and lapack == traced
 
 
 # A value for each option; OVERRIDES replaces some of them for a command or

@@ -125,10 +125,11 @@ def test_entry_points_validate(entry, a, message, monkeypatch):
 
 
 def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
-    # each eigensolved block is a block of the validated matrix; only the
-    # Schur complements, which eig_sym solves, pass the gate again
+    # each block counted by parity or an eigensolve is a block of the
+    # validated matrix; only the Schur complements, which eig_sym solves,
+    # pass the gate again
     S = named_example("sphere", dim=2, n=200, seed=1).s_matrix_on(range(200))
-    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_eigenvalues"], 0)
+    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_eigenvalues", "_parity_counts"], 0)
     for name in calls:
         def counted(*args, _f=getattr(linalg, name), _name=name):
             calls[_name] += 1
@@ -136,7 +137,7 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
 
         monkeypatch.setattr(linalg, name, counted)
     prefix_inertias(S, range(1, 201))
-    assert calls["_eigenvalues"] > 100
+    assert calls["_parity_counts"] > 100 and calls["_eigenvalues"] < 10
     assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
 
 
@@ -158,13 +159,26 @@ def _schur_steps(monkeypatch):
     steps = []
     real = linalg._schur_step
 
-    def counted(A, inv, a, k, bound):
-        neg = real(A, inv, a, k, bound)
-        steps.append((a, k, neg is not None))
-        return neg
+    def counted(A, inv, a, k, bound, norm2):
+        step = real(A, inv, a, k, bound, norm2)
+        steps.append((a, k, step is not None))
+        return step
 
     monkeypatch.setattr(linalg, "_schur_step", counted)
     return steps
+
+
+def _parity_calls(monkeypatch):
+    """Orders of the blocks ``linalg._parity_counts`` counts from now on."""
+    orders = []
+    real = linalg._parity_counts
+
+    def counted(A, theta, prev):
+        orders.append(len(A))
+        return real(A, theta, prev)
+
+    monkeypatch.setattr(linalg, "_parity_counts", counted)
+    return orders
 
 
 def _model_s(n_draws=3000, seed=11):
@@ -187,21 +201,25 @@ class TestPrefixInertias:
         sizes = list(range(1, N + 1))
         whole = inertia(S)
         orders = _eigensolve_orders(monkeypatch)
+        steps = _schur_steps(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         # one band: the largest block's, its max|lambda| from a Perron bracket
         assert len({i.tol for i in got}) == 1
         assert got[-1].tol == pytest.approx(whole.tol, rel=1e-13, abs=0.0)
         assert got[-1].counts() == whole.counts()
+        # the hollow 1x1 block is singular and eigensolved; the 2x2 block is
+        # counted by parity and re-anchors
+        assert orders == [1]
         if family in ("tripod_extended", "simplex"):
-            # the hollow 1x1 block is singular and the 2x2 block re-anchors;
             # bordering certifies every other step, the largest too
-            assert orders == [1, 2]
+            assert all(certified for _, _, certified in steps[1:])
         if family == "rado_model":
-            # some bordered step failed its certificate and was eigensolved,
-            # and the counts above still match
-            assert any(2 < k < N for k in orders)
-            assert len(orders) < N // 5
+            # some bordered steps failed their certificates; each kept its
+            # anchor, and the next size stepped from it
+            failed = [i for i, (_, k, certified) in enumerate(steps) if not certified and k > 2]
+            assert failed
+            assert all(steps[i + 1][0] == steps[i][0] for i in failed)
 
     def test_sizes_with_gaps(self):
         S = _model_s()
@@ -322,6 +340,81 @@ def _class_biased_trial(seed, m_max=3000):
     return model.s_matrix_on(sample.dedup), sorted({int(k) for k in sizes})
 
 
+class TestParityCounts:
+    # a size that no certified step reaches is counted from the counts of the
+    # size one smaller and the signs of det(A_k -+ theta I)
+    FAMILIES = {
+        "sphere": lambda: named_example("sphere", dim=2, n=120, seed=3).s_matrix_on(range(120)),
+        "sphere_sqrt": lambda: named_example("sphere_sqrt", dim=2, n=80, seed=3).s_matrix_on(range(80)),
+        "rado_model": lambda: _model_s(n_draws=1500, seed=4),
+        "tripod_extended": lambda: named_example("tripod_extended", n=60).s_matrix_on(range(60)),
+        "simplex": lambda: named_example("simplex", n=60).s_matrix_on(range(60)),
+        "planar": lambda: TestPrefixInertias._planar_points(),
+        "random_symmetric": lambda: random_symmetric(np.random.default_rng(5), 80),
+    }
+
+    @pytest.mark.parametrize("tol_rel", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_prefix_matches_eigvalsh(self, family, tol_rel, monkeypatch):
+        S = self.FAMILIES[family]()
+        sizes = list(range(1, len(S) + 1))
+        parities = _parity_calls(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=tol_rel)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+        if family in ("sphere", "planar") and tol_rel >= 1e-9:
+            # most blocks hold eigenvalues in the band, so no step certifies
+            assert len(parities) > len(S) // 2
+        if tol_rel == 1e-12:  # theta is below the certificate's floor
+            assert parities == []
+
+    def test_an_eigenvalue_on_the_band_edge_is_eigensolved(self, monkeypatch):
+        # the 4th and 7th diagonal entries are theta and -theta exactly, so
+        # det(A_k - theta I) vanishes from size 4 on and det(A_k + theta I)
+        # from size 7 on; those sizes fall back to an eigensolve
+        N, tol_rel, rho = 10, 1e-6, 4.0
+        theta = tol_rel * N * rho
+        S = np.diag([-1.0, 2.0, 0.5, theta, -3.0, 1.5, -theta, rho, -2.0, 1.0])
+        sizes = list(range(1, N + 1))
+        orders = _eigensolve_orders(monkeypatch)
+        parities = _parity_calls(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=tol_rel)
+        assert got[-1].tol == theta
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+        assert got[3].counts() == (1, 1, 2) and got[6].counts() == (2, 2, 3)
+        # the largest block is the band's eigensolve (no Perron bracket);
+        # each size from 4 on tries parity, then eigensolves
+        assert orders[0] == N and orders[1:] == list(range(4, N))
+        assert parities == list(range(4, N))
+
+    @pytest.mark.parametrize("tol_rel", [1e-12, 0.0])
+    def test_no_parity_below_the_floor(self, tol_rel, monkeypatch):
+        # theta = 1e-12 * N * max|lambda| is below sqrt(eps) * max|lambda|,
+        # where roundoff eigenvalues of a rank-deficient block may sit
+        S = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(60))
+        sizes = list(range(1, 61))
+        parities = _parity_calls(monkeypatch)
+        orders = _eigensolve_orders(monkeypatch)
+        steps = _schur_steps(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=tol_rel)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+        # every size that no step certified is eigensolved
+        assert parities == [] and len(orders) + sum(ok for _, _, ok in steps) == len(sizes)
+
+    def test_a_failed_scalar_step_keeps_its_anchor(self, monkeypatch):
+        # A_4 is singular, so the step from 3 to 4 fails; size 4 is counted by
+        # parity and size 5 steps from the anchor of order 3
+        S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0])
+        S[3, 4] = S[4, 3] = 1.0
+        sizes = list(range(1, 7))
+        steps = _schur_steps(monkeypatch)
+        parities = _parity_calls(monkeypatch)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=1e-6)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-6)
+        assert steps == [(0, 1, True), (1, 2, True), (2, 3, True), (3, 4, False), (3, 5, True)]
+        assert parities == [4] and orders == [6]  # 6: the band's eigensolve
+
+
 class TestPerronBand:
     FAMILIES = {
         "rado_trial": lambda: _class_biased_trial(5)[0],
@@ -354,16 +447,19 @@ class TestPerronBand:
         assert len(orders) <= 2
 
     @pytest.mark.parametrize("dim, n", [(2, 200), (3, 120)])
-    def test_sphere_families_eigensolve_their_largest_block(self, dim, n, monkeypatch):
+    def test_sphere_families_count_their_largest_block_by_parity(self, dim, n, monkeypatch):
         # the steps of these sphere families fail their certificates, so no
-        # anchor leads to the largest block and it is eigensolved, against the
-        # band of the bracket
+        # anchor leads to the largest block; it is counted by parity from the
+        # block one smaller, against the band of the bracket, and so are most
+        # others
         S = named_example("sphere", dim=dim, n=n, seed=1).s_matrix_on(range(n))
         sizes = list(range(1, n + 1))
         orders = _eigensolve_orders(monkeypatch)
+        parities = _parity_calls(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert orders[-1] == n and linalg._perron_bracket(S) is not None
+        assert parities[-1] == n and n not in orders and linalg._perron_bracket(S) is not None
+        assert len(parities) > n // 2 and orders == [1]
 
     def test_a_failed_largest_step_is_eigensolved(self, monkeypatch):
         # 12 cospherical points of R^10: S has rank 11, so the step from 11
@@ -407,7 +503,10 @@ def _schur_step_from(A, a, k, bound=0.0):
     A = np.asarray(A, dtype=float)
     inv = np.zeros((k, k))
     inv[:a, :a] = np.linalg.inv(A[:a, :a])
-    return linalg._schur_step(A, inv, a, k, bound), inv
+    step = linalg._schur_step(A, inv, a, k, bound, float(np.sum(inv**2)))
+    if step is not None:
+        assert step[1] == pytest.approx(np.sum(inv**2), rel=1e-9)  # ||A_k^{-1}||_F^2
+    return (None if step is None else step[0]), inv
 
 
 class TestSchurComplement:
@@ -447,6 +546,30 @@ class TestSchurComplement:
         near = [[1.0, 1.0], [1.0, 1.0 + 1e-12]]
         assert _schur_step_from(near, 1, 2)[0] == 0
         assert _schur_step_from(near, 1, 2, bound=1e-9)[0] is None
+
+
+    @pytest.mark.parametrize("case", ["zero complement", "frobenius certificate"])
+    def test_failed_step_leaves_the_inverse_as_it_was(self, case):
+        # a step writes nothing until it is certified, so a failed one leaves
+        # its anchor's inverse bit for bit, and the next size steps from it
+        if case == "zero complement":
+            A = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0])
+            A[3, 4] = A[4, 3] = 1.0
+            bound = 1e-9
+        else:  # the complement 1e-6 clears the bound 7e-7; A_4^{-1}, of norm 2e6, does not
+            A = np.diag([-1.0, 2.0, -3.0, -3.0 + 1e-6, 4.0, 5.0])
+            A[2, 3] = A[3, 2] = 3.0
+            bound = 7e-7
+        inv = np.zeros((6, 6))
+        inv[:3, :3] = np.linalg.inv(A[:3, :3])
+        norm2 = float(np.sum(inv**2))
+        before = inv.copy()
+        assert linalg._schur_step(A, inv, 3, 4, bound, norm2) is None
+        assert np.array_equal(inv, before)
+        if case == "zero complement":
+            neg, _ = linalg._schur_step(A, inv, 3, 5, bound, norm2)
+            assert neg == 1  # C = [[0, 1], [1, 4]] has one negative eigenvalue
+            np.testing.assert_allclose(inv[:5, :5], np.linalg.inv(A[:5, :5]), rtol=1e-13, atol=1e-15)
 
 
 class TestHaynsworth:

@@ -362,6 +362,20 @@ class TestPseudoEuclidean:
         # a few n x n matrices; the n x n x d tensor alone is d / 8 times more
         assert d > 150 and peak < 8 * n * n * 8
 
+    def test_cached_intervals_are_the_built_array_frozen(self, monkeypatch):
+        # nothing else holds the array squared_intervals returns, so the
+        # point set freezes it in place instead of copying it
+        built = []
+
+        def spy(ps):
+            built.append(squared_intervals(ps))
+            return built[-1]
+
+        monkeypatch.setattr(spaces, "squared_intervals", spy)
+        ps = PseudoEuclideanPointSet(n_neg=1, n_pos=2, points=np.eye(3))
+        assert len(built) == 1 and ps.intervals is built[0]
+        assert not ps.intervals.flags.writeable
+
     def test_intervals_match_form(self):
         ps = PseudoEuclideanPointSet(
             n_neg=1, n_pos=2, points=np.array([[0.0, 0.0, 0.0], [0.3, 1.0, 0.2]])
