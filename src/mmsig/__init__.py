@@ -6,25 +6,13 @@ seeded random-graph spectra."""
 __version__ = "0.1.0"
 
 from .errors import (
-    AsymmetryError,
-    BadParams,
-    ConeViolation,
-    DiameterTooLarge,
-    Disconnected,
-    DuplicatePoints,
     EpsilonUnderflow,
     InvalidInput,
-    InvalidMeasure,
     MmsigError,
     MonotonicityViolation,
-    NegativeDistance,
     NoConvergence,
-    NonzeroDiagonal,
     NumericalContractError,
     StrictnessViolated,
-    TriangleViolation,
-    UnknownName,
-    ZeroOffDiagonal,
 )
 from .linalg import (
     EigenDecomposition,

@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    DiameterTooLarge,
-    DuplicatePoints,
-    EpsilonUnderflow,
-    InvalidInput,
-    StrictnessViolated,
-    TriangleViolation,
-)
+from .errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
 from .linalg import DEFAULT_TOL_REL, _check_tol_rel, _eigenvalues, double_center, inertia, spectrum_inertia
 from .spaces import (
     _MASK64, FiniteMetricSpace, _distances, _min_strict_slack, _pairwise_sq_diffs, _philox,
@@ -87,7 +79,7 @@ def _perturb_with_eps(space, seed, tol_rel):
         if np.linalg.matrix_rank(v) == n:
             break
     else:
-        raise BadParams("could not draw linearly independent directions")
+        raise InvalidInput("could not draw linearly independent directions")
     g2 = _pairwise_sq_diffs(v)
     np.fill_diagonal(g2, 0.0)
     # Rescale directions so |d^2 - d_eps^2| <= eps * d_min; then
@@ -140,7 +132,7 @@ def prescribed_signature_space(
     signature-maximizing perturbation.
     """
     if n < 1 or p < 2:
-        raise BadParams("prescribed signature needs n >= 1 and p >= 2")
+        raise InvalidInput("prescribed signature needs n >= 1 and p >= 2")
     N = n + p + 1
     rng = _philox(seed)
     for attempt in range(100):
@@ -154,10 +146,13 @@ def prescribed_signature_space(
             continue
         try:
             base = from_euclidean_points(pts)
-            return perturb_to_max_negative(base, seed=(seed ^ (attempt + 1)), tol_rel=tol_rel)
-        except (DuplicatePoints, TriangleViolation, StrictnessViolated):
+        except InvalidInput:  # coincident points or a violated triangle
             continue
-    raise BadParams("could not sample a generic strictly-triangular point set")
+        try:
+            return perturb_to_max_negative(base, seed=(seed ^ (attempt + 1)), tol_rel=tol_rel)
+        except StrictnessViolated:
+            continue
+    raise InvalidInput("could not sample a generic strictly-triangular point set")
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +172,7 @@ def union_space(components, h: float) -> FiniteMetricSpace:
         raise InvalidInput("cross distance h must be positive")
     for ci, comp in enumerate(comps):
         if comp.diameter > 2 * h:
-            d = comp.dist
-            i, j = np.unravel_index(int(np.argmax(d)), d.shape)
-            raise DiameterTooLarge(
-                ci,
-                (int(i), int(j)),
-                f"component {ci} has diameter {comp.diameter!r} > 2h = {2 * h!r}",
-            )
+            raise InvalidInput(f"component {ci} has diameter {comp.diameter!r} > 2h = {2 * h!r}")
     if len(comps) == 1:
         return comps[0]
     n = sum(c.n for c in comps)
@@ -230,7 +219,7 @@ class IndexClique:
     def __post_init__(self):
         indices = tuple(sorted({int(i) for i in self.indices}))
         if indices and indices[0] < 0:
-            raise BadParams("clique indices must be nonnegative")
+            raise InvalidInput("clique indices must be nonnegative")
         object.__setattr__(self, "indices", indices)
 
     def members(self, idx) -> np.ndarray:
@@ -252,7 +241,7 @@ class ResidueClassClique:
 
     def __post_init__(self):
         if self.modulus < 2:
-            raise BadParams("modulus must be >= 2")
+            raise InvalidInput("modulus must be >= 2")
 
     def members(self, idx) -> np.ndarray:
         return np.asarray(idx, dtype=np.int64) % self.modulus != 0
@@ -324,7 +313,7 @@ class CountableRadoModel:
     def __post_init__(self):
         object.__setattr__(self, "planted_clique", parse_clique_spec(self.planted_clique))
         if not (0.0 < self.edge_prob < 1.0):
-            raise BadParams(f"edge probability must be in (0, 1), got {self.edge_prob!r}")
+            raise InvalidInput(f"edge probability must be in (0, 1), got {self.edge_prob!r}")
 
     def _clique_flags(self, indices: np.ndarray) -> np.ndarray:
         if self.planted_clique is None:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidMeasure, NoConvergence
+from .errors import InvalidInput, NoConvergence
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -423,24 +423,24 @@ def validate_weights(w, n: int | None = None) -> np.ndarray:
     would turn a string such as "0.5" or a bool into a float."""
     if isinstance(w, np.ndarray):
         if w.dtype.kind not in "iuf":
-            raise InvalidMeasure(f"weights must be numbers: got an array of {w.dtype}")
+            raise InvalidInput(f"weights must be numbers: got an array of {w.dtype}")
     elif isinstance(w, (list, tuple)):
         for x in w:
             if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise InvalidMeasure(f"weights must be numbers: {x!r} is not a number")
+                raise InvalidInput(f"weights must be numbers: {x!r} is not a number")
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
-        raise InvalidMeasure(f"weights must be a vector, got shape {w.shape}")
+        raise InvalidInput(f"weights must be a vector, got shape {w.shape}")
     if n is not None and w.shape[0] != n:
-        raise InvalidMeasure(f"expected {n} weights, got {w.shape[0]}")
+        raise InvalidInput(f"expected {n} weights, got {w.shape[0]}")
     if not np.isfinite(w).all():
-        raise InvalidMeasure("weights have non-finite entries")
+        raise InvalidInput("weights have non-finite entries")
     if (w < 0).any():
         i = int(np.argmin(w))
-        raise InvalidMeasure(f"weight {i} is negative ({w[i]!r})")
+        raise InvalidInput(f"weight {i} is negative ({w[i]!r})")
     total = float(w.sum())
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise InvalidMeasure(f"weights sum to {total!r}, not 1")
+        raise InvalidInput(f"weights sum to {total!r}, not 1")
     return w
 
 

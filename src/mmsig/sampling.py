@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidMeasure
+from .errors import InvalidInput
 from .linalg import validate_weights, weighted_center
 from .spaces import _MASK64, FiniteMetricSpace, _frozen, _philox, s_matrix
 
@@ -27,10 +27,10 @@ _SUPPORT_MAX = 10**6  # the most points a countable measure materializes
 def _geometric_weights(q: float, name: str) -> np.ndarray:
     """Normalized (1 - q) q^k down to a tail below _TAIL; errors call q ``name``."""
     if not (0.0 < q < 1.0):
-        raise InvalidMeasure(f"{name} must be in (0, 1), got {q!r}")
+        raise InvalidInput(f"{name} must be in (0, 1), got {q!r}")
     length = max(int(math.ceil(math.log(_TAIL) / math.log(q))) + 1, 2)
     if length > _SUPPORT_MAX:
-        raise InvalidMeasure(f"{name} {q!r} needs {length} support points; too close to 1")
+        raise InvalidInput(f"{name} {q!r} needs {length} support points; too close to 1")
     w = (1.0 - q) * q ** np.arange(length)
     return w / w.sum()
 
@@ -63,7 +63,7 @@ class DiscreteMeasure:
     @classmethod
     def uniform(cls, n: int) -> "DiscreteMeasure":
         if n < 1:
-            raise InvalidMeasure("uniform measure needs n >= 1")
+            raise InvalidInput("uniform measure needs n >= 1")
         return cls(np.full(n, 1.0 / n), rule={"type": "uniform"})
 
     @classmethod
@@ -88,11 +88,11 @@ class DiscreteMeasure:
         distribution of ratio ``level_q`` over the levels.
         """
         if j < 1:
-            raise InvalidMeasure("class count parameter j must be >= 1")
+            raise InvalidInput("class count parameter j must be >= 1")
         levels = _geometric_weights(level_q, "class_biased q")
         size = levels.size * (j + 1)
         if size > _SUPPORT_MAX:
-            raise InvalidMeasure(f"class_biased j={j} needs {size} support points, over {_SUPPORT_MAX}")
+            raise InvalidInput(f"class_biased j={j} needs {size} support points, over {_SUPPORT_MAX}")
         w = np.repeat(levels, j + 1) / (j + 1)
         return cls(
             w / w.sum(), rule={"type": "class_biased", "j": j, "q": level_q}
@@ -115,7 +115,7 @@ def _rule_param(spec: dict, key: str, convert, default=None):
         return convert(value)
     except (TypeError, ValueError) as exc:
         what = "an integer" if convert is int else "a number"
-        raise InvalidMeasure(
+        raise InvalidInput(
             f"{spec['type']} measure parameter {key} must be {what}, got {value!r}"
         ) from exc
 
@@ -133,11 +133,11 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
     if isinstance(spec, str):
         kind, _, rest = spec.partition(":")
         if kind not in _RULE_PARAMS:
-            raise InvalidMeasure(f"unknown measure rule {kind!r}")
+            raise InvalidInput(f"unknown measure rule {kind!r}")
         values = rest.split(":") if rest else []
         keys = _RULE_PARAMS[kind]
         if len(values) > len(keys):
-            raise InvalidMeasure(f"too many parameters in measure {spec!r}")
+            raise InvalidInput(f"too many parameters in measure {spec!r}")
         spec = {"type": kind, **{k: v for k, v in zip(keys, values) if v}}
     if isinstance(spec, (list, tuple, np.ndarray)):
         return DiscreteMeasure(validate_weights(spec, n))
@@ -145,32 +145,32 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
         kind = spec.get("type")
         if kind == "uniform":
             if n is None:
-                raise InvalidMeasure("uniform measure needs the point count of a finite space")
+                raise InvalidInput("uniform measure needs the point count of a finite space")
             return DiscreteMeasure.uniform(n)
         if kind == "geometric":
             if "q" not in spec:
-                raise InvalidMeasure("geometric measure needs a ratio, e.g. geometric:0.9")
+                raise InvalidInput("geometric measure needs a ratio, e.g. geometric:0.9")
             return DiscreteMeasure.geometric(_rule_param(spec, "q", float))
         if kind == "super_geometric":
             return DiscreteMeasure.super_geometric()
         if kind == "class_biased":
             if "j" not in spec:
-                raise InvalidMeasure("class_biased needs j, e.g. class_biased:30")
+                raise InvalidInput("class_biased needs j, e.g. class_biased:30")
             return DiscreteMeasure.class_biased(
                 _rule_param(spec, "j", int), _rule_param(spec, "q", float, 0.9)
             )
-        raise InvalidMeasure(f"unknown measure rule {kind!r}")
-    raise InvalidMeasure(f"cannot interpret measure spec {spec!r}")
+        raise InvalidInput(f"unknown measure rule {kind!r}")
+    raise InvalidInput(f"cannot interpret measure spec {spec!r}")
 
 
 def load_measure(path, n: int | None = None) -> DiscreteMeasure:
-    """``parse_measure_spec`` of a JSON file; InvalidMeasure names the path
+    """``parse_measure_spec`` of a JSON file; InvalidInput names the path
     when the file is not UTF-8 JSON or holds no valid measure."""
     try:
         with open(path) as fh:
             return parse_measure_spec(json.load(fh), n=n)
-    except (json.JSONDecodeError, UnicodeDecodeError, InvalidMeasure) as exc:
-        raise InvalidMeasure(f"{path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, InvalidInput) as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -190,10 +190,13 @@ class SampleTrajectory:
     first_draws: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.int64)
+        # ``raw`` may share the caller's memory, so it is a frozen copy; the
+        # other two are built here, so they are frozen in place.
+        raw = _frozen(np.asarray(self.raw, dtype=np.int64))
         first = np.sort(np.unique(raw, return_index=True)[1])
         for name, a in (("raw", raw), ("first_draws", first), ("dedup", raw[first])):
-            object.__setattr__(self, name, _frozen(a))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:
@@ -240,5 +243,4 @@ def k_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:
 
 def t_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:
     """Measure-centered companion of k_matrix (see linalg.weighted_center)."""
-    w = validate_weights(measure.weights, space.n)
-    return weighted_center(s_matrix(space), w)
+    return weighted_center(s_matrix(space), measure.weights)

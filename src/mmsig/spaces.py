@@ -18,19 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AsymmetryError,
-    BadParams,
-    ConeViolation,
-    Disconnected,
-    DuplicatePoints,
-    InvalidInput,
-    NegativeDistance,
-    NonzeroDiagonal,
-    TriangleViolation,
-    UnknownName,
-    ZeroOffDiagonal,
-)
+from .errors import InvalidInput
 
 # Relative slack for the non-strict triangle test, in units of the diameter.
 TRIANGLE_TOL_REL = 1e-12
@@ -139,11 +127,7 @@ class PseudoEuclideanPointSet:
         worst = float(sq.min()) if sq.size else 0.0
         if worst < -CONE_TOL_REL * scale:
             i, j = np.unravel_index(int(np.argmin(sq)), sq.shape)
-            raise ConeViolation(
-                (int(i), int(j)),
-                worst,
-                f"squared interval of pair ({i}, {j}) is {worst!r} < 0",
-            )
+            raise InvalidInput(f"squared interval of pair ({i}, {j}) is {worst!r} < 0")
 
     @property
     def n(self) -> int:
@@ -222,7 +206,7 @@ def _min_strict_slack(D: np.ndarray):
 
 
 def _check_triangle(D: np.ndarray) -> None:
-    """Raise TriangleViolation unless the triangle inequality holds up to
+    """Raise InvalidInput unless the triangle inequality holds up to
     TRIANGLE_TOL_REL of the diameter.
 
     One ``_min_strict_slack`` scan decides it: the triples (i, j, i) and
@@ -231,9 +215,7 @@ def _check_triangle(D: np.ndarray) -> None:
     min_slack, witness = _min_strict_slack(D)
     if min_slack < -TRIANGLE_TOL_REL * float(D.max()):
         i, j, k = witness
-        raise TriangleViolation(
-            witness, f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {-min_slack!r}"
-        )
+        raise InvalidInput(f"d({i},{k}) exceeds d({i},{j}) + d({j},{k}) by {-min_slack!r}")
 
 
 def from_distance_matrix(d, labels=None) -> FiniteMetricSpace:
@@ -247,19 +229,19 @@ def from_distance_matrix(d, labels=None) -> FiniteMetricSpace:
         raise InvalidInput("distance matrix has non-finite entries")
     if not np.array_equal(D, D.T):
         i, j = np.unravel_index(int(np.argmax(np.abs(D - D.T))), D.shape)
-        raise AsymmetryError(f"d({i},{j}) = {D[i, j]!r} but d({j},{i}) = {D[j, i]!r}")
+        raise InvalidInput(f"d({i},{j}) = {D[i, j]!r} but d({j},{i}) = {D[j, i]!r}")
     if (D < 0).any():
         i, j = np.unravel_index(int(np.argmin(D)), D.shape)
-        raise NegativeDistance(f"d({i},{j}) = {D[i, j]!r} < 0")
+        raise InvalidInput(f"d({i},{j}) = {D[i, j]!r} < 0")
     diag = np.diag(D)
     if (diag != 0).any():
         i = int(np.nonzero(diag)[0][0])
-        raise NonzeroDiagonal(f"d({i},{i}) = {diag[i]!r} != 0")
+        raise InvalidInput(f"d({i},{i}) = {diag[i]!r} != 0")
     off = D.copy()
     np.fill_diagonal(off, np.inf)
     if (off == 0).any():
         i, j = np.unravel_index(int(np.argmin(off)), D.shape)
-        raise ZeroOffDiagonal(f"distinct points {i} and {j} are at distance 0")
+        raise InvalidInput(f"distinct points {i} and {j} are at distance 0")
     # With max <= 2 min off the diagonal, d(i,j) + d(j,k) >= 2 min >= d(i,k)
     # for every triple, in floating point too (doubling is exact and rounding
     # monotone), so only a wider ratio needs the scan.
@@ -274,7 +256,7 @@ def from_distance_matrix(d, labels=None) -> FiniteMetricSpace:
 
 def from_graph(g: Graph) -> FiniteMetricSpace:
     """Hop-count (breadth-first) metric of a connected graph; raises
-    Disconnected otherwise."""
+    InvalidInput otherwise."""
     adj = g.adjacency_lists()
     n = g.n
     D = np.empty((n, n))
@@ -295,7 +277,7 @@ def from_graph(g: Graph) -> FiniteMetricSpace:
         D[src] = dist
     if (D < 0).any():
         i, j = np.unravel_index(int(np.argmin(D)), D.shape)
-        raise Disconnected((int(i), int(j)), f"no path between vertices {i} and {j}")
+        raise InvalidInput(f"no path between vertices {i} and {j}")
     # A connected graph's hop metric is a metric by construction: symmetric,
     # hollow, positive off the diagonal, and a shortest-path length obeys the
     # triangle inequality. So it skips validation, the O(n^3) scan included.
@@ -313,7 +295,7 @@ def from_euclidean_points(pts, labels=None) -> FiniteMetricSpace:
     off = D + np.eye(D.shape[0])
     if (off == 0).any():
         i, j = np.unravel_index(int(np.argmin(off)), D.shape)
-        raise DuplicatePoints(f"points {i} and {j} coincide")
+        raise InvalidInput(f"points {i} and {j} coincide")
     return from_distance_matrix(D, labels=labels)
 
 
@@ -352,7 +334,7 @@ def _sphere_points(dim: int, n: int, seed: int) -> np.ndarray:
         if n > 1 and (g[off] >= 1.0).any():
             continue  # coincident sample, resample
         return pts
-    raise BadParams("could not draw distinct sphere points")
+    raise InvalidInput("could not draw distinct sphere points")
 
 
 def _sphere_matrix(dim: int, n: int, seed: int) -> np.ndarray:
@@ -383,30 +365,30 @@ def named_example(name: str, **params) -> FiniteMetricSpace:
     sphere_sqrt(dim, n, seed)  square root of the geodesic distance
     """
     if name not in _EXAMPLE_PARAMS:
-        raise UnknownName(f"unknown example {name!r}")
+        raise InvalidInput(f"unknown example {name!r}")
     wanted = set(_EXAMPLE_PARAMS[name])
     missing, extra = sorted(wanted - set(params)), sorted(set(params) - wanted)
     if missing:
-        raise BadParams(f"{name} requires parameter {missing[0]!r}")
+        raise InvalidInput(f"{name} requires parameter {missing[0]!r}")
     if extra:
-        raise BadParams(f"{name} takes no parameter {extra[0]!r}")
+        raise InvalidInput(f"{name} takes no parameter {extra[0]!r}")
     if name == "tripod":
         return from_distance_matrix(_tripod_matrix(4))
     if name == "tripod_extended":
         n = int(params["n"])
         if n < 5:
-            raise BadParams("tripod_extended needs n >= 5")
+            raise InvalidInput("tripod_extended needs n >= 5")
         return from_distance_matrix(_tripod_matrix(n))
     if name == "simplex":
         n = int(params["n"])
         if n < 2:
-            raise BadParams("simplex needs n >= 2")
+            raise InvalidInput("simplex needs n >= 2")
         D = np.ones((n, n)) - np.eye(n)
         return from_distance_matrix(D)
     if name in ("sphere", "sphere_sqrt"):
         dim, n, seed = (int(params[key]) for key in ("dim", "n", "seed"))
         if dim < 1 or n < 1:
-            raise BadParams("sphere needs dim >= 1 and n >= 1")
+            raise InvalidInput("sphere needs dim >= 1 and n >= 1")
         D = _sphere_matrix(dim, n, seed)
         if name == "sphere_sqrt":
             D = np.sqrt(D)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -23,14 +24,7 @@ from mmsig.constructions import (
     union_r_matrix,
     union_space,
 )
-from mmsig.errors import (
-    BadParams,
-    DiameterTooLarge,
-    Disconnected,
-    EpsilonUnderflow,
-    InvalidInput,
-    StrictnessViolated,
-)
+from mmsig.errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
 from mmsig.linalg import eig_sym, inertia
 from mmsig.sampling import DiscreteMeasure, t_matrix
 from mmsig.signature import centered_signature, s_matrix, space_signature
@@ -145,10 +139,36 @@ class TestPrescribed:
         assert len(set(scanned)) == len(scanned) - 1
 
     def test_bad_params(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(InvalidInput, match="prescribed signature needs n >= 1 and p >= 2"):
             prescribed_signature_space(0, 2, seed=1)
-        with pytest.raises(BadParams):
+        with pytest.raises(InvalidInput, match="prescribed signature needs n >= 1 and p >= 2"):
             prescribed_signature_space(1, 1, seed=1)
+
+    def test_only_a_non_strict_sample_is_redrawn(self, monkeypatch):
+        # a sample that the perturbation refuses as non-strict is redrawn, but
+        # any other invalid-input error of the perturbation propagates at once
+        calls = []
+
+        def refuses(space, seed, tol_rel):
+            calls.append(seed)
+            raise InvalidInput("boom")
+
+        monkeypatch.setattr(constructions, "perturb_to_max_negative", refuses)
+        with pytest.raises(InvalidInput, match="^boom$"):
+            prescribed_signature_space(1, 2, seed=0)
+        assert len(calls) == 1
+
+        real = perturb_to_max_negative
+
+        def refuses_once(space, seed, tol_rel):
+            calls.append(seed)
+            if len(calls) == 2:
+                raise StrictnessViolated("not strict")
+            return real(space, seed=seed, tol_rel=tol_rel)
+
+        monkeypatch.setattr(constructions, "perturb_to_max_negative", refuses_once)
+        sp = prescribed_signature_space(1, 2, seed=0)
+        assert len(calls) == 3 and sp.n == 4
 
 
 class TestUnionSpace:
@@ -194,7 +214,7 @@ class TestUnionSpace:
 
     def test_diameter_guard(self):
         big = named_example("simplex", n=3)  # diameter 1
-        with pytest.raises(DiameterTooLarge):
+        with pytest.raises(InvalidInput, match=re.escape("component 0 has diameter 1.0 > 2h = 0.8")):
             union_space([big, big], h=0.4)
 
     def test_labels_prefixed(self):
@@ -204,9 +224,9 @@ class TestUnionSpace:
 
 class TestRadoModel:
     def test_validation(self):
-        with pytest.raises(BadParams):
+        with pytest.raises(InvalidInput, match=re.escape("edge probability must be in (0, 1), got 0.0")):
             CountableRadoModel(edge_prob=0.0, seed=1)
-        with pytest.raises(BadParams):
+        with pytest.raises(InvalidInput, match=re.escape("edge probability must be in (0, 1), got 1.0")):
             CountableRadoModel(edge_prob=1.0, seed=1)
 
     def test_effectively_empty_and_complete(self):
@@ -332,8 +352,9 @@ class TestRadoModel:
         for bad in ("cubic", "modular", "modular:x", {"rule": "modular"}, {"modulus": 3}):
             with pytest.raises(InvalidInput):
                 parse_clique_spec(bad)
-        for bad in ("modular:1", [1, -2]):
-            with pytest.raises(BadParams):
+        for bad, message in (("modular:1", "modulus must be >= 2"),
+                             ([1, -2], "clique indices must be nonnegative")):
+            with pytest.raises(InvalidInput, match=message):
                 parse_clique_spec(bad)
 
 
@@ -349,7 +370,8 @@ def _hop_metric(adj):
     graph is disconnected."""
     try:
         return from_graph(Graph(len(adj), frozenset(zip(*np.nonzero(np.triu(adj, k=1)))))).dist
-    except Disconnected:
+    except InvalidInput as exc:
+        assert str(exc).startswith("no path between vertices")
         return None
 
 

@@ -9,7 +9,10 @@ refactor cannot break the benchmark while these tests pass. Every run of
 ``cli.RUNS`` reads each option it takes, and refuses each option it lacks
 or does not take, so the CLI offers no option that does nothing. Every
 public top-level name in ``src`` is used elsewhere in ``src`` or named in
-the README, so the package exposes nothing that only the tests use.
+the README, so the package exposes nothing that only the tests use. Every
+exception class in ``mmsig.errors`` is caught by name somewhere in ``src``
+or named in the README, so an error raised at one site is an
+``InvalidInput`` whose message names the witness, not a class of its own.
 """
 
 import argparse
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 import mmsig.cli
+import mmsig.errors
 import mmsig.linalg
 import mmsig.signature
 import mmsig.spectral
@@ -73,6 +77,21 @@ def test_every_public_name_is_used_or_documented():
         and not re.search(rf"\b{name}\b", readme)
     ]
     assert unused == []
+
+
+def test_every_error_class_is_caught_or_documented():
+    caught = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {sub.id for sub in ast.walk(node.type) if isinstance(sub, ast.Name)}
+    readme = (ROOT / "README.md").read_text()
+    classes = [
+        name for name, obj in vars(mmsig.errors).items()
+        if isinstance(obj, type) and obj.__module__ == "mmsig.errors"
+    ]
+    assert "InvalidInput" in classes
+    assert [c for c in classes if c not in caught and not re.search(rf"\b{c}\b", readme)] == []
 
 
 def _function_imports(tree):

@@ -5,7 +5,7 @@ import pytest
 
 from mmsig import linalg
 from mmsig.constructions import CountableRadoModel, ResidueClassClique
-from mmsig.errors import InvalidInput, InvalidMeasure
+from mmsig.errors import InvalidInput
 from mmsig.linalg import (
     as_sym_matrix,
     double_center,
@@ -667,9 +667,9 @@ class TestWeightedCenter:
 
     def test_rejects_bad_weights(self):
         S = np.eye(3)
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidInput, match="weight 2 is negative"):
             weighted_center(S, [0.5, 0.6, -0.1])
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidInput, match="weights sum to .*, not 1"):
             weighted_center(S, [0.5, 0.4, 0.2])
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsig.errors import InvalidInput, InvalidMeasure
+from mmsig.errors import InvalidInput
 from mmsig.linalg import double_center, inertia
 from mmsig.sampling import (
     DiscreteMeasure,
@@ -29,9 +29,9 @@ class TestDiscreteMeasure:
         np.testing.assert_allclose(m.weights, 0.25)
 
     def test_validation(self):
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidInput, match="weights sum to 1.1, not 1"):
             DiscreteMeasure(np.array([0.5, 0.6]))
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidInput, match="weight 1 is negative"):
             DiscreteMeasure(np.array([1.1, -0.1]))
 
     @pytest.mark.parametrize(
@@ -43,7 +43,7 @@ class TestDiscreteMeasure:
     )
     def test_weights_must_be_numbers(self, weights, shown):
         # numpy would turn the strings and bools into floats
-        with pytest.raises(InvalidMeasure, match=re.escape(f"weights must be numbers: {shown}")):
+        with pytest.raises(InvalidInput, match=re.escape(f"weights must be numbers: {shown}")):
             DiscreteMeasure(weights)
 
     def test_geometric_rule(self):
@@ -72,9 +72,9 @@ class TestDiscreteMeasure:
     def test_support_limit(self):
         # 395 levels at q = 0.9 in each of j + 1 classes; at most 10^6 points
         assert DiscreteMeasure.class_biased(2530).n == 2531 * 395
-        with pytest.raises(InvalidMeasure, match="1000140 support points"):
+        with pytest.raises(InvalidInput, match="1000140 support points"):
             DiscreteMeasure.class_biased(2531)
-        with pytest.raises(InvalidMeasure, match="too close to 1"):
+        with pytest.raises(InvalidInput, match="too close to 1"):
             DiscreteMeasure.geometric(1 - 1e-5)
 
     def test_parse_and_load(self, tmp_path):
@@ -82,9 +82,9 @@ class TestDiscreteMeasure:
         assert m.n == 2
         m = parse_measure_spec({"type": "uniform"}, n=3)
         assert m.n == 3
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidInput, match="uniform measure needs the point count"):
             parse_measure_spec({"type": "uniform"})
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidInput, match="unknown measure rule 'bogus'"):
             parse_measure_spec({"type": "bogus"})
         path = tmp_path / "measure.json"
         path.write_text(json.dumps({"type": "geometric", "q": 0.9}))
@@ -94,9 +94,9 @@ class TestDiscreteMeasure:
         assert parse_measure_spec([0.25, 0.75], n=2).n == 2
         assert parse_measure_spec([0.25, 0.75]).n == 2  # a countable model: any length
         for n in (1, 3):
-            with pytest.raises(InvalidMeasure, match=f"expected {n} weights, got 2"):
+            with pytest.raises(InvalidInput, match=f"expected {n} weights, got 2"):
                 parse_measure_spec([0.25, 0.75], n=n)
-        with pytest.raises(InvalidMeasure, match="weights must be numbers"):
+        with pytest.raises(InvalidInput, match="weights must be numbers"):
             parse_measure_spec([0.5, "x"])
 
     @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ class TestDiscreteMeasure:
     def test_load_names_the_file(self, tmp_path, content, message):
         path = tmp_path / "measure.json"
         path.write_bytes(content)
-        with pytest.raises(InvalidMeasure, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: {message}")):
             load_measure(path)
 
     def test_parse_string_specs(self):
@@ -120,9 +120,13 @@ class TestDiscreteMeasure:
         assert parse_measure_spec("class_biased:4:0.7").rule == {
             "type": "class_biased", "j": 4, "q": 0.7,
         }
-        for bad in ("geometric", "geometric:", "class_biased", "class_biased::0.9",
-                    "zeta:2", "geometric:0.9:5", "uniform"):
-            with pytest.raises(InvalidMeasure):
+        for bad, message in (
+            ("geometric", "needs a ratio"), ("geometric:", "needs a ratio"),
+            ("class_biased", "needs j"), ("class_biased::0.9", "needs j"),
+            ("zeta:2", "unknown measure rule 'zeta'"),
+            ("geometric:0.9:5", "too many parameters"), ("uniform", "needs the point count"),
+        ):
+            with pytest.raises(InvalidInput, match=message):
                 parse_measure_spec(bad)
 
 
@@ -293,7 +297,7 @@ class TestOperatorMatrices:
 
     def test_measure_length_mismatch(self):
         sp = named_example("tripod")
-        with pytest.raises(InvalidMeasure):
+        with pytest.raises(InvalidInput, match="expected 4 weights, got 5"):
             k_matrix(sp, DiscreteMeasure.uniform(5))
 
 
