@@ -27,6 +27,7 @@ from .constructions import (
     union_space,
 )
 from .errors import InvalidInput, MmsigError, NumericalContractError
+from .linalg import DEFAULT_TOL_REL
 from .linalg import inertia  # noqa: F401  unused; perfbench's tracer test still checks this binding
 from .sampling import DiscreteMeasure, load_measure, parse_measure_spec, sample_order
 from .signature import (
@@ -337,15 +338,16 @@ OPTIONS = {
     "min_fraction": dict(type=float, help="add a pass/fail verdict: that fraction >= this value"),
     "output_prefix": dict(help="prefix for output files"),
     "seed": dict(type=int, default=0),
-    "tol": dict(type=float, default=1e-9, help="relative zero tolerance"),
+    "tol": dict(type=float, default=DEFAULT_TOL_REL, help="relative zero tolerance"),
 }
 
+# The help text of each subcommand; ``main`` runs ``cmd_<command>``.
 COMMANDS = {
-    "analyze": (cmd_analyze, "signatures and embeddability verdict"),
-    "embed": (cmd_embed, "indefinite scaling embedding"),
-    "trajectory": (cmd_trajectory, "signatures along nested prefixes"),
-    "construct": (cmd_construct, "build spaces with prescribed signatures"),
-    "rado": (cmd_rado, "random-graph spectra and ratio experiments"),
+    "analyze": "signatures and embeddability verdict",
+    "embed": "indefinite scaling embedding",
+    "trajectory": "signatures along nested prefixes",
+    "construct": "build spaces with prescribed signatures",
+    "rado": "random-graph spectra and ratio experiments",
 }
 
 
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mmsig {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (func, text) in COMMANDS.items():
+    for command, text in COMMANDS.items():
         # No abbreviations: an undeclared option such as rado's --output must
         # exit 2, not be read as the longer --output-prefix.
         sub = subs.add_parser(command, help=text, allow_abbrev=False)
@@ -400,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("kind", choices=[row[1] for row in RUNS if row[0] == command])
         for dest in _declared(command):
             sub.add_argument(_flag(dest), **OPTIONS.get((command, dest), OPTIONS[dest]))
-        sub.set_defaults(func=func)
     return parser
 
 
@@ -408,7 +409,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_options(args)
-        return args.func(args)
+        # looked up per call, so that a function rebound over it is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except NumericalContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

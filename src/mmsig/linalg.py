@@ -437,7 +437,7 @@ def validate_weights(w, n: int | None = None) -> np.ndarray:
         raise InvalidInput("weights have non-finite entries")
     if (w < 0).any():
         i = int(np.argmin(w))
-        raise InvalidInput(f"weight {i} is negative ({w[i]!r})")
+        raise InvalidInput(f"weight {i} is negative ({float(w[i])!r})")
     total = float(w.sum())
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidInput(f"weights sum to {total!r}, not 1")

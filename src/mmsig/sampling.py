@@ -210,7 +210,7 @@ def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
     rng = _philox(seed)
     u = rng.random(m)
     raw = np.searchsorted(measure.cumulative(), u, side="right")
-    return SampleTrajectory(seed=seed, raw=raw.astype(np.int64))
+    return SampleTrajectory(seed=seed, raw=raw)
 
 
 def sample_order(measure: DiscreteMeasure, m: int, seed: int) -> np.ndarray:

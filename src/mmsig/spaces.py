@@ -229,14 +229,14 @@ def from_distance_matrix(d, labels=None) -> FiniteMetricSpace:
         raise InvalidInput("distance matrix has non-finite entries")
     if not np.array_equal(D, D.T):
         i, j = np.unravel_index(int(np.argmax(np.abs(D - D.T))), D.shape)
-        raise InvalidInput(f"d({i},{j}) = {D[i, j]!r} but d({j},{i}) = {D[j, i]!r}")
+        raise InvalidInput(f"d({i},{j}) = {float(D[i, j])!r} but d({j},{i}) = {float(D[j, i])!r}")
     if (D < 0).any():
         i, j = np.unravel_index(int(np.argmin(D)), D.shape)
-        raise InvalidInput(f"d({i},{j}) = {D[i, j]!r} < 0")
+        raise InvalidInput(f"d({i},{j}) = {float(D[i, j])!r} < 0")
     diag = np.diag(D)
     if (diag != 0).any():
         i = int(np.nonzero(diag)[0][0])
-        raise InvalidInput(f"d({i},{i}) = {diag[i]!r} != 0")
+        raise InvalidInput(f"d({i},{i}) = {float(diag[i])!r} != 0")
     off = D.copy()
     np.fill_diagonal(off, np.inf)
     if (off == 0).any():

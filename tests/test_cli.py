@@ -41,6 +41,15 @@ def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
     assert len(built) <= 1 + len(cli.COMMANDS)  # the top parser and one per command, or none
 
 
+def test_main_runs_the_command_function_bound_at_call_time(monkeypatch):
+    # the parser is cached, so a wrapper bound after it was built must still run
+    cli.build_parser()
+    calls, real = [], cli.cmd_analyze
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args.example) or real(args))
+    assert main(["analyze", "--example", "tripod"]) == 0
+    assert calls == ["tripod"]
+
+
 class TestAnalyze:
     def test_tripod_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -74,6 +83,21 @@ class TestAnalyze:
         assert run(["analyze", "--input", bad]) == 2
         err = capsys.readouterr().err
         assert "exceeds" in err  # witness triple reported
+
+    @pytest.mark.parametrize(
+        "rows, err",
+        [
+            ("0,1\n2,0\n", "error: d(0,1) = 1.0 but d(1,0) = 2.0\n"),
+            ("0,-1\n-1,0\n", "error: d(0,1) = -1.0 < 0\n"),
+            ("0,1\n1,0.5\n", "error: d(1,1) = 0.5 != 0\n"),
+        ],
+        ids=["asymmetric", "negative", "nonzero-diagonal"],
+    )
+    def test_entry_errors_print_plain_numbers(self, rows, err, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n" + rows)
+        assert run(["analyze", "--input", bad]) == 2
+        assert capsys.readouterr().err == err
 
     def test_edge_list_input(self, tmp_path):
         path = tmp_path / "cycle.edges"
@@ -536,15 +560,12 @@ class TestRado:
             "--clique-rule", "modular:7", "--m-max", 400, "--trials", 4, "--seed", 11,
         ]
         artifacts = []
-        for threads in (None, "2"):
-            if threads is None:
-                monkeypatch.delenv("MMS_SIG_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("MMS_SIG_THREADS", threads)
-            prefix = tmp_path / f"threads{threads}"
+        for cpus in (1, 2):
+            monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
+            prefix = tmp_path / f"cpus{cpus}"
             assert run(argv + ["--output-prefix", prefix]) == 0
             artifacts.append(
-                [(tmp_path / f"threads{threads}_{name}").read_bytes()
+                [(tmp_path / f"cpus{cpus}_{name}").read_bytes()
                  for name in ("ratio.csv", "summary.json")]
             )
         assert artifacts[0] == artifacts[1]

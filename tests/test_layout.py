@@ -13,6 +13,9 @@ the README, so the package exposes nothing that only the tests use. Every
 exception class in ``mmsig.errors`` is caught by name somewhere in ``src``
 or named in the README, so an error raised at one site is an
 ``InvalidInput`` whose message names the witness, not a class of its own.
+No module reads the environment (``os.environ``, ``os.getenv``), so a run
+is set by its arguments alone and a hidden knob cannot come back unnoticed;
+what the machine offers, such as its usable CPUs, is measured instead.
 """
 
 import argparse
@@ -128,6 +131,18 @@ def test_only_linalg_imports_ctypes():
         if "ctypes" in set(_imported_modules(ast.parse(path.read_text(), str(path))))
     )
     assert importers == ["linalg.py"]
+
+
+def test_no_module_reads_the_environment():
+    env = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in env)
+        or (isinstance(node, ast.ImportFrom) and any(alias.name in env for alias in node.names))
+    ]
+    assert found == []
 
 
 def test_only_linalg_references_the_zero_band():
@@ -301,7 +316,7 @@ def _attribute_reads(argv):
             reads.add(name)
             return super().__getattribute__(name)
 
-    assert args.func(Recording(**vars(args))) == 0
+    assert getattr(mmsig.cli, f"cmd_{args.command}")(Recording(**vars(args))) == 0
     return reads
 
 

@@ -667,7 +667,7 @@ class TestWeightedCenter:
 
     def test_rejects_bad_weights(self):
         S = np.eye(3)
-        with pytest.raises(InvalidInput, match="weight 2 is negative"):
+        with pytest.raises(InvalidInput, match=r"^weight 2 is negative \(-0\.1\)$"):
             weighted_center(S, [0.5, 0.6, -0.1])
         with pytest.raises(InvalidInput, match="weights sum to .*, not 1"):
             weighted_center(S, [0.5, 0.4, 0.2])

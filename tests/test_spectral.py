@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -187,7 +188,7 @@ class TestRatioExperiment:
         assert traj.deltas == tuple(delta_ratio(i) for i in traj.inertias)
 
     def test_one_trajectory_call_per_trial(self, monkeypatch):
-        monkeypatch.setenv("MMS_SIG_THREADS", "1")
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
         calls = []
         real = spectral.limit_signature_trajectory
 
@@ -245,9 +246,9 @@ class TestRatioExperiment:
     def test_workers_deterministic(self, monkeypatch):
         model = CountableRadoModel(edge_prob=0.5, seed=1)
         measure = DiscreteMeasure.geometric(0.8)
-        monkeypatch.setenv("MMS_SIG_THREADS", "1")
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
         serial = rado_ratio_trials(model, measure, m_max=128, trials=4, seed=2)
-        monkeypatch.setenv("MMS_SIG_THREADS", "4")
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
         threaded = rado_ratio_trials(model, measure, m_max=128, trials=4, seed=2)
         assert [t.deltas for t in serial] == [t.deltas for t in threaded]
         assert [[i.counts() for i in t.inertias] for t in serial] == [
@@ -310,8 +311,8 @@ class TestBlasPin:
         monkeypatch.setattr(spectral, "rado_ratio_experiment", experiment)
         return seen
 
-    def _trials(self, monkeypatch, workers):
-        monkeypatch.setenv("MMS_SIG_THREADS", str(workers))
+    def _trials(self, monkeypatch, cpus):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
         return rado_ratio_trials(
             CountableRadoModel(edge_prob=0.5, seed=1), DiscreteMeasure.geometric(0.8),
             m_max=64, trials=4, seed=2,
@@ -319,19 +320,40 @@ class TestBlasPin:
 
     def test_pool_pins_one_thread_and_restores(self, monkeypatch, openblas_two_threads):
         seen = self._recording(monkeypatch, openblas_two_threads)
-        self._trials(monkeypatch, workers=2)
+        self._trials(monkeypatch, cpus=2)
         assert seen == [1, 1, 1, 1]
         assert openblas_two_threads() == 2
 
     def test_serial_run_keeps_threaded_blas(self, monkeypatch, openblas_two_threads):
         seen = self._recording(monkeypatch, openblas_two_threads)
-        self._trials(monkeypatch, workers=1)
+        self._trials(monkeypatch, cpus=1)
         assert seen == [2, 2, 2, 2]
+
+    def test_no_pin_runs_serially(self, monkeypatch, openblas_two_threads):
+        # without the pin each pool worker would start BLAS threads of its own
+        monkeypatch.setattr(spectral, "_openblas_thread_api", lambda: None)
+        seen = self._recording(monkeypatch, openblas_two_threads)
+        recorded, threads = spectral.rado_ratio_experiment, []
+
+        def experiment(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return recorded(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "rado_ratio_experiment", experiment)
+        self._trials(monkeypatch, cpus=4)
+        assert seen == [2, 2, 2, 2]
+        assert threads == [threading.get_ident()] * 4
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert spectral._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert spectral._usable_cpus() == os.cpu_count()
 
     def test_restored_after_a_trial_raises(self, monkeypatch, openblas_two_threads):
         self._recording(monkeypatch, openblas_two_threads, fail_seed=trial_seed(2, 1))
         with pytest.raises(RuntimeError):
-            self._trials(monkeypatch, workers=2)
+            self._trials(monkeypatch, cpus=2)
         assert openblas_two_threads() == 2
 
     def test_overlapping_pins_restore_the_first_count(self, openblas_two_threads):
