@@ -50,6 +50,7 @@ from .spaces import (
     write_distance_csv,
 )
 from .spectral import (
+    _check_thresholds,
     delta_ratio,
     esd_and_inertia,
     ks_to_semicircle,
@@ -227,6 +228,7 @@ def cmd_rado(args) -> int:
     model = _model_from_args(args, args.p)
     prefix = args.output_prefix or "rado"
     if args.ratio:
+        _check_thresholds(args.delta_threshold, args.min_fraction)
         measure = _parse_measure(args.measure or DEFAULT_MODEL_MEASURE)
         trajectories = rado_ratio_trials(
             model,

@@ -61,7 +61,8 @@ def _perturb_with_eps(space, seed, tol_rel):
             f"d({i},{j}) + d({j},{k}) up to slack {slack!r}"
         )
     n = space.n
-    T = double_center(s_matrix(space))
+    S = s_matrix(space)
+    T = double_center(S)
     _check_tol_rel(tol_rel)
     vals = _eigenvalues(T)
     ine = spectrum_inertia(vals, tol_rel)
@@ -88,7 +89,7 @@ def _perturb_with_eps(space, seed, tol_rel):
     d_min = float(space.dist[offdiag].min())
     g2 *= d_min / float(g2.max())
 
-    D2 = space.dist**2
+    D2 = -2.0 * S  # d^2 to the bit: scaling by -1/2 and back is exact
     weyl = 0.5 * float(np.linalg.norm(double_center(g2)))  # Frobenius >= 2-norm
     roundoff = n * np.finfo(float).eps * float(np.linalg.norm(D2))  # sqrt/square round trip
     eps = 0.5 * slack / float(g2.max())  # finite: n >= 3 past the early return
@@ -285,6 +286,8 @@ def parse_clique_spec(spec):
         return IndexClique(spec)
     name, modulus = spec.get("rule"), spec.get("modulus")
     if name == "quadratic":
+        if modulus is not None:
+            raise InvalidInput(f"quadratic clique rule takes no modulus, got {modulus!r}")
         return QuadraticGapClique()
     if name != "modular":
         raise InvalidInput(f"unknown clique rule {name!r}")

@@ -140,7 +140,10 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
             raise InvalidInput(f"too many parameters in measure {spec!r}")
         spec = {"type": kind, **{k: v for k, v in zip(keys, values) if v}}
     if isinstance(spec, (list, tuple, np.ndarray)):
-        return DiscreteMeasure(validate_weights(spec, n))
+        measure = DiscreteMeasure(spec)
+        if n not in (None, measure.n):
+            raise InvalidInput(f"expected {n} weights, got {measure.n}")
+        return measure
     if isinstance(spec, dict):
         kind = spec.get("type")
         if kind == "uniform":
@@ -237,8 +240,7 @@ def k_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:
     """
     w = validate_weights(measure.weights, space.n)
     root = np.sqrt(w)
-    out = s_matrix(space) * np.outer(root, root)
-    return 0.5 * (out + out.T)
+    return s_matrix(space) * np.outer(root, root)  # exactly symmetric
 
 
 def t_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:

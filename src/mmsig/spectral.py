@@ -205,6 +205,17 @@ def write_ratio_csv(trajectories, path, comment: str | None = None):
     _write_csv(path, ["trial", "m", "s_minus", "s_zero", "s_plus", "delta"], rows, comment)
 
 
+def _check_thresholds(delta_threshold, min_fraction) -> None:
+    """Refuse thresholds a summary cannot use: a non-finite ``delta_threshold``
+    (JSON has no NaN or Infinity), or a ``min_fraction`` outside [0, 1]."""
+    if min_fraction is not None and delta_threshold is None:
+        raise InvalidInput("min_fraction needs delta_threshold")
+    if delta_threshold is not None and not math.isfinite(delta_threshold):
+        raise InvalidInput(f"delta_threshold must be finite, got {delta_threshold!r}")
+    if min_fraction is not None and not 0.0 <= min_fraction <= 1.0:
+        raise InvalidInput(f"min_fraction must be in [0, 1], got {min_fraction!r}")
+
+
 def ratio_summary(
     trajectories,
     provenance: dict | None = None,
@@ -217,8 +228,7 @@ def ratio_summary(
     whose trajectory reaches the threshold at any checkpoint, and with
     ``min_fraction``, which needs the threshold, a pass/fail verdict.
     """
-    if min_fraction is not None and delta_threshold is None:
-        raise InvalidInput("min_fraction needs delta_threshold")
+    _check_thresholds(delta_threshold, min_fraction)
     finals = np.asarray([t.final_delta for t in trajectories], dtype=float)
     finite = finals[np.isfinite(finals)]
     qs = {}

@@ -617,6 +617,36 @@ class TestRado:
         assert capsys.readouterr().err.startswith("error: --min-fraction")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--delta-threshold", "nan"], "delta_threshold must be finite, got nan"),
+            (["--delta-threshold", "inf"], "delta_threshold must be finite, got inf"),
+            (["--delta-threshold", 1.0, "--min-fraction", 7],
+             "min_fraction must be in [0, 1], got 7.0"),
+        ],
+        ids=["nan", "inf", "min-fraction-7"],
+    )
+    def test_thresholds_that_cannot_be_met_exit_2(self, extra, message, tmp_path, capsys):
+        # nan and inf made invalid JSON and --min-fraction 7 an unconditional
+        # "pass": false; each is refused before the first trial runs
+        prefix = tmp_path / "thr"
+        argv = ["rado", "--ratio", "--p", 0.5, "--measure", "geometric:0.9", "--m-max", 50,
+                "--trials", 2, "--output-prefix", prefix]
+        assert run(argv + extra) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "thr_ratio.csv").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quadratic_clique_rule_takes_no_modulus(self, tmp_path, capsys):
+        prefix = tmp_path / "q"
+        assert run(["rado", "--p", 0.5, "--N", 20, "--clique-rule", "quadratic:2",
+                    "--output-prefix", prefix]) == 2
+        assert capsys.readouterr().err == (
+            "error: quadratic clique rule takes no modulus, got '2'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "argv",

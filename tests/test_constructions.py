@@ -357,6 +357,15 @@ class TestRadoModel:
             with pytest.raises(InvalidInput, match=message):
                 parse_clique_spec(bad)
 
+    def test_quadratic_rule_refuses_a_modulus(self):
+        # the modulus was dropped and the quadratic clique planted
+        for bad in ("quadratic:2", {"rule": "quadratic", "modulus": 3}):
+            with pytest.raises(InvalidInput, match="quadratic clique rule takes no modulus"):
+                parse_clique_spec(bad)
+        doc = '{"p": 0.5, "seed": 1, "planted_clique": {"rule": "quadratic", "modulus": 3}}'
+        with pytest.raises(InvalidInput, match="quadratic clique rule takes no modulus, got 3"):
+            model_from_json(doc)
+
 
 def _adjacency(n, edges):
     A = np.zeros((n, n), dtype=bool)

@@ -16,6 +16,9 @@ or named in the README, so an error raised at one site is an
 No module reads the environment (``os.environ``, ``os.getenv``), so a run
 is set by its arguments alone and a hidden knob cannot come back unnoticed;
 what the machine offers, such as its usable CPUs, is measured instead.
+No ``**``, ``np.square`` or ``np.power`` takes an operand that reads
+``.dist`` outside ``spaces.s_matrix``, so a space's distances are squared in
+one place and a change to how -d^2/2 is built changes one function.
 """
 
 import argparse
@@ -143,6 +146,38 @@ def test_no_module_reads_the_environment():
         or (isinstance(node, ast.ImportFrom) and any(alias.name in env for alias in node.names))
     ]
     assert found == []
+
+
+def _squarings_of_dist(tree):
+    """Each ``**`` (``**=`` too) and ``square`` or ``power`` call in ``tree``
+    with an operand that reads an attribute named ``dist``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            operands = [node.target, node.value]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("square", "power"):
+            operands = node.args
+        else:
+            continue
+        if any(isinstance(sub, ast.Attribute) and sub.attr == "dist"
+               for op in operands for sub in ast.walk(op)):
+            yield node
+
+
+def test_only_s_matrix_squares_distances():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, node.lineno) for node in _squarings_of_dist(tree)]
+    own = next(
+        node for node in ast.parse((SRC / "spaces.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "s_matrix"
+    )
+    # the one squaring the rule allows, which also shows the search finds one
+    allowed = [("spaces.py", node.lineno) for node in _squarings_of_dist(own)]
+    assert len(allowed) == 1
+    assert found == allowed
 
 
 def test_only_linalg_references_the_zero_band():

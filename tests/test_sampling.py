@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmsig import sampling
 from mmsig.errors import InvalidInput
 from mmsig.linalg import double_center, inertia
 from mmsig.sampling import (
@@ -98,6 +99,16 @@ class TestDiscreteMeasure:
                 parse_measure_spec([0.25, 0.75], n=n)
         with pytest.raises(InvalidInput, match="weights must be numbers"):
             parse_measure_spec([0.5, "x"])
+
+    def test_a_weight_vector_is_validated_once(self, monkeypatch):
+        calls = []
+        real = sampling.validate_weights
+        monkeypatch.setattr(sampling, "validate_weights", lambda *a: calls.append(a) or real(*a))
+        assert parse_measure_spec([0.25, 0.75], n=2).n == 2
+        assert len(calls) == 1
+        # the length is checked after the vector itself, so another fault comes first
+        with pytest.raises(InvalidInput, match="weight 0 is negative"):
+            parse_measure_spec([-0.25, 1.25], n=3)
 
     @pytest.mark.parametrize(
         "content, message",

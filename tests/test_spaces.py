@@ -217,6 +217,21 @@ class TestFromGraph:
         with pytest.raises(InvalidInput, match="no path between vertices 0 and 2"):
             from_graph(Graph(3, frozenset({(0, 1)})))
 
+    def test_disconnected_far_vertex_is_refused_in_edge_count_memory(self, tmp_path):
+        # the check ran after an n x n matrix and n searches: 1.3 s and a
+        # 215 MB tracemalloc peak for the vertex 4999 of a two-line file
+        path = tmp_path / "far.edges"
+        path.write_text("0 1\n0 4999\n")
+        g = read_edge_list(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match=r"^no path between vertices 0 and 2$"):
+                from_graph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
     def test_matches_per_entry_bfs(self):
         # random graphs, half of them given a spanning path; a disconnected
         # one names the first unreachable pair in row-major order
