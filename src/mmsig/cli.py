@@ -42,6 +42,7 @@ from .signature import (
     write_trajectory_csv,
 )
 from .spaces import (
+    _integer,
     _write_csv,
     from_graph,
     named_example,
@@ -143,17 +144,10 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _int_arg(text, what):
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise InvalidInput(f"{what} must be an integer, got {text!r}") from exc
-
-
 def _parse_sizes(text, n):
     if not text:
         return None
-    parts = [_int_arg(x, "--sizes entry") for x in text.split(":")]
+    parts = [_integer(x, "--sizes entry") for x in text.split(":")]
     if len(parts) > 3:
         raise InvalidInput(f"--sizes takes lo:hi[:step], got {text!r}")
     if len(parts) == 1:
@@ -219,7 +213,7 @@ def _model_from_args(args, p) -> CountableRadoModel:
     """The model of --model-seed, --clique and --clique-rule with edge probability p."""
     clique = args.clique_rule or None
     if args.clique:
-        clique = [_int_arg(x, "--clique index") for x in args.clique.split(",") if x.strip()]
+        clique = [_integer(x, "--clique index") for x in args.clique.split(",") if x.strip()]
     seed = args.model_seed if args.model_seed is not None else args.seed
     return CountableRadoModel(edge_prob=p, seed=seed, planted_clique=clique)
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
 from .linalg import DEFAULT_TOL_REL, _check_tol_rel, _eigenvalues, double_center, inertia, spectrum_inertia
 from .spaces import (
-    _MASK64, FiniteMetricSpace, _distances, _min_strict_slack, _pairwise_sq_diffs, _philox,
+    _MASK64, FiniteMetricSpace, _distances, _integer, _min_strict_slack, _pairwise_sq_diffs, _philox,
     from_distance_matrix, from_euclidean_points, s_matrix,
 )
 
@@ -218,7 +218,7 @@ class IndexClique:
     indices: tuple = ()
 
     def __post_init__(self):
-        indices = tuple(sorted({int(i) for i in self.indices}))
+        indices = tuple(sorted({_integer(i, "clique index") for i in self.indices}))
         if indices and indices[0] < 0:
             raise InvalidInput("clique indices must be nonnegative")
         object.__setattr__(self, "indices", indices)
@@ -241,6 +241,7 @@ class ResidueClassClique:
     modulus: int
 
     def __post_init__(self):
+        object.__setattr__(self, "modulus", _integer(self.modulus, "clique modulus"))
         if self.modulus < 2:
             raise InvalidInput("modulus must be >= 2")
 
@@ -293,10 +294,7 @@ def parse_clique_spec(spec):
         raise InvalidInput(f"unknown clique rule {name!r}")
     if modulus is None:
         raise InvalidInput("modular clique rule needs a modulus")
-    try:
-        return ResidueClassClique(int(modulus))
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"clique modulus must be an integer, got {modulus!r}") from exc
+    return ResidueClassClique(modulus)
 
 
 @dataclass(frozen=True)
@@ -376,6 +374,6 @@ def model_from_json(text: str) -> CountableRadoModel:
     doc = json.loads(text)
     return CountableRadoModel(
         edge_prob=float(doc["p"]),
-        seed=int(doc["seed"]),
+        seed=_integer(doc["seed"], "model seed"),
         planted_clique=doc.get("planted_clique"),
     )

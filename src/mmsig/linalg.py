@@ -15,18 +15,19 @@ smaller was counted (``_parity_counts``), and by an eigensolve otherwise.
 ``_schur_step`` is the one Schur complement: it adds a block's counts by
 Haynsworth additivity and, once certified, updates the inverse the next
 step starts from.
-``single_threaded_blas`` is the one place that controls BLAS threading.
+``pinned_map`` is the one place that runs threads and controls BLAS
+threading.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import functools
 import math
 import numbers
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -161,31 +162,40 @@ def _openblas_thread_api():
     return None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset`` or a cpuset narrows it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _BlasPin:
-    """How many ``single_threaded_blas`` bodies are open, and the count saved
-    when the first one opened."""
+    """How many ``pinned_map`` pools are running, and the count saved when
+    the first one started."""
 
     lock = threading.Lock()
     depth = 0
     saved = 0
 
 
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Pin OpenBLAS to one thread for the body; restore the previous count.
+def pinned_map(fn, items) -> list:
+    """``[fn(x) for x in items]``, in order, for a sequence ``items``.
 
-    Meant around a pool of threads that each run their own eigensolves, so
-    that the pool's workers do not each start OpenBLAS threads of their own.
-    The count is process-global: any other BLAS work in the process, on any
-    thread, also runs single-threaded until the body ends. Bodies that
-    overlap, on one thread or several, pin once and restore once, when the
-    last one ends. Does nothing when ``_openblas_thread_api`` finds no
-    OpenBLAS.
+    Where ``_openblas_thread_api`` finds OpenBLAS, ``min(len(items), usable
+    CPUs)`` pool workers run the items with OpenBLAS pinned to one thread: a
+    pool whose workers each start BLAS threads of their own is slower than
+    one thread with threaded BLAS. The pin is process-global, so other BLAS
+    work in the process also runs single-threaded meanwhile. Overlapping
+    pools pin once and restore the saved count when the last one ends, also
+    when ``fn`` raises. Otherwise, and with one worker (one usable CPU or
+    one item), the items run serially in the calling thread with threaded
+    BLAS.
     """
     api = _openblas_thread_api()
-    if api is None:
-        yield
-        return
+    workers = min(len(items), _usable_cpus()) if api is not None else 1
+    if workers <= 1:
+        return [fn(x) for x in items]
     get, put = api
     with _BlasPin.lock:
         if _BlasPin.depth == 0:
@@ -193,7 +203,8 @@ def single_threaded_blas():
             put(1)
         _BlasPin.depth += 1
     try:
-        yield
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
     finally:
         with _BlasPin.lock:
             _BlasPin.depth -= 1

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import validate_weights, weighted_center
-from .spaces import _MASK64, FiniteMetricSpace, _frozen, _philox, s_matrix
+from .spaces import _MASK64, FiniteMetricSpace, _frozen, _integer, _philox, s_matrix
 
 _TAIL = 1e-18
 _SUPPORT_MAX = 10**6  # the most points a countable measure materializes
@@ -87,6 +87,7 @@ class DiscreteMeasure:
         gets the same pointwise mass at a given level, with a geometric
         distribution of ratio ``level_q`` over the levels.
         """
+        j = _integer(j, "class_biased measure parameter j")
         if j < 1:
             raise InvalidInput("class count parameter j must be >= 1")
         levels = _geometric_weights(level_q, "class_biased q")
@@ -108,15 +109,14 @@ _RULE_PARAMS = {
 }
 
 
-def _rule_param(spec: dict, key: str, convert, default=None):
-    """``spec[key]`` (``default`` when absent) converted by int or float."""
+def _float_param(spec: dict, key: str, default=None) -> float:
+    """``spec[key]`` (``default`` when absent) as a float."""
     value = spec.get(key, default)
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
-        what = "an integer" if convert is int else "a number"
         raise InvalidInput(
-            f"{spec['type']} measure parameter {key} must be {what}, got {value!r}"
+            f"{spec['type']} measure parameter {key} must be a number, got {value!r}"
         ) from exc
 
 
@@ -153,15 +153,13 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
         if kind == "geometric":
             if "q" not in spec:
                 raise InvalidInput("geometric measure needs a ratio, e.g. geometric:0.9")
-            return DiscreteMeasure.geometric(_rule_param(spec, "q", float))
+            return DiscreteMeasure.geometric(_float_param(spec, "q"))
         if kind == "super_geometric":
             return DiscreteMeasure.super_geometric()
         if kind == "class_biased":
             if "j" not in spec:
                 raise InvalidInput("class_biased needs j, e.g. class_biased:30")
-            return DiscreteMeasure.class_biased(
-                _rule_param(spec, "j", int), _rule_param(spec, "q", float, 0.9)
-            )
+            return DiscreteMeasure.class_biased(spec["j"], _float_param(spec, "q", 0.9))
         raise InvalidInput(f"unknown measure rule {kind!r}")
     raise InvalidInput(f"cannot interpret measure spec {spec!r}")
 
@@ -238,8 +236,9 @@ def k_matrix(space: FiniteMetricSpace, measure: DiscreteMeasure) -> np.ndarray:
     Congruent-similar to the kernel matrix acting on the weighted space, so
     its inertia is the inertia of the unnormalized scaling operator.
     """
-    w = validate_weights(measure.weights, space.n)
-    root = np.sqrt(w)
+    if measure.n != space.n:  # the weights were validated when the measure was built
+        raise InvalidInput(f"expected {space.n} weights, got {measure.n}")
+    root = np.sqrt(measure.weights)
     return s_matrix(space) * np.outer(root, root)  # exactly symmetric
 
 

@@ -36,6 +36,20 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.uint64(seed & _MASK64)))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int where that loses nothing: an int or numpy integer,
+    a number with no fractional part, or a decimal string such as "30". A
+    bool, a fractional or non-finite number and anything else raise
+    InvalidInput naming ``what`` and the value, instead of being truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            number = int(value)
+            # a string must spell the integer, a number must equal it
+            if isinstance(value, str) or number == value:
+                return number
+    raise InvalidInput(f"{what} must be an integer, got {value!r}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A read-only copy of ``a``: a validated object shares no memory with
     the caller, whose later writes would otherwise change it."""
@@ -70,7 +84,7 @@ class FiniteMetricSpace:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise InvalidInput(f"point indices out of range for a {self.n}-point space")
-        return s_matrix(self)[np.ix_(idx, idx)]
+        return s_matrix(self, idx)
 
 
 @dataclass(frozen=True)
@@ -168,9 +182,12 @@ def _default_labels(n: int, prefix: str = "p") -> tuple:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def s_matrix(space: FiniteMetricSpace) -> np.ndarray:
-    """-d^2/2: hollow, symmetric, strictly negative off the diagonal."""
-    return -0.5 * space.dist**2
+def s_matrix(space: FiniteMetricSpace, indices=None) -> np.ndarray:
+    """-d^2/2: hollow, symmetric, strictly negative off the diagonal. With
+    ``indices`` (range-checked by ``s_matrix_on``), -d^2/2 on those points in
+    their order, squaring only ``dist[np.ix_(indices, indices)]``."""
+    idx = slice(None) if indices is None else np.ix_(indices, indices)
+    return -0.5 * space.dist[idx] ** 2
 
 
 def _min_strict_slack(D: np.ndarray):
@@ -372,21 +389,22 @@ def named_example(name: str, **params) -> FiniteMetricSpace:
         raise InvalidInput(f"{name} requires parameter {missing[0]!r}")
     if extra:
         raise InvalidInput(f"{name} takes no parameter {extra[0]!r}")
+    params = {key: _integer(value, f"{name} parameter {key}") for key, value in params.items()}
     if name == "tripod":
         return from_distance_matrix(_tripod_matrix(4))
     if name == "tripod_extended":
-        n = int(params["n"])
+        n = params["n"]
         if n < 5:
             raise InvalidInput("tripod_extended needs n >= 5")
         return from_distance_matrix(_tripod_matrix(n))
     if name == "simplex":
-        n = int(params["n"])
+        n = params["n"]
         if n < 2:
             raise InvalidInput("simplex needs n >= 2")
         D = np.ones((n, n)) - np.eye(n)
         return from_distance_matrix(D)
     if name in ("sphere", "sphere_sqrt"):
-        dim, n, seed = (int(params[key]) for key in ("dim", "n", "seed"))
+        dim, n, seed = (params[key] for key in ("dim", "n", "seed"))
         if dim < 1 or n < 1:
             raise InvalidInput("sphere needs dim >= 1 and n >= 1")
         D = _sphere_matrix(dim, n, seed)

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,8 +20,7 @@ import numpy as np
 from .constructions import CountableRadoModel
 from .errors import InvalidInput
 from .linalg import (
-    DEFAULT_TOL_REL, Inertia, _check_tol_rel, _eigenvalues, _openblas_thread_api, as_sym_matrix,
-    single_threaded_blas, spectrum_inertia,
+    DEFAULT_TOL_REL, Inertia, _check_tol_rel, _eigenvalues, as_sym_matrix, pinned_map, spectrum_inertia,
 )
 from .sampling import DiscreteMeasure, gv_sample, trial_seed
 from .signature import limit_signature_trajectory
@@ -147,14 +144,6 @@ def rado_ratio_experiment(
     return RatioTrajectory(seed=seed, m_values=checkpoints, dedup_sizes=sizes, inertias=inertias)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one (``taskset`` or a cpuset narrows it), else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def rado_ratio_trials(
     model: CountableRadoModel,
     measure: DiscreteMeasure,
@@ -165,20 +154,11 @@ def rado_ratio_trials(
 ) -> list:
     """Independent repetitions, trial t seeded with ``trial_seed(seed, t)``.
 
-    The trials run on ``min(trials, usable CPUs)`` workers where OpenBLAS can
-    be pinned (``linalg._openblas_thread_api``), and serially otherwise: a
-    pool whose workers each start BLAS threads of their own is slower than
-    one thread running the trials with threaded BLAS. With more than one
-    worker the trials run on a thread pool, and OpenBLAS is pinned to one
-    thread while the pool runs (``linalg.single_threaded_blas``); the
-    previous count is restored afterwards, also when a trial raises. The pin
-    is process-global, so other BLAS work in the same process runs
-    single-threaded meanwhile. A serial run, as with one usable CPU or one
-    trial, keeps threaded BLAS. Results do not depend on the worker count.
+    The trials run through ``linalg.pinned_map``, which sets the workers and
+    the BLAS pin. Results do not depend on the worker count.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    workers = min(trials, _usable_cpus()) if _openblas_thread_api() is not None else 1
 
     def run(t):
         return rado_ratio_experiment(
@@ -189,10 +169,7 @@ def rado_ratio_trials(
             tol_rel=tol_rel,
         )
 
-    if workers <= 1:
-        return [run(t) for t in range(trials)]
-    with single_threaded_blas(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(trials)))
+    return pinned_map(run, range(trials))
 
 
 def write_ratio_csv(trajectories, path, comment: str | None = None):

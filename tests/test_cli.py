@@ -561,7 +561,7 @@ class TestRado:
         ]
         artifacts = []
         for cpus in (1, 2):
-            monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
             prefix = tmp_path / f"cpus{cpus}"
             assert run(argv + ["--output-prefix", prefix]) == 0
             artifacts.append(
@@ -741,6 +741,18 @@ def test_weight_that_is_not_a_json_number_exits_2(argv, weights, tmp_path, monke
     assert run(argv + ["--measure", "w.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: w.json: weights must be numbers: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("j, shown", [(2.7, "2.7"), (True, "True")], ids=["fraction", "bool"])
+def test_class_biased_j_that_is_not_an_integer_exits_2(j, shown, tmp_path, monkeypatch, capsys):
+    # int() made j = 2.7 into 2 and true into 1, and the summary said "j": 2
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({"type": "class_biased", "j": j}))
+    assert run(RATIO + ["--measure", "m.json"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: m.json: class_biased measure parameter j must be an integer, got {shown}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
 @pytest.mark.parametrize("error", [MonotonicityViolation, NoConvergence, EpsilonUnderflow])

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import re
@@ -356,6 +357,43 @@ class TestRadoModel:
                              ([1, -2], "clique indices must be nonnegative")):
             with pytest.raises(InvalidInput, match=message):
                 parse_clique_spec(bad)
+
+    @pytest.mark.parametrize(
+        "modulus", [2.5, True, "2.5", float("nan")], ids=["fraction", "bool", "string", "nan"]
+    )
+    def test_modulus_must_be_an_integer(self, modulus):
+        # int() truncated 2.5 to 2 in the dict form and in model_from_json
+        message = f"clique modulus must be an integer, got {modulus!r}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            parse_clique_spec({"rule": "modular", "modulus": modulus})
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            ResidueClassClique(modulus)
+        doc = {"p": 0.5, "seed": 1, "planted_clique": {"rule": "modular", "modulus": modulus}}
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "modulus", [31, 31.0, "31", np.int64(31)], ids=["int", "float", "string", "numpy"]
+    )
+    def test_an_integral_modulus_is_kept(self, modulus):
+        clique = parse_clique_spec({"rule": "modular", "modulus": modulus})
+        assert clique == ResidueClassClique(31) and type(clique.modulus) is int
+        assert clique.spec() == {"rule": "modular", "modulus": 31}
+
+    def test_clique_indices_must_be_integers(self):
+        # int() made the clique [0, 1.5, 2] into (0, 1, 2)
+        for bad in ([0, 1.5, 2], [0, True, 2]):
+            shown = bad[1]
+            with pytest.raises(InvalidInput, match=f"^clique index must be an integer, got {shown!r}$"):
+                parse_clique_spec(bad)
+            with pytest.raises(InvalidInput, match=f"^clique index must be an integer, got {shown!r}$"):
+                CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=bad)
+        assert IndexClique([2, 0.0, np.int64(5), "7"]).indices == (0, 2, 5, 7)
+
+    def test_model_seed_must_be_an_integer(self):
+        with pytest.raises(InvalidInput, match=r"^model seed must be an integer, got 1\.5$"):
+            model_from_json('{"p": 0.5, "seed": 1.5}')
+        assert model_from_json('{"p": 0.5, "seed": 7.0}') == CountableRadoModel(edge_prob=0.5, seed=7)
 
     def test_quadratic_rule_refuses_a_modulus(self):
         # the modulus was dropped and the quadratic clique planted

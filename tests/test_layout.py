@@ -2,8 +2,10 @@
 
 Imports sit at module level: a function-local import hides a dependency
 between modules and usually papers over an import cycle. Only ``linalg``
-imports ``ctypes``, so BLAS thread control stays in one place, and only
-``linalg`` references ``_zero_band``, so the zero band has one owner. The names
+imports ``ctypes``, so BLAS thread control stays in one place. Only
+``linalg`` imports ``threading`` or ``concurrent.futures``, so threads and
+the BLAS pin stay in one place, ``linalg.pinned_map``. Only ``linalg``
+references ``_zero_band``, so the zero band has one owner. The names
 that the benchmark's tracer looks up in the package stay bound, so a
 refactor cannot break the benchmark while these tests pass. Every run of
 ``cli.RUNS`` reads each option it takes, and refuses each option it lacks
@@ -127,13 +129,22 @@ def _imported_modules(tree):
             yield node.module.split(".")[0]
 
 
-def test_only_linalg_imports_ctypes():
-    importers = sorted(
+def _importers(module):
+    return sorted(
         path.name
         for path in SRC.glob("*.py")
-        if "ctypes" in set(_imported_modules(ast.parse(path.read_text(), str(path))))
+        if module in set(_imported_modules(ast.parse(path.read_text(), str(path))))
     )
-    assert importers == ["linalg.py"]
+
+
+def test_only_linalg_imports_ctypes():
+    assert _importers("ctypes") == ["linalg.py"]
+
+
+def test_only_linalg_imports_threads():
+    # a pool's workers and the BLAS pin are correct only together
+    assert _importers("threading") == ["linalg.py"]
+    assert _importers("concurrent") == ["linalg.py"]
 
 
 def test_no_module_reads_the_environment():

@@ -100,6 +100,27 @@ class TestDiscreteMeasure:
         with pytest.raises(InvalidInput, match="weights must be numbers"):
             parse_measure_spec([0.5, "x"])
 
+    @pytest.mark.parametrize(
+        "j", [2.7, True, float("inf"), "2.7", None], ids=["fraction", "bool", "inf", "string", "none"]
+    )
+    def test_class_biased_j_must_be_an_integer(self, j):
+        # int() truncated 2.7 to 2 and read true as 1
+        message = f"class_biased measure parameter j must be an integer, got {j!r}"
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            parse_measure_spec({"type": "class_biased", "j": j})
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            DiscreteMeasure.class_biased(j)
+
+    @pytest.mark.parametrize(
+        "j", [30, 30.0, "30", np.int64(30), np.float64(30.0)],
+        ids=["int", "float", "string", "numpy-int", "numpy-float"],
+    )
+    def test_class_biased_takes_an_integral_j(self, j):
+        measure = parse_measure_spec({"type": "class_biased", "j": j})
+        assert measure.rule == {"type": "class_biased", "j": 30, "q": 0.9}
+        assert type(measure.rule["j"]) is int
+        assert measure.weights.tobytes() == DiscreteMeasure.class_biased(30).weights.tobytes()
+
     def test_a_weight_vector_is_validated_once(self, monkeypatch):
         calls = []
         real = sampling.validate_weights
@@ -310,6 +331,16 @@ class TestOperatorMatrices:
         sp = named_example("tripod")
         with pytest.raises(InvalidInput, match="expected 4 weights, got 5"):
             k_matrix(sp, DiscreteMeasure.uniform(5))
+
+    def test_k_matrix_does_not_revalidate_the_weights(self, monkeypatch):
+        # a DiscreteMeasure's weights were validated when it was built
+        measure = DiscreteMeasure.uniform(4)
+        calls = []
+        real = sampling.validate_weights
+        monkeypatch.setattr(sampling, "validate_weights", lambda *a: calls.append(a) or real(*a))
+        K = k_matrix(named_example("tripod"), measure)
+        assert calls == []
+        assert K.tobytes() == (s_matrix(named_example("tripod")) / 4.0).tobytes()
 
 
 def from_distance_matrix_cached_n(rng, n):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mmsig.signature import (
     write_trajectory_csv,
 )
 from mmsig.spaces import (
+    FiniteMetricSpace,
     PseudoEuclideanPointSet,
     from_distance_matrix,
     from_euclidean_points,
@@ -65,6 +67,22 @@ class TestSMatrix:
         for bad in ([0, 9], [-1]):
             with pytest.raises(InvalidInput):
                 sp.s_matrix_on(bad)
+
+    def test_s_matrix_on_squares_only_the_slice(self):
+        # squaring all 2000 points before slicing peaked at 30.5 MB; the
+        # space is built as from_euclidean_points builds it, less its O(n^3)
+        # triangle scan
+        P = np.random.default_rng(6).normal(size=(2000, 3))
+        sp = FiniteMetricSpace(spaces._distances(spaces._pairwise_sq_diffs(P)), labels=())
+        idx = [1999, 0, 7, 512, 7, 3, 1024, 88]
+        tracemalloc.start()
+        try:
+            S = sp.s_matrix_on(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert S.tobytes() == (-0.5 * sp.dist[np.ix_(idx, idx)] ** 2).tobytes()
 
 
 class TestSpaceSignature:

@@ -382,6 +382,23 @@ class TestPseudoEuclidean:
 
 
 class TestNamedExamples:
+    @pytest.mark.parametrize(
+        "name, params, shown",
+        [("simplex", {"n": 2.7}, "simplex parameter n must be an integer, got 2.7"),
+         ("simplex", {"n": True}, "simplex parameter n must be an integer, got True"),
+         ("tripod_extended", {"n": "6.5"}, "tripod_extended parameter n must be an integer, got '6.5'"),
+         ("sphere", {"dim": 2, "n": 5, "seed": 0.5}, "sphere parameter seed must be an integer, got 0.5")],
+        ids=["simplex-fraction", "simplex-bool", "tripod_extended-string", "sphere-seed"],
+    )
+    def test_integer_parameters_are_not_truncated(self, name, params, shown):
+        # int() built 2 points for simplex n=2.7
+        with pytest.raises(InvalidInput, match=f"^{re.escape(shown)}$"):
+            named_example(name, **params)
+
+    @pytest.mark.parametrize("n", [3, 3.0, "3", np.int64(3)], ids=["int", "float", "string", "numpy"])
+    def test_integral_parameters_are_taken(self, n):
+        assert np.array_equal(named_example("simplex", n=n).dist, named_example("simplex", n=3).dist)
+
     def test_simplex(self):
         sp = named_example("simplex", n=5)
         off = sp.dist[~np.eye(5, dtype=bool)]

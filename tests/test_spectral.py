@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from mmsig import linalg, spectral
 from mmsig.constructions import CountableRadoModel, ResidueClassClique
 from mmsig.errors import InvalidInput
-from mmsig.linalg import Inertia, double_center, inertia, single_threaded_blas
+from mmsig.linalg import Inertia, double_center, inertia, pinned_map
 from mmsig.sampling import DiscreteMeasure, gv_sample, trial_seed
 from mmsig.spectral import (
     ESD,
@@ -188,7 +188,7 @@ class TestRatioExperiment:
         assert traj.deltas == tuple(delta_ratio(i) for i in traj.inertias)
 
     def test_one_trajectory_call_per_trial(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
         calls = []
         real = spectral.limit_signature_trajectory
 
@@ -246,9 +246,9 @@ class TestRatioExperiment:
     def test_workers_deterministic(self, monkeypatch):
         model = CountableRadoModel(edge_prob=0.5, seed=1)
         measure = DiscreteMeasure.geometric(0.8)
-        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
         serial = rado_ratio_trials(model, measure, m_max=128, trials=4, seed=2)
-        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 4)
         threaded = rado_ratio_trials(model, measure, m_max=128, trials=4, seed=2)
         assert [t.deltas for t in serial] == [t.deltas for t in threaded]
         assert [[i.counts() for i in t.inertias] for t in serial] == [
@@ -312,7 +312,7 @@ class TestBlasPin:
         return seen
 
     def _trials(self, monkeypatch, cpus):
-        monkeypatch.setattr(spectral, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
         return rado_ratio_trials(
             CountableRadoModel(edge_prob=0.5, seed=1), DiscreteMeasure.geometric(0.8),
             m_max=64, trials=4, seed=2,
@@ -331,7 +331,7 @@ class TestBlasPin:
 
     def test_no_pin_runs_serially(self, monkeypatch, openblas_two_threads):
         # without the pin each pool worker would start BLAS threads of its own
-        monkeypatch.setattr(spectral, "_openblas_thread_api", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas_thread_api", lambda: None)
         seen = self._recording(monkeypatch, openblas_two_threads)
         recorded, threads = spectral.rado_ratio_experiment, []
 
@@ -346,9 +346,9 @@ class TestBlasPin:
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert spectral._usable_cpus() == len(os.sched_getaffinity(0))
+            assert linalg._usable_cpus() == len(os.sched_getaffinity(0))
             monkeypatch.delattr(os, "sched_getaffinity")
-        assert spectral._usable_cpus() == os.cpu_count()
+        assert linalg._usable_cpus() == os.cpu_count()
 
     def test_restored_after_a_trial_raises(self, monkeypatch, openblas_two_threads):
         self._recording(monkeypatch, openblas_two_threads, fail_seed=trial_seed(2, 1))
@@ -356,23 +356,28 @@ class TestBlasPin:
             self._trials(monkeypatch, cpus=2)
         assert openblas_two_threads() == 2
 
-    def test_overlapping_pins_restore_the_first_count(self, openblas_two_threads):
-        # thread a pins, b pins, a ends, b ends: the count must go back to 2
+    def test_overlapping_pins_restore_the_first_count(self, monkeypatch, openblas_two_threads):
+        # pool a pins, b pins, a ends, b ends: the count must go back to 2
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
         a_pinned, b_pinned, a_done = (threading.Event() for _ in range(3))
         seen = []
 
+        def in_a(_):
+            a_pinned.set()
+            b_pinned.wait(10)
+
+        def in_b(_):
+            b_pinned.set()
+            a_done.wait(10)
+
         def a():
-            with single_threaded_blas():
-                a_pinned.set()
-                b_pinned.wait(10)
+            pinned_map(in_a, range(2))
             seen.append(openblas_two_threads())
             a_done.set()
 
         def b():
             a_pinned.wait(10)
-            with single_threaded_blas():
-                b_pinned.set()
-                a_done.wait(10)
+            pinned_map(in_b, range(2))
 
         threads = [threading.Thread(target=f) for f in (a, b)]
         for t in threads:
@@ -380,13 +385,13 @@ class TestBlasPin:
         for t in threads:
             t.join(20)
         assert not any(t.is_alive() for t in threads)
-        assert seen == [1]  # b's body is still open when a's ends
+        assert seen == [1]  # b's pool is still running when a's ends
         assert openblas_two_threads() == 2
 
     def test_no_openblas_leaves_blas_alone(self, monkeypatch):
         api = linalg._openblas_thread_api()
         before = api[0]() if api else None
         monkeypatch.setattr(linalg, "_openblas_thread_api", lambda: None)
-        with single_threaded_blas():
-            assert (api[0]() if api else None) == before
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 4)
+        assert pinned_map(lambda _: api[0]() if api else None, range(4)) == [before] * 4
         assert (api[0]() if api else None) == before
