@@ -9,12 +9,15 @@ passed it, or a leading block of one, and validates nothing. Inertia
 counting uses the eigenvalue spectrum as the source of truth, with the zero
 threshold ``theta = tol_rel * n * max|lambda|``; ``prefix_inertias`` counts
 a family of leading blocks against one threshold, from a Perron bracket of
-max|lambda|: by certified Schur blocks where they cost less than an
-eigensolve, by the signs of det(A_k -+ theta I) where the block one row
-smaller was counted (``_parity_counts``), and by an eigensolve otherwise.
-``_schur_step`` is the one Schur complement: it adds a block's counts by
-Haynsworth additivity and, once certified, updates the inverse the next
-step starts from.
+max|lambda|: by pivoting on a planted clique's closed-form block where the
+caller marks one and that costs less (``_clique_pivot``), by certified Schur
+blocks where they cost less than an eigensolve, by the signs of
+det(A_k -+ theta I) where the block one row smaller was counted
+(``_parity_counts``), and by an eigensolve otherwise. ``_schur_step`` is
+the chain's Schur complement: it adds a block's counts by Haynsworth
+additivity and, once certified, updates the inverse the next step starts
+from; ``_clique_pivot`` forms the complement of the clique block, of the
+order of the points outside it, and updates nothing.
 ``pinned_map`` is the one place that runs threads and controls BLAS
 threading.
 """
@@ -33,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInput, NoConvergence
+from .spaces import _integers
 
 DEFAULT_TOL_REL = 1e-9
 
@@ -342,7 +346,100 @@ def _parity_counts(A: np.ndarray, theta: float, prev: Inertia):
     return Inertia(lo, hi - lo, k - hi, theta) if lo <= hi else None
 
 
-def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
+# Rough costs, in microseconds at one BLAS thread on a 2-core Xeon (numpy 2.4,
+# OpenBLAS 0.3.31), of counting a prefix of k points; they only choose between
+# the chain and the clique pivot. An eigensolve of order k. A Schur step from
+# a points with an inverse buffer M wide, whose update of a x M entries
+# dominates a scalar step. A pivot on c clique points and r others, whose
+# r x r eigensolve dominates until c r^2 takes over.
+def _eig_cost(k: int) -> float:
+    return 30 + k * k * (0.04 + 1e-4 * k)
+
+
+def _step_cost(a: int, k: int, M: int) -> float:
+    return 50 + 3e-3 * a * M + 2e-4 * a * a * (k - a) + (_eig_cost(k - a) if k - a > 1 else 0)
+
+
+def _pivot_cost(c: int, r: int) -> float:
+    return 70 + r * r * (0.2 + 1e-4 * c)
+
+
+def _clique_positions(clique, n: int, N: int) -> tuple:
+    """(positions inside the clique, positions outside it) among the first N
+    of n points, with the clique marked by the boolean vector ``clique``."""
+    flags = np.asarray(clique)
+    if flags.dtype != bool or flags.shape != (n,):
+        raise InvalidInput(f"clique must be a boolean vector of length {n}")
+    return np.flatnonzero(flags[:N]), np.flatnonzero(~flags[:N])
+
+
+def _simplex_gap(A: np.ndarray, inside: np.ndarray) -> float:
+    """gamma of the block of ``A`` on ``inside``, two positions or more, which
+    must be a simplex's -d^2/2 up to scale: zero on the diagonal and one
+    negative constant -gamma off it. InvalidInput otherwise."""
+    gamma = -float(A[inside[0], inside[1]])
+    member = np.zeros(len(A), dtype=bool)
+    member[inside] = True
+    # with a zero diagonal, the block is -gamma off it when each member's row
+    # holds -gamma at c - 1 member columns; counting booleans takes half the
+    # time of gathering the c x c block of floats, in an eighth of the memory
+    hits = (A == -gamma)[inside]
+    hits &= member
+    if not (
+        gamma > 0
+        and not A[inside, inside].any()
+        and (np.count_nonzero(hits, axis=1) == len(inside) - 1).all()
+    ):
+        raise InvalidInput("the clique block must be zero on the diagonal and one negative constant off it")
+    return gamma
+
+
+def _clique_pivot(A: np.ndarray, inside: np.ndarray, outside: np.ndarray, gamma: float,
+                  bound: float):
+    """(s_minus, s_plus) of the block A_k of ``A`` on the c >= 2 positions
+    ``inside`` its clique and the r positions ``outside``, by pivoting on
+    the clique; None unless ``1/||A_k^{-1}||_F > bound`` proves the counts.
+
+    Reordered clique first (a symmetric permutation), A_k = [[K, B], [B^T,
+    D]] with K = gamma (I - J), whose inertia is (1, 0, c - 1) and whose
+    inverse is (I - J/(c - 1)) / gamma, so by Haynsworth additivity In(A_k)
+    = (1, 0, c - 1) + In(Sigma) with Sigma = D - B^T P, P = K^{-1} B. With
+    H = B^T B and s = 1^T B, every r x r product that ||A_k^{-1}||_F needs
+    is one of H and s s^T: one GEMM of c r^2 and O(r^3) beside it."""
+    c, r = len(inside), len(outside)
+    k = c + r
+    # ||K^{-1}||_F^2 from its eigenvalues 1/gamma (c - 1 times) and -1/(gamma (c - 1))
+    terms = [((c - 1) + (c - 1) ** -2.0) / gamma**2]
+    if r:
+        rows = A.take(outside, 0)
+        Bt = rows.take(inside, 1)
+        s = Bt.sum(axis=1)
+        H = Bt @ Bt.T
+        ss = np.multiply.outer(s, s)
+        sigma = rows.take(outside, 1) - (H - ss / (c - 1)) / gamma
+        vals, vecs = eig_sym(0.5 * (sigma + sigma.T))
+        if not _clear_of(vals, bound):
+            return None
+        s_inv = (vecs / vals) @ vecs.T
+        G = (H - ss * ((c - 2) / (c - 1) ** 2)) / gamma**2  # P^T P
+        W = s_inv @ G
+        # A_k^{-1} = [[K^{-1} + P S P^T, -P S], [-S P^T, S]] with S = Sigma^{-1},
+        # P^T K^{-1} P = (G - u u^T / (c - 1)) / gamma and u = 1^T P = -s / (gamma (c - 1))
+        terms += [
+            2.0 * np.vdot(s_inv, G - ss / (gamma**2 * (c - 1) ** 3)) / gamma,
+            np.vdot(W, W.T),  # ||P S P^T||^2 = tr((S G)^2)
+            2.0 * np.vdot(W, s_inv),  # 2 ||P S||^2 = 2 tr(S G S)
+            np.vdot(s_inv, s_inv),
+        ]
+    # the roundoff of the terms, which may cancel, counts against the norm
+    norm2 = sum(terms) + k * _EPS * sum(abs(t) for t in terms)
+    if not np.sqrt(max(norm2, 0.0)) * bound < 1.0:
+        return None
+    neg = 1 + (int(np.count_nonzero(vals < 0)) if r else 0)
+    return neg, k - neg
+
+
+def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> list:
     """Inertias of the leading blocks ``a[:k, :k]`` for increasing ``sizes``,
     all against one zero band.
 
@@ -350,8 +447,17 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     size N, with max|lambda| from a ``_perron_bracket``, or from an eigensolve
     of that block when there is none. By Cauchy interlacing it bounds the theta
     of every smaller block, so s_minus and s_plus never decrease along the
-    sizes. Each size k is counted in one of three ways:
+    sizes. Each size k is counted in one of four ways:
 
+    - by a certified ``_clique_pivot`` when the boolean vector ``clique``,
+      of the matrix order, marks c >= 2 of the k points as a planted clique,
+      and the pivot costs less than the way the chain below would take,
+      judged from the orders alone (``_pivot_cost`` against ``_step_cost``
+      or ``_eig_cost``). Where the chain's anchor is the last size counted,
+      the pivot must cost under half of that, since it leaves the anchor
+      behind. The clique's block must be a simplex's -d^2/2 up to scale,
+      checked where a pivot is first needed (InvalidInput otherwise). A size
+      the pivot does not certify is counted by the chain;
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
       a, the last size whose inverse is held, when a >= k // 2, since a wider
       step costs more than an eigensolve of order k. The first size steps
@@ -372,7 +478,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     """
     _check_tol_rel(tol_rel)
     A = as_sym_matrix(a)
-    sizes = [int(k) for k in sizes]
+    sizes = _integers(sizes, "prefix size").tolist()
     if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])) or any(
         k < 1 or k > A.shape[0] for k in sizes
     ):
@@ -380,6 +486,9 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     if not sizes:
         return []
     N = sizes[-1]
+    inside = outside = gamma = None
+    if clique is not None:
+        inside, outside = _clique_positions(clique, len(A), N)
     rho, top = _perron_bracket(A[:N, :N]), None
     if rho is None:  # not -d^2/2-like, or no closed bracket: the band's eigensolve
         top = _eigenvalues(A[:N, :N])
@@ -387,15 +496,29 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     theta, bound = _zero_band(N, tol_rel, *rho)
     parity = theta > _BORDER_FLOOR * rho[1]
     counted = sizes if top is None else sizes[:-1]
+    in_clique = [0] * len(counted) if inside is None else np.searchsorted(inside, counted).tolist()
     # zeros keep the columns past the anchor finite; a step to N writes nothing
     inv = np.zeros((max(sizes[:-1], default=0),) * 2)
     base, norm2 = Inertia(0, 0, 0, theta), 0.0  # the anchor's counts, ||inverse||_F^2
     out = []
-    for k, after in zip(counted, counted[1:] + [None]):
+    for k, after, c in zip(counted, counted[1:] + [None], in_clique):
         anchor = base.n
         wants_anchor = after is not None and anchor < after // 2 <= k
         in_band = out and out[-1].s_zero > k - out[-1].n
-        if not in_band and (anchor >= k // 2 or wants_anchor and not out):
+        steps = not in_band and (anchor >= k // 2 or wants_anchor and not out)
+        if c >= 2 and not in_band:
+            chain = _step_cost(anchor, k, len(inv)) if steps else _eig_cost(k)
+            # a pivot leaves the chain's anchor behind, so where that anchor is
+            # the last size counted, the pivot must cost under half the chain's
+            margin = 2 if anchor == (out[-1].n if out else 0) else 1
+            if margin * _pivot_cost(c, k - c) < chain:
+                if gamma is None:  # the block is checked where the pivot first needs it
+                    gamma = _simplex_gap(A[:N, :N], inside)
+                pivot = _clique_pivot(A, inside[:c], outside[:k - c], gamma, bound)
+                if pivot is not None:
+                    out.append(Inertia(pivot[0], 0, pivot[1], theta))
+                    continue
+        if steps:
             step = _schur_step(A, inv, anchor, k, bound, norm2)
             if step is not None:
                 neg, norm2 = step

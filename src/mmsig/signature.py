@@ -26,7 +26,9 @@ from .linalg import (
     spectrum_inertia,
 )
 from .sampling import DiscreteMeasure, sample_order
-from .spaces import FiniteMetricSpace, PseudoEuclideanPointSet, _distances, _write_csv, s_matrix
+from .spaces import (
+    FiniteMetricSpace, PseudoEuclideanPointSet, _distances, _integers, _write_csv, s_matrix,
+)
 
 STABILIZATION_WINDOW = 25
 
@@ -65,19 +67,22 @@ def limit_signature_trajectory(
     ``source`` is a FiniteMetricSpace or a ``CountableRadoModel``; its
     ``s_matrix_on`` builds -d^2/2 on the order, and rejects out-of-range
     indices. ``order`` lists distinct point indices; ``sizes`` the
-    increasing prefix sizes to evaluate, default every size from 1. The
-    arguments are checked before the first eigensolve. Every prefix is
-    counted against the zero band of the largest one
-    (``linalg.prefix_inertias``), so all rows share one theta. A stabilized
+    increasing prefix sizes to evaluate, default every size from 1. Both
+    hold integers: a fraction or a bool raises InvalidInput. The arguments
+    are checked before the first eigensolve. Every prefix is counted
+    against the zero band of the largest one (``linalg.prefix_inertias``),
+    so all rows share one theta; a model's planted clique goes with it as
+    the mask of the clique pivot. A stabilized
     (s_minus, s_plus) is reported when the last ``STABILIZATION_WINDOW``
     evaluations agree; a plateau is evidence, never a proof, since the true
     limit may be infinite.
     """
-    order = np.asarray(list(order), dtype=int)
+    order = _integers(order, "point index")
     if len(set(order.tolist())) != len(order):
         raise InvalidInput("nesting order must not repeat points")
-    sizes = range(1, order.size + 1) if sizes is None else [int(s) for s in sizes]
-    inertias = prefix_inertias(source.s_matrix_on(order), sizes, tol_rel)
+    sizes = range(1, order.size + 1) if sizes is None else _integers(sizes, "prefix size").tolist()
+    clique = None if getattr(source, "planted_clique", None) is None else source._clique_flags(order)
+    inertias = prefix_inertias(source.s_matrix_on(order), sizes, tol_rel, clique)
     for size, prev, ine in zip(sizes[1:], inertias, inertias[1:]):
         if ine.s_minus < prev.s_minus or ine.s_plus < prev.s_plus:
             raise MonotonicityViolation(

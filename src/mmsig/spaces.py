@@ -24,6 +24,10 @@ from .errors import InvalidInput
 # Relative slack for the non-strict triangle test, in units of the diameter.
 TRIANGLE_TOL_REL = 1e-12
 
+# Points of fewer coordinates build Euclidean distances that cannot fail the
+# triangle test (``from_euclidean_points``): 8 (d + 4) eps <= TRIANGLE_TOL_REL.
+_EUCLID_SCAN_DIM = 559
+
 # Relative slack before a squared pseudo-Euclidean interval counts as negative.
 CONE_TOL_REL = 1e-12
 
@@ -48,6 +52,16 @@ def _integer(value, what: str) -> int:
             if isinstance(value, str) or number == value:
                 return number
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 vector, each entry taken by ``_integer``; a
+    range or a vector of an integer dtype is taken whole."""
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 1:
+        return values.astype(np.int64)
+    return np.array([_integer(v, what) for v in values], dtype=np.int64)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -258,11 +272,15 @@ def from_distance_matrix(d, labels=None) -> FiniteMetricSpace:
     # monotone), so only a wider ratio needs the scan.
     if D.max() > 2 * off.min():
         _check_triangle(D)
+    return FiniteMetricSpace(D, _labels(labels, D.shape[0]))
+
+
+def _labels(labels, n: int) -> tuple:
     if labels is None:
-        labels = _default_labels(D.shape[0])
-    elif len(labels) != D.shape[0]:
+        return _default_labels(n)
+    if len(labels) != n:
         raise InvalidInput("label count does not match matrix order")
-    return FiniteMetricSpace(D, tuple(labels))
+    return tuple(labels)
 
 
 def _hops_from(adj, src, dist):
@@ -302,17 +320,28 @@ def from_graph(g: Graph) -> FiniteMetricSpace:
 
 
 def from_euclidean_points(pts, labels=None) -> FiniteMetricSpace:
-    """Metric space of pairwise Euclidean distances."""
+    """Metric space of pairwise Euclidean distances.
+
+    The triangle scan runs only where roundoff could fail it. In dimension
+    d, each squared distance is a sum of d rounded squares of rounded
+    differences: within (3 d / 2 + 2) eps relative while the sum is a normal
+    number, that is while every distance exceeds 2^-511. A distance is then
+    within (3 d / 4 + 2) eps, and a computed triangle misses the inequality
+    by at most (9 d / 4 + 10) eps of the diameter, scan rounding included.
+    ``_EUCLID_SCAN_DIM`` keeps that below TRIANGLE_TOL_REL three times over.
+    """
     P = np.asarray(pts, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
         raise InvalidInput(f"points must be a 2-d array, got shape {P.shape}")
     if not np.isfinite(P).all():
         raise InvalidInput("points have non-finite coordinates")
     D = _distances(_pairwise_sq_diffs(P))
-    off = D + np.eye(D.shape[0])
+    off = D + np.diag(np.full(D.shape[0], np.inf))
     if (off == 0).any():
         i, j = np.unravel_index(int(np.argmin(off)), D.shape)
         raise InvalidInput(f"points {i} and {j} coincide")
+    if P.shape[1] < _EUCLID_SCAN_DIM and off.min() > 2.0**-511 and D.max() < np.inf:
+        return FiniteMetricSpace(D, _labels(labels, D.shape[0]))
     return from_distance_matrix(D, labels=labels)
 
 

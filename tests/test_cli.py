@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mmsig import cli, linalg, spaces, spectral
+from mmsig import cli, linalg, sampling, spaces, spectral
 from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
 from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence
@@ -519,6 +519,45 @@ class TestRado:
         assert doc["measure"] == {"type": "geometric", "q": 0.8}
         lines = (tmp_path / "ratio_ratio.csv").read_text().strip().splitlines()
         assert lines[1].startswith("trial,m,")
+
+    @pytest.mark.parametrize(
+        "clique",
+        [["--clique-rule", "modular:31"], ["--clique", "0,2,5"],
+         ["--clique-rule", "quadratic"], ["--clique-rule", "modular:2"]],
+    )
+    def test_ratio_clique_counts_match_the_general_chain(self, clique, tmp_path, monkeypatch):
+        # The README's class-biased clique run, smaller, and other cliques:
+        # every checkpoint equals the count of the general chain, with the
+        # clique mask withheld, and eigvalsh's count at the same theta.
+        pivots = []
+        real = linalg._clique_pivot
+        monkeypatch.setattr(linalg, "_clique_pivot", lambda *a: pivots.append(a) or real(*a))
+        prefix = tmp_path / "biased"
+        assert run(
+            ["rado", "--ratio", "--p", 0.5, "--measure", "class_biased:30:0.9", *clique,
+             "--m-max", 600, "--trials", 3, "--seed", 1, "--output-prefix", prefix]
+        ) == 0
+        with open(tmp_path / "biased_ratio.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        spec = [int(i) for i in clique[1].split(",")] if clique[0] == "--clique" else clique[1]
+        model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=spec)
+        checkpoints = spectral.default_checkpoints(600)
+        assert len(rows) == 3 * len(checkpoints)
+        for t in range(3):
+            sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), 600, sampling.trial_seed(1, t))
+            sizes = [int(k) for k in np.searchsorted(sample.first_draws, checkpoints)]
+            S = model.s_matrix_on(sample.dedup)
+            general = dict(zip(sorted(set(sizes)), linalg.prefix_inertias(S, sorted(set(sizes)))))
+            theta = general[sizes[-1]].tol
+            for row, m, k in zip(rows[t * len(sizes):], checkpoints, sizes):
+                vals = np.linalg.eigvalsh(S[:k, :k])
+                by_eigvalsh = (int(np.sum(vals < -theta)), int(np.sum(np.abs(vals) <= theta)),
+                               int(np.sum(vals > theta)))
+                got = (int(row["s_minus"]), int(row["s_zero"]), int(row["s_plus"]))
+                assert (int(row["trial"]), int(row["m"])) == (t, m)
+                assert got == general[k].counts() == by_eigvalsh
+        if clique[1] == "modular:31":
+            assert pivots  # the README's run takes the clique tier
 
     def test_class_biased_support_over_the_limit_exits_2(self, tmp_path, capsys):
         # 3001 classes of 395 levels at q = 0.9: 1,185,395 points, over 10^6

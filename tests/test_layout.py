@@ -36,6 +36,7 @@ import pytest
 import mmsig.cli
 import mmsig.errors
 import mmsig.linalg
+import mmsig.sampling
 import mmsig.signature
 import mmsig.spectral
 from mmsig.constructions import CountableRadoModel, ResidueClassClique
@@ -273,6 +274,22 @@ def test_every_prefix_eigensolve_is_traced(monkeypatch):
         model, DiscreteMeasure.geometric(0.99), m_max=3000, seed=5
     )
     assert len(lapack) > 5 and lapack == traced
+
+
+def test_clique_trial_eigensolves_only_its_other_points(monkeypatch):
+    # The ratio trial of the test above pivots on its planted clique, so no
+    # eigensolve is larger than the trial's points outside the clique. The
+    # general chain's complement eigensolves reached order ~200 there.
+    orders = []
+    for name in ("_eigenvalues", "eig_sym"):
+        real = getattr(mmsig.linalg, name)
+        monkeypatch.setattr(mmsig.linalg, name, lambda a, _f=real: orders.append(len(a)) or _f(a))
+    model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
+    measure = DiscreteMeasure.class_biased(30, 0.9)
+    mmsig.spectral.rado_ratio_experiment(model, measure, m_max=3000, seed=0)
+    dedup = mmsig.sampling.gv_sample(measure, 3000, 0).dedup
+    others = int(np.count_nonzero(~model._clique_flags(dedup)))
+    assert orders and max(orders) <= others < len(dedup) // 20
 
 
 # A value for each option; OVERRIDES replaces some of them for a command or

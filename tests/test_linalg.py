@@ -14,7 +14,7 @@ from mmsig.linalg import (
     prefix_inertias,
     weighted_center,
 )
-from mmsig.sampling import DiscreteMeasure, gv_sample, sample_order, trial_seed
+from mmsig.sampling import DiscreteMeasure, gv_sample, parse_measure_spec, sample_order, trial_seed
 from mmsig.spaces import from_euclidean_points, named_example
 from mmsig.spectral import default_checkpoints, esd_and_inertia
 
@@ -320,6 +320,19 @@ class TestPrefixInertias:
         sizes = list(range(1, len(S) + 1))
         got = prefix_inertias(S, sizes, tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 0.0)
+
+    @pytest.mark.parametrize("sizes", [[2.7, 3.9], [True, 4], [2, np.float64(3.5)], np.array([2.0, 4.5])])
+    def test_sizes_are_not_truncated(self, sizes):
+        # [2.7, 3.9] counted the prefixes 2 and 3, and [True, 4] the prefix 1
+        S = named_example("simplex", n=5).s_matrix_on(range(5))
+        with pytest.raises(InvalidInput, match="^prefix size must be an integer, got "):
+            prefix_inertias(S, sizes)
+
+    def test_integral_sizes_are_taken(self):
+        S = named_example("simplex", n=5).s_matrix_on(range(5))
+        want = prefix_inertias(S, [2, 4])
+        for sizes in ([2.0, 4.0], np.array([2, 4], dtype=np.uint16), ["2", np.int64(4)]):
+            assert prefix_inertias(S, sizes) == want
 
     def test_bad_sizes_rejected(self):
         S = named_example("simplex", n=5).s_matrix_on(range(5))
@@ -724,3 +737,117 @@ def test_as_sym_matrix_symmetrizes_roundoff():
     A = np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]])
     out = as_sym_matrix(A)
     assert np.array_equal(out, out.T)
+
+
+def _clique_pivots(monkeypatch):
+    """(c, r, certified) of each ``linalg._clique_pivot`` from now on."""
+    pivots = []
+    real = linalg._clique_pivot
+
+    def counted(A, inside, outside, gamma, bound):
+        pivot = real(A, inside, outside, gamma, bound)
+        pivots.append((len(inside), len(outside), pivot is not None))
+        return pivot
+
+    monkeypatch.setattr(linalg, "_clique_pivot", counted)
+    return pivots
+
+
+class TestCliquePivot:
+    # A planted clique's block of -d^2/2 is -(J - I)/2, whose inertia and
+    # inverse are known: a prefix is counted from its r x r complement.
+    MODEL = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
+
+    def _trial(self, seed, m_max=3000):
+        sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
+        sizes = np.searchsorted(sample.first_draws, default_checkpoints(m_max))
+        flags = self.MODEL._clique_flags(sample.dedup)
+        return self.MODEL.s_matrix_on(sample.dedup), sorted({int(k) for k in sizes}), flags
+
+    def test_class_biased_trials_match_eigvalsh(self, monkeypatch):
+        # the clique tier counts every size past the first two, the largest
+        # too, each certified; no prefix is eigensolved whole
+        pivots = _clique_pivots(monkeypatch)
+        for seed in range(6):
+            S, sizes, flags = self._trial(seed)
+            orders = _eigensolve_orders(monkeypatch)
+            pivots.clear()
+            got = prefix_inertias(S, sizes, clique=flags)
+            assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes), seed
+            assert got == prefix_inertias(S, sizes)
+            assert len(pivots) >= len(sizes) - 2 and all(ok for _, _, ok in pivots)
+            assert sum(pivots[-1][:2]) == sizes[-1]
+            assert orders == []
+
+    @pytest.mark.parametrize("rule, measure", [("modular:31", "geometric:0.99"), ("quadratic", "geometric:0.995")])
+    def test_every_prefix_of_a_model_trajectory(self, rule, measure, monkeypatch):
+        model = CountableRadoModel(edge_prob=0.5, seed=0, planted_clique=rule)
+        order = sample_order(parse_measure_spec(measure), 3000, 0)
+        S, flags = model.s_matrix_on(order), model._clique_flags(order)
+        sizes = list(range(1, len(S) + 1))
+        pivots = _clique_pivots(monkeypatch)
+        got = prefix_inertias(S, sizes, clique=flags)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert len(pivots) > len(S) // 2
+
+    def test_a_block_that_is_not_a_simplex_is_refused(self):
+        S, sizes, flags = self._trial(0)
+        i, j = np.flatnonzero(flags)[[3, 8]]
+        for change in ("entry", "diagonal", "positive"):
+            T = S.copy()
+            if change == "entry":
+                T[i, j] = T[j, i] = -2.0
+            elif change == "diagonal":
+                T[i, i] = -1.0
+            else:
+                T[np.ix_(flags, flags)] = 0.5 - np.eye(int(flags.sum())) * 0.5
+            with pytest.raises(InvalidInput, match="the clique block must be zero on the diagonal"):
+                prefix_inertias(T, sizes, clique=flags)
+
+    def test_any_simplex_scale_is_a_clique(self, monkeypatch):
+        # a block at one distance 2 is a simplex too: gamma 2, not 1/2
+        S = CountableRadoModel(edge_prob=0.5, seed=8).s_matrix_on(range(300))
+        flags = np.zeros(300, dtype=bool)
+        flags[:280] = True
+        S[np.ix_(flags, flags)] = -2.0 * (1.0 - np.eye(280))
+        sizes = [100, 200, 300]
+        pivots = _clique_pivots(monkeypatch)
+        got = prefix_inertias(S, sizes, clique=flags)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert pivots == [(100, 0, True), (200, 0, True), (280, 20, True)]
+
+    def test_mask_must_be_a_boolean_vector_of_the_order(self):
+        S, sizes, flags = self._trial(0)
+        for bad in (flags.astype(int), flags[:-1], np.append(flags, True), flags[:, None]):
+            with pytest.raises(InvalidInput, match=f"clique must be a boolean vector of length {len(S)}"):
+                prefix_inertias(S, sizes, clique=bad)
+
+    @pytest.mark.parametrize("members", [0, 1])
+    def test_fewer_than_two_clique_points_take_the_chain(self, members, monkeypatch):
+        S, sizes, flags = self._trial(1)
+        flags = np.zeros_like(flags)
+        flags[:members] = True
+        pivots = _clique_pivots(monkeypatch)
+        assert prefix_inertias(S, sizes, clique=flags) == prefix_inertias(S, sizes)
+        assert pivots == []
+
+    def test_prefixes_before_the_clique_take_the_chain(self, monkeypatch):
+        # c < 2 up to 20 points: the chain; then the pivot, with r = 20
+        model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 400))
+        S, flags = model.s_matrix_on(range(400)), model._clique_flags(np.arange(400))
+        sizes = [10, 20, 100, 400]
+        pivots = _clique_pivots(monkeypatch)
+        steps = _schur_steps(monkeypatch)
+        got = prefix_inertias(S, sizes, clique=flags)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert [k for _, k, _ in steps] == [10, 20]
+        assert pivots == [(80, 20, True), (380, 20, True)]
+
+    def test_an_all_clique_prefix_needs_no_eigensolve(self, monkeypatch):
+        # r = 0: the count is the clique block's own (1, 0, k - 1)
+        S = named_example("simplex", n=100).s_matrix_on(range(100))
+        pivots = _clique_pivots(monkeypatch)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, [50, 100], clique=np.ones(100, dtype=bool))
+        assert [i.counts() for i in got] == [(1, 0, 49), (1, 0, 99)]
+        assert pivots == [(50, 0, True), (100, 0, True)] and orders == []

@@ -69,11 +69,9 @@ class TestSMatrix:
                 sp.s_matrix_on(bad)
 
     def test_s_matrix_on_squares_only_the_slice(self):
-        # squaring all 2000 points before slicing peaked at 30.5 MB; the
-        # space is built as from_euclidean_points builds it, less its O(n^3)
-        # triangle scan
+        # squaring all 2000 points before slicing peaked at 30.5 MB
         P = np.random.default_rng(6).normal(size=(2000, 3))
-        sp = FiniteMetricSpace(spaces._distances(spaces._pairwise_sq_diffs(P)), labels=())
+        sp = from_euclidean_points(P)
         idx = [1999, 0, 7, 512, 7, 3, 1024, 88]
         tracemalloc.start()
         try:
@@ -200,6 +198,35 @@ class TestTrajectory:
         for order in ([0, 4], [-1, 0]):
             with pytest.raises(InvalidInput):
                 limit_signature_trajectory(sp, order=order)
+
+    @pytest.mark.parametrize(
+        "order, sizes, what",
+        [
+            ([0, 1.6, 2.2, 3], None, "point index"),
+            ([0, True, 2, 3], None, "point index"),
+            (np.array([0.0, 1.5, 2.0]), None, "point index"),
+            (range(4), [2.7, 3.9], "prefix size"),
+            (range(4), [True, 4], "prefix size"),
+            (range(4), np.array([2.5, 4.0]), "prefix size"),
+        ],
+    )
+    def test_fractions_and_bools_are_not_truncated(self, order, sizes, what):
+        # the order [0, 1.6, 2.2, 3] was read as [0, 1, 2, 3], the sizes
+        # [2.7, 3.9] as [2, 3] and [True, 4] as [1, 4]
+        sp = named_example("simplex", n=4)
+        with pytest.raises(InvalidInput, match=f"^{what} must be an integer, got "):
+            limit_signature_trajectory(sp, order, sizes=sizes)
+
+    def test_integral_orders_and_sizes_are_taken(self):
+        sp = named_example("simplex", n=4)
+        want = limit_signature_trajectory(sp, [0, 1, 2, 3], sizes=[2, 4])
+        for order, sizes in (
+            (np.array([0.0, 1.0, 2.0, 3.0]), [2.0, 4.0]),
+            (np.arange(4, dtype=np.uint8), np.array([2, 4], dtype=np.int32)),
+            (range(4), ["2", 4]),
+        ):
+            got = limit_signature_trajectory(sp, order, sizes=sizes)
+            assert got == want and all(type(k) is int for k in got.sizes)
 
     def test_model_needs_an_order(self):
         # a model has no natural order, and neither source gets a default one

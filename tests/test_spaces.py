@@ -305,6 +305,52 @@ class TestFromEuclidean:
         with pytest.raises(InvalidInput, match="points 0 and 1 coincide"):
             from_euclidean_points([[1.0, 2.0], [1.0, 2.0]])
 
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        real = spaces._min_strict_slack
+        monkeypatch.setattr(spaces, "_min_strict_slack", lambda D: scans.append(len(D)) or real(D))
+        return scans
+
+    def test_low_dimensional_points_skip_the_triangle_scan(self, monkeypatch):
+        # Gaussian points have distance ratios far above 2, so the parent
+        # scanned them; here the roundoff bound proves the scan cannot fail
+        P = np.random.default_rng(6).normal(size=(60, 3))
+        scans = self._count_scans(monkeypatch)
+        sp = from_euclidean_points(P, labels=[f"q{i}" for i in range(60)])
+        assert scans == []
+        ref = from_distance_matrix(sp.dist, labels=sp.labels)
+        assert scans == [60]
+        assert sp.dist.tobytes() == ref.dist.tobytes() and sp.labels == ref.labels
+        with pytest.raises(InvalidInput, match="label count does not match matrix order"):
+            from_euclidean_points(P, labels=["a"])
+
+    @pytest.mark.parametrize("case", ["wide", "subnormal"])
+    def test_the_scan_runs_where_roundoff_could_fail_it(self, case, monkeypatch):
+        # 559 coordinates are past the proven bound; squared distances below
+        # the normal range lose the relative accuracy the bound rests on, and
+        # these collinear points then miss the inequality by far more
+        t = np.arange(8.0) ** 2
+        scans = self._count_scans(monkeypatch)
+        if case == "wide":
+            P = np.zeros((8, spaces._EUCLID_SCAN_DIM))
+            P[:, 0] = t
+            from_euclidean_points(P)
+        else:
+            with pytest.raises(InvalidInput, match=r"d\(0,4\) exceeds d\(0,2\) \+ d\(2,4\)"):
+                from_euclidean_points(t[:, None] * 1e-160)
+        assert scans == [8]
+
+    @pytest.mark.parametrize("d", [1, 3, 40, 558])
+    def test_skipped_spaces_meet_the_roundoff_bound(self, d):
+        # the bound the skip rests on: no triangle misses the inequality by
+        # more than (9 d / 4 + 10) eps of the diameter
+        rng = np.random.default_rng(d)
+        P = rng.normal(size=(40, d)) * np.geomspace(1e-3, 1.0, 40)[:, None]
+        D = from_euclidean_points(P).dist
+        slack, _ = spaces._min_strict_slack(D)
+        assert slack >= -(9 * d / 4 + 10) * np.finfo(float).eps * D.max()
+
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 3), (65, 7), (65, 300), (5, 0), (0, 4)])
     def test_one_triangle_matches_the_full_square(self, n, d):
         P = np.random.default_rng(n + d).normal(size=(n, d)) * 10.0 ** (np.arange(d) % 7 - 3)
