@@ -5,21 +5,21 @@ Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
 validation gate, passed once at each entry point: ``eig_sym``, ``inertia``,
 ``prefix_inertias``, the centering transforms and
 ``spectral.esd_and_inertia``. ``_eigenvalues`` takes a matrix that has
-passed it, or a leading block of one, and validates nothing. Inertia
-counting uses the eigenvalue spectrum as the source of truth, with the zero
-threshold ``theta = tol_rel * n * max|lambda|``; ``prefix_inertias`` counts
-a family of leading blocks against one threshold, from a Perron bracket of
-max|lambda|: by pivoting on a planted clique's closed-form block where the
-caller marks one and that costs less (``_clique_pivot``), by certified Schur
-blocks where they cost less than an eigensolve, by the signs of
-det(A_k -+ theta I) where the block one row smaller was counted
-(``_parity_counts``), and by an eigensolve otherwise. ``_schur_step`` is
-the chain's Schur complement: it adds a block's counts by Haynsworth
-additivity and, once certified, updates the inverse the next step starts
-from; ``_clique_pivot`` forms the complement of the clique block, of the
-order of the points outside it, and updates nothing.
-``pinned_map`` is the one place that runs threads and controls BLAS
-threading.
+passed it, a leading block of one, or a complement formed from such blocks
+and symmetrized, and validates nothing. Inertia counting uses the eigenvalue
+spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
+n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
+against one threshold, from a Perron bracket of max|lambda|: at the band's
+edges -+theta through a planted clique's closed-form block where the caller
+marks one and that costs less (``_clique_pivot``), by certified Schur blocks
+where they cost less than an eigensolve, by the signs of det(A_k -+ theta I)
+where the block one row smaller was counted (``_parity_counts``), and by an
+eigensolve otherwise. ``_schur_step`` is the chain's Schur complement: it
+adds a block's counts by Haynsworth additivity and, once certified, updates
+the inverse the next step starts from; ``_clique_pivot`` forms the
+complement of the shifted clique block at each edge, of the order of the
+points outside it, and updates nothing. ``pinned_map`` is the one place that
+runs threads and controls BLAS threading.
 """
 
 from __future__ import annotations
@@ -132,7 +132,8 @@ def eig_sym(a) -> EigenDecomposition:
 
 def _eigenvalues(A: np.ndarray) -> np.ndarray:
     """Eigenvalues-only path of the same LAPACK solver family, of a matrix
-    that has passed ``as_sym_matrix`` (or is a leading block of one)."""
+    that has passed ``as_sym_matrix``, a leading block of one, or a
+    complement formed from blocks of a validated matrix and symmetrized."""
     try:
         return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:
@@ -394,49 +395,47 @@ def _simplex_gap(A: np.ndarray, inside: np.ndarray) -> float:
     return gamma
 
 
-def _clique_pivot(A: np.ndarray, inside: np.ndarray, outside: np.ndarray, gamma: float,
-                  bound: float):
-    """(s_minus, s_plus) of the block A_k of ``A`` on the c >= 2 positions
-    ``inside`` its clique and the r positions ``outside``, by pivoting on
-    the clique; None unless ``1/||A_k^{-1}||_F > bound`` proves the counts.
+def _clique_pivot(A: np.ndarray, inside: np.ndarray, outside: np.ndarray, gamma: float, theta: float):
+    """(s_minus, s_zero, s_plus) at theta of A_k, ``A`` on the c >= 2 clique
+    points ``inside`` and r ``outside``; None where roundoff could decide one.
 
-    Reordered clique first (a symmetric permutation), A_k = [[K, B], [B^T,
-    D]] with K = gamma (I - J), whose inertia is (1, 0, c - 1) and whose
-    inverse is (I - J/(c - 1)) / gamma, so by Haynsworth additivity In(A_k)
-    = (1, 0, c - 1) + In(Sigma) with Sigma = D - B^T P, P = K^{-1} B. With
-    H = B^T B and s = 1^T B, every r x r product that ||A_k^{-1}||_F needs
-    is one of H and s s^T: one GEMM of c r^2 and O(r^3) beside it."""
+    Clique first, A_k = [[K, B], [B^T, D]], K = gamma (I - J). At an edge
+    sigma, K - sigma I has the eigenvalues t = gamma - sigma (c - 1 times)
+    and u = gamma (1 - c) - sigma, and the inverse (I + gamma J / u) / t. So
+    A_k has as many eigenvalues below sigma as K - sigma I and Sigma = D -
+    sigma I - (H + gamma s s^T / u) / t have below 0 (Haynsworth), with H =
+    B^T B and s = 1^T B from one GEMM of c r^2 for both edges +-theta.
+
+    Refused, for B of any sign: t = 0 (t is correctly rounded); k |u| <=
+    gamma (c - 1) + |sigma|, where u, off by the rounding of gamma (c - 1),
+    may err by over k eps; a computed eigenvalue of Sigma within 2 k eps
+    (||D||_F + |sigma| sqrt(r) + ||B||_F^2 (1 + 2 c gamma / |u|) / |t|) of
+    0. That bounds Sigma's roundoff (Weyl): H errs by c eps |B|^T |B| <=
+    c eps sqrt(H_ii H_jj) (Cauchy-Schwarz), c eps ||B||_F^2 in norm, and
+    s s^T by 2 c^2 eps ||B||_F^2 (||s|| <= sqrt(c) ||B||_F); u adds k eps
+    of its term, the other operations a few eps, eigvalsh r eps ||Sigma||."""
     c, r = len(inside), len(outside)
-    k = c + r
-    # ||K^{-1}||_F^2 from its eigenvalues 1/gamma (c - 1 times) and -1/(gamma (c - 1))
-    terms = [((c - 1) + (c - 1) ** -2.0) / gamma**2]
-    if r:
-        rows = A.take(outside, 0)
-        Bt = rows.take(inside, 1)
-        s = Bt.sum(axis=1)
-        H = Bt @ Bt.T
-        ss = np.multiply.outer(s, s)
-        sigma = rows.take(outside, 1) - (H - ss / (c - 1)) / gamma
-        vals, vecs = eig_sym(0.5 * (sigma + sigma.T))
-        if not _clear_of(vals, bound):
+    rows = A.take(outside, 0)  # r = 0 leaves every array below empty
+    Bt = rows.take(inside, 1)
+    D = rows.take(outside, 1)
+    s = Bt.sum(axis=1)
+    H = Bt @ Bt.T
+    b2, d_norm = float(np.trace(H)), float(np.linalg.norm(D))  # ||B||_F^2, ||D||_F
+    below = []
+    for sigma in (-theta, theta):
+        t, u = gamma - sigma, gamma * (1 - c) - sigma
+        if not (t and abs(u) * (c + r) > gamma * (c - 1) + abs(sigma)):
             return None
-        s_inv = (vecs / vals) @ vecs.T
-        G = (H - ss * ((c - 2) / (c - 1) ** 2)) / gamma**2  # P^T P
-        W = s_inv @ G
-        # A_k^{-1} = [[K^{-1} + P S P^T, -P S], [-S P^T, S]] with S = Sigma^{-1},
-        # P^T K^{-1} P = (G - u u^T / (c - 1)) / gamma and u = 1^T P = -s / (gamma (c - 1))
-        terms += [
-            2.0 * np.vdot(s_inv, G - ss / (gamma**2 * (c - 1) ** 3)) / gamma,
-            np.vdot(W, W.T),  # ||P S P^T||^2 = tr((S G)^2)
-            2.0 * np.vdot(W, s_inv),  # 2 ||P S||^2 = 2 tr(S G S)
-            np.vdot(s_inv, s_inv),
-        ]
-    # the roundoff of the terms, which may cancel, counts against the norm
-    norm2 = sum(terms) + k * _EPS * sum(abs(t) for t in terms)
-    if not np.sqrt(max(norm2, 0.0)) * bound < 1.0:
-        return None
-    neg = 1 + (int(np.count_nonzero(vals < 0)) if r else 0)
-    return neg, k - neg
+        n = (c - 1) * (t < 0) + (u < 0)
+        if r:
+            S = D - sigma * np.eye(r) - (H + np.multiply.outer(s, s * (gamma / u))) / t
+            vals = _eigenvalues(0.5 * (S + S.T))
+            terms = d_norm + abs(sigma) * math.sqrt(r) + b2 * (1.0 + 2.0 * c * gamma / abs(u)) / abs(t)
+            if not np.abs(vals).min() > 2.0 * (c + r) * _EPS * terms:
+                return None
+            n += int(np.count_nonzero(vals < 0))
+        below.append(n)
+    return below[0], below[1] - below[0], c + r - below[1]
 
 
 def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> list:
@@ -449,15 +448,15 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
     of every smaller block, so s_minus and s_plus never decrease along the
     sizes. Each size k is counted in one of four ways:
 
-    - by a certified ``_clique_pivot`` when the boolean vector ``clique``,
-      of the matrix order, marks c >= 2 of the k points as a planted clique,
-      and the pivot costs less than the way the chain below would take,
-      judged from the orders alone (``_pivot_cost`` against ``_step_cost``
-      or ``_eig_cost``). Where the chain's anchor is the last size counted,
-      the pivot must cost under half of that, since it leaves the anchor
-      behind. The clique's block must be a simplex's -d^2/2 up to scale,
-      checked where a pivot is first needed (InvalidInput otherwise). A size
-      the pivot does not certify is counted by the chain;
+    - by ``_clique_pivot``, at the band's two edges, when the boolean vector
+      ``clique``, of the matrix order, marks c >= 2 of the k points as a
+      planted clique and the pivot costs less than the way the chain below
+      would take, judged from the orders alone (``_pivot_cost`` against
+      ``_step_cost`` or ``_eig_cost``); under half of that where the chain's
+      anchor is the last size counted, since the pivot leaves it behind. The
+      clique's block must be a simplex's -d^2/2 up to scale, checked where a
+      pivot is first needed (InvalidInput otherwise). A size whose edge lies
+      within the pivot's roundoff of an eigenvalue is counted by the chain;
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
       a, the last size whose inverse is held, when a >= k // 2, since a wider
       step costs more than an eigensolve of order k. The first size steps
@@ -506,7 +505,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
         wants_anchor = after is not None and anchor < after // 2 <= k
         in_band = out and out[-1].s_zero > k - out[-1].n
         steps = not in_band and (anchor >= k // 2 or wants_anchor and not out)
-        if c >= 2 and not in_band:
+        if c >= 2:
             chain = _step_cost(anchor, k, len(inv)) if steps else _eig_cost(k)
             # a pivot leaves the chain's anchor behind, so where that anchor is
             # the last size counted, the pivot must cost under half the chain's
@@ -514,9 +513,9 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
             if margin * _pivot_cost(c, k - c) < chain:
                 if gamma is None:  # the block is checked where the pivot first needs it
                     gamma = _simplex_gap(A[:N, :N], inside)
-                pivot = _clique_pivot(A, inside[:c], outside[:k - c], gamma, bound)
+                pivot = _clique_pivot(A, inside[:c], outside[:k - c], gamma, theta)
                 if pivot is not None:
-                    out.append(Inertia(pivot[0], 0, pivot[1], theta))
+                    out.append(Inertia(*pivot, theta))
                     continue
         if steps:
             step = _schur_step(A, inv, anchor, k, bound, norm2)

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from mmsig.linalg import (
 )
 from mmsig.sampling import DiscreteMeasure, gv_sample, parse_measure_spec, sample_order, trial_seed
 from mmsig.spaces import from_euclidean_points, named_example
-from mmsig.spectral import default_checkpoints, esd_and_inertia
+from mmsig.spectral import default_checkpoints, esd_and_inertia, rado_ratio_experiment
 
 from util_oracles import (
     b_matrix,
@@ -141,13 +142,16 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
     assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
 
 
-def _eigensolve_orders(monkeypatch):
-    """Orders of the blocks ``linalg._eigenvalues`` solves from now on."""
+def _eigensolve_orders(monkeypatch, of=None):
+    """Orders of the blocks ``linalg._eigenvalues`` solves from now on; with
+    ``of``, only of the blocks that share memory with that matrix, not of
+    complements formed from its blocks."""
     orders = []
     real = linalg._eigenvalues
 
     def counted(a):
-        orders.append(len(a))
+        if of is None or np.shares_memory(a, of):
+            orders.append(len(a))
         return real(a)
 
     monkeypatch.setattr(linalg, "_eigenvalues", counted)
@@ -770,7 +774,8 @@ class TestCliquePivot:
         pivots = _clique_pivots(monkeypatch)
         for seed in range(6):
             S, sizes, flags = self._trial(seed)
-            orders = _eigensolve_orders(monkeypatch)
+            assert as_sym_matrix(S) is S  # so the prefix blocks are views of S
+            orders = _eigensolve_orders(monkeypatch, of=S)
             pivots.clear()
             got = prefix_inertias(S, sizes, clique=flags)
             assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes), seed
@@ -779,16 +784,84 @@ class TestCliquePivot:
             assert sum(pivots[-1][:2]) == sizes[-1]
             assert orders == []
 
-    @pytest.mark.parametrize("rule, measure", [("modular:31", "geometric:0.99"), ("quadratic", "geometric:0.995")])
-    def test_every_prefix_of_a_model_trajectory(self, rule, measure, monkeypatch):
+    @staticmethod
+    @functools.cache
+    def _model_trajectory(rule, measure):
+        """S, clique flags and the eigenvalues of every leading block of a
+        model trajectory, shared by the tolerances that count it."""
         model = CountableRadoModel(edge_prob=0.5, seed=0, planted_clique=rule)
         order = sample_order(parse_measure_spec(measure), 3000, 0)
-        S, flags = model.s_matrix_on(order), model._clique_flags(order)
+        S = model.s_matrix_on(order)
+        return S, model._clique_flags(order), [np.linalg.eigvalsh(S[:k, :k]) for k in range(1, len(S) + 1)]
+
+    @pytest.mark.parametrize("tol_rel", [1e-9, 1e-7, 1e-6])
+    @pytest.mark.parametrize("rule, measure", [("modular:31", "geometric:0.99"), ("quadratic", "geometric:0.995")])
+    def test_every_prefix_of_a_model_trajectory(self, rule, measure, tol_rel, monkeypatch):
+        # the pivot counts at the band's edges, so a loose band, which
+        # holds eigenvalues of model prefixes, changes nothing
+        S, flags, spectra = self._model_trajectory(rule, measure)
         sizes = list(range(1, len(S) + 1))
         pivots = _clique_pivots(monkeypatch)
-        got = prefix_inertias(S, sizes, clique=flags)
-        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        got = prefix_inertias(S, sizes, tol_rel, clique=flags)
+        theta = tol_rel * len(S) * float(np.abs(spectra[-1]).max())
+        assert [i.counts() for i in got] == [count_inertia(vals, theta) for vals in spectra]
         assert len(pivots) > len(S) // 2
+
+    def test_a_large_clique_trial_eigensolves_only_its_other_points(self, monkeypatch):
+        # 1717 of the trial's 1748 points are in the clique; its largest
+        # prefixes have no eigenvalue within 1/2 of 0, yet a Frobenius
+        # certificate on A_k^{-1} cannot pass there. The edge counts need none
+        model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique="quadratic")
+        measure = parse_measure_spec("geometric:0.999")
+        orders = []
+        for name in ("_eigenvalues", "eig_sym"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda a, real=real: orders.append(len(a)) or real(a))
+        traj = rado_ratio_experiment(model, measure, m_max=3000, seed=trial_seed(1, 0))
+        dedup = gv_sample(measure, 3000, trial_seed(1, 0)).dedup
+        others = int(np.count_nonzero(~model._clique_flags(dedup)))
+        assert traj.dedup_sizes[-1] == len(dedup) == 1748 and others == 31
+        assert orders and max(orders) <= others
+        S = model.s_matrix_on(dedup)
+        assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
+
+    def test_the_pivot_refuses_an_edge_on_an_eigenvalue(self):
+        # at theta = |lambda| roundoff decides the count, for a simple lambda
+        # and for gamma, which fills most of the clique space; a relative
+        # 1e-9 off the edge, or 1%, the pivot counts as eigvalsh does
+        S, _, flags = self._trial(0)
+        k = 400
+        inside, outside = np.flatnonzero(flags[:k]), np.flatnonzero(~flags[:k])
+        gamma = linalg._simplex_gap(S[:k, :k], inside)
+        vals = np.linalg.eigvalsh(S[:k, :k])
+        apart = np.minimum(np.diff(vals, prepend=-np.inf), np.diff(vals, append=np.inf))
+        simple = [lam for lam, gap in zip(vals, apart) if gap > 1e-6 * abs(lam) and abs(abs(lam) - gamma) > 1e-3]
+        assert len(simple) > 10 and np.count_nonzero(abs(vals - gamma) < 1e-12) > 300
+        zeros = []
+        for theta in [abs(lam) for lam in simple] + [gamma]:
+            assert linalg._clique_pivot(S, inside, outside, gamma, theta) is None, theta
+            for factor in (1 - 1e-9, 1 + 1e-9, 0.99, 1.01):
+                got = linalg._clique_pivot(S, inside, outside, gamma, theta * factor)
+                assert got == count_inertia(vals, theta * factor), (theta, factor)
+                zeros.append(got[1])
+        assert max(zeros) > 300
+
+    def test_a_mixed_sign_matrix_counts_between_its_eigenvalues(self):
+        # the refusals bound roundoff for B and D of any sign and scale, not
+        # only for -d^2/2: between two |eigenvalues| the pivot counts
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            c, r = int(rng.integers(2, 60)), int(rng.integers(1, 20))
+            gamma = float(10 ** rng.uniform(-3, 3))
+            A = rng.normal(size=(c + r, c + r)) * 10 ** rng.uniform(-3, 3)
+            A += A.T
+            A[:c, :c] = -gamma * (1 - np.eye(c))
+            vals = np.linalg.eigvalsh(A)
+            mags = np.unique(np.abs(vals))
+            apart = np.diff(mags) > 1e-6 * mags[1:]
+            for theta in (0.5 * (mags[:-1] + mags[1:]))[apart]:
+                got = linalg._clique_pivot(A, np.arange(c), np.arange(c, c + r), gamma, theta)
+                assert got == count_inertia(vals, theta), (c, r, gamma, theta)
 
     def test_a_block_that_is_not_a_simplex_is_refused(self):
         S, sizes, flags = self._trial(0)
