@@ -11,15 +11,16 @@ spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|: at the band's
 edges -+theta through a planted clique's closed-form block where the caller
-marks one and that costs less (``_clique_pivot``), by certified Schur blocks
-where they cost less than an eigensolve, by the signs of det(A_k -+ theta I)
-where the block one row smaller was counted (``_parity_counts``), and by an
-eigensolve otherwise. ``_schur_step`` is the chain's Schur complement: it
-adds a block's counts by Haynsworth additivity and, once certified, updates
-the inverse the next step starts from; ``_clique_pivot`` forms the
-complement of the shifted clique block at each edge, of the order of the
-points outside it, and updates nothing. ``pinned_map`` is the one place that
-runs threads and controls BLAS threading.
+marks one that holds all but an eighth of the points (``_clique_pivot``), by
+certified Schur blocks where they cost less than an eigensolve, by the signs
+of det(A_k -+ theta I) where the block one row smaller was counted
+(``_parity_counts``), and by an eigensolve otherwise. ``_schur_step`` is the
+chain's Schur complement: it adds a block's counts by Haynsworth additivity
+and, once certified, updates the inverse the next step starts from;
+``_clique_pivot`` forms the complement of the shifted clique block at each
+edge, of the order of the points outside it, and updates nothing.
+``pinned_map`` is the one place that runs threads and controls BLAS
+threading.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ _WEIGHT_SUM_TOL = 1e-12
 # lower bound on the smallest |eigenvalue| of S_k, exceeds the zero band by
 # this factor, which absorbs the roundoff of the updated inverse.
 BORDER_SAFETY = 10.0
+
+# A prefix of k points with c >= 2 in a planted clique takes the clique pivot
+# when its r = k - c other points are at most k / _PIVOT_SHARE. Each of the
+# pivot's two r x r complements then has at most k^2/64 entries, where the
+# chain eigensolves k^2 of them or updates an inverse of order k^2. With more
+# points outside, as at r = k/2, the chain's one-point steps cost less. The
+# share decides the time only: every tier gives the same counts.
+_PIVOT_SHARE = 8
 
 # The least bound a step is checked against, relative to max|lambda|. Steps
 # pivot without choice: a Schur complement through blocks near the bound
@@ -275,7 +284,8 @@ def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
 def _clear_of(vals: np.ndarray, bound: float) -> bool:
     """Whether 1/||A^{-1}||_F, from A's eigenvalues, exceeds ``bound``."""
     mags = np.abs(vals)
-    return bool(mags.min() > bound and 1.0 / np.sqrt(np.sum(mags**-2.0)) > bound)
+    lo = mags.min()  # a divisor that keeps every term <= 1: no |lambda|^-2 overflows
+    return bool(lo > bound and lo / np.sqrt(np.sum((lo / mags) ** 2)) > bound)
 
 
 def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, norm2: float):
@@ -345,24 +355,6 @@ def _parity_counts(A: np.ndarray, theta: float, prev: Inertia):
     below = [prev.s_minus, k - 1 - prev.s_plus]
     lo, hi = (n + (n + int(sign < 0)) % 2 for n, sign in zip(below, signs))
     return Inertia(lo, hi - lo, k - hi, theta) if lo <= hi else None
-
-
-# Rough costs, in microseconds at one BLAS thread on a 2-core Xeon (numpy 2.4,
-# OpenBLAS 0.3.31), of counting a prefix of k points; they only choose between
-# the chain and the clique pivot. An eigensolve of order k. A Schur step from
-# a points with an inverse buffer M wide, whose update of a x M entries
-# dominates a scalar step. A pivot on c clique points and r others, whose
-# r x r eigensolve dominates until c r^2 takes over.
-def _eig_cost(k: int) -> float:
-    return 30 + k * k * (0.04 + 1e-4 * k)
-
-
-def _step_cost(a: int, k: int, M: int) -> float:
-    return 50 + 3e-3 * a * M + 2e-4 * a * a * (k - a) + (_eig_cost(k - a) if k - a > 1 else 0)
-
-
-def _pivot_cost(c: int, r: int) -> float:
-    return 70 + r * r * (0.2 + 1e-4 * c)
 
 
 def _clique_positions(clique, n: int, N: int) -> tuple:
@@ -450,13 +442,11 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
 
     - by ``_clique_pivot``, at the band's two edges, when the boolean vector
       ``clique``, of the matrix order, marks c >= 2 of the k points as a
-      planted clique and the pivot costs less than the way the chain below
-      would take, judged from the orders alone (``_pivot_cost`` against
-      ``_step_cost`` or ``_eig_cost``); under half of that where the chain's
-      anchor is the last size counted, since the pivot leaves it behind. The
-      clique's block must be a simplex's -d^2/2 up to scale, checked where a
-      pivot is first needed (InvalidInput otherwise). A size whose edge lies
-      within the pivot's roundoff of an eigenvalue is counted by the chain;
+      planted clique and the r = k - c others are at most k / 8
+      (``_PIVOT_SHARE``). The clique's block must be a simplex's -d^2/2 up
+      to scale, checked where a pivot is first needed (InvalidInput
+      otherwise). A size whose edge lies within the pivot's roundoff of an
+      eigenvalue is counted by the chain;
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
       a, the last size whose inverse is held, when a >= k // 2, since a wider
       step costs more than an eigensolve of order k. The first size steps
@@ -505,18 +495,13 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
         wants_anchor = after is not None and anchor < after // 2 <= k
         in_band = out and out[-1].s_zero > k - out[-1].n
         steps = not in_band and (anchor >= k // 2 or wants_anchor and not out)
-        if c >= 2:
-            chain = _step_cost(anchor, k, len(inv)) if steps else _eig_cost(k)
-            # a pivot leaves the chain's anchor behind, so where that anchor is
-            # the last size counted, the pivot must cost under half the chain's
-            margin = 2 if anchor == (out[-1].n if out else 0) else 1
-            if margin * _pivot_cost(c, k - c) < chain:
-                if gamma is None:  # the block is checked where the pivot first needs it
-                    gamma = _simplex_gap(A[:N, :N], inside)
-                pivot = _clique_pivot(A, inside[:c], outside[:k - c], gamma, theta)
-                if pivot is not None:
-                    out.append(Inertia(*pivot, theta))
-                    continue
+        if c >= 2 and _PIVOT_SHARE * (k - c) <= k:
+            if gamma is None:  # the block is checked where the pivot first needs it
+                gamma = _simplex_gap(A[:N, :N], inside)
+            pivot = _clique_pivot(A, inside[:c], outside[:k - c], gamma, theta)
+            if pivot is not None:
+                out.append(Inertia(*pivot, theta))
+                continue
         if steps:
             step = _schur_step(A, inv, anchor, k, bound, norm2)
             if step is not None:
@@ -533,7 +518,10 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
             wants_anchor = wants_anchor and _clear_of(vals, bound)
         out.append(ine)
         if wants_anchor and ine.s_zero == 0:
-            k_inv = np.linalg.inv(A[:k, :k])
+            try:
+                k_inv = np.linalg.inv(A[:k, :k])
+            except np.linalg.LinAlgError:  # singular in floating point, as at subnormal scales
+                continue
             k_norm2 = float(np.vdot(k_inv, k_inv))
             if np.sqrt(k_norm2) * bound < 1.0:  # the steps' certificate
                 inv[:k, :k] = k_inv

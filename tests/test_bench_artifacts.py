@@ -14,6 +14,9 @@ included. On another build only the counts are compared: every integer
 cell of a CSV and every integer or string field of a JSON document. The
 test then says so in a ``BuildMismatchWarning``.
 
+The README's documented examples are pinned the same way, each run in a
+folder of its own; a command that writes no file has its stdout pinned.
+
 The table was first written from this code and checked against the
 ``artifact_sha256`` of ``run.py --seconds 0`` at both seeds. A change that
 alters artifact bytes on purpose regenerates it with ``PYTHONPATH=src
@@ -22,6 +25,8 @@ python tests/test_bench_artifacts.py`` and says why in CHANGES.md.
 
 import hashlib
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -33,6 +38,25 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "bench_artifacts.json"
 SEEDS = (5, 7)
+
+# The README's examples of the subcommands that need no input file, as
+# written there, with the artifact name of their stdout where they write no
+# file.
+README_EXAMPLES = (
+    ("mmsig analyze --example tripod", "stdout.json"),
+    ("mmsig analyze --example simplex --n 5 --format csv", "stdout.csv"),
+    ("mmsig embed --example tripod --output tripod_embedding.json", None),
+    ("mmsig trajectory --example tripod_extended --n 40 --sizes 5:40 --output traj.csv", None),
+    ("mmsig trajectory --example tripod --measure uniform --m-max 500 --seed 3", "stdout.csv"),
+    ("mmsig trajectory --model-p 0.5 --model-seed 9 --measure geometric:0.9 --m-max 500 --seed 2",
+     "stdout.csv"),
+    ("mmsig construct prescribed --n 3 --p 2 --seed 5 --output space.csv", None),
+    ("mmsig rado --p 0.5 --N 1000 --seed 7 --output-prefix run", None),
+    ("mmsig rado --ratio --p 0.5 --measure geometric:0.9 --m-max 2000 --trials 20 --seed 1 "
+     "--output-prefix ratio", None),
+    ("mmsig rado --ratio --p 0.5 --measure class_biased:30:0.9 --clique-rule modular:31 "
+     "--m-max 3000 --trials 50 --seed 1 --output-prefix biased", None),
+)
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import run_cli  # noqa: E402
@@ -106,30 +130,65 @@ def first_requests(seed: int, workdir: Path) -> dict:
     return out
 
 
-def table_of(runs: dict) -> dict:
+def readme_commands() -> list:
+    """The commands of the README's ``sh`` blocks, one string each, with
+    continuation lines joined and comments dropped."""
+    text = (ROOT / "README.md").read_text()
+    out = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command = " ".join(line.split("#")[0].split())
+            if command:
+                out.append(command)
+    return out
+
+
+def readme_runs(workdir: Path) -> dict:
+    """{command: {artifact name: (exit code, bytes)}} of ``README_EXAMPLES``,
+    each run in its own folder under ``workdir``."""
+    out = {}
+    for i, (command, stdout_name) in enumerate(README_EXAMPLES):
+        folder = workdir / f"readme-{i}"
+        folder.mkdir()
+        argv = shlex.split(command)[1:]
+        for j, arg in enumerate(argv[:-1]):
+            if arg in ("--output", "--output-prefix"):
+                argv[j + 1] = str(folder / argv[j + 1])
+        code, stdout, err = run_cli(mmsig.cli, argv)
+        assert code == 0, (command, code, err)
+        files = {p.name: (code, p.read_bytes()) for p in sorted(folder.iterdir())}
+        if stdout_name is not None:
+            files[stdout_name] = (code, stdout.encode())
+        out[command] = files
+    return out
+
+
+def _entries(commands: dict) -> dict:
+    return {
+        label: {
+            fname: {"exit": code, "sha256": hashlib.sha256(data).hexdigest(),
+                    "counts": _counts_digest(fname, data)}
+            for fname, (code, data) in files.items()
+        }
+        for label, files in commands.items()
+    }
+
+
+def table_of(runs: dict, readme: dict) -> dict:
     return {
         "build": _build(),
         "artifacts": {
-            str(seed): {
-                name: {
-                    label: {
-                        fname: {"exit": code, "sha256": hashlib.sha256(data).hexdigest(),
-                                "counts": _counts_digest(fname, data)}
-                        for fname, (code, data) in files.items()
-                    }
-                    for label, files in commands.items()
-                }
-                for name, commands in workloads.items()
-            }
+            str(seed): {name: _entries(commands) for name, commands in workloads.items()}
             for seed, workloads in runs.items()
         },
+        "readme": _entries(readme),
     }
 
 
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("bench")
-    return table_of({seed: first_requests(seed, workdir) for seed in SEEDS})
+    return table_of({seed: first_requests(seed, workdir) for seed in SEEDS}, readme_runs(workdir))
 
 
 @pytest.fixture(scope="module")
@@ -137,15 +196,12 @@ def pinned():
     return json.loads(TABLE.read_text())
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_first_request_artifacts_match_the_table(seed, workload, produced, pinned):
-    got = produced["artifacts"][str(seed)][workload]
-    want = pinned["artifacts"][str(seed)][workload]
+def _assert_same(got: dict, want: dict, what: str, produced: dict, pinned: dict) -> None:
+    """``got`` equals ``want`` by sha256 on the table's build, by counts on another."""
     same_build = produced["build"] == pinned["build"]
     if not same_build:
         warnings.warn(
-            f"artifacts of {workload} at seed {seed} compared by counts only: the table was "
+            f"artifacts of {what} compared by counts only: the table was "
             f"written on {pinned['build']}, this is {produced['build']}",
             BuildMismatchWarning,
         )
@@ -161,6 +217,25 @@ def test_first_request_artifacts_match_the_table(seed, workload, produced, pinne
     assert project(got) == project(want)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_first_request_artifacts_match_the_table(seed, workload, produced, pinned):
+    got = produced["artifacts"][str(seed)][workload]
+    want = pinned["artifacts"][str(seed)][workload]
+    _assert_same(got, want, f"{workload} at seed {seed}", produced, pinned)
+
+
+@pytest.mark.parametrize("command", [c for c, _ in README_EXAMPLES])
+def test_readme_example_artifacts_match_the_table(command, produced, pinned):
+    got = {command: produced["readme"][command]}
+    want = {command: pinned["readme"][command]}
+    _assert_same(got, want, repr(command), produced, pinned)
+
+
+def test_pinned_examples_are_the_readmes():
+    assert set(c for c, _ in README_EXAMPLES) <= set(readme_commands())
+
+
 def test_counts_ignore_floats_but_not_integers():
     csv = b"# mmsig version=0.1.0 seed=1 tol_rel=1e-09\nsize,s_minus,theta\n1,0,0.5\n"
     assert _counts_digest("t.csv", csv) == _counts_digest("t.csv", csv.replace(b"0.5", b"0.25"))
@@ -174,6 +249,6 @@ def test_counts_ignore_floats_but_not_integers():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        table = table_of({seed: first_requests(seed, Path(tmp)) for seed in SEEDS})
+        table = table_of({seed: first_requests(seed, Path(tmp)) for seed in SEEDS}, readme_runs(Path(tmp)))
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     print(f"wrote {TABLE}")

@@ -233,6 +233,19 @@ class TestTrajectory:
         assert comment.startswith("# mmsig version=")
         assert capsys.readouterr().out == table
 
+    def test_tiny_distances_count_as_at_scale_one(self, tmp_path):
+        # at 1e-160 the squares are subnormal: no |lambda|^-2 may overflow,
+        # and a re-anchor whose inverse is singular in floating point is skipped
+        tripod = named_example("tripod_extended", n=30)
+        counts = []
+        for scale in (1.0, 1e-160):
+            src, out = tmp_path / f"tripod_{scale}.csv", tmp_path / f"traj_{scale}.csv"
+            write_distance_csv(spaces.from_distance_matrix(tripod.dist * scale), src)
+            assert run(["trajectory", "--input", src, "--output", out]) == 0
+            rows = list(csv.reader(out.read_text().splitlines()[2:]))
+            counts.append([row[:4] for row in rows])
+        assert counts[0] == counts[1] and len(counts[0]) == 30
+
     def test_sampled(self, capsys):
         assert run(
             ["trajectory", "--example", "tripod", "--measure", "uniform", "--m-max", 80, "--seed", 2]

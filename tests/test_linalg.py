@@ -905,7 +905,8 @@ class TestCliquePivot:
         assert pivots == []
 
     def test_prefixes_before_the_clique_take_the_chain(self, monkeypatch):
-        # c < 2 up to 20 points: the chain; then the pivot, with r = 20
+        # c < 2 up to 20 points, then r = 20 of 100, over an eighth: the chain;
+        # the pivot at 400
         model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 400))
         S, flags = model.s_matrix_on(range(400)), model._clique_flags(np.arange(400))
         sizes = [10, 20, 100, 400]
@@ -914,7 +915,20 @@ class TestCliquePivot:
         got = prefix_inertias(S, sizes, clique=flags)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert [k for _, k, _ in steps] == [10, 20]
-        assert pivots == [(80, 20, True), (380, 20, True)]
+        assert pivots == [(380, 20, True)]
+
+    @pytest.mark.parametrize("k", [80, 400])
+    def test_the_pivot_takes_a_prefix_with_an_eighth_outside(self, k, monkeypatch):
+        # r = k/8 points before the clique: size k pivots; one more point
+        # outside it, r = k/8 + 1, and size k + 1 goes to the chain
+        r = k // 8
+        model = CountableRadoModel(edge_prob=0.5, seed=3, planted_clique=range(r, k))
+        S, flags = model.s_matrix_on(range(k + 1)), model._clique_flags(np.arange(k + 1))
+        sizes = [k, k + 1]
+        pivots = _clique_pivots(monkeypatch)
+        got = prefix_inertias(S, sizes, clique=flags)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert pivots == [(k - r, r, True)]
 
     def test_an_all_clique_prefix_needs_no_eigensolve(self, monkeypatch):
         # r = 0: the count is the clique block's own (1, 0, k - 1)
