@@ -3,9 +3,12 @@ seeded countable random-graph models.
 
 The countable model materializes adjacency lazily: the bit for a pair (i, j)
 is a 64-bit mix of (seed, min, max) compared against p * 2^64, so truncations
-of any size are prefix-consistent and O(1) in memory. Its {1, 2} distance
-rule gives the -d^2/2 matrix one builder, ``CountableRadoModel.s_matrix_on``:
--1/2 on edges, -2 on non-edges, 0 on the diagonal.
+of any size are prefix-consistent and O(1) in memory. One method,
+``CountableRadoModel._edges``, computes that mix. Its {1, 2} distance rule
+gives the -d^2/2 matrix: -1/2 on edges, -2 on non-edges, 0 on the diagonal.
+``s_matrix_on`` builds it whole; ``clique_blocks`` builds, for a planted
+clique, only the blocks with a point outside it (``linalg.CliqueBlocks``),
+since the clique's own block is -1/2 off the diagonal.
 
 A planted clique is a frozen rule with a vectorized ``members(idx)``;
 ``parse_clique_spec`` reads every spelling of one and ``spec()`` writes its
@@ -20,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
-from .linalg import DEFAULT_TOL_REL, _check_tol_rel, _eigenvalues, double_center, inertia, spectrum_inertia
+from .linalg import (
+    DEFAULT_TOL_REL, CliqueBlocks, _check_tol_rel, _eigenvalues, double_center, inertia, spectrum_inertia,
+)
 from .spaces import (
     _MASK64, FiniteMetricSpace, _distances, _integer, _min_strict_slack, _pairwise_sq_diffs, _philox,
     from_distance_matrix, from_euclidean_points, s_matrix,
@@ -321,34 +326,59 @@ class CountableRadoModel:
             return np.zeros(indices.shape, dtype=bool)
         return self.planted_clique.members(indices)
 
-    def adjacency_block(self, indices) -> np.ndarray:
-        """Boolean adjacency among (possibly repeated) indices; repeated
-        indices denote the same vertex, hence non-adjacent to themselves."""
+    def _edges(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Hashed adjacency of each pair of uint64 vertices ``rows`` x
+        ``cols`` (broadcast), the planted clique left out: a pure function of
+        (seed, min, max)."""
+        key, cut = _vmix64(np.uint64(self.seed & _MASK64)), np.uint64(int(self.edge_prob * 2.0**64))
+        return _vmix64(_vmix64(np.minimum(rows, cols) ^ key) ^ np.maximum(rows, cols)) < cut
+
+    @staticmethod
+    def _vertices(indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and idx.min() < 0:
             raise InvalidInput("vertex indices must be nonnegative")
+        return idx
+
+    def adjacency_block(self, indices, flags=None) -> np.ndarray:
+        """Boolean adjacency among (possibly repeated) indices; repeated
+        indices denote the same vertex, hence non-adjacent to themselves.
+        ``flags`` are the indices' clique flags, computed when not given."""
+        idx = self._vertices(indices)
         u = idx.astype(np.uint64)
-        key, cut = _vmix64(np.uint64(self.seed & _MASK64)), np.uint64(int(self.edge_prob * 2.0**64))
         adj = np.empty((idx.size,) * 2, dtype=bool)
         # the hash depends on (min, max) only: hash each row block from r0 on, mirror it below
         for r0 in range(0, idx.size, _HASH_ROWS):
-            rows, cols = u[r0 : r0 + _HASH_ROWS, None], u[None, r0:]
-            h = _vmix64(np.minimum(rows, cols) ^ key) ^ np.maximum(rows, cols)
-            adj[r0 : r0 + _HASH_ROWS, r0:] = block = _vmix64(h) < cut
+            adj[r0 : r0 + _HASH_ROWS, r0:] = block = self._edges(u[r0 : r0 + _HASH_ROWS, None], u[None, r0:])
             adj[r0:, r0 : r0 + _HASH_ROWS] = block.T
-        flags = self._clique_flags(idx)
+        flags = self._clique_flags(idx) if flags is None else flags
         adj |= np.logical_and.outer(flags, flags)
         adj &= idx[:, None] != idx[None, :]
         return adj
 
-    def s_matrix_on(self, indices) -> np.ndarray:
+    def s_matrix_on(self, indices, flags=None) -> np.ndarray:
         """-d^2/2 on sampled indices with the {1, 2} distance rule: adjacent
         pairs at 1, distinct non-adjacent at 2, repeated indices at 0. Zeros
-        are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0."""
+        are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0.
+        ``flags`` as in ``adjacency_block``."""
         idx = np.asarray(indices, dtype=np.int64)
-        S = self.adjacency_block(idx) * 1.5 - 2.0  # -1/2 on edges, -2 off: np.where is slower
+        S = self.adjacency_block(idx, flags) * 1.5 - 2.0  # -1/2 on edges, -2 off: np.where is slower
         S[idx[:, None] == idx[None, :]] = 0.0
         return S
+
+    def clique_blocks(self, indices, flags=None) -> CliqueBlocks:
+        """-d^2/2 on distinct vertex indices as ``linalg.CliqueBlocks``, with
+        no n x n array: the planted clique's points are pairwise adjacent, at
+        distance 1, so gamma = 1/2, and only the n r pairs with an endpoint
+        among the r points outside the clique are hashed. ``flags`` as in
+        ``adjacency_block``; the blocks carry them."""
+        idx = self._vertices(indices)
+        flags = self._clique_flags(idx) if flags is None else flags
+        inside, outside = idx[flags].astype(np.uint64), idx[~flags].astype(np.uint64)
+        B = self._edges(outside[:, None], inside[None, :]) * 1.5 - 2.0
+        D = self._edges(outside[:, None], outside[None, :]) * 1.5 - 2.0
+        np.fill_diagonal(D, 0.0)
+        return CliqueBlocks(flags, B, D, 0.5)
 
     def metric_on(self, indices) -> FiniteMetricSpace:
         """The {1, 2}-valued metric on distinct vertex indices."""

@@ -6,7 +6,11 @@ validation gate, passed once at each entry point: ``eig_sym``, ``inertia``,
 ``prefix_inertias``, the centering transforms and
 ``spectral.esd_and_inertia``. ``_eigenvalues`` takes a matrix that has
 passed it, a leading block of one, or a complement formed from such blocks
-and symmetrized, and validates nothing. Inertia counting uses the eigenvalue
+and symmetrized, and validates nothing. ``prefix_inertias`` also takes a
+matrix as ``CliqueBlocks``, the blocks a countable model with a planted
+clique builds without the n x n matrix, and trusts them as the model wrote
+them; it writes dense leading blocks from them only for the sizes the pivot
+does not count. Inertia counting uses the eigenvalue
 spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|: at the band's
@@ -18,7 +22,8 @@ of det(A_k -+ theta I) where the block one row smaller was counted
 chain's Schur complement: it adds a block's counts by Haynsworth additivity
 and, once certified, updates the inverse the next step starts from;
 ``_clique_pivot`` forms the complement of the shifted clique block at each
-edge, of the order of the points outside it, and updates nothing.
+edge from leading slices of the blocks, of the order of the points outside
+the clique, and updates nothing.
 ``pinned_map`` is the one place that runs threads and controls BLAS
 threading.
 """
@@ -234,13 +239,15 @@ def _zero_band(n: int, tol_rel: float, rho: float, rho_hi: float | None = None) 
     return tol_rel * n * rho, max(BORDER_SAFETY * tol_rel * n * hi, _BORDER_FLOOR * hi)
 
 
-def _perron_bracket(A: np.ndarray):
+def _perron_bracket(A):
     """(Rayleigh quotient, upper bound) of max|lambda| of ``A``, or None.
 
     For ``A <= 0`` with no zero row, as -d^2/2 on distinct points, max|lambda|
     is the Perron root of -A, which the quotients (-A x)_i / x_i of every x > 0
     bracket (Collatz-Wielandt); so does the Rayleigh quotient, their x_i^2-
     weighted mean. A power iteration from the ones vector closes the bracket.
+    ``A`` is a matrix or ``CliqueBlocks``: the loop reads its order, its
+    largest entry and its products ``A @ x``, O(n r) for the blocks.
     """
     if not A.max() <= 0:
         return None
@@ -357,61 +364,100 @@ def _parity_counts(A: np.ndarray, theta: float, prev: Inertia):
     return Inertia(lo, hi - lo, k - hi, theta) if lo <= hi else None
 
 
-def _clique_positions(clique, n: int, N: int) -> tuple:
-    """(positions inside the clique, positions outside it) among the first N
-    of n points, with the clique marked by the boolean vector ``clique``."""
-    flags = np.asarray(clique)
-    if flags.dtype != bool or flags.shape != (n,):
-        raise InvalidInput(f"clique must be a boolean vector of length {n}")
-    return np.flatnonzero(flags[:N]), np.flatnonzero(~flags[:N])
+def _takes_pivot(k: int, c: int) -> bool:
+    """Whether a prefix of k points, c of them in the planted clique, takes
+    the clique pivot: c >= 2 and at most k / _PIVOT_SHARE points outside."""
+    return c >= 2 and _PIVOT_SHARE * (k - c) <= k
+
+
+class CliqueBlocks:
+    """A symmetric matrix on n points held as the blocks of a planted clique.
+
+    ``flags`` marks the c clique points, whose block is -gamma (J - I), a
+    simplex's -d^2/2 up to scale; ``B`` holds the entries between the r
+    points outside the clique (rows) and the c inside it (columns), and
+    ``D`` those among the points outside, each in the points' order. Only
+    the n r entries of ``B`` and ``D`` are stored. ``len``, ``max`` and
+    ``@`` act as on the n x n matrix, so ``_perron_bracket`` takes either,
+    and ``A @ x`` costs O(n r)."""
+
+    def __init__(self, flags, B: np.ndarray, D: np.ndarray, gamma: float):
+        self.flags, self.B, self.D, self.gamma = np.asarray(flags), B, D, float(gamma)
+        self.inside, self.outside = np.flatnonzero(self.flags), np.flatnonzero(~self.flags)
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def head(self, k: int) -> "CliqueBlocks":
+        """The blocks of the first k points."""
+        c = int(np.searchsorted(self.inside, k))
+        return CliqueBlocks(self.flags[:k], self.B[:k - c, :c], self.D[:k - c, :k - c], self.gamma)
+
+    def max(self) -> float:
+        """The largest entry: 0 on the diagonal, -gamma in the clique."""
+        off = -self.gamma if len(self.inside) >= 2 else 0.0
+        return max(off, self.B.max(initial=0.0), self.D.max(initial=0.0))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        xc, xo = x[self.inside], x[self.outside]
+        # the clique's rows are -gamma (1^T x_c - x_c) + B^T x_o; the sum of
+        # the other x_j adds the sums before and after x_i, so for x > 0 it
+        # errs as a row of the matrix would, where 1^T x_c - x_i could cancel
+        others = np.zeros(len(xc))
+        others[1:] += np.cumsum(xc)[:-1]
+        others[:-1] += np.cumsum(xc[::-1])[::-1][1:]
+        y = np.empty(len(x))
+        y[self.inside] = self.B.T @ xo - self.gamma * others
+        y[self.outside] = self.B @ xc + self.D @ xo
+        return y
+
+    def leading(self, k: int) -> np.ndarray:
+        """The dense block of the first k points."""
+        c = int(np.searchsorted(self.inside, k))
+        inside, outside = self.inside[:c], self.outside[:k - c]
+        A = np.empty((k, k))
+        A[np.ix_(inside, inside)] = -self.gamma
+        A[inside, inside] = 0.0
+        A[np.ix_(outside, inside)] = B = self.B[:k - c, :c]
+        A[np.ix_(inside, outside)] = B.T
+        A[np.ix_(outside, outside)] = self.D[:k - c, :k - c]
+        return A
 
 
 def _simplex_gap(A: np.ndarray, inside: np.ndarray) -> float:
     """gamma of the block of ``A`` on ``inside``, two positions or more, which
     must be a simplex's -d^2/2 up to scale: zero on the diagonal and one
     negative constant -gamma off it. InvalidInput otherwise."""
-    gamma = -float(A[inside[0], inside[1]])
-    member = np.zeros(len(A), dtype=bool)
-    member[inside] = True
-    # with a zero diagonal, the block is -gamma off it when each member's row
-    # holds -gamma at c - 1 member columns; counting booleans takes half the
-    # time of gathering the c x c block of floats, in an eighth of the memory
-    hits = (A == -gamma)[inside]
-    hits &= member
-    if not (
-        gamma > 0
-        and not A[inside, inside].any()
-        and (np.count_nonzero(hits, axis=1) == len(inside) - 1).all()
-    ):
+    K = A[np.ix_(inside, inside)]
+    gamma = -float(K[0, 1])
+    if not (gamma > 0 and np.array_equal(K, gamma * (np.eye(len(K)) - 1.0))):
         raise InvalidInput("the clique block must be zero on the diagonal and one negative constant off it")
     return gamma
 
 
-def _clique_pivot(A: np.ndarray, inside: np.ndarray, outside: np.ndarray, gamma: float, theta: float):
-    """(s_minus, s_zero, s_plus) at theta of A_k, ``A`` on the c >= 2 clique
-    points ``inside`` and r ``outside``; None where roundoff could decide one.
+def _clique_pivot(B: np.ndarray, D: np.ndarray, gamma: float, theta: float):
+    """(s_minus, s_zero, s_plus) at theta of A_k, the k = c + r points of a
+    ``CliqueBlocks`` with c >= 2 in the clique, from its blocks ``B`` (r x c)
+    and ``D`` (r x r); None where roundoff could decide one.
 
-    Clique first, A_k = [[K, B], [B^T, D]], K = gamma (I - J). At an edge
+    Clique first, A_k = [[K, B^T], [B, D]], K = gamma (I - J). At an edge
     sigma, K - sigma I has the eigenvalues t = gamma - sigma (c - 1 times)
     and u = gamma (1 - c) - sigma, and the inverse (I + gamma J / u) / t. So
     A_k has as many eigenvalues below sigma as K - sigma I and Sigma = D -
     sigma I - (H + gamma s s^T / u) / t have below 0 (Haynsworth), with H =
-    B^T B and s = 1^T B from one GEMM of c r^2 for both edges +-theta.
+    B B^T and s = B 1 from one GEMM of c r^2 for both edges +-theta.
 
     Refused, for B of any sign: t = 0 (t is correctly rounded); k |u| <=
     gamma (c - 1) + |sigma|, where u, off by the rounding of gamma (c - 1),
     may err by over k eps; a computed eigenvalue of Sigma within 2 k eps
     (||D||_F + |sigma| sqrt(r) + ||B||_F^2 (1 + 2 c gamma / |u|) / |t|) of
-    0. That bounds Sigma's roundoff (Weyl): H errs by c eps |B|^T |B| <=
+    0. That bounds Sigma's roundoff (Weyl): H errs by c eps |B| |B|^T <=
     c eps sqrt(H_ii H_jj) (Cauchy-Schwarz), c eps ||B||_F^2 in norm, and
     s s^T by 2 c^2 eps ||B||_F^2 (||s|| <= sqrt(c) ||B||_F); u adds k eps
     of its term, the other operations a few eps, eigvalsh r eps ||Sigma||."""
-    c, r = len(inside), len(outside)
-    rows = A.take(outside, 0)  # r = 0 leaves every array below empty
-    Bt = rows.take(inside, 1)
-    D = rows.take(outside, 1)
-    s = Bt.sum(axis=1)
-    H = Bt @ Bt.T
+    r, c = B.shape  # r = 0 leaves every array below empty
+    s = B.sum(axis=1)
+    H = B @ B.T
     b2, d_norm = float(np.trace(H)), float(np.linalg.norm(D))  # ||B||_F^2, ||D||_F
     below = []
     for sigma in (-theta, theta):
@@ -426,7 +472,7 @@ def _clique_pivot(A: np.ndarray, inside: np.ndarray, outside: np.ndarray, gamma:
             if not np.abs(vals).min() > 2.0 * (c + r) * _EPS * terms:
                 return None
             n += int(np.count_nonzero(vals < 0))
-        below.append(n)
+        below.append(int(n))  # a numpy theta would make it a numpy integer
     return below[0], below[1] - below[0], c + r - below[1]
 
 
@@ -434,19 +480,23 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
     """Inertias of the leading blocks ``a[:k, :k]`` for increasing ``sizes``,
     all against one zero band.
 
-    The band is theta = tol_rel * N * max|lambda| of the block of the largest
-    size N, with max|lambda| from a ``_perron_bracket``, or from an eigensolve
-    of that block when there is none. By Cauchy interlacing it bounds the theta
-    of every smaller block, so s_minus and s_plus never decrease along the
-    sizes. Each size k is counted in one of four ways:
+    ``a`` is a symmetric matrix, or the ``CliqueBlocks`` of one, which mark
+    its planted clique themselves; ``clique`` marks one in a matrix, as a
+    boolean vector of the matrix order. The band is theta = tol_rel * N *
+    max|lambda| of the block of the largest size N, with max|lambda| from a
+    ``_perron_bracket``, or from an eigensolve of that block when there is
+    none. By Cauchy interlacing it bounds the theta of every smaller block,
+    so s_minus and s_plus never decrease along the sizes. Each size k is
+    counted in one of four ways:
 
-    - by ``_clique_pivot``, at the band's two edges, when the boolean vector
-      ``clique``, of the matrix order, marks c >= 2 of the k points as a
-      planted clique and the r = k - c others are at most k / 8
-      (``_PIVOT_SHARE``). The clique's block must be a simplex's -d^2/2 up
-      to scale, checked where a pivot is first needed (InvalidInput
-      otherwise). A size whose edge lies within the pivot's roundoff of an
-      eigenvalue is counted by the chain;
+    - by ``_clique_pivot``, at the band's two edges, from the leading slices
+      of the clique's blocks, when c >= 2 of the k points are in the clique
+      and the r = k - c others are at most k / 8 (``_takes_pivot``). A
+      ``clique`` mask's block of ``a`` must be a simplex's -d^2/2 up to
+      scale, checked when some size takes the pivot (InvalidInput
+      otherwise), and its blocks are then sliced from ``a``. A size whose
+      edge lies within the pivot's roundoff of an eigenvalue is counted by
+      the chain below;
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
       a, the last size whose inverse is held, when a >= k // 2, since a wider
       step costs more than an eigensolve of order k. The first size steps
@@ -463,47 +513,74 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
     step from it but not from the anchor and its inverse, from
     ``np.linalg.inv``, passes the certificate. No step is tried where an
     eigenvalue must lie in the band: the last counted size j held more in it
-    than k - j, and each added row moves at most one out.
+    than k - j, and each added row moves at most one out. The chain reads
+    dense leading blocks only. From ``CliqueBlocks`` they are written when
+    the chain first needs one, at the largest size that does not take the
+    pivot, and again at a larger size whose pivot is refused; the chain's
+    inverse is held at the largest size below N it counts.
     """
     _check_tol_rel(tol_rel)
-    A = as_sym_matrix(a)
+    blocks = a if isinstance(a, CliqueBlocks) else None
+    if blocks is not None and clique is not None:
+        raise InvalidInput("clique blocks mark their clique themselves")
+    dense = as_sym_matrix(a) if blocks is None else None  # the leading blocks the chain reads
+    n = len(a) if blocks is not None else len(dense)
     sizes = _integers(sizes, "prefix size").tolist()
-    if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])) or any(
-        k < 1 or k > A.shape[0] for k in sizes
-    ):
+    if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])) or any(k < 1 or k > n for k in sizes):
         raise InvalidInput("sizes must be increasing and within the matrix order")
     if not sizes:
         return []
     N = sizes[-1]
-    inside = outside = gamma = None
-    if clique is not None:
-        inside, outside = _clique_positions(clique, len(A), N)
-    rho, top = _perron_bracket(A[:N, :N]), None
+    if blocks is not None:
+        blocks = blocks.head(N)
+        flags = blocks.flags
+    elif clique is not None:
+        flags = np.asarray(clique)
+        if flags.dtype != bool or flags.shape != (n,):
+            raise InvalidInput(f"clique must be a boolean vector of length {n}")
+        flags = flags[:N]
+    else:
+        flags = np.zeros(N, dtype=bool)
+    inside = np.flatnonzero(flags)
+    in_clique = np.searchsorted(inside, sizes).tolist()
+    offered = [_takes_pivot(k, c) for k, c in zip(sizes, in_clique)]
+    chain_top = max((k for k, o in zip(sizes, offered) if not o), default=0)
+
+    def lead(k):
+        nonlocal dense
+        if dense is None or len(dense) < k:
+            dense = blocks.leading(max(k, chain_top))
+        return dense[:k, :k]
+
+    rho, top = _perron_bracket(dense[:N, :N] if blocks is None else blocks), None
     if rho is None:  # not -d^2/2-like, or no closed bracket: the band's eigensolve
-        top = _eigenvalues(A[:N, :N])
+        top = _eigenvalues(lead(N))
         rho = (float(np.abs(top).max()),) * 2
     theta, bound = _zero_band(N, tol_rel, *rho)
     parity = theta > _BORDER_FLOOR * rho[1]
     counted = sizes if top is None else sizes[:-1]
-    in_clique = [0] * len(counted) if inside is None else np.searchsorted(inside, counted).tolist()
+    if blocks is None and any(offered[:len(counted)]):  # a mask on a matrix: the same blocks
+        outside = np.flatnonzero(~flags)
+        gamma = _simplex_gap(dense[:N, :N], inside)
+        blocks = CliqueBlocks(flags, dense[np.ix_(outside, inside)], dense[np.ix_(outside, outside)], gamma)
     # zeros keep the columns past the anchor finite; a step to N writes nothing
-    inv = np.zeros((max(sizes[:-1], default=0),) * 2)
+    inv = np.zeros((max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
     base, norm2 = Inertia(0, 0, 0, theta), 0.0  # the anchor's counts, ||inverse||_F^2
     out = []
-    for k, after, c in zip(counted, counted[1:] + [None], in_clique):
+    for k, after, c, pivots in zip(counted, counted[1:] + [None], in_clique, offered):
         anchor = base.n
         wants_anchor = after is not None and anchor < after // 2 <= k
         in_band = out and out[-1].s_zero > k - out[-1].n
         steps = not in_band and (anchor >= k // 2 or wants_anchor and not out)
-        if c >= 2 and _PIVOT_SHARE * (k - c) <= k:
-            if gamma is None:  # the block is checked where the pivot first needs it
-                gamma = _simplex_gap(A[:N, :N], inside)
-            pivot = _clique_pivot(A, inside[:c], outside[:k - c], gamma, theta)
+        if pivots:
+            pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta)
             if pivot is not None:
                 out.append(Inertia(*pivot, theta))
                 continue
+            if len(inv) < k < N:  # refused: the chain holds this size's inverse too
+                inv = np.pad(inv, (0, k - len(inv)))
         if steps:
-            step = _schur_step(A, inv, anchor, k, bound, norm2)
+            step = _schur_step(lead(k), inv, anchor, k, bound, norm2)
             if step is not None:
                 neg, norm2 = step
                 base = Inertia(base.s_minus + neg, 0, base.s_plus + k - anchor - neg, theta)
@@ -511,15 +588,15 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
                 continue
         ine = None
         if parity and out and out[-1].n == k - 1:
-            ine = _parity_counts(A[:k, :k], theta, out[-1])
+            ine = _parity_counts(lead(k), theta, out[-1])
         if ine is None:
-            vals = _eigenvalues(A[:k, :k])
+            vals = _eigenvalues(lead(k))
             ine = _band_counts(vals, theta)
             wants_anchor = wants_anchor and _clear_of(vals, bound)
         out.append(ine)
         if wants_anchor and ine.s_zero == 0:
             try:
-                k_inv = np.linalg.inv(A[:k, :k])
+                k_inv = np.linalg.inv(lead(k))
             except np.linalg.LinAlgError:  # singular in floating point, as at subnormal scales
                 continue
             k_norm2 = float(np.vdot(k_inv, k_inv))

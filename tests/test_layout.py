@@ -292,6 +292,66 @@ def test_clique_trial_eigensolves_only_its_other_points(monkeypatch):
     assert orders and max(orders) <= others < len(dedup) // 20
 
 
+def _pair_hashes(tree):
+    """Each ``_vmix64`` call in ``tree`` whose argument XORs in an
+    ``np.minimum`` or ``np.maximum``: the pair hash of a vertex pair."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_vmix64":
+            for arg in node.args:
+                if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.BitXor) and any(
+                    getattr(sub, "attr", None) in ("minimum", "maximum") for sub in ast.walk(arg)
+                ):
+                    yield node
+
+
+def test_the_pair_hash_exists_once():
+    # the dense adjacency and the clique blocks hash pairs through one function
+    tree = ast.parse((SRC / "constructions.py").read_text())
+    owners = {
+        func.name
+        for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+        for _ in _pair_hashes(func)
+    }
+    assert owners == {"_edges"}
+    found = [path.name for path in sorted(SRC.glob("*.py")) for _ in _pair_hashes(ast.parse(path.read_text()))]
+    assert found == ["constructions.py"] * 2  # min ^ key, then ^ max
+
+
+@pytest.mark.parametrize("rule, measure", [
+    ("modular:31", DiscreteMeasure.class_biased(30, 0.9)),
+    ("quadratic", DiscreteMeasure.geometric(0.999)),
+    ("modular:2", DiscreteMeasure.geometric(0.995)),
+])
+def test_a_clique_trial_builds_no_matrix_past_the_chain(rule, measure, monkeypatch):
+    # s_matrix_on and adjacency_block build n x n arrays; a clique trial
+    # calls them for no more points than the largest size the chain counts,
+    # that is a size the pivot did not take. Where the pivot takes them all,
+    # it calls neither.
+    built, pivots = [], []
+    for name in ("s_matrix_on", "adjacency_block"):
+        real = getattr(CountableRadoModel, name)
+        monkeypatch.setattr(
+            CountableRadoModel, name, lambda self, idx, *a, _f=real: built.append(len(idx)) or _f(self, idx, *a)
+        )
+    real_pivot = mmsig.linalg._clique_pivot
+
+    def counted(B, D, gamma, theta):
+        pivot = real_pivot(B, D, gamma, theta)
+        if pivot is not None:
+            pivots.append(B.shape[1] + len(D))
+        return pivot
+
+    monkeypatch.setattr(mmsig.linalg, "_clique_pivot", counted)
+    model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=rule)
+    traj = mmsig.spectral.rado_ratio_experiment(model, measure, m_max=3000, seed=0)
+    chain = set(traj.dedup_sizes) - set(pivots)
+    assert max(built, default=0) <= max(chain, default=0)
+    if not chain:
+        assert built == []
+    if rule == "modular:2":  # no size takes the pivot: the whole matrix, once
+        assert pivots == [] and len(built) == 2 and max(built) == traj.dedup_sizes[-1]
+
+
 # A value for each option; OVERRIDES replaces some of them for a command or
 # for one run of it.
 VALUES = {

@@ -748,9 +748,9 @@ def _clique_pivots(monkeypatch):
     pivots = []
     real = linalg._clique_pivot
 
-    def counted(A, inside, outside, gamma, bound):
-        pivot = real(A, inside, outside, gamma, bound)
-        pivots.append((len(inside), len(outside), pivot is not None))
+    def counted(B, D, gamma, bound):
+        pivot = real(B, D, gamma, bound)
+        pivots.append((B.shape[1], len(D), pivot is not None))
         return pivot
 
     monkeypatch.setattr(linalg, "_clique_pivot", counted)
@@ -833,15 +833,16 @@ class TestCliquePivot:
         k = 400
         inside, outside = np.flatnonzero(flags[:k]), np.flatnonzero(~flags[:k])
         gamma = linalg._simplex_gap(S[:k, :k], inside)
+        B, D = S[np.ix_(outside, inside)], S[np.ix_(outside, outside)]
         vals = np.linalg.eigvalsh(S[:k, :k])
         apart = np.minimum(np.diff(vals, prepend=-np.inf), np.diff(vals, append=np.inf))
         simple = [lam for lam, gap in zip(vals, apart) if gap > 1e-6 * abs(lam) and abs(abs(lam) - gamma) > 1e-3]
         assert len(simple) > 10 and np.count_nonzero(abs(vals - gamma) < 1e-12) > 300
         zeros = []
         for theta in [abs(lam) for lam in simple] + [gamma]:
-            assert linalg._clique_pivot(S, inside, outside, gamma, theta) is None, theta
+            assert linalg._clique_pivot(B, D, gamma, theta) is None, theta
             for factor in (1 - 1e-9, 1 + 1e-9, 0.99, 1.01):
-                got = linalg._clique_pivot(S, inside, outside, gamma, theta * factor)
+                got = linalg._clique_pivot(B, D, gamma, theta * factor)
                 assert got == count_inertia(vals, theta * factor), (theta, factor)
                 zeros.append(got[1])
         assert max(zeros) > 300
@@ -860,7 +861,7 @@ class TestCliquePivot:
             mags = np.unique(np.abs(vals))
             apart = np.diff(mags) > 1e-6 * mags[1:]
             for theta in (0.5 * (mags[:-1] + mags[1:]))[apart]:
-                got = linalg._clique_pivot(A, np.arange(c), np.arange(c, c + r), gamma, theta)
+                got = linalg._clique_pivot(A[c:, :c], A[c:, c:], gamma, theta)
                 assert got == count_inertia(vals, theta), (c, r, gamma, theta)
 
     def test_a_block_that_is_not_a_simplex_is_refused(self):
@@ -938,3 +939,98 @@ class TestCliquePivot:
         got = prefix_inertias(S, [50, 100], clique=np.ones(100, dtype=bool))
         assert [i.counts() for i in got] == [(1, 0, 49), (1, 0, 99)]
         assert pivots == [(50, 0, True), (100, 0, True)] and orders == []
+
+
+class TestCliqueBlocks:
+    # A model hands its planted clique's blocks to prefix_inertias, which
+    # counts them through the same pivot and chain as a dense matrix with
+    # the clique's mask, and as eigvalsh does.
+    SHAPES = {
+        "index": ((0, 2, 5), "geometric:0.7"),
+        "modular:2": ("modular:2", "geometric:0.995"),
+        "modular:3": ("modular:3", "class_biased:2:0.9"),
+        "modular:31": ("modular:31", "class_biased:30:0.9"),
+        "quadratic": ("quadratic", "geometric:0.995"),
+    }
+
+    @staticmethod
+    @functools.cache
+    def _sample(shape, p):
+        """The model, the first 150 points of its sample order and the
+        eigenvalues of every leading block of -d^2/2 on them."""
+        rule, measure = TestCliqueBlocks.SHAPES[shape]
+        model = CountableRadoModel(edge_prob=p, seed=7, planted_clique=rule)
+        order = sample_order(parse_measure_spec(measure), 3000, 1)[:150]
+        S = model.s_matrix_on(order)
+        return model, order, [np.linalg.eigvalsh(S[:k, :k]) for k in range(1, len(order) + 1)]
+
+    @pytest.mark.parametrize("tol_rel", [1e-9, 1e-7])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_counts_equal_on_every_clique_shape(self, shape, p, tol_rel):
+        model, order, spectra = self._sample(shape, p)
+        sizes = list(range(1, len(order) + 1))
+        blocks = model.clique_blocks(order)
+        got = prefix_inertias(blocks, sizes, tol_rel)
+        theta = tol_rel * len(order) * float(np.abs(spectra[-1]).max())
+        assert [i.counts() for i in got] == [count_inertia(vals, theta) for vals in spectra]
+        dense = prefix_inertias(model.s_matrix_on(order), sizes, tol_rel, clique=blocks.flags)
+        assert [i.counts() for i in got] == [i.counts() for i in dense]
+        assert all(type(n) is int for i in got for n in i.counts())  # never a numpy integer
+
+    @pytest.mark.parametrize("members", [0, 1])
+    def test_fewer_than_two_clique_points_at_every_size(self, members):
+        # c = 0: B has no columns; c = 1: one; every size goes to the chain
+        model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique=[0, 2, 5])
+        order = [0, *range(6, 86)] if members else list(range(6, 86))
+        blocks = model.clique_blocks(order)
+        assert blocks.B.shape == (80, members)
+        sizes = [1, 2, 10, 40, len(order)]
+        got = prefix_inertias(blocks, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(model.s_matrix_on(order), sizes)
+
+    def test_an_order_inside_the_clique(self, monkeypatch):
+        # r = 0: B has no rows and D is empty; each count is (1, 0, k - 1)
+        model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique="modular:31")
+        order = [i for i in range(1, 130) if i % 31][:120]
+        blocks = model.clique_blocks(order)
+        assert blocks.B.shape == (0, 120) and blocks.D.shape == (0, 0)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(blocks, [1, 2, 60, 120])
+        assert [i.counts() for i in got] == [(0, 1, 0), (1, 0, 1), (1, 0, 59), (1, 0, 119)]
+        assert orders == [1]  # the one point's block; the pivot takes c >= 2
+
+    def test_a_refused_pivot_counts_on_a_lazy_dense_block(self, monkeypatch):
+        # sizes 10 and 20 hold fewer than two clique points: the chain builds
+        # the dense block of 20 for both. 200, 300 and 400 have 20 points
+        # outside, at most an eighth; a pivot refused at 300 builds the block
+        # of 300, and nothing larger is built, not even for the largest size
+        model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 400))
+        blocks = model.clique_blocks(range(400))
+        sizes = [10, 20, 200, 300, 400]
+        built = []
+        real_leading, real_pivot = linalg.CliqueBlocks.leading, linalg._clique_pivot
+        monkeypatch.setattr(linalg.CliqueBlocks, "leading", lambda b, k: built.append(k) or real_leading(b, k))
+        monkeypatch.setattr(
+            linalg, "_clique_pivot", lambda B, D, g, t: None if len(D) + B.shape[1] == 300 else real_pivot(B, D, g, t)
+        )
+        got = prefix_inertias(blocks, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(model.s_matrix_on(range(400)), sizes)
+        assert built == [20, 300]
+
+    def test_the_dense_leading_blocks_are_the_models(self):
+        model = CountableRadoModel(edge_prob=0.5, seed=9, planted_clique="quadratic")
+        order = sample_order(parse_measure_spec("geometric:0.99"), 2000, 3)
+        blocks, S = model.clique_blocks(order), model.s_matrix_on(order)
+        for k in (1, 7, 100, len(order)):
+            A = blocks.head(k).leading(k)
+            assert np.array_equal(A, S[:k, :k]) and not np.signbit(A.diagonal()).any()
+        x = np.random.default_rng(0).uniform(0.5, 1.0, len(order))
+        np.testing.assert_allclose(blocks @ x, S @ x, rtol=len(order) * EPS)
+        assert blocks.max() == S.max() == 0.0 and len(blocks) == len(S)
+
+    def test_blocks_mark_their_clique_themselves(self):
+        model = TestCliquePivot.MODEL
+        blocks = model.clique_blocks(range(1, 40))
+        with pytest.raises(InvalidInput, match="clique blocks mark their clique themselves"):
+            prefix_inertias(blocks, [39], clique=blocks.flags)

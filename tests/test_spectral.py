@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,35 @@ class TestRatioExperiment:
             m_max=256, trials=3, seed=2,
         )
         assert calls == [sorted(set(t.dedup_sizes)) for t in trajectories]
+
+    @pytest.mark.parametrize("rule, measure", [
+        ("modular:31", DiscreteMeasure.class_biased(30, 0.9)),  # the blocks
+        ("modular:2", DiscreteMeasure.geometric(0.995)),  # half outside: the dense matrix
+    ])
+    def test_one_clique_flags_call_per_trial(self, rule, measure, monkeypatch):
+        calls = []
+        real = CountableRadoModel._clique_flags
+        monkeypatch.setattr(
+            CountableRadoModel, "_clique_flags", lambda self, idx: calls.append(len(idx)) or real(self, idx)
+        )
+        model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=rule)
+        traj = rado_ratio_experiment(model, measure, m_max=3000, seed=trial_seed(1, 0))
+        assert calls == [traj.dedup_sizes[-1]]
+
+    def test_a_clique_trial_builds_no_whole_matrix(self):
+        # one dense -d^2/2 of this trial's 1556 points takes 19 MB; its
+        # blocks, 51 points outside the clique by 1556, take 0.6 MB
+        model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=ResidueClassClique(31))
+        measure = DiscreteMeasure.class_biased(30, 0.9)
+        rado_ratio_experiment(model, measure, m_max=30000, seed=trial_seed(1, 0))  # warm caches
+        tracemalloc.start()
+        try:
+            traj = rado_ratio_experiment(model, measure, m_max=30000, seed=trial_seed(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.dedup_sizes[-1] == 1556
+        assert peak < 5e6
 
     def test_delta_equals_raw_matrix_delta(self):
         # repetition cancelling leaves both signature counts unchanged, so
