@@ -340,10 +340,9 @@ class CountableRadoModel:
             raise InvalidInput("vertex indices must be nonnegative")
         return idx
 
-    def adjacency_block(self, indices, flags=None) -> np.ndarray:
+    def adjacency_block(self, indices) -> np.ndarray:
         """Boolean adjacency among (possibly repeated) indices; repeated
-        indices denote the same vertex, hence non-adjacent to themselves.
-        ``flags`` are the indices' clique flags, computed when not given."""
+        indices denote the same vertex, hence non-adjacent to themselves."""
         idx = self._vertices(indices)
         u = idx.astype(np.uint64)
         adj = np.empty((idx.size,) * 2, dtype=bool)
@@ -351,29 +350,30 @@ class CountableRadoModel:
         for r0 in range(0, idx.size, _HASH_ROWS):
             adj[r0 : r0 + _HASH_ROWS, r0:] = block = self._edges(u[r0 : r0 + _HASH_ROWS, None], u[None, r0:])
             adj[r0:, r0 : r0 + _HASH_ROWS] = block.T
-        flags = self._clique_flags(idx) if flags is None else flags
+        flags = self._clique_flags(idx)
         adj |= np.logical_and.outer(flags, flags)
         adj &= idx[:, None] != idx[None, :]
         return adj
 
-    def s_matrix_on(self, indices, flags=None) -> np.ndarray:
+    def s_matrix_on(self, indices) -> np.ndarray:
         """-d^2/2 on sampled indices with the {1, 2} distance rule: adjacent
         pairs at 1, distinct non-adjacent at 2, repeated indices at 0. Zeros
-        are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0.
-        ``flags`` as in ``adjacency_block``."""
+        are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0."""
         idx = np.asarray(indices, dtype=np.int64)
-        S = self.adjacency_block(idx, flags) * 1.5 - 2.0  # -1/2 on edges, -2 off: np.where is slower
+        S = self.adjacency_block(idx) * 1.5 - 2.0  # -1/2 on edges, -2 off: np.where is slower
         S[idx[:, None] == idx[None, :]] = 0.0
         return S
 
-    def clique_blocks(self, indices, flags=None) -> CliqueBlocks:
+    def clique_blocks(self, indices) -> CliqueBlocks:
         """-d^2/2 on distinct vertex indices as ``linalg.CliqueBlocks``, with
         no n x n array: the planted clique's points are pairwise adjacent, at
         distance 1, so gamma = 1/2, and only the n r pairs with an endpoint
-        among the r points outside the clique are hashed. ``flags`` as in
-        ``adjacency_block``; the blocks carry them."""
+        among the r points outside the clique are hashed. The blocks carry
+        the indices' clique flags. Repeated indices raise InvalidInput."""
         idx = self._vertices(indices)
-        flags = self._clique_flags(idx) if flags is None else flags
+        if len(np.unique(idx)) != idx.size:
+            raise InvalidInput("clique blocks need distinct vertex indices")
+        flags = self._clique_flags(idx)
         inside, outside = idx[flags].astype(np.uint64), idx[~flags].astype(np.uint64)
         B = self._edges(outside[:, None], inside[None, :]) * 1.5 - 2.0
         D = self._edges(outside[:, None], outside[None, :]) * 1.5 - 2.0

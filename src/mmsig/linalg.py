@@ -8,9 +8,9 @@ validation gate, passed once at each entry point: ``eig_sym``, ``inertia``,
 passed it, a leading block of one, or a complement formed from such blocks
 and symmetrized, and validates nothing. ``prefix_inertias`` also takes a
 matrix as ``CliqueBlocks``, the blocks a countable model with a planted
-clique builds without the n x n matrix, and trusts them as the model wrote
-them; it writes dense leading blocks from them only for the sizes the pivot
-does not count. Inertia counting uses the eigenvalue
+clique builds without the n x n matrix, which check their own shapes and
+entries when made; it writes dense leading blocks from them only for the
+sizes the pivot does not count. Inertia counting uses the eigenvalue
 spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|: at the band's
@@ -364,12 +364,6 @@ def _parity_counts(A: np.ndarray, theta: float, prev: Inertia):
     return Inertia(lo, hi - lo, k - hi, theta) if lo <= hi else None
 
 
-def _takes_pivot(k: int, c: int) -> bool:
-    """Whether a prefix of k points, c of them in the planted clique, takes
-    the clique pivot: c >= 2 and at most k / _PIVOT_SHARE points outside."""
-    return c >= 2 and _PIVOT_SHARE * (k - c) <= k
-
-
 class CliqueBlocks:
     """A symmetric matrix on n points held as the blocks of a planted clique.
 
@@ -379,11 +373,21 @@ class CliqueBlocks:
     ``D`` those among the points outside, each in the points' order. Only
     the n r entries of ``B`` and ``D`` are stored. ``len``, ``max`` and
     ``@`` act as on the n x n matrix, so ``_perron_bracket`` takes either,
-    and ``A @ x`` costs O(n r)."""
+    and ``A @ x`` costs O(n r). Flags that are not a boolean vector, blocks
+    of other shapes, a ``D`` that is not symmetric, a non-finite entry or a
+    gamma that is not positive raise InvalidInput."""
 
-    def __init__(self, flags, B: np.ndarray, D: np.ndarray, gamma: float):
-        self.flags, self.B, self.D, self.gamma = np.asarray(flags), B, D, float(gamma)
+    def __init__(self, flags, B, D, gamma: float):
+        self.flags, self.gamma = np.asarray(flags), float(gamma)
+        self.B, self.D = np.asarray(B, dtype=float), np.asarray(D, dtype=float)
+        if self.flags.dtype != bool or self.flags.ndim != 1:
+            raise InvalidInput("clique flags must be a boolean vector")
         self.inside, self.outside = np.flatnonzero(self.flags), np.flatnonzero(~self.flags)
+        r, c = len(self.outside), len(self.inside)
+        if not (np.isfinite(self.B).all() and np.isfinite(self.D).all() and 0.0 < self.gamma < math.inf):
+            raise InvalidInput("clique blocks need finite entries and a positive gamma")
+        if self.B.shape != (r, c) or self.D.shape != (r, r) or not np.array_equal(self.D, self.D.T):
+            raise InvalidInput(f"clique blocks must be B of shape {(r, c)} and a symmetric D of shape {(r, r)}")
 
     def __len__(self) -> int:
         return len(self.flags)
@@ -491,10 +495,11 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
 
     - by ``_clique_pivot``, at the band's two edges, from the leading slices
       of the clique's blocks, when c >= 2 of the k points are in the clique
-      and the r = k - c others are at most k / 8 (``_takes_pivot``). A
+      and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A
       ``clique`` mask's block of ``a`` must be a simplex's -d^2/2 up to
-      scale, checked when some size takes the pivot (InvalidInput
-      otherwise), and its blocks are then sliced from ``a``. A size whose
+      scale on the first K points, K the largest size that takes the pivot
+      (InvalidInput otherwise), and its blocks on them are then sliced from
+      ``a``. A size whose
       edge lies within the pivot's roundoff of an eigenvalue is counted by
       the chain below;
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
@@ -543,7 +548,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
         flags = np.zeros(N, dtype=bool)
     inside = np.flatnonzero(flags)
     in_clique = np.searchsorted(inside, sizes).tolist()
-    offered = [_takes_pivot(k, c) for k, c in zip(sizes, in_clique)]
+    offered = [c >= 2 and _PIVOT_SHARE * (k - c) <= k for k, c in zip(sizes, in_clique)]
     chain_top = max((k for k, o in zip(sizes, offered) if not o), default=0)
 
     def lead(k):
@@ -559,10 +564,11 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
     theta, bound = _zero_band(N, tol_rel, *rho)
     parity = theta > _BORDER_FLOOR * rho[1]
     counted = sizes if top is None else sizes[:-1]
-    if blocks is None and any(offered[:len(counted)]):  # a mask on a matrix: the same blocks
-        outside = np.flatnonzero(~flags)
-        gamma = _simplex_gap(dense[:N, :N], inside)
-        blocks = CliqueBlocks(flags, dense[np.ix_(outside, inside)], dense[np.ix_(outside, outside)], gamma)
+    if blocks is None and any(offered[:len(counted)]):  # a mask on a matrix: the same blocks, up to K
+        K = max(k for k, o in zip(counted, offered) if o)
+        inside, outside = np.flatnonzero(flags[:K]), np.flatnonzero(~flags[:K])
+        gamma = _simplex_gap(dense[:K, :K], inside)
+        blocks = CliqueBlocks(flags[:K], dense[np.ix_(outside, inside)], dense[np.ix_(outside, outside)], gamma)
     # zeros keep the columns past the anchor finite; a step to N writes nothing
     inv = np.zeros((max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
     base, norm2 = Inertia(0, 0, 0, theta), 0.0  # the anchor's counts, ||inverse||_F^2

@@ -19,7 +19,6 @@ from .linalg import (
     DEFAULT_TOL_REL,
     Inertia,
     _check_tol_rel,
-    _takes_pivot,
     double_center,
     eig_sym,
     inertia,
@@ -72,13 +71,12 @@ def limit_signature_trajectory(
     hold integers: a fraction or a bool raises InvalidInput. The arguments
     are checked before the first eigensolve. Every prefix is counted
     against the zero band of the largest one (``linalg.prefix_inertias``),
-    so all rows share one theta. A model's clique flags are computed once.
-    Where the largest prefix takes the clique pivot, the model hands over
-    its ``clique_blocks`` and no n x n matrix is built; otherwise the flags
-    go with ``s_matrix_on`` as the pivot's mask. A stabilized
-    (s_minus, s_plus) is reported when the last ``STABILIZATION_WINDOW``
-    evaluations agree; a plateau is evidence, never a proof, since the true
-    limit may be infinite.
+    so all rows share one theta. A model with a planted clique hands over
+    its ``clique_blocks``, which compute the clique flags once, and no
+    n x n matrix is built past the sizes the clique pivot does not count.
+    A stabilized (s_minus, s_plus) is reported when the last
+    ``STABILIZATION_WINDOW`` evaluations agree; a plateau is evidence, never
+    a proof, since the true limit may be infinite.
     """
     order = _integers(order, "point index")
     if len(set(order.tolist())) != len(order):
@@ -87,12 +85,7 @@ def limit_signature_trajectory(
     if getattr(source, "planted_clique", None) is None:
         inertias = prefix_inertias(source.s_matrix_on(order), sizes, tol_rel)
     else:
-        flags = source._clique_flags(order)  # once, for whichever matrix is built
-        top = sizes[-1] if len(sizes) else 0
-        if _takes_pivot(top, int(np.count_nonzero(flags[:top]))):
-            inertias = prefix_inertias(source.clique_blocks(order, flags), sizes, tol_rel)
-        else:  # the largest prefix needs the whole matrix anyway
-            inertias = prefix_inertias(source.s_matrix_on(order, flags), sizes, tol_rel, flags)
+        inertias = prefix_inertias(source.clique_blocks(order), sizes, tol_rel)
     for size, prev, ine in zip(sizes[1:], inertias, inertias[1:]):
         if ine.s_minus < prev.s_minus or ine.s_plus < prev.s_plus:
             raise MonotonicityViolation(

@@ -323,16 +323,17 @@ def test_the_pair_hash_exists_once():
     ("modular:2", DiscreteMeasure.geometric(0.995)),
 ])
 def test_a_clique_trial_builds_no_matrix_past_the_chain(rule, measure, monkeypatch):
-    # s_matrix_on and adjacency_block build n x n arrays; a clique trial
-    # calls them for no more points than the largest size the chain counts,
-    # that is a size the pivot did not take. Where the pivot takes them all,
-    # it calls neither.
-    built, pivots = [], []
+    # a clique trial hands over its clique's blocks and never calls
+    # s_matrix_on or adjacency_block; the only n x n arrays are the blocks'
+    # dense leading blocks, for no more points than the largest size the
+    # chain counts, that is a size the pivot did not take. Where the pivot
+    # takes them all, none is built.
+    dense, built, pivots = [], [], []
     for name in ("s_matrix_on", "adjacency_block"):
         real = getattr(CountableRadoModel, name)
-        monkeypatch.setattr(
-            CountableRadoModel, name, lambda self, idx, *a, _f=real: built.append(len(idx)) or _f(self, idx, *a)
-        )
+        monkeypatch.setattr(CountableRadoModel, name, lambda self, idx, _f=real: dense.append(len(idx)) or _f(self, idx))
+    real_leading = mmsig.linalg.CliqueBlocks.leading
+    monkeypatch.setattr(mmsig.linalg.CliqueBlocks, "leading", lambda b, k: built.append(k) or real_leading(b, k))
     real_pivot = mmsig.linalg._clique_pivot
 
     def counted(B, D, gamma, theta):
@@ -345,11 +346,11 @@ def test_a_clique_trial_builds_no_matrix_past_the_chain(rule, measure, monkeypat
     model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=rule)
     traj = mmsig.spectral.rado_ratio_experiment(model, measure, m_max=3000, seed=0)
     chain = set(traj.dedup_sizes) - set(pivots)
-    assert max(built, default=0) <= max(chain, default=0)
+    assert dense == [] and max(built, default=0) <= max(chain, default=0)
     if not chain:
         assert built == []
     if rule == "modular:2":  # no size takes the pivot: the whole matrix, once
-        assert pivots == [] and len(built) == 2 and max(built) == traj.dedup_sizes[-1]
+        assert pivots == [] and built == [traj.dedup_sizes[-1]]
 
 
 # A value for each option; OVERRIDES replaces some of them for a command or

@@ -1034,3 +1034,52 @@ class TestCliqueBlocks:
         blocks = model.clique_blocks(range(1, 40))
         with pytest.raises(InvalidInput, match="clique blocks mark their clique themselves"):
             prefix_inertias(blocks, [39], clique=blocks.flags)
+
+    def test_clique_blocks_need_distinct_points(self):
+        # a repeated point would sit at -gamma from itself in the clique and
+        # hash the pair (i, i) outside it, unlike s_matrix_on
+        model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique="modular:3")
+        for order in ([3, 3], [1, 3, 1], [0, 5, 9, 5]):
+            with pytest.raises(InvalidInput, match="clique blocks need distinct vertex indices"):
+                model.clique_blocks(order)
+
+    def test_hand_made_blocks_are_checked(self):
+        model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique="modular:3")
+        good = model.clique_blocks(range(1, 40))
+        B, D = good.B.copy(), good.D.copy()
+        nan_B, nan_D, skew_D = B.copy(), D.copy(), D.copy()
+        nan_B[2, 3] = np.nan
+        nan_D[1, 2] = np.nan  # not equal to itself: still reported as not finite
+        skew_D[0, 1] = -1.0
+        bad = {
+            "clique flags must be a boolean vector": [
+                (good.flags.astype(int), B, D, 0.5), (good.flags[:, None], B, D, 0.5),
+            ],
+            "clique blocks must be B of shape": [
+                (good.flags, B[:-1], D, 0.5), (good.flags, B.T, D, 0.5), (good.flags, B, D[:-1], 0.5),
+                (good.flags, B, skew_D, 0.5),
+            ],
+            "clique blocks need finite entries and a positive gamma": [
+                (good.flags, nan_B, D, 0.5), (good.flags, B, nan_D, 0.5),
+                (good.flags, B, D, 0.0), (good.flags, B, D, -0.5), (good.flags, B, D, np.nan),
+            ],
+        }
+        for message, cases in bad.items():
+            for args in cases:
+                with pytest.raises(InvalidInput, match=message):
+                    linalg.CliqueBlocks(*args)
+        rebuilt = linalg.CliqueBlocks(good.flags, B, D, 0.5)
+        assert prefix_inertias(rebuilt, [10, 39]) == prefix_inertias(good, [10, 39])
+
+    def test_a_mask_is_sliced_up_to_the_largest_pivoted_size(self, monkeypatch):
+        # the clique holds the first 100 of 400 points: sizes 50 and 100
+        # pivot, 400 does not, so the blocks and the simplex check stop at 100
+        model = CountableRadoModel(edge_prob=0.5, seed=6, planted_clique=range(100))
+        S, flags = model.s_matrix_on(range(400)), model._clique_flags(np.arange(400))
+        checked, real_gap = [], linalg._simplex_gap
+        monkeypatch.setattr(linalg, "_simplex_gap", lambda A, inside: checked.append(len(A)) or real_gap(A, inside))
+        pivots = _clique_pivots(monkeypatch)
+        sizes = [50, 100, 400]
+        got = prefix_inertias(S, sizes, clique=flags)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert checked == [100] and pivots == [(50, 0, True), (100, 0, True)]

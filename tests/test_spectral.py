@@ -212,7 +212,7 @@ class TestRatioExperiment:
 
     @pytest.mark.parametrize("rule, measure", [
         ("modular:31", DiscreteMeasure.class_biased(30, 0.9)),  # the blocks
-        ("modular:2", DiscreteMeasure.geometric(0.995)),  # half outside: the dense matrix
+        ("modular:2", DiscreteMeasure.geometric(0.995)),  # half outside: the whole leading block
     ])
     def test_one_clique_flags_call_per_trial(self, rule, measure, monkeypatch):
         calls = []
