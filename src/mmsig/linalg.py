@@ -14,8 +14,8 @@ sizes the pivot does not count. Inertia counting uses the eigenvalue
 spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|: at the band's
-edges -+theta through a planted clique's closed-form block where the caller
-marks one that holds all but an eighth of the points (``_clique_pivot``), by
+edges -+theta through a planted clique's closed-form block where its
+``CliqueBlocks`` hold all but an eighth of the points (``_clique_pivot``), by
 certified Schur blocks where they cost less than an eigensolve, by the signs
 of det(A_k -+ theta I) where the block one row smaller was counted
 (``_parity_counts``), and by an eigensolve otherwise. ``_schur_step`` is the
@@ -398,9 +398,9 @@ class CliqueBlocks:
         return CliqueBlocks(self.flags[:k], self.B[:k - c, :c], self.D[:k - c, :k - c], self.gamma)
 
     def max(self) -> float:
-        """The largest entry: 0 on the diagonal, -gamma in the clique."""
-        off = -self.gamma if len(self.inside) >= 2 else 0.0
-        return max(off, self.B.max(initial=0.0), self.D.max(initial=0.0))
+        """The largest entry: 0 on the diagonal, else the largest entry of
+        ``B`` or ``D``, since the clique's -gamma is below 0."""
+        return max(self.B.max(initial=0.0), self.D.max(initial=0.0))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         xc, xo = x[self.inside], x[self.outside]
@@ -426,17 +426,6 @@ class CliqueBlocks:
         A[np.ix_(inside, outside)] = B.T
         A[np.ix_(outside, outside)] = self.D[:k - c, :k - c]
         return A
-
-
-def _simplex_gap(A: np.ndarray, inside: np.ndarray) -> float:
-    """gamma of the block of ``A`` on ``inside``, two positions or more, which
-    must be a simplex's -d^2/2 up to scale: zero on the diagonal and one
-    negative constant -gamma off it. InvalidInput otherwise."""
-    K = A[np.ix_(inside, inside)]
-    gamma = -float(K[0, 1])
-    if not (gamma > 0 and np.array_equal(K, gamma * (np.eye(len(K)) - 1.0))):
-        raise InvalidInput("the clique block must be zero on the diagonal and one negative constant off it")
-    return gamma
 
 
 def _clique_pivot(B: np.ndarray, D: np.ndarray, gamma: float, theta: float):
@@ -480,28 +469,23 @@ def _clique_pivot(B: np.ndarray, D: np.ndarray, gamma: float, theta: float):
     return below[0], below[1] - below[0], c + r - below[1]
 
 
-def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> list:
+def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     """Inertias of the leading blocks ``a[:k, :k]`` for increasing ``sizes``,
     all against one zero band.
 
     ``a`` is a symmetric matrix, or the ``CliqueBlocks`` of one, which mark
-    its planted clique themselves; ``clique`` marks one in a matrix, as a
-    boolean vector of the matrix order. The band is theta = tol_rel * N *
-    max|lambda| of the block of the largest size N, with max|lambda| from a
-    ``_perron_bracket``, or from an eigensolve of that block when there is
-    none. By Cauchy interlacing it bounds the theta of every smaller block,
-    so s_minus and s_plus never decrease along the sizes. Each size k is
-    counted in one of four ways:
+    its planted clique themselves; a matrix has no clique to pivot on. The
+    band is theta = tol_rel * N * max|lambda| of the block of the largest
+    size N, with max|lambda| from a ``_perron_bracket``, or from an
+    eigensolve of that block when there is none. By Cauchy interlacing it
+    bounds the theta of every smaller block, so s_minus and s_plus never
+    decrease along the sizes. Each size k is counted in one of four ways:
 
     - by ``_clique_pivot``, at the band's two edges, from the leading slices
       of the clique's blocks, when c >= 2 of the k points are in the clique
-      and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A
-      ``clique`` mask's block of ``a`` must be a simplex's -d^2/2 up to
-      scale on the first K points, K the largest size that takes the pivot
-      (InvalidInput otherwise), and its blocks on them are then sliced from
-      ``a``. A size whose
-      edge lies within the pivot's roundoff of an eigenvalue is counted by
-      the chain below;
+      and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A size
+      whose edge lies within the pivot's roundoff of an eigenvalue is
+      counted by the chain below;
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
       a, the last size whose inverse is held, when a >= k // 2, since a wider
       step costs more than an eigensolve of order k. The first size steps
@@ -526,8 +510,6 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
     """
     _check_tol_rel(tol_rel)
     blocks = a if isinstance(a, CliqueBlocks) else None
-    if blocks is not None and clique is not None:
-        raise InvalidInput("clique blocks mark their clique themselves")
     dense = as_sym_matrix(a) if blocks is None else None  # the leading blocks the chain reads
     n = len(a) if blocks is not None else len(dense)
     sizes = _integers(sizes, "prefix size").tolist()
@@ -538,14 +520,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
     N = sizes[-1]
     if blocks is not None:
         blocks = blocks.head(N)
-        flags = blocks.flags
-    elif clique is not None:
-        flags = np.asarray(clique)
-        if flags.dtype != bool or flags.shape != (n,):
-            raise InvalidInput(f"clique must be a boolean vector of length {n}")
-        flags = flags[:N]
-    else:
-        flags = np.zeros(N, dtype=bool)
+    flags = blocks.flags if blocks is not None else np.zeros(N, dtype=bool)
     inside = np.flatnonzero(flags)
     in_clique = np.searchsorted(inside, sizes).tolist()
     offered = [c >= 2 and _PIVOT_SHARE * (k - c) <= k for k, c in zip(sizes, in_clique)]
@@ -564,11 +539,6 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL, clique=None) -> 
     theta, bound = _zero_band(N, tol_rel, *rho)
     parity = theta > _BORDER_FLOOR * rho[1]
     counted = sizes if top is None else sizes[:-1]
-    if blocks is None and any(offered[:len(counted)]):  # a mask on a matrix: the same blocks, up to K
-        K = max(k for k, o in zip(counted, offered) if o)
-        inside, outside = np.flatnonzero(flags[:K]), np.flatnonzero(~flags[:K])
-        gamma = _simplex_gap(dense[:K, :K], inside)
-        blocks = CliqueBlocks(flags[:K], dense[np.ix_(outside, inside)], dense[np.ix_(outside, outside)], gamma)
     # zeros keep the columns past the anchor finite; a step to N writes nothing
     inv = np.zeros((max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
     base, norm2 = Inertia(0, 0, 0, theta), 0.0  # the anchor's counts, ||inverse||_F^2

@@ -5,7 +5,9 @@ between modules and usually papers over an import cycle. Only ``linalg``
 imports ``ctypes``, so BLAS thread control stays in one place. Only
 ``linalg`` imports ``threading`` or ``concurrent.futures``, so threads and
 the BLAS pin stay in one place, ``linalg.pinned_map``. Only ``linalg``
-references ``_zero_band``, so the zero band has one owner. The names
+references ``_zero_band``, so the zero band has one owner. A planted
+clique reaches ``prefix_inertias`` only as ``CliqueBlocks``: it takes no
+clique mask, so the counting has one input form per matrix. The names
 that the benchmark's tracer looks up in the package stay bound, so a
 refactor cannot break the benchmark while these tests pass. Every run of
 ``cli.RUNS`` reads each option it takes, and refuses each option it lacks
@@ -315,6 +317,19 @@ def test_the_pair_hash_exists_once():
     assert owners == {"_edges"}
     found = [path.name for path in sorted(SRC.glob("*.py")) for _ in _pair_hashes(ast.parse(path.read_text()))]
     assert found == ["constructions.py"] * 2  # min ^ key, then ^ max
+
+
+def test_a_clique_reaches_the_counting_only_as_blocks():
+    # prefix_inertias takes a matrix or CliqueBlocks, with no clique mask
+    # beside them, and no module keeps the mask's simplex check
+    assert list(inspect.signature(mmsig.linalg.prefix_inertias).parameters) == ["a", "sizes", "tol_rel"]
+    defined = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_simplex_gap"
+    ]
+    assert defined == []
 
 
 @pytest.mark.parametrize("rule, measure", [

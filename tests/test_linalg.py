@@ -23,7 +23,11 @@ from util_oracles import (
     b_matrix,
     centered_gram,
     charpoly_eigenvalues,
+    clique_blocks_of,
+    clique_member,
     count_inertia,
+    exact_below,
+    exact_counts,
     prefix_counts_by_eigvalsh,
     random_cospherical_points,
     random_symmetric,
@@ -142,19 +146,26 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
     assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
 
 
-def _eigensolve_orders(monkeypatch, of=None):
-    """Orders of the blocks ``linalg._eigenvalues`` solves from now on; with
-    ``of``, only of the blocks that share memory with that matrix, not of
-    complements formed from its blocks."""
+def _eigensolve_orders(monkeypatch):
+    """Orders of the blocks ``linalg._eigenvalues`` solves from now on."""
     orders = []
     real = linalg._eigenvalues
 
     def counted(a):
-        if of is None or np.shares_memory(a, of):
-            orders.append(len(a))
+        orders.append(len(a))
         return real(a)
 
     monkeypatch.setattr(linalg, "_eigenvalues", counted)
+    return orders
+
+
+def _every_eigensolve_order(monkeypatch):
+    """Orders of the matrices ``linalg._eigenvalues`` and ``linalg.eig_sym``
+    solve from now on: blocks, complements and the pivot's complements."""
+    orders = []
+    for name in ("_eigenvalues", "eig_sym"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda a, real=real: orders.append(len(a)) or real(a))
     return orders
 
 
@@ -757,6 +768,18 @@ def _clique_pivots(monkeypatch):
     return pivots
 
 
+def _model_blocks(model, order):
+    """-d^2/2 on ``order`` and the model's ``clique_blocks`` of it, which must
+    equal the blocks sliced from the matrix with the oracle's clique mask:
+    two independent builds of one matrix."""
+    S, blocks = model.s_matrix_on(order), model.clique_blocks(order)
+    sliced = clique_blocks_of(S, np.array([clique_member(model.planted_clique, i) for i in order], dtype=bool))
+    assert np.array_equal(sliced.flags, blocks.flags)
+    assert np.array_equal(sliced.B, blocks.B) and np.array_equal(sliced.D, blocks.D)
+    assert sliced.gamma == blocks.gamma or len(blocks.inside) < 2
+    return S, blocks
+
+
 class TestCliquePivot:
     # A planted clique's block of -d^2/2 is -(J - I)/2, whose inertia and
     # inverse are known: a prefix is counted from its r x r complement.
@@ -765,47 +788,50 @@ class TestCliquePivot:
     def _trial(self, seed, m_max=3000):
         sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
         sizes = np.searchsorted(sample.first_draws, default_checkpoints(m_max))
-        flags = self.MODEL._clique_flags(sample.dedup)
-        return self.MODEL.s_matrix_on(sample.dedup), sorted({int(k) for k in sizes}), flags
+        S, blocks = _model_blocks(self.MODEL, sample.dedup)
+        return S, sorted({int(k) for k in sizes}), blocks
 
     def test_class_biased_trials_match_eigvalsh(self, monkeypatch):
         # the clique tier counts every size past the first two, the largest
-        # too, each certified; no prefix is eigensolved whole
+        # too, each certified; no eigensolve is larger than the trial's
+        # points outside the clique, so no prefix is eigensolved whole
         pivots = _clique_pivots(monkeypatch)
+        orders = _every_eigensolve_order(monkeypatch)
         for seed in range(6):
-            S, sizes, flags = self._trial(seed)
-            assert as_sym_matrix(S) is S  # so the prefix blocks are views of S
-            orders = _eigensolve_orders(monkeypatch, of=S)
+            S, sizes, blocks = self._trial(seed)
+            others = int(np.count_nonzero(~blocks.flags[:sizes[-1]]))
+            orders.clear()
             pivots.clear()
-            got = prefix_inertias(S, sizes, clique=flags)
-            assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes), seed
-            assert got == prefix_inertias(S, sizes)
+            got = prefix_inertias(blocks, sizes)
+            assert orders and max(orders) <= others < sizes[-1] // 20, seed
             assert len(pivots) >= len(sizes) - 2 and all(ok for _, _, ok in pivots)
             assert sum(pivots[-1][:2]) == sizes[-1]
-            assert orders == []
+            assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes), seed
+            # the chain on S; its band's bracket may differ from the blocks' in an ulp
+            assert [i.counts() for i in got] == [i.counts() for i in prefix_inertias(S, sizes)]
 
     @staticmethod
     @functools.cache
     def _model_trajectory(rule, measure):
-        """S, clique flags and the eigenvalues of every leading block of a
+        """The clique blocks and the eigenvalues of every leading block of a
         model trajectory, shared by the tolerances that count it."""
         model = CountableRadoModel(edge_prob=0.5, seed=0, planted_clique=rule)
         order = sample_order(parse_measure_spec(measure), 3000, 0)
-        S = model.s_matrix_on(order)
-        return S, model._clique_flags(order), [np.linalg.eigvalsh(S[:k, :k]) for k in range(1, len(S) + 1)]
+        S, blocks = _model_blocks(model, order)
+        return blocks, [np.linalg.eigvalsh(S[:k, :k]) for k in range(1, len(S) + 1)]
 
     @pytest.mark.parametrize("tol_rel", [1e-9, 1e-7, 1e-6])
     @pytest.mark.parametrize("rule, measure", [("modular:31", "geometric:0.99"), ("quadratic", "geometric:0.995")])
     def test_every_prefix_of_a_model_trajectory(self, rule, measure, tol_rel, monkeypatch):
         # the pivot counts at the band's edges, so a loose band, which
         # holds eigenvalues of model prefixes, changes nothing
-        S, flags, spectra = self._model_trajectory(rule, measure)
-        sizes = list(range(1, len(S) + 1))
+        blocks, spectra = self._model_trajectory(rule, measure)
+        sizes = list(range(1, len(blocks) + 1))
         pivots = _clique_pivots(monkeypatch)
-        got = prefix_inertias(S, sizes, tol_rel, clique=flags)
-        theta = tol_rel * len(S) * float(np.abs(spectra[-1]).max())
+        got = prefix_inertias(blocks, sizes, tol_rel)
+        theta = tol_rel * len(blocks) * float(np.abs(spectra[-1]).max())
         assert [i.counts() for i in got] == [count_inertia(vals, theta) for vals in spectra]
-        assert len(pivots) > len(S) // 2
+        assert len(pivots) > len(blocks) // 2
 
     def test_a_large_clique_trial_eigensolves_only_its_other_points(self, monkeypatch):
         # 1717 of the trial's 1748 points are in the clique; its largest
@@ -813,10 +839,7 @@ class TestCliquePivot:
         # certificate on A_k^{-1} cannot pass there. The edge counts need none
         model = CountableRadoModel(edge_prob=0.5, seed=1, planted_clique="quadratic")
         measure = parse_measure_spec("geometric:0.999")
-        orders = []
-        for name in ("_eigenvalues", "eig_sym"):
-            real = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name, lambda a, real=real: orders.append(len(a)) or real(a))
+        orders = _every_eigensolve_order(monkeypatch)
         traj = rado_ratio_experiment(model, measure, m_max=3000, seed=trial_seed(1, 0))
         dedup = gv_sample(measure, 3000, trial_seed(1, 0)).dedup
         others = int(np.count_nonzero(~model._clique_flags(dedup)))
@@ -829,11 +852,10 @@ class TestCliquePivot:
         # at theta = |lambda| roundoff decides the count, for a simple lambda
         # and for gamma, which fills most of the clique space; a relative
         # 1e-9 off the edge, or 1%, the pivot counts as eigvalsh does
-        S, _, flags = self._trial(0)
+        S, _, blocks = self._trial(0)
         k = 400
-        inside, outside = np.flatnonzero(flags[:k]), np.flatnonzero(~flags[:k])
-        gamma = linalg._simplex_gap(S[:k, :k], inside)
-        B, D = S[np.ix_(outside, inside)], S[np.ix_(outside, outside)]
+        head = blocks.head(k)
+        B, D, gamma = head.B, head.D, head.gamma
         vals = np.linalg.eigvalsh(S[:k, :k])
         apart = np.minimum(np.diff(vals, prepend=-np.inf), np.diff(vals, append=np.inf))
         simple = [lam for lam, gap in zip(vals, apart) if gap > 1e-6 * abs(lam) and abs(abs(lam) - gamma) > 1e-3]
@@ -847,16 +869,22 @@ class TestCliquePivot:
                 zeros.append(got[1])
         assert max(zeros) > 300
 
-    def test_a_mixed_sign_matrix_counts_between_its_eigenvalues(self):
-        # the refusals bound roundoff for B and D of any sign and scale, not
-        # only for -d^2/2: between two |eigenvalues| the pivot counts
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            c, r = int(rng.integers(2, 60)), int(rng.integers(1, 20))
+    @staticmethod
+    def _mixed_sign_matrices(count, rng, c_max=60, r_max=20):
+        """(c, r, gamma, A) of random symmetric matrices of any sign and
+        scale whose first c points are a clique at one scale gamma."""
+        for _ in range(count):
+            c, r = int(rng.integers(2, c_max)), int(rng.integers(1, r_max))
             gamma = float(10 ** rng.uniform(-3, 3))
             A = rng.normal(size=(c + r, c + r)) * 10 ** rng.uniform(-3, 3)
             A += A.T
             A[:c, :c] = -gamma * (1 - np.eye(c))
+            yield c, r, gamma, A
+
+    def test_a_mixed_sign_matrix_counts_between_its_eigenvalues(self):
+        # the refusals bound roundoff for B and D of any sign and scale, not
+        # only for -d^2/2: between two |eigenvalues| the pivot counts
+        for c, r, gamma, A in self._mixed_sign_matrices(20, np.random.default_rng(5)):
             vals = np.linalg.eigvalsh(A)
             mags = np.unique(np.abs(vals))
             apart = np.diff(mags) > 1e-6 * mags[1:]
@@ -864,56 +892,39 @@ class TestCliquePivot:
                 got = linalg._clique_pivot(A[c:, :c], A[c:, c:], gamma, theta)
                 assert got == count_inertia(vals, theta), (c, r, gamma, theta)
 
-    def test_a_block_that_is_not_a_simplex_is_refused(self):
-        S, sizes, flags = self._trial(0)
-        i, j = np.flatnonzero(flags)[[3, 8]]
-        for change in ("entry", "diagonal", "positive"):
-            T = S.copy()
-            if change == "entry":
-                T[i, j] = T[j, i] = -2.0
-            elif change == "diagonal":
-                T[i, i] = -1.0
-            else:
-                T[np.ix_(flags, flags)] = 0.5 - np.eye(int(flags.sum())) * 0.5
-            with pytest.raises(InvalidInput, match="the clique block must be zero on the diagonal"):
-                prefix_inertias(T, sizes, clique=flags)
-
     def test_any_simplex_scale_is_a_clique(self, monkeypatch):
-        # a block at one distance 2 is a simplex too: gamma 2, not 1/2
+        # hand-made blocks of a clique at one distance 2 are a simplex too:
+        # gamma 2, not 1/2
         S = CountableRadoModel(edge_prob=0.5, seed=8).s_matrix_on(range(300))
         flags = np.zeros(300, dtype=bool)
         flags[:280] = True
         S[np.ix_(flags, flags)] = -2.0 * (1.0 - np.eye(280))
+        blocks = clique_blocks_of(S, flags)
+        assert blocks.gamma == 2.0
         sizes = [100, 200, 300]
         pivots = _clique_pivots(monkeypatch)
-        got = prefix_inertias(S, sizes, clique=flags)
+        got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert pivots == [(100, 0, True), (200, 0, True), (280, 20, True)]
 
-    def test_mask_must_be_a_boolean_vector_of_the_order(self):
-        S, sizes, flags = self._trial(0)
-        for bad in (flags.astype(int), flags[:-1], np.append(flags, True), flags[:, None]):
-            with pytest.raises(InvalidInput, match=f"clique must be a boolean vector of length {len(S)}"):
-                prefix_inertias(S, sizes, clique=bad)
-
     @pytest.mark.parametrize("members", [0, 1])
     def test_fewer_than_two_clique_points_take_the_chain(self, members, monkeypatch):
-        S, sizes, flags = self._trial(1)
-        flags = np.zeros_like(flags)
+        S, sizes, blocks = self._trial(1)
+        flags = np.zeros_like(blocks.flags)
         flags[:members] = True
         pivots = _clique_pivots(monkeypatch)
-        assert prefix_inertias(S, sizes, clique=flags) == prefix_inertias(S, sizes)
+        assert prefix_inertias(clique_blocks_of(S, flags), sizes) == prefix_inertias(S, sizes)
         assert pivots == []
 
     def test_prefixes_before_the_clique_take_the_chain(self, monkeypatch):
         # c < 2 up to 20 points, then r = 20 of 100, over an eighth: the chain;
         # the pivot at 400
         model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 400))
-        S, flags = model.s_matrix_on(range(400)), model._clique_flags(np.arange(400))
+        S, blocks = _model_blocks(model, range(400))
         sizes = [10, 20, 100, 400]
         pivots = _clique_pivots(monkeypatch)
         steps = _schur_steps(monkeypatch)
-        got = prefix_inertias(S, sizes, clique=flags)
+        got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert [k for _, k, _ in steps] == [10, 20]
         assert pivots == [(380, 20, True)]
@@ -924,27 +935,28 @@ class TestCliquePivot:
         # outside it, r = k/8 + 1, and size k + 1 goes to the chain
         r = k // 8
         model = CountableRadoModel(edge_prob=0.5, seed=3, planted_clique=range(r, k))
-        S, flags = model.s_matrix_on(range(k + 1)), model._clique_flags(np.arange(k + 1))
+        S, blocks = _model_blocks(model, range(k + 1))
         sizes = [k, k + 1]
         pivots = _clique_pivots(monkeypatch)
-        got = prefix_inertias(S, sizes, clique=flags)
+        got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert pivots == [(k - r, r, True)]
 
     def test_an_all_clique_prefix_needs_no_eigensolve(self, monkeypatch):
         # r = 0: the count is the clique block's own (1, 0, k - 1)
         S = named_example("simplex", n=100).s_matrix_on(range(100))
+        blocks = clique_blocks_of(S, np.ones(100, dtype=bool))
         pivots = _clique_pivots(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
-        got = prefix_inertias(S, [50, 100], clique=np.ones(100, dtype=bool))
+        got = prefix_inertias(blocks, [50, 100])
         assert [i.counts() for i in got] == [(1, 0, 49), (1, 0, 99)]
         assert pivots == [(50, 0, True), (100, 0, True)] and orders == []
 
 
 class TestCliqueBlocks:
     # A model hands its planted clique's blocks to prefix_inertias, which
-    # counts them through the same pivot and chain as a dense matrix with
-    # the clique's mask, and as eigvalsh does.
+    # counts them as it counts the blocks sliced from the model's dense
+    # matrix, and as eigvalsh does.
     SHAPES = {
         "index": ((0, 2, 5), "geometric:0.7"),
         "modular:2": ("modular:2", "geometric:0.995"),
@@ -974,8 +986,8 @@ class TestCliqueBlocks:
         got = prefix_inertias(blocks, sizes, tol_rel)
         theta = tol_rel * len(order) * float(np.abs(spectra[-1]).max())
         assert [i.counts() for i in got] == [count_inertia(vals, theta) for vals in spectra]
-        dense = prefix_inertias(model.s_matrix_on(order), sizes, tol_rel, clique=blocks.flags)
-        assert [i.counts() for i in got] == [i.counts() for i in dense]
+        sliced = prefix_inertias(clique_blocks_of(model.s_matrix_on(order), blocks.flags), sizes, tol_rel)
+        assert [i.counts() for i in got] == [i.counts() for i in sliced]
         assert all(type(n) is int for i in got for n in i.counts())  # never a numpy integer
 
     @pytest.mark.parametrize("members", [0, 1])
@@ -995,6 +1007,7 @@ class TestCliqueBlocks:
         order = [i for i in range(1, 130) if i % 31][:120]
         blocks = model.clique_blocks(order)
         assert blocks.B.shape == (0, 120) and blocks.D.shape == (0, 0)
+        assert blocks.max() == 0.0
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(blocks, [1, 2, 60, 120])
         assert [i.counts() for i in got] == [(0, 1, 0), (1, 0, 1), (1, 0, 59), (1, 0, 119)]
@@ -1028,12 +1041,6 @@ class TestCliqueBlocks:
         x = np.random.default_rng(0).uniform(0.5, 1.0, len(order))
         np.testing.assert_allclose(blocks @ x, S @ x, rtol=len(order) * EPS)
         assert blocks.max() == S.max() == 0.0 and len(blocks) == len(S)
-
-    def test_blocks_mark_their_clique_themselves(self):
-        model = TestCliquePivot.MODEL
-        blocks = model.clique_blocks(range(1, 40))
-        with pytest.raises(InvalidInput, match="clique blocks mark their clique themselves"):
-            prefix_inertias(blocks, [39], clique=blocks.flags)
 
     def test_clique_blocks_need_distinct_points(self):
         # a repeated point would sit at -gamma from itself in the clique and
@@ -1071,15 +1078,86 @@ class TestCliqueBlocks:
         rebuilt = linalg.CliqueBlocks(good.flags, B, D, 0.5)
         assert prefix_inertias(rebuilt, [10, 39]) == prefix_inertias(good, [10, 39])
 
-    def test_a_mask_is_sliced_up_to_the_largest_pivoted_size(self, monkeypatch):
-        # the clique holds the first 100 of 400 points: sizes 50 and 100
-        # pivot, 400 does not, so the blocks and the simplex check stop at 100
-        model = CountableRadoModel(edge_prob=0.5, seed=6, planted_clique=range(100))
-        S, flags = model.s_matrix_on(range(400)), model._clique_flags(np.arange(400))
-        checked, real_gap = [], linalg._simplex_gap
-        monkeypatch.setattr(linalg, "_simplex_gap", lambda A, inside: checked.append(len(A)) or real_gap(A, inside))
-        pivots = _clique_pivots(monkeypatch)
-        sizes = [50, 100, 400]
-        got = prefix_inertias(S, sizes, clique=flags)
-        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert checked == [100] and pivots == [(50, 0, True), (100, 0, True)]
+
+class TestPivotAtTheBandEdges:
+    # A float matrix and a float theta are exact dyadic rationals, so
+    # exact_below counts eigenvalues below an edge with no rounding. With
+    # theta a relative 1e-9, 1e-12, 4 ulps, 1 ulp or 0 from an eigenvalue's
+    # computed |lambda|, where roundoff can decide a count, a pivot that
+    # does not refuse counts as the exact oracle does.
+    DELTAS = (-1e-9, -1e-12, -4 * EPS, -EPS, 0.0, EPS, 4 * EPS, 1e-12, 1e-9)
+
+    def test_the_oracle_counts_as_eigvalsh_away_from_its_eigenvalues(self):
+        # a hollow matrix at sigma = 0 starts on a 2 x 2 pivot; small integer
+        # entries keep the Schur complements' diagonals at 0 at times
+        rng = np.random.default_rng(0)
+        for n in (2, 3, 6, 12):
+            for _ in range(40):
+                A = np.triu(rng.integers(-1, 2, size=(n, n)), 1).astype(float)
+                A += A.T
+                vals = np.linalg.eigvalsh(A)
+                for sigma in (0.0, 0.5, -1.0):
+                    assert exact_below(A, sigma) == np.count_nonzero(vals < sigma - 1e-9), (A, sigma)
+        simplex = -0.5 * (1.0 - np.eye(5))  # eigenvalues -2 and 1/2 (4 times), exactly
+        assert exact_counts(simplex, 0.5) == (1, 4, 0) and exact_counts(simplex, 2.0) == (0, 5, 0)
+        assert exact_counts(simplex, 0.5 * (1 - EPS)) == (1, 0, 4)
+
+    @classmethod
+    def _exact_at(cls, A, lam):
+        """exact_counts(A, lam (1 + delta)) for each delta. Each side's count
+        is monotone in theta, so a run of deltas whose ends agree is filled
+        without counting the deltas between them."""
+        thetas = [lam * (1 + delta) for delta in cls.DELTAS]
+
+        def below(M):  # eigenvalues of M below -theta, for each theta
+            got = {}
+
+            def fill(lo, hi):
+                for i in (lo, hi):
+                    if i not in got:
+                        got[i] = exact_below(M, -thetas[i])
+                if got[lo] == got[hi]:
+                    got.update(dict.fromkeys(range(lo, hi), got[lo]))
+                elif hi - lo > 1:
+                    fill(lo, (lo + hi) // 2)
+                    fill((lo + hi) // 2, hi)
+
+            fill(0, len(thetas) - 1)
+            return [got[i] for i in range(len(thetas))]
+
+        return [(lo, len(A) - lo - hi, hi) for lo, hi in zip(below(A), below(-A))]
+
+    def _check(self, B, D, gamma, lams):
+        """How many pivots counted at the thetas near each of ``lams``; each
+        count equals the exact one."""
+        c = B.shape[1]
+        A = np.block([[-gamma * (1.0 - np.eye(c)), B.T], [B, D]])
+        counted = 0
+        for lam in lams:
+            for delta, exact in zip(self.DELTAS, self._exact_at(A, lam)):
+                got = linalg._clique_pivot(B, D, gamma, lam * (1 + delta))
+                if got is not None:
+                    assert got == exact, (c, len(D), gamma, lam, delta)
+                    counted += 1
+        return counted
+
+    @pytest.mark.parametrize("rule, measure, k", [
+        ("modular:31", "class_biased:30:0.9", 40),
+        ("quadratic", "geometric:0.995", 32),
+        ("modular:3", "class_biased:2:0.9", 32),
+    ])
+    def test_model_blocks(self, rule, measure, k):
+        model = CountableRadoModel(edge_prob=0.5, seed=3, planted_clique=rule)
+        blocks = model.clique_blocks(sample_order(parse_measure_spec(measure), 3000, 2)).head(k)
+        mags = np.abs(np.linalg.eigvalsh(blocks.leading(k)))
+        # gamma, an eigenvalue of the clique block, and the smallest, median
+        # and largest |lambda| apart from it
+        other = mags[np.abs(mags - blocks.gamma) > 1e-6]
+        lams = [blocks.gamma, other.min(), np.median(other), other.max()]
+        assert self._check(blocks.B, blocks.D, blocks.gamma, lams) > len(lams)
+
+    def test_mixed_sign_blocks(self):
+        for c, r, gamma, A in TestCliquePivot._mixed_sign_matrices(3, np.random.default_rng(6), c_max=24, r_max=8):
+            mags = np.abs(np.linalg.eigvalsh(A))
+            lams = [mags.min(), np.median(mags), mags.max()]
+            assert self._check(A[c:, :c], A[c:, c:], gamma, lams) > len(lams)

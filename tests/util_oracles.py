@@ -4,13 +4,16 @@ These deliberately avoid the library's own code paths: eigenvalues via the
 characteristic polynomial, triangle checks via triple loops, Gram matrices
 straight from coordinates, random-graph adjacency one pair at a time in
 Python integers. Others are plain, slower forms of a vectorized library
-routine, which must match them exactly.
+routine, which must match them exactly. ``exact_below`` counts eigenvalues
+in exact integer arithmetic, with no rounding at all.
 """
 
 import json
 import math
 
 import numpy as np
+
+from mmsig.linalg import CliqueBlocks
 
 
 def charpoly_eigenvalues(A):
@@ -188,6 +191,78 @@ def prefix_counts_by_eigvalsh(S, sizes, tol_rel=1e-9):
     top = np.linalg.eigvalsh(S[: sizes[-1], : sizes[-1]])
     theta = tol_rel * sizes[-1] * float(np.abs(top).max())
     return [count_inertia(np.linalg.eigvalsh(S[:k, :k]), theta) for k in sizes]
+
+
+def clique_blocks_of(S, flags):
+    """``linalg.CliqueBlocks`` sliced from a dense matrix ``S`` and a boolean
+    clique mask: B = S[outside, inside], D = S[outside, outside] and gamma =
+    -S[i0, i1] of the first two clique points. The clique block must be
+    -gamma (J - I) itself; with fewer than two clique points it has no
+    off-diagonal entry, and gamma is 1, which nothing reads."""
+    inside, outside = np.flatnonzero(flags), np.flatnonzero(~flags)
+    gamma = -float(S[inside[0], inside[1]]) if len(inside) >= 2 else 1.0
+    assert gamma > 0 and np.array_equal(S[np.ix_(inside, inside)], -gamma * (1.0 - np.eye(len(inside))))
+    return CliqueBlocks(flags, S[np.ix_(outside, inside)], S[np.ix_(outside, outside)], gamma)
+
+
+def exact_below(A, sigma):
+    """The number of eigenvalues of the symmetric float matrix ``A`` below the
+    float ``sigma``, in exact arithmetic.
+
+    Every float is a dyadic rational, so one power of two scales A - sigma I
+    to Python integers. Fraction-free (Bareiss) elimination then makes each
+    pivot a leading principal minor d_k of a symmetric permutation of that
+    matrix, and by Sylvester's law the sign changes along 1, d_1, ..., d_n
+    count its negative eigenvalues. A zero pivot is swapped for a nonzero
+    diagonal entry further on; where every remaining diagonal entry is 0, a
+    nonzero entry b off it makes a 2 x 2 pivot [[0, b], [b, 0]], of
+    determinant -b^2 < 0, which holds one negative eigenvalue. Where the
+    whole remainder is 0, its eigenvalues are 0, not below sigma."""
+    A = np.asarray(A, dtype=float)
+    n = len(A)
+    ratios = [x.as_integer_ratio() for x in A.ravel().tolist()] + [float(sigma).as_integer_ratio()]
+    scale = max(den for _, den in ratios)  # each denominator is a power of two
+    M = np.array([num * (scale // den) for num, den in ratios[:-1]], dtype=object).reshape(n, n)
+    num, den = ratios[-1]
+    M[np.arange(n), np.arange(n)] -= num * (scale // den)
+    below, prev, k = 0, 1, 0  # prev: the last pivot minor, d_0 = 1
+    while k < n:  # M stays symmetric; only the upper triangle of rows k on is kept
+        nonzero = [i for i in range(k, n) if M[i, i]]
+        if nonzero:
+            pivot = nonzero[:1]
+        else:
+            off = np.argwhere(np.triu(M[k:, k:] != 0, 1))
+            if not len(off):
+                break
+            pivot = [k + int(i) for i in off[0]]
+        if pivot != list(range(k, k + len(pivot))):  # a symmetric permutation
+            lower = np.tril_indices(n, -1)
+            M[lower] = M.T[lower]
+            order = list(range(n))
+            for pos, i in enumerate(pivot, start=k):
+                j = order.index(i)
+                order[pos], order[j] = order[j], order[pos]
+            M = M[np.ix_(order, order)]
+        if len(pivot) == 1:  # M_ij <- (d_k+1 M_ij - M_ik M_kj) / d_k
+            p, row = M[k, k], M[k, k + 1:]
+            for t, i in enumerate(range(k + 1, n)):
+                M[i, i:] = (p * M[i, i:] - row[t] * row[t:]) // prev
+            below += (p > 0) != (prev > 0)
+            prev, k = p, k + 1
+        else:  # Sylvester's identity over two rows: M_ij <- det of rows k, k+1, i / d_k^2
+            b, row0, row1 = M[k, k + 1], M[k, k + 2:], M[k + 1, k + 2:]
+            for t, i in enumerate(range(k + 2, n)):
+                M[i, i:] = (b * (row1[t] * row0[t:] + row0[t] * row1[t:]) - b * b * M[i, i:]) // (prev * prev)
+            below += 1
+            prev, k = -b * b // prev, k + 2
+    return below
+
+
+def exact_counts(A, theta):
+    """(s_minus, s_zero, s_plus) of ``A`` against the band |lambda| <= theta,
+    from ``exact_below`` at -theta for A and for -A."""
+    lo, hi = exact_below(A, -theta), exact_below(-np.asarray(A, dtype=float), -theta)
+    return lo, len(A) - lo - hi, hi
 
 
 def pairwise_sq_diffs_by_rows(points):
