@@ -16,9 +16,9 @@ n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|: at the band's
 edges -+theta through a planted clique's closed-form block where its
 ``CliqueBlocks`` hold all but an eighth of the points (``_clique_pivot``), by
-certified Schur blocks where they cost less than an eigensolve, by the signs
-of det(A_k -+ theta I) where the block one row smaller was counted
-(``_parity_counts``), and by an eigensolve otherwise. ``_schur_step`` is the
+the signs of det(A_k -+ theta I) along runs of consecutive sizes, up to 32 of
+them from one LU (``_run_counts``), by certified Schur blocks where they cost
+less than an eigensolve, and by an eigensolve otherwise. ``_schur_step`` is the
 chain's Schur complement: it adds a block's counts by Haynsworth additivity
 and, once certified, updates the inverse the next step starts from;
 ``_clique_pivot`` forms the complement of the shifted clique block at each
@@ -64,6 +64,10 @@ BORDER_SAFETY = 10.0
 # points outside, as at r = k/2, the chain's one-point steps cost less. The
 # share decides the time only: every tier gives the same counts.
 _PIVOT_SHARE = 8
+
+# A run of sizes one apart is counted in blocks of at most this many sizes:
+# one LU of the anchor's order per block, and w x w determinants for the rest.
+_RUN_SIZES = 32
 
 # The least bound a step is checked against, relative to max|lambda|. Steps
 # pivot without choice: a Schur complement through blocks near the bound
@@ -343,25 +347,66 @@ def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, no
     return int(np.count_nonzero(vals < 0)), float(norm2_k)
 
 
-def _parity_counts(A: np.ndarray, theta: float, prev: Inertia):
-    """Inertia of the block ``A`` of order k from ``prev``, that of its
-    leading block of order k - 1, against the same band theta > 0; None
-    when a determinant vanishes or the parities contradict ``prev``.
+def _run_counts(A: np.ndarray, m: int, theta: float, anchor: tuple, floor: float):
+    """(inertias, delta): the inertias of the leading blocks of orders m + 1,
+    ..., k = len(A) of ``A`` against the band theta > 0, from ``anchor``, the
+    counts of A_m below -theta and below theta ((0, 0) for m = 0), and the
+    bound delta on their roundoff. The inertias stop before the first size
+    whose count is refused; there are none when delta exceeds ``floor`` or
+    A_m -+ theta I is singular.
 
-    By interlacing, A has as many eigenvalues below -theta as A_{k-1}, or
-    one more, and so below theta; the sign of det(A -+ theta I) is the
-    parity of each count."""
+    At each edge sigma = -+theta, one batched LU solves (A_m - sigma I) W =
+    B for the w = k - m new columns B, and C = D - sigma I - B^T W is the
+    w x w Schur complement. Since det(A_{m+j} - sigma I) = det(A_m - sigma
+    I) det C_j, and by interlacing each added row adds at most one
+    eigenvalue below sigma, A_{m+j} has as many below sigma as A_m plus the
+    sign changes along 1, det C_1, ..., det C_j (Jacobi), all of them from
+    one batched ``slogdet`` of the C_j, each padded with the identity to
+    order w. A size is refused where a minor is 0 or its count below -theta
+    would exceed its count below theta.
+
+    The bound: gesv's W is exact for A_m - sigma I + E with |E| <= 3 m eps
+    |L||U| (Higham, Thm 9.4), near 3 m eps ||A_m - sigma I||_F for the
+    modest growth of partial pivoting, which the bound assumes; the GEMM
+    B^T W errs by m eps ||B||_F ||W||_F, the subtractions and the LU of
+    C_j by 3 w eps ||C||_F. So C_j is exactly the complement of a matrix
+    within delta = eps (3 m (||A_m||_F + sqrt(m) theta) + m ||B||_F ||W||_F
+    + 3 w ||C||_F) of A_{m+j} - sigma I, not symmetric, with A_m - sigma I
+    + E in its corner; and a determinant keeps its sign under a
+    perturbation smaller than its matrix's least singular value. Each count
+    is therefore exact unless A_m or A_{m+j} has an eigenvalue within delta
+    of an edge, where an eigensolve's count is fragile too.
+    """
     k = len(A)
-    shifted = np.stack([A, A])
-    diag = np.arange(k)
-    shifted[0, diag, diag] += theta  # det(A + theta I): (-1)^(eigenvalues below -theta)
-    shifted[1, diag, diag] -= theta  # det(A - theta I): (-1)^(eigenvalues below theta)
-    signs = np.linalg.slogdet(shifted)[0]
-    if not signs.all():
-        return None
-    below = [prev.s_minus, k - 1 - prev.s_plus]
-    lo, hi = (n + (n + int(sign < 0)) % 2 for n, sign in zip(below, signs))
-    return Inertia(lo, hi - lo, k - hi, theta) if lo <= hi else None
+    w = k - m
+    diag = np.arange(m)
+    shifted = np.stack([A[:m, :m], A[:m, :m]])
+    shifted[0, diag, diag] += theta  # A_m - sigma I at sigma = -theta
+    shifted[1, diag, diag] -= theta  # and at sigma = theta
+    B = A[:m, m:]
+    try:
+        W = np.linalg.solve(shifted, np.stack([B, B]))
+    except np.linalg.LinAlgError:  # an exact zero pivot: an edge on an eigenvalue of A_m
+        return [], math.inf
+    C = A[m:, m:] - B.T @ W
+    C[:, np.arange(w), np.arange(w)] += np.array([[theta], [-theta]])
+    a_norm, b_norm = float(np.linalg.norm(A[:m, :m])), float(np.linalg.norm(B))
+    delta = _EPS * float(np.max(
+        3 * m * (a_norm + math.sqrt(m) * theta)
+        + m * b_norm * np.linalg.norm(W, axis=(1, 2))
+        + 3 * w * np.linalg.norm(C, axis=(1, 2))
+    ))
+    if not delta <= floor:
+        return [], delta
+    within = np.tri(w, dtype=bool)  # within[j]: the rows and columns of C_{j+1}
+    minors = np.where(within[:, :, None] & within[:, None, :], C[:, None], np.eye(w))
+    signs = np.linalg.slogdet(minors)[0]  # signs[s, j] of det C_{j+1} at edge s
+    flips = signs != np.concatenate([np.ones((2, 1)), signs[:, :-1]], axis=1)
+    below = np.cumsum(flips, axis=1) + np.array(anchor)[:, None]
+    bad = (signs == 0).any(axis=0) | (below[0] > below[1])
+    stop = int(np.argmax(bad)) if bad.any() else w
+    lo, hi = below[:, :stop].tolist()
+    return [Inertia(a, b - a, m + j + 1 - b, theta) for j, (a, b) in enumerate(zip(lo, hi))], delta
 
 
 class CliqueBlocks:
@@ -486,21 +531,26 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
       and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A size
       whose edge lies within the pivot's roundoff of an eigenvalue is
       counted by the chain below;
+    - by the blocks of a run (``_run_counts``), at the band's two edges, when
+      theta exceeds the certificate's floor, below which the roundoff
+      eigenvalues of a rank-deficient block may sit at +-theta. A run is two
+      or more sizes one apart, none offered to the pivot, the first one
+      after the empty block or after a counted size; every-size
+      trajectories are one run. It is split evenly into blocks of at most
+      32 sizes (``_RUN_SIZES``), each counted from the size before it with
+      one LU of that size's order. The first size a block refuses is
+      eigensolved, and the run goes on with a block from it;
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
       a, the last size whose inverse is held, when a >= k // 2, since a wider
       step costs more than an eigensolve of order k. The first size steps
       from the empty block when the next size is a step from it. A step that
       fails its certificate keeps the anchor, and the next size steps from it
       again. A certified count is the same for every theta below the bound;
-    - by ``_parity_counts`` when size k - 1 was counted and theta exceeds the
-      certificate's floor, below which the roundoff eigenvalues of a
-      rank-deficient block may sit at +-theta;
-    - by an eigensolve otherwise, or when a determinant vanishes or the
-      parities contradict the counts of k - 1.
+    - by an eigensolve otherwise.
 
     A size counted without a step becomes the anchor when the next size is a
-    step from it but not from the anchor and its inverse, from
-    ``np.linalg.inv``, passes the certificate. No step is tried where an
+    step from it, outside a run, but not from the anchor, and its inverse,
+    from ``np.linalg.inv``, passes the certificate. No step is tried where an
     eigenvalue must lie in the band: the last counted size j held more in it
     than k - j, and each added row moves at most one out. The chain reads
     dense leading blocks only. From ``CliqueBlocks`` they are written when
@@ -537,15 +587,24 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
         top = _eigenvalues(lead(N))
         rho = (float(np.abs(top).max()),) * 2
     theta, bound = _zero_band(N, tol_rel, *rho)
-    parity = theta > _BORDER_FLOOR * rho[1]
+    floor = _BORDER_FLOOR * rho[1]
     counted = sizes if top is None else sizes[:-1]
+    # a run: sizes one apart, the first one after the empty block or a
+    # counted size, none offered to the pivot; ahead[i] of them from i on
+    chained = [(counted[i - 1] if i else 0) == k - 1 and not o for i, (k, o) in enumerate(zip(counted, offered))]
+    ahead = [0] * (len(counted) + 1)
+    for i in reversed(range(len(counted))):
+        ahead[i] = 1 + ahead[i + 1] if chained[i] else 0
+    # the sizes the blocks count: runs of two or more, where theta clears the floor
+    in_run = [theta > floor and chained[i] and (ahead[i] > 1 or i > 0 and chained[i - 1])
+              for i in range(len(counted))] + [False]
     # zeros keep the columns past the anchor finite; a step to N writes nothing
     inv = np.zeros((max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
     base, norm2 = Inertia(0, 0, 0, theta), 0.0  # the anchor's counts, ||inverse||_F^2
-    out = []
-    for k, after, c, pivots in zip(counted, counted[1:] + [None], in_clique, offered):
+    out, queue = [], []  # queue: a block's counts of the sizes ahead, then None if it refused one
+    for i, (k, after, c, pivots) in enumerate(zip(counted, counted[1:] + [None], in_clique, offered)):
         anchor = base.n
-        wants_anchor = after is not None and anchor < after // 2 <= k
+        wants_anchor = after is not None and not in_run[i + 1] and anchor < after // 2 <= k
         in_band = out and out[-1].s_zero > k - out[-1].n
         steps = not in_band and (anchor >= k // 2 or wants_anchor and not out)
         if pivots:
@@ -555,16 +614,21 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
                 continue
             if len(inv) < k < N:  # refused: the chain holds this size's inverse too
                 inv = np.pad(inv, (0, k - len(inv)))
-        if steps:
+        ine = None
+        if in_run[i]:
+            if not queue:
+                w = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES))  # ahead[i] split evenly
+                prev = (out[-1].s_minus, out[-1].n - out[-1].s_plus) if out else (0, 0)
+                got = _run_counts(lead(k + w - 1), k - 1, theta, prev, floor)[0]
+                queue = got + [None] * (len(got) < w)
+            ine = queue.pop(0)
+        elif steps:
             step = _schur_step(lead(k), inv, anchor, k, bound, norm2)
             if step is not None:
                 neg, norm2 = step
                 base = Inertia(base.s_minus + neg, 0, base.s_plus + k - anchor - neg, theta)
                 out.append(base)
                 continue
-        ine = None
-        if parity and out and out[-1].n == k - 1:
-            ine = _parity_counts(lead(k), theta, out[-1])
         if ine is None:
             vals = _eigenvalues(lead(k))
             ine = _band_counts(vals, theta)

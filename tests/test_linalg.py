@@ -1,5 +1,7 @@
 import functools
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from mmsig.linalg import (
     weighted_center,
 )
 from mmsig.sampling import DiscreteMeasure, gv_sample, parse_measure_spec, sample_order, trial_seed
-from mmsig.spaces import from_euclidean_points, named_example
+from mmsig.signature import limit_signature_trajectory
+from mmsig.spaces import from_distance_matrix, from_euclidean_points, named_example
 from mmsig.spectral import default_checkpoints, esd_and_inertia, rado_ratio_experiment
 
 from util_oracles import (
@@ -28,6 +31,7 @@ from util_oracles import (
     count_inertia,
     exact_below,
     exact_counts,
+    exact_prefix_below,
     prefix_counts_by_eigvalsh,
     random_cospherical_points,
     random_symmetric,
@@ -130,11 +134,11 @@ def test_entry_points_validate(entry, a, message, monkeypatch):
 
 
 def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
-    # each block counted by parity or an eigensolve is a block of the
+    # each block counted by a run's block or an eigensolve is a block of the
     # validated matrix; only the Schur complements, which eig_sym solves,
-    # pass the gate again
+    # pass the gate again. The 200 sizes are one run: 7 blocks of at most 32
     S = named_example("sphere", dim=2, n=200, seed=1).s_matrix_on(range(200))
-    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_eigenvalues", "_parity_counts"], 0)
+    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_eigenvalues", "_run_counts"], 0)
     for name in calls:
         def counted(*args, _f=getattr(linalg, name), _name=name):
             calls[_name] += 1
@@ -142,7 +146,7 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
 
         monkeypatch.setattr(linalg, name, counted)
     prefix_inertias(S, range(1, 201))
-    assert calls["_parity_counts"] > 100 and calls["_eigenvalues"] < 10
+    assert calls["_run_counts"] == 7 and calls["_eigenvalues"] == 0
     assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
 
 
@@ -183,17 +187,30 @@ def _schur_steps(monkeypatch):
     return steps
 
 
-def _parity_calls(monkeypatch):
-    """Orders of the blocks ``linalg._parity_counts`` counts from now on."""
-    orders = []
-    real = linalg._parity_counts
+def _run_blocks(monkeypatch):
+    """(m, k, counted) of each block ``linalg._run_counts`` takes from now
+    on: its anchor's order, its largest order and how many sizes it counted."""
+    blocks = []
+    real = linalg._run_counts
 
-    def counted(A, theta, prev):
-        orders.append(len(A))
-        return real(A, theta, prev)
+    def counted(A, m, theta, anchor, floor):
+        got = real(A, m, theta, anchor, floor)
+        blocks.append((m, len(A), len(got[0])))
+        return got
 
-    monkeypatch.setattr(linalg, "_parity_counts", counted)
-    return orders
+    monkeypatch.setattr(linalg, "_run_counts", counted)
+    return blocks
+
+
+def _cover_the_run(blocks, start, stop):
+    """Whether ``blocks`` counted every size from start + 1 to stop, one
+    block after the other, each of at most 32 sizes, as few as can."""
+    return (
+        [m for m, _, _ in blocks] == [start] + [k for _, k, _ in blocks[:-1]]
+        and blocks[-1][1] == stop
+        and all(n == k - m <= linalg._RUN_SIZES for m, k, n in blocks)
+        and len(blocks) == math.ceil((stop - start) / linalg._RUN_SIZES)
+    )
 
 
 def _model_s(n_draws=3000, seed=11):
@@ -217,24 +234,17 @@ class TestPrefixInertias:
         whole = inertia(S)
         orders = _eigensolve_orders(monkeypatch)
         steps = _schur_steps(monkeypatch)
+        blocks = _run_blocks(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         # one band: the largest block's, its max|lambda| from a Perron bracket
         assert len({i.tol for i in got}) == 1
         assert got[-1].tol == pytest.approx(whole.tol, rel=1e-13, abs=0.0)
         assert got[-1].counts() == whole.counts()
-        # the hollow 1x1 block is singular and eigensolved; the 2x2 block is
-        # counted by parity and re-anchors
-        assert orders == [1]
-        if family in ("tripod_extended", "simplex"):
-            # bordering certifies every other step, the largest too
-            assert all(certified for _, _, certified in steps[1:])
-        if family == "rado_model":
-            # some bordered steps failed their certificates; each kept its
-            # anchor, and the next size stepped from it
-            failed = [i for i, (_, k, certified) in enumerate(steps) if not certified and k > 2]
-            assert failed
-            assert all(steps[i + 1][0] == steps[i][0] for i in failed)
+        # every size is one run from the empty block, counted at the band's
+        # edges, the hollow 1x1 block too: no eigensolve and no Schur step
+        assert _cover_the_run(blocks, 0, N)
+        assert orders == [] and steps == []
 
     def test_sizes_with_gaps(self):
         S = _model_s()
@@ -369,8 +379,8 @@ def _class_biased_trial(seed, m_max=3000):
 
 
 class TestParityCounts:
-    # a size that no certified step reaches is counted from the counts of the
-    # size one smaller and the signs of det(A_k -+ theta I)
+    # a run of sizes one apart is counted from the counts of the size before
+    # it and the signs of det(A_k -+ theta I), a block of sizes at a time
     FAMILIES = {
         "sphere": lambda: named_example("sphere", dim=2, n=120, seed=3).s_matrix_on(range(120)),
         "sphere_sqrt": lambda: named_example("sphere_sqrt", dim=2, n=80, seed=3).s_matrix_on(range(80)),
@@ -381,19 +391,22 @@ class TestParityCounts:
         "random_symmetric": lambda: random_symmetric(np.random.default_rng(5), 80),
     }
 
-    @pytest.mark.parametrize("tol_rel", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("tol_rel", [1e-6, 1e-7, 1e-9, 1e-12])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_prefix_matches_eigvalsh(self, family, tol_rel, monkeypatch):
         S = self.FAMILIES[family]()
         sizes = list(range(1, len(S) + 1))
-        parities = _parity_calls(monkeypatch)
+        blocks = _run_blocks(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-        if family in ("sphere", "planar") and tol_rel >= 1e-9:
-            # most blocks hold eigenvalues in the band, so no step certifies
-            assert len(parities) > len(S) // 2
+        if tol_rel >= 1e-9:
+            # the blocks count every size, the largest too unless it is the
+            # band's eigensolve (no Perron bracket), also where most blocks
+            # hold eigenvalues in the band (sphere, planar)
+            top = len(S) - (linalg._perron_bracket(S) is None)
+            assert _cover_the_run(blocks, 0, top)
         if tol_rel == 1e-12:  # theta is below the certificate's floor
-            assert parities == []
+            assert blocks == []
 
     def test_an_eigenvalue_on_the_band_edge_is_eigensolved(self, monkeypatch):
         # the 4th and 7th diagonal entries are theta and -theta exactly, so
@@ -404,15 +417,17 @@ class TestParityCounts:
         S = np.diag([-1.0, 2.0, 0.5, theta, -3.0, 1.5, -theta, rho, -2.0, 1.0])
         sizes = list(range(1, N + 1))
         orders = _eigensolve_orders(monkeypatch)
-        parities = _parity_calls(monkeypatch)
+        blocks = _run_blocks(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert got[-1].tol == theta
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         assert got[3].counts() == (1, 1, 2) and got[6].counts() == (2, 2, 3)
-        # the largest block is the band's eigensolve (no Perron bracket);
-        # each size from 4 on tries parity, then eigensolves
+        # the largest block is the band's eigensolve (no Perron bracket); the
+        # run's first block counts sizes 1 to 3 and refuses its 4th minor.
+        # Each size from 4 on is eigensolved, since A_a - theta I is singular
+        # for the anchor a of each block after it
         assert orders[0] == N and orders[1:] == list(range(4, N))
-        assert parities == list(range(4, N))
+        assert blocks == [(0, N - 1, 3)] + [(a, N - 1, 0) for a in range(4, N - 1)]
 
     @pytest.mark.parametrize("tol_rel", [1e-12, 0.0])
     def test_no_parity_below_the_floor(self, tol_rel, monkeypatch):
@@ -420,27 +435,66 @@ class TestParityCounts:
         # where roundoff eigenvalues of a rank-deficient block may sit
         S = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(60))
         sizes = list(range(1, 61))
-        parities = _parity_calls(monkeypatch)
+        blocks = _run_blocks(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         steps = _schur_steps(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         # every size that no step certified is eigensolved
-        assert parities == [] and len(orders) + sum(ok for _, _, ok in steps) == len(sizes)
+        assert blocks == [] and len(orders) + sum(ok for _, _, ok in steps) == len(sizes)
 
     def test_a_failed_scalar_step_keeps_its_anchor(self, monkeypatch):
-        # A_4 is singular, so the step from 3 to 4 fails; size 4 is counted by
-        # parity and size 5 steps from the anchor of order 3
+        # A_4 is singular. At 1e-12 theta is below the floor, so the sizes
+        # take steps: the step from 3 to 4 fails, size 4 is eigensolved and
+        # size 5 steps from the anchor of order 3. At 1e-6 the sizes 1 to 5
+        # are one block, counted at the band's edges, where A_4 -+ theta I is
+        # regular: no step
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = list(range(1, 7))
         steps = _schur_steps(monkeypatch)
-        parities = _parity_calls(monkeypatch)
+        blocks = _run_blocks(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=1e-12)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-12)
+        assert steps == [(0, 1, True), (1, 2, True), (2, 3, True), (3, 4, False), (3, 5, True)]
+        assert blocks == [] and orders == [6, 4]  # 6: the band's eigensolve
+        steps.clear(), orders.clear()
         got = prefix_inertias(S, sizes, tol_rel=1e-6)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-6)
-        assert steps == [(0, 1, True), (1, 2, True), (2, 3, True), (3, 4, False), (3, 5, True)]
-        assert parities == [4] and orders == [6]  # 6: the band's eigensolve
+        assert blocks == [(0, 5, 5)] and steps == [] and orders == [6]
+
+    def test_a_loose_band_takes_one_lu_per_block(self, monkeypatch):
+        # at 1e-7 model prefixes hold eigenvalues within 10 theta of 0, so
+        # unshifted steps fail; the blocks count at the band's edges with one
+        # batched LU solve of the anchor per block of up to 32 sizes, where a
+        # determinant per size took one LU each
+        S = _model_s()
+        N = len(S)
+        assert N >= 390
+        lu = []
+        for name in ("solve", "slogdet", "det", "inv"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *rest, _f=real: lu.append(a.shape[-1]) or _f(a, *rest))
+        got = prefix_inertias(S, range(1, N + 1), tol_rel=1e-7)
+        assert len([n for n in lu if n > 32]) <= math.ceil(N / linalg._RUN_SIZES) + 2
+        picks = [*range(10, N, 30), N]
+        assert [got[k - 1].counts() for k in picks] == prefix_counts_by_eigvalsh(S, picks, 1e-7)
+
+    @pytest.mark.parametrize("seed", [5, 7, 1881])
+    def test_benchmark_sphere_trajectories_take_no_step(self, seed, monkeypatch):
+        # the benchmark's 200-point sphere sample: its Schur steps, scalar
+        # and block, failed their certificates and eigensolved complements
+        # (23 failed at seed 1881); the run's blocks take every size instead
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from inputs import sphere_distances
+
+        space = from_distance_matrix(sphere_distances(seed, 200, "sphere200"))
+        steps = _schur_steps(monkeypatch)
+        orders = _every_eigensolve_order(monkeypatch)
+        traj = limit_signature_trajectory(space, range(200))
+        assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(space.s_matrix_on(range(200)), range(1, 201))
+        assert steps == [] and orders == []
 
 
 class TestPerronBand:
@@ -476,18 +530,16 @@ class TestPerronBand:
 
     @pytest.mark.parametrize("dim, n", [(2, 200), (3, 120)])
     def test_sphere_families_count_their_largest_block_by_parity(self, dim, n, monkeypatch):
-        # the steps of these sphere families fail their certificates, so no
-        # anchor leads to the largest block; it is counted by parity from the
-        # block one smaller, against the band of the bracket, and so are most
-        # others
+        # the steps of these sphere families would fail their certificates;
+        # the largest block is counted by the run's last block, against the
+        # band of the bracket, and so is every other size
         S = named_example("sphere", dim=dim, n=n, seed=1).s_matrix_on(range(n))
         sizes = list(range(1, n + 1))
         orders = _eigensolve_orders(monkeypatch)
-        parities = _parity_calls(monkeypatch)
+        blocks = _run_blocks(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert parities[-1] == n and n not in orders and linalg._perron_bracket(S) is not None
-        assert len(parities) > n // 2 and orders == [1]
+        assert _cover_the_run(blocks, 0, n) and orders == [] and linalg._perron_bracket(S) is not None
 
     def test_a_failed_largest_step_is_eigensolved(self, monkeypatch):
         # 12 cospherical points of R^10: S has rank 11, so the step from 11
@@ -1079,6 +1131,26 @@ class TestCliqueBlocks:
         assert prefix_inertias(rebuilt, [10, 39]) == prefix_inertias(good, [10, 39])
 
 
+def _monotone(count, n):
+    """[count(i) for i in range(n)] for a count monotone in i, such as a
+    count of eigenvalues below -theta for increasing theta: a run of indices
+    whose ends agree is filled without counting the indices between them."""
+    got = {}
+
+    def fill(lo, hi):
+        for i in (lo, hi):
+            if i not in got:
+                got[i] = count(i)
+        if got[lo] == got[hi]:
+            got.update(dict.fromkeys(range(lo, hi), got[lo]))
+        elif hi - lo > 1:
+            fill(lo, (lo + hi) // 2)
+            fill((lo + hi) // 2, hi)
+
+    fill(0, n - 1)
+    return [got[i] for i in range(n)]
+
+
 class TestPivotAtTheBandEdges:
     # A float matrix and a float theta are exact dyadic rationals, so
     # exact_below counts eigenvalues below an edge with no rounding. With
@@ -1104,28 +1176,10 @@ class TestPivotAtTheBandEdges:
 
     @classmethod
     def _exact_at(cls, A, lam):
-        """exact_counts(A, lam (1 + delta)) for each delta. Each side's count
-        is monotone in theta, so a run of deltas whose ends agree is filled
-        without counting the deltas between them."""
+        """exact_counts(A, lam (1 + delta)) for each delta."""
         thetas = [lam * (1 + delta) for delta in cls.DELTAS]
-
-        def below(M):  # eigenvalues of M below -theta, for each theta
-            got = {}
-
-            def fill(lo, hi):
-                for i in (lo, hi):
-                    if i not in got:
-                        got[i] = exact_below(M, -thetas[i])
-                if got[lo] == got[hi]:
-                    got.update(dict.fromkeys(range(lo, hi), got[lo]))
-                elif hi - lo > 1:
-                    fill(lo, (lo + hi) // 2)
-                    fill((lo + hi) // 2, hi)
-
-            fill(0, len(thetas) - 1)
-            return [got[i] for i in range(len(thetas))]
-
-        return [(lo, len(A) - lo - hi, hi) for lo, hi in zip(below(A), below(-A))]
+        lo, hi = (_monotone(lambda i, M=M: exact_below(M, -thetas[i]), len(thetas)) for M in (A, -A))
+        return [(a, len(A) - a - b, b) for a, b in zip(lo, hi)]
 
     def _check(self, B, D, gamma, lams):
         """How many pivots counted at the thetas near each of ``lams``; each
@@ -1161,3 +1215,51 @@ class TestPivotAtTheBandEdges:
             mags = np.abs(np.linalg.eigvalsh(A))
             lams = [mags.min(), np.median(mags), mags.max()]
             assert self._check(A[c:, :c], A[c:, c:], gamma, lams) > len(lams)
+
+
+class TestRunsAtTheBandEdges:
+    # A block of a run, from an anchor of order M, counts as the exact
+    # oracle does at theta = |lambda| (1 + delta) for the deltas of the
+    # pivot's check, but where the size has an eigenvalue within the block's
+    # roundoff bound of an edge, a bound that does not exceed the floor. An
+    # edge on an eigenvalue of the anchor must not make a size miscount.
+    M = 16
+
+    @staticmethod
+    def _near(A, theta, delta):
+        """Whether A has an eigenvalue within delta of -theta or theta."""
+        return any(
+            exact_below(A, np.nextafter(sigma - delta, -np.inf)) != exact_below(A, np.nextafter(sigma + delta, np.inf))
+            for sigma in (-theta, theta)
+        )
+
+    def _check(self, A, lams):
+        """How many sizes the blocks counted at the thetas near each of
+        ``lams``, each as the exact counts allow."""
+        m, floor = self.M, linalg._BORDER_FLOOR * float(np.abs(np.linalg.eigvalsh(A)).max())
+        counted = 0
+        for lam in lams:
+            thetas = [lam * (1 + delta) for delta in TestPivotAtTheBandEdges.DELTAS]
+            # eigenvalues of every leading block below -theta and above theta
+            lo, hi = (_monotone(lambda i, M=M: exact_prefix_below(M, -thetas[i]), len(thetas)) for M in (A, -A))
+            for theta, below, above in zip(thetas, lo, hi):
+                got, delta = linalg._run_counts(A, m, theta, (below[m - 1], m - above[m - 1]), floor)
+                for k, ine in enumerate(got, start=m + 1):
+                    exact = (below[k - 1], k - below[k - 1] - above[k - 1], above[k - 1])
+                    if ine.counts() != exact:
+                        assert self._near(A[:k, :k], theta, min(delta, floor)), (lam, theta, k)
+                counted += len(got)
+        return counted
+
+    @pytest.mark.parametrize("family", ["sphere", "rado_model"])
+    def test_prefixes(self, family):
+        # the smallest, median and largest |lambda| of the largest block and
+        # the median of a block inside the run, where each block counts all
+        # 16 sizes; and the smallest of the anchor, where each refuses
+        A = {
+            "sphere": lambda: named_example("sphere", dim=2, n=32, seed=5).s_matrix_on(range(32)),
+            "rado_model": lambda: _model_s()[:32, :32],
+        }[family]()
+        top, inner, anchor = (np.abs(np.linalg.eigvalsh(A[:k, :k])) for k in (32, 24, self.M))
+        lams = [top.min(), np.median(top), top.max(), np.median(inner), anchor.min()]
+        assert self._check(A, lams) == (32 - self.M) * (len(lams) - 1) * len(TestPivotAtTheBandEdges.DELTAS)

@@ -5,7 +5,8 @@ characteristic polynomial, triangle checks via triple loops, Gram matrices
 straight from coordinates, random-graph adjacency one pair at a time in
 Python integers. Others are plain, slower forms of a vectorized library
 routine, which must match them exactly. ``exact_below`` counts eigenvalues
-in exact integer arithmetic, with no rounding at all.
+in exact integer arithmetic, with no rounding at all, and
+``exact_prefix_below`` those of every leading block.
 """
 
 import json
@@ -205,19 +206,10 @@ def clique_blocks_of(S, flags):
     return CliqueBlocks(flags, S[np.ix_(outside, inside)], S[np.ix_(outside, outside)], gamma)
 
 
-def exact_below(A, sigma):
-    """The number of eigenvalues of the symmetric float matrix ``A`` below the
-    float ``sigma``, in exact arithmetic.
-
-    Every float is a dyadic rational, so one power of two scales A - sigma I
-    to Python integers. Fraction-free (Bareiss) elimination then makes each
-    pivot a leading principal minor d_k of a symmetric permutation of that
-    matrix, and by Sylvester's law the sign changes along 1, d_1, ..., d_n
-    count its negative eigenvalues. A zero pivot is swapped for a nonzero
-    diagonal entry further on; where every remaining diagonal entry is 0, a
-    nonzero entry b off it makes a 2 x 2 pivot [[0, b], [b, 0]], of
-    determinant -b^2 < 0, which holds one negative eigenvalue. Where the
-    whole remainder is 0, its eigenvalues are 0, not below sigma."""
+def _sylvester_steps(A, sigma):
+    """The elimination of ``exact_below``: after each pivot, (the order
+    eliminated so far, the eigenvalues of A below sigma counted so far,
+    whether every pivot so far was a 1 x 1 pivot in place)."""
     A = np.asarray(A, dtype=float)
     n = len(A)
     ratios = [x.as_integer_ratio() for x in A.ravel().tolist()] + [float(sigma).as_integer_ratio()]
@@ -225,7 +217,7 @@ def exact_below(A, sigma):
     M = np.array([num * (scale // den) for num, den in ratios[:-1]], dtype=object).reshape(n, n)
     num, den = ratios[-1]
     M[np.arange(n), np.arange(n)] -= num * (scale // den)
-    below, prev, k = 0, 1, 0  # prev: the last pivot minor, d_0 = 1
+    below, prev, k, in_place = 0, 1, 0, True  # prev: the last pivot minor, d_0 = 1
     while k < n:  # M stays symmetric; only the upper triangle of rows k on is kept
         nonzero = [i for i in range(k, n) if M[i, i]]
         if nonzero:
@@ -235,6 +227,7 @@ def exact_below(A, sigma):
             if not len(off):
                 break
             pivot = [k + int(i) for i in off[0]]
+        in_place = in_place and pivot == [k]
         if pivot != list(range(k, k + len(pivot))):  # a symmetric permutation
             lower = np.tril_indices(n, -1)
             M[lower] = M.T[lower]
@@ -249,13 +242,46 @@ def exact_below(A, sigma):
                 M[i, i:] = (p * M[i, i:] - row[t] * row[t:]) // prev
             below += (p > 0) != (prev > 0)
             prev, k = p, k + 1
+            yield k, below, in_place
         else:  # Sylvester's identity over two rows: M_ij <- det of rows k, k+1, i / d_k^2
             b, row0, row1 = M[k, k + 1], M[k, k + 2:], M[k + 1, k + 2:]
             for t, i in enumerate(range(k + 2, n)):
                 M[i, i:] = (b * (row1[t] * row0[t:] + row0[t] * row1[t:]) - b * b * M[i, i:]) // (prev * prev)
             below += 1
             prev, k = -b * b // prev, k + 2
+            yield k, below, in_place
+
+
+def exact_below(A, sigma):
+    """The number of eigenvalues of the symmetric float matrix ``A`` below the
+    float ``sigma``, in exact arithmetic.
+
+    Every float is a dyadic rational, so one power of two scales A - sigma I
+    to Python integers. Fraction-free (Bareiss) elimination then makes each
+    pivot a leading principal minor d_k of a symmetric permutation of that
+    matrix, and by Sylvester's law the sign changes along 1, d_1, ..., d_n
+    count its negative eigenvalues. A zero pivot is swapped for a nonzero
+    diagonal entry further on; where every remaining diagonal entry is 0, a
+    nonzero entry b off it makes a 2 x 2 pivot [[0, b], [b, 0]], of
+    determinant -b^2 < 0, which holds one negative eigenvalue. Where the
+    whole remainder is 0, its eigenvalues are 0, not below sigma."""
+    below = 0
+    for _, below, _ in _sylvester_steps(A, sigma):
+        pass
     return below
+
+
+def exact_prefix_below(A, sigma):
+    """``[exact_below(A[:k, :k], sigma) for k in 1, ..., n]``, from one
+    elimination as far as its pivots stay 1 x 1 and in place: the pivots are
+    then the leading minors of A - sigma I, so the count after k of them is
+    the k-th prefix's. Each prefix past that is eliminated alone."""
+    counts = []
+    for k, below, in_place in _sylvester_steps(A, sigma):
+        if not in_place:
+            break
+        counts.append(below)
+    return counts + [exact_below(A[:k, :k], sigma) for k in range(len(counts) + 1, len(A) + 1)]
 
 
 def exact_counts(A, theta):
