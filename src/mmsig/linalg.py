@@ -352,8 +352,8 @@ def _run_counts(A: np.ndarray, m: int, theta: float, anchor: tuple, floor: float
     ..., k = len(A) of ``A`` against the band theta > 0, from ``anchor``, the
     counts of A_m below -theta and below theta ((0, 0) for m = 0), and the
     bound delta on their roundoff. The inertias stop before the first size
-    whose count is refused; there are none when delta exceeds ``floor`` or
-    A_m -+ theta I is singular.
+    whose count is refused; there are none when delta exceeds ``floor`` > 0
+    or A_m -+ theta I is singular.
 
     At each edge sigma = -+theta, one batched LU solves (A_m - sigma I) W =
     B for the w = k - m new columns B, and C = D - sigma I - B^T W is the
@@ -390,13 +390,15 @@ def _run_counts(A: np.ndarray, m: int, theta: float, anchor: tuple, floor: float
         return [], math.inf
     C = A[m:, m:] - B.T @ W
     C[:, np.arange(w), np.arange(w)] += np.array([[theta], [-theta]])
-    a_norm, b_norm = float(np.linalg.norm(A[:m, :m])), float(np.linalg.norm(B))
-    delta = _EPS * float(np.max(
-        3 * m * (a_norm + math.sqrt(m) * theta)
+    # delta in units of the floor, so that no square in a norm overflows
+    a_norm, b_norm = float(np.linalg.norm(A[:m, :m] / floor)), float(np.linalg.norm(B / floor))
+    ratio = _EPS * float(np.max(
+        3 * m * (a_norm + math.sqrt(m) * theta / floor)
         + m * b_norm * np.linalg.norm(W, axis=(1, 2))
-        + 3 * w * np.linalg.norm(C, axis=(1, 2))
+        + 3 * w * np.linalg.norm(C / floor, axis=(1, 2))
     ))
-    if not delta <= floor:
+    delta = ratio * floor
+    if not ratio <= 1.0:
         return [], delta
     within = np.tri(w, dtype=bool)  # within[j]: the rows and columns of C_{j+1}
     minors = np.where(within[:, :, None] & within[:, None, :], C[:, None], np.eye(w))
@@ -530,7 +532,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
       of the clique's blocks, when c >= 2 of the k points are in the clique
       and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A size
       whose edge lies within the pivot's roundoff of an eigenvalue is
-      counted by the chain below;
+      counted by a step or an eigensolve below;
     - by the blocks of a run (``_run_counts``), at the band's two edges, when
       theta exceeds the certificate's floor, below which the roundoff
       eigenvalues of a rank-deficient block may sit at +-theta. A run is two

@@ -481,6 +481,19 @@ class TestParityCounts:
         picks = [*range(10, N, 30), N]
         assert [got[k - 1].counts() for k in picks] == prefix_counts_by_eigvalsh(S, picks, 1e-7)
 
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600])
+    def test_a_power_of_two_scale_counts_as_scale_one(self, scale, monkeypatch):
+        # every step of a block scales exactly with the matrix, and its
+        # bound is taken in units of the floor, so no norm overflows at
+        # 2^600 (entries near 1e180) or loses its squares at 2^-600
+        S = named_example("sphere", dim=2, n=100, seed=3).s_matrix_on(range(100))
+        sizes = list(range(1, 101))
+        want = prefix_inertias(S, sizes)
+        blocks = _run_blocks(monkeypatch)
+        got = prefix_inertias(S * scale, sizes)
+        assert [i.counts() for i in got] == [i.counts() for i in want]
+        assert got[-1].tol == want[-1].tol * scale and _cover_the_run(blocks, 0, 100)
+
     @pytest.mark.parametrize("seed", [5, 7, 1881])
     def test_benchmark_sphere_trajectories_take_no_step(self, seed, monkeypatch):
         # the benchmark's 200-point sphere sample: its Schur steps, scalar
