@@ -16,11 +16,12 @@ n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|: at the band's
 edges -+theta through a planted clique's closed-form block where its
 ``CliqueBlocks`` hold all but an eighth of the points (``_clique_pivot``), by
-the signs of det(A_k -+ theta I) along runs of consecutive sizes, up to 32 of
-them from one LU (``_run_counts``), by certified Schur blocks where they cost
-less than an eigensolve, and by an eigensolve otherwise. ``_schur_step`` is the
-chain's Schur complement: it adds a block's counts by Haynsworth additivity
-and, once certified, updates the inverse the next step starts from;
+the signs of det(A_k -+ e I), e = max(theta, sqrt(eps) max|lambda|), along
+runs of consecutive sizes, up to 32 of them from one LU (``_run_counts``), by
+certified Schur blocks of one or more rows where they cost less than an
+eigensolve, and by an eigensolve otherwise. ``_schur_step`` is the chain's
+Schur complement: it adds a block's counts by Haynsworth additivity and, once
+certified, updates the inverse the next step starts from;
 ``_clique_pivot`` forms the complement of the shifted clique block at each
 edge from leading slices of the blocks, of the order of the points outside
 the clique, and updates nothing.
@@ -299,78 +300,66 @@ def _clear_of(vals: np.ndarray, bound: float) -> bool:
     return bool(lo > bound and lo / np.sqrt(np.sum((lo / mags) ** 2)) > bound)
 
 
-def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, norm2: float):
-    """Step from ``inv[:a, :a]``, the inverse of A_a = ``A[:a, :a]`` with
-    squared Frobenius norm ``norm2``, to that of A_k through C = A_k / A_a.
+def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, base: Inertia):
+    """Step from ``inv[:a, :a]`` and ``base``, the inverse and inertia of A_a
+    = ``A[:a, :a]``, to those of A_k through C = A_k / A_a, for k - a >= 1.
 
     If ``1/||A_k^{-1}||_F > bound`` proves A_k's eigenvalues all exceed
     ``bound`` in modulus, write A_k^{-1} into ``inv[:k, :k]`` and return C's
-    count of negative eigenvalues with ``||A_k^{-1}||_F^2``; else return None
-    and leave ``inv`` as it was: the norm is taken before any block is
-    written. A k past the order of ``inv`` writes nothing."""
+    count of negative eigenvalues with A_k's inertia, ``base`` plus C's
+    (Haynsworth); else return None and leave ``inv`` as it was: the norm is
+    taken before any block is written. A k past the order of ``inv`` writes
+    nothing."""
     V = inv[:a, :a]
     B = A[:a, a:k]
     X = V @ B
     C = A[a:k, a:k] - B.T @ X
-    if k - a == 1:  # a scalar complement needs no eigensolve
-        vals = C[0]
-        if not abs(vals[0]) > bound:
-            return None
-        c_inv = 1.0 / C
-    else:  # C^{-1} is a block of A_k^{-1}, so a C this close to singular fails too
-        vals, vecs = eig_sym(0.5 * (C + C.T))
-        if not _clear_of(vals, bound):
-            return None
-        c_inv = (vecs / vals) @ vecs.T
+    # C^{-1} is a block of A_k^{-1}, so a C this close to singular fails too
+    vals, vecs = eig_sym(0.5 * (C + C.T))
+    if not _clear_of(vals, bound):
+        return None
+    c_inv = (vecs / vals) @ vecs.T
     Y = X @ c_inv
-    if k - a == 1:  # ||V + Y X^T||^2 = ||V||^2 + 2 <V X, Y> + ||X||^2 ||Y||^2 needs no
-        # new a x a array; the roundoff of the terms, which may cancel, counts against it
-        terms = (norm2, 2.0 * np.vdot(V @ X, Y), np.vdot(X, X) * np.vdot(Y, Y))
-        lead2, slack = sum(terms), k * _EPS * sum(abs(t) for t in terms)
-    else:
-        lead = Y @ X.T
-        lead += V
-        lead2, slack = np.vdot(lead, lead), 0.0
+    lead = Y @ X.T
+    lead += V
     # the blocks of A_k^{-1} are V + Y X^T, -Y, -Y^T and C^{-1}
-    norm2_k = lead2 + 2.0 * np.vdot(Y, Y) + np.vdot(c_inv, c_inv)
-    if not np.sqrt(max(norm2_k + slack, 0.0)) * bound < 1.0:
+    norm2_k = np.vdot(lead, lead) + 2.0 * np.vdot(Y, Y) + np.vdot(c_inv, c_inv)
+    if not np.sqrt(norm2_k) * bound < 1.0:
         return None
     if k <= len(inv):
-        if k - a == 1:  # along whole rows, which are contiguous; numpy's rank-1 matmul is slow
-            x = np.zeros(inv.shape[1])
-            x[:a] = X[:, 0]
-            inv[:a] += Y * x
-        else:
-            V[...] = lead
-            del lead  # before the temporaries of the blocks below
+        V[...] = lead
+        del lead  # before the temporaries of the blocks below
         inv[:a, a:k], inv[a:k, :a], inv[a:k, a:k] = -Y, -Y.T, c_inv
-    return int(np.count_nonzero(vals < 0)), float(norm2_k)
+    neg = int(np.count_nonzero(vals < 0))
+    return neg, Inertia(base.s_minus + neg, 0, base.s_plus + k - a - neg, base.tol)
 
 
 def _run_counts(A: np.ndarray, m: int, theta: float, anchor: tuple, floor: float):
     """(inertias, delta): the inertias of the leading blocks of orders m + 1,
-    ..., k = len(A) of ``A`` against the band theta > 0, from ``anchor``, the
-    counts of A_m below -theta and below theta ((0, 0) for m = 0), and the
-    bound delta on their roundoff. The inertias stop before the first size
-    whose count is refused; there are none when delta exceeds ``floor`` > 0
-    or A_m -+ theta I is singular.
+    ..., k = len(A) of ``A`` against the band theta, counted at the edges -+e,
+    e = max(theta, floor), from ``anchor``, the counts of A_m below -e and
+    below e ((0, 0) for m = 0), and the bound delta on their roundoff. The
+    inertias stop before the first size whose count is refused; there are
+    none when delta exceeds ``floor`` > 0 or A_m -+ e I is singular.
 
-    At each edge sigma = -+theta, one batched LU solves (A_m - sigma I) W =
-    B for the w = k - m new columns B, and C = D - sigma I - B^T W is the
+    At each edge sigma = -+e, one batched LU solves (A_m - sigma I) W = B
+    for the w = k - m new columns B, and C = D - sigma I - B^T W is the
     w x w Schur complement. Since det(A_{m+j} - sigma I) = det(A_m - sigma
     I) det C_j, and by interlacing each added row adds at most one
     eigenvalue below sigma, A_{m+j} has as many below sigma as A_m plus the
     sign changes along 1, det C_1, ..., det C_j (Jacobi), all of them from
     one batched ``slogdet`` of the C_j, each padded with the identity to
-    order w. A size is refused where a minor is 0 or its count below -theta
-    would exceed its count below theta.
+    order w. A size is refused where a minor is 0, where its count below -e
+    would exceed its count below e, or, for theta below the floor, where the
+    two differ: a kept size then has no eigenvalue within the floor of 0, as
+    a certified step proves, and reads (below, 0, k - below) at theta.
 
     The bound: gesv's W is exact for A_m - sigma I + E with |E| <= 3 m eps
     |L||U| (Higham, Thm 9.4), near 3 m eps ||A_m - sigma I||_F for the
     modest growth of partial pivoting, which the bound assumes; the GEMM
     B^T W errs by m eps ||B||_F ||W||_F, the subtractions and the LU of
     C_j by 3 w eps ||C||_F. So C_j is exactly the complement of a matrix
-    within delta = eps (3 m (||A_m||_F + sqrt(m) theta) + m ||B||_F ||W||_F
+    within delta = eps (3 m (||A_m||_F + sqrt(m) e) + m ||B||_F ||W||_F
     + 3 w ||C||_F) of A_{m+j} - sigma I, not symmetric, with A_m - sigma I
     + E in its corner; and a determinant keeps its sign under a
     perturbation smaller than its matrix's least singular value. Each count
@@ -379,26 +368,27 @@ def _run_counts(A: np.ndarray, m: int, theta: float, anchor: tuple, floor: float
     """
     k = len(A)
     w = k - m
+    edge = max(theta, floor)
     diag = np.arange(m)
     shifted = np.stack([A[:m, :m], A[:m, :m]])
-    shifted[0, diag, diag] += theta  # A_m - sigma I at sigma = -theta
-    shifted[1, diag, diag] -= theta  # and at sigma = theta
+    shifted[0, diag, diag] += edge  # A_m - sigma I at sigma = -edge
+    shifted[1, diag, diag] -= edge  # and at sigma = edge
     B = A[:m, m:]
     try:
         W = np.linalg.solve(shifted, np.stack([B, B]))
     except np.linalg.LinAlgError:  # an exact zero pivot: an edge on an eigenvalue of A_m
         return [], math.inf
     C = A[m:, m:] - B.T @ W
-    C[:, np.arange(w), np.arange(w)] += np.array([[theta], [-theta]])
-    # delta in units of the floor, so that no square in a norm overflows
-    a_norm, b_norm = float(np.linalg.norm(A[:m, :m] / floor)), float(np.linalg.norm(B / floor))
-    ratio = _EPS * float(np.max(
-        3 * m * (a_norm + math.sqrt(m) * theta / floor)
+    C[:, np.arange(w), np.arange(w)] += np.array([[edge], [-edge]])
+    # delta in units of the edge, at least the floor and theta, so that no
+    # square in a norm overflows, at a huge theta too
+    a_norm, b_norm = float(np.linalg.norm(A[:m, :m] / edge)), float(np.linalg.norm(B / edge))
+    delta = edge * _EPS * float(np.max(
+        3 * m * (a_norm + math.sqrt(m))
         + m * b_norm * np.linalg.norm(W, axis=(1, 2))
-        + 3 * w * np.linalg.norm(C / floor, axis=(1, 2))
+        + 3 * w * np.linalg.norm(C / edge, axis=(1, 2))
     ))
-    delta = ratio * floor
-    if not ratio <= 1.0:
+    if not delta <= floor:
         return [], delta
     within = np.tri(w, dtype=bool)  # within[j]: the rows and columns of C_{j+1}
     minors = np.where(within[:, :, None] & within[:, None, :], C[:, None], np.eye(w))
@@ -406,6 +396,8 @@ def _run_counts(A: np.ndarray, m: int, theta: float, anchor: tuple, floor: float
     flips = signs != np.concatenate([np.ones((2, 1)), signs[:, :-1]], axis=1)
     below = np.cumsum(flips, axis=1) + np.array(anchor)[:, None]
     bad = (signs == 0).any(axis=0) | (below[0] > below[1])
+    if theta < edge:  # below the floor a size counts only where no eigenvalue lies within it of 0
+        bad |= below[0] != below[1]
     stop = int(np.argmax(bad)) if bad.any() else w
     lo, hi = below[:, :stop].tolist()
     return [Inertia(a, b - a, m + j + 1 - b, theta) for j, (a, b) in enumerate(zip(lo, hi))], delta
@@ -533,15 +525,17 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
       and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A size
       whose edge lies within the pivot's roundoff of an eigenvalue is
       counted by a step or an eigensolve below;
-    - by the blocks of a run (``_run_counts``), at the band's two edges, when
-      theta exceeds the certificate's floor, below which the roundoff
-      eigenvalues of a rank-deficient block may sit at +-theta. A run is two
-      or more sizes one apart, none offered to the pivot, the first one
-      after the empty block or after a counted size; every-size
-      trajectories are one run. It is split evenly into blocks of at most
-      32 sizes (``_RUN_SIZES``), each counted from the size before it with
-      one LU of that size's order. The first size a block refuses is
-      eigensolved, and the run goes on with a block from it;
+    - by the blocks of a run (``_run_counts``), at the band's two edges, or
+      at -+floor where theta is below the certificate's floor, keeping only
+      the sizes clear of it, since roundoff eigenvalues of a rank-deficient
+      block may sit there. A run is two or more sizes one apart, none offered
+      to the pivot, the first one after the empty block or after a counted
+      size; every-size trajectories are one run. It is split evenly into
+      blocks of at most 32 sizes (``_RUN_SIZES``), each counted from the size
+      before it with one LU of that size's order. The first size a block
+      refuses is eigensolved, and the run goes on with a block from it; below
+      the floor only from a size clear of it, never from a pivot's count, and
+      not at all with a floor of 0 (an underflowed max|lambda|);
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
       a, the last size whose inverse is held, when a >= k // 2, since a wider
       step costs more than an eigensolve of order k. The first size steps
@@ -597,13 +591,14 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     ahead = [0] * (len(counted) + 1)
     for i in reversed(range(len(counted))):
         ahead[i] = 1 + ahead[i + 1] if chained[i] else 0
-    # the sizes the blocks count: runs of two or more, where theta clears the floor
-    in_run = [theta > floor and chained[i] and (ahead[i] > 1 or i > 0 and chained[i - 1])
+    # the sizes the blocks count: runs of two or more, unless max|lambda| underflowed
+    in_run = [floor > 0 and chained[i] and (ahead[i] > 1 or i > 0 and chained[i - 1])
               for i in range(len(counted))] + [False]
     # zeros keep the columns past the anchor finite; a step to N writes nothing
     inv = np.zeros((max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
-    base, norm2 = Inertia(0, 0, 0, theta), 0.0  # the anchor's counts, ||inverse||_F^2
+    base = Inertia(0, 0, 0, theta)  # the anchor's counts
     out, queue = [], []  # queue: a block's counts of the sizes ahead, then None if it refused one
+    opens = True  # whether a block may start from the last counted size
     for i, (k, after, c, pivots) in enumerate(zip(counted, counted[1:] + [None], in_clique, offered)):
         anchor = base.n
         wants_anchor = after is not None and not in_run[i + 1] and anchor < after // 2 <= k
@@ -613,11 +608,12 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
             pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta)
             if pivot is not None:
                 out.append(Inertia(*pivot, theta))
+                opens = theta >= floor  # it counts at -+theta only
                 continue
             if len(inv) < k < N:  # refused: the chain holds this size's inverse too
                 inv = np.pad(inv, (0, k - len(inv)))
         ine = None
-        if in_run[i]:
+        if in_run[i] and (queue or opens):
             if not queue:
                 w = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES))  # ahead[i] split evenly
                 prev = (out[-1].s_minus, out[-1].n - out[-1].s_plus) if out else (0, 0)
@@ -625,26 +621,28 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
                 queue = got + [None] * (len(got) < w)
             ine = queue.pop(0)
         elif steps:
-            step = _schur_step(lead(k), inv, anchor, k, bound, norm2)
+            step = _schur_step(lead(k), inv, anchor, k, bound, base)
             if step is not None:
-                neg, norm2 = step
-                base = Inertia(base.s_minus + neg, 0, base.s_plus + k - anchor - neg, theta)
+                base = step[1]
                 out.append(base)
+                opens = True  # certified: no eigenvalue within the bound, at least the floor, of 0
                 continue
         if ine is None:
             vals = _eigenvalues(lead(k))
             ine = _band_counts(vals, theta)
             wants_anchor = wants_anchor and _clear_of(vals, bound)
+            opens = theta >= floor or np.abs(vals).min() > floor
+        else:  # a block keeps a size below the floor only where it is clear of it
+            opens = True
         out.append(ine)
         if wants_anchor and ine.s_zero == 0:
             try:
                 k_inv = np.linalg.inv(lead(k))
             except np.linalg.LinAlgError:  # singular in floating point, as at subnormal scales
                 continue
-            k_norm2 = float(np.vdot(k_inv, k_inv))
-            if np.sqrt(k_norm2) * bound < 1.0:  # the steps' certificate
+            if np.linalg.norm(k_inv) * bound < 1.0:  # the steps' certificate
                 inv[:k, :k] = k_inv
-                base, norm2 = ine, k_norm2
+                base = ine
     return out if top is None else out + [_band_counts(top, theta)]
 
 

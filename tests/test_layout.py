@@ -258,7 +258,7 @@ def test_every_prefix_eigensolve_is_traced(monkeypatch):
     # The tracer counts eigensolves at linalg._eigenvalues and linalg.eig_sym
     # only, so every LAPACK eigensolve of a ratio trial and of an all-prefix
     # trajectory has to go through one of them. The trajectory counts most
-    # prefixes by Schur steps and determinant parity, so few are eigensolved.
+    # prefixes by the blocks of a run, so few are eigensolved.
     lapack, traced = [], []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)

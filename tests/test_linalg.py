@@ -178,8 +178,8 @@ def _schur_steps(monkeypatch):
     steps = []
     real = linalg._schur_step
 
-    def counted(A, inv, a, k, bound, norm2):
-        step = real(A, inv, a, k, bound, norm2)
+    def counted(A, inv, a, k, bound, base):
+        step = real(A, inv, a, k, bound, base)
         steps.append((a, k, step is not None))
         return step
 
@@ -254,10 +254,16 @@ class TestPrefixInertias:
         assert [i.n for i in got] == sizes
 
     @pytest.mark.parametrize(
-        "family, tol_rel",
-        [("weak_direction", 0.0), ("planar_points", 0.0), ("sphere", 1e-9)],
+        "family, tol_rel, run, stepped, certified",
+        [
+            ("weak_direction", 0.0, [(2, 5, 3)], [7, 10], []),
+            ("planar_points", 0.0, [], [2, 3], [2, 3]),
+            ("sphere", 1e-9, [], [2, 4], [2, 4, 6, 9]),
+        ],
     )
-    def test_gapped_sizes_take_certified_schur_blocks(self, family, tol_rel, monkeypatch):
+    def test_gapped_sizes_take_schur_steps_and_a_run_its_block(
+        self, family, tol_rel, run, stepped, certified, monkeypatch
+    ):
         S = {
             "weak_direction": self._weak_direction,
             "planar_points": self._planar_points,
@@ -265,12 +271,15 @@ class TestPrefixInertias:
         }[family]()
         sizes = sorted({int(k) for k in np.geomspace(2, len(S), 12)})
         steps = _schur_steps(monkeypatch)
+        blocks = _run_blocks(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-        # the first sizes are steps, and some steps add a certified block of
-        # several orders at once
-        assert [k for _, k, _ in steps[:2]] == sizes[:2]
-        assert any(k - a > 1 and certified for a, k, certified in steps)
+        # weak_direction's sizes 3 to 5 are a run, which a block counts at any
+        # tolerance; its last size anchors the steps after it, which fail.
+        # Elsewhere the first sizes are steps, and some steps add a certified
+        # block of several orders at once
+        assert blocks == run and [k for _, k, _ in steps[:2]] == stepped
+        assert [k for _, k, ok in steps if ok] == certified
 
     def test_failed_block_falls_back_to_an_eigensolve(self, monkeypatch):
         # S of planar points has rank <= 4, so the step from 3 to 6 points
@@ -380,7 +389,9 @@ def _class_biased_trial(seed, m_max=3000):
 
 class TestParityCounts:
     # a run of sizes one apart is counted from the counts of the size before
-    # it and the signs of det(A_k -+ theta I), a block of sizes at a time
+    # it and the signs of det(A_k -+ e I), e = max(theta, floor), a block of
+    # sizes at a time (the class kept its name from the determinant parity
+    # that came before the blocks)
     FAMILIES = {
         "sphere": lambda: named_example("sphere", dim=2, n=120, seed=3).s_matrix_on(range(120)),
         "sphere_sqrt": lambda: named_example("sphere_sqrt", dim=2, n=80, seed=3).s_matrix_on(range(80)),
@@ -391,22 +402,26 @@ class TestParityCounts:
         "random_symmetric": lambda: random_symmetric(np.random.default_rng(5), 80),
     }
 
-    @pytest.mark.parametrize("tol_rel", [1e-6, 1e-7, 1e-9, 1e-12])
+    @pytest.mark.parametrize("tol_rel", [1e-6, 1e-7, 1e-9, 1e-12, 0.0])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_every_prefix_matches_eigvalsh(self, family, tol_rel, monkeypatch):
+    def test_every_prefix_is_counted_without_a_step(self, family, tol_rel, monkeypatch):
         S = self.FAMILIES[family]()
         sizes = list(range(1, len(S) + 1))
         blocks = _run_blocks(monkeypatch)
+        orders = _eigensolve_orders(monkeypatch)
+        steps = _schur_steps(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+        # at any tolerance each size is counted once, by a block or an
+        # eigensolve, and none by a Schur step; below the certificate's
+        # floor (1e-12 and 0) the blocks count at -+floor
+        assert steps == [] and sum(n for _, _, n in blocks) + len(orders) == len(S)
         if tol_rel >= 1e-9:
             # the blocks count every size, the largest too unless it is the
             # band's eigensolve (no Perron bracket), also where most blocks
             # hold eigenvalues in the band (sphere, planar)
             top = len(S) - (linalg._perron_bracket(S) is None)
             assert _cover_the_run(blocks, 0, top)
-        if tol_rel == 1e-12:  # theta is below the certificate's floor
-            assert blocks == []
 
     def test_an_eigenvalue_on_the_band_edge_is_eigensolved(self, monkeypatch):
         # the 4th and 7th diagonal entries are theta and -theta exactly, so
@@ -430,9 +445,12 @@ class TestParityCounts:
         assert blocks == [(0, N - 1, 3)] + [(a, N - 1, 0) for a in range(4, N - 1)]
 
     @pytest.mark.parametrize("tol_rel", [1e-12, 0.0])
-    def test_no_parity_below_the_floor(self, tol_rel, monkeypatch):
-        # theta = 1e-12 * N * max|lambda| is below sqrt(eps) * max|lambda|,
-        # where roundoff eigenvalues of a rank-deficient block may sit
+    def test_blocks_below_the_floor_keep_the_sizes_clear_of_it(self, tol_rel, monkeypatch):
+        # theta = 1e-12 * N * max|lambda| is below the floor sqrt(eps) *
+        # max|lambda|, where roundoff eigenvalues of a rank-deficient block
+        # may sit. The blocks count at -+floor and keep a size only where no
+        # eigenvalue lies within the floor of 0, and start only from such a
+        # size; this sample's prefixes of 22 to 57 points go in and out of it
         S = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(60))
         sizes = list(range(1, 61))
         blocks = _run_blocks(monkeypatch)
@@ -440,15 +458,21 @@ class TestParityCounts:
         steps = _schur_steps(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-        # every size that no step certified is eigensolved
-        assert blocks == [] and len(orders) + sum(ok for _, _, ok in steps) == len(sizes)
+        floor = linalg._BORDER_FLOOR * linalg._perron_bracket(S)[1]
+        clear = [True] + [np.abs(np.linalg.eigvalsh(S[:k, :k])).min() > floor for k in sizes]
+        kept = [k for m, _, n in blocks for k in range(m + 1, m + n + 1)]
+        # every size that no block kept is eigensolved, and none is a step
+        assert steps == [] and sorted(kept + orders) == sizes and len(kept) > 30
+        assert all(clear[k] for k in kept) and all(clear[m] for m, _, _ in blocks)
+        assert all(not clear[m + n + 1] for m, k, n in blocks if m + n < k)
 
-    def test_a_failed_scalar_step_keeps_its_anchor(self, monkeypatch):
-        # A_4 is singular. At 1e-12 theta is below the floor, so the sizes
-        # take steps: the step from 3 to 4 fails, size 4 is eigensolved and
-        # size 5 steps from the anchor of order 3. At 1e-6 the sizes 1 to 5
-        # are one block, counted at the band's edges, where A_4 -+ theta I is
-        # regular: no step
+    def test_a_singular_prefix_stops_the_blocks_below_the_floor(self, monkeypatch):
+        # A_4 is singular. At 1e-12 theta is below the floor, so the block
+        # counts at -+floor: it keeps sizes 1 to 3 and refuses 4, whose
+        # eigenvalue 0 lies within the floor. Size 4 is eigensolved, and no
+        # block starts from it, so size 5 is eigensolved too. At 1e-6 the
+        # sizes 1 to 5 are one block, counted at the band's edges, where
+        # A_4 -+ theta I is regular
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = list(range(1, 7))
@@ -457,12 +481,25 @@ class TestParityCounts:
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=1e-12)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-12)
-        assert steps == [(0, 1, True), (1, 2, True), (2, 3, True), (3, 4, False), (3, 5, True)]
-        assert blocks == [] and orders == [6, 4]  # 6: the band's eigensolve
-        steps.clear(), orders.clear()
+        assert blocks == [(0, 5, 3)] and steps == [] and orders == [6, 4, 5]  # 6: the band's eigensolve
+        blocks.clear(), orders.clear()
         got = prefix_inertias(S, sizes, tol_rel=1e-6)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-6)
         assert blocks == [(0, 5, 5)] and steps == [] and orders == [6]
+
+    @pytest.mark.parametrize("tol_rel", [1e-12, 1e-6])
+    def test_a_failed_step_keeps_its_anchor(self, tol_rel, monkeypatch):
+        # the same singular A_4, with a seventh point: size 4, one past 3 but
+        # no run, steps from 3 and fails, and is eigensolved; size 6 steps
+        # from the anchor of order 3 again
+        S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0, 6.0])
+        S[3, 4] = S[4, 3] = 1.0
+        sizes = [3, 4, 6, 7]
+        steps = _schur_steps(monkeypatch)
+        orders = _eigensolve_orders(monkeypatch)
+        got = prefix_inertias(S, sizes, tol_rel=tol_rel)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+        assert steps == [(0, 3, True), (3, 4, False), (3, 6, True)] and orders == [7, 4]  # 7: the band's
 
     def test_a_loose_band_takes_one_lu_per_block(self, monkeypatch):
         # at 1e-7 model prefixes hold eigenvalues within 10 theta of 0, so
@@ -494,10 +531,21 @@ class TestParityCounts:
         assert [i.counts() for i in got] == [i.counts() for i in want]
         assert got[-1].tol == want[-1].tol * scale and _cover_the_run(blocks, 0, 100)
 
+    @pytest.mark.parametrize("tol_rel", [1e200, 1e300])
+    def test_a_huge_tolerance_puts_every_eigenvalue_in_the_band(self, tol_rel):
+        # theta near 3e203 or 3e303: the blocks' bound is taken in units of
+        # the edge, so no square in a norm overflows and no division passes
+        # the largest float, where the suite would raise the RuntimeWarning
+        S = named_example("tripod_extended", n=40).s_matrix_on(range(40))
+        sizes = list(range(1, 41))
+        got = prefix_inertias(S, sizes, tol_rel=tol_rel)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+        assert [i.counts() for i in got] == [(0, k, 0) for k in sizes]
+
     @pytest.mark.parametrize("seed", [5, 7, 1881])
     def test_benchmark_sphere_trajectories_take_no_step(self, seed, monkeypatch):
-        # the benchmark's 200-point sphere sample: its Schur steps, scalar
-        # and block, failed their certificates and eigensolved complements
+        # the benchmark's 200-point sphere sample: its Schur steps, of one
+        # row and of several, failed their certificates and eigensolved complements
         # (23 failed at seed 1881); the run's blocks take every size instead
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from inputs import sphere_distances
@@ -591,14 +639,16 @@ class TestPerronBand:
 
 def _schur_step_from(A, a, k, bound=0.0):
     """``linalg._schur_step`` from the leading block of order a, with its
-    inverse from ``np.linalg.inv``, to the block of order k: (the negatives
-    it adds, or None, and the inverse buffer after the step)."""
+    inverse from ``np.linalg.inv`` and its counts from eigvalsh, to the block
+    of order k: (the negatives it adds, or None, and the inverse buffer after
+    the step)."""
     A = np.asarray(A, dtype=float)
     inv = np.zeros((k, k))
     inv[:a, :a] = np.linalg.inv(A[:a, :a])
-    step = linalg._schur_step(A, inv, a, k, bound, float(np.sum(inv**2)))
-    if step is not None:
-        assert step[1] == pytest.approx(np.sum(inv**2), rel=1e-9)  # ||A_k^{-1}||_F^2
+    base = linalg.Inertia(*count_inertia(np.linalg.eigvalsh(A[:a, :a]), 0.0), 0.0)
+    step = linalg._schur_step(A, inv, a, k, bound, base)
+    if step is not None:  # A_k's counts, A_a's plus the complement's
+        assert step[1] == linalg.Inertia(*count_inertia(np.linalg.eigvalsh(A[:k, :k]), 0.0), 0.0)
     return (None if step is None else step[0]), inv
 
 
@@ -655,13 +705,14 @@ class TestSchurComplement:
             bound = 7e-7
         inv = np.zeros((6, 6))
         inv[:3, :3] = np.linalg.inv(A[:3, :3])
-        norm2 = float(np.sum(inv**2))
+        base = linalg.Inertia(2, 0, 1, 0.0)  # A_3 = diag(-1, 2, -3)
         before = inv.copy()
-        assert linalg._schur_step(A, inv, 3, 4, bound, norm2) is None
+        assert linalg._schur_step(A, inv, 3, 4, bound, base) is None
         assert np.array_equal(inv, before)
         if case == "zero complement":
-            neg, _ = linalg._schur_step(A, inv, 3, 5, bound, norm2)
+            neg, ine = linalg._schur_step(A, inv, 3, 5, bound, base)
             assert neg == 1  # C = [[0, 1], [1, 4]] has one negative eigenvalue
+            assert ine == linalg.Inertia(3, 0, 2, 0.0)
             np.testing.assert_allclose(inv[:5, :5], np.linalg.inv(A[:5, :5]), rtol=1e-13, atol=1e-15)
 
 
@@ -1276,3 +1327,53 @@ class TestRunsAtTheBandEdges:
         top, inner, anchor = (np.abs(np.linalg.eigvalsh(A[:k, :k])) for k in (32, 24, self.M))
         lams = [top.min(), np.median(top), top.max(), np.median(inner), anchor.min()]
         assert self._check(A, lams) == (32 - self.M) * (len(lams) - 1) * len(TestPivotAtTheBandEdges.DELTAS)
+
+
+class TestStepsAtTheBandEdges:
+    # The chain on gapped sizes, at theta = |lambda| (1 + delta) for the
+    # deltas of the pivot's check, read back from Inertia.tol: a certified
+    # Schur step counts as the exact oracle does, and an eigensolve differs
+    # from it only where an eigenvalue lies within its roundoff, c n eps
+    # max|lambda| with c = 4, of an edge.
+
+    @staticmethod
+    def _check(A, sizes, lams):
+        """How many sizes certified steps and eigensolves counted at the
+        thetas near each of ``lams``, each as the exact counts allow."""
+        N, rho = len(A), linalg._perron_bracket(A)
+        tally = {"step": 0, "eigensolve": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            steps, orders = _schur_steps(mp), _eigensolve_orders(mp)
+            for lam in lams:
+                runs = []
+                for delta in TestPivotAtTheBandEdges.DELTAS:
+                    steps.clear(), orders.clear()
+                    got = prefix_inertias(A, sizes, lam * (1 + delta) / (N * rho[0]))
+                    runs.append((got, [k for _, k, ok in steps if ok], list(orders)))
+                thetas = [got[-1].tol for got, _, _ in runs]
+                lo, hi = (_monotone(lambda i, M=M: exact_prefix_below(M, -thetas[i]), len(thetas)) for M in (A, -A))
+                for (got, stepped, solved), theta, below, above in zip(runs, thetas, lo, hi):
+                    assert sorted(stepped + solved) == sizes  # each size once, by one of the two
+                    for k, ine in zip(sizes, got):
+                        exact = (below[k - 1], k - below[k - 1] - above[k - 1], above[k - 1])
+                        if k in stepped:
+                            assert ine.counts() == exact, (lam, theta, k)
+                        elif ine.counts() != exact:
+                            assert TestRunsAtTheBandEdges._near(A[:k, :k], theta, 4 * N * EPS * rho[1]), (lam, theta, k)
+                        tally["step" if k in stepped else "eigensolve"] += 1
+        return tally
+
+    @pytest.mark.parametrize("family", ["sphere", "rado_model"])
+    def test_steps_and_eigensolves(self, family):
+        # the smallest |lambda| of each size and the median of the largest:
+        # a size with an eigenvalue within ten times the band of 0 fails its
+        # step and is eigensolved, at its own edge too; the steps to the
+        # sizes clear of it are certified
+        A = {
+            "sphere": lambda: named_example("sphere", dim=2, n=32, seed=5).s_matrix_on(range(32)),
+            "rado_model": lambda: _model_s(n_draws=1500, seed=4)[:32, :32],
+        }[family]()
+        sizes = [8, 16, 24, 32]
+        mags = [np.abs(np.linalg.eigvalsh(A[:k, :k])) for k in sizes]
+        tally = self._check(A, sizes, [m.min() for m in mags] + [np.median(mags[-1])])
+        assert tally["step"] > 0 and tally["eigensolve"] > 0, tally
