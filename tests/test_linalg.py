@@ -253,17 +253,20 @@ class TestPrefixInertias:
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert [i.n for i in got] == sizes
 
+    # each family's run blocks, its first two steps' sizes and its certified
+    # steps' sizes on the gapped sizes
+    GAPPED = {
+        "weak_direction": ([(2, 5, 3)], [7, 10], []),
+        "planar_points": ([], [2, 3], [2, 3]),
+        "sphere": ([], [2, 4], [2, 4, 6, 9]),
+    }
+
     @pytest.mark.parametrize(
-        "family, tol_rel, run, stepped, certified",
-        [
-            ("weak_direction", 0.0, [(2, 5, 3)], [7, 10], []),
-            ("planar_points", 0.0, [], [2, 3], [2, 3]),
-            ("sphere", 1e-9, [], [2, 4], [2, 4, 6, 9]),
-        ],
+        "family, tol_rel",
+        [("weak_direction", 0.0), ("planar_points", 0.0), ("sphere", 1e-9)],
     )
-    def test_gapped_sizes_take_schur_steps_and_a_run_its_block(
-        self, family, tol_rel, run, stepped, certified, monkeypatch
-    ):
+    def test_gapped_sizes_take_certified_schur_blocks(self, family, tol_rel, monkeypatch):
+        run, stepped, certified = self.GAPPED[family]
         S = {
             "weak_direction": self._weak_direction,
             "planar_points": self._planar_points,
@@ -404,7 +407,7 @@ class TestParityCounts:
 
     @pytest.mark.parametrize("tol_rel", [1e-6, 1e-7, 1e-9, 1e-12, 0.0])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_every_prefix_is_counted_without_a_step(self, family, tol_rel, monkeypatch):
+    def test_every_prefix_matches_eigvalsh(self, family, tol_rel, monkeypatch):
         S = self.FAMILIES[family]()
         sizes = list(range(1, len(S) + 1))
         blocks = _run_blocks(monkeypatch)
@@ -487,19 +490,20 @@ class TestParityCounts:
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-6)
         assert blocks == [(0, 5, 5)] and steps == [] and orders == [6]
 
-    @pytest.mark.parametrize("tol_rel", [1e-12, 1e-6])
-    def test_a_failed_step_keeps_its_anchor(self, tol_rel, monkeypatch):
+    def test_a_failed_scalar_step_keeps_its_anchor(self, monkeypatch):
         # the same singular A_4, with a seventh point: size 4, one past 3 but
-        # no run, steps from 3 and fails, and is eigensolved; size 6 steps
-        # from the anchor of order 3 again
+        # no run, steps from 3 by one row and fails, and is eigensolved; size
+        # 6 steps from the anchor of order 3 again, below the floor and above
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0, 6.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = [3, 4, 6, 7]
         steps = _schur_steps(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
-        got = prefix_inertias(S, sizes, tol_rel=tol_rel)
-        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-        assert steps == [(0, 3, True), (3, 4, False), (3, 6, True)] and orders == [7, 4]  # 7: the band's
+        for tol_rel in (1e-12, 1e-6):
+            steps.clear(), orders.clear()
+            got = prefix_inertias(S, sizes, tol_rel=tol_rel)
+            assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
+            assert steps == [(0, 3, True), (3, 4, False), (3, 6, True)] and orders == [7, 4]  # 7: the band's
 
     def test_a_loose_band_takes_one_lu_per_block(self, monkeypatch):
         # at 1e-7 model prefixes hold eigenvalues within 10 theta of 0, so
