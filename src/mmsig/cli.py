@@ -11,6 +11,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -95,12 +96,11 @@ def _load_space(args):
     return from_graph(read_edge_list(args.input))
 
 
-def _emit(text: str, output):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(pieces, output):
+    """Write ``pieces`` as they come (a ``str`` is one) and a newline to ``output`` or stdout."""
+    with open(output, "w") if output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines([pieces] if isinstance(pieces, str) else pieces)
+        fh.write("\n")
 
 
 def cmd_analyze(args) -> int:
@@ -133,8 +133,7 @@ def cmd_embed(args) -> int:
     space = _load_space(args)
     embedding = mds_embed(space, args.tol)
     residual = verify_isometry(embedding, space)
-    text = embedding_to_json(embedding, provenance=_provenance(args))
-    _emit(text, args.output)
+    _emit(embedding_to_json(embedding, provenance=_provenance(args)), args.output)
     print(f"max residual: {residual!r}")
     if space.n > 1 and residual > EMBED_RESIDUAL_REL * space.diameter:
         print(

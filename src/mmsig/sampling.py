@@ -5,7 +5,8 @@ Sampling is inverse-CDF on the cumulative weight vector driven by a Philox
 counter-based generator, so trajectories are reproducible bit-for-bit across
 platforms given the seed. Countable measures (geometric, super-geometric,
 class-biased) are materialized down to a relative tail below 1e-18, beyond
-the resolution of double-precision uniforms.
+the resolution of double-precision uniforms. A sample order is drawn and
+searched ``_CHUNK`` uniforms at a time, keeping only its distinct points.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .spaces import _MASK64, FiniteMetricSpace, _frozen, _integer, _philox, s_ma
 
 _TAIL = 1e-18
 _SUPPORT_MAX = 10**6  # the most points a countable measure materializes
+_CHUNK = 1 << 16  # uniforms drawn and searched at a time
 
 
 def _geometric_weights(q: float, name: str) -> np.ndarray:
@@ -57,7 +59,7 @@ class DiscreteMeasure:
 
     def cumulative(self) -> np.ndarray:
         cum = np.cumsum(self.weights)
-        cum[-1] = 1.0  # guard searchsorted against trailing roundoff
+        cum[np.flatnonzero(self.weights)[-1]:] = 1.0  # no roundoff reaches a trailing zero
         return cum
 
     @classmethod
@@ -174,6 +176,40 @@ def load_measure(path, n: int | None = None) -> DiscreteMeasure:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
+def _draws(measure: DiscreteMeasure, m: int, seed: int):
+    """The m draws of ``gv_sample`` as chunks of ``_CHUNK`` uniforms from one
+    Philox stream, searched in increasing order: each chunk is its points,
+    nondecreasing, and their positions in the sample."""
+    if m < 0:
+        raise InvalidInput("sample size must be nonnegative")
+    rng, cum = _philox(seed), measure.cumulative()
+
+    def chunk(start):
+        u = rng.random(min(_CHUNK, m - start))
+        by_u = np.argsort(u)
+        return np.searchsorted(cum, u[by_u], side="right"), by_u + start
+
+    return map(chunk, range(0, m, _CHUNK))
+
+
+def _first_appearances(chunks) -> tuple:
+    """``(dedup, first_draws)`` of a sample given in order as chunks of (points,
+    nondecreasing, and their positions): the distinct points in order of first
+    appearance and those appearances' positions. Only points seen are kept."""
+    seen = np.empty(0, np.int64)  # increasing
+    dedup, first_draws = [seen], [seen]
+    for points, positions in chunks:
+        runs = np.flatnonzero(np.diff(points, prepend=points[:1] - 1))  # runs of equal points
+        distinct, first = points[runs], np.minimum.reduceat(positions, runs)
+        at = np.searchsorted(seen, distinct)
+        new = np.flatnonzero(np.searchsorted(seen, distinct, side="right") == at)
+        seen = np.insert(seen, at[new], distinct[new])
+        new = new[np.argsort(first[new])]
+        dedup.append(distinct[new])
+        first_draws.append(first[new])
+    return np.concatenate(dedup), np.concatenate(first_draws)
+
+
 @dataclass(frozen=True)
 class SampleTrajectory:
     """An i.i.d. sample of point indices plus its repetition-cancelled form.
@@ -182,7 +218,8 @@ class SampleTrajectory:
     appearance, mirroring the sampling scheme without repetitions;
     ``first_draws`` holds the increasing positions in ``raw`` of those first
     occurrences, so the dedup of ``raw[:m]`` is
-    ``dedup[:searchsorted(first_draws, m)]``.
+    ``dedup[:searchsorted(first_draws, m)]``. ``sample_order`` computes the
+    same ``dedup`` without holding ``raw``.
     """
 
     seed: int
@@ -194,8 +231,9 @@ class SampleTrajectory:
         # ``raw`` may share the caller's memory, so it is a frozen copy; the
         # other two are built here, so they are frozen in place.
         raw = _frozen(np.asarray(self.raw, dtype=np.int64))
-        first = np.sort(np.unique(raw, return_index=True)[1])
-        for name, a in (("raw", raw), ("first_draws", first), ("dedup", raw[first])):
+        by = np.argsort(raw)
+        dedup, first = _first_appearances([(raw[by], by)])
+        for name, a in (("raw", raw), ("first_draws", first), ("dedup", dedup)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -206,18 +244,18 @@ class SampleTrajectory:
 
 def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
     """Draw m i.i.d. indices from the measure, deterministic in the seed."""
-    if m < 0:
-        raise InvalidInput("sample size must be nonnegative")
-    rng = _philox(seed)
-    u = rng.random(m)
-    raw = np.searchsorted(measure.cumulative(), u, side="right")
+    chunks = _draws(measure, m, seed)
+    raw = np.empty(m, np.int64)
+    for points, positions in chunks:
+        raw[positions] = points
     return SampleTrajectory(seed=seed, raw=raw)
 
 
 def sample_order(measure: DiscreteMeasure, m: int, seed: int) -> np.ndarray:
     """The nesting order of a sampled trajectory: the distinct indices of m
-    draws in order of first appearance (``gv_sample(...).dedup``), never empty."""
-    order = gv_sample(measure, m, seed).dedup
+    draws in order of first appearance (``gv_sample(...).dedup``), never
+    empty. The draws are searched a chunk at a time and not kept."""
+    order = _first_appearances(_draws(measure, m, seed))[0]
     if order.size == 0:
         raise InvalidInput("empty sample; increase m_max")
     return order

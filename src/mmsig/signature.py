@@ -193,18 +193,21 @@ def classify_embeddability(
 # Serialization
 
 
-def embedding_to_json(embedding: PseudoEuclideanPointSet, provenance: dict | None = None) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, whose indent means the
-    pure-Python encoder, with the points rows encoded by the C encoder."""
+def embedding_to_json(embedding: PseudoEuclideanPointSet, provenance: dict | None = None):
+    """Yields ``json.dumps(doc, sort_keys=True, indent=2)`` in pieces, one per
+    row of points, so no copy of the whole document is held. The indent
+    means the pure-Python encoder, so the rows are encoded by the C one."""
     doc = {"n_neg": embedding.n_neg, "n_pos": embedding.n_pos, "points": None}
     if provenance:
         doc.update(provenance)
-    head = json.dumps(doc, sort_keys=True, indent=2)
+    head, _, tail = json.dumps(doc, sort_keys=True, indent=2).partition('\n  "points": null')
+    yield head + '\n  "points": '
     row = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-    rows = [f"[\n      {text[1:-1]}\n    ]" if len(text) > 2 else text
-            for text in map(row, embedding.points.tolist())]
-    points = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
-    return head.replace('\n  "points": null', f'\n  "points": {points}', 1)
+    for i, coords in enumerate(embedding.points):
+        text = row(coords.tolist())
+        text = f"[\n      {text[1:-1]}\n    ]" if len(text) > 2 else text
+        yield ("," if i else "[") + "\n    " + text
+    yield ("[]" if embedding.n == 0 else "\n  ]") + tail
 
 
 def write_trajectory_csv(traj: SignatureTrajectory, path, comment: str | None = None):

@@ -22,7 +22,7 @@ from .errors import InvalidInput
 from .linalg import (
     DEFAULT_TOL_REL, Inertia, _check_tol_rel, _eigenvalues, as_sym_matrix, pinned_map, spectrum_inertia,
 )
-from .sampling import DiscreteMeasure, gv_sample, trial_seed
+from .sampling import DiscreteMeasure, _draws, _first_appearances, trial_seed
 from .signature import limit_signature_trajectory
 from .spaces import _write_csv
 
@@ -135,10 +135,10 @@ def rado_ratio_experiment(
     one zero band; checkpoints that add no new point share a count.
     """
     checkpoints = default_checkpoints(m_max)
-    traj = gv_sample(measure, m_max, seed)
-    sizes = tuple(int(k) for k in np.searchsorted(traj.first_draws, checkpoints))
+    dedup, first_draws = _first_appearances(_draws(measure, m_max, seed))
+    sizes = tuple(int(k) for k in np.searchsorted(first_draws, checkpoints))
     distinct = sorted(set(sizes))
-    counted = limit_signature_trajectory(model, traj.dedup, sizes=distinct, tol_rel=tol_rel)
+    counted = limit_signature_trajectory(model, dedup, sizes=distinct, tol_rel=tol_rel)
     by_size = dict(zip(distinct, counted.inertias))
     inertias = tuple(by_size[k] for k in sizes)
     return RatioTrajectory(seed=seed, m_values=checkpoints, dedup_sizes=sizes, inertias=inertias)

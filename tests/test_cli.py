@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
 from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence
 from mmsig.sampling import DiscreteMeasure, gv_sample
+from mmsig.signature import embedding_to_json, mds_embed
 from mmsig.spaces import (
-    from_euclidean_points, named_example, read_distance_csv, write_distance_csv,
+    from_distance_matrix, from_euclidean_points, named_example, read_distance_csv,
+    write_distance_csv,
 )
 
 
@@ -191,6 +194,42 @@ class TestEmbed:
         monkeypatch.setattr(spaces, "_pairwise_sq_diffs", lambda P: calls.append(P) or real(P))
         assert run(["embed", "--example", "tripod", "--output", tmp_path / "emb.json"]) == 0
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", ["tripod", "one-point", "gate-failure"])
+    def test_stdout_gets_the_bytes_of_the_file(self, case, tmp_path, capsys, monkeypatch):
+        # the document is written a row at a time, to a file or to stdout;
+        # a failed gate exits 1 after the document is written
+        argv, code = ["embed", "--example", "tripod"], 0
+        if case == "one-point":
+            src = tmp_path / "one.csv"
+            src.write_text("p0\n0.0\n")
+            argv = ["embed", "--input", src]
+        elif case == "gate-failure":
+            monkeypatch.setattr(cli, "EMBED_RESIDUAL_REL", 0.0)
+            code = 1
+        out = tmp_path / "emb.json"
+        assert run([*argv, "--output", out]) == code
+        residual = capsys.readouterr().out
+        assert residual.startswith("max residual: ") and residual.count("\n") == 1
+        assert run(argv) == code
+        assert capsys.readouterr().out == out.read_bytes().decode() + residual
+
+    def test_the_document_is_written_a_row_at_a_time(self, tmp_path):
+        # a 300-point {1, 2} embedding took a 9.89 MB tracemalloc peak: four
+        # copies of its 2.47 MB document
+        upper = np.triu(np.random.default_rng(8).random((300, 300)) < 0.5, k=1)
+        one_two = np.where(upper | upper.T, 1.0, 2.0)
+        np.fill_diagonal(one_two, 0.0)
+        embedding = mds_embed(from_distance_matrix(one_two))
+        out = tmp_path / "emb.json"
+        tracemalloc.start()
+        try:
+            cli._emit(embedding_to_json(embedding, {"seed": 5}), out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(out.read_bytes())["points"] == embedding.points.tolist()
+        assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

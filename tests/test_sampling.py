@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,14 @@ from mmsig.sampling import (
     k_matrix,
     load_measure,
     parse_measure_spec,
+    sample_order,
     t_matrix,
     trial_seed,
 )
-from mmsig.spaces import from_euclidean_points, named_example
+from mmsig.spaces import _philox, from_euclidean_points, named_example
 from mmsig.signature import s_matrix
 
-from util_oracles import random_metric_matrix
+from util_oracles import first_appearances_by_unique, random_metric_matrix
 
 
 class TestDiscreteMeasure:
@@ -174,9 +176,23 @@ class TestGvSample:
         assert (traj.raw == 3).all()
         assert traj.dedup.tolist() == [3]
 
+    def test_zero_weight_last_point_is_never_drawn(self, monkeypatch):
+        # cumulative() set only its last entry to 1, so every uniform in
+        # [1 - 2^-40, 1) went to the zero-weight last point
+        class Top:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        monkeypatch.setattr(sampling, "_philox", lambda seed: Top())
+        measure = DiscreteMeasure([0.5, 0.5 - 2**-40, 0.0])
+        assert gv_sample(measure, 5, seed=0).raw.tolist() == [1] * 5
+        assert sample_order(measure, 5, seed=0).tolist() == [1]
+
     def test_negative_m_rejected(self):
         with pytest.raises(InvalidInput):
             gv_sample(DiscreteMeasure.uniform(2), -1, seed=0)
+        with pytest.raises(InvalidInput, match="nonnegative"):
+            sample_order(DiscreteMeasure.uniform(2), -1, seed=0)
 
     def test_determinism_bit_for_bit(self):
         m = DiscreteMeasure.geometric(0.7)
@@ -213,6 +229,51 @@ class TestGvSample:
         child = np.random.SeedSequence(5).spawn(4)[3]
         assert trial_seed(5, 3) == int(child.generate_state(1, np.uint64)[0])
         assert trial_seed(-1, 1) == trial_seed(2**64 - 1, 1)
+
+
+class TestChunkedDraws:
+    # the draws are searched and deduplicated a chunk at a time; the sample
+    # must be one Generator.random call's, deduplicated by np.unique
+
+    MEASURES = [
+        "uniform", "geometric:0.95", "super_geometric", "class_biased:30:0.9",
+        [0.0, 0.25, 0.0, 0.5, 0.25, 0.0],
+    ]
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize(
+        "spec", MEASURES, ids=["uniform", "geometric", "super_geometric", "class_biased", "zeros"]
+    )
+    def test_same_sample_as_one_call(self, spec, chunk, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        c = sampling._CHUNK
+        measure = parse_measure_spec(spec, n=40 if spec == "uniform" else None)
+        for m in (0, 1, c - 1, c, c + 1, 3 * c + 5):
+            for seed in (0, 3, -1):
+                raw = np.searchsorted(measure.cumulative(), _philox(seed).random(m), side="right")
+                dedup, first = first_appearances_by_unique(raw)
+                sample = gv_sample(measure, m, seed)
+                assert np.array_equal(sample.raw, raw)
+                assert np.array_equal(sample.dedup, dedup)
+                assert np.array_equal(sample.first_draws, first)
+                if m:
+                    assert np.array_equal(sample_order(measure, m, seed), dedup)
+                else:
+                    with pytest.raises(InvalidInput, match="empty sample"):
+                        sample_order(measure, m, seed)
+
+    def test_a_sample_order_holds_no_draws(self):
+        # 3e6 draws held whole took a 150 MB tracemalloc peak
+        measure = DiscreteMeasure.class_biased(30, 0.9)
+        tracemalloc.start()
+        try:
+            order = sample_order(measure, 3_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert order.size == 2883
+        assert peak < 10_000_000
 
 
 class TestDedupInvariance:

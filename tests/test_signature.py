@@ -402,7 +402,7 @@ class TestEmbedClassifyConsistency:
 
     def test_embedding_json_round_trip(self):
         emb = mds_embed(named_example("tripod"))
-        text = embedding_to_json(emb, provenance={"seed": 0})
+        text = "".join(embedding_to_json(emb, provenance={"seed": 0}))
         doc = json.loads(text)
         assert (doc["n_neg"], doc["n_pos"]) == (emb.n_neg, emb.n_pos) == (1, 2)
         assert np.array_equal(np.array(doc["points"]), emb.points)
@@ -429,7 +429,7 @@ class TestEmbedClassifyConsistency:
         embeddings.append(PseudoEuclideanPointSet(1, 1, np.zeros((0, 2))))  # no points
         assert embeddings[-2].points.shape == (1, 0)
         for emb in embeddings:
-            assert embedding_to_json(emb, provenance) == embedding_json_by_indent(emb, provenance)
+            assert "".join(embedding_to_json(emb, provenance)) == embedding_json_by_indent(emb, provenance)
 
 
 class TestSphereOperatorOracle:

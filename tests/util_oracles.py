@@ -349,6 +349,14 @@ def hop_distances_by_bfs(graph):
     return D
 
 
+def first_appearances_by_unique(raw):
+    """``(dedup, first_draws)`` of a whole sample by ``np.unique``: the
+    distinct points in order of first appearance and their first positions."""
+    raw = np.asarray(raw, dtype=np.int64)
+    first = np.sort(np.unique(raw, return_index=True)[1])
+    return raw[first], first
+
+
 def embedding_json_by_indent(embedding, provenance=None):
     """The embedding document through json's indenting encoder."""
     doc = {
