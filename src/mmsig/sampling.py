@@ -244,7 +244,7 @@ class SampleTrajectory:
 
 def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
     """Draw m i.i.d. indices from the measure, deterministic in the seed."""
-    chunks = _draws(measure, m, seed)
+    chunks = _draws(measure, m, seed)  # refuses m < 0 before the allocation
     raw = np.empty(m, np.int64)
     for points, positions in chunks:
         raw[positions] = points
