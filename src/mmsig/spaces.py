@@ -13,7 +13,6 @@ import contextlib
 import csv
 import itertools
 import sys
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -283,40 +282,64 @@ def _labels(labels, n: int) -> tuple:
     return tuple(labels)
 
 
-def _hops_from(adj, src, dist):
-    """``dist`` (-1 where unseen) filled with hop counts from ``src`` over ``adj``."""
-    dist[src] = 0
-    frontier, level = [src], 0
-    while frontier:
-        level += 1
-        prev, frontier = frontier, []
-        for u in prev:
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = level
-                    frontier.append(v)
-    return dist
+def _levels(nbr, starts, frontier):
+    """Yield, level by level, the bits that a breadth-first search newly sets
+    in ``frontier`` (vertices x words, updated in place): bit s of row v is set
+    at the level where the search from source s first reaches v. Vertex v has
+    the neighbours ``nbr[starts[v]:starts[v + 1]]``, at least one."""
+    unseen = ~frontier
+    gathered = np.empty((len(nbr), frontier.shape[1]), frontier.dtype)
+    pulled = np.empty_like(frontier)
+    while True:
+        np.take(frontier, nbr, axis=0, out=gathered)
+        np.bitwise_or.reduceat(gathered, starts, axis=0, out=pulled)
+        np.bitwise_and(pulled, unseen, out=frontier)
+        if not frontier.any():
+            return
+        unseen ^= frontier
+        yield frontier
 
 
 def from_graph(g: Graph) -> FiniteMetricSpace:
-    """Hop-count (breadth-first) metric of a connected graph. A disconnected
-    one raises InvalidInput from one search from vertex 0, in O(edges) memory."""
-    adj = defaultdict(list)
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    reached = _hops_from(adj, 0, defaultdict(lambda: -1))
-    if len(reached) < g.n:  # (0, j) is the first unreachable pair in row-major order
-        j = next(j for j in itertools.count() if j not in reached)
+    """Hop-count metric of a connected graph by one breadth-first search from
+    every source at once, 64 sources to a word (Then et al., PVLDB 8(4),
+    2014): about diameter x edges x n/64 word operations, and no more memory
+    than D plus O(n^2) bytes. A disconnected graph raises InvalidInput from
+    one search from vertex 0 over the vertices that have edges, in O(edges)
+    memory, before any array of order n."""
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.int64, 2 * len(g.edges))
+    arcs = np.concatenate([ends.reshape(-1, 2), ends.reshape(-1, 2)[:, ::-1]])
+    to, nbr = arcs[np.argsort(arcs[:, 0])].T  # each edge both ways, by endpoint
+    starts = np.flatnonzero(np.diff(to, prepend=-1))
+    verts = to[starts]
+    nbr = np.searchsorted(verts, nbr)
+    seen = (verts == 0)[:, None].astype(np.uint64)
+    for new in _levels(nbr, starts, seen.copy()):
+        seen |= new
+    reached = {0, *verts[seen[:, 0] != 0].tolist()}
+    j = next(j for j in itertools.count() if j not in reached)
+    if j < g.n:  # (0, j) is the first unreachable pair in row-major order
         raise InvalidInput(f"no path between vertices 0 and {j}")
-    adj = [adj[v] for v in range(g.n)]  # a list: about 10% faster than the dict here
-    D = np.empty((g.n, g.n))
-    for src in range(g.n):
-        D[src] = _hops_from(adj, src, [-1] * g.n)
+    # Connected, so verts is range(n), or empty for one vertex. Little-endian
+    # words, so that their bytes unpack in source order.
+    v = np.arange(len(verts), dtype=np.uint64)
+    frontier = np.zeros((v.size, -(-v.size // 64)), np.dtype("<u8"))
+    frontier[v, v // 64] = np.uint64(1) << v % 64
+    planes = []  # planes[b][v] holds the sources whose hop count to v has bit b
+    for level, new in enumerate(_levels(nbr, starts, frontier), start=1):
+        if level == 1 << len(planes):
+            planes.append(np.zeros_like(new))
+        for b, plane in enumerate(planes):
+            if level >> b & 1:
+                plane |= new
+    hops = np.zeros((g.n, g.n), np.min_scalar_type((1 << len(planes)) - 1))
+    for plane in reversed(planes):
+        hops <<= 1
+        hops |= np.unpackbits(plane.view(np.uint8), axis=1, count=g.n, bitorder="little")
     # A connected graph's hop metric is a metric by construction: symmetric,
     # hollow, positive off the diagonal, and a shortest-path length obeys the
     # triangle inequality. So it skips validation, the O(n^3) scan included.
-    return FiniteMetricSpace(D, _default_labels(g.n, "v"))
+    return FiniteMetricSpace(hops, _default_labels(g.n, "v"))
 
 
 def from_euclidean_points(pts, labels=None) -> FiniteMetricSpace:

@@ -219,18 +219,20 @@ class TestFromGraph:
 
     def test_disconnected_far_vertex_is_refused_in_edge_count_memory(self, tmp_path):
         # the check ran after an n x n matrix and n searches: 1.3 s and a
-        # 215 MB tracemalloc peak for the vertex 4999 of a two-line file
-        path = tmp_path / "far.edges"
-        path.write_text("0 1\n0 4999\n")
-        g = read_edge_list(path)
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidInput, match=r"^no path between vertices 0 and 2$"):
-                from_graph(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        # 215 MB tracemalloc peak for the vertex 4999 of a two-line file. A
+        # vertex 10^12 refuses any array of order n before the refusal.
+        for far in (4999, 10**12):
+            path = tmp_path / "far.edges"
+            path.write_text(f"0 1\n0 {far}\n")
+            g = read_edge_list(path)
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidInput, match=r"^no path between vertices 0 and 2$"):
+                    from_graph(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4_000_000
 
     def test_matches_per_entry_bfs(self):
         # random graphs, half of them given a spanning path; a disconnected
@@ -244,18 +246,54 @@ class TestFromGraph:
             if trial % 2:
                 order = rng.permutation(n).tolist()
                 edges |= {(min(u, v), max(u, v)) for u, v in zip(order, order[1:])}
-            g = Graph(n, frozenset(edges))
-            ref = hop_distances_by_bfs(g)
-            if (ref < 0).any():
-                i, j = np.unravel_index(int(np.argmin(ref)), ref.shape)
-                with pytest.raises(InvalidInput) as exc:
-                    from_graph(g)
-                assert str(exc.value) == f"no path between vertices {i} and {j}"
-                outcomes.add("disconnected")
-            else:
-                assert np.array_equal(from_graph(g).dist, ref)
-                outcomes.add("connected")
+            outcomes.add(self._against_bfs(Graph(n, frozenset(edges))))
         assert outcomes == {"connected", "disconnected"}
+
+    @staticmethod
+    def _against_bfs(g):
+        """Check ``from_graph`` against one search per source: the same hop
+        counts bit for bit, or the refusal naming the first unreachable pair
+        in row-major order. Return which of the two it was."""
+        ref = hop_distances_by_bfs(g)
+        if (ref < 0).any():
+            i, j = np.unravel_index(int(np.argmin(ref)), ref.shape)
+            with pytest.raises(InvalidInput) as exc:
+                from_graph(g)
+            assert str(exc.value) == f"no path between vertices {i} and {j}"
+            return "disconnected"
+        assert np.array_equal(from_graph(g).dist, ref)
+        return "connected"
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 200])
+    @pytest.mark.parametrize(
+        "p, walk",
+        [(0.0, "path"), (0.0, "cycle"), (0.02, None), (0.02, "path"), (0.1, "path"), (0.5, None)],
+    )
+    def test_matches_bfs_across_word_boundaries(self, n, p, walk):
+        # 64 sources share a word: orders on both sides of one and two words,
+        # sparse to dense, and a path and a cycle of diameters n - 1 and n / 2
+        # through randomly labelled vertices
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < p, k=1)
+        edges = set(zip(*(idx.tolist() for idx in np.nonzero(upper))))
+        order = rng.permutation(n).tolist()
+        if walk:
+            stops = order + order[:1] if walk == "cycle" else order
+            edges |= {(min(u, v), max(u, v)) for u, v in zip(stops, stops[1:])}
+        self._against_bfs(Graph(n, frozenset(edges)))
+
+    def test_disconnected_past_the_first_word(self):
+        # vertex 70 lies with 100..149 in a second component, so the first
+        # unreachable pair is (0, 70), in the second word of vertex 0's bits
+        rng = np.random.default_rng(70)
+        edges = set()
+        for part in ([v for v in range(100) if v != 70], [70, *range(100, 150)]):
+            order = rng.permutation(part).tolist()
+            edges |= {(min(u, v), max(u, v)) for u, v in zip(order, order[1:])}
+        g = Graph(150, frozenset(edges))
+        assert self._against_bfs(g) == "disconnected"
+        with pytest.raises(InvalidInput, match=r"^no path between vertices 0 and 70$"):
+            from_graph(g)
 
     def test_union_example_as_graph(self):
         # two tripods and one 3-point clique, cross distance 1 realized by
