@@ -293,13 +293,6 @@ def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     return spectrum_inertia(_eigenvalues(as_sym_matrix(a)), tol_rel)
 
 
-def _clear_of(vals: np.ndarray, bound: float) -> bool:
-    """Whether 1/||A^{-1}||_F, from A's eigenvalues, exceeds ``bound``."""
-    mags = np.abs(vals)
-    lo = mags.min()  # a divisor that keeps every term <= 1: no |lambda|^-2 overflows
-    return bool(lo > bound and lo / np.sqrt(np.sum((lo / mags) ** 2)) > bound)
-
-
 def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, base: Inertia):
     """Step from ``inv[:a, :a]`` and ``base``, the inverse and inertia of A_a
     = ``A[:a, :a]``, to those of A_k through C = A_k / A_a, for k - a >= 1.
@@ -309,22 +302,33 @@ def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, ba
     count of negative eigenvalues with A_k's inertia, ``base`` plus C's
     (Haynsworth); else return None and leave ``inv`` as it was: the norm is
     taken before any block is written. A k past the order of ``inv`` writes
-    nothing."""
+    nothing. Where the plain sum of the squares of A_k^{-1}'s entries under-
+    or overflows, the certificate is ``||bound A_k^{-1}||_F < 1`` instead."""
     V = inv[:a, :a]
     B = A[:a, a:k]
     X = V @ B
     C = A[a:k, a:k] - B.T @ X
-    # C^{-1} is a block of A_k^{-1}, so a C this close to singular fails too
     vals, vecs = eig_sym(0.5 * (C + C.T))
-    if not _clear_of(vals, bound):
+    # C^{-1} is a block of A_k^{-1}, so a C this close to singular fails too:
+    # 1/||C^{-1}||_F from C's eigenvalues, with the least as a divisor that
+    # keeps every term <= 1, so that no |lambda|^-2 overflows
+    mags = np.abs(vals)
+    lo = mags.min()
+    if not (lo > bound and lo / np.sqrt(np.sum((lo / mags) ** 2)) > bound):
         return None
     c_inv = (vecs / vals) @ vecs.T
     Y = X @ c_inv
     lead = Y @ X.T
     lead += V
     # the blocks of A_k^{-1} are V + Y X^T, -Y, -Y^T and C^{-1}
-    norm2_k = np.vdot(lead, lead) + 2.0 * np.vdot(Y, Y) + np.vdot(c_inv, c_inv)
-    if not np.sqrt(norm2_k) * bound < 1.0:
+    parts = ((1.0, lead), (2.0, Y), (1.0, c_inv))
+    with np.errstate(over="ignore"):
+        norm2_k = sum(w * np.vdot(M, M) for w, M in parts)
+        if 2.0 ** -900 < norm2_k < math.inf:
+            clear = np.sqrt(norm2_k) * bound < 1.0
+        else:  # a square under- or overflowed: the norm in units of 1/bound
+            clear = sum(w * np.vdot(bound * M, bound * M) for w, M in parts) < 1.0
+    if not clear:
         return None
     if k <= len(inv):
         V[...] = lead
@@ -537,22 +541,21 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
       the floor only from a size clear of it, never from a pivot's count, and
       not at all with a floor of 0 (an underflowed max|lambda|);
     - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
-      a, the last size whose inverse is held, when a >= k // 2, since a wider
-      step costs more than an eigensolve of order k. The first size steps
-      from the empty block when the next size is a step from it. A step that
-      fails its certificate keeps the anchor, and the next size steps from it
-      again. A certified count is the same for every theta below the bound;
+      a, the last size a step certified (0 at first, the empty block), when
+      a >= k // 2, since a wider step costs more than an eigensolve of order
+      k; or, however wide, when the next size, outside a run, would step
+      from k but not from a, so that k, once certified, is the anchor, until
+      one such wide step from a fails. A failed step keeps the anchor. A
+      certified count is the same for every theta below the bound;
     - by an eigensolve otherwise.
 
-    A size counted without a step becomes the anchor when the next size is a
-    step from it, outside a run, but not from the anchor, and its inverse,
-    from ``np.linalg.inv``, passes the certificate. No step is tried where an
-    eigenvalue must lie in the band: the last counted size j held more in it
-    than k - j, and each added row moves at most one out. The chain reads
-    dense leading blocks only. From ``CliqueBlocks`` they are written when
-    the chain first needs one, at the largest size that does not take the
-    pivot, and again at a larger size whose pivot is refused; the chain's
-    inverse is held at the largest size below N it counts.
+    No step is tried with a floor of 0, nor where an eigenvalue must lie in
+    the band: the last counted size j held more in it than k - j, and each
+    added row moves at most one out. The chain reads dense leading blocks
+    only. From ``CliqueBlocks`` they are written when the chain first needs
+    one, at the largest size that does not take the pivot, and again at a
+    larger size whose pivot is refused; the chain's inverse is held at the
+    largest size below N it counts.
     """
     _check_tol_rel(tol_rel)
     blocks = a if isinstance(a, CliqueBlocks) else None
@@ -597,13 +600,14 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     # zeros keep the columns past the anchor finite; a step to N writes nothing
     inv = np.zeros((max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
     base = Inertia(0, 0, 0, theta)  # the anchor's counts
+    stuck = None  # an anchor a wide step failed from: a retry seldom passes, and costs more than an eigensolve
     out, queue = [], []  # queue: a block's counts of the sizes ahead, then None if it refused one
     opens = True  # whether a block may start from the last counted size
     for i, (k, after, c, pivots) in enumerate(zip(counted, counted[1:] + [None], in_clique, offered)):
         anchor = base.n
-        wants_anchor = after is not None and not in_run[i + 1] and anchor < after // 2 <= k
+        wants_anchor = after is not None and not in_run[i + 1] and anchor < after // 2 <= k and anchor != stuck
         in_band = out and out[-1].s_zero > k - out[-1].n
-        steps = not in_band and (anchor >= k // 2 or wants_anchor and not out)
+        steps = floor > 0 and not in_band and (anchor >= k // 2 or wants_anchor)
         if pivots:
             pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta)
             if pivot is not None:
@@ -627,22 +631,15 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
                 out.append(base)
                 opens = True  # certified: no eigenvalue within the bound, at least the floor, of 0
                 continue
+            if anchor < k // 2:  # a wide step
+                stuck = anchor
         if ine is None:
             vals = _eigenvalues(lead(k))
             ine = _band_counts(vals, theta)
-            wants_anchor = wants_anchor and _clear_of(vals, bound)
             opens = theta >= floor or np.abs(vals).min() > floor
         else:  # a block keeps a size below the floor only where it is clear of it
             opens = True
         out.append(ine)
-        if wants_anchor and ine.s_zero == 0:
-            try:
-                k_inv = np.linalg.inv(lead(k))
-            except np.linalg.LinAlgError:  # singular in floating point, as at subnormal scales
-                continue
-            if np.linalg.norm(k_inv) * bound < 1.0:  # the steps' certificate
-                inv[:k, :k] = k_inv
-                base = ine
     return out if top is None else out + [_band_counts(top, theta)]
 
 

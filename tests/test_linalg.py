@@ -256,7 +256,7 @@ class TestPrefixInertias:
     # each family's run blocks, its first two steps' sizes and its certified
     # steps' sizes on the gapped sizes
     GAPPED = {
-        "weak_direction": ([(2, 5, 3)], [7, 10], []),
+        "weak_direction": ([(2, 5, 3)], [7], []),
         "planar_points": ([], [2, 3], [2, 3]),
         "sphere": ([], [2, 4], [2, 4, 6, 9]),
     }
@@ -278,9 +278,10 @@ class TestPrefixInertias:
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         # weak_direction's sizes 3 to 5 are a run, which a block counts at any
-        # tolerance; its last size anchors the steps after it, which fail.
-        # Elsewhere the first sizes are steps, and some steps add a certified
-        # block of several orders at once
+        # tolerance; the wide step from the empty block to 7 fails, and no
+        # wide step is tried from that anchor again. Elsewhere the first
+        # sizes are steps, and some steps add a certified block of several
+        # orders at once
         assert blocks == run and [k for _, k, _ in steps[:2]] == stepped
         assert [k for _, k, ok in steps if ok] == certified
 
@@ -297,7 +298,7 @@ class TestPrefixInertias:
         # 12 and 60 are too wide a step from the last certified block
         assert orders == [6, 12, len(S)]
 
-    def test_a_block_wider_than_its_anchor_is_eigensolved(self, monkeypatch):
+    def test_a_size_the_next_steps_from_is_a_wide_step(self, monkeypatch):
         S = _model_s()
         N = len(S)
         sizes = [2, N - 1, N]
@@ -305,8 +306,43 @@ class TestPrefixInertias:
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        # N - 1 anchors the step to N, which needs no eigensolve
-        assert steps == [(N - 1, N, True)] and orders == [2, N - 1]
+        # 2 is eigensolved; N - 1, which the step to N starts from, is one
+        # step from the empty block, since 2 was never an anchor; the step
+        # to N needs no eigensolve
+        assert steps == [(0, N - 1, True), (N - 1, N, True)] and orders == [2]
+
+    def test_a_ratio_trial_takes_no_inverse(self, monkeypatch):
+        # the checkpoints 112 and 314 of this clique-free trial are too far
+        # from the anchor for a step to pay, but the next checkpoint steps
+        # from each: they are counted by wide steps (32 -> 112, 112 -> 314),
+        # and no block is inverted
+        inverses = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or real(a))
+        model = CountableRadoModel(0.5, 1)
+        measure = DiscreteMeasure.geometric(0.995)
+        traj = rado_ratio_experiment(model, measure, 3000, seed=trial_seed(1, 3))
+        assert inverses == []
+        S = model.s_matrix_on(gv_sample(measure, 3000, trial_seed(1, 3)).dedup)
+        assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
+
+    @pytest.mark.parametrize("power", [-500, -300, 300, 500])
+    @pytest.mark.parametrize("family", ["tripod_extended", "sphere"])
+    def test_steps_count_alike_at_any_scale(self, family, power):
+        # distances times 2^power put the squares of the inverse's entries
+        # past the float range, where the certificate's plain sum of squares
+        # would overflow (a RuntimeWarning, an error here) or underflow and
+        # pass a sphere step wrongly
+        space = {
+            "tripod_extended": lambda: named_example("tripod_extended", n=30),
+            "sphere": lambda: named_example("sphere", dim=2, n=60, seed=3),
+        }[family]()
+        N = len(space.dist)
+        scaled = from_distance_matrix(space.dist * 2.0 ** power)
+        for sizes in (list(range(2, N + 1, 3)), [4, 8, 16, N]):
+            want = limit_signature_trajectory(space, range(N), sizes).inertias
+            got = limit_signature_trajectory(scaled, range(N), sizes).inertias
+            assert [i.counts() for i in got] == [i.counts() for i in want]
 
     @pytest.mark.parametrize("sizes", [[2, 4], []])
     def test_inverse_buffer_stops_below_the_largest_size(self, sizes):
