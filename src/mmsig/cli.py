@@ -53,8 +53,8 @@ from .spaces import (
 )
 from .spectral import (
     _check_thresholds,
+    _esd_and_inertia,
     delta_ratio,
-    esd_and_inertia,
     ks_to_semicircle,
     rado_ratio_trials,
     ratio_summary,
@@ -251,13 +251,14 @@ def cmd_rado(args) -> int:
     if args.N < 1:
         raise InvalidInput("the spectral run needs --N >= 1")
     S = model.s_matrix_on(np.arange(args.N))
-    e, ine = esd_and_inertia(S, args.tol)
+    edges = int(np.count_nonzero(S == -0.5)) // 2
+    e, ine = _esd_and_inertia(S, args.tol, overwrite=True)
     sigma = 1.5 * math.sqrt(args.p * (1.0 - args.p))
     ks = ks_to_semicircle(e, sigma)
     write_esd_csv(e, f"{prefix}_esd.csv", comment=_provenance_comment(args))
     doc = {
         "N": args.N,
-        "edges": int(np.count_nonzero(S == -0.5)) // 2,
+        "edges": edges,
         "sigma": sigma,
         "ks_to_semicircle": ks,
         "inertia": list(ine.counts()),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
 from .linalg import (
-    DEFAULT_TOL_REL, CliqueBlocks, _check_tol_rel, _eigenvalues, double_center, inertia, spectrum_inertia,
+    DEFAULT_TOL_REL, CliqueBlocks, _check_tol_rel, _eigenvalues, _inertia, double_center, spectrum_inertia,
 )
 from .spaces import (
     _MASK64, FiniteMetricSpace, _distances, _integer, _min_strict_slack, _pairwise_sq_diffs, _philox,
@@ -69,7 +69,7 @@ def _perturb_with_eps(space, seed, tol_rel):
     S = s_matrix(space)
     T = double_center(S)
     _check_tol_rel(tol_rel)
-    vals = _eigenvalues(T)
+    vals = _eigenvalues(T, overwrite=True)
     ine = spectrum_inertia(vals, tol_rel)
     theta, s_plus = ine.tol, ine.s_plus
     target_minus = n - 1 - s_plus
@@ -121,7 +121,7 @@ def _perturb_with_eps(space, seed, tol_rel):
             continue
         # symmetric, hollow, positive and strictly triangular: skips validation
         out = FiniteMetricSpace(D_eps, space.labels)
-        ine = inertia(double_center(s_matrix(out)), tol_rel)
+        ine = _inertia(double_center(s_matrix(out)), tol_rel, overwrite=True)
         if ine.s_plus == s_plus and ine.s_minus == target_minus:
             return out, eps
         eps *= 0.5
@@ -360,7 +360,8 @@ class CountableRadoModel:
         pairs at 1, distinct non-adjacent at 2, repeated indices at 0. Zeros
         are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0."""
         idx = np.asarray(indices, dtype=np.int64)
-        S = self.adjacency_block(idx) * 1.5 - 2.0  # -1/2 on edges, -2 off: np.where is slower
+        S = self.adjacency_block(idx) * 1.5
+        S -= 2.0  # -1/2 on edges, -2 off, in S's one buffer: np.where is slower
         S[idx[:, None] == idx[None, :]] = 0.0
         return S
 

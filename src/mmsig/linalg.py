@@ -26,7 +26,8 @@ certified, updates the inverse the next step starts from;
 edge from leading slices of the blocks, of the order of the points outside
 the clique, and updates nothing.
 ``pinned_map`` is the one place that runs threads and controls BLAS
-threading.
+threading, ``_openblas`` the one that binds OpenBLAS. No public function
+writes to an array its caller passed (see ``_eigenvalues``' ``overwrite``).
 """
 
 from __future__ import annotations
@@ -149,12 +150,31 @@ def eig_sym(a) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs)
 
 
-def _eigenvalues(A: np.ndarray) -> np.ndarray:
+def _eigenvalues(A: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Eigenvalues-only path of the same LAPACK solver family, of a matrix
     that has passed ``as_sym_matrix``, a leading block of one, or a
-    complement formed from blocks of a validated matrix and symmetrized."""
+    complement formed from blocks of a validated matrix and symmetrized.
+    With ``overwrite`` the caller built ``A`` for this solve alone: a
+    C-contiguous float64 ``A`` is then solved on its own buffer, left
+    overwritten, by ``_openblas``'s dsyevd with the workspace LAPACK's query
+    asks for, as numpy sizes it. The bits are those of ``np.linalg.eigvalsh``,
+    which copies ``A`` and solves every other call."""
+    owned = overwrite and A.dtype == np.float64 and A.flags.carray and A.shape == (len(A),) * 2
+    lapack = owned and (_openblas() or (None,) * 3)[2]
     try:
-        return np.linalg.eigvalsh(A)
+        if not lapack:
+            return np.linalg.eigvalsh(A)
+        n, lwork, liwork, info = (ctypes.c_int64(v) for v in (len(A), -1, -1, 0))
+        w, work, iwork = np.empty(len(A)), np.empty(1), np.empty(1, np.int64)
+        # jobz N, uplo L: the C-order buffer holds A^T, which is A. The first
+        # call, at lwork = liwork = -1, is the workspace query.
+        lapack(b"N", b"L", n, A.ctypes, n, w.ctypes, work.ctypes, lwork, iwork.ctypes, liwork, info)
+        lwork.value, liwork.value = int(work[0]), int(iwork[0])
+        work, iwork = np.empty(lwork.value), np.empty(liwork.value, np.int64)
+        lapack(b"N", b"L", n, A.ctypes, n, w.ctypes, work.ctypes, lwork, iwork.ctypes, liwork, info)
+        if info.value:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")  # numpy's words
+        return w
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(
             f"eigensolver failed for matrix of order {A.shape[0]}: {exc}"
@@ -162,10 +182,12 @@ def _eigenvalues(A: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _openblas_thread_api():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    loaded, found once through ``/proc/self/maps``; None when no OpenBLAS is
-    mapped (MKL, Accelerate, no ``/proc``) or it lacks both symbol pairs."""
+def _openblas():
+    """(get, set, dsyevd) of the OpenBLAS that numpy loaded, found once
+    through ``/proc/self/maps``: its thread-count functions and the ILP64
+    ``scipy_dsyevd_64_`` of numpy's wheel, else None, since an LP64 one
+    (scipy's wheel, a system OpenBLAS) is never bound. None when no OpenBLAS
+    is mapped (MKL, Accelerate, no ``/proc``) or it lacks both pairs."""
     try:
         with open("/proc/self/maps") as fh:
             paths = [line.split()[-1] for line in fh]
@@ -182,7 +204,12 @@ def _openblas_thread_api():
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+                dsyevd = getattr(lib, "scipy_dsyevd_64_", None)
+                if dsyevd is not None:  # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+                    i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+                    dsyevd.argtypes = [ctypes.c_char_p] * 2 + [i64, ptr, i64, ptr, ptr, i64, ptr, i64, i64]
+                    dsyevd.restype = None
+                return get, put, dsyevd
     return None
 
 
@@ -206,7 +233,7 @@ class _BlasPin:
 def pinned_map(fn, items) -> list:
     """``[fn(x) for x in items]``, in order, for a sequence ``items``.
 
-    Where ``_openblas_thread_api`` finds OpenBLAS, ``min(len(items), usable
+    Where ``_openblas`` finds OpenBLAS, ``min(len(items), usable
     CPUs)`` pool workers run the items with OpenBLAS pinned to one thread: a
     pool whose workers each start BLAS threads of their own is slower than
     one thread with threaded BLAS. The pin is process-global, so other BLAS
@@ -216,11 +243,11 @@ def pinned_map(fn, items) -> list:
     one item), the items run serially in the calling thread with threaded
     BLAS.
     """
-    api = _openblas_thread_api()
+    api = _openblas()
     workers = min(len(items), _usable_cpus()) if api is not None else 1
     if workers <= 1:
         return [fn(x) for x in items]
-    get, put = api
+    get, put, _ = api
     with _BlasPin.lock:
         if _BlasPin.depth == 0:
             _BlasPin.saved = get()
@@ -289,8 +316,13 @@ def spectrum_inertia(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
 
 def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """``spectrum_inertia`` of the eigenvalues of a symmetric matrix."""
+    return _inertia(a, tol_rel)
+
+
+def _inertia(a, tol_rel: float, overwrite: bool = False) -> Inertia:
+    """``inertia``; ``overwrite`` as in ``_eigenvalues``."""
     _check_tol_rel(tol_rel)
-    return spectrum_inertia(_eigenvalues(as_sym_matrix(a)), tol_rel)
+    return spectrum_inertia(_eigenvalues(as_sym_matrix(a), overwrite=overwrite), tol_rel)
 
 
 def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, base: Inertia):

@@ -36,8 +36,13 @@ class ESD(NamedTuple):
 
 def esd_and_inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
     """(ESD, inertia) from one eigensolve; the inertia counts the raw eigenvalues."""
+    return _esd_and_inertia(a, tol_rel)
+
+
+def _esd_and_inertia(a, tol_rel: float, overwrite: bool = False) -> tuple:
+    """``esd_and_inertia``; ``overwrite`` as in ``_eigenvalues``."""
     _check_tol_rel(tol_rel)
-    vals = _eigenvalues(as_sym_matrix(a))
+    vals = _eigenvalues(as_sym_matrix(a), overwrite=overwrite)
     return ESD(len(vals), np.sort(vals / math.sqrt(len(vals)))), spectrum_inertia(vals, tol_rel)
 
 

@@ -2,7 +2,11 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from mmsig.spaces import (
     from_distance_matrix, from_euclidean_points, named_example, read_distance_csv,
     write_distance_csv,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -336,7 +343,7 @@ class TestTrajectory:
         # a bordered step fails its certificate
         orders = []
         real = linalg._eigenvalues
-        monkeypatch.setattr(linalg, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
+        monkeypatch.setattr(linalg, "_eigenvalues", lambda a, **kw: orders.append(len(a)) or real(a, **kw))
         out = tmp_path / "traj.csv"
         argv = ["trajectory", "--model-p", 0.5, "--measure", "geometric:0.99", "--m-max", 3000,
                 "--seed", 5, "--output", out]
@@ -350,7 +357,7 @@ class TestTrajectory:
         # every second prefix of about 400: the gaps of 2 are bordered too
         orders = []
         real = linalg._eigenvalues
-        monkeypatch.setattr(linalg, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
+        monkeypatch.setattr(linalg, "_eigenvalues", lambda a, **kw: orders.append(len(a)) or real(a, **kw))
         out = tmp_path / "traj.csv"
         argv = ["trajectory", "--model-p", 0.5, "--measure", "geometric:0.99", "--m-max", 3000,
                 "--seed", 5, "--sizes", "1:3000:2", "--output", out]
@@ -511,7 +518,7 @@ def _record_eigensolves(monkeypatch):
     orders = []
     real = linalg._eigenvalues
     for module in (linalg, spectral):
-        monkeypatch.setattr(module, "_eigenvalues", lambda a: orders.append(len(a)) or real(a))
+        monkeypatch.setattr(module, "_eigenvalues", lambda a, **kw: orders.append(len(a)) or real(a, **kw))
     return orders
 
 
@@ -528,6 +535,60 @@ class TestRado:
         rows = (tmp_path / "run_esd.csv").read_text().strip().splitlines()[2:]
         values = np.array([float(row.split(",")[1]) for row in rows])
         assert values.tobytes() == np.sort(np.linalg.eigvalsh(S) / np.sqrt(120)).tobytes()
+
+    def test_spectral_run_holds_one_matrix(self, tmp_path):
+        # In a fresh process, after a warm-up run, the run of order N raises
+        # the peak RSS by about 1.26 x 8 N^2 bytes: S, solved on its own
+        # buffer, and temporaries of a byte per entry. A copy into eigvalsh
+        # or a float temporary of S's size adds another 8 N^2 (2.17 x). The
+        # peak is the process's VmHWM: ru_maxrss starts from the RSS of the
+        # process that forked it, this test run's.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/self/status to read the peak RSS from")
+        N = 1500
+        code = (
+            "import sys\n"
+            "from mmsig.cli import main\n"
+            "def peak():\n"
+            "    return int(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')))\n"
+            "assert main(['rado', '--p', '0.5', '--N', '50', '--output-prefix', sys.argv[1]]) == 0\n"
+            "before = peak()\n"
+            "assert main(['rado', '--p', '0.5', '--N', sys.argv[2], '--output-prefix', sys.argv[1]]) == 0\n"
+            "print(peak() - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run"), str(N)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        growth = 1024 * int(out.split()[-1]) / (8 * N * N)  # VmHWM is in kB
+        assert growth < 1.6
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [(["rado", "--p", 0.5, "--N", 200, "--seed", 3, "--output-prefix", "run"], ["run_esd.csv", "run_summary.json"]),
+         (["analyze", "--example", "tripod_extended", "--n", 600, "--output", "a.json"], ["a.json"]),
+         (["construct", "perturb", "--input", "in.csv", "--seed", 2, "--output", "p.csv"], ["p.csv"])],
+        ids=["rado", "analyze", "construct-perturb"],
+    )
+    def test_artifacts_without_the_binding(self, argv, outputs, tmp_path, monkeypatch, capsys):
+        # the binding forced absent, every solve copies into eigvalsh: the
+        # same bytes and the same stdout
+        if linalg._openblas() is None or linalg._openblas()[2] is None:
+            pytest.skip("numpy's BLAS has no ILP64 OpenBLAS dsyevd found through /proc/self/maps")
+        pts = np.random.default_rng(3).normal(size=(12, 3))
+        write_distance_csv(from_euclidean_points(pts), tmp_path / "in.csv")
+        monkeypatch.chdir(tmp_path)
+        copies = []
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, **kw: copies.append(len(a)) or real_eigvalsh(a, **kw))
+        runs = []
+        for found in (linalg._openblas(), (*linalg._openblas()[:2], None)):
+            monkeypatch.setattr(linalg, "_openblas", lambda found=found: found)
+            copies.clear()
+            assert run(argv) == 0
+            runs.append(([(tmp_path / name).read_bytes() for name in outputs], capsys.readouterr().out, list(copies)))
+        (files, out, copied), (files_absent, out_absent, copied_absent) = runs
+        assert files == files_absent and out == out_absent
+        assert len(copied) < len(copied_absent)  # the binding took the built matrices
 
     def test_tolerance_is_checked_before_the_eigensolve(self, tmp_path, monkeypatch, capsys):
         orders = _record_eigensolves(monkeypatch)

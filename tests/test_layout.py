@@ -3,6 +3,8 @@
 Imports sit at module level: a function-local import hides a dependency
 between modules and usually papers over an import cycle. Only ``linalg``
 imports ``ctypes``, so BLAS thread control stays in one place. Only
+``linalg._openblas`` binds OpenBLAS, and only ``_eigenvalues`` calls the
+LAPACK routine it binds, so the benchmark's tracer sees every eigensolve. Only
 ``linalg`` imports ``threading`` or ``concurrent.futures``, so threads and
 the BLAS pin stay in one place, ``linalg.pinned_map``. Only ``linalg``
 references ``_zero_band``, so the zero band has one owner. A planted
@@ -39,6 +41,7 @@ import numpy as np
 import pytest
 
 import mmsig.cli
+import mmsig.constructions
 import mmsig.errors
 import mmsig.linalg
 import mmsig.sampling
@@ -153,6 +156,53 @@ def test_only_linalg_imports_threads():
     assert _importers("concurrent") == ["linalg.py"]
 
 
+def test_only_linalg_binds_lapack():
+    # ``_openblas`` opens the library and binds its symbols; ``pinned_map``
+    # reads the thread-count pair and ``_eigenvalues`` the dsyevd, so every
+    # eigensolve goes through a function the benchmark's tracer wraps
+    named = sorted(path.name for path in SRC.glob("*.py") if re.search(r"CDLL|dsy|_64_", path.read_text()))
+    assert named == ["linalg.py"]
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    readers = {
+        func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, ast.Name) and node.id == "_openblas"
+    }
+    assert readers == {"_eigenvalues", "pinned_map"}
+
+
+def test_every_solve_on_a_built_buffer_is_traced(monkeypatch, tmp_path):
+    # each dsyevd call of rado --N, analyze and construct perturb runs inside
+    # ``_eigenvalues``, wrapped at every binding as the tracer wraps it
+    found = mmsig.linalg._openblas()
+    if found is None or found[2] is None:
+        pytest.skip("numpy's BLAS has no ILP64 OpenBLAS dsyevd found through /proc/self/maps")
+    real, depth, calls = mmsig.linalg._eigenvalues, [0], []
+
+    def traced(A, **kwargs):
+        depth[0] += 1
+        try:
+            return real(A, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for module in (mmsig.linalg, mmsig.spectral, mmsig.signature, mmsig.constructions, mmsig.cli):
+        for name, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, name, traced)
+
+    def dsyevd(*args):
+        calls.append(depth[0])
+        return found[2](*args)
+
+    monkeypatch.setattr(mmsig.linalg, "_openblas", lambda: (*found[:2], dsyevd))
+    write_distance_csv(from_euclidean_points(np.random.default_rng(3).normal(size=(12, 3))), tmp_path / "in.csv")
+    for argv in (["rado", "--p", "0.5", "--N", "60", "--output-prefix", str(tmp_path / "run")],
+                 ["analyze", "--example", "tripod_extended", "--n", "40", "--output", str(tmp_path / "a.json")],
+                 ["construct", "perturb", "--input", str(tmp_path / "in.csv"), "--output", str(tmp_path / "p.csv")]):
+        assert mmsig.cli.main(argv) == 0
+    assert len(calls) >= 8 and set(calls) == {1}  # a query and a solve each: S, S and T, T
+
+
 def test_no_module_reads_the_environment():
     env = {"environ", "environb", "getenv", "getenvb"}
     found = [
@@ -264,7 +314,7 @@ def test_names_the_benchmark_traces_stay_bound():
                 assert name in vars(cls), f"mmsig.{layer}.{cls_name}.{name}"
     assert mmsig.cli.inertia is mmsig.signature.inertia is mmsig.linalg.inertia
     assert mmsig.spectral.spectrum_inertia is mmsig.linalg.spectrum_inertia
-    assert mmsig.cli.esd_and_inertia is mmsig.spectral.esd_and_inertia
+    assert mmsig.cli._esd_and_inertia is mmsig.spectral._esd_and_inertia
     assert mmsig.spectral._eigenvalues is mmsig.linalg._eigenvalues
 
 

@@ -1,5 +1,7 @@
+import ctypes
 import functools
 import math
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -8,17 +10,18 @@ import pytest
 
 from mmsig import linalg
 from mmsig.constructions import CountableRadoModel, ResidueClassClique
-from mmsig.errors import InvalidInput
+from mmsig.errors import InvalidInput, NoConvergence
 from mmsig.linalg import (
     as_sym_matrix,
     double_center,
     eig_sym,
     inertia,
     prefix_inertias,
+    spectrum_inertia,
     weighted_center,
 )
 from mmsig.sampling import DiscreteMeasure, gv_sample, parse_measure_spec, sample_order, trial_seed
-from mmsig.signature import limit_signature_trajectory
+from mmsig.signature import centered_signature, limit_signature_trajectory, space_signature
 from mmsig.spaces import from_distance_matrix, from_euclidean_points, named_example
 from mmsig.spectral import default_checkpoints, esd_and_inertia, rado_ratio_experiment
 
@@ -114,6 +117,142 @@ class TestInertia:
             inertia(np.eye(2), tol_rel=-1.0)
 
 
+def _require_dsyevd():
+    """Skip where ``linalg._openblas`` bound no dsyevd."""
+    found = linalg._openblas()
+    if found is None or found[2] is None:
+        pytest.skip("numpy's BLAS has no ILP64 OpenBLAS dsyevd found through /proc/self/maps")
+
+
+def _no_copying_solve(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: pytest.fail("copied into eigvalsh"))
+
+
+class TestSolveInPlace:
+    """``_eigenvalues(A, overwrite=True)``: LAPACK's dsyevd on ``A``'s own buffer."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 33, 200])
+    def test_bits_are_eigvalsh_bits(self, n, monkeypatch):
+        _require_dsyevd()
+        A = random_symmetric(np.random.default_rng(n), n)
+        expect = np.linalg.eigvalsh(A)
+        B = A.copy()
+        _no_copying_solve(monkeypatch)
+        assert linalg._eigenvalues(B, overwrite=True).tobytes() == expect.tobytes()
+        if n >= 3:  # the tridiagonal reduction wrote into the buffer
+            assert not np.array_equal(A, B)
+
+    def test_rado_s_of_order_1000(self, monkeypatch):
+        _require_dsyevd()
+        S = CountableRadoModel(edge_prob=0.5, seed=0).s_matrix_on(np.arange(1000))
+        expect = np.linalg.eigvalsh(S)
+        _no_copying_solve(monkeypatch)
+        assert linalg._eigenvalues(S, overwrite=True).tobytes() == expect.tobytes()
+
+    def test_bits_in_pinned_map_workers(self, monkeypatch):
+        # pool threads with OpenBLAS pinned to one thread, as ratio trials run
+        _require_dsyevd()
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        mats = [random_symmetric(np.random.default_rng(n), n) for n in (3, 33, 200, 120)]
+        expect = [np.linalg.eigvalsh(A).tobytes() for A in mats]
+        threads = set()
+
+        def solve(A):
+            threads.add(threading.get_ident())
+            return linalg._eigenvalues(A.copy(), overwrite=True).tobytes()
+
+        _no_copying_solve(monkeypatch)
+        assert linalg.pinned_map(solve, mats) == expect
+        assert threading.get_ident() not in threads
+
+    @pytest.mark.parametrize(
+        "A",
+        [np.eye(3, dtype=np.float32), np.asfortranarray(random_symmetric(np.random.default_rng(1), 4)),
+         random_symmetric(np.random.default_rng(2), 6)[::2, ::2]],
+        ids=["float32", "fortran-order", "strided"],
+    )
+    def test_other_layouts_are_copied(self, A):
+        before = A.copy()
+        assert np.array_equal(linalg._eigenvalues(A, overwrite=True), np.linalg.eigvalsh(before))
+        assert np.array_equal(A, before)
+
+    def test_borrowed_matrices_are_copied(self):
+        A = random_symmetric(np.random.default_rng(3), 40)
+        before = A.copy()
+        assert linalg._eigenvalues(A).tobytes() == np.linalg.eigvalsh(before).tobytes()
+        assert A.tobytes() == before.tobytes()
+
+    def test_no_binding_copies(self, monkeypatch):
+        found = linalg._openblas()
+        monkeypatch.setattr(linalg, "_openblas", lambda: found and (*found[:2], None))
+        A = random_symmetric(np.random.default_rng(4), 40)
+        before = A.copy()
+        assert linalg._eigenvalues(A, overwrite=True).tobytes() == np.linalg.eigvalsh(before).tobytes()
+        assert A.tobytes() == before.tobytes()
+
+    def test_nonconvergence_reads_as_numpys(self, monkeypatch):
+        # numpy raises for a NaN matrix; a dsyevd that returns info > 0 must
+        # raise the same NoConvergence
+        with pytest.raises(NoConvergence) as numpy_path:
+            linalg._eigenvalues(np.full((5, 5), np.nan))
+        assert str(numpy_path.value) == "eigensolver failed for matrix of order 5: Eigenvalues did not converge"
+        calls = []
+
+        def fake(jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info):
+            calls.append(lwork.value)
+            if lwork.value == -1:  # the workspace query
+                ctypes.c_double.from_address(work.data).value = 1.0
+                ctypes.c_int64.from_address(iwork.data).value = 1
+            else:
+                info.value = 3
+
+        monkeypatch.setattr(linalg, "_openblas", lambda: (None, None, fake))
+        with pytest.raises(NoConvergence) as binding:
+            linalg._eigenvalues(np.eye(5), overwrite=True)
+        assert calls == [-1, 1]
+        assert str(binding.value) == str(numpy_path.value)
+
+    def test_scipys_lp64_openblas_is_never_bound(self, monkeypatch):
+        # scipy's wheel maps its own OpenBLAS, with 32-bit integers, into the
+        # process; a lookup made after it loaded still binds numpy's
+        pytest.importorskip("scipy.linalg")
+        _require_dsyevd()
+        monkeypatch.setattr(linalg, "_openblas", functools.cache(linalg._openblas.__wrapped__))
+        get, put, dsyevd = linalg._openblas()
+        assert dsyevd.__name__ == "scipy_dsyevd_64_"
+        assert get.__name__ == "scipy_openblas_get_num_threads64_"
+
+
+def _untouched_by(entry, a):
+    """Whether ``entry(a)`` leaves the bytes of ``a`` as they were."""
+    before = a.copy()
+    entry(a)
+    return a.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [inertia, lambda a: spectrum_inertia(a.ravel()), esd_and_inertia, eig_sym, double_center,
+     lambda a: prefix_inertias(a, [1, len(a) // 2, len(a)]), lambda a: prefix_inertias(a, range(1, len(a) + 1))],
+    ids=["inertia", "spectrum_inertia", "esd_and_inertia", "eig_sym", "double_center",
+         "prefix_inertias", "prefix_inertias-every-size"],
+)
+def test_no_public_entry_point_writes_its_argument(entry):
+    # an exactly symmetric C-contiguous float64 matrix, the one layout an
+    # eigensolve on the caller's buffer could take
+    rado = CountableRadoModel(edge_prob=0.5, seed=3).s_matrix_on(np.arange(60))
+    assert _untouched_by(entry, rado)
+    assert _untouched_by(entry, random_symmetric(np.random.default_rng(5), 60))
+
+
+@pytest.mark.parametrize("entry", [space_signature, centered_signature])
+def test_no_signature_writes_its_space(entry):
+    space = named_example("tripod_extended", n=40)
+    before = space.dist.tobytes()
+    entry(space)
+    assert space.dist.tobytes() == before
+
+
 @pytest.mark.parametrize("entry", [inertia, lambda a: esd_and_inertia(a)[1]],
                          ids=["inertia", "esd_and_inertia"])
 @pytest.mark.parametrize(
@@ -155,9 +294,9 @@ def _eigensolve_orders(monkeypatch):
     orders = []
     real = linalg._eigenvalues
 
-    def counted(a):
+    def counted(a, **kw):
         orders.append(len(a))
-        return real(a)
+        return real(a, **kw)
 
     monkeypatch.setattr(linalg, "_eigenvalues", counted)
     return orders

@@ -321,10 +321,10 @@ class TestRatioExperiment:
 @pytest.fixture
 def openblas_two_threads():
     """OpenBLAS's (get, set) pair with the count set to 2, restored afterwards."""
-    api = linalg._openblas_thread_api()
+    api = linalg._openblas()
     if api is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS found through /proc/self/maps")
-    get, put = api
+    get, put, _ = api
     saved = get()
     put(2)
     try:
@@ -367,7 +367,7 @@ class TestBlasPin:
 
     def test_no_pin_runs_serially(self, monkeypatch, openblas_two_threads):
         # without the pin each pool worker would start BLAS threads of its own
-        monkeypatch.setattr(linalg, "_openblas_thread_api", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         seen = self._recording(monkeypatch, openblas_two_threads)
         recorded, threads = spectral.rado_ratio_experiment, []
 
@@ -425,9 +425,9 @@ class TestBlasPin:
         assert openblas_two_threads() == 2
 
     def test_no_openblas_leaves_blas_alone(self, monkeypatch):
-        api = linalg._openblas_thread_api()
+        api = linalg._openblas()
         before = api[0]() if api else None
-        monkeypatch.setattr(linalg, "_openblas_thread_api", lambda: None)
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 4)
         assert pinned_map(lambda _: api[0]() if api else None, range(4)) == [before] * 4
         assert (api[0]() if api else None) == before
