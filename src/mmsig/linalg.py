@@ -26,7 +26,8 @@ certified, updates the inverse the next step starts from;
 edge from leading slices of the blocks, of the order of the points outside
 the clique, and updates nothing.
 ``pinned_map`` is the one place that runs threads and controls BLAS
-threading, ``_openblas`` the one that binds OpenBLAS. No public function
+threading, for items with eigensolves large enough to overlap; ``_openblas``
+is the one place that binds OpenBLAS. No public function
 writes to an array its caller passed (see ``_eigenvalues``' ``overwrite``).
 """
 
@@ -221,6 +222,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# The least expected eigensolve order at which ``pinned_map`` starts a pool.
+_POOL_MIN_ORDER = 200
+
+
 class _BlasPin:
     """How many ``pinned_map`` pools are running, and the count saved when
     the first one started."""
@@ -230,21 +235,25 @@ class _BlasPin:
     saved = 0
 
 
-def pinned_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, in order, for a sequence ``items``.
+def pinned_map(fn, items, order) -> list:
+    """``[fn(x) for x in items]``, in order, for a sequence ``items`` whose
+    largest eigensolve or factorization is expected to have order ``order``.
 
-    Where ``_openblas`` finds OpenBLAS, ``min(len(items), usable
-    CPUs)`` pool workers run the items with OpenBLAS pinned to one thread: a
-    pool whose workers each start BLAS threads of their own is slower than
-    one thread with threaded BLAS. The pin is process-global, so other BLAS
-    work in the process also runs single-threaded meanwhile. Overlapping
-    pools pin once and restore the saved count when the last one ends, also
-    when ``fn`` raises. Otherwise, and with one worker (one usable CPU or
-    one item), the items run serially in the calling thread with threaded
-    BLAS.
+    Where ``_openblas`` finds OpenBLAS and ``order >= _POOL_MIN_ORDER``,
+    ``min(len(items), usable CPUs)`` pool workers run the items with OpenBLAS
+    pinned to one thread: a pool whose workers each start BLAS threads of
+    their own is slower than one thread with threaded BLAS. The pin is
+    process-global, so other BLAS work in the process also runs
+    single-threaded meanwhile. Overlapping pools pin once and restore the
+    saved count when the last one ends, also when ``fn`` raises. Otherwise,
+    and with one worker (one usable CPU or one item), the items run serially
+    in the calling thread with threaded BLAS: below that order an item is
+    many small numpy calls under the interpreter lock, which pool workers
+    only contend for. The route does not change the results.
     """
     api = _openblas()
-    workers = min(len(items), _usable_cpus()) if api is not None else 1
+    pooled = api is not None and order >= _POOL_MIN_ORDER
+    workers = min(len(items), _usable_cpus()) if pooled else 1
     if workers <= 1:
         return [fn(x) for x in items]
     get, put, _ = api

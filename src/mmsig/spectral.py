@@ -160,10 +160,15 @@ def rado_ratio_trials(
     """Independent repetitions, trial t seeded with ``trial_seed(seed, t)``.
 
     The trials run through ``linalg.pinned_map``, which sets the workers and
-    the BLAS pin. Results do not depend on the worker count.
+    the BLAS pin from the expected order of a trial's largest eigensolve: the
+    expected number of distinct points outside the planted clique among
+    ``m_max`` draws. Results do not depend on the route.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
+    default_checkpoints(m_max)  # refuses m_max < 1 before the power below
+    w = measure.weights[~model._clique_flags(np.arange(measure.n))]
+    order = float(np.sum(1.0 - (1.0 - w) ** m_max))
 
     def run(t):
         return rado_ratio_experiment(
@@ -174,7 +179,7 @@ def rado_ratio_trials(
             tol_rel=tol_rel,
         )
 
-    return pinned_map(run, range(trials))
+    return pinned_map(run, range(trials), order)
 
 
 def write_ratio_csv(trajectories, path, comment: str | None = None):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -632,6 +633,24 @@ class TestRado:
         assert doc["measure"] == {"type": "geometric", "q": 0.8}
         lines = (tmp_path / "ratio_ratio.csv").read_text().strip().splitlines()
         assert lines[1].startswith("trial,m,")
+
+    @pytest.mark.parametrize(
+        "request_args",
+        [["--measure", "geometric:0.9", "--m-max", 2000, "--trials", 20],
+         ["--measure", "class_biased:30:0.9", "--clique-rule", "modular:31", "--m-max", 3000, "--trials", 8]],
+        ids=["geometric", "class_biased"],
+    )
+    def test_ratio_artifacts_do_not_depend_on_the_route(self, request_args, tmp_path, monkeypatch, capsys):
+        # the README's ratio requests, with the pinned pool forced on and off
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        runs = []
+        for least in (0, math.inf):
+            monkeypatch.setattr(linalg, "_POOL_MIN_ORDER", least)
+            prefix = tmp_path / str(least)
+            assert run(["rado", "--ratio", "--p", 0.5, *request_args, "--seed", 1, "--output-prefix", prefix]) == 0
+            files = [Path(f"{prefix}_ratio.csv").read_bytes(), Path(f"{prefix}_summary.json").read_bytes()]
+            runs.append((files, capsys.readouterr().out.replace(str(prefix), "PREFIX")))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize(
         "clique",

@@ -6,7 +6,9 @@ imports ``ctypes``, so BLAS thread control stays in one place. Only
 ``linalg._openblas`` binds OpenBLAS, and only ``_eigenvalues`` calls the
 LAPACK routine it binds, so the benchmark's tracer sees every eigensolve. Only
 ``linalg`` imports ``threading`` or ``concurrent.futures``, so threads and
-the BLAS pin stay in one place, ``linalg.pinned_map``. Only ``linalg``
+the BLAS pin stay in one place, ``linalg.pinned_map``, which starts a pool
+only for items whose eigensolves are large enough to overlap and otherwise
+runs them in the calling thread, with the same results. Only ``linalg``
 references ``_zero_band``, so the zero band has one owner. A planted
 clique reaches ``prefix_inertias`` only as ``CliqueBlocks``: it takes no
 clique mask, so the counting has one input form per matrix. The names

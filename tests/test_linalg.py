@@ -162,7 +162,7 @@ class TestSolveInPlace:
             return linalg._eigenvalues(A.copy(), overwrite=True).tobytes()
 
         _no_copying_solve(monkeypatch)
-        assert linalg.pinned_map(solve, mats) == expect
+        assert linalg.pinned_map(solve, mats, 200) == expect
         assert threading.get_ident() not in threads
 
     @pytest.mark.parametrize(

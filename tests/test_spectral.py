@@ -135,6 +135,13 @@ class TestRatioExperiment:
         assert default_checkpoints(16) == (16,)
         assert default_checkpoints(5) == (5,)
 
+    @pytest.mark.parametrize("m_max", [0, -1])
+    def test_trials_refuse_m_max_below_1(self, m_max):
+        # a one-point measure: the trials' expected order takes 0 ** m_max
+        model = CountableRadoModel(edge_prob=0.5, seed=1)
+        with pytest.raises(InvalidInput, match="m_max must be >= 1"):
+            rado_ratio_trials(model, DiscreteMeasure(np.array([1.0])), m_max=m_max, trials=2)
+
     def test_sliced_checkpoints_match_rebuilt_prefixes(self):
         # each checkpoint counts the dedup of its own prefix of draws, all
         # against the zero band of the trial's largest checkpoint
@@ -285,6 +292,7 @@ class TestRatioExperiment:
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
         serial = rado_ratio_trials(model, measure, m_max=128, trials=4, seed=2)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(linalg, "_POOL_MIN_ORDER", 0)
         threaded = rado_ratio_trials(model, measure, m_max=128, trials=4, seed=2)
         assert [t.deltas for t in serial] == [t.deltas for t in threaded]
         assert [[i.counts() for i in t.inertias] for t in serial] == [
@@ -316,6 +324,13 @@ class TestRatioExperiment:
         assert "q050" in doc["final_delta_quantiles"]
         with pytest.raises(InvalidInput):
             ratio_summary(trajectories, min_fraction=0.5)
+
+
+# The benchmark's ratio request: its measure and planted clique.
+_BENCH_REQUEST = (
+    CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=ResidueClassClique(31)),
+    DiscreteMeasure.class_biased(30, level_q=0.9),
+)
 
 
 @pytest.fixture
@@ -355,6 +370,7 @@ class TestBlasPin:
         )
 
     def test_pool_pins_one_thread_and_restores(self, monkeypatch, openblas_two_threads):
+        monkeypatch.setattr(linalg, "_POOL_MIN_ORDER", 0)
         seen = self._recording(monkeypatch, openblas_two_threads)
         self._trials(monkeypatch, cpus=2)
         assert seen == [1, 1, 1, 1]
@@ -380,6 +396,50 @@ class TestBlasPin:
         assert seen == [2, 2, 2, 2]
         assert threads == [threading.get_ident()] * 4
 
+    def _threads(self, monkeypatch, get):
+        """(BLAS count, thread) of each trial, as ``test_no_pin_runs_serially`` records them."""
+        seen, real = [], spectral.rado_ratio_experiment
+
+        def experiment(*args, **kwargs):
+            seen.append((get(), threading.get_ident()))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "rado_ratio_experiment", experiment)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        return seen
+
+    def test_clique_trials_run_in_the_calling_thread(self, monkeypatch, openblas_two_threads):
+        # the benchmark's request: counting through blocks of order ~30 is
+        # interpreter-bound, so pool workers would only contend for the lock
+        seen = self._threads(monkeypatch, openblas_two_threads)
+        model, measure = _BENCH_REQUEST
+        rado_ratio_trials(model, measure, m_max=3000, trials=8, seed=5)
+        assert seen == [(2, threading.get_ident())] * 8
+        assert openblas_two_threads() == 2
+
+    def test_large_eigensolves_keep_the_pinned_pool(self, monkeypatch, openblas_two_threads):
+        seen = self._threads(monkeypatch, openblas_two_threads)
+        model = CountableRadoModel(edge_prob=0.5, seed=1)
+        rado_ratio_trials(model, DiscreteMeasure.geometric(0.995), m_max=3000, trials=2, seed=5)
+        assert [count for count, _ in seen] == [1, 1]
+        assert threading.get_ident() not in {thread for _, thread in seen}
+        assert openblas_two_threads() == 2
+
+    @pytest.mark.parametrize(
+        "model, measure",
+        [_BENCH_REQUEST, (CountableRadoModel(edge_prob=0.5, seed=1), DiscreteMeasure.geometric(0.995))],
+        ids=["class_biased-modular", "geometric-0.995"],
+    )
+    def test_order_is_the_expected_count_outside_the_clique(self, monkeypatch, model, measure):
+        orders = []
+        monkeypatch.setattr(spectral, "pinned_map", lambda fn, items, order: orders.append(order) or [])
+        rado_ratio_trials(model, measure, m_max=3000, trials=100, seed=5)
+        realized = []
+        for t in range(100):
+            dedup = gv_sample(measure, 3000, trial_seed(5, t)).dedup
+            realized.append(np.count_nonzero(~model._clique_flags(dedup)))
+        assert orders[0] == pytest.approx(np.mean(realized), rel=0.03)
+
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert linalg._usable_cpus() == len(os.sched_getaffinity(0))
@@ -387,6 +447,7 @@ class TestBlasPin:
         assert linalg._usable_cpus() == os.cpu_count()
 
     def test_restored_after_a_trial_raises(self, monkeypatch, openblas_two_threads):
+        monkeypatch.setattr(linalg, "_POOL_MIN_ORDER", 0)
         self._recording(monkeypatch, openblas_two_threads, fail_seed=trial_seed(2, 1))
         with pytest.raises(RuntimeError):
             self._trials(monkeypatch, cpus=2)
@@ -407,13 +468,13 @@ class TestBlasPin:
             a_done.wait(10)
 
         def a():
-            pinned_map(in_a, range(2))
+            pinned_map(in_a, range(2), linalg._POOL_MIN_ORDER)
             seen.append(openblas_two_threads())
             a_done.set()
 
         def b():
             a_pinned.wait(10)
-            pinned_map(in_b, range(2))
+            pinned_map(in_b, range(2), linalg._POOL_MIN_ORDER)
 
         threads = [threading.Thread(target=f) for f in (a, b)]
         for t in threads:
@@ -429,5 +490,6 @@ class TestBlasPin:
         before = api[0]() if api else None
         monkeypatch.setattr(linalg, "_openblas", lambda: None)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 4)
-        assert pinned_map(lambda _: api[0]() if api else None, range(4)) == [before] * 4
+        order = linalg._POOL_MIN_ORDER
+        assert pinned_map(lambda _: api[0]() if api else None, range(4), order) == [before] * 4
         assert (api[0]() if api else None) == before
