@@ -79,6 +79,12 @@ _RUN_SIZES = 32
 _EPS = float(np.finfo(float).eps)
 _BORDER_FLOOR = float(np.sqrt(_EPS))
 
+# LAPACK's xSYEV scales a matrix whose max|entry| lies outside [sqrt(SMLNUM),
+# sqrt(BIGNUM)], about this range, before it reduces it. The counting entry
+# points scale such a matrix too, by an exact power of two, so that no step,
+# pivot or norm runs on subnormal or overflowing numbers.
+_SAFE_RANGE = (1e-146, 1e146)
+
 # (get, set) thread-count symbols of OpenBLAS: numpy's wheel build first, then
 # the plain names of a system OpenBLAS.
 _OPENBLAS_THREAD_SYMBOLS = (
@@ -331,7 +337,20 @@ def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
 def _inertia(a, tol_rel: float, overwrite: bool = False) -> Inertia:
     """``inertia``; ``overwrite`` as in ``_eigenvalues``."""
     _check_tol_rel(tol_rel)
-    return spectrum_inertia(_eigenvalues(as_sym_matrix(a), overwrite=overwrite), tol_rel)
+    A = as_sym_matrix(a)
+    power = _unit_exponent(max(A.max(), -A.min()))
+    if power:
+        A, overwrite = np.ldexp(A, -power), True
+    ine = spectrum_inertia(_eigenvalues(A, overwrite=overwrite), tol_rel)
+    return ine._replace(tol=math.ldexp(ine.tol, power))
+
+
+def _unit_exponent(biggest: float) -> int:
+    """The ``frexp`` exponent p of a max|entry| ``biggest`` outside
+    ``_SAFE_RANGE``, else 0: a matrix times 2^-p has the same inertia, and
+    theta times 2^-p, both exactly."""
+    lo, hi = _SAFE_RANGE
+    return 0 if biggest == 0.0 or lo <= biggest <= hi else math.frexp(biggest)[1]
 
 
 def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, base: Inertia):
@@ -610,6 +629,17 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     N = sizes[-1]
     if blocks is not None:
         blocks = blocks.head(N)
+        # -gamma is an entry where two points or more are in the clique
+        ends = [abs(f(M, initial=0.0)) for M in (blocks.B, blocks.D) for f in (np.min, np.max)]
+        power = _unit_exponent(max(ends + [blocks.gamma if len(blocks.inside) >= 2 else 0.0]))
+        if power:
+            blocks = CliqueBlocks(blocks.flags, np.ldexp(blocks.B, -power), np.ldexp(blocks.D, -power),
+                                  math.ldexp(blocks.gamma, -power))
+    else:
+        dense = dense[:N, :N]
+        power = _unit_exponent(max(dense.max(), -dense.min()))
+        if power:
+            dense = np.ldexp(dense, -power)
     flags = blocks.flags if blocks is not None else np.zeros(N, dtype=bool)
     inside = np.flatnonzero(flags)
     in_clique = np.searchsorted(inside, sizes).tolist()
@@ -622,7 +652,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
             dense = blocks.leading(max(k, chain_top))
         return dense[:k, :k]
 
-    rho, top = _perron_bracket(dense[:N, :N] if blocks is None else blocks), None
+    rho, top = _perron_bracket(dense if blocks is None else blocks), None
     if rho is None:  # not -d^2/2-like, or no closed bracket: the band's eigensolve
         top = _eigenvalues(lead(N))
         rho = (float(np.abs(top).max()),) * 2
@@ -681,7 +711,8 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
         else:  # a block keeps a size below the floor only where it is clear of it
             opens = True
         out.append(ine)
-    return out if top is None else out + [_band_counts(top, theta)]
+    out = out if top is None else out + [_band_counts(top, theta)]
+    return [ine._replace(tol=math.ldexp(ine.tol, power)) for ine in out] if power else out
 
 
 def double_center(s) -> np.ndarray:

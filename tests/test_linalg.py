@@ -3,6 +3,7 @@ import functools
 import math
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -482,6 +483,26 @@ class TestPrefixInertias:
             want = limit_signature_trajectory(space, range(N), sizes).inertias
             got = limit_signature_trajectory(scaled, range(N), sizes).inertias
             assert [i.counts() for i in got] == [i.counts() for i in want]
+
+    @pytest.mark.parametrize("j", [-510, -508, -505, -300, 300, 500])
+    def test_any_scale_counts_as_scale_one(self, j):
+        # distances times 2^j put -d^2/2 near 2^(2j), outside LAPACK's safe
+        # range, which the entry points scale back by an exact power of two.
+        # Without it the run blocks' LUs ran on subnormal numbers and the
+        # sizes from 12, 22 and 56 on miscounted at j = -510, -508 and -505
+        space = named_example("sphere", dim=2, n=60, seed=3)
+        N = len(space.dist)
+        S0 = space.s_matrix_on(range(N))
+        S = from_distance_matrix(space.dist * 2.0**j).s_matrix_on(range(N))
+        flags = np.zeros(N, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for sizes in (list(range(1, N + 1)), [4, 8, 16, 31, N]):
+                want = prefix_inertias(S0, sizes)
+                for got in (prefix_inertias(S, sizes), prefix_inertias(clique_blocks_of(S, flags), sizes)):
+                    assert [i.counts() for i in got] == [i.counts() for i in want]
+                    assert got[-1].tol == math.ldexp(want[-1].tol, 2 * j)
+            assert inertia(S).counts() == inertia(S0).counts()
 
     @pytest.mark.parametrize("sizes", [[2, 4], []])
     def test_inverse_buffer_stops_below_the_largest_size(self, sizes):
