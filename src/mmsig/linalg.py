@@ -13,15 +13,16 @@ entries when made; it writes dense leading blocks from them only for the
 sizes the pivot does not count. Inertia counting uses the eigenvalue
 spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
-against one threshold, from a Perron bracket of max|lambda|: at the band's
-edges -+theta through a planted clique's closed-form block where its
-``CliqueBlocks`` hold all but an eighth of the points (``_clique_pivot``), by
-the signs of det(A_k -+ e I), e = max(theta, sqrt(eps) max|lambda|), along
-runs of consecutive sizes, up to 32 of them from one LU (``_run_counts``), by
-certified Schur blocks of one or more rows where they cost less than an
-eigensolve, and by an eigensolve otherwise. ``_schur_step`` is the chain's
-Schur complement: it adds a block's counts by Haynsworth additivity and, once
-certified, updates the inverse the next step starts from;
+against one threshold, from a Perron bracket of max|lambda|, at the band's
+edges -+theta, or -+e, e = max(theta, sqrt(eps) max|lambda|): through a
+planted clique's closed-form block where its ``CliqueBlocks`` hold all but an
+eighth of the points (``_clique_pivot``), by one Schur chain, and by an
+eigensolve where the chain refuses a size. The chain (``_chain_step``) holds
+the inverses of A_a -+ e I of its last counted size a; each step adds the
+counts of its complement by Haynsworth additivity, of a gapped size from its
+eigenvalues and of the sizes of a run from the signs of its leading minors,
+certified from the step's residual, and updates the inverses by the block
+formula. ``_chain_restart`` gives them back from one ``eig_sym``.
 ``_clique_pivot`` forms the complement of the shifted clique block at each
 edge from leading slices of the blocks, of the order of the points outside
 the clique, and updates nothing.
@@ -55,11 +56,6 @@ _SYM_SLACK = 1e-12
 
 _WEIGHT_SUM_TOL = 1e-12
 
-# A Schur step to a prefix block S_k counts only when 1/||S_k^{-1}||_F, a
-# lower bound on the smallest |eigenvalue| of S_k, exceeds the zero band by
-# this factor, which absorbs the roundoff of the updated inverse.
-BORDER_SAFETY = 10.0
-
 # A prefix of k points with c >= 2 in a planted clique takes the clique pivot
 # when its r = k - c other points are at most k / _PIVOT_SHARE. Each of the
 # pivot's two r x r complements then has at most k^2/64 entries, where the
@@ -69,21 +65,15 @@ BORDER_SAFETY = 10.0
 _PIVOT_SHARE = 8
 
 # A run of sizes one apart is counted in blocks of at most this many sizes:
-# one LU of the anchor's order per block, and w x w determinants for the rest.
+# one step of the chain per block, and w x w determinants for the sizes in it.
 _RUN_SIZES = 32
 
-# The least bound a step is checked against, relative to max|lambda|. Steps
-# pivot without choice: a Schur complement through blocks near the bound
-# carries an error up to about eps * max|lambda|^2 / bound, below the bound
-# only while it exceeds sqrt(eps) * max|lambda|. The default band is wider.
+# The least edge the chain counts at, relative to max|lambda|. Steps pivot
+# without choice: a Schur complement through blocks near an edge carries an
+# error up to about eps * max|lambda|^2 / margin, below the margin only while
+# it exceeds sqrt(eps) * max|lambda|. The default band is wider.
 _EPS = float(np.finfo(float).eps)
 _BORDER_FLOOR = float(np.sqrt(_EPS))
-
-# LAPACK's xSYEV scales a matrix whose max|entry| lies outside [sqrt(SMLNUM),
-# sqrt(BIGNUM)], about this range, before it reduces it. The counting entry
-# points scale such a matrix too, by an exact power of two, so that no step,
-# pivot or norm runs on subnormal or overflowing numbers.
-_SAFE_RANGE = (1e-146, 1e146)
 
 # (get, set) thread-count symbols of OpenBLAS: numpy's wheel build first, then
 # the plain names of a system OpenBLAS.
@@ -278,12 +268,9 @@ def pinned_map(fn, items, order) -> list:
                 put(_BlasPin.saved)
 
 
-def _zero_band(n: int, tol_rel: float, rho: float, rho_hi: float | None = None) -> tuple:
-    """(theta, bound) of a block of order n whose max|lambda| is rho <= rho_hi:
-    the zero band theta = tol_rel * n * rho, and the least |eigenvalue| a Schur
-    certificate must prove, a safe multiple of theta or of rho_hi."""
-    hi = rho if rho_hi is None else rho_hi
-    return tol_rel * n * rho, max(BORDER_SAFETY * tol_rel * n * hi, _BORDER_FLOOR * hi)
+def _zero_band(n: int, tol_rel: float, rho: float) -> float:
+    """The zero band tol_rel * n * rho of a block of order n and max|lambda| rho."""
+    return tol_rel * n * rho
 
 
 def _perron_bracket(A):
@@ -326,7 +313,7 @@ def spectrum_inertia(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """Inertia triple of a spectrum: its values below -theta, within +-theta and above."""
     _check_tol_rel(tol_rel)
     vals = np.asarray(vals, dtype=float)
-    return _band_counts(vals, _zero_band(len(vals), tol_rel, float(np.abs(vals).max()))[0])
+    return _band_counts(vals, _zero_band(len(vals), tol_rel, float(np.abs(vals).max())))
 
 
 def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
@@ -346,125 +333,123 @@ def _inertia(a, tol_rel: float, overwrite: bool = False) -> Inertia:
 
 
 def _unit_exponent(biggest: float) -> int:
-    """The ``frexp`` exponent p of a max|entry| ``biggest`` outside
-    ``_SAFE_RANGE``, else 0: a matrix times 2^-p has the same inertia, and
-    theta times 2^-p, both exactly."""
-    lo, hi = _SAFE_RANGE
-    return 0 if biggest == 0.0 or lo <= biggest <= hi else math.frexp(biggest)[1]
+    """The ``frexp`` exponent p of a max|entry| ``biggest`` outside about
+    [1e-146, 1e146], else 0. LAPACK's xSYEV scales such a matrix before it
+    reduces it; times 2^-p, the counting entry points' matrix keeps its
+    inertia, and theta scales exactly, with no subnormal or overflow."""
+    return 0 if biggest == 0.0 or 1e-146 <= biggest <= 1e146 else math.frexp(biggest)[1]
 
 
-def _schur_step(A: np.ndarray, inv: np.ndarray, a: int, k: int, bound: float, base: Inertia):
-    """Step from ``inv[:a, :a]`` and ``base``, the inverse and inertia of A_a
-    = ``A[:a, :a]``, to those of A_k through C = A_k / A_a, for k - a >= 1.
-
-    If ``1/||A_k^{-1}||_F > bound`` proves A_k's eigenvalues all exceed
-    ``bound`` in modulus, write A_k^{-1} into ``inv[:k, :k]`` and return C's
-    count of negative eigenvalues with A_k's inertia, ``base`` plus C's
-    (Haynsworth); else return None and leave ``inv`` as it was: the norm is
-    taken before any block is written. A k past the order of ``inv`` writes
-    nothing. Where the plain sum of the squares of A_k^{-1}'s entries under-
-    or overflows, the certificate is ``||bound A_k^{-1}||_F < 1`` instead."""
-    V = inv[:a, :a]
-    B = A[:a, a:k]
-    X = V @ B
-    C = A[a:k, a:k] - B.T @ X
-    vals, vecs = eig_sym(0.5 * (C + C.T))
-    # C^{-1} is a block of A_k^{-1}, so a C this close to singular fails too:
-    # 1/||C^{-1}||_F from C's eigenvalues, with the least as a divisor that
-    # keeps every term <= 1, so that no |lambda|^-2 overflows
-    mags = np.abs(vals)
-    lo = mags.min()
-    if not (lo > bound and lo / np.sqrt(np.sum((lo / mags) ** 2)) > bound):
-        return None
-    c_inv = (vecs / vals) @ vecs.T
-    Y = X @ c_inv
-    lead = Y @ X.T
-    lead += V
-    # the blocks of A_k^{-1} are V + Y X^T, -Y, -Y^T and C^{-1}
-    parts = ((1.0, lead), (2.0, Y), (1.0, c_inv))
-    with np.errstate(over="ignore"):
-        norm2_k = sum(w * np.vdot(M, M) for w, M in parts)
-        if 2.0 ** -900 < norm2_k < math.inf:
-            clear = np.sqrt(norm2_k) * bound < 1.0
-        else:  # a square under- or overflowed: the norm in units of 1/bound
-            clear = sum(w * np.vdot(bound * M, bound * M) for w, M in parts) < 1.0
-    if not clear:
-        return None
-    if k <= len(inv):
-        V[...] = lead
-        del lead  # before the temporaries of the blocks below
-        inv[:a, a:k], inv[a:k, :a], inv[a:k, a:k] = -Y, -Y.T, c_inv
-    neg = int(np.count_nonzero(vals < 0))
-    return neg, Inertia(base.s_minus + neg, 0, base.s_plus + k - a - neg, base.tol)
-
-
-def _run_counts(A: np.ndarray, m: int, theta: float, anchor: tuple, floor: float):
-    """(inertias, delta): the inertias of the leading blocks of orders m + 1,
-    ..., k = len(A) of ``A`` against the band theta, counted at the edges -+e,
-    e = max(theta, floor), from ``anchor``, the counts of A_m below -e and
-    below e ((0, 0) for m = 0), and the bound delta on their roundoff. The
-    inertias stop before the first size whose count is refused; there are
-    none when delta exceeds ``floor`` > 0 or A_m -+ e I is singular.
-
-    At each edge sigma = -+e, one batched LU solves (A_m - sigma I) W = B
-    for the w = k - m new columns B, and C = D - sigma I - B^T W is the
-    w x w Schur complement. Since det(A_{m+j} - sigma I) = det(A_m - sigma
-    I) det C_j, and by interlacing each added row adds at most one
-    eigenvalue below sigma, A_{m+j} has as many below sigma as A_m plus the
-    sign changes along 1, det C_1, ..., det C_j (Jacobi), all of them from
-    one batched ``slogdet`` of the C_j, each padded with the identity to
-    order w. A size is refused where a minor is 0, where its count below -e
-    would exceed its count below e, or, for theta below the floor, where the
-    two differ: a kept size then has no eigenvalue within the floor of 0, as
-    a certified step proves, and reads (below, 0, k - below) at theta.
-
-    The bound: gesv's W is exact for A_m - sigma I + E with |E| <= 3 m eps
-    |L||U| (Higham, Thm 9.4), near 3 m eps ||A_m - sigma I||_F for the
-    modest growth of partial pivoting, which the bound assumes; the GEMM
-    B^T W errs by m eps ||B||_F ||W||_F, the subtractions and the LU of
-    C_j by 3 w eps ||C||_F. So C_j is exactly the complement of a matrix
-    within delta = eps (3 m (||A_m||_F + sqrt(m) e) + m ||B||_F ||W||_F
-    + 3 w ||C||_F) of A_{m+j} - sigma I, not symmetric, with A_m - sigma I
-    + E in its corner; and a determinant keeps its sign under a
-    perturbation smaller than its matrix's least singular value. Each count
-    is therefore exact unless A_m or A_{m+j} has an eigenvalue within delta
-    of an edge, where an eigensolve's count is fragile too.
-    """
+def _chain_restart(A: np.ndarray, V: np.ndarray, e: float, theta: float, both: bool):
+    """(inertia at theta, anchor) of A = A_k from one ``eig_sym``. Writes the
+    inverses e (A_k - sigma I)^{-1}, in units of e, into ``V[s, :k, :k]`` at
+    sigma = -e (s = 0), and at e (s = 1) with ``both`` or where the band
+    may hold an eigenvalue, and returns the anchor of ``_chain_step``; or
+    None, writing nothing, where an edge lies within the eigensolve's
+    backward error, delta e = 4 k eps (max|lambda| + e), of an eigenvalue."""
+    vals, vecs = eig_sym(A)
     k = len(A)
-    w = k - m
-    edge = max(theta, floor)
-    diag = np.arange(m)
-    shifted = np.stack([A[:m, :m], A[:m, :m]])
-    shifted[0, diag, diag] += edge  # A_m - sigma I at sigma = -edge
-    shifted[1, diag, diag] -= edge  # and at sigma = edge
-    B = A[:m, m:]
-    try:
-        W = np.linalg.solve(shifted, np.stack([B, B]))
-    except np.linalg.LinAlgError:  # an exact zero pivot: an edge on an eigenvalue of A_m
-        return [], math.inf
-    C = A[m:, m:] - B.T @ W
-    C[:, np.arange(w), np.arange(w)] += np.array([[edge], [-edge]])
-    # delta in units of the edge, at least the floor and theta, so that no
-    # square in a norm overflows, at a huge theta too
-    a_norm, b_norm = float(np.linalg.norm(A[:m, :m] / edge)), float(np.linalg.norm(B / edge))
-    delta = edge * _EPS * float(np.max(
-        3 * m * (a_norm + math.sqrt(m))
-        + m * b_norm * np.linalg.norm(W, axis=(1, 2))
-        + 3 * w * np.linalg.norm(C / edge, axis=(1, 2))
-    ))
-    if not delta <= floor:
-        return [], delta
-    within = np.tri(w, dtype=bool)  # within[j]: the rows and columns of C_{j+1}
-    minors = np.where(within[:, :, None] & within[:, None, :], C[:, None], np.eye(w))
-    signs = np.linalg.slogdet(minors)[0]  # signs[s, j] of det C_{j+1} at edge s
-    flips = signs != np.concatenate([np.ones((2, 1)), signs[:, :-1]], axis=1)
-    below = np.cumsum(flips, axis=1) + np.array(anchor)[:, None]
-    bad = (signs == 0).any(axis=0) | (below[0] > below[1])
-    if theta < edge:  # below the floor a size counts only where no eigenvalue lies within it of 0
-        bad |= below[0] != below[1]
-    stop = int(np.argmax(bad)) if bad.any() else w
-    lo, hi = below[:, :stop].tolist()
-    return [Inertia(a, b - a, m + j + 1 - b, theta) for j, (a, b) in enumerate(zip(lo, hi))], delta
+    gaps = vals / e - np.array([[-1.0], [1.0]])  # (lambda - sigma) / e at each edge
+    delta = 4.0 * k * _EPS * (float(np.abs(vals).max()) / e + 1.0)
+    edges = 2 if both or not np.abs(gaps[0]).min() > 2.0 + delta else 1
+    if not np.abs(gaps[:edges]).min() > delta:
+        return _band_counts(vals, theta), None
+    for s in range(edges):
+        V[s, :k, :k] = (vecs / gaps[s]) @ vecs.T
+    below = int(np.count_nonzero(vals < -e)), int(np.count_nonzero(vals < e))
+    return _band_counts(vals, theta), (k, below, np.sqrt(np.sum(gaps[:edges] ** -2.0, axis=1)))
+
+
+def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: bool):
+    """(counts, anchor, bound): (below -e, below e) of A_k, k = len(A), or
+    with ``run`` of each of A_{a+1}, ..., A_k as far as they are certified,
+    stepped to from ``anchor`` = (a, A_a's exact counts, the norms of its
+    inverses), whose inverses e (A_a - sigma I)^{-1} at sigma = -e and, held
+    with two norms, at e are in ``V[s, :a, :a]``, in units of e; then A_k's
+    anchor, or None where its inverses are refused or have no room in ``V``,
+    which is then left as it was; and the bound delta e. ``band`` is (e, the
+    floor, a bound on ||A||_F).
+
+    With B = A[:a, a:] / e, D = A[a:, a:] / e, X = V B and C = D - (sigma /
+    e) I - B^T X, A_k - sigma I has as many eigenvalues below 0 as A_a -
+    sigma I and C together (Haynsworth). V is an approximate inverse, since
+    the block formula below cancels, so the step forms the residual R =
+    (A_a - sigma I) X / e - B: C is the exact complement of a matrix within
+    delta e of A_k - sigma I, delta = ||R||_F + eps (3 a (||A||_F / e +
+    sqrt(a)) + a ||B||_F ||X||_F + 3 w ||C||_F + 4 ||X||_F + 4 ||B||_F), w =
+    k - a, to first order, with the roundoff of R's product as a change of
+    A_a, and C's symmetric part is within f = delta + (||X||_F + ||V||_F
+    ||R||_F) ||R||_F of the exact C, since the exact X is X - V R. Where a
+    check below fails, X takes one step of refinement, X - V R.
+
+    - With ``run``, A_{a+j} counts A_a's count plus the sign changes along
+      1, det C_1, ..., det C_j of C's leading minors at each edge (Jacobi),
+      from one batched ``slogdet``: exact unless an eigenvalue lies within
+      delta e of an edge. It is refused at a zero minor, where its count
+      below -e exceeds its count below e, and where delta exceeds the floor.
+    - Else A_k counts the eigenvalues below 0 of C's symmetric part, where
+      the least |eigenvalue| exceeds f (Weyl). With -e alone, its count
+      below e is the same where the band holds no eigenvalue, certified below.
+    - The inverses of A_k follow by the block formula, [[V + Y X^T, -Y],
+      [-Y^T, Z]] with Z = C^{-1} and Y = X Z. 1 / ||(A_k - sigma I)^{-1}||_F
+      e, at most the distance from sigma to A_k's spectrum in units of e,
+      must exceed delta, and 2 + delta with -e alone: near an edge the
+      inverses are inflated, and a step from them would cancel.
+    """
+    (a, below, norms), (e, floor, fro) = anchor, band
+    k = len(A)
+    w = k - a
+    edges = len(norms)
+    sigma = np.array([-1.0, 1.0])[:edges, None, None]  # sigma / e at each edge
+    B, D = A[:a, a:] / e, A[a:, a:] / e - sigma * np.eye(w)
+    b = math.sqrt(np.vdot(B, B))
+    keep = k <= len(V[0])  # the inverses of A_k, where V has room for them
+    need = keep or edges == 1  # they need C's eigenvectors, and one edge needs their norm
+    X = V[:edges, :a, :a] @ B
+    for refined in (False, True):  # one step of refinement, X - V R, where a check below fails
+        R = A[:a, :a] @ X / e - sigma * X - B
+        C = D - B.T @ X
+        edge = []  # (delta, f, least |eigenvalue|, eigenvalues, eigenvectors) at each edge
+        for s, M in enumerate(0.5 * (C + C.transpose(0, 2, 1))):
+            x = math.sqrt(np.vdot(X[s], X[s]))
+            r = math.sqrt(np.vdot(R[s], R[s])) + 4.0 * _EPS * (x + b)  # and the subtractions': ||AX|| <= r + x + b
+            delta = r + _EPS * (3 * a * (fro / e + math.sqrt(a)) + a * b * x + 3 * w * math.sqrt(np.vdot(C[s], C[s])))
+            vals, vecs = eig_sym(M) if need else (_eigenvalues(M), None)
+            edge.append((delta, delta + (x + norms[s] * r) * r, float(np.abs(vals).min()), vals, vecs))
+        delta = max(d for d, *_ in edge)
+        counted = delta <= floor / e if run else all(least > f for _, f, least, *_ in edge)
+        blocks = []
+        for s, (d, _, least, vals, vecs) in enumerate(edge if counted and need else ()):  # the inverses of A_k
+            if least > d:
+                Z = (vecs / vals) @ vecs.T
+                Y = X[s] @ Z
+                lead = Y @ X[s].T
+                lead += V[s, :a, :a]
+                blocks.append((lead, Y, Z, math.sqrt(np.vdot(lead, lead) + 2.0 * np.vdot(Y, Y) + np.sum(vals**-2.0))))
+        # with -e alone, -e clears A_k's spectrum by 2 e as well: none of it is in the band
+        held = len(blocks) == edges and all(bl[3] * (d + 2.0 * (edges == 1)) < 1.0 for bl, (d, *_) in zip(blocks, edge))
+        if refined or counted and (held or not need):
+            break
+        X -= V[:edges, :a, :a] @ R
+    counts = []
+    if run:
+        within = np.tri(w, dtype=bool)  # within[j]: the rows and columns of C_{j+1}
+        minors = np.where(within[:, :, None] & within[:, None, :], C[:, None], np.eye(w))
+        signs = np.linalg.slogdet(minors)[0]  # signs[s, j] of det C_{j+1} at edge s
+        flips = signs != np.concatenate([np.ones((2, 1)), signs[:, :-1]], axis=1)
+        lo, hi = np.cumsum(flips, axis=1) + np.array(below)[:, None]
+        bad = (signs == 0).any(axis=0) | (lo > hi) | (delta > floor / e)
+        stop = int(np.argmax(bad)) if bad.any() else w
+        counts = list(zip(lo[:stop].tolist(), hi[:stop].tolist()))
+    elif counted and (edges == 2 or held):
+        ends = [below[s] + int(np.count_nonzero(vals < 0)) for s, (*_, vals, _) in enumerate(edge)]
+        ends += ends * (edges == 1)  # no eigenvalue in the band
+        counts = [tuple(ends)] if ends[0] <= ends[1] else []
+    if len(counts) < (w if run else 1) or not (held and keep):
+        return counts, None, delta * e
+    for s, (lead, Y, Z, _) in enumerate(blocks):
+        V[s, :a, :a], V[s, :a, a:k], V[s, a:k, :a], V[s, a:k, a:k] = lead, -Y, -Y.T, Z
+    return counts, (k, counts[-1], np.array([block[3] for block in blocks])), delta * e
 
 
 class CliqueBlocks:
@@ -577,45 +562,37 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     all against one zero band.
 
     ``a`` is a symmetric matrix, or the ``CliqueBlocks`` of one, which mark
-    its planted clique themselves; a matrix has no clique to pivot on. The
-    band is theta = tol_rel * N * max|lambda| of the block of the largest
-    size N, with max|lambda| from a ``_perron_bracket``, or from an
-    eigensolve of that block when there is none. By Cauchy interlacing it
-    bounds the theta of every smaller block, so s_minus and s_plus never
-    decrease along the sizes. Each size k is counted in one of four ways:
+    its planted clique themselves; a matrix has no clique to pivot on. Either
+    is first scaled by an exact power of two where its max|entry| lies
+    outside LAPACK's safe range (``_unit_exponent``). The band is theta =
+    tol_rel * N * max|lambda| of the block of the largest size N, with
+    max|lambda| from a ``_perron_bracket``, or from an eigensolve of that
+    block when there is none. By Cauchy interlacing it bounds the theta of
+    every smaller block, so s_minus and s_plus never decrease along the
+    sizes. Each size k is counted in one of three ways:
 
     - by ``_clique_pivot``, at the band's two edges, from the leading slices
       of the clique's blocks, when c >= 2 of the k points are in the clique
       and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A size
-      whose edge lies within the pivot's roundoff of an eigenvalue is
-      counted by a step or an eigensolve below;
-    - by the blocks of a run (``_run_counts``), at the band's two edges, or
-      at -+floor where theta is below the certificate's floor, keeping only
-      the sizes clear of it, since roundoff eigenvalues of a rank-deficient
-      block may sit there. A run is two or more sizes one apart, none offered
-      to the pivot, the first one after the empty block or after a counted
-      size; every-size trajectories are one run. It is split evenly into
-      blocks of at most 32 sizes (``_RUN_SIZES``), each counted from the size
-      before it with one LU of that size's order. The first size a block
-      refuses is eigensolved, and the run goes on with a block from it; below
-      the floor only from a size clear of it, never from a pivot's count, and
-      not at all with a floor of 0 (an underflowed max|lambda|);
-    - by a certified ``_schur_step`` (Haynsworth additivity) from the anchor
-      a, the last size a step certified (0 at first, the empty block), when
-      a >= k // 2, since a wider step costs more than an eigensolve of order
-      k; or, however wide, when the next size, outside a run, would step
-      from k but not from a, so that k, once certified, is the anchor, until
-      one such wide step from a fails. A failed step keeps the anchor. A
-      certified count is the same for every theta below the bound;
-    - by an eigensolve otherwise.
+      whose edge lies within the pivot's roundoff of an eigenvalue goes to
+      the chain;
+    - by the chain (``_chain_step``), which holds the inverses of A_a -+ e I
+      of its anchor a, the last size it counted, from the empty block on, at
+      the edges -+e, e = max(theta, floor), floor = sqrt(eps) max|lambda|.
+      It steps through a block of a run of sizes one apart after a, of at
+      most 32 sizes (``_RUN_SIZES``, a run split evenly), or to the next
+      size k where a >= k / 2: a wider step costs more than a restart. With
+      no run in the sizes, it holds -e alone until a step finds the band
+      may hold an eigenvalue. Below the floor a size is kept only where its
+      counts at -+floor agree: it reads (below, 0, k - below) at theta, and
+      is eigensolved otherwise, the chain going on;
+    - by an eigensolve otherwise, with vectors (``_chain_restart``) where a
+      later size may step from it, which gives the chain its inverses.
 
-    No step is tried with a floor of 0, nor where an eigenvalue must lie in
-    the band: the last counted size j held more in it than k - j, and each
-    added row moves at most one out. The chain reads dense leading blocks
-    only. From ``CliqueBlocks`` they are written when the chain first needs
-    one, at the largest size that does not take the pivot, and again at a
-    larger size whose pivot is refused; the chain's inverse is held at the
-    largest size below N it counts.
+    The chain reads dense leading blocks only, written from ``CliqueBlocks``
+    when it first needs one, at the largest size that does not take the
+    pivot, and again at a larger size whose pivot is refused. It holds the
+    inverses up to the largest size below N that it counts.
     """
     _check_tol_rel(tol_rel)
     blocks = a if isinstance(a, CliqueBlocks) else None
@@ -629,12 +606,11 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     N = sizes[-1]
     if blocks is not None:
         blocks = blocks.head(N)
-        # -gamma is an entry where two points or more are in the clique
-        ends = [abs(f(M, initial=0.0)) for M in (blocks.B, blocks.D) for f in (np.min, np.max)]
-        power = _unit_exponent(max(ends + [blocks.gamma if len(blocks.inside) >= 2 else 0.0]))
+        gamma = blocks.gamma if len(blocks.inside) >= 2 else 0.0  # -gamma is an entry of two clique points
+        power = _unit_exponent(max(np.abs(blocks.B).max(initial=gamma), np.abs(blocks.D).max(initial=0.0)))
         if power:
-            blocks = CliqueBlocks(blocks.flags, np.ldexp(blocks.B, -power), np.ldexp(blocks.D, -power),
-                                  math.ldexp(blocks.gamma, -power))
+            gamma = math.ldexp(blocks.gamma, -power) if gamma else blocks.gamma
+            blocks = CliqueBlocks(blocks.flags, np.ldexp(blocks.B, -power), np.ldexp(blocks.D, -power), gamma)
     else:
         dense = dense[:N, :N]
         power = _unit_exponent(max(dense.max(), -dense.min()))
@@ -656,61 +632,49 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     if rho is None:  # not -d^2/2-like, or no closed bracket: the band's eigensolve
         top = _eigenvalues(lead(N))
         rho = (float(np.abs(top).max()),) * 2
-    theta, bound = _zero_band(N, tol_rel, *rho)
-    floor = _BORDER_FLOOR * rho[1]
+    theta, floor = _zero_band(N, tol_rel, rho[0]), _BORDER_FLOOR * rho[1]
+    band = (max(theta, floor), floor, math.sqrt(N) * rho[1])  # ||A_N||_F <= sqrt(N) max|lambda|
     counted = sizes if top is None else sizes[:-1]
-    # a run: sizes one apart, the first one after the empty block or a
-    # counted size, none offered to the pivot; ahead[i] of them from i on
-    chained = [(counted[i - 1] if i else 0) == k - 1 and not o for i, (k, o) in enumerate(zip(counted, offered))]
+    # ahead[i]: how many sizes one apart, none offered to the pivot, start at counted[i]
     ahead = [0] * (len(counted) + 1)
     for i in reversed(range(len(counted))):
-        ahead[i] = 1 + ahead[i + 1] if chained[i] else 0
-    # the sizes the blocks count: runs of two or more, unless max|lambda| underflowed
-    in_run = [floor > 0 and chained[i] and (ahead[i] > 1 or i > 0 and chained[i - 1])
-              for i in range(len(counted))] + [False]
-    # zeros keep the columns past the anchor finite; a step to N writes nothing
-    inv = np.zeros((max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
-    base = Inertia(0, 0, 0, theta)  # the anchor's counts
-    stuck = None  # an anchor a wide step failed from: a retry seldom passes, and costs more than an eigensolve
-    out, queue = [], []  # queue: a block's counts of the sizes ahead, then None if it refused one
-    opens = True  # whether a block may start from the last counted size
-    for i, (k, after, c, pivots) in enumerate(zip(counted, counted[1:] + [None], in_clique, offered)):
-        anchor = base.n
-        wants_anchor = after is not None and not in_run[i + 1] and anchor < after // 2 <= k and anchor != stuck
-        in_band = out and out[-1].s_zero > k - out[-1].n
-        steps = floor > 0 and not in_band and (anchor >= k // 2 or wants_anchor)
-        if pivots:
+        if not offered[i]:
+            ahead[i] = 1 + (ahead[i + 1] if counted[i + 1:i + 2] == [counted[i] + 1] else 0)
+    V = np.empty((2,) + (max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
+    # the chain's anchor while V holds its inverses: the empty block at first.
+    # Runs count at both edges; gapped sizes at -e alone while the band holds
+    # no eigenvalue, at both from the first step that fails without +e
+    both = max(ahead) > 1
+    anchor, out, i = ((0, (0, 0), np.zeros(2)) if band[0] > 0 else None), [], 0
+    while i < len(counted):
+        k, c = counted[i], in_clique[i]
+        if offered[i]:
             pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta)
             if pivot is not None:
                 out.append(Inertia(*pivot, theta))
-                opens = theta >= floor  # it counts at -+theta only
+                i += 1
                 continue
-            if len(inv) < k < N:  # refused: the chain holds this size's inverse too
-                inv = np.pad(inv, (0, k - len(inv)))
-        ine = None
-        if in_run[i] and (queue or opens):
-            if not queue:
-                w = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES))  # ahead[i] split evenly
-                prev = (out[-1].s_minus, out[-1].n - out[-1].s_plus) if out else (0, 0)
-                got = _run_counts(lead(k + w - 1), k - 1, theta, prev, floor)[0]
-                queue = got + [None] * (len(got) < w)
-            ine = queue.pop(0)
-        elif steps:
-            step = _schur_step(lead(k), inv, anchor, k, bound, base)
-            if step is not None:
-                base = step[1]
-                out.append(base)
-                opens = True  # certified: no eigenvalue within the bound, at least the floor, of 0
+            if len(V[0]) < k < N:  # refused: the chain holds this size's inverses too
+                V = np.pad(V, ((0, 0), (0, k - len(V[0])), (0, k - len(V[0]))))
+        j = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES)) if anchor and k == anchor[0] + 1 and ahead[i] > 1 else 1
+        if anchor is not None and (j > 1 or 2 * anchor[0] >= k):  # a wider step costs more than a restart
+            one = len(anchor[2]) == 1
+            got, anchor, _ = _chain_step(lead(counted[i + j - 1]), V, anchor, band, j > 1)
+            for k, (lo, hi) in zip(counted[i:], got):
+                if theta >= floor or lo == hi:
+                    out.append(Inertia(lo, hi - lo, k - hi, theta))
+                else:  # an eigenvalue within the floor of 0
+                    out.append(_band_counts(_eigenvalues(lead(k)), theta))
+            i += len(got)
+            if anchor is not None or i == len(counted):
                 continue
-            if anchor < k // 2:  # a wide step
-                stuck = anchor
-        if ine is None:
-            vals = _eigenvalues(lead(k))
-            ine = _band_counts(vals, theta)
-            opens = theta >= floor or np.abs(vals).min() > floor
-        else:  # a block keeps a size below the floor only where it is clear of it
-            opens = True
+            k, both = counted[i], both or one  # refused; a step at one edge, so hold both from now on
+        if band[0] > 0 and not all(offered[i + 1:]):  # a later size may step from k
+            ine, anchor = _chain_restart(lead(k), V, band[0], theta, both)
+        else:
+            ine = _band_counts(_eigenvalues(lead(k)), theta)
         out.append(ine)
+        i += 1
     out = out if top is None else out + [_band_counts(top, theta)]
     return [ine._replace(tol=math.ldexp(ine.tol, power)) for ine in out] if power else out
 

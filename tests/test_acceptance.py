@@ -58,19 +58,17 @@ def criterion(num, title):
 
 def _tripod_prefix_steps(k):
     """Counts of ``prefix_inertias(-b_matrix(4 + k) / 2, [4, 4 + k])``, and
-    the (a, k, negatives) of each ``linalg._schur_step`` that it ran."""
-    steps = []
-    real = linalg._schur_step
-
-    def counted(A, inv, a, size, bound, norm2):
-        step = real(A, inv, a, size, bound, norm2)
-        steps.append((a, size, None if step is None else step[0]))
-        return step
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg, "_schur_step", counted)
-        got = prefix_inertias(-b_matrix(4 + k) / 2, [4, 4 + k])
-    return [i.counts() for i in got], steps
+    the counts below the band's edges -+e of the head of order 4, restarted
+    by ``linalg._chain_restart``, and of the ``linalg._chain_step`` from it
+    to the whole matrix."""
+    A = -b_matrix(4 + k) / 2
+    got = prefix_inertias(A, [4, 4 + k])
+    floor = linalg._BORDER_FLOOR * linalg._perron_bracket(A)[1]
+    e = max(got[-1].tol, floor)
+    V = np.empty((2, 4 + k, 4 + k))
+    head = linalg._chain_restart(A[:4, :4], V, e, got[-1].tol, True)[1]
+    step = linalg._chain_step(A, V, head, (e, floor, float(np.linalg.norm(A))), False)[0]
+    return [i.counts() for i in got], head[1], step
 
 
 @criterion(1, "exact paper values")
@@ -84,11 +82,12 @@ def test_criterion_01_exact_values():
         expect = (4.0 / 3.0) * (8.0 * np.eye(k) + 11.0 * (np.ones((k, k)) - np.eye(k)))
         assert np.abs(schur - expect).max() <= 1e-12
     # -b/2 has b's counts with their signs flipped; its complement of the
-    # head, -1/2 of the one above, has one negative eigenvalue
+    # head, -1/2 of the one above, has one negative eigenvalue, which the
+    # chain's step from the head adds at each edge of the band
     for k in range(1, 6):
-        counts, steps = _tripod_prefix_steps(k)
+        counts, head, step = _tripod_prefix_steps(k)
         assert counts == [(1, 0, 3), (2, 0, k + 2)]
-        assert steps == [(0, 4, 1), (4, 4 + k, 1)]
+        assert head == (1, 1) and step == [(2, 2)]
     assert space_signature(named_example("tripod")).signature == (1, 3)
     for n in range(2, 51):
         vals = eig_sym(s_matrix(named_example("simplex", n=n))).eigenvalues
@@ -118,8 +117,8 @@ def test_criterion_02_haynsworth():
     # the package's own complement: the step from the head of -b/2 adds its
     # negatives and positives to the head's counts
     for k in range(1, 6):
-        (head, whole), steps = _tripod_prefix_steps(k)
-        assert steps[-1] == (4, 4 + k, 1)
+        (head, whole), below, step = _tripod_prefix_steps(k)
+        assert step == [(below[0] + 1, below[1] + 1)] and below == (head[0], head[0] + head[1])
         assert whole == (head[0] + 1, 0, head[2] + k - 1) == inertia(-b_matrix(4 + k) / 2).counts()
 
 

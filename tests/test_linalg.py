@@ -274,19 +274,22 @@ def test_entry_points_validate(entry, a, message, monkeypatch):
 
 
 def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
-    # each block counted by a run's block or an eigensolve is a block of the
-    # validated matrix; only the Schur complements, which eig_sym solves,
-    # pass the gate again. The 200 sizes are one run: 7 blocks of at most 32
+    # each block the chain reads is a block of the validated matrix; only the
+    # Schur complements, which eig_sym solves, pass the gate again. The 200
+    # sizes are one run: 7 steps of at most 32 sizes from the empty block,
+    # and the last one's complements, of order 28, from which no inverse is
+    # kept, are solved for their eigenvalues alone
     S = named_example("sphere", dim=2, n=200, seed=1).s_matrix_on(range(200))
-    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_eigenvalues", "_run_counts"], 0)
+    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_chain_step", "_chain_restart"], 0)
     for name in calls:
         def counted(*args, _f=getattr(linalg, name), _name=name):
             calls[_name] += 1
             return _f(*args)
 
         monkeypatch.setattr(linalg, name, counted)
+    orders = _eigensolve_orders(monkeypatch)
     prefix_inertias(S, range(1, 201))
-    assert calls["_run_counts"] == 7 and calls["_eigenvalues"] == 0
+    assert calls["_chain_step"] == 7 and calls["_chain_restart"] == 0 and set(orders) == {28}
     assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
 
 
@@ -313,43 +316,45 @@ def _every_eigensolve_order(monkeypatch):
     return orders
 
 
-def _schur_steps(monkeypatch):
-    """(a, k, certified) of each ``linalg._schur_step`` from now on."""
+def _chain_steps(monkeypatch):
+    """(a, k, counted, held) of each ``linalg._chain_step`` from now on: its
+    anchor's order, its largest order, how many sizes it counted, and whether
+    it holds the inverses of the largest."""
     steps = []
-    real = linalg._schur_step
+    real = linalg._chain_step
 
-    def counted(A, inv, a, k, bound, base):
-        step = real(A, inv, a, k, bound, base)
-        steps.append((a, k, step is not None))
-        return step
+    def counted(A, V, anchor, band, run):
+        got = real(A, V, anchor, band, run)
+        steps.append((anchor[0], len(A), len(got[0]), got[1] is not None))
+        return got
 
-    monkeypatch.setattr(linalg, "_schur_step", counted)
+    monkeypatch.setattr(linalg, "_chain_step", counted)
     return steps
 
 
-def _run_blocks(monkeypatch):
-    """(m, k, counted) of each block ``linalg._run_counts`` takes from now
-    on: its anchor's order, its largest order and how many sizes it counted."""
-    blocks = []
-    real = linalg._run_counts
+def _restarts(monkeypatch):
+    """(k, held) of each ``linalg._chain_restart`` from now on: the order it
+    eigensolved, and whether it gave the chain its inverses."""
+    restarts = []
+    real = linalg._chain_restart
 
-    def counted(A, m, theta, anchor, floor):
-        got = real(A, m, theta, anchor, floor)
-        blocks.append((m, len(A), len(got[0])))
+    def counted(A, *rest):
+        got = real(A, *rest)
+        restarts.append((len(A), got[1] is not None))
         return got
 
-    monkeypatch.setattr(linalg, "_run_counts", counted)
-    return blocks
+    monkeypatch.setattr(linalg, "_chain_restart", counted)
+    return restarts
 
 
-def _cover_the_run(blocks, start, stop):
-    """Whether ``blocks`` counted every size from start + 1 to stop, one
-    block after the other, each of at most 32 sizes, as few as can."""
+def _cover_the_run(steps, start, stop):
+    """Whether ``steps`` counted every size from start + 1 to stop, one block
+    after the other, each of at most 32 sizes, as few as can."""
     return (
-        [m for m, _, _ in blocks] == [start] + [k for _, k, _ in blocks[:-1]]
-        and blocks[-1][1] == stop
-        and all(n == k - m <= linalg._RUN_SIZES for m, k, n in blocks)
-        and len(blocks) == math.ceil((stop - start) / linalg._RUN_SIZES)
+        [a for a, _, _, _ in steps] == [start] + [k for _, k, _, _ in steps[:-1]]
+        and steps[-1][1] == stop
+        and all(n == k - a <= linalg._RUN_SIZES for a, k, n, _ in steps)
+        and len(steps) == math.ceil((stop - start) / linalg._RUN_SIZES)
     )
 
 
@@ -373,8 +378,7 @@ class TestPrefixInertias:
         sizes = list(range(1, N + 1))
         whole = inertia(S)
         orders = _eigensolve_orders(monkeypatch)
-        steps = _schur_steps(monkeypatch)
-        blocks = _run_blocks(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         # one band: the largest block's, its max|lambda| from a Perron bracket
@@ -382,9 +386,10 @@ class TestPrefixInertias:
         assert got[-1].tol == pytest.approx(whole.tol, rel=1e-13, abs=0.0)
         assert got[-1].counts() == whole.counts()
         # every size is one run from the empty block, counted at the band's
-        # edges, the hollow 1x1 block too: no eigensolve and no Schur step
-        assert _cover_the_run(blocks, 0, N)
-        assert orders == [] and steps == []
+        # edges, the hollow 1x1 block too: no restart, and no eigensolve but
+        # of the last step's complements
+        assert _cover_the_run(steps, 0, N)
+        assert restarts == [] and all(n <= linalg._RUN_SIZES for n in orders)
 
     def test_sizes_with_gaps(self):
         S = _model_s()
@@ -393,12 +398,14 @@ class TestPrefixInertias:
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert [i.n for i in got] == sizes
 
-    # each family's run blocks, its first two steps' sizes and its certified
-    # steps' sizes on the gapped sizes
+    # each family's restarts, and the anchor and size of each step that
+    # counted, on the gapped sizes
     GAPPED = {
-        "weak_direction": ([(2, 5, 3)], [7], []),
-        "planar_points": ([], [2, 3], [2, 3]),
-        "sphere": ([], [2, 4], [2, 4, 6, 9]),
+        "weak_direction": ([(2, True)], [(2, 5), (5, 7), (7, 10), (10, 13), (13, 17), (17, 23), (23, 30)]),
+        "planar_points": ([(2, True)], [(2, 3), (3, 5), (5, 6), (6, 9), (9, 12), (12, 17), (17, 23), (23, 32),
+                                        (32, 44), (44, 60)]),
+        "sphere": ([(2, True), (21, True), (68, True)], [(2, 4), (4, 6), (6, 9), (9, 14), (21, 31), (31, 46),
+                                                         (68, 101), (101, 150)]),
     }
 
     @pytest.mark.parametrize(
@@ -406,65 +413,82 @@ class TestPrefixInertias:
         [("weak_direction", 0.0), ("planar_points", 0.0), ("sphere", 1e-9)],
     )
     def test_gapped_sizes_take_certified_schur_blocks(self, family, tol_rel, monkeypatch):
-        run, stepped, certified = self.GAPPED[family]
+        restarted, stepped = self.GAPPED[family]
         S = {
             "weak_direction": self._weak_direction,
             "planar_points": self._planar_points,
             "sphere": self.FAMILIES["sphere"],
         }[family]()
         sizes = sorted({int(k) for k in np.geomspace(2, len(S), 12)})
-        steps = _schur_steps(monkeypatch)
-        blocks = _run_blocks(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-        # weak_direction's sizes 3 to 5 are a run, which a block counts at any
-        # tolerance; the wide step from the empty block to 7 fails, and no
-        # wide step is tried from that anchor again. Elsewhere the first
-        # sizes are steps, and some steps add a certified block of several
-        # orders at once
-        assert blocks == run and [k for _, k, _ in steps[:2]] == stepped
-        assert [k for _, k, ok in steps if ok] == certified
+        # the first size is a restart, too wide a step from the empty block;
+        # every later size steps from the one before, weak_direction's run
+        # 3 to 5 in one step of three sizes. sphere, with no run, steps at -e
+        # alone while the band holds no eigenvalue: its step to 21 is
+        # refused there, and 21 is a restart that holds both edges; its step
+        # to 68 is refused too (an eigenvalue lies near an edge)
+        assert restarts == restarted and [(a, k) for a, k, n, _ in steps if n] == stepped
 
     def test_failed_block_falls_back_to_an_eigensolve(self, monkeypatch):
-        # S of planar points has rank <= 4, so the step from 3 to 6 points
-        # cannot be certified at tol 0 and block 6 is eigensolved
+        # S of planar points has rank <= 4. At tol 0 the step to 6, at
+        # -floor alone (the sizes hold no run), is refused, since an
+        # eigenvalue of A_6 lies in the band, and 6 is a restart that holds
+        # both edges; the step to 12 counts at -+floor, where its two counts
+        # differ, so 12 is eigensolved; 60 is too wide a step from 12
         S = self._planar_points()
         sizes = [3, 6, 12, len(S)]
-        steps = _schur_steps(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 0.0)
-        assert steps[:2] == [(0, 3, True), (3, 6, False)]
-        # 12 and 60 are too wide a step from the last certified block
-        assert orders == [6, 12, len(S)]
+        assert restarts == [(3, True), (6, True)] and steps == [(3, 6, 0, False), (6, 12, 1, True)]
+        assert orders == [12, len(S)]
 
     def test_a_size_the_next_steps_from_is_a_wide_step(self, monkeypatch):
         S = _model_s()
         N = len(S)
         sizes = [2, N - 1, N]
-        steps = _schur_steps(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        # 2 is eigensolved; N - 1, which the step to N starts from, is one
-        # step from the empty block, since 2 was never an anchor; the step
-        # to N needs no eigensolve
-        assert steps == [(0, N - 1, True), (N - 1, N, True)] and orders == [2]
+        # 2 and N - 1, each too wide a step from the anchor before it, are
+        # restarts that give the chain its inverses; the step to N from N - 1
+        # eigensolves only its two 1 x 1 complements
+        assert restarts == [(2, True), (N - 1, True)] and steps == [(N - 1, N, 1, False)] and orders == [1, 1]
 
     def test_a_ratio_trial_takes_no_inverse(self, monkeypatch):
-        # the checkpoints 112 and 314 of this clique-free trial are too far
-        # from the anchor for a step to pay, but the next checkpoint steps
-        # from each: they are counted by wide steps (32 -> 112, 112 -> 314),
-        # and no block is inverted
+        # the first checkpoint of this clique-free trial is a restart, and
+        # each later one a step from the one before, 60 -> 112 and 112 -> 190
+        # too; no block is inverted
         inverses = []
         real = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or real(a))
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         model = CountableRadoModel(0.5, 1)
         measure = DiscreteMeasure.geometric(0.995)
         traj = rado_ratio_experiment(model, measure, 3000, seed=trial_seed(1, 3))
-        assert inverses == []
+        assert inverses == [] and restarts == [(traj.dedup_sizes[0], True)]
+        assert [(a, k) for a, k, n, _ in steps if n] == list(zip(traj.dedup_sizes, traj.dedup_sizes[1:]))
         S = model.s_matrix_on(gv_sample(measure, 3000, trial_seed(1, 3)).dedup)
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
+
+    def test_gapped_model_sizes_are_steps(self, monkeypatch):
+        # the leading 1000 points of the gapped model trajectory (trajectory
+        # --model-p 0.5 --measure geometric:0.999 --m-max 3000 --seed 2) at
+        # sizes 10, 20, ..., 1000. Many of them have an eigenvalue within ten
+        # times the band of 0, where no step certified at 0 can count them;
+        # at the band's edges the chain steps to all but the first and one
+        # more, which are restarts
+        order = sample_order(parse_measure_spec("geometric:0.999"), 3000, 2)
+        S = CountableRadoModel(0.5, 2).s_matrix_on(order)[:1000, :1000]
+        sizes = list(range(10, 1001, 10))
+        restarts, orders = _restarts(monkeypatch), _block_eigensolves(monkeypatch, S)
+        got = prefix_inertias(S, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert restarts[0] == (10, True) and len(restarts) + len(orders) <= 2
 
     @pytest.mark.parametrize("power", [-500, -300, 300, 500])
     @pytest.mark.parametrize("family", ["tripod_extended", "sphere"])
@@ -586,11 +610,26 @@ def _class_biased_trial(seed, m_max=3000):
     return model.s_matrix_on(sample.dedup), sorted({int(k) for k in sizes})
 
 
+def _block_eigensolves(monkeypatch, S):
+    """Orders of the leading blocks of ``S`` that ``linalg._eigenvalues``
+    solves from now on, and not the complements the chain forms."""
+    orders = []
+    real = linalg._eigenvalues
+
+    def counted(a, **kw):
+        if np.shares_memory(a, S):
+            orders.append(len(a))
+        return real(a, **kw)
+
+    monkeypatch.setattr(linalg, "_eigenvalues", counted)
+    return orders
+
+
 class TestParityCounts:
-    # a run of sizes one apart is counted from the counts of the size before
-    # it and the signs of det(A_k -+ e I), e = max(theta, floor), a block of
-    # sizes at a time (the class kept its name from the determinant parity
-    # that came before the blocks)
+    # a run of sizes one apart is counted by the chain from the size before
+    # it, a block of sizes at a time, by the signs of the leading minors of
+    # the complement at the edges -+e, e = max(theta, floor) (the class kept
+    # its name from the determinant parity that came before the blocks)
     FAMILIES = {
         "sphere": lambda: named_example("sphere", dim=2, n=120, seed=3).s_matrix_on(range(120)),
         "sphere_sqrt": lambda: named_example("sphere_sqrt", dim=2, n=80, seed=3).s_matrix_on(range(80)),
@@ -606,106 +645,103 @@ class TestParityCounts:
     def test_every_prefix_matches_eigvalsh(self, family, tol_rel, monkeypatch):
         S = self.FAMILIES[family]()
         sizes = list(range(1, len(S) + 1))
-        blocks = _run_blocks(monkeypatch)
-        orders = _eigensolve_orders(monkeypatch)
-        steps = _schur_steps(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        orders = _block_eigensolves(monkeypatch, S)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-        # at any tolerance each size is counted once, by a block or an
-        # eigensolve, and none by a Schur step; below the certificate's
-        # floor (1e-12 and 0) the blocks count at -+floor
-        assert steps == [] and sum(n for _, _, n in blocks) + len(orders) == len(S)
+        # at any tolerance the steps count every size, the largest too unless
+        # it is the band's eigensolve (no Perron bracket), also where most
+        # blocks hold eigenvalues in the band (sphere, planar), and no size is
+        # a restart. Below the floor (1e-12 and 0) they count at -+floor, and
+        # only a size whose two counts differ is eigensolved
+        top = len(S) - (linalg._perron_bracket(S) is None)
+        assert restarts == [] and _cover_the_run(steps, 0, top)
         if tol_rel >= 1e-9:
-            # the blocks count every size, the largest too unless it is the
-            # band's eigensolve (no Perron bracket), also where most blocks
-            # hold eigenvalues in the band (sphere, planar)
-            top = len(S) - (linalg._perron_bracket(S) is None)
-            assert _cover_the_run(blocks, 0, top)
+            assert orders == [len(S)] * (top < len(S))
 
     def test_an_eigenvalue_on_the_band_edge_is_eigensolved(self, monkeypatch):
         # the 4th and 7th diagonal entries are theta and -theta exactly, so
-        # det(A_k - theta I) vanishes from size 4 on and det(A_k + theta I)
-        # from size 7 on; those sizes fall back to an eigensolve
+        # A_k - theta I is singular from size 4 on and A_k + theta I from
+        # size 7 on; those sizes fall back to an eigensolve
         N, tol_rel, rho = 10, 1e-6, 4.0
         theta = tol_rel * N * rho
         S = np.diag([-1.0, 2.0, 0.5, theta, -3.0, 1.5, -theta, rho, -2.0, 1.0])
         sizes = list(range(1, N + 1))
         orders = _eigensolve_orders(monkeypatch)
-        blocks = _run_blocks(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert got[-1].tol == theta
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         assert got[3].counts() == (1, 1, 2) and got[6].counts() == (2, 2, 3)
         # the largest block is the band's eigensolve (no Perron bracket); the
-        # run's first block counts sizes 1 to 3 and refuses its 4th minor.
-        # Each size from 4 on is eigensolved, since A_a - theta I is singular
-        # for the anchor a of each block after it
-        assert orders[0] == N and orders[1:] == list(range(4, N))
-        assert blocks == [(0, N - 1, 3)] + [(a, N - 1, 0) for a in range(4, N - 1)]
+        # run's first step counts sizes 1 to 3 and refuses its 4th minor, 0.
+        # Each size from 4 on is a restart that gives the chain no inverses,
+        # since an edge is an eigenvalue of each
+        assert orders == [N] and steps == [(0, N - 1, 3, False)]
+        assert restarts == [(k, False) for k in range(4, N)]
 
     @pytest.mark.parametrize("tol_rel", [1e-12, 0.0])
     def test_blocks_below_the_floor_keep_the_sizes_clear_of_it(self, tol_rel, monkeypatch):
         # theta = 1e-12 * N * max|lambda| is below the floor sqrt(eps) *
         # max|lambda|, where roundoff eigenvalues of a rank-deficient block
-        # may sit. The blocks count at -+floor and keep a size only where no
-        # eigenvalue lies within the floor of 0, and start only from such a
-        # size; this sample's prefixes of 22 to 57 points go in and out of it
+        # may sit. The steps count at -+floor and keep a size only where the
+        # two counts agree: no eigenvalue lies within the floor of 0; this
+        # sample's prefixes of 22 to 57 points go in and out of it
         S = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(60))
         sizes = list(range(1, 61))
-        blocks = _run_blocks(monkeypatch)
-        orders = _eigensolve_orders(monkeypatch)
-        steps = _schur_steps(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        orders = _block_eigensolves(monkeypatch, S)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         floor = linalg._BORDER_FLOOR * linalg._perron_bracket(S)[1]
-        clear = [True] + [np.abs(np.linalg.eigvalsh(S[:k, :k])).min() > floor for k in sizes]
-        kept = [k for m, _, n in blocks for k in range(m + 1, m + n + 1)]
-        # every size that no block kept is eigensolved, and none is a step
-        assert steps == [] and sorted(kept + orders) == sizes and len(kept) > 30
-        assert all(clear[k] for k in kept) and all(clear[m] for m, _, _ in blocks)
-        assert all(not clear[m + n + 1] for m, k, n in blocks if m + n < k)
+        clear = [np.abs(np.linalg.eigvalsh(S[:k, :k])).min() > floor for k in sizes]
+        # the steps count every size, and exactly the sizes not clear of the
+        # floor are eigensolved; the chain goes on from their inverses
+        assert restarts == [] and _cover_the_run(steps, 0, 60)
+        assert orders == [k for k, ok in zip(sizes, clear) if not ok] and 10 < len(orders) < 30
 
     def test_a_singular_prefix_stops_the_blocks_below_the_floor(self, monkeypatch):
-        # A_4 is singular. At 1e-12 theta is below the floor, so the block
-        # counts at -+floor: it keeps sizes 1 to 3 and refuses 4, whose
-        # eigenvalue 0 lies within the floor. Size 4 is eigensolved, and no
-        # block starts from it, so size 5 is eigensolved too. At 1e-6 the
-        # sizes 1 to 5 are one block, counted at the band's edges, where
-        # A_4 -+ theta I is regular
+        # A_4 is singular. At 1e-12 theta is below the floor, so the step
+        # counts at -+floor, where A_4 -+ floor I is regular: it counts sizes
+        # 1 to 5, but size 4's two counts differ (its eigenvalue 0 lies within
+        # the floor), and size 4 is eigensolved. At 1e-6 the step counts at
+        # the band's edges, and none is eigensolved
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = list(range(1, 7))
-        steps = _schur_steps(monkeypatch)
-        blocks = _run_blocks(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=1e-12)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-12)
-        assert blocks == [(0, 5, 3)] and steps == [] and orders == [6, 4, 5]  # 6: the band's eigensolve
-        blocks.clear(), orders.clear()
+        assert steps == [(0, 5, 5, True)] and restarts == [] and orders == [6, 4]  # 6: the band's eigensolve
+        steps.clear(), orders.clear()
         got = prefix_inertias(S, sizes, tol_rel=1e-6)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-6)
-        assert blocks == [(0, 5, 5)] and steps == [] and orders == [6]
+        assert steps == [(0, 5, 5, True)] and restarts == [] and orders == [6]
 
     def test_a_failed_scalar_step_keeps_its_anchor(self, monkeypatch):
-        # the same singular A_4, with a seventh point: size 4, one past 3 but
-        # no run, steps from 3 by one row and fails, and is eigensolved; size
-        # 6 steps from the anchor of order 3 again, below the floor and above
+        # the same singular A_4, with a seventh point: size 3 is a restart,
+        # and size 4, one past 3 but no run, steps from 3 by one row. A_4 -+
+        # e I is regular, so the steps to 4 and 6 are certified and the
+        # anchor moves on; below the floor size 4's counts differ, and it is
+        # eigensolved
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0, 6.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = [3, 4, 6, 7]
-        steps = _schur_steps(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         for tol_rel in (1e-12, 1e-6):
-            steps.clear(), orders.clear()
+            steps.clear(), restarts.clear(), orders.clear()
             got = prefix_inertias(S, sizes, tol_rel=tol_rel)
             assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-            assert steps == [(0, 3, True), (3, 4, False), (3, 6, True)] and orders == [7, 4]  # 7: the band's
+            assert restarts == [(3, True)] and steps == [(3, 4, 1, True), (4, 6, 1, True)]
+            assert orders == ([7, 4] if tol_rel < 1e-9 else [7])  # 7: the band's
 
     def test_a_loose_band_takes_one_lu_per_block(self, monkeypatch):
-        # at 1e-7 model prefixes hold eigenvalues within 10 theta of 0, so
-        # unshifted steps fail; the blocks count at the band's edges with one
-        # batched LU solve of the anchor per block of up to 32 sizes, where a
-        # determinant per size took one LU each
+        # at 1e-7 model prefixes hold eigenvalues within 10 theta of 0. The
+        # chain counts at the band's edges in one step per block of up to 32
+        # sizes, from its held inverses: no LU of a block, no solve, and
+        # determinants of the w x w minors only
         S = _model_s()
         N = len(S)
         assert N >= 390
@@ -713,29 +749,31 @@ class TestParityCounts:
         for name in ("solve", "slogdet", "det", "inv"):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, *rest, _f=real: lu.append(a.shape[-1]) or _f(a, *rest))
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         got = prefix_inertias(S, range(1, N + 1), tol_rel=1e-7)
-        assert len([n for n in lu if n > 32]) <= math.ceil(N / linalg._RUN_SIZES) + 2
+        assert _cover_the_run(steps, 0, N) and restarts == []
+        assert len(lu) == len(steps) and max(lu) <= linalg._RUN_SIZES
         picks = [*range(10, N, 30), N]
         assert [got[k - 1].counts() for k in picks] == prefix_counts_by_eigvalsh(S, picks, 1e-7)
 
     @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600])
     def test_a_power_of_two_scale_counts_as_scale_one(self, scale, monkeypatch):
-        # every step of a block scales exactly with the matrix, and its
-        # bound is taken in units of the floor, so no norm overflows at
-        # 2^600 (entries near 1e180) or loses its squares at 2^-600
+        # the matrix is scaled back into LAPACK's safe range, and the chain
+        # counts in units of the edge, so no norm overflows at 2^600 (entries
+        # near 1e180) or loses its squares at 2^-600
         S = named_example("sphere", dim=2, n=100, seed=3).s_matrix_on(range(100))
         sizes = list(range(1, 101))
         want = prefix_inertias(S, sizes)
-        blocks = _run_blocks(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(S * scale, sizes)
         assert [i.counts() for i in got] == [i.counts() for i in want]
-        assert got[-1].tol == want[-1].tol * scale and _cover_the_run(blocks, 0, 100)
+        assert got[-1].tol == want[-1].tol * scale and _cover_the_run(steps, 0, 100)
 
     @pytest.mark.parametrize("tol_rel", [1e200, 1e300])
     def test_a_huge_tolerance_puts_every_eigenvalue_in_the_band(self, tol_rel):
-        # theta near 3e203 or 3e303: the blocks' bound is taken in units of
-        # the edge, so no square in a norm overflows and no division passes
-        # the largest float, where the suite would raise the RuntimeWarning
+        # theta near 3e203 or 3e303: the chain counts in units of the edge, so
+        # no square in a norm overflows and no division passes the largest
+        # float, where the suite would raise the RuntimeWarning
         S = named_example("tripod_extended", n=40).s_matrix_on(range(40))
         sizes = list(range(1, 41))
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
@@ -744,18 +782,19 @@ class TestParityCounts:
 
     @pytest.mark.parametrize("seed", [5, 7, 1881])
     def test_benchmark_sphere_trajectories_take_no_step(self, seed, monkeypatch):
-        # the benchmark's 200-point sphere sample: its Schur steps, of one
-        # row and of several, failed their certificates and eigensolved complements
-        # (23 failed at seed 1881); the run's blocks take every size instead
+        # the benchmark's 200-point sphere sample, whose prefixes hold
+        # eigenvalues near 0: the chain takes every size in 7 steps from the
+        # empty block, with no restart, and eigensolves only their
+        # complements, of order 28 or 29
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from inputs import sphere_distances
 
         space = from_distance_matrix(sphere_distances(seed, 200, "sphere200"))
-        steps = _schur_steps(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         orders = _every_eigensolve_order(monkeypatch)
         traj = limit_signature_trajectory(space, range(200))
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(space.s_matrix_on(range(200)), range(1, 201))
-        assert steps == [] and orders == []
+        assert _cover_the_run(steps, 0, 200) and restarts == [] and set(orders) == {28, 29}
 
 
 class TestPerronBand:
@@ -779,39 +818,44 @@ class TestPerronBand:
         theta = prefix_inertias(S, [N // 2, N])[-1].tol
         assert theta == pytest.approx(1e-9 * N * rho, rel=1e-13, abs=0.0)
 
-    def test_class_biased_trials_match_eigvalsh(self, monkeypatch):
-        # every largest checkpoint is counted by a Schur step
-        orders = _eigensolve_orders(monkeypatch)
+    def test_class_biased_trials_match_eigvalsh(self):
+        # every largest checkpoint is counted by a step of the chain; the
+        # first checkpoint is a restart, and so, at times, is one more than
+        # twice the size of the one before. No block is eigensolved
         for seed in range(16):
             S, sizes = _class_biased_trial(seed, m_max=1200)
-            got = prefix_inertias(S, sizes)
+            with pytest.MonkeyPatch.context() as mp:
+                steps, restarts, orders = _chain_steps(mp), _restarts(mp), _block_eigensolves(mp, S)
+                got = prefix_inertias(S, sizes)
             assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes), seed
-            assert sizes[-1] not in orders
-        assert len(orders) <= 2
+            assert steps[-1][1:3] == (sizes[-1], 1) and orders == []
+            assert restarts[0] == (sizes[0], True) and len(restarts) <= 2
 
     @pytest.mark.parametrize("dim, n", [(2, 200), (3, 120)])
     def test_sphere_families_count_their_largest_block_by_parity(self, dim, n, monkeypatch):
-        # the steps of these sphere families would fail their certificates;
-        # the largest block is counted by the run's last block, against the
-        # band of the bracket, and so is every other size
+        # the largest block of these sphere families is counted by the run's
+        # last step, against the band of the bracket, and so is every other
+        # size
         S = named_example("sphere", dim=dim, n=n, seed=1).s_matrix_on(range(n))
         sizes = list(range(1, n + 1))
-        orders = _eigensolve_orders(monkeypatch)
-        blocks = _run_blocks(monkeypatch)
+        orders = _block_eigensolves(monkeypatch, S)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert _cover_the_run(blocks, 0, n) and orders == [] and linalg._perron_bracket(S) is not None
+        assert _cover_the_run(steps, 0, n) and restarts == [] and orders == []
+        assert linalg._perron_bracket(S) is not None
 
     def test_a_failed_largest_step_is_eigensolved(self, monkeypatch):
-        # 12 cospherical points of R^10: S has rank 11, so the step from 11
-        # points to 12 cannot be certified
+        # 12 cospherical points of R^10: S has rank 11. At tol 0 the step
+        # from 11 points to 12 counts at -+floor, where the two counts
+        # differ, so 12 is eigensolved; 8 is a restart
         P = random_cospherical_points(np.random.default_rng(1), 12, 10)
         S = from_euclidean_points(P).s_matrix_on(range(12))
-        steps = _schur_steps(monkeypatch)
-        orders = _eigensolve_orders(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        orders = _block_eigensolves(monkeypatch, S)
         got = prefix_inertias(S, [8, 11, 12], tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, [8, 11, 12], 0.0)
-        assert steps == [(0, 8, True), (8, 11, True), (11, 12, False)] and orders == [12]
+        assert restarts == [(8, True)] and steps == [(8, 11, 1, True), (11, 12, 1, False)] and orders == [12]
 
     @pytest.mark.parametrize("kind", ["generic", "positive_entry", "slow_bracket"])
     def test_no_bracket_takes_the_eigensolve(self, kind, monkeypatch):
@@ -837,101 +881,118 @@ class TestPerronBand:
         assert prefix_inertias([[-2.0]], [1])[0].counts() == (1, 0, 0)
 
 
-def _schur_step_from(A, a, k, bound=0.0):
-    """``linalg._schur_step`` from the leading block of order a, with its
-    inverse from ``np.linalg.inv`` and its counts from eigvalsh, to the block
-    of order k: (the negatives it adds, or None, and the inverse buffer after
-    the step)."""
+def _chain_step_from(A, a, k, e):
+    """``linalg._chain_step`` from the leading block of order a, with its
+    inverses at the edges -+e from ``np.linalg.inv`` and its counts below
+    them from eigvalsh, to the block of order k: (the counts it returned, the
+    anchor, and the inverse buffer after the step, in units of e)."""
     A = np.asarray(A, dtype=float)
-    inv = np.zeros((k, k))
-    inv[:a, :a] = np.linalg.inv(A[:a, :a])
-    base = linalg.Inertia(*count_inertia(np.linalg.eigvalsh(A[:a, :a]), 0.0), 0.0)
-    step = linalg._schur_step(A, inv, a, k, bound, base)
-    if step is not None:  # A_k's counts, A_a's plus the complement's
-        assert step[1] == linalg.Inertia(*count_inertia(np.linalg.eigvalsh(A[:k, :k]), 0.0), 0.0)
-    return (None if step is None else step[0]), inv
+    V = np.zeros((2, k, k))
+    vals = np.linalg.eigvalsh(A[:a, :a]) if a else np.zeros(0)
+    for s, sigma in enumerate((-e, e)):
+        if a:
+            V[s, :a, :a] = e * np.linalg.inv(A[:a, :a] - sigma * np.eye(a))
+    anchor = (a, (int(np.sum(vals < -e)), int(np.sum(vals < e))), np.linalg.norm(V[:, :a, :a], axis=(1, 2)))
+    band = (e, linalg._BORDER_FLOOR * float(np.abs(np.linalg.eigvalsh(A[:k, :k])).max()), np.linalg.norm(A[:k, :k]))
+    got, anchor, _ = linalg._chain_step(A[:k, :k], V, anchor, band, False)
+    if anchor is not None:  # A_k's counts, A_a's plus the complement's, and its inverses
+        vals = np.linalg.eigvalsh(A[:k, :k])
+        assert got == [(int(np.sum(vals < -e)), int(np.sum(vals < e)))]
+        for s, sigma in enumerate((-e, e)):
+            _assert_inverse(A[:k, :k] - sigma * np.eye(k), V[s] / e)
+    return got, anchor, V
+
+
+def _assert_inverse(M, W):
+    """W is M^{-1} up to a residual ||M W - I|| of roundoff size."""
+    assert np.abs(M @ W - np.eye(len(M))).max() <= 1e-12 * len(M) * np.linalg.norm(M) * np.linalg.norm(W)
 
 
 class TestSchurComplement:
-    # _schur_step is the one Schur complement: the count of A_k / A_a and the
-    # inverse of A_k, built from that of A_a
+    # _chain_step is the one Schur complement: the counts of A_k at the
+    # band's edges -+e, from A_a's and the complement's, and the inverses of
+    # A_k -+ e I, built from those of A_a
 
     def test_block_diagonal(self):
         P = np.array([[2.0, 1.0], [1.0, 2.0]])
         Q = np.array([[5.0]])
         A = np.block([[P, np.zeros((2, 1))], [np.zeros((1, 2)), Q]])
-        neg, inv = _schur_step_from(A, 2, 3)
-        assert neg == 0
-        np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-14, atol=1e-15)
-        assert inv[2, 2] == 1.0 / 5.0  # the complement is Q
+        got, anchor, V = _chain_step_from(A, 2, 3, 1e-3)
+        assert got == [(0, 0)] and anchor is not None
+        for s, sigma in enumerate((-1e-3, 1e-3)):  # the complement is Q - sigma
+            assert V[s, 2, 2] == pytest.approx(1e-3 / (5.0 - sigma), rel=1e-15)
 
     def test_two_by_two_closed_form(self):
-        a, b, c = 3.0, 2.0, 7.0
-        neg, inv = _schur_step_from([[a, b], [b, c]], 1, 2)
-        assert neg == 0
-        assert inv[1, 1] == pytest.approx(1.0 / (c - b * b / a), rel=1e-14)
+        a, b, c, e = 3.0, 2.0, 7.0, 1e-3
+        got, anchor, V = _chain_step_from([[a, b], [b, c]], 1, 2, e)
+        assert got == [(0, 0)]
+        for s, sigma in enumerate((-e, e)):
+            assert V[s, 1, 1] == pytest.approx(e / (c - sigma - b * b / (a - sigma)), rel=1e-14)
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_extended_tripod_block(self, k):
         # b's complement of the 4-point head is (4/3)(8 I + 11 (J - I)), so
-        # that of -b/2 has one eigenvalue -(2/3)(11 k - 3) and k - 1 at 2
-        neg, inv = _schur_step_from(-0.5 * b_matrix(4 + k), 4, 4 + k)
-        comp = -(2.0 / 3.0) * (8.0 * np.eye(k) + 11.0 * (np.ones((k, k)) - np.eye(k)))
-        np.testing.assert_allclose(inv[4:, 4:], np.linalg.inv(comp), rtol=1e-12, atol=1e-14)
-        assert neg == 1
+        # that of -b/2 has one eigenvalue -(2/3)(11 k - 3) and k - 1 at 2:
+        # near 0 the step adds one negative eigenvalue at each edge
+        got, anchor, V = _chain_step_from(-0.5 * b_matrix(4 + k), 4, 4 + k, 1e-6)
+        assert got == [(2, 2)] and anchor == (4 + k, (2, 2), pytest.approx(np.linalg.norm(V, axis=(1, 2))))
 
     def test_singular_block(self):
+        # a complement singular at an edge is refused; one singular at 0,
+        # as of a zero block, is not singular at the edges
+        assert _chain_step_from(np.ones((2, 2)), 1, 2, 2.0)[:2] == ([], None)  # 2 is an eigenvalue
         A = np.zeros((3, 3))
         A[2, 2] = 1.0
-        assert _schur_step_from(A, 0, 2)[0] is None  # a zero block complement
-        assert _schur_step_from(np.ones((2, 2)), 1, 2)[0] is None  # a zero scalar one
-        # a complement of 1e-12 counts at the bound 0 and fails the bound 1e-9
-        near = [[1.0, 1.0], [1.0, 1.0 + 1e-12]]
-        assert _schur_step_from(near, 1, 2)[0] == 0
-        assert _schur_step_from(near, 1, 2, bound=1e-9)[0] is None
-
+        assert _chain_step_from(A, 0, 2, 1.0)[0] == [(0, 2)]
+        # an eigenvalue near 1e-12: the edge on it is refused, half of it is not
+        near = np.array([[1.0, 1.0], [1.0, 1.0 + 2e-12]])
+        lam = float(np.linalg.eigvalsh(near)[0])
+        assert _chain_step_from(near, 1, 2, lam)[:2] == ([], None)
+        assert _chain_step_from(near, 1, 2, 0.5 * lam)[0] == [(0, 0)]
 
     @pytest.mark.parametrize("case", ["zero complement", "frobenius certificate"])
     def test_failed_step_leaves_the_inverse_as_it_was(self, case):
-        # a step writes nothing until it is certified, so a failed one leaves
-        # its anchor's inverse bit for bit, and the next size steps from it
-        if case == "zero complement":
-            A = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0])
+        # a step writes nothing until it is certified, so a refused one leaves
+        # its anchor's inverses bit for bit, and the next size steps from them
+        e = 1e-3
+        if case == "zero complement":  # A_4 - e I is singular: its complement at e is 0
+            A = np.diag([-1.0, 2.0, -3.0, e, 4.0, 5.0])
             A[3, 4] = A[4, 3] = 1.0
-            bound = 1e-9
-        else:  # the complement 1e-6 clears the bound 7e-7; A_4^{-1}, of norm 2e6, does not
-            A = np.diag([-1.0, 2.0, -3.0, -3.0 + 1e-6, 4.0, 5.0])
-            A[2, 3] = A[3, 2] = 3.0
-            bound = 7e-7
-        inv = np.zeros((6, 6))
-        inv[:3, :3] = np.linalg.inv(A[:3, :3])
-        base = linalg.Inertia(2, 0, 1, 0.0)  # A_3 = diag(-1, 2, -3)
-        before = inv.copy()
-        assert linalg._schur_step(A, inv, 3, 4, bound, base) is None
-        assert np.array_equal(inv, before)
+        else:  # the complement clears its bound; the inverse of A_4 - e I, of norm 2^40 / e, does not
+            A = np.diag([-1.0, 2.0, e * (1.0 + 2.0**-40), 4.0])
+            A[0, 3] = A[3, 0] = 1.0
+        V = np.zeros((2, len(A), len(A)))
+        for s, sigma in enumerate((-e, e)):
+            V[s, :3, :3] = e * np.linalg.inv(A[:3, :3] - sigma * np.eye(3))
+        below = (int(np.sum(np.diag(A)[:3] < -e)), int(np.sum(np.diag(A)[:3] < e)))
+        anchor = (3, below, np.linalg.norm(V[:, :3, :3], axis=(1, 2)))
+        band = (e, linalg._BORDER_FLOOR * 5.0, float(np.linalg.norm(A)))
+        before = V.copy()
+        assert linalg._chain_step(A[:4, :4], V, anchor, band, False)[1] is None
+        assert np.array_equal(V, before)
         if case == "zero complement":
-            neg, ine = linalg._schur_step(A, inv, 3, 5, bound, base)
-            assert neg == 1  # C = [[0, 1], [1, 4]] has one negative eigenvalue
-            assert ine == linalg.Inertia(3, 0, 2, 0.0)
-            np.testing.assert_allclose(inv[:5, :5], np.linalg.inv(A[:5, :5]), rtol=1e-13, atol=1e-15)
+            got, held, _ = linalg._chain_step(A[:5, :5], V, anchor, band, False)
+            assert got == [(3, 3)] and held is not None  # C = [[0, 1], [1, 4 - e]] has one negative eigenvalue
+            for s, sigma in enumerate((-e, e)):
+                _assert_inverse(A[:5, :5] - sigma * np.eye(5), V[s, :5, :5] / e)
 
 
 class TestHaynsworth:
-    # inertia additivity through _schur_step: the counts of A_a plus those of
-    # A_k / A_a are the counts of A_k
+    # inertia additivity through _chain_step: the counts of A_a below the
+    # band's edges plus those of A_k / A_a are the counts of A_k
 
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_extended_tripod(self, k):
         # (1,0,3) + (1,0,k-1) = (2,0,k+2), b's counts with their signs flipped
         S = -0.5 * b_matrix(4 + k)
-        assert _schur_step_from(S, 0, 4)[0] == inertia(S[:4, :4]).s_minus == 1
-        assert _schur_step_from(S, 4, 4 + k)[0] == 1
+        assert _chain_step_from(S, 0, 4, 1e-6)[0] == [(1, 1)] == [(inertia(S[:4, :4]).s_minus,) * 2]
+        assert _chain_step_from(S, 4, 4 + k, 1e-6)[0] == [(2, 2)]
         assert inertia(S).counts() == (2, 0, k + 2)
 
     def test_tiny_diagonal(self):
         A = np.diag([1.0, -1.0])
-        assert _schur_step_from(A, 0, 1)[0] == 0
-        assert _schur_step_from(A, 1, 2)[0] == 1
+        assert _chain_step_from(A, 0, 1, 1e-3)[0] == [(0, 0)]
+        assert _chain_step_from(A, 1, 2, 1e-3)[0] == [(1, 1)]
         assert inertia(A).counts() == (1, 0, 1)
 
     def test_random_well_conditioned(self):
@@ -943,12 +1004,11 @@ class TestHaynsworth:
             d = rng.uniform(0.5, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4)
             A[:4, :4] = (q * d[None, :]) @ q.T
             A = 0.5 * (A + A.T)
-            neg, inv = _schur_step_from(A, 4, 10)
-            # oracle: raw eigenvalue counts of A and of its leading block
+            # the helper checks the counts and the inverses of A against
+            # eigvalsh and np.linalg.inv
+            got, anchor, _ = _chain_step_from(A, 4, 10, 1e-10)
             whole = count_inertia(np.linalg.eigvalsh(A), 1e-10)
-            blk = count_inertia(np.linalg.eigvalsh(A[:4, :4]), 1e-10)
-            assert whole == (blk[0] + neg, 0, blk[2] + 6 - neg)
-            np.testing.assert_allclose(inv, np.linalg.inv(A), rtol=1e-9, atol=1e-9)
+            assert anchor is not None and got == [(whole[0], whole[0] + whole[1])]
 
 
 class TestDoubleCenter:
@@ -1233,16 +1293,17 @@ class TestCliquePivot:
         assert pivots == []
 
     def test_prefixes_before_the_clique_take_the_chain(self, monkeypatch):
-        # c < 2 up to 20 points, then r = 20 of 100, over an eighth: the chain;
-        # the pivot at 400
+        # c < 2 up to 20 points, then r = 20 of 100, over an eighth: the
+        # chain, 10 a restart and 20 a step from it, with 100 too wide a step
+        # from 20 and eigensolved; the pivot at 400
         model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 400))
         S, blocks = _model_blocks(model, range(400))
         sizes = [10, 20, 100, 400]
         pivots = _clique_pivots(monkeypatch)
-        steps = _schur_steps(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert [k for _, k, _ in steps] == [10, 20]
+        assert restarts == [(10, True)] and [k for _, k, _, _ in steps] == [20]
         assert pivots == [(380, 20, True)]
 
     @pytest.mark.parametrize("k", [80, 400])
@@ -1482,11 +1543,12 @@ class TestPivotAtTheBandEdges:
 
 
 class TestRunsAtTheBandEdges:
-    # A block of a run, from an anchor of order M, counts as the exact
-    # oracle does at theta = |lambda| (1 + delta) for the deltas of the
-    # pivot's check, but where the size has an eigenvalue within the block's
-    # roundoff bound of an edge, a bound that does not exceed the floor. An
-    # edge on an eigenvalue of the anchor must not make a size miscount.
+    # A run's step of the chain, from an anchor of order M restarted from
+    # its eigenvalues, counts as the exact oracle does at theta = |lambda|
+    # (1 + delta) for the deltas of the pivot's check, but where the size
+    # has an eigenvalue within the step's roundoff bound of an edge, a bound
+    # that does not exceed the floor. An edge on an eigenvalue of the anchor
+    # must not make a size miscount.
     M = 16
 
     @staticmethod
@@ -1498,77 +1560,97 @@ class TestRunsAtTheBandEdges:
         )
 
     def _check(self, A, lams):
-        """How many sizes the blocks counted at the thetas near each of
+        """How many sizes the run's steps counted at the thetas near each of
         ``lams``, each as the exact counts allow."""
-        m, floor = self.M, linalg._BORDER_FLOOR * float(np.abs(np.linalg.eigvalsh(A)).max())
-        counted = 0
+        m, rho = self.M, float(np.abs(np.linalg.eigvalsh(A)).max())
+        floor, fro = linalg._BORDER_FLOOR * rho, float(np.linalg.norm(A))
+        counted = []
         for lam in lams:
             thetas = [lam * (1 + delta) for delta in TestPivotAtTheBandEdges.DELTAS]
             # eigenvalues of every leading block below -theta and above theta
             lo, hi = (_monotone(lambda i, M=M: exact_prefix_below(M, -thetas[i]), len(thetas)) for M in (A, -A))
+            counted.append(0)
             for theta, below, above in zip(thetas, lo, hi):
-                got, delta = linalg._run_counts(A, m, theta, (below[m - 1], m - above[m - 1]), floor)
-                for k, ine in enumerate(got, start=m + 1):
+                e = max(theta, floor)
+                V = np.empty((2, len(A), len(A)))
+                anchor = linalg._chain_restart(A[:m, :m], V, e, theta, True)[1]
+                if anchor is None:  # an edge on an eigenvalue of the anchor
+                    continue
+                got, _, bound = linalg._chain_step(A, V, anchor, (e, floor, fro), True)
+                for k, (neg, low) in enumerate(got, start=m + 1):
                     exact = (below[k - 1], k - below[k - 1] - above[k - 1], above[k - 1])
-                    if ine.counts() != exact:
-                        assert self._near(A[:k, :k], theta, min(delta, floor)), (lam, theta, k)
-                counted += len(got)
+                    if (neg, low - neg, k - low) != exact:
+                        assert self._near(A[:k, :k], theta, min(bound, floor)), (lam, theta, k)
+                counted[-1] += len(got)
         return counted
 
     @pytest.mark.parametrize("family", ["sphere", "rado_model"])
     def test_prefixes(self, family):
         # the smallest, median and largest |lambda| of the largest block and
-        # the median of a block inside the run, where each block counts all
-        # 16 sizes; and the smallest of the anchor, where each refuses
+        # the median of a block inside the run, where each step counts all
+        # 16 sizes; and the smallest of the anchor, where the restart gives
+        # no inverses or the step refuses
         A = {
             "sphere": lambda: named_example("sphere", dim=2, n=32, seed=5).s_matrix_on(range(32)),
             "rado_model": lambda: _model_s()[:32, :32],
         }[family]()
         top, inner, anchor = (np.abs(np.linalg.eigvalsh(A[:k, :k])) for k in (32, 24, self.M))
-        lams = [top.min(), np.median(top), top.max(), np.median(inner), anchor.min()]
-        assert self._check(A, lams) == (32 - self.M) * (len(lams) - 1) * len(TestPivotAtTheBandEdges.DELTAS)
+        counted = self._check(A, [top.min(), np.median(top), top.max(), np.median(inner), anchor.min()])
+        assert counted[:4] == [(32 - self.M) * len(TestPivotAtTheBandEdges.DELTAS)] * 4
+        assert counted[4] < counted[0]
 
 
 class TestStepsAtTheBandEdges:
-    # The chain on gapped sizes, at theta = |lambda| (1 + delta) for the
-    # deltas of the pivot's check, read back from Inertia.tol: a certified
-    # Schur step counts as the exact oracle does, and an eigensolve differs
-    # from it only where an eigenvalue lies within its roundoff, c n eps
-    # max|lambda| with c = 4, of an edge.
+    # The chain at theta = |lambda| (1 + delta) for the deltas of the
+    # pivot's check, read back from Inertia.tol: a step counts as the exact
+    # oracle does but where the size has an eigenvalue within the step's
+    # roundoff bound, at most the floor, of an edge, and a restart or an
+    # eigensolve but where one lies within its roundoff, c n eps max|lambda|
+    # with c = 4, of an edge.
 
     @staticmethod
     def _check(A, sizes, lams):
-        """How many sizes certified steps and eigensolves counted at the
-        thetas near each of ``lams``, each as the exact counts allow."""
+        """How many sizes steps and eigensolves counted at the thetas near
+        each of ``lams``, each as the exact counts allow."""
         N, rho = len(A), linalg._perron_bracket(A)
+        floor = linalg._BORDER_FLOOR * rho[1]
         tally = {"step": 0, "eigensolve": 0}
+        bounds = {}  # the roundoff bound of the step that counted each size
+        real = linalg._chain_step
+
+        def step(A, V, anchor, band, run):
+            got = real(A, V, anchor, band, run)
+            bounds.update(dict.fromkeys(range(anchor[0] + 1, anchor[0] + len(got) + 1) if run else [len(A)] * bool(got),
+                                        min(got[2], floor)))
+            return got
+
         with pytest.MonkeyPatch.context() as mp:
-            steps, orders = _schur_steps(mp), _eigensolve_orders(mp)
+            mp.setattr(linalg, "_chain_step", step)
             for lam in lams:
                 runs = []
                 for delta in TestPivotAtTheBandEdges.DELTAS:
-                    steps.clear(), orders.clear()
+                    bounds.clear()
                     got = prefix_inertias(A, sizes, lam * (1 + delta) / (N * rho[0]))
-                    runs.append((got, [k for _, k, ok in steps if ok], list(orders)))
-                thetas = [got[-1].tol for got, _, _ in runs]
+                    runs.append((got, dict(bounds)))
+                thetas = [got[-1].tol for got, _ in runs]
                 lo, hi = (_monotone(lambda i, M=M: exact_prefix_below(M, -thetas[i]), len(thetas)) for M in (A, -A))
-                for (got, stepped, solved), theta, below, above in zip(runs, thetas, lo, hi):
-                    assert sorted(stepped + solved) == sizes  # each size once, by one of the two
+                for (got, stepped), theta, below, above in zip(runs, thetas, lo, hi):
                     for k, ine in zip(sizes, got):
                         exact = (below[k - 1], k - below[k - 1] - above[k - 1], above[k - 1])
-                        if k in stepped:
-                            assert ine.counts() == exact, (lam, theta, k)
-                        elif ine.counts() != exact:
-                            assert TestRunsAtTheBandEdges._near(A[:k, :k], theta, 4 * N * EPS * rho[1]), (lam, theta, k)
+                        bound = stepped.get(k, 4 * N * EPS * rho[1])
+                        if ine.counts() != exact:  # an edge within the bound of an eigenvalue; below the floor
+                            # the steps count at -+floor
+                            assert any(TestRunsAtTheBandEdges._near(A[:k, :k], edge, bound)
+                                       for edge in {theta, max(theta, floor)}), (lam, theta, k)
                         tally["step" if k in stepped else "eigensolve"] += 1
         return tally
 
     @pytest.mark.parametrize("family", ["sphere", "rado_model"])
     def test_steps_and_eigensolves(self, family):
         # the smallest |lambda| of each size and the median of the largest:
-        # a size with an eigenvalue within ten times the band of 0 fails its
-        # step and is eigensolved, at its own edge too; the steps to the
-        # sizes clear of it are certified
+        # a size with an eigenvalue on or near an edge is refused by its step
+        # and restarted, or eigensolved; the steps to the sizes clear of it
+        # count
         A = {
             "sphere": lambda: named_example("sphere", dim=2, n=32, seed=5).s_matrix_on(range(32)),
             "rado_model": lambda: _model_s(n_draws=1500, seed=4)[:32, :32],
@@ -1576,4 +1658,25 @@ class TestStepsAtTheBandEdges:
         sizes = [8, 16, 24, 32]
         mags = [np.abs(np.linalg.eigvalsh(A[:k, :k])) for k in sizes]
         tally = self._check(A, sizes, [m.min() for m in mags] + [np.median(mags[-1])])
+        assert tally["step"] > 0 and tally["eigensolve"] > 0, tally
+
+
+class TestChainAtTheBandEdges:
+    # Every count the chain makes, on sizes with runs and gaps, checked as in
+    # TestStepsAtTheBandEdges: the steps of runs, from the empty block and
+    # from a gapped size, the gapped steps, and the restarts, at both edges.
+    # An edge on an eigenvalue of an anchor must not make a later size
+    # miscount: there the bounds refuse a step, and the size is restarted.
+    SIZES = [*range(1, 9), 12, 16, *range(17, 25), 28, 32]
+
+    @pytest.mark.parametrize("family", ["sphere", "rado_model"])
+    def test_every_count(self, family):
+        A = {
+            "sphere": lambda: named_example("sphere", dim=2, n=32, seed=5).s_matrix_on(range(32)),
+            "rado_model": lambda: _model_s(n_draws=1500, seed=4)[:32, :32],
+        }[family]()
+        # the smallest |lambda| of each anchor a step starts from, and the
+        # median of the largest block
+        mags = [np.abs(np.linalg.eigvalsh(A[:k, :k])) for k in (8, 12, 16, 24, 28, 32)]
+        tally = TestStepsAtTheBandEdges._check(A, self.SIZES, [m.min() for m in mags] + [np.median(mags[-1])])
         assert tally["step"] > 0 and tally["eigensolve"] > 0, tally
