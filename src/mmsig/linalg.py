@@ -324,51 +324,71 @@ def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
 def _inertia(a, tol_rel: float, overwrite: bool = False) -> Inertia:
     """``inertia``; ``overwrite`` as in ``_eigenvalues``."""
     _check_tol_rel(tol_rel)
-    A = as_sym_matrix(a)
-    power = _unit_exponent(max(A.max(), -A.min()))
-    if power:
-        A, overwrite = np.ldexp(A, -power), True
-    ine = spectrum_inertia(_eigenvalues(A, overwrite=overwrite), tol_rel)
+    A, power = _unit_scale(as_sym_matrix(a))
+    ine = spectrum_inertia(_eigenvalues(A, overwrite=overwrite or power != 0), tol_rel)
     return ine._replace(tol=math.ldexp(ine.tol, power))
 
 
-def _unit_exponent(biggest: float) -> int:
-    """The ``frexp`` exponent p of a max|entry| ``biggest`` outside about
-    [1e-146, 1e146], else 0. LAPACK's xSYEV scales such a matrix before it
-    reduces it; times 2^-p, the counting entry points' matrix keeps its
-    inertia, and theta scales exactly, with no subnormal or overflow."""
-    return 0 if biggest == 0.0 or 1e-146 <= biggest <= 1e146 else math.frexp(biggest)[1]
+def _unit_scale(A):
+    """(A times 2^-p, p) for a matrix or ``CliqueBlocks`` ``A`` whose
+    max|entry| lies outside about [1e-146, 1e146], p its ``frexp`` exponent;
+    else (A, 0). LAPACK's xSYEV scales such a matrix before it reduces it;
+    times 2^-p, the counting entry points' matrix keeps its inertia, and
+    theta scales exactly, with no subnormal or overflow. Of the blocks, B, D
+    and gamma scale alike, gamma only where two clique points make it an
+    entry: else it could underflow to 0."""
+    blocks = isinstance(A, CliqueBlocks)
+    gamma = A.gamma if blocks and len(A.inside) >= 2 else 0.0
+    biggest = max(np.abs(A.B).max(initial=gamma), np.abs(A.D).max(initial=0.0)) if blocks else max(A.max(), -A.min())
+    if biggest == 0.0 or 1e-146 <= biggest <= 1e146:
+        return A, 0
+    power = math.frexp(biggest)[1]
+    if blocks:
+        gamma = math.ldexp(gamma, -power) if gamma else A.gamma
+        return CliqueBlocks(A.flags, np.ldexp(A.B, -power), np.ldexp(A.D, -power), gamma), power
+    return np.ldexp(A, -power), power
 
 
-def _chain_restart(A: np.ndarray, V: np.ndarray, e: float, theta: float, both: bool):
+def _chain_restart(A: np.ndarray, V: np.ndarray, e: float, theta: float):
     """(inertia at theta, anchor) of A = A_k from one ``eig_sym``. Writes the
     inverses e (A_k - sigma I)^{-1}, in units of e, into ``V[s, :k, :k]`` at
-    sigma = -e (s = 0), and at e (s = 1) with ``both`` or where the band
-    may hold an eigenvalue, and returns the anchor of ``_chain_step``; or
-    None, writing nothing, where an edge lies within the eigensolve's
-    backward error, delta e = 4 k eps (max|lambda| + e), of an eigenvalue."""
+    sigma = -e (s = 0) and e (s = 1), and returns the anchor of
+    ``_chain_step``; or None, writing nothing, where an edge lies within the
+    eigensolve's backward error, delta e = 4 k eps (max|lambda| + e), of an
+    eigenvalue."""
     vals, vecs = eig_sym(A)
     k = len(A)
     gaps = vals / e - np.array([[-1.0], [1.0]])  # (lambda - sigma) / e at each edge
     delta = 4.0 * k * _EPS * (float(np.abs(vals).max()) / e + 1.0)
-    edges = 2 if both or not np.abs(gaps[0]).min() > 2.0 + delta else 1
-    if not np.abs(gaps[:edges]).min() > delta:
+    if not np.abs(gaps).min() > delta:
         return _band_counts(vals, theta), None
-    for s in range(edges):
+    for s in range(2):
         V[s, :k, :k] = (vecs / gaps[s]) @ vecs.T
     below = int(np.count_nonzero(vals < -e)), int(np.count_nonzero(vals < e))
-    return _band_counts(vals, theta), (k, below, np.sqrt(np.sum(gaps[:edges] ** -2.0, axis=1)))
+    return _band_counts(vals, theta), (k, below, np.sqrt(np.sum(gaps**-2.0, axis=1)))
+
+
+class _Edge(NamedTuple):
+    """A chain step's complement C at one edge: the bound ``delta`` on the
+    step's change of A_k - sigma I, the bound ``weyl`` on the error of C's
+    symmetric part, and that part's eigenvalues and eigenvectors, each None
+    where the step does not read it."""
+
+    delta: float
+    weyl: float
+    vals: np.ndarray | None
+    vecs: np.ndarray | None
 
 
 def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: bool):
     """(counts, anchor, bound): (below -e, below e) of A_k, k = len(A), or
     with ``run`` of each of A_{a+1}, ..., A_k as far as they are certified,
     stepped to from ``anchor`` = (a, A_a's exact counts, the norms of its
-    inverses), whose inverses e (A_a - sigma I)^{-1} at sigma = -e and, held
-    with two norms, at e are in ``V[s, :a, :a]``, in units of e; then A_k's
-    anchor, or None where its inverses are refused or have no room in ``V``,
-    which is then left as it was; and the bound delta e. ``band`` is (e, the
-    floor, a bound on ||A||_F).
+    inverses), whose inverses e (A_a - sigma I)^{-1} at sigma = -+e are in
+    ``V[s, :a, :a]``, in units of e; then A_k's anchor, or None where its
+    inverses are refused or have no room in ``V``, which is then left as it
+    was; and the bound delta e. ``band`` is (e, the floor, a bound on
+    ||A||_F).
 
     With B = A[:a, a:] / e, D = A[a:, a:] / e, X = V B and C = D - (sigma /
     e) I - B^T X, A_k - sigma I has as many eigenvalues below 0 as A_a -
@@ -378,7 +398,7 @@ def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: b
     delta e of A_k - sigma I, delta = ||R||_F + eps (3 a (||A||_F / e +
     sqrt(a)) + a ||B||_F ||X||_F + 3 w ||C||_F + 4 ||X||_F + 4 ||B||_F), w =
     k - a, to first order, with the roundoff of R's product as a change of
-    A_a, and C's symmetric part is within f = delta + (||X||_F + ||V||_F
+    A_a, and C's symmetric part is within delta + (||X||_F + ||V||_F
     ||R||_F) ||R||_F of the exact C, since the exact X is X - V R. Where a
     check below fails, X takes one step of refinement, X - V R.
 
@@ -388,49 +408,45 @@ def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: b
       delta e of an edge. It is refused at a zero minor, where its count
       below -e exceeds its count below e, and where delta exceeds the floor.
     - Else A_k counts the eigenvalues below 0 of C's symmetric part, where
-      the least |eigenvalue| exceeds f (Weyl). With -e alone, its count
-      below e is the same where the band holds no eigenvalue, certified below.
+      the least |eigenvalue| exceeds that bound (Weyl).
     - The inverses of A_k follow by the block formula, [[V + Y X^T, -Y],
       [-Y^T, Z]] with Z = C^{-1} and Y = X Z. 1 / ||(A_k - sigma I)^{-1}||_F
       e, at most the distance from sigma to A_k's spectrum in units of e,
-      must exceed delta, and 2 + delta with -e alone: near an edge the
-      inverses are inflated, and a step from them would cancel.
+      must exceed delta: near an edge the inverses are inflated, and a step
+      from them would cancel.
     """
     (a, below, norms), (e, floor, fro) = anchor, band
     k = len(A)
     w = k - a
-    edges = len(norms)
-    sigma = np.array([-1.0, 1.0])[:edges, None, None]  # sigma / e at each edge
+    sigma = np.array([-1.0, 1.0])[:, None, None]  # sigma / e at each edge
     B, D = A[:a, a:] / e, A[a:, a:] / e - sigma * np.eye(w)
     b = math.sqrt(np.vdot(B, B))
     keep = k <= len(V[0])  # the inverses of A_k, where V has room for them
-    need = keep or edges == 1  # they need C's eigenvectors, and one edge needs their norm
-    X = V[:edges, :a, :a] @ B
+    X = V[:, :a, :a] @ B
     for refined in (False, True):  # one step of refinement, X - V R, where a check below fails
         R = A[:a, :a] @ X / e - sigma * X - B
         C = D - B.T @ X
-        edge = []  # (delta, f, least |eigenvalue|, eigenvalues, eigenvectors) at each edge
+        edges = []
         for s, M in enumerate(0.5 * (C + C.transpose(0, 2, 1))):
             x = math.sqrt(np.vdot(X[s], X[s]))
             r = math.sqrt(np.vdot(R[s], R[s])) + 4.0 * _EPS * (x + b)  # and the subtractions': ||AX|| <= r + x + b
             delta = r + _EPS * (3 * a * (fro / e + math.sqrt(a)) + a * b * x + 3 * w * math.sqrt(np.vdot(C[s], C[s])))
-            vals, vecs = eig_sym(M) if need else (_eigenvalues(M), None)
-            edge.append((delta, delta + (x + norms[s] * r) * r, float(np.abs(vals).min()), vals, vecs))
-        delta = max(d for d, *_ in edge)
-        counted = delta <= floor / e if run else all(least > f for _, f, least, *_ in edge)
-        blocks = []
-        for s, (d, _, least, vals, vecs) in enumerate(edge if counted and need else ()):  # the inverses of A_k
-            if least > d:
-                Z = (vecs / vals) @ vecs.T
+            vals, vecs = eig_sym(M) if keep else (None if run else _eigenvalues(M), None)
+            edges.append(_Edge(delta, delta + (x + norms[s] * r) * r, vals, vecs))
+        delta = max(edge.delta for edge in edges)
+        counted = delta <= floor / e if run else all(np.abs(edge.vals).min() > edge.weyl for edge in edges)
+        blocks = []  # the inverses of A_k at each edge, with their norms
+        for s, edge in enumerate(edges if counted and keep else ()):
+            if np.abs(edge.vals).min() > edge.delta:
+                Z = (edge.vecs / edge.vals) @ edge.vecs.T
                 Y = X[s] @ Z
                 lead = Y @ X[s].T
                 lead += V[s, :a, :a]
-                blocks.append((lead, Y, Z, math.sqrt(np.vdot(lead, lead) + 2.0 * np.vdot(Y, Y) + np.sum(vals**-2.0))))
-        # with -e alone, -e clears A_k's spectrum by 2 e as well: none of it is in the band
-        held = len(blocks) == edges and all(bl[3] * (d + 2.0 * (edges == 1)) < 1.0 for bl, (d, *_) in zip(blocks, edge))
-        if refined or counted and (held or not need):
+                norm = math.sqrt(np.vdot(lead, lead) + 2.0 * np.vdot(Y, Y) + np.sum(edge.vals**-2.0))
+                blocks += [(lead, Y, Z, norm)] if norm * edge.delta < 1.0 else []
+        if refined or counted and (len(blocks) == 2 or not keep):
             break
-        X -= V[:edges, :a, :a] @ R
+        X -= V[:, :a, :a] @ R
     counts = []
     if run:
         within = np.tri(w, dtype=bool)  # within[j]: the rows and columns of C_{j+1}
@@ -441,15 +457,14 @@ def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: b
         bad = (signs == 0).any(axis=0) | (lo > hi) | (delta > floor / e)
         stop = int(np.argmax(bad)) if bad.any() else w
         counts = list(zip(lo[:stop].tolist(), hi[:stop].tolist()))
-    elif counted and (edges == 2 or held):
-        ends = [below[s] + int(np.count_nonzero(vals < 0)) for s, (*_, vals, _) in enumerate(edge)]
-        ends += ends * (edges == 1)  # no eigenvalue in the band
-        counts = [tuple(ends)] if ends[0] <= ends[1] else []
-    if len(counts) < (w if run else 1) or not (held and keep):
+    elif counted:
+        lo, hi = (below[s] + int(np.count_nonzero(edge.vals < 0)) for s, edge in enumerate(edges))
+        counts = [(lo, hi)] if lo <= hi else []
+    if len(counts) < (w if run else 1) or len(blocks) < 2:
         return counts, None, delta * e
     for s, (lead, Y, Z, _) in enumerate(blocks):
         V[s, :a, :a], V[s, :a, a:k], V[s, a:k, :a], V[s, a:k, a:k] = lead, -Y, -Y.T, Z
-    return counts, (k, counts[-1], np.array([block[3] for block in blocks])), delta * e
+    return counts, (k, counts[-1], np.array([norm for *_, norm in blocks])), delta * e
 
 
 class CliqueBlocks:
@@ -564,7 +579,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     ``a`` is a symmetric matrix, or the ``CliqueBlocks`` of one, which mark
     its planted clique themselves; a matrix has no clique to pivot on. Either
     is first scaled by an exact power of two where its max|entry| lies
-    outside LAPACK's safe range (``_unit_exponent``). The band is theta =
+    outside LAPACK's safe range (``_unit_scale``). The band is theta =
     tol_rel * N * max|lambda| of the block of the largest size N, with
     max|lambda| from a ``_perron_bracket``, or from an eigensolve of that
     block when there is none. By Cauchy interlacing it bounds the theta of
@@ -581,11 +596,11 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
       the edges -+e, e = max(theta, floor), floor = sqrt(eps) max|lambda|.
       It steps through a block of a run of sizes one apart after a, of at
       most 32 sizes (``_RUN_SIZES``, a run split evenly), or to the next
-      size k where a >= k / 2: a wider step costs more than a restart. With
-      no run in the sizes, it holds -e alone until a step finds the band
-      may hold an eigenvalue. Below the floor a size is kept only where its
-      counts at -+floor agree: it reads (below, 0, k - below) at theta, and
-      is eigensolved otherwise, the chain going on;
+      size k where a >= k / 2: a wider step costs more than a restart. A
+      refused size is restarted; after a step that keeps no inverses, the
+      next size takes the pivot or a restart. Below the floor a size is
+      kept only where its counts at -+floor agree: it reads (below, 0, k -
+      below) at theta, and is eigensolved otherwise, the chain going on;
     - by an eigensolve otherwise, with vectors (``_chain_restart``) where a
       later size may step from it, which gives the chain its inverses.
 
@@ -595,29 +610,16 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     inverses up to the largest size below N that it counts.
     """
     _check_tol_rel(tol_rel)
-    blocks = a if isinstance(a, CliqueBlocks) else None
-    dense = as_sym_matrix(a) if blocks is None else None  # the leading blocks the chain reads
-    n = len(a) if blocks is not None else len(dense)
+    A = a if isinstance(a, CliqueBlocks) else as_sym_matrix(a)
     sizes = _integers(sizes, "prefix size").tolist()
-    if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])) or any(k < 1 or k > n for k in sizes):
+    if any(hi <= lo for lo, hi in zip(sizes, sizes[1:])) or any(k < 1 or k > len(A) for k in sizes):
         raise InvalidInput("sizes must be increasing and within the matrix order")
     if not sizes:
         return []
     N = sizes[-1]
-    if blocks is not None:
-        blocks = blocks.head(N)
-        gamma = blocks.gamma if len(blocks.inside) >= 2 else 0.0  # -gamma is an entry of two clique points
-        power = _unit_exponent(max(np.abs(blocks.B).max(initial=gamma), np.abs(blocks.D).max(initial=0.0)))
-        if power:
-            gamma = math.ldexp(blocks.gamma, -power) if gamma else blocks.gamma
-            blocks = CliqueBlocks(blocks.flags, np.ldexp(blocks.B, -power), np.ldexp(blocks.D, -power), gamma)
-    else:
-        dense = dense[:N, :N]
-        power = _unit_exponent(max(dense.max(), -dense.min()))
-        if power:
-            dense = np.ldexp(dense, -power)
-    flags = blocks.flags if blocks is not None else np.zeros(N, dtype=bool)
-    inside = np.flatnonzero(flags)
+    A, power = _unit_scale(A.head(N) if isinstance(A, CliqueBlocks) else A[:N, :N])
+    blocks, dense = (A, None) if isinstance(A, CliqueBlocks) else (None, A)  # dense: the leading blocks the chain reads
+    inside = blocks.inside if blocks is not None else np.empty(0, dtype=int)
     in_clique = np.searchsorted(inside, sizes).tolist()
     offered = [c >= 2 and _PIVOT_SHARE * (k - c) <= k for k, c in zip(sizes, in_clique)]
     chain_top = max((k for k, o in zip(sizes, offered) if not o), default=0)
@@ -641,10 +643,7 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
         if not offered[i]:
             ahead[i] = 1 + (ahead[i + 1] if counted[i + 1:i + 2] == [counted[i] + 1] else 0)
     V = np.empty((2,) + (max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
-    # the chain's anchor while V holds its inverses: the empty block at first.
-    # Runs count at both edges; gapped sizes at -e alone while the band holds
-    # no eigenvalue, at both from the first step that fails without +e
-    both = max(ahead) > 1
+    # the chain's anchor while V holds its inverses: the empty block at first
     anchor, out, i = ((0, (0, 0), np.zeros(2)) if band[0] > 0 else None), [], 0
     while i < len(counted):
         k, c = counted[i], in_clique[i]
@@ -658,25 +657,23 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
                 V = np.pad(V, ((0, 0), (0, k - len(V[0])), (0, k - len(V[0]))))
         j = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES)) if anchor and k == anchor[0] + 1 and ahead[i] > 1 else 1
         if anchor is not None and (j > 1 or 2 * anchor[0] >= k):  # a wider step costs more than a restart
-            one = len(anchor[2]) == 1
             got, anchor, _ = _chain_step(lead(counted[i + j - 1]), V, anchor, band, j > 1)
-            for k, (lo, hi) in zip(counted[i:], got):
+            for size, (lo, hi) in zip(counted[i:], got):
                 if theta >= floor or lo == hi:
-                    out.append(Inertia(lo, hi - lo, k - hi, theta))
+                    out.append(Inertia(lo, hi - lo, size - hi, theta))
                 else:  # an eigenvalue within the floor of 0
-                    out.append(_band_counts(_eigenvalues(lead(k)), theta))
+                    out.append(_band_counts(_eigenvalues(lead(size)), theta))
             i += len(got)
-            if anchor is not None or i == len(counted):
+            if got:  # the next size goes through the pivot, or steps or restarts
                 continue
-            k, both = counted[i], both or one  # refused; a step at one edge, so hold both from now on
         if band[0] > 0 and not all(offered[i + 1:]):  # a later size may step from k
-            ine, anchor = _chain_restart(lead(k), V, band[0], theta, both)
+            ine, anchor = _chain_restart(lead(k), V, band[0], theta)
         else:
             ine = _band_counts(_eigenvalues(lead(k)), theta)
         out.append(ine)
         i += 1
     out = out if top is None else out + [_band_counts(top, theta)]
-    return [ine._replace(tol=math.ldexp(ine.tol, power)) for ine in out] if power else out
+    return [ine._replace(tol=math.ldexp(ine.tol, power)) for ine in out]
 
 
 def double_center(s) -> np.ndarray:

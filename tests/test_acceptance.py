@@ -66,7 +66,7 @@ def _tripod_prefix_steps(k):
     floor = linalg._BORDER_FLOOR * linalg._perron_bracket(A)[1]
     e = max(got[-1].tol, floor)
     V = np.empty((2, 4 + k, 4 + k))
-    head = linalg._chain_restart(A[:4, :4], V, e, got[-1].tol, True)[1]
+    head = linalg._chain_restart(A[:4, :4], V, e, got[-1].tol)[1]
     step = linalg._chain_step(A, V, head, (e, floor, float(np.linalg.norm(A))), False)[0]
     return [i.counts() for i in got], head[1], step
 

@@ -277,8 +277,7 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
     # each block the chain reads is a block of the validated matrix; only the
     # Schur complements, which eig_sym solves, pass the gate again. The 200
     # sizes are one run: 7 steps of at most 32 sizes from the empty block,
-    # and the last one's complements, of order 28, from which no inverse is
-    # kept, are solved for their eigenvalues alone
+    # and the last one, which keeps no inverse, solves no eigenvalues
     S = named_example("sphere", dim=2, n=200, seed=1).s_matrix_on(range(200))
     calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_chain_step", "_chain_restart"], 0)
     for name in calls:
@@ -289,7 +288,7 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     orders = _eigensolve_orders(monkeypatch)
     prefix_inertias(S, range(1, 201))
-    assert calls["_chain_step"] == 7 and calls["_chain_restart"] == 0 and set(orders) == {28}
+    assert calls["_chain_step"] == 7 and calls["_chain_restart"] == 0 and orders == []
     assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
 
 
@@ -303,6 +302,14 @@ def _eigensolve_orders(monkeypatch):
         return real(a, **kw)
 
     monkeypatch.setattr(linalg, "_eigenvalues", counted)
+    return orders
+
+
+def _eig_sym_orders(monkeypatch):
+    """Orders of the matrices ``linalg.eig_sym`` solves from now on."""
+    orders = []
+    real = linalg.eig_sym
+    monkeypatch.setattr(linalg, "eig_sym", lambda a: orders.append(len(a)) or real(a))
     return orders
 
 
@@ -404,8 +411,8 @@ class TestPrefixInertias:
         "weak_direction": ([(2, True)], [(2, 5), (5, 7), (7, 10), (10, 13), (13, 17), (17, 23), (23, 30)]),
         "planar_points": ([(2, True)], [(2, 3), (3, 5), (5, 6), (6, 9), (9, 12), (12, 17), (17, 23), (23, 32),
                                         (32, 44), (44, 60)]),
-        "sphere": ([(2, True), (21, True), (68, True)], [(2, 4), (4, 6), (6, 9), (9, 14), (21, 31), (31, 46),
-                                                         (68, 101), (101, 150)]),
+        "sphere": ([(2, True), (68, True)], [(2, 4), (4, 6), (6, 9), (9, 14), (14, 21), (21, 31), (31, 46),
+                                             (68, 101), (101, 150)]),
     }
 
     @pytest.mark.parametrize(
@@ -425,26 +432,23 @@ class TestPrefixInertias:
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         # the first size is a restart, too wide a step from the empty block;
         # every later size steps from the one before, weak_direction's run
-        # 3 to 5 in one step of three sizes. sphere, with no run, steps at -e
-        # alone while the band holds no eigenvalue: its step to 21 is
-        # refused there, and 21 is a restart that holds both edges; its step
-        # to 68 is refused too (an eigenvalue lies near an edge)
+        # 3 to 5 in one step of three sizes. sphere's step to 68 is refused
+        # (an eigenvalue lies near an edge), and 68 is a restart
         assert restarts == restarted and [(a, k) for a, k, n, _ in steps if n] == stepped
 
     def test_failed_block_falls_back_to_an_eigensolve(self, monkeypatch):
-        # S of planar points has rank <= 4. At tol 0 the step to 6, at
-        # -floor alone (the sizes hold no run), is refused, since an
-        # eigenvalue of A_6 lies in the band, and 6 is a restart that holds
-        # both edges; the step to 12 counts at -+floor, where its two counts
-        # differ, so 12 is eigensolved; 60 is too wide a step from 12
+        # S of planar points has rank <= 4. At tol 0 the steps to 6 and to 12
+        # count at -+floor, where their two counts differ, since an
+        # eigenvalue lies in the band, so 6 and 12 are eigensolved, the chain
+        # going on; 60 is too wide a step from 12
         S = self._planar_points()
         sizes = [3, 6, 12, len(S)]
         steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 0.0)
-        assert restarts == [(3, True), (6, True)] and steps == [(3, 6, 0, False), (6, 12, 1, True)]
-        assert orders == [12, len(S)]
+        assert restarts == [(3, True)] and steps == [(3, 6, 1, True), (6, 12, 1, True)]
+        assert orders == [6, 12, len(S)]
 
     def test_a_size_the_next_steps_from_is_a_wide_step(self, monkeypatch):
         S = _model_s()
@@ -784,17 +788,19 @@ class TestParityCounts:
     def test_benchmark_sphere_trajectories_take_no_step(self, seed, monkeypatch):
         # the benchmark's 200-point sphere sample, whose prefixes hold
         # eigenvalues near 0: the chain takes every size in 7 steps from the
-        # empty block, with no restart, and eigensolves only their
-        # complements, of order 28 or 29
+        # empty block, with no restart and no eigenvalues-only solve; eig_sym
+        # solves only the complements of the steps that keep an inverse, of
+        # order 28 or 29
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from inputs import sphere_distances
 
         space = from_distance_matrix(sphere_distances(seed, 200, "sphere200"))
         steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
-        orders = _every_eigensolve_order(monkeypatch)
+        orders, complements = _eigensolve_orders(monkeypatch), _eig_sym_orders(monkeypatch)
         traj = limit_signature_trajectory(space, range(200))
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(space.s_matrix_on(range(200)), range(1, 201))
-        assert _cover_the_run(steps, 0, 200) and restarts == [] and set(orders) == {28, 29}
+        assert _cover_the_run(steps, 0, 200) and restarts == [] and orders == []
+        assert set(complements) == {28, 29}
 
 
 class TestPerronBand:
@@ -1306,6 +1312,31 @@ class TestCliquePivot:
         assert restarts == [(10, True)] and [k for _, k, _, _ in steps] == [20]
         assert pivots == [(380, 20, True)]
 
+    @pytest.mark.parametrize("run", [[20], list(range(11, 21))])
+    def test_a_step_that_keeps_no_inverse_leaves_the_next_size_to_the_pivot(self, run, monkeypatch):
+        # the step from 10, gapped or through a run, counts up to 20 but
+        # keeps no inverse (forced here, as where A_20 has an eigenvalue
+        # near an edge); 160, with 20 of its points outside the clique, is
+        # offered to the pivot, and 200, with 60, is eigensolved. The chain
+        # holds inverses up to 20 only, so a restart of 160 would have no
+        # room for them
+        model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 160))
+        S, blocks = _model_blocks(model, range(200))
+        sizes = [10, *run, 160, 200]
+        real = linalg._chain_step
+
+        def unheld(*args):
+            counts, _, bound = real(*args)
+            return counts, None, bound
+
+        monkeypatch.setattr(linalg, "_chain_step", unheld)
+        pivots = _clique_pivots(monkeypatch)
+        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        got = prefix_inertias(blocks, sizes)
+        assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
+        assert restarts == [(10, True)] and steps == [(10, 20, len(run), False)]
+        assert pivots == [(140, 20, True)]
+
     @pytest.mark.parametrize("k", [80, 400])
     def test_the_pivot_takes_a_prefix_with_an_eighth_outside(self, k, monkeypatch):
         # r = k/8 points before the clique: size k pivots; one more point
@@ -1573,7 +1604,7 @@ class TestRunsAtTheBandEdges:
             for theta, below, above in zip(thetas, lo, hi):
                 e = max(theta, floor)
                 V = np.empty((2, len(A), len(A)))
-                anchor = linalg._chain_restart(A[:m, :m], V, e, theta, True)[1]
+                anchor = linalg._chain_restart(A[:m, :m], V, e, theta)[1]
                 if anchor is None:  # an edge on an eigenvalue of the anchor
                     continue
                 got, _, bound = linalg._chain_step(A, V, anchor, (e, floor, fro), True)
@@ -1619,9 +1650,9 @@ class TestStepsAtTheBandEdges:
         real = linalg._chain_step
 
         def step(A, V, anchor, band, run):
-            got = real(A, V, anchor, band, run)
-            bounds.update(dict.fromkeys(range(anchor[0] + 1, anchor[0] + len(got) + 1) if run else [len(A)] * bool(got),
-                                        min(got[2], floor)))
+            got = counts, _, bound = real(A, V, anchor, band, run)
+            counted = range(anchor[0] + 1, anchor[0] + len(counts) + 1) if run else [len(A)] if counts else []
+            bounds.update(dict.fromkeys(counted, min(bound, floor)))
             return got
 
         with pytest.MonkeyPatch.context() as mp:
