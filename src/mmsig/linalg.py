@@ -5,8 +5,9 @@ Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
 validation gate, passed once at each entry point: ``eig_sym``, ``inertia``,
 ``prefix_inertias``, the centering transforms and
 ``spectral.esd_and_inertia``. ``_eigenvalues`` takes a matrix that has
-passed it, a leading block of one, or a complement formed from such blocks
-and symmetrized, and validates nothing. ``prefix_inertias`` also takes a
+passed it, a leading block of one, or a matrix built symmetric from such
+blocks, and validates nothing; ``eig_sym`` is its validating form with
+eigenvectors. ``prefix_inertias`` also takes a
 matrix as ``CliqueBlocks``, the blocks a countable model with a planted
 clique builds without the n x n matrix, which check their own shapes and
 entries when made; it writes dense leading blocks from them only for the
@@ -18,11 +19,11 @@ edges -+theta, or -+e, e = max(theta, sqrt(eps) max|lambda|): through a
 planted clique's closed-form block where its ``CliqueBlocks`` hold all but an
 eighth of the points (``_clique_pivot``), by one Schur chain, and by an
 eigensolve where the chain refuses a size. The chain (``_chain_step``) holds
-the inverses of A_a -+ e I of its last counted size a; each step adds the
-counts of its complement by Haynsworth additivity, of a gapped size from its
-eigenvalues and of the sizes of a run from the signs of its leading minors,
-certified from the step's residual, and updates the inverses by the block
-formula. ``_chain_restart`` gives them back from one ``eig_sym``.
+the inverses of A_a -+ e I of its last counted size a, or none at the empty
+block, a = 0; each step adds the counts of its complement by Haynsworth
+additivity, of a gapped size from its eigenvalues and of the sizes of a run
+from the signs of its leading minors, certified from the step's residual,
+and writes the inverses by the block formula, their one source.
 ``_clique_pivot`` forms the complement of the shifted clique block at each
 edge from leading slices of the blocks, of the order of the points outside
 the clique, and updates nothing.
@@ -137,28 +138,24 @@ def as_sym_matrix(a) -> np.ndarray:
 
 def eig_sym(a) -> EigenDecomposition:
     """Spectral decomposition of a symmetric matrix, eigenvalues ascending."""
-    A = as_sym_matrix(a)
-    try:
-        vals, vecs = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(
-            f"eigensolver failed for matrix of order {A.shape[0]}: {exc}"
-        ) from exc
-    return EigenDecomposition(vals, vecs)
+    return _eigenvalues(as_sym_matrix(a), vectors=True)
 
 
-def _eigenvalues(A: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Eigenvalues-only path of the same LAPACK solver family, of a matrix
-    that has passed ``as_sym_matrix``, a leading block of one, or a
-    complement formed from blocks of a validated matrix and symmetrized.
-    With ``overwrite`` the caller built ``A`` for this solve alone: a
-    C-contiguous float64 ``A`` is then solved on its own buffer, left
-    overwritten, by ``_openblas``'s dsyevd with the workspace LAPACK's query
-    asks for, as numpy sizes it. The bits are those of ``np.linalg.eigvalsh``,
-    which copies ``A`` and solves every other call."""
+def _eigenvalues(A: np.ndarray, overwrite: bool = False, vectors: bool = False):
+    """Eigenvalues, ascending, of a matrix that has passed ``as_sym_matrix``,
+    a leading block of one, or a matrix the package builds symmetric, such
+    as a complement formed from blocks of a validated matrix and
+    symmetrized; with ``vectors``, its ``EigenDecomposition`` from
+    ``np.linalg.eigh``. With ``overwrite`` the caller built ``A`` for this
+    solve alone: a C-contiguous float64 ``A`` is then solved on its own
+    buffer, left overwritten, by ``_openblas``'s dsyevd with the workspace
+    LAPACK's query asks for, as numpy sizes it. The bits are those of
+    ``np.linalg.eigvalsh``, which copies ``A`` and solves every other call."""
     owned = overwrite and A.dtype == np.float64 and A.flags.carray and A.shape == (len(A),) * 2
     lapack = owned and (_openblas() or (None,) * 3)[2]
     try:
+        if vectors:
+            return EigenDecomposition(*np.linalg.eigh(A))
         if not lapack:
             return np.linalg.eigvalsh(A)
         n, lwork, liwork, info = (ctypes.c_int64(v) for v in (len(A), -1, -1, 0))
@@ -349,25 +346,6 @@ def _unit_scale(A):
     return np.ldexp(A, -power), power
 
 
-def _chain_restart(A: np.ndarray, V: np.ndarray, e: float, theta: float):
-    """(inertia at theta, anchor) of A = A_k from one ``eig_sym``. Writes the
-    inverses e (A_k - sigma I)^{-1}, in units of e, into ``V[s, :k, :k]`` at
-    sigma = -e (s = 0) and e (s = 1), and returns the anchor of
-    ``_chain_step``; or None, writing nothing, where an edge lies within the
-    eigensolve's backward error, delta e = 4 k eps (max|lambda| + e), of an
-    eigenvalue."""
-    vals, vecs = eig_sym(A)
-    k = len(A)
-    gaps = vals / e - np.array([[-1.0], [1.0]])  # (lambda - sigma) / e at each edge
-    delta = 4.0 * k * _EPS * (float(np.abs(vals).max()) / e + 1.0)
-    if not np.abs(gaps).min() > delta:
-        return _band_counts(vals, theta), None
-    for s in range(2):
-        V[s, :k, :k] = (vecs / gaps[s]) @ vecs.T
-    below = int(np.count_nonzero(vals < -e)), int(np.count_nonzero(vals < e))
-    return _band_counts(vals, theta), (k, below, np.sqrt(np.sum(gaps**-2.0, axis=1)))
-
-
 class _Edge(NamedTuple):
     """A chain step's complement C at one edge: the bound ``delta`` on the
     step's change of A_k - sigma I, the bound ``weyl`` on the error of C's
@@ -402,6 +380,12 @@ def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: b
     ||R||_F) ||R||_F of the exact C, since the exact X is X - V R. Where a
     check below fails, X takes one step of refinement, X - V R.
 
+    From the empty block, ``anchor`` = (0, (0, 0), zeros(2)), C = A_k / e -
+    (sigma / e) I and R is empty: both edges take the eigenpairs of one
+    eigensolve of A_k / e, shifted, delta adds eps (||C||_F + 3 w sqrt(w))
+    for the shift's rounding and the shift's part in the solve's error, and
+    nothing is refined.
+
     - With ``run``, A_{a+j} counts A_a's count plus the sign changes along
       1, det C_1, ..., det C_j of C's leading minors at each edge (Jacobi),
       from one batched ``slogdet``: exact unless an eigenvalue lies within
@@ -419,9 +403,11 @@ def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: b
     k = len(A)
     w = k - a
     sigma = np.array([-1.0, 1.0])[:, None, None]  # sigma / e at each edge
-    B, D = A[:a, a:] / e, A[a:, a:] / e - sigma * np.eye(w)
+    B, D = A[:a, a:] / e, A[a:, a:] / e
     b = math.sqrt(np.vdot(B, B))
     keep = k <= len(V[0])  # the inverses of A_k, where V has room for them
+    whole = _eigenvalues(D, vectors=True) if keep and not a else None  # from the empty block, C = A_k / e - sigma I
+    D = D - sigma * np.eye(w)
     X = V[:, :a, :a] @ B
     for refined in (False, True):  # one step of refinement, X - V R, where a check below fails
         R = A[:a, :a] @ X / e - sigma * X - B
@@ -430,8 +416,13 @@ def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: b
         for s, M in enumerate(0.5 * (C + C.transpose(0, 2, 1))):
             x = math.sqrt(np.vdot(X[s], X[s]))
             r = math.sqrt(np.vdot(R[s], R[s])) + 4.0 * _EPS * (x + b)  # and the subtractions': ||AX|| <= r + x + b
-            delta = r + _EPS * (3 * a * (fro / e + math.sqrt(a)) + a * b * x + 3 * w * math.sqrt(np.vdot(C[s], C[s])))
-            vals, vecs = eig_sym(M) if keep else (None if run else _eigenvalues(M), None)
+            c = math.sqrt(np.vdot(C[s], C[s]))
+            delta = r + _EPS * (3 * a * (fro / e + math.sqrt(a)) + a * b * x + 3 * w * c)
+            if whole is None:
+                vals, vecs = _eigenvalues(M, vectors=True) if keep else (None if run else _eigenvalues(M), None)
+            else:  # A_k / e's eigenpairs, shifted: add the shift's rounding and its norm sqrt(w) in the solve's error
+                vals, vecs = whole.eigenvalues - sigma[s, 0, 0], whole.eigenvectors
+                delta += _EPS * (c + 3 * w * math.sqrt(w))
             edges.append(_Edge(delta, delta + (x + norms[s] * r) * r, vals, vecs))
         delta = max(edge.delta for edge in edges)
         counted = delta <= floor / e if run else all(np.abs(edge.vals).min() > edge.weyl for edge in edges)
@@ -444,7 +435,7 @@ def _chain_step(A: np.ndarray, V: np.ndarray, anchor: tuple, band: tuple, run: b
                 lead += V[s, :a, :a]
                 norm = math.sqrt(np.vdot(lead, lead) + 2.0 * np.vdot(Y, Y) + np.sum(edge.vals**-2.0))
                 blocks += [(lead, Y, Z, norm)] if norm * edge.delta < 1.0 else []
-        if refined or counted and (len(blocks) == 2 or not keep):
+        if refined or not a or counted and (len(blocks) == 2 or not keep):  # from the empty block, R is empty
             break
         X -= V[:, :a, :a] @ R
     counts = []
@@ -591,18 +582,19 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
       and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A size
       whose edge lies within the pivot's roundoff of an eigenvalue goes to
       the chain;
-    - by the chain (``_chain_step``), which holds the inverses of A_a -+ e I
-      of its anchor a, the last size it counted, from the empty block on, at
-      the edges -+e, e = max(theta, floor), floor = sqrt(eps) max|lambda|.
-      It steps through a block of a run of sizes one apart after a, of at
-      most 32 sizes (``_RUN_SIZES``, a run split evenly), or to the next
-      size k where a >= k / 2: a wider step costs more than a restart. A
-      refused size is restarted; after a step that keeps no inverses, the
-      next size takes the pivot or a restart. Below the floor a size is
-      kept only where its counts at -+floor agree: it reads (below, 0, k -
-      below) at theta, and is eigensolved otherwise, the chain going on;
-    - by an eigensolve otherwise, with vectors (``_chain_restart``) where a
-      later size may step from it, which gives the chain its inverses.
+    - by the chain (``_chain_step``), at the edges -+e, e = max(theta,
+      floor), floor = sqrt(eps) max|lambda|. It holds the inverses of A_a -+
+      e I of its anchor a, the last size it counted, and steps through a
+      block of a run of sizes one apart after a, of at most 32 sizes
+      (``_RUN_SIZES``, a run split evenly), or to the next size k where a >=
+      k / 2. Every other size steps from the empty block, a = 0: the first,
+      one more than twice the size of its anchor (a wider step costs more),
+      one refused from a held anchor, and one after a step that keeps no
+      inverses, unless the pivot takes it. Below the floor a size is kept
+      only where its counts at -+floor agree: it reads (below, 0, k - below)
+      at theta, and is eigensolved otherwise, the chain going on;
+    - by an eigensolve otherwise: a size refused from the empty block, or
+      one that no held anchor reaches where no later size may step from it.
 
     The chain reads dense leading blocks only, written from ``CliqueBlocks``
     when it first needs one, at the largest size that does not take the
@@ -643,8 +635,8 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
         if not offered[i]:
             ahead[i] = 1 + (ahead[i + 1] if counted[i + 1:i + 2] == [counted[i] + 1] else 0)
     V = np.empty((2,) + (max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
-    # the chain's anchor while V holds its inverses: the empty block at first
-    anchor, out, i = ((0, (0, 0), np.zeros(2)) if band[0] > 0 else None), [], 0
+    empty = (0, (0, 0), np.zeros(2))  # the chain's anchor where V holds no inverses
+    anchor, out, i = empty, [], 0
     while i < len(counted):
         k, c = counted[i], in_clique[i]
         if offered[i]:
@@ -653,24 +645,25 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
                 out.append(Inertia(*pivot, theta))
                 i += 1
                 continue
-            if len(V[0]) < k < N:  # refused: the chain holds this size's inverses too
+            offered[i] = False  # refused: the chain counts k, and holds its inverses too
+            if len(V[0]) < k < N:
                 V = np.pad(V, ((0, 0), (0, k - len(V[0])), (0, k - len(V[0]))))
-        j = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES)) if anchor and k == anchor[0] + 1 and ahead[i] > 1 else 1
-        if anchor is not None and (j > 1 or 2 * anchor[0] >= k):  # a wider step costs more than a restart
+        if 2 * anchor[0] < k:  # a wider step costs more than one from the empty block
+            anchor = empty
+        j = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES)) if k == anchor[0] + 1 and ahead[i] > 1 else 1
+        if band[0] > 0 and (anchor[0] or j > 1 or not all(offered[i + 1:])):  # else no later size steps from k
+            a = anchor[0]
             got, anchor, _ = _chain_step(lead(counted[i + j - 1]), V, anchor, band, j > 1)
+            anchor = anchor or empty
             for size, (lo, hi) in zip(counted[i:], got):
                 if theta >= floor or lo == hi:
                     out.append(Inertia(lo, hi - lo, size - hi, theta))
                 else:  # an eigenvalue within the floor of 0
                     out.append(_band_counts(_eigenvalues(lead(size)), theta))
             i += len(got)
-            if got:  # the next size goes through the pivot, or steps or restarts
+            if got or a:  # k, refused from a held anchor, steps again from the empty block
                 continue
-        if band[0] > 0 and not all(offered[i + 1:]):  # a later size may step from k
-            ine, anchor = _chain_restart(lead(k), V, band[0], theta)
-        else:
-            ine = _band_counts(_eigenvalues(lead(k)), theta)
-        out.append(ine)
+        out.append(_band_counts(_eigenvalues(lead(k)), theta))
         i += 1
     out = out if top is None else out + [_band_counts(top, theta)]
     return [ine._replace(tol=math.ldexp(ine.tol, power)) for ine in out]

@@ -19,9 +19,9 @@ from .linalg import (
     DEFAULT_TOL_REL,
     Inertia,
     _check_tol_rel,
+    _eigenvalues,
     _inertia,
     double_center,
-    eig_sym,
     prefix_inertias,
     spectrum_inertia,
 )
@@ -133,8 +133,8 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     image satisfies the cone condition.
     """
     _check_tol_rel(tol_rel)
-    T = double_center(s_matrix(space))
-    vals, vecs = eig_sym(T)
+    T = double_center(s_matrix(space))  # symmetric as built
+    vals, vecs = _eigenvalues(T, vectors=True)
     theta = spectrum_inertia(vals, tol_rel).tol
     neg = np.where(vals < -theta)[0]          # ascending: most negative first
     pos = np.where(vals > theta)[0][::-1]     # largest positive first

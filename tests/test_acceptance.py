@@ -58,16 +58,16 @@ def criterion(num, title):
 
 def _tripod_prefix_steps(k):
     """Counts of ``prefix_inertias(-b_matrix(4 + k) / 2, [4, 4 + k])``, and
-    the counts below the band's edges -+e of the head of order 4, restarted
-    by ``linalg._chain_restart``, and of the ``linalg._chain_step`` from it
+    the counts below the band's edges -+e of the head of order 4, stepped to
+    from the empty block by ``linalg._chain_step``, and of the step from it
     to the whole matrix."""
     A = -b_matrix(4 + k) / 2
     got = prefix_inertias(A, [4, 4 + k])
     floor = linalg._BORDER_FLOOR * linalg._perron_bracket(A)[1]
-    e = max(got[-1].tol, floor)
+    band = (max(got[-1].tol, floor), floor, float(np.linalg.norm(A)))
     V = np.empty((2, 4 + k, 4 + k))
-    head = linalg._chain_restart(A[:4, :4], V, e, got[-1].tol)[1]
-    step = linalg._chain_step(A, V, head, (e, floor, float(np.linalg.norm(A))), False)[0]
+    head = linalg._chain_step(A[:4, :4], V, (0, (0, 0), np.zeros(2)), band, False)[1]
+    step = linalg._chain_step(A, V, head, band, False)[0]
     return [i.counts() for i in got], head[1], step
 
 

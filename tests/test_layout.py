@@ -26,8 +26,9 @@ is set by its arguments alone and a hidden knob cannot come back unnoticed;
 what the machine offers, such as its usable CPUs, is measured instead.
 No module calls ``np.linalg.inv`` or ``np.linalg.solve``: the inverses that
 ``prefix_inertias`` steps from are written only by a certified step of its
-chain or by an ``eig_sym`` restart, so they have two sources, each with its
-certificate, and no block is factored from scratch.
+chain, from a held anchor or from the empty block, so they have one source
+and one certificate, and no block is factored from scratch. Only
+``linalg._chain_step`` writes into the chain's inverse buffer ``V``.
 No ``**``, ``np.square`` or ``np.power`` takes an operand that reads
 ``.dist`` outside ``spaces.s_matrix``, so a space's distances are squared in
 one place and a change to how -d^2/2 is built changes one function.
@@ -229,6 +230,24 @@ def test_no_module_inverts_a_matrix():
     assert found == []
 
 
+def test_only_the_chain_step_writes_the_inverses():
+    # prefix_inertias keeps the chain's inverses in its buffer V and passes
+    # it to _chain_step alone, which steps from them and writes the next;
+    # np.pad grows V with what the steps wrote. No function of any module
+    # assigns to an entry of V.
+    writers, callees = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(func) if isinstance(func, ast.FunctionDef) else ():
+                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                if any(isinstance(sub, ast.Subscript) and getattr(sub.value, "id", None) == "V"
+                       for target in targets if isinstance(target, ast.AST) for sub in ast.walk(target)):
+                    writers.add(func.name)
+                if isinstance(node, ast.Call) and any(getattr(arg, "id", None) == "V" for arg in node.args):
+                    callees.add(ast.unparse(node.func))
+    assert writers == {"_chain_step"} and callees == {"_chain_step", "np.pad"}
+
+
 def _squarings_of_dist(tree):
     """Each ``**`` (``**=`` too) and ``square`` or ``power`` call in ``tree``
     with an operand that reads an attribute named ``dist``."""
@@ -322,9 +341,9 @@ def test_names_the_benchmark_traces_stay_bound():
 
 
 def test_every_prefix_eigensolve_is_traced(monkeypatch):
-    # The tracer counts eigensolves at linalg._eigenvalues and linalg.eig_sym
-    # only, so every LAPACK eigensolve of a ratio trial and of an all-prefix
-    # trajectory has to go through one of them. The trajectory counts most
+    # The tracer counts eigensolves at linalg._eigenvalues, which eig_sym
+    # calls too, so every LAPACK eigensolve of a ratio trial and of an
+    # all-prefix trajectory has to go through it. The trajectory counts most
     # prefixes by the blocks of a run, so few are eigensolved.
     lapack, traced = [], []
     for name in ("eigh", "eigvalsh"):
@@ -332,9 +351,8 @@ def test_every_prefix_eigensolve_is_traced(monkeypatch):
         monkeypatch.setattr(np.linalg, name, lambda a, _f=real: lapack.append(len(a)) or _f(a))
     for name in ("eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, lambda *a: pytest.fail("untraced eigensolve"))
-    for name in ("_eigenvalues", "eig_sym"):
-        real = getattr(mmsig.linalg, name)
-        monkeypatch.setattr(mmsig.linalg, name, lambda a, _f=real: traced.append(len(a)) or _f(a))
+    real = mmsig.linalg._eigenvalues
+    monkeypatch.setattr(mmsig.linalg, "_eigenvalues", lambda a, **kw: traced.append(len(a)) or real(a, **kw))
     model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
     mmsig.spectral.rado_ratio_experiment(
         model, DiscreteMeasure.class_biased(30, 0.9), m_max=3000, seed=0
@@ -350,9 +368,8 @@ def test_clique_trial_eigensolves_only_its_other_points(monkeypatch):
     # eigensolve is larger than the trial's points outside the clique. The
     # general chain's complement eigensolves reached order ~200 there.
     orders = []
-    for name in ("_eigenvalues", "eig_sym"):
-        real = getattr(mmsig.linalg, name)
-        monkeypatch.setattr(mmsig.linalg, name, lambda a, _f=real: orders.append(len(a)) or _f(a))
+    real = mmsig.linalg._eigenvalues
+    monkeypatch.setattr(mmsig.linalg, "_eigenvalues", lambda a, **kw: orders.append(len(a)) or real(a, **kw))
     model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
     measure = DiscreteMeasure.class_biased(30, 0.9)
     mmsig.spectral.rado_ratio_experiment(model, measure, m_max=3000, seed=0)

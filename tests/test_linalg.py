@@ -43,6 +43,9 @@ from util_oracles import (
 )
 
 EPS = np.finfo(float).eps
+# the empty block's anchor for ``linalg._chain_step``: order 0, no eigenvalue
+# below either edge, and inverses of norm 0
+EMPTY_ANCHOR = (0, (0, 0), np.zeros(2))
 
 
 class TestEigSym:
@@ -274,12 +277,13 @@ def test_entry_points_validate(entry, a, message, monkeypatch):
 
 
 def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
-    # each block the chain reads is a block of the validated matrix; only the
-    # Schur complements, which eig_sym solves, pass the gate again. The 200
-    # sizes are one run: 7 steps of at most 32 sizes from the empty block,
-    # and the last one, which keeps no inverse, solves no eigenvalues
+    # each block the chain reads is a block of the validated matrix, and each
+    # Schur complement is symmetric as built: only the matrix passes the
+    # gate. The 200 sizes are one run: 7 steps of at most 32 sizes from the
+    # empty block, and the last one, which keeps no inverse, solves no
+    # eigenvalues
     S = named_example("sphere", dim=2, n=200, seed=1).s_matrix_on(range(200))
-    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_chain_step", "_chain_restart"], 0)
+    calls = dict.fromkeys(["as_sym_matrix", "eig_sym", "_chain_step"], 0)
     for name in calls:
         def counted(*args, _f=getattr(linalg, name), _name=name):
             calls[_name] += 1
@@ -288,38 +292,47 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
         monkeypatch.setattr(linalg, name, counted)
     orders = _eigensolve_orders(monkeypatch)
     prefix_inertias(S, range(1, 201))
-    assert calls["_chain_step"] == 7 and calls["_chain_restart"] == 0 and orders == []
-    assert calls["as_sym_matrix"] == 1 + calls["eig_sym"]
+    assert calls["_chain_step"] == 7 and calls["eig_sym"] == 0 and orders == []
+    assert calls["as_sym_matrix"] == 1
 
 
 def _eigensolve_orders(monkeypatch):
-    """Orders of the blocks ``linalg._eigenvalues`` solves from now on."""
+    """Orders of the blocks ``linalg._eigenvalues`` solves for their
+    eigenvalues alone from now on."""
     orders = []
     real = linalg._eigenvalues
 
     def counted(a, **kw):
-        orders.append(len(a))
+        if not kw.get("vectors"):
+            orders.append(len(a))
         return real(a, **kw)
 
     monkeypatch.setattr(linalg, "_eigenvalues", counted)
     return orders
 
 
-def _eig_sym_orders(monkeypatch):
-    """Orders of the matrices ``linalg.eig_sym`` solves from now on."""
+def _vector_eigensolve_orders(monkeypatch):
+    """Orders of the matrices ``linalg._eigenvalues`` solves with their
+    eigenvectors from now on: the complements of the chain's steps that keep
+    an inverse."""
     orders = []
-    real = linalg.eig_sym
-    monkeypatch.setattr(linalg, "eig_sym", lambda a: orders.append(len(a)) or real(a))
+    real = linalg._eigenvalues
+
+    def counted(a, **kw):
+        if kw.get("vectors"):
+            orders.append(len(a))
+        return real(a, **kw)
+
+    monkeypatch.setattr(linalg, "_eigenvalues", counted)
     return orders
 
 
 def _every_eigensolve_order(monkeypatch):
-    """Orders of the matrices ``linalg._eigenvalues`` and ``linalg.eig_sym``
-    solve from now on: blocks, complements and the pivot's complements."""
+    """Orders of the matrices ``linalg._eigenvalues`` solves from now on:
+    blocks, complements and the pivot's complements."""
     orders = []
-    for name in ("_eigenvalues", "eig_sym"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda a, real=real: orders.append(len(a)) or real(a))
+    real = linalg._eigenvalues
+    monkeypatch.setattr(linalg, "_eigenvalues", lambda a, **kw: orders.append(len(a)) or real(a, **kw))
     return orders
 
 
@@ -339,19 +352,10 @@ def _chain_steps(monkeypatch):
     return steps
 
 
-def _restarts(monkeypatch):
-    """(k, held) of each ``linalg._chain_restart`` from now on: the order it
-    eigensolved, and whether it gave the chain its inverses."""
-    restarts = []
-    real = linalg._chain_restart
-
-    def counted(A, *rest):
-        got = real(A, *rest)
-        restarts.append((len(A), got[1] is not None))
-        return got
-
-    monkeypatch.setattr(linalg, "_chain_restart", counted)
-    return restarts
+def _empty_steps(steps):
+    """(k, held) of each of ``steps`` (as ``_chain_steps`` lists them) from
+    the empty block: its order, and whether it holds the inverses."""
+    return [(k, held) for a, k, _, held in steps if a == 0]
 
 
 def _cover_the_run(steps, start, stop):
@@ -385,7 +389,7 @@ class TestPrefixInertias:
         sizes = list(range(1, N + 1))
         whole = inertia(S)
         orders = _eigensolve_orders(monkeypatch)
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         # one band: the largest block's, its max|lambda| from a Perron bracket
@@ -393,10 +397,10 @@ class TestPrefixInertias:
         assert got[-1].tol == pytest.approx(whole.tol, rel=1e-13, abs=0.0)
         assert got[-1].counts() == whole.counts()
         # every size is one run from the empty block, counted at the band's
-        # edges, the hollow 1x1 block too: no restart, and no eigensolve but
-        # of the last step's complements
+        # edges, the hollow 1x1 block too: no later step from the empty block,
+        # and no eigensolve but of the last step's complements
         assert _cover_the_run(steps, 0, N)
-        assert restarts == [] and all(n <= linalg._RUN_SIZES for n in orders)
+        assert all(n <= linalg._RUN_SIZES for n in orders)
 
     def test_sizes_with_gaps(self):
         S = _model_s()
@@ -405,14 +409,14 @@ class TestPrefixInertias:
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
         assert [i.n for i in got] == sizes
 
-    # each family's restarts, and the anchor and size of each step that
-    # counted, on the gapped sizes
+    # each family's steps from the empty block, and the anchor and size of
+    # each step that counted, on the gapped sizes
     GAPPED = {
-        "weak_direction": ([(2, True)], [(2, 5), (5, 7), (7, 10), (10, 13), (13, 17), (17, 23), (23, 30)]),
-        "planar_points": ([(2, True)], [(2, 3), (3, 5), (5, 6), (6, 9), (9, 12), (12, 17), (17, 23), (23, 32),
-                                        (32, 44), (44, 60)]),
-        "sphere": ([(2, True), (68, True)], [(2, 4), (4, 6), (6, 9), (9, 14), (14, 21), (21, 31), (31, 46),
-                                             (68, 101), (101, 150)]),
+        "weak_direction": ([(2, True)], [(0, 2), (2, 5), (5, 7), (7, 10), (10, 13), (13, 17), (17, 23), (23, 30)]),
+        "planar_points": ([(2, True)], [(0, 2), (2, 3), (3, 5), (5, 6), (6, 9), (9, 12), (12, 17), (17, 23),
+                                        (23, 32), (32, 44), (44, 60)]),
+        "sphere": ([(2, True), (68, True)], [(0, 2), (2, 4), (4, 6), (6, 9), (9, 14), (14, 21), (21, 31),
+                                             (31, 46), (0, 68), (68, 101), (101, 150)]),
     }
 
     @pytest.mark.parametrize(
@@ -420,21 +424,21 @@ class TestPrefixInertias:
         [("weak_direction", 0.0), ("planar_points", 0.0), ("sphere", 1e-9)],
     )
     def test_gapped_sizes_take_certified_schur_blocks(self, family, tol_rel, monkeypatch):
-        restarted, stepped = self.GAPPED[family]
+        emptied, stepped = self.GAPPED[family]
         S = {
             "weak_direction": self._weak_direction,
             "planar_points": self._planar_points,
             "sphere": self.FAMILIES["sphere"],
         }[family]()
         sizes = sorted({int(k) for k in np.geomspace(2, len(S), 12)})
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-        # the first size is a restart, too wide a step from the empty block;
-        # every later size steps from the one before, weak_direction's run
-        # 3 to 5 in one step of three sizes. sphere's step to 68 is refused
-        # (an eigenvalue lies near an edge), and 68 is a restart
-        assert restarts == restarted and [(a, k) for a, k, n, _ in steps if n] == stepped
+        # the first size steps from the empty block; every later size steps
+        # from the one before, weak_direction's run 3 to 5 in one step of
+        # three sizes. sphere's step to 68 is refused (an eigenvalue lies near
+        # an edge), and 68 steps again, from the empty block
+        assert _empty_steps(steps) == emptied and [(a, k) for a, k, n, _ in steps if n] == stepped
 
     def test_failed_block_falls_back_to_an_eigensolve(self, monkeypatch):
         # S of planar points has rank <= 4. At tol 0 the steps to 6 and to 12
@@ -443,39 +447,39 @@ class TestPrefixInertias:
         # going on; 60 is too wide a step from 12
         S = self._planar_points()
         sizes = [3, 6, 12, len(S)]
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 0.0)
-        assert restarts == [(3, True)] and steps == [(3, 6, 1, True), (6, 12, 1, True)]
+        assert steps == [(0, 3, 1, True), (3, 6, 1, True), (6, 12, 1, True)]
         assert orders == [6, 12, len(S)]
 
     def test_a_size_the_next_steps_from_is_a_wide_step(self, monkeypatch):
         S = _model_s()
         N = len(S)
         sizes = [2, N - 1, N]
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        # 2 and N - 1, each too wide a step from the anchor before it, are
-        # restarts that give the chain its inverses; the step to N from N - 1
-        # eigensolves only its two 1 x 1 complements
-        assert restarts == [(2, True), (N - 1, True)] and steps == [(N - 1, N, 1, False)] and orders == [1, 1]
+        # 2 and N - 1, each too wide a step from the anchor before it, step
+        # from the empty block and give the chain its inverses; the step to N
+        # from N - 1 eigensolves only its two 1 x 1 complements
+        assert steps == [(0, 2, 1, True), (0, N - 1, 1, True), (N - 1, N, 1, False)] and orders == [1, 1]
 
     def test_a_ratio_trial_takes_no_inverse(self, monkeypatch):
-        # the first checkpoint of this clique-free trial is a restart, and
-        # each later one a step from the one before, 60 -> 112 and 112 -> 190
-        # too; no block is inverted
+        # the first checkpoint of this clique-free trial steps from the empty
+        # block, and each later one from the one before, 60 -> 112 and 112 ->
+        # 190 too; no block is inverted
         inverses = []
         real = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(len(a)) or real(a))
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         model = CountableRadoModel(0.5, 1)
         measure = DiscreteMeasure.geometric(0.995)
         traj = rado_ratio_experiment(model, measure, 3000, seed=trial_seed(1, 3))
-        assert inverses == [] and restarts == [(traj.dedup_sizes[0], True)]
-        assert [(a, k) for a, k, n, _ in steps if n] == list(zip(traj.dedup_sizes, traj.dedup_sizes[1:]))
+        assert inverses == [] and _empty_steps(steps) == [(traj.dedup_sizes[0], True)]
+        assert [(a, k) for a, k, n, _ in steps if n] == list(zip([0, *traj.dedup_sizes], traj.dedup_sizes))
         S = model.s_matrix_on(gv_sample(measure, 3000, trial_seed(1, 3)).dedup)
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
 
@@ -484,15 +488,16 @@ class TestPrefixInertias:
         # --model-p 0.5 --measure geometric:0.999 --m-max 3000 --seed 2) at
         # sizes 10, 20, ..., 1000. Many of them have an eigenvalue within ten
         # times the band of 0, where no step certified at 0 can count them;
-        # at the band's edges the chain steps to all but the first and one
-        # more, which are restarts
+        # at the band's edges the chain steps to each of them, from the empty
+        # block to the first and to at most one more
         order = sample_order(parse_measure_spec("geometric:0.999"), 3000, 2)
         S = CountableRadoModel(0.5, 2).s_matrix_on(order)[:1000, :1000]
         sizes = list(range(10, 1001, 10))
-        restarts, orders = _restarts(monkeypatch), _block_eigensolves(monkeypatch, S)
+        steps, orders = _chain_steps(monkeypatch), _block_eigensolves(monkeypatch, S)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert restarts[0] == (10, True) and len(restarts) + len(orders) <= 2
+        emptied = _empty_steps(steps)
+        assert emptied[0] == (10, True) and len(emptied) + len(orders) <= 2
 
     @pytest.mark.parametrize("power", [-500, -300, 300, 500])
     @pytest.mark.parametrize("family", ["tripod_extended", "sphere"])
@@ -649,17 +654,18 @@ class TestParityCounts:
     def test_every_prefix_matches_eigvalsh(self, family, tol_rel, monkeypatch):
         S = self.FAMILIES[family]()
         sizes = list(range(1, len(S) + 1))
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         orders = _block_eigensolves(monkeypatch, S)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         # at any tolerance the steps count every size, the largest too unless
         # it is the band's eigensolve (no Perron bracket), also where most
-        # blocks hold eigenvalues in the band (sphere, planar), and no size is
-        # a restart. Below the floor (1e-12 and 0) they count at -+floor, and
-        # only a size whose two counts differ is eigensolved
+        # blocks hold eigenvalues in the band (sphere, planar), and no later
+        # size steps from the empty block. Below the floor (1e-12 and 0) they
+        # count at -+floor, and only a size whose two counts differ is
+        # eigensolved
         top = len(S) - (linalg._perron_bracket(S) is None)
-        assert restarts == [] and _cover_the_run(steps, 0, top)
+        assert _cover_the_run(steps, 0, top)
         if tol_rel >= 1e-9:
             assert orders == [len(S)] * (top < len(S))
 
@@ -672,17 +678,17 @@ class TestParityCounts:
         S = np.diag([-1.0, 2.0, 0.5, theta, -3.0, 1.5, -theta, rho, -2.0, 1.0])
         sizes = list(range(1, N + 1))
         orders = _eigensolve_orders(monkeypatch)
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert got[-1].tol == theta
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
         assert got[3].counts() == (1, 1, 2) and got[6].counts() == (2, 2, 3)
         # the largest block is the band's eigensolve (no Perron bracket); the
         # run's first step counts sizes 1 to 3 and refuses its 4th minor, 0.
-        # Each size from 4 on is a restart that gives the chain no inverses,
-        # since an edge is an eigenvalue of each
-        assert orders == [N] and steps == [(0, N - 1, 3, False)]
-        assert restarts == [(k, False) for k in range(4, N)]
+        # Each size from 4 on steps from the empty block, which refuses it,
+        # since an edge is an eigenvalue of each, and is eigensolved
+        assert steps == [(0, N - 1, 3, False)] + [(0, k, 0, False) for k in range(4, N)]
+        assert orders == [N, *range(4, N)]
 
     @pytest.mark.parametrize("tol_rel", [1e-12, 0.0])
     def test_blocks_below_the_floor_keep_the_sizes_clear_of_it(self, tol_rel, monkeypatch):
@@ -693,7 +699,7 @@ class TestParityCounts:
         # sample's prefixes of 22 to 57 points go in and out of it
         S = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(60))
         sizes = list(range(1, 61))
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         orders = _block_eigensolves(monkeypatch, S)
         got = prefix_inertias(S, sizes, tol_rel=tol_rel)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
@@ -701,7 +707,7 @@ class TestParityCounts:
         clear = [np.abs(np.linalg.eigvalsh(S[:k, :k])).min() > floor for k in sizes]
         # the steps count every size, and exactly the sizes not clear of the
         # floor are eigensolved; the chain goes on from their inverses
-        assert restarts == [] and _cover_the_run(steps, 0, 60)
+        assert _cover_the_run(steps, 0, 60)
         assert orders == [k for k, ok in zip(sizes, clear) if not ok] and 10 < len(orders) < 30
 
     def test_a_singular_prefix_stops_the_blocks_below_the_floor(self, monkeypatch):
@@ -713,32 +719,32 @@ class TestParityCounts:
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = list(range(1, 7))
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         got = prefix_inertias(S, sizes, tol_rel=1e-12)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-12)
-        assert steps == [(0, 5, 5, True)] and restarts == [] and orders == [6, 4]  # 6: the band's eigensolve
+        assert steps == [(0, 5, 5, True)] and orders == [6, 4]  # 6: the band's eigensolve
         steps.clear(), orders.clear()
         got = prefix_inertias(S, sizes, tol_rel=1e-6)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, 1e-6)
-        assert steps == [(0, 5, 5, True)] and restarts == [] and orders == [6]
+        assert steps == [(0, 5, 5, True)] and orders == [6]
 
     def test_a_failed_scalar_step_keeps_its_anchor(self, monkeypatch):
-        # the same singular A_4, with a seventh point: size 3 is a restart,
-        # and size 4, one past 3 but no run, steps from 3 by one row. A_4 -+
+        # the same singular A_4, with a seventh point: size 3 steps from the
+        # empty block, and size 4, one past 3 but no run, from 3 by one row. A_4 -+
         # e I is regular, so the steps to 4 and 6 are certified and the
         # anchor moves on; below the floor size 4's counts differ, and it is
         # eigensolved
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0, 6.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = [3, 4, 6, 7]
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         orders = _eigensolve_orders(monkeypatch)
         for tol_rel in (1e-12, 1e-6):
-            steps.clear(), restarts.clear(), orders.clear()
+            steps.clear(), orders.clear()
             got = prefix_inertias(S, sizes, tol_rel=tol_rel)
             assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes, tol_rel)
-            assert restarts == [(3, True)] and steps == [(3, 4, 1, True), (4, 6, 1, True)]
+            assert steps == [(0, 3, 1, True), (3, 4, 1, True), (4, 6, 1, True)]
             assert orders == ([7, 4] if tol_rel < 1e-9 else [7])  # 7: the band's
 
     def test_a_loose_band_takes_one_lu_per_block(self, monkeypatch):
@@ -753,9 +759,9 @@ class TestParityCounts:
         for name in ("solve", "slogdet", "det", "inv"):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda a, *rest, _f=real: lu.append(a.shape[-1]) or _f(a, *rest))
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(S, range(1, N + 1), tol_rel=1e-7)
-        assert _cover_the_run(steps, 0, N) and restarts == []
+        assert _cover_the_run(steps, 0, N)
         assert len(lu) == len(steps) and max(lu) <= linalg._RUN_SIZES
         picks = [*range(10, N, 30), N]
         assert [got[k - 1].counts() for k in picks] == prefix_counts_by_eigvalsh(S, picks, 1e-7)
@@ -787,19 +793,19 @@ class TestParityCounts:
     @pytest.mark.parametrize("seed", [5, 7, 1881])
     def test_benchmark_sphere_trajectories_take_no_step(self, seed, monkeypatch):
         # the benchmark's 200-point sphere sample, whose prefixes hold
-        # eigenvalues near 0: the chain takes every size in 7 steps from the
-        # empty block, with no restart and no eigenvalues-only solve; eig_sym
-        # solves only the complements of the steps that keep an inverse, of
-        # order 28 or 29
+        # eigenvalues near 0: the chain takes every size in one run of 7 steps
+        # from the empty block, with no eigenvalues-only solve; only the
+        # complements of the steps that keep an inverse, of order 28 or 29,
+        # are solved with vectors
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         from inputs import sphere_distances
 
         space = from_distance_matrix(sphere_distances(seed, 200, "sphere200"))
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
-        orders, complements = _eigensolve_orders(monkeypatch), _eig_sym_orders(monkeypatch)
+        steps = _chain_steps(monkeypatch)
+        orders, complements = _eigensolve_orders(monkeypatch), _vector_eigensolve_orders(monkeypatch)
         traj = limit_signature_trajectory(space, range(200))
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(space.s_matrix_on(range(200)), range(1, 201))
-        assert _cover_the_run(steps, 0, 200) and restarts == [] and orders == []
+        assert _cover_the_run(steps, 0, 200) and orders == []
         assert set(complements) == {28, 29}
 
 
@@ -826,16 +832,17 @@ class TestPerronBand:
 
     def test_class_biased_trials_match_eigvalsh(self):
         # every largest checkpoint is counted by a step of the chain; the
-        # first checkpoint is a restart, and so, at times, is one more than
-        # twice the size of the one before. No block is eigensolved
+        # first checkpoint steps from the empty block, and so, at times, does
+        # one more than twice the size of the one before. No block is
+        # eigensolved
         for seed in range(16):
             S, sizes = _class_biased_trial(seed, m_max=1200)
             with pytest.MonkeyPatch.context() as mp:
-                steps, restarts, orders = _chain_steps(mp), _restarts(mp), _block_eigensolves(mp, S)
+                steps, orders = _chain_steps(mp), _block_eigensolves(mp, S)
                 got = prefix_inertias(S, sizes)
             assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes), seed
             assert steps[-1][1:3] == (sizes[-1], 1) and orders == []
-            assert restarts[0] == (sizes[0], True) and len(restarts) <= 2
+            assert _empty_steps(steps)[0] == (sizes[0], True) and len(_empty_steps(steps)) <= 2
 
     @pytest.mark.parametrize("dim, n", [(2, 200), (3, 120)])
     def test_sphere_families_count_their_largest_block_by_parity(self, dim, n, monkeypatch):
@@ -845,23 +852,23 @@ class TestPerronBand:
         S = named_example("sphere", dim=dim, n=n, seed=1).s_matrix_on(range(n))
         sizes = list(range(1, n + 1))
         orders = _block_eigensolves(monkeypatch, S)
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(S, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert _cover_the_run(steps, 0, n) and restarts == [] and orders == []
+        assert _cover_the_run(steps, 0, n) and orders == []
         assert linalg._perron_bracket(S) is not None
 
     def test_a_failed_largest_step_is_eigensolved(self, monkeypatch):
         # 12 cospherical points of R^10: S has rank 11. At tol 0 the step
         # from 11 points to 12 counts at -+floor, where the two counts
-        # differ, so 12 is eigensolved; 8 is a restart
+        # differ, so 12 is eigensolved; 8 steps from the empty block
         P = random_cospherical_points(np.random.default_rng(1), 12, 10)
         S = from_euclidean_points(P).s_matrix_on(range(12))
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         orders = _block_eigensolves(monkeypatch, S)
         got = prefix_inertias(S, [8, 11, 12], tol_rel=0.0)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, [8, 11, 12], 0.0)
-        assert restarts == [(8, True)] and steps == [(8, 11, 1, True), (11, 12, 1, False)] and orders == [12]
+        assert steps == [(0, 8, 1, True), (8, 11, 1, True), (11, 12, 1, False)] and orders == [12]
 
     @pytest.mark.parametrize("kind", ["generic", "positive_entry", "slow_bracket"])
     def test_no_bracket_takes_the_eigensolve(self, kind, monkeypatch):
@@ -1300,16 +1307,16 @@ class TestCliquePivot:
 
     def test_prefixes_before_the_clique_take_the_chain(self, monkeypatch):
         # c < 2 up to 20 points, then r = 20 of 100, over an eighth: the
-        # chain, 10 a restart and 20 a step from it, with 100 too wide a step
-        # from 20 and eigensolved; the pivot at 400
+        # chain, 10 a step from the empty block and 20 a step from 10, with
+        # 100 too wide a step from 20 and eigensolved; the pivot at 400
         model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 400))
         S, blocks = _model_blocks(model, range(400))
         sizes = [10, 20, 100, 400]
         pivots = _clique_pivots(monkeypatch)
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert restarts == [(10, True)] and [k for _, k, _, _ in steps] == [20]
+        assert [(a, k) for a, k, _, _ in steps] == [(0, 10), (10, 20)]
         assert pivots == [(380, 20, True)]
 
     @pytest.mark.parametrize("run", [[20], list(range(11, 21))])
@@ -1318,23 +1325,23 @@ class TestCliquePivot:
         # keeps no inverse (forced here, as where A_20 has an eigenvalue
         # near an edge); 160, with 20 of its points outside the clique, is
         # offered to the pivot, and 200, with 60, is eigensolved. The chain
-        # holds inverses up to 20 only, so a restart of 160 would have no
-        # room for them
+        # holds inverses up to 20 only, so a step of 160 from the empty block
+        # would have no room for them
         model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 160))
         S, blocks = _model_blocks(model, range(200))
         sizes = [10, *run, 160, 200]
         real = linalg._chain_step
 
-        def unheld(*args):
-            counts, _, bound = real(*args)
-            return counts, None, bound
+        def unheld(A, V, anchor, band, run):
+            counts, held, bound = real(A, V, anchor, band, run)
+            return counts, held if anchor[0] == 0 else None, bound
 
         monkeypatch.setattr(linalg, "_chain_step", unheld)
         pivots = _clique_pivots(monkeypatch)
-        steps, restarts = _chain_steps(monkeypatch), _restarts(monkeypatch)
+        steps = _chain_steps(monkeypatch)
         got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(S, sizes)
-        assert restarts == [(10, True)] and steps == [(10, 20, len(run), False)]
+        assert steps == [(0, 10, 1, True), (10, 20, len(run), False)]
         assert pivots == [(140, 20, True)]
 
     @pytest.mark.parametrize("k", [80, 400])
@@ -1574,8 +1581,8 @@ class TestPivotAtTheBandEdges:
 
 
 class TestRunsAtTheBandEdges:
-    # A run's step of the chain, from an anchor of order M restarted from
-    # its eigenvalues, counts as the exact oracle does at theta = |lambda|
+    # A run's step of the chain, from an anchor of order M stepped to from
+    # the empty block, counts as the exact oracle does at theta = |lambda|
     # (1 + delta) for the deltas of the pivot's check, but where the size
     # has an eigenvalue within the step's roundoff bound of an edge, a bound
     # that does not exceed the floor. An edge on an eigenvalue of the anchor
@@ -1604,7 +1611,7 @@ class TestRunsAtTheBandEdges:
             for theta, below, above in zip(thetas, lo, hi):
                 e = max(theta, floor)
                 V = np.empty((2, len(A), len(A)))
-                anchor = linalg._chain_restart(A[:m, :m], V, e, theta)[1]
+                anchor = linalg._chain_step(A[:m, :m], V, EMPTY_ANCHOR, (e, floor, fro), False)[1]
                 if anchor is None:  # an edge on an eigenvalue of the anchor
                     continue
                 got, _, bound = linalg._chain_step(A, V, anchor, (e, floor, fro), True)
@@ -1619,8 +1626,8 @@ class TestRunsAtTheBandEdges:
     def test_prefixes(self, family):
         # the smallest, median and largest |lambda| of the largest block and
         # the median of a block inside the run, where each step counts all
-        # 16 sizes; and the smallest of the anchor, where the restart gives
-        # no inverses or the step refuses
+        # 16 sizes; and the smallest of the anchor, where the step to it
+        # keeps no inverses or the run's step refuses
         A = {
             "sphere": lambda: named_example("sphere", dim=2, n=32, seed=5).s_matrix_on(range(32)),
             "rado_model": lambda: _model_s()[:32, :32],
@@ -1633,26 +1640,29 @@ class TestRunsAtTheBandEdges:
 
 class TestStepsAtTheBandEdges:
     # The chain at theta = |lambda| (1 + delta) for the deltas of the
-    # pivot's check, read back from Inertia.tol: a step counts as the exact
-    # oracle does but where the size has an eigenvalue within the step's
-    # roundoff bound, at most the floor, of an edge, and a restart or an
-    # eigensolve but where one lies within its roundoff, c n eps max|lambda|
-    # with c = 4, of an edge.
+    # pivot's check, read back from Inertia.tol: a step, from a held anchor
+    # or from the empty block, counts as the exact oracle does but where the
+    # size has an eigenvalue within the step's roundoff bound, at most the
+    # floor, of an edge, and an eigensolve but where one lies within its
+    # roundoff, c n eps max|lambda| with c = 4, of an edge.
 
     @staticmethod
-    def _check(A, sizes, lams):
-        """How many sizes steps and eigensolves counted at the thetas near
-        each of ``lams``, each as the exact counts allow."""
+    def _check(A, sizes, lams, source=None):
+        """How many sizes steps, steps from the empty block among them, and
+        other tiers counted at the thetas near each of ``lams``, each as the
+        exact counts allow, where ``prefix_inertias`` counts ``source``, A
+        itself or its ``CliqueBlocks``."""
         N, rho = len(A), linalg._perron_bracket(A)
         floor = linalg._BORDER_FLOOR * rho[1]
-        tally = {"step": 0, "eigensolve": 0}
-        bounds = {}  # the roundoff bound of the step that counted each size
+        tally = {"step": 0, "empty": 0, "eigensolve": 0}
+        bounds, emptied = {}, set()  # the roundoff bound of the step that counted each size; those from a = 0
         real = linalg._chain_step
 
         def step(A, V, anchor, band, run):
             got = counts, _, bound = real(A, V, anchor, band, run)
             counted = range(anchor[0] + 1, anchor[0] + len(counts) + 1) if run else [len(A)] if counts else []
             bounds.update(dict.fromkeys(counted, min(bound, floor)))
+            emptied.update(counted if anchor[0] == 0 else ())
             return got
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1660,12 +1670,12 @@ class TestStepsAtTheBandEdges:
             for lam in lams:
                 runs = []
                 for delta in TestPivotAtTheBandEdges.DELTAS:
-                    bounds.clear()
-                    got = prefix_inertias(A, sizes, lam * (1 + delta) / (N * rho[0]))
-                    runs.append((got, dict(bounds)))
-                thetas = [got[-1].tol for got, _ in runs]
+                    bounds.clear(), emptied.clear()
+                    got = prefix_inertias(A if source is None else source, sizes, lam * (1 + delta) / (N * rho[0]))
+                    runs.append((got, dict(bounds), set(emptied)))
+                thetas = [got[-1].tol for got, _, _ in runs]
                 lo, hi = (_monotone(lambda i, M=M: exact_prefix_below(M, -thetas[i]), len(thetas)) for M in (A, -A))
-                for (got, stepped), theta, below, above in zip(runs, thetas, lo, hi):
+                for (got, stepped, empty), theta, below, above in zip(runs, thetas, lo, hi):
                     for k, ine in zip(sizes, got):
                         exact = (below[k - 1], k - below[k - 1] - above[k - 1], above[k - 1])
                         bound = stepped.get(k, 4 * N * EPS * rho[1])
@@ -1674,6 +1684,7 @@ class TestStepsAtTheBandEdges:
                             assert any(TestRunsAtTheBandEdges._near(A[:k, :k], edge, bound)
                                        for edge in {theta, max(theta, floor)}), (lam, theta, k)
                         tally["step" if k in stepped else "eigensolve"] += 1
+                        tally["empty"] += k in empty
         return tally
 
     @pytest.mark.parametrize("family", ["sphere", "rado_model"])
@@ -1711,3 +1722,108 @@ class TestChainAtTheBandEdges:
         mags = [np.abs(np.linalg.eigvalsh(A[:k, :k])) for k in (8, 12, 16, 24, 28, 32)]
         tally = TestStepsAtTheBandEdges._check(A, self.SIZES, [m.min() for m in mags] + [np.median(mags[-1])])
         assert tally["step"] > 0 and tally["eigensolve"] > 0, tally
+
+
+class TestStepsFromTheEmptyBlock:
+    # The sizes that no held anchor reaches step from the empty block: the
+    # first gapped size, a size after a refused run step, a size whose
+    # clique pivot is refused, and sizes below the floor. Their counts are
+    # checked as in TestStepsAtTheBandEdges, and the inverses such a step
+    # holds against e (A_k - sigma I)^{-1} from np.linalg.inv.
+    FAMILIES = {
+        "sphere": lambda: named_example("sphere", dim=2, n=32, seed=5).s_matrix_on(range(32)),
+        "rado_model": lambda: _model_s(n_draws=1500, seed=4)[:32, :32],
+    }
+
+    @staticmethod
+    def _held(monkeypatch):
+        """(A_k, e, the inverses held) of each step from the empty block from
+        now on that holds its inverses."""
+        held = []
+        real = linalg._chain_step
+
+        def step(A, V, anchor, band, run):
+            got = real(A, V, anchor, band, run)
+            if anchor[0] == 0 and got[1] is not None:
+                held.append((A.copy(), band[0], V[:, :len(A), :len(A)].copy()))
+            return got
+
+        monkeypatch.setattr(linalg, "_chain_step", step)
+        return held
+
+    @staticmethod
+    def _check_inverses(held):
+        """Each held inverse within 1e-10 relative of np.linalg.inv's, or,
+        where an edge lies so near an eigenvalue of A_k that both carry more
+        roundoff, within 4 k eps cond(A_k - sigma I) of it."""
+        for A, e, V in held:
+            k = len(A)
+            for s, sigma in enumerate((-e, e)):
+                want = np.linalg.inv(A - sigma * np.eye(k)) * e
+                gaps = np.abs(np.linalg.eigvalsh(A) - sigma)
+                rel = max(1e-10, 4 * k * EPS * gaps.max() / gaps.min())
+                assert np.linalg.norm(V[s] - want) <= rel * np.linalg.norm(want), (k, sigma)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_the_first_gapped_size(self, family, monkeypatch):
+        # 8 steps from the empty block, at the edges near its smallest and
+        # median |lambda| too; 16 and 24 step from the size before
+        A = self.FAMILIES[family]()
+        sizes = [8, 16, 24, 32]
+        self._check_sizes(A, sizes, [8], monkeypatch)
+
+    def test_a_size_after_a_refused_run_step(self, monkeypatch):
+        # the run from the empty block through every size is refused at 12,
+        # as at a zero minor: 12 steps from the empty block, and the run from
+        # there goes on
+        A = self.FAMILIES["sphere"]()
+        real = linalg._chain_step
+
+        def refusing(A_k, V, anchor, band, run):
+            counts, held, bound = real(A_k, V, anchor, band, run)
+            if run and anchor[0] < 12 <= len(A_k):
+                return counts[:11 - anchor[0]], None, bound
+            return counts, held, bound
+
+        monkeypatch.setattr(linalg, "_chain_step", refusing)
+        with pytest.MonkeyPatch.context() as mp:
+            steps = _chain_steps(mp)
+            prefix_inertias(A, range(1, 33))
+        assert [(a, k, n) for a, k, n, _ in steps] == [(0, 32, 11), (0, 12, 1), (12, 32, 20)]
+        self._check_sizes(A, list(range(1, 33)), [12], monkeypatch)
+
+    def test_a_refused_clique_pivot_above_order_32(self, monkeypatch):
+        # 36 points, 4 outside the clique, are offered to the pivot, which
+        # is refused here: 36, more than twice 4, steps from the empty block,
+        # in a buffer grown for it, and 40, with 8 points outside, from 36.
+        # Its smallest |lambda| is near gamma, an eigenvalue of the clique
+        # block
+        model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(4, 36))
+        A, blocks = _model_blocks(model, range(40))
+        real = linalg._clique_pivot
+        monkeypatch.setattr(
+            linalg, "_clique_pivot", lambda B, D, g, t: None if len(D) + B.shape[1] == 36 else real(B, D, g, t)
+        )
+        self._check_sizes(A, [4, 36, 40], [4, 36], monkeypatch, source=blocks)
+
+    @pytest.mark.parametrize("tol_rel", [1e-12, 0.0])
+    def test_sizes_below_the_floor(self, tol_rel, monkeypatch):
+        # theta is below the floor: 10 and 25, more than twice 10, step from
+        # the empty block at -+floor. A_25 has an eigenvalue within the floor
+        # of 0, so its two counts differ and it is eigensolved, the chain
+        # going on from its inverses
+        A = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(40))[:40]
+        self._check_sizes(A, [10, 25, 40], [10, 25], monkeypatch, tol_rel=tol_rel)
+
+    def _check_sizes(self, A, sizes, emptied, monkeypatch, source=None, tol_rel=1e-9):
+        """Counts of ``sizes`` at tol_rel, and at the edges near the smallest
+        and the median |lambda| of the last size in ``emptied``, as the exact
+        counts allow; the sizes in ``emptied`` step from the empty block and
+        hold inverses as np.linalg.inv gives them."""
+        held = self._held(monkeypatch)
+        got = prefix_inertias(A if source is None else source, sizes, tol_rel)
+        assert [i.counts() for i in got] == [exact_counts(A[:k, :k], got[-1].tol) for k in sizes]
+        assert [len(a) for a, _, _ in held] == emptied
+        self._check_inverses(held)
+        mags = np.abs(np.linalg.eigvalsh(A[:emptied[-1], :emptied[-1]]))
+        assert TestStepsAtTheBandEdges._check(A, sizes, [mags.min(), np.median(mags)], source)["empty"] > 0
