@@ -296,30 +296,15 @@ def test_prefix_inertias_validate_the_matrix_once(monkeypatch):
     assert calls["as_sym_matrix"] == 1
 
 
-def _eigensolve_orders(monkeypatch):
-    """Orders of the blocks ``linalg._eigenvalues`` solves for their
-    eigenvalues alone from now on."""
+def _eigensolve_orders(monkeypatch, vectors=False):
+    """Orders of the matrices ``linalg._eigenvalues`` solves from now on for
+    their eigenvalues alone, or with ``vectors`` for their eigenvectors too:
+    the complements of the chain's steps that keep an inverse."""
     orders = []
     real = linalg._eigenvalues
 
     def counted(a, **kw):
-        if not kw.get("vectors"):
-            orders.append(len(a))
-        return real(a, **kw)
-
-    monkeypatch.setattr(linalg, "_eigenvalues", counted)
-    return orders
-
-
-def _vector_eigensolve_orders(monkeypatch):
-    """Orders of the matrices ``linalg._eigenvalues`` solves with their
-    eigenvectors from now on: the complements of the chain's steps that keep
-    an inverse."""
-    orders = []
-    real = linalg._eigenvalues
-
-    def counted(a, **kw):
-        if kw.get("vectors"):
+        if kw.get("vectors", False) == vectors:
             orders.append(len(a))
         return real(a, **kw)
 
@@ -731,10 +716,10 @@ class TestParityCounts:
 
     def test_a_failed_scalar_step_keeps_its_anchor(self, monkeypatch):
         # the same singular A_4, with a seventh point: size 3 steps from the
-        # empty block, and size 4, one past 3 but no run, from 3 by one row. A_4 -+
-        # e I is regular, so the steps to 4 and 6 are certified and the
-        # anchor moves on; below the floor size 4's counts differ, and it is
-        # eigensolved
+        # empty block, and size 4, one past 3 but no run, from 3 by one row.
+        # A_4 -+ e I is regular, so the steps to 4 and 6 are certified and
+        # the anchor moves on; below the floor size 4's counts differ, and it
+        # is eigensolved
         S = np.diag([-1.0, 2.0, -3.0, 0.0, 4.0, 5.0, 6.0])
         S[3, 4] = S[4, 3] = 1.0
         sizes = [3, 4, 6, 7]
@@ -802,7 +787,7 @@ class TestParityCounts:
 
         space = from_distance_matrix(sphere_distances(seed, 200, "sphere200"))
         steps = _chain_steps(monkeypatch)
-        orders, complements = _eigensolve_orders(monkeypatch), _vector_eigensolve_orders(monkeypatch)
+        orders, complements = _eigensolve_orders(monkeypatch), _eigensolve_orders(monkeypatch, vectors=True)
         traj = limit_signature_trajectory(space, range(200))
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(space.s_matrix_on(range(200)), range(1, 201))
         assert _cover_the_run(steps, 0, 200) and orders == []
@@ -1812,7 +1797,7 @@ class TestStepsFromTheEmptyBlock:
         # the empty block at -+floor. A_25 has an eigenvalue within the floor
         # of 0, so its two counts differ and it is eigensolved, the chain
         # going on from its inverses
-        A = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(40))[:40]
+        A = named_example("sphere", dim=2, n=60, seed=2).s_matrix_on(range(40))
         self._check_sizes(A, [10, 25, 40], [10, 25], monkeypatch, tol_rel=tol_rel)
 
     def _check_sizes(self, A, sizes, emptied, monkeypatch, source=None, tol_rel=1e-9):
