@@ -27,7 +27,7 @@ from .linalg import (
     DEFAULT_TOL_REL, CliqueBlocks, _check_tol_rel, _eigenvalues, _inertia, double_center, spectrum_inertia,
 )
 from .spaces import (
-    _MASK64, FiniteMetricSpace, _distances, _integer, _min_strict_slack, _pairwise_sq_diffs, _philox,
+    _MASK64, FiniteMetricSpace, _distances, _integer, _integers, _min_strict_slack, _pairwise_sq_diffs, _philox,
     from_distance_matrix, from_euclidean_points, s_matrix,
 )
 
@@ -229,7 +229,7 @@ class IndexClique:
         object.__setattr__(self, "indices", indices)
 
     def members(self, idx) -> np.ndarray:
-        return np.isin(np.asarray(idx, dtype=np.int64), self.indices)
+        return np.isin(_integers(idx, "vertex index"), self.indices)
 
     def spec(self) -> list:
         return list(self.indices)
@@ -251,7 +251,7 @@ class ResidueClassClique:
             raise InvalidInput("modulus must be >= 2")
 
     def members(self, idx) -> np.ndarray:
-        return np.asarray(idx, dtype=np.int64) % self.modulus != 0
+        return _integers(idx, "vertex index") % self.modulus != 0
 
     def spec(self) -> dict:
         return {"rule": "modular", "modulus": self.modulus}
@@ -268,7 +268,7 @@ class QuadraticGapClique:
 
     def members(self, idx) -> np.ndarray:
         # x = idx + 1 <= 2^63 and k (k + 1) for k up to 2^31.5 fit in uint64
-        x = np.asarray(idx, dtype=np.int64).astype(np.uint64) + 1
+        x = _integers(idx, "vertex index").astype(np.uint64) + 1
         # the largest k with k (k + 1) <= x: floor(sqrt(x)) in floating point
         # is k or k + 1 give or take one; correct it
         k = np.floor(np.sqrt(x.astype(float))).astype(np.uint64)
@@ -335,7 +335,7 @@ class CountableRadoModel:
 
     @staticmethod
     def _vertices(indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _integers(indices, "vertex index")
         if idx.size and idx.min() < 0:
             raise InvalidInput("vertex indices must be nonnegative")
         return idx
@@ -359,7 +359,7 @@ class CountableRadoModel:
         """-d^2/2 on sampled indices with the {1, 2} distance rule: adjacent
         pairs at 1, distinct non-adjacent at 2, repeated indices at 0. Zeros
         are +0.0, so a 1x1 matrix has the eigenvalue 0.0, not -0.0."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = self._vertices(indices)
         S = self.adjacency_block(idx) * 1.5
         S -= 2.0  # -1/2 on edges, -2 off, in S's one buffer: np.where is slower
         S[idx[:, None] == idx[None, :]] = 0.0
@@ -383,7 +383,7 @@ class CountableRadoModel:
 
     def metric_on(self, indices) -> FiniteMetricSpace:
         """The {1, 2}-valued metric on distinct vertex indices."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = self._vertices(indices)
         if len(set(idx.tolist())) != idx.size:
             raise InvalidInput("metric_on needs distinct vertex indices")
         D = 2.0 - self.adjacency_block(idx)  # 1 on edges, 2 off them

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import validate_weights, weighted_center
-from .spaces import _MASK64, FiniteMetricSpace, _frozen, _integer, _philox, s_matrix
+from .spaces import _MASK64, FiniteMetricSpace, _frozen, _integer, _integers, _philox, s_matrix
 
 _TAIL = 1e-18
 _SUPPORT_MAX = 10**6  # the most points a countable measure materializes
@@ -230,7 +230,7 @@ class SampleTrajectory:
     def __post_init__(self):
         # ``raw`` may share the caller's memory, so it is a frozen copy; the
         # other two are built here, so they are frozen in place.
-        raw = _frozen(np.asarray(self.raw, dtype=np.int64))
+        raw = _frozen(_integers(self.raw, "sample index"))
         by = np.argsort(raw)
         dedup, first = _first_appearances([(raw[by], by)])
         for name, a in (("raw", raw), ("first_draws", first), ("dedup", dedup)):

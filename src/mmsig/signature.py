@@ -138,7 +138,7 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     theta = spectrum_inertia(vals, tol_rel).tol
     neg = np.where(vals < -theta)[0]          # ascending: most negative first
     pos = np.where(vals > theta)[0][::-1]     # largest positive first
-    keep = np.concatenate([neg, pos]).astype(int)
+    keep = np.concatenate([neg, pos])
     kept = vecs[:, keep]
     coords = kept * np.sqrt(np.abs(vals[keep]))[None, :]
     # deterministic sign: largest-magnitude entry of each eigenvector positive

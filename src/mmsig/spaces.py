@@ -13,7 +13,7 @@ import contextlib
 import csv
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +31,7 @@ _EUCLID_SCAN_DIM = 559
 CONE_TOL_REL = 1e-12
 
 _MASK64 = (1 << 64) - 1
+_INT64 = np.iinfo(np.int64)
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -53,14 +54,22 @@ def _integer(value, what: str) -> int:
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
-def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an int64 vector, each entry taken by ``_integer``; a
-    range or a vector of an integer dtype is taken whole."""
-    if isinstance(values, range):
-        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 1:
-        return values.astype(np.int64)
-    return np.array([_integer(v, what) for v in values], dtype=np.int64)
+def _integers(values, what: str, shape=(-1,)) -> np.ndarray:
+    """``values`` (an array or nested sequences) as an int64 array of
+    ``shape``, -1 for any length: the one gate for indices callers give. An
+    integer array or plain ints are taken whole, other entries by
+    ``_integer``; a fraction, a bool or an entry outside int64 raises
+    InvalidInput naming ``what``, where a cast would truncate or wrap it."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=object)
+        if not set(map(type, values.flat)) <= {int}:  # a plain int needs no _integer
+            values = np.array([_integer(v, what) for v in values.flat], dtype=object).reshape(values.shape)
+    if values.size and (values.ndim != len(shape) or values.shape[1:] != shape[1:]):
+        raise InvalidInput(f"{what} values must form an array of shape {shape}, got {values.shape}")
+    outside = values[(values < _INT64.min) | (values > _INT64.max)]  # uint64 or Python ints
+    if outside.size:
+        raise InvalidInput(f"{what} {outside[0]} is outside int64")
+    return values.astype(np.int64, copy=False).reshape(shape)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -94,31 +103,34 @@ class FiniteMetricSpace:
     def s_matrix_on(self, indices) -> np.ndarray:
         """-d^2/2 on the given (possibly repeated) point indices, in their
         order; entry for entry equal to ``s_matrix(self)[np.ix_(idx, idx)]``."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _integers(indices, "point index")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise InvalidInput(f"point indices out of range for a {self.n}-point space")
         return s_matrix(self, idx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph: n vertices, edges as sorted pairs."""
+    """Simple undirected graph on the vertices 0..n-1. ``edges``, any vertex
+    pairs, are held as a sorted, read-only (m, 2) int64 array of distinct
+    pairs u < v. Graphs compare by identity."""
 
     n: int
-    edges: frozenset = field(default_factory=frozenset)
+    edges: np.ndarray = ()
 
     def __post_init__(self):
-        if self.n < 1:
+        n = _integer(self.n, "vertex count")
+        if n < 1:
             raise InvalidInput("graph needs at least one vertex")
-        norm = set()
-        for e in self.edges:
-            u, v = int(e[0]), int(e[1])
-            if u == v:
-                raise InvalidInput(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InvalidInput(f"edge {(u, v)} out of range for n={self.n}")
-            norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
+        edges = np.sort(_integers(self.edges, "vertex", (-1, 2)), axis=1)  # each pair as u <= v
+        bad = np.flatnonzero((edges[:, 0] == edges[:, 1]) | (edges[:, 0] < 0) | (edges[:, 1] >= n))
+        if bad.size:  # a self-loop or a vertex outside 0..n-1
+            u, v = edges[bad[0]].tolist()
+            raise InvalidInput(f"self-loop at vertex {u}" if u == v else f"edge {(u, v)} out of range for n={n}")
+        edges = edges[np.lexsort(edges.T[::-1])]  # by u, then v: a repeated pair is adjacent
+        fresh = np.diff(edges, axis=0, prepend=-1).any(axis=1)  # the first pair differs from (-1, -1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", _frozen(edges[fresh]))
 
 
 @dataclass(frozen=True)
@@ -307,8 +319,7 @@ def from_graph(g: Graph) -> FiniteMetricSpace:
     than D plus O(n^2) bytes. A disconnected graph raises InvalidInput from
     one search from vertex 0 over the vertices that have edges, in O(edges)
     memory, before any array of order n."""
-    ends = np.fromiter(itertools.chain.from_iterable(g.edges), np.int64, 2 * len(g.edges))
-    arcs = np.concatenate([ends.reshape(-1, 2), ends.reshape(-1, 2)[:, ::-1]])
+    arcs = np.concatenate([g.edges, g.edges[:, ::-1]])
     to, nbr = arcs[np.argsort(arcs[:, 0])].T  # each edge both ways, by endpoint
     starts = np.flatnonzero(np.diff(to, prepend=-1))
     verts = to[starts]
@@ -595,8 +606,7 @@ def read_distance_csv(path) -> FiniteMetricSpace:
 
 
 def read_edge_list(path) -> Graph:
-    edges = set()
-    hi = -1
+    edges = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -614,10 +624,11 @@ def read_edge_list(path) -> Graph:
                     raise InvalidInput(f"{path}:{lineno}: self-loop at vertex {u}")
                 if min(u, v) < 0:
                     raise InvalidInput(f"{path}:{lineno}: negative vertex in edge {(u, v)}")
-                edges.add((u, v))
-                hi = max(hi, u, v)
+                if max(u, v) > _INT64.max:
+                    raise InvalidInput(f"{path}:{lineno}: vertex {max(u, v)} is outside int64")
+                edges.append((u, v))
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
-    if hi < 0:
+    if not edges:
         raise InvalidInput(f"{path}: empty edge list")
-    return Graph(hi + 1, frozenset(edges))
+    return Graph(max(map(max, edges)) + 1, edges)

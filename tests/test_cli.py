@@ -894,6 +894,24 @@ def test_malformed_input_files_exit_2(argv, name, content, tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
+@pytest.mark.parametrize("vertex", [2**63, 10**20], ids=["2^63", "10^20"])
+def test_edge_list_vertex_outside_int64_exits_2(vertex, tmp_path, monkeypatch, capsys):
+    # from_graph's np.fromiter raised OverflowError, and the run exited 1; the
+    # table above cannot hold this case, since the error names the file's line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.edges").write_text(f"0 1\n0 {vertex}\n")
+    assert run(["analyze", "--input", "big.edges"]) == 2
+    assert capsys.readouterr().err == f"error: big.edges:2: vertex {vertex} is outside int64\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.edges"]
+
+
+def test_sizes_outside_int64_exit_2(capsys):
+    # the prefix size 10^20 raised OverflowError, and the run exited 1
+    argv = ["trajectory", "--example", "simplex", "--n", 5, "--sizes", 10**20]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: prefix size {10**20} is outside int64\n"
+
+
 @pytest.mark.parametrize("weights", [[0.5, 0.5], [0.1] * 4 + [0.2] * 3], ids=["2", "7"])
 def test_weight_file_must_match_the_point_count(weights, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -32,6 +32,11 @@ and one certificate, and no block is factored from scratch. Only
 No ``**``, ``np.square`` or ``np.power`` takes an operand that reads
 ``.dist`` outside ``spaces.s_matrix``, so a space's distances are squared in
 one place and a change to how -d^2/2 is built changes one function.
+No call converts to int64 (``np.asarray``, ``np.array`` or ``np.fromiter``
+with an int64 dtype, or ``.astype`` to int64) outside ``spaces._integers``,
+so every vertex and point index that a caller gives passes one gate, which
+refuses a fraction, a bool or a value outside int64 instead of truncating or
+wrapping it.
 """
 
 import argparse
@@ -278,6 +283,35 @@ def test_only_s_matrix_squares_distances():
     allowed = [("spaces.py", node.lineno) for node in _squarings_of_dist(own)]
     assert len(allowed) == 1
     assert found == allowed
+
+
+def _int64_conversions(tree):
+    """Each ``asarray``, ``array``, ``fromiter`` or ``astype`` call in
+    ``tree`` with an argument that names int64: ``np.int64``, ``"int64"`` or
+    ``int``, numpy's default integer."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+            "asarray", "array", "fromiter", "astype"
+        ) and any(
+            ast.unparse(arg) in ("np.int64", "numpy.int64", "'int64'", "int")
+            for arg in [*node.args, *(keyword.value for keyword in node.keywords)]
+        ):
+            yield node
+
+
+def test_only_the_integer_gate_converts_to_int64():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, node.lineno) for node in _int64_conversions(tree)]
+    gate = next(
+        node for node in ast.parse((SRC / "spaces.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_integers"
+    )
+    # the gate's own conversions, which also show the search finds one
+    allowed = [("spaces.py", node.lineno) for node in _int64_conversions(gate)]
+    assert allowed
+    assert [site for site in found if site not in allowed] == []
 
 
 def test_only_linalg_references_the_zero_band():

@@ -579,6 +579,17 @@ class TestPrefixInertias:
         with pytest.raises(InvalidInput, match="^prefix size must be an integer, got "):
             prefix_inertias(S, sizes)
 
+    @pytest.mark.parametrize(
+        "sizes, shown",
+        [([2**63], 2**63), ([2, 2**64], 2**64), (np.array([2, 2**63], dtype=np.uint64), 2**63)],
+        ids=["2^63", "2^64", "uint64"],
+    )
+    def test_sizes_outside_int64_are_refused(self, sizes, shown):
+        # a Python int past int64 raised a bare OverflowError, and a uint64
+        # size of 2^63 wrapped to -2^63
+        with pytest.raises(InvalidInput, match=f"^prefix size {shown} is outside int64$"):
+            prefix_inertias(np.eye(3), sizes)
+
     def test_integral_sizes_are_taken(self):
         S = named_example("simplex", n=5).s_matrix_on(range(5))
         want = prefix_inertias(S, [2, 4])

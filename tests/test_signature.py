@@ -217,6 +217,17 @@ class TestTrajectory:
         with pytest.raises(InvalidInput, match=f"^{what} must be an integer, got "):
             limit_signature_trajectory(sp, order, sizes=sizes)
 
+    @pytest.mark.parametrize(
+        "order, shown",
+        [([0, 2**64], 2**64), ([0, -(2**63) - 1], -(2**63) - 1), (np.array([0, 2**63], dtype=np.uint64), 2**63)],
+        ids=["2^64", "below-int64", "uint64"],
+    )
+    def test_indices_outside_int64_are_refused(self, order, shown):
+        # a Python int past int64 raised a bare OverflowError, and a uint64
+        # index of 2^63 wrapped to -2^63
+        with pytest.raises(InvalidInput, match=f"^point index {shown} is outside int64$"):
+            limit_signature_trajectory(named_example("tripod"), order)
+
     def test_integral_orders_and_sizes_are_taken(self):
         sp = named_example("simplex", n=4)
         want = limit_signature_trajectory(sp, [0, 1, 2, 3], sizes=[2, 4])

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mmsig import spaces
-from mmsig.constructions import CountableRadoModel, perturb_to_max_negative
+from mmsig.constructions import (
+    CountableRadoModel, IndexClique, QuadraticGapClique, ResidueClassClique, perturb_to_max_negative,
+)
 from mmsig.errors import InvalidInput, StrictnessViolated
 from mmsig.linalg import inertia
 from mmsig.sampling import DiscreteMeasure, SampleTrajectory, t_matrix
@@ -315,6 +317,82 @@ class TestFromGraph:
         simplex = named_example("simplex", n=3)
         expect = union_space([tripod, tripod, simplex], h=1.0)
         assert np.array_equal(sp.dist, expect.dist)
+
+
+class TestGraphEdges:
+    def test_edges_are_sorted_distinct_pairs(self):
+        g = Graph(4, [(2, 1), (0, 1), (1, 0), (3, 2), (1, 2)])
+        assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert not g.edges.flags.writeable
+
+    @pytest.mark.parametrize(
+        "edges",
+        [frozenset({(1, 0), (2, 1)}), [[0, 1], [1, 2]], np.array([[1, 2], [0, 1]], dtype=np.uint8),
+         np.array([[1.0, 0.0], [2.0, 1.0]]), [("0", np.int64(1)), (2, 1)]],
+        ids=["set", "lists", "uint8", "integral-floats", "strings-and-numpy"],
+    )
+    def test_every_form_gives_the_same_array(self, edges):
+        assert Graph(3, edges).edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_the_array_is_the_graph_s_own(self):
+        given = np.array([[0, 1], [1, 2]])
+        g = Graph(3, given)
+        given[0, 1] = 2
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_no_edges(self):
+        assert Graph(1).edges.shape == (0, 2)
+        assert Graph(2, []).edges.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(1, 1)], "self-loop at vertex 1"),
+            (3, [(0, 1), (3, 0)], "edge (0, 3) out of range for n=3"),
+            (3, [(-1, 2)], "edge (-1, 2) out of range for n=3"),
+            (3, [(0, 1, 2)], "vertex values must form an array of shape (-1, 2), got (1, 3)"),
+            (3, [0, 1], "vertex values must form an array of shape (-1, 2), got (2,)"),
+            (3, [(1,), (0, 1)], "vertex must be an integer, got (1,)"),
+            (3, [(0, 2**63)], f"vertex {2**63} is outside int64"),
+            (0, [], "graph needs at least one vertex"),
+        ],
+        ids=["self-loop", "past-n", "negative", "triple", "flat", "ragged", "int64", "no-vertex"],
+    )
+    def test_bad_edges_are_refused(self, n, edges, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            Graph(n, edges)
+
+
+_RADO = CountableRadoModel(0.5, 1)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(3, {(0.5, 1.9)}), "vertex must be an integer, got 0.5"),
+        (lambda: Graph(3, [(True, 2)]), "vertex must be an integer, got True"),
+        (lambda: Graph(2.5, {(0, 1)}), "vertex count must be an integer, got 2.5"),
+        (lambda: named_example("tripod").s_matrix_on([0.5, 1.9]), "point index must be an integer, got 0.5"),
+        (lambda: named_example("tripod").s_matrix_on([True, 2]), "point index must be an integer, got True"),
+        (lambda: _RADO.adjacency_block([0.5, 1.9]), "vertex index must be an integer, got 0.5"),
+        (lambda: _RADO.s_matrix_on([0.5, 1.9]), "vertex index must be an integer, got 0.5"),
+        (lambda: _RADO.clique_blocks([0.5, 1.9]), "vertex index must be an integer, got 0.5"),
+        (lambda: _RADO.metric_on([0.5, 1.9]), "vertex index must be an integer, got 0.5"),
+        (lambda: _RADO.s_matrix_on(np.array([0.0, 1.5])), "vertex index must be an integer, got 1.5"),
+        (lambda: IndexClique((1, 2)).members([0.5]), "vertex index must be an integer, got 0.5"),
+        (lambda: ResidueClassClique(3).members([1.5]), "vertex index must be an integer, got 1.5"),
+        (lambda: QuadraticGapClique().members([True]), "vertex index must be an integer, got True"),
+        (lambda: SampleTrajectory(seed=0, raw=[0.5]), "sample index must be an integer, got 0.5"),
+    ],
+    ids=["graph-edge", "graph-bool", "graph-n", "space", "space-bool", "rado-adjacency", "rado-s",
+         "rado-clique-blocks", "rado-metric", "rado-float-array", "index-clique", "modular-clique",
+         "quadratic-clique", "sample"],
+)
+def test_indices_are_refused_not_truncated(build, message):
+    # each site read 0.5 as 0 and 1.9 as 1 (True as 1), and built the object
+    # of the truncated indices
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestFromEuclidean:
@@ -690,9 +768,9 @@ class TestRoundTrips:
     def test_edge_list_round_trip(self, tmp_path):
         g = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
         path = tmp_path / "g.edges"
-        path.write_text("".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
         back = read_edge_list(path)
-        assert back.n == g.n and back.edges == g.edges
+        assert back.n == g.n and np.array_equal(back.edges, g.edges)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -712,4 +790,5 @@ class TestRoundTrips:
     def test_edge_list_pairs_in_either_order(self, tmp_path):
         path = tmp_path / "g.edges"
         path.write_text("1 0\n0 1\n2 1\n")
-        assert read_edge_list(path) == Graph(3, frozenset({(0, 1), (1, 2)}))
+        g, want = read_edge_list(path), Graph(3, frozenset({(0, 1), (1, 2)}))
+        assert g.n == want.n and np.array_equal(g.edges, want.edges)
