@@ -223,7 +223,7 @@ class IndexClique:
     indices: tuple = ()
 
     def __post_init__(self):
-        indices = tuple(sorted({_integer(i, "clique index") for i in self.indices}))
+        indices = tuple(np.unique(_integers(self.indices, "clique index")).tolist())
         if indices and indices[0] < 0:
             raise InvalidInput("clique indices must be nonnegative")
         object.__setattr__(self, "indices", indices)

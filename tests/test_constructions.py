@@ -390,6 +390,11 @@ class TestRadoModel:
                 CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=bad)
         assert IndexClique([2, 0.0, np.int64(5), "7"]).indices == (0, 2, 5, 7)
 
+    def test_clique_index_outside_int64_is_refused(self):
+        # the index 2^64 was kept, and the model's spec carried it
+        with pytest.raises(InvalidInput, match=f"^clique index {2**64} is outside int64$"):
+            CountableRadoModel(edge_prob=0.5, seed=1, planted_clique=[0, 2**64])
+
     def test_model_seed_must_be_an_integer(self):
         with pytest.raises(InvalidInput, match=r"^model seed must be an integer, got 1\.5$"):
             model_from_json('{"p": 0.5, "seed": 1.5}')
