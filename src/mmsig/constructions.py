@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
-from .linalg import (
-    DEFAULT_TOL_REL, CliqueBlocks, _check_tol_rel, _eigenvalues, _inertia, double_center, spectrum_inertia,
-)
+from .linalg import DEFAULT_TOL_REL, CliqueBlocks, _inertia, double_center
 from .spaces import (
-    _MASK64, FiniteMetricSpace, _distances, _integer, _integers, _min_strict_slack, _pairwise_sq_diffs, _philox,
+    FiniteMetricSpace, _distances, _integer, _integers, _min_strict_slack, _pairwise_sq_diffs, _philox, _seed64,
     from_distance_matrix, from_euclidean_points, s_matrix,
 )
 
@@ -67,10 +65,7 @@ def _perturb_with_eps(space, seed, tol_rel):
         )
     n = space.n
     S = s_matrix(space)
-    T = double_center(S)
-    _check_tol_rel(tol_rel)
-    vals = _eigenvalues(T, overwrite=True)
-    ine = spectrum_inertia(vals, tol_rel)
+    vals, ine = _inertia(double_center(S), tol_rel, overwrite=True)
     theta, s_plus = ine.tol, ine.s_plus
     target_minus = n - 1 - s_plus
     if s_plus == n - 1:
@@ -121,7 +116,7 @@ def _perturb_with_eps(space, seed, tol_rel):
             continue
         # symmetric, hollow, positive and strictly triangular: skips validation
         out = FiniteMetricSpace(D_eps, space.labels)
-        ine = _inertia(double_center(s_matrix(out)), tol_rel, overwrite=True)
+        ine = _inertia(double_center(s_matrix(out)), tol_rel, overwrite=True)[1]
         if ine.s_plus == s_plus and ine.s_minus == target_minus:
             return out, eps
         eps *= 0.5
@@ -155,7 +150,7 @@ def prescribed_signature_space(
         except InvalidInput:  # coincident points or a violated triangle
             continue
         try:
-            return perturb_to_max_negative(base, seed=(seed ^ (attempt + 1)), tol_rel=tol_rel)
+            return perturb_to_max_negative(base, seed=(_seed64(seed) ^ (attempt + 1)), tol_rel=tol_rel)
         except StrictnessViolated:
             continue
     raise InvalidInput("could not sample a generic strictly-triangular point set")
@@ -174,8 +169,8 @@ def union_space(components, h: float) -> FiniteMetricSpace:
     comps = list(components)
     if not comps:
         raise InvalidInput("union needs at least one component")
-    if h <= 0:
-        raise InvalidInput("cross distance h must be positive")
+    if not 0 < h < np.inf:  # NaN and inf too
+        raise InvalidInput(f"cross distance h must be positive and finite, got {h!r}")
     for ci, comp in enumerate(comps):
         if comp.diameter > 2 * h:
             raise InvalidInput(f"component {ci} has diameter {comp.diameter!r} > 2h = {2 * h!r}")
@@ -317,6 +312,7 @@ class CountableRadoModel:
     planted_clique: object = None
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "model seed"))
         object.__setattr__(self, "planted_clique", parse_clique_spec(self.planted_clique))
         if not (0.0 < self.edge_prob < 1.0):
             raise InvalidInput(f"edge probability must be in (0, 1), got {self.edge_prob!r}")
@@ -330,7 +326,7 @@ class CountableRadoModel:
         """Hashed adjacency of each pair of uint64 vertices ``rows`` x
         ``cols`` (broadcast), the planted clique left out: a pure function of
         (seed, min, max)."""
-        key, cut = _vmix64(np.uint64(self.seed & _MASK64)), np.uint64(int(self.edge_prob * 2.0**64))
+        key, cut = _vmix64(np.uint64(_seed64(self.seed))), np.uint64(int(self.edge_prob * 2.0**64))
         return _vmix64(_vmix64(np.minimum(rows, cols) ^ key) ^ np.maximum(rows, cols)) < cut
 
     @staticmethod
@@ -405,6 +401,6 @@ def model_from_json(text: str) -> CountableRadoModel:
     doc = json.loads(text)
     return CountableRadoModel(
         edge_prob=float(doc["p"]),
-        seed=_integer(doc["seed"], "model seed"),
+        seed=doc["seed"],
         planted_clique=doc.get("planted_clique"),
     )

@@ -2,16 +2,15 @@
 centering transforms everything else builds on.
 
 Matrices are plain square ``numpy`` arrays; ``as_sym_matrix`` is the single
-validation gate, passed once at each entry point: ``eig_sym``, ``inertia``,
-``prefix_inertias``, the centering transforms and
-``spectral.esd_and_inertia``. ``_eigenvalues`` takes a matrix that has
-passed it, a leading block of one, or a matrix built symmetric from such
-blocks, and validates nothing; ``eig_sym`` is its validating form with
-eigenvectors. ``prefix_inertias`` also takes a
-matrix as ``CliqueBlocks``, the blocks a countable model with a planted
-clique builds without the n x n matrix, which check their own shapes and
-entries when made; it writes dense leading blocks from them only for the
-sizes the pivot does not count. Inertia counting uses the eigenvalue
+validation gate, passed once at each entry point: ``eig_sym``, ``_inertia``,
+the one count of a whole matrix for every module, ``prefix_inertias`` and
+the centering transforms. ``_eigenvalues`` takes a matrix that has passed
+it, a leading block of one, or a matrix built symmetric from such blocks,
+and validates nothing; ``eig_sym`` is its validating form with
+eigenvectors. ``prefix_inertias`` also takes a matrix as ``CliqueBlocks``,
+the blocks a countable model with a planted clique builds without the n x n
+matrix, which check their own shapes and entries when made; it writes dense
+leading blocks from them only for the sizes the pivot does not count. Inertia counting uses the eigenvalue
 spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|, at the band's
@@ -315,15 +314,23 @@ def spectrum_inertia(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
 
 def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """``spectrum_inertia`` of the eigenvalues of a symmetric matrix."""
-    return _inertia(a, tol_rel)
+    return _inertia(a, tol_rel)[1]
 
 
-def _inertia(a, tol_rel: float, overwrite: bool = False) -> Inertia:
-    """``inertia``; ``overwrite`` as in ``_eigenvalues``."""
+def _inertia(a, tol_rel: float, overwrite: bool = False, vectors: bool = False) -> tuple:
+    """(spectrum, ``inertia``) of ``a``: the one count of a whole matrix.
+    The spectrum is the eigenvalues, or with ``vectors`` the
+    ``EigenDecomposition``, in ``a``'s units, an eigenvalue past the largest
+    float at +-inf; ``overwrite`` and ``vectors`` as in ``_eigenvalues``."""
     _check_tol_rel(tol_rel)
     A, power = _unit_scale(as_sym_matrix(a))
-    ine = spectrum_inertia(_eigenvalues(A, overwrite=overwrite or power != 0), tol_rel)
-    return ine._replace(tol=math.ldexp(ine.tol, power))
+    spectrum = _eigenvalues(A, overwrite=overwrite or power != 0, vectors=vectors)
+    vals = spectrum.eigenvalues if vectors else spectrum
+    ine = spectrum_inertia(vals, tol_rel)
+    if power:
+        with np.errstate(over="ignore"):
+            np.ldexp(vals, power, out=vals)
+    return spectrum, ine._replace(tol=math.ldexp(ine.tol, power))
 
 
 def _unit_scale(A):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .linalg import validate_weights, weighted_center
-from .spaces import _MASK64, FiniteMetricSpace, _frozen, _integer, _integers, _philox, s_matrix
+from .spaces import FiniteMetricSpace, _frozen, _integer, _integers, _philox, _seed64, s_matrix
 
 _TAIL = 1e-18
 _SUPPORT_MAX = 10**6  # the most points a countable measure materializes
@@ -180,6 +180,7 @@ def _draws(measure: DiscreteMeasure, m: int, seed: int):
     """The m draws of ``gv_sample`` as chunks of ``_CHUNK`` uniforms from one
     Philox stream, searched in increasing order: each chunk is its points,
     nondecreasing, and their positions in the sample."""
+    m = _integer(m, "sample size")
     if m < 0:
         raise InvalidInput("sample size must be nonnegative")
     rng, cum = _philox(seed), measure.cumulative()
@@ -244,8 +245,8 @@ class SampleTrajectory:
 
 def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
     """Draw m i.i.d. indices from the measure, deterministic in the seed."""
-    chunks = _draws(measure, m, seed)  # refuses m < 0 before the allocation
-    raw = np.empty(m, np.int64)
+    chunks = _draws(measure, m, seed)  # reads m, refusing a fraction or m < 0, before the allocation
+    raw = np.empty(int(m), np.int64)
     for points, positions in chunks:
         raw[positions] = points
     return SampleTrajectory(seed=seed, raw=raw)
@@ -264,7 +265,7 @@ def sample_order(measure: DiscreteMeasure, m: int, seed: int) -> np.ndarray:
 def trial_seed(seed: int, trial: int) -> int:
     """Seed of trial ``trial``: the ``trial``-th ``SeedSequence(seed)`` child,
     so trials of different seeds share no seed, whatever the worker count."""
-    child = np.random.SeedSequence(seed & _MASK64, spawn_key=(trial,))
+    child = np.random.SeedSequence(_seed64(seed), spawn_key=(trial,))
     return int(child.generate_state(1, np.uint64)[0])
 
 

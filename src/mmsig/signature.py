@@ -18,12 +18,9 @@ from .errors import InvalidInput, MonotonicityViolation
 from .linalg import (
     DEFAULT_TOL_REL,
     Inertia,
-    _check_tol_rel,
-    _eigenvalues,
     _inertia,
     double_center,
     prefix_inertias,
-    spectrum_inertia,
 )
 from .linalg import inertia  # noqa: F401  unused; perfbench's tracer test still checks this binding
 from .sampling import DiscreteMeasure, sample_order
@@ -36,12 +33,12 @@ STABILIZATION_WINDOW = 25
 
 def space_signature(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """Inertia of the -d^2/2 matrix; the space's distance signature."""
-    return _inertia(s_matrix(space), tol_rel, overwrite=True)
+    return _inertia(s_matrix(space), tol_rel, overwrite=True)[1]
 
 
 def centered_signature(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """Inertia of Pi S Pi; constants are always in the kernel (s_zero >= 1)."""
-    return _inertia(double_center(s_matrix(space)), tol_rel, overwrite=True)
+    return _inertia(double_center(s_matrix(space)), tol_rel, overwrite=True)[1]
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,8 @@ def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Pse
     first. The embedding is an isometry of the space onto its image and the
     image satisfies the cone condition.
     """
-    _check_tol_rel(tol_rel)
-    T = double_center(s_matrix(space))  # symmetric as built
-    vals, vecs = _eigenvalues(T, vectors=True)
-    theta = spectrum_inertia(vals, tol_rel).tol
+    (vals, vecs), ine = _inertia(double_center(s_matrix(space)), tol_rel, vectors=True)
+    theta = ine.tol
     neg = np.where(vals < -theta)[0]          # ascending: most negative first
     pos = np.where(vals > theta)[0][::-1]     # largest positive first
     keep = np.concatenate([neg, pos])

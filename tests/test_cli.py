@@ -513,6 +513,18 @@ class TestConstruct:
         assert capsys.readouterr().err.startswith("error: construct ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["nan", "inf"])
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_non_finite_h_exits_2(self, h, components, tmp_path, capsys):
+        # one component was written back with exit 0; with two, the error
+        # blamed the distance matrix for its non-finite entries
+        a = tmp_path / "a.csv"
+        write_distance_csv(named_example("tripod"), a)
+        out = tmp_path / "u.csv"
+        assert run(["construct", "union", "--inputs", *[a] * components, "--h", h, "--output", out]) == 2
+        assert f"cross distance h must be positive and finite, got {h}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_union_diameter_guard_exits_2(self, tmp_path):
         a = tmp_path / "a.csv"
         write_distance_csv(named_example("tripod"), a)

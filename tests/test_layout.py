@@ -36,7 +36,11 @@ No call converts to int64 (``np.asarray``, ``np.array`` or ``np.fromiter``
 with an int64 dtype, or ``.astype`` to int64) outside ``spaces._integers``,
 so every vertex and point index that a caller gives passes one gate, which
 refuses a fraction, a bool or a value outside int64 instead of truncating or
-wrapping it.
+wrapping it. No module but ``linalg`` calls ``_eigenvalues`` or a numpy
+eigensolver, so every whole matrix is counted by ``linalg._inertia``, with
+one tolerance check and one unit scaling. Every module-level import is read
+by its module, except the few that the benchmark's tracer tests pin, listed
+by name, so a dead import cannot come in unnoticed.
 """
 
 import argparse
@@ -318,6 +322,59 @@ def test_only_linalg_references_the_zero_band():
     # one owner of theta: the other modules read it from an Inertia
     users = sorted(path.name for path in SRC.glob("*.py") if "_zero_band" in path.read_text())
     assert users == ["linalg.py"]
+
+
+def _eigensolves(tree):
+    """Calls of ``_eigenvalues`` or of a numpy eigensolver, by any spelling."""
+    solvers = {"_eigenvalues", "eigh", "eigvalsh", "eig", "eigvals"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in solvers:
+            yield node
+
+
+def test_only_linalg_eigensolves():
+    # ``linalg._inertia`` counts every whole matrix, with its tolerance check
+    # and unit scaling, so a module that solved a spectrum itself would count
+    # it by a copy of those steps
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in _eigensolves(ast.parse(path.read_text(), str(path)))
+    ]
+    assert any(site.startswith("linalg.py:") for site in found)  # the search finds linalg's own
+    assert [site for site in found if not site.startswith("linalg.py:")] == []
+
+
+# Imports that their module never reads, kept only because a test of the
+# benchmark's tracer checks the binding (ROADMAP items 5 and 6 remove both).
+_UNREAD_IMPORTS = {
+    "cli.inertia",  # perfbench/test_perfbench.py::test_install_shares_one_wrapper_and_uninstall_restores
+    "signature.inertia",  # the same perfbench test
+    "spectral._eigenvalues",  # the same perfbench test
+    "spectral.spectrum_inertia",  # test_names_the_benchmark_traces_stay_bound, which mirrors the tracer
+}
+
+
+def _unread_imports(tree):
+    """Names that the module's top-level imports bind and none of its code reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read_or_pinned():
+    # ``__init__`` imports to re-export, and reads none of its names
+    found = {
+        f"{path.stem}.{name}"
+        for path in SRC.glob("*.py") if path.name != "__init__.py"
+        for name in _unread_imports(ast.parse(path.read_text(), str(path)))
+    }
+    assert found == _UNREAD_IMPORTS
 
 
 def _tracer_tables():

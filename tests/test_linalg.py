@@ -120,6 +120,31 @@ class TestInertia:
         with pytest.raises(InvalidInput):
             inertia(np.eye(2), tol_rel=-1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j", [-1000, 0, 1000, 1018, 1020])
+    def test_the_esd_counts_as_inertia_does_at_any_scale(self, j):
+        # the ESD solved S unscaled: from 2^1018 on its largest eigenvalue
+        # overflowed, and it read (0, 60, 0) with theta inf
+        S = np.ldexp(named_example("sphere", dim=2, n=60, seed=3).s_matrix_on(range(60)), j)
+        ine = inertia(S)
+        assert esd_and_inertia(S)[1] == ine and ine.counts() == (29, 1, 30)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_the_spectrum_is_in_the_input_units(self, vectors):
+        # solved at unit scale, the eigenvalues are scaled back exactly, and
+        # one past the largest float reads inf, with no warning
+        S = named_example("sphere", dim=2, n=60, seed=3).s_matrix_on(range(60))
+        want, theta = np.linalg.eigvalsh(S), inertia(S).tol
+        assert np.abs(want).max() >= 16
+        for j in (-1000, 1000, 1020):
+            spectrum, ine = linalg._inertia(np.ldexp(S, j), 1e-9, vectors=vectors)
+            vals = spectrum.eigenvalues if vectors else spectrum
+            kept = np.abs(want) < 16 if j == 1020 else np.ones(60, bool)  # 16 * 2^1020 is past it
+            np.testing.assert_allclose(np.ldexp(vals[kept], -j), want[kept], rtol=0, atol=1e-10)
+            assert np.isinf(vals[~kept]).all()
+            assert math.ldexp(ine.tol, -j) == pytest.approx(theta, rel=1e-12)
+
 
 def _require_dsyevd():
     """Skip where ``linalg._openblas`` bound no dsyevd."""

@@ -7,12 +7,16 @@ import pytest
 
 from mmsig import spaces
 from mmsig.constructions import (
-    CountableRadoModel, IndexClique, QuadraticGapClique, ResidueClassClique, perturb_to_max_negative,
+    CountableRadoModel, IndexClique, QuadraticGapClique, ResidueClassClique, model_from_json, model_to_json,
+    perturb_to_max_negative, prescribed_signature_space, union_space,
 )
 from mmsig.errors import InvalidInput, StrictnessViolated
 from mmsig.linalg import inertia
-from mmsig.sampling import DiscreteMeasure, SampleTrajectory, t_matrix
+from mmsig.sampling import (
+    DiscreteMeasure, SampleTrajectory, gv_sample, parse_measure_spec, sample_order, t_matrix, trial_seed,
+)
 from mmsig.signature import mds_embed
+from mmsig.spectral import rado_ratio_trials, semicircle_cdf
 from mmsig.spaces import (
     Graph,
     _min_strict_slack,
@@ -391,6 +395,91 @@ _RADO = CountableRadoModel(0.5, 1)
 def test_indices_are_refused_not_truncated(build, message):
     # each site read 0.5 as 0 and 1.9 as 1 (True as 1), and built the object
     # of the truncated indices
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        build()
+
+
+_UNIFORM = DiscreteMeasure.uniform(3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CountableRadoModel(0.5, True), "model seed must be an integer, got True"),
+        (lambda: CountableRadoModel(0.5, 0.5), "model seed must be an integer, got 0.5"),
+        (lambda: model_from_json('{"p": 0.5, "seed": true}'), "model seed must be an integer, got True"),
+        (lambda: gv_sample(_UNIFORM, 5, 0.5), "seed must be an integer, got 0.5"),
+        (lambda: sample_order(_UNIFORM, 5, 0.5), "seed must be an integer, got 0.5"),
+        (lambda: trial_seed(0.5, 1), "seed must be an integer, got 0.5"),
+        (lambda: prescribed_signature_space(1, 2, 0.5), "seed must be an integer, got 0.5"),
+        (lambda: gv_sample(_UNIFORM, 2.5, 0), "sample size must be an integer, got 2.5"),
+        (lambda: sample_order(_UNIFORM, True, 0), "sample size must be an integer, got True"),
+    ],
+    ids=["model-bool", "model-float", "model-json-bool", "sample", "order", "trial", "prescribed",
+         "sample-size", "order-size"],
+)
+def test_seeds_and_sample_sizes_are_refused_not_truncated(build, message):
+    # a bool seed built a model whose JSON did not read back; the other
+    # sites raised TypeError from ``&``, ``^`` or ``np.empty``, or drew True draws
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_integral_seeds_and_sample_sizes_are_their_integers():
+    # a seed or size that equals an integer is read as it, as indices are;
+    # each of these raised TypeError, or wrote the seed 3.0 to the JSON
+    model = CountableRadoModel(0.5, 3.0)
+    assert model_to_json(model) == model_to_json(CountableRadoModel(0.5, 3)) == '{"p": 0.5, "seed": 3}'
+    for seed in (3.0, np.int64(3), "3", -1, 2**70):
+        assert model_from_json(model_to_json(CountableRadoModel(0.5, seed))) == CountableRadoModel(0.5, seed)
+    assert np.array_equal(gv_sample(_UNIFORM, 5.0, 3.0).raw, gv_sample(_UNIFORM, 5, 3).raw)
+    assert trial_seed(3.0, 1) == trial_seed(3, 1)
+    assert np.array_equal(prescribed_signature_space(1, 2, 3.0).dist, prescribed_signature_space(1, 2, 3).dist)
+
+
+def _edge_file(text):
+    with open("edges.txt", "w") as fh:
+        fh.write(text)
+    return "edges.txt"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: read_edge_list(_edge_file("0 1\n0 1 2\n")), "edges.txt:2: expected 'u v', got '0 1 2'"),
+        (lambda: read_edge_list(_edge_file("0 x\n")), "edges.txt:1: invalid literal for int() with base 10: 'x'"),
+        (lambda: read_edge_list(_edge_file("# a\n\n# b\n")), "edges.txt: empty edge list"),
+        (lambda: union_space([], 1.0), "union needs at least one component"),
+        (lambda: union_space([named_example("tripod")], 0), "cross distance h must be positive and finite, got 0"),
+        (lambda: union_space([named_example("tripod")], float("nan")),
+         "cross distance h must be positive and finite, got nan"),
+        (lambda: union_space([named_example("tripod")] * 2, float("inf")),
+         "cross distance h must be positive and finite, got inf"),
+        (lambda: CountableRadoModel(0.5, 1).s_matrix_on([-1, 2]), "vertex indices must be nonnegative"),
+        (lambda: rado_ratio_trials(CountableRadoModel(0.5, 1), _UNIFORM, 10, trials=0), "trials must be >= 1"),
+        (lambda: DiscreteMeasure.uniform(0), "uniform measure needs n >= 1"),
+        (lambda: DiscreteMeasure.class_biased(0), "class count parameter j must be >= 1"),
+        (lambda: parse_measure_spec(42), "cannot interpret measure spec 42"),
+        (lambda: named_example("simplex"), "simplex requires parameter 'n'"),
+        (lambda: PseudoEuclideanPointSet(-1, 2, np.zeros((2, 1))), "signature dimensions must be nonnegative"),
+        (lambda: PseudoEuclideanPointSet(1, 1, np.zeros((2, 3))), "points must have 2 coordinates, got shape (2, 3)"),
+        (lambda: PseudoEuclideanPointSet(0, 2, [[0.0, np.nan], [1.0, 0.0]]), "points have non-finite coordinates"),
+        (lambda: from_distance_matrix(np.zeros((2, 3))), "distance matrix must be square, got shape (2, 3)"),
+        (lambda: from_distance_matrix([[0.0, np.nan], [np.nan, 0.0]]), "distance matrix has non-finite entries"),
+        (lambda: from_euclidean_points([1.0, 2.0]), "points must be a 2-d array, got shape (2,)"),
+        (lambda: from_euclidean_points([[0.0, np.inf], [1.0, 0.0]]), "points have non-finite coordinates"),
+        (lambda: semicircle_cdf(float("nan"), 0.0), "sigma must be positive and finite, got nan"),
+        (lambda: semicircle_cdf(float("inf"), 0.0), "sigma must be positive and finite, got inf"),
+    ],
+    ids=["edges-three-fields", "edges-not-integer", "edges-comments-only", "union-none", "union-h-zero",
+         "union-h-nan", "union-h-inf", "rado-negative", "ratio-no-trials", "uniform-empty", "class-biased-empty",
+         "measure-spec", "simplex-no-n", "pe-negative", "pe-columns", "pe-nan", "distances-not-square",
+         "distances-nan", "points-1d", "points-inf", "semicircle-nan", "semicircle-inf"],
+)
+def test_refusals_name_their_witness(build, message, tmp_path, monkeypatch):
+    # the non-finite h and sigma slipped past a ``<= 0`` check: the union
+    # wrote the component back or blamed the matrix, and the CDF read nan
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         build()
 
