@@ -5,7 +5,8 @@ construct, rado. Exit codes: 0 success, 1 numerical-contract failure
 (an embedding residual above threshold, or a ``NumericalContractError``),
 2 input or validation error, including an option the run would ignore.
 Every artifact embeds {seed, tol_rel, version}; identical invocations
-produce byte-identical files.
+produce byte-identical files on one numpy/BLAS build at one BLAS thread
+count, since an eigensolve's last bits may depend on the thread count.
 """
 
 from __future__ import annotations

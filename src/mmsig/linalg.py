@@ -13,7 +13,8 @@ matrix, which check their own shapes and entries when made; it writes dense
 leading blocks from them only for the sizes the pivot does not count. Inertia counting uses the eigenvalue
 spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
-against one threshold, from a Perron bracket of max|lambda|, at the band's
+against one threshold, from a Perron bracket of max|lambda|, which for
+``CliqueBlocks`` starts in the clique's invariant subspace, at the band's
 edges -+theta, or -+e, e = max(theta, sqrt(eps) max|lambda|): through a
 planted clique's closed-form block where its ``CliqueBlocks`` hold all but an
 eighth of the points (``_clique_pivot``), by one Schur chain, and by an
@@ -275,13 +276,17 @@ def _perron_bracket(A):
     For ``A <= 0`` with no zero row, as -d^2/2 on distinct points, max|lambda|
     is the Perron root of -A, which the quotients (-A x)_i / x_i of every x > 0
     bracket (Collatz-Wielandt); so does the Rayleigh quotient, their x_i^2-
-    weighted mean. A power iteration from the ones vector closes the bracket.
-    ``A`` is a matrix or ``CliqueBlocks``: the loop reads its order, its
-    largest entry and its products ``A @ x``, O(n r) for the blocks.
+    weighted mean. A power iteration closes the bracket: from the ones vector
+    for a matrix, and for ``CliqueBlocks`` from their ``perron_start``, the
+    ones vector's iterate in the clique's invariant subspace, or from ones
+    where that has an entry <= 0. ``A`` is a matrix or ``CliqueBlocks``: the
+    loop reads its order, its largest entry and its products ``A @ x``,
+    O(n r) for the blocks.
     """
     if not A.max() <= 0:
         return None
-    x = np.ones(len(A))
+    x = A.perron_start() if isinstance(A, CliqueBlocks) else None
+    x = np.ones(len(A)) if x is None else x
     for _ in range(64):  # an open bracket leaves the band to an eigensolve
         y = -(A @ x)
         q = y / x
@@ -317,20 +322,34 @@ def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     return _inertia(a, tol_rel)[1]
 
 
-def _inertia(a, tol_rel: float, overwrite: bool = False, vectors: bool = False) -> tuple:
+def _inertia(a, tol_rel: float, overwrite: bool = False, vectors: bool = False, esd: bool = False) -> tuple:
     """(spectrum, ``inertia``) of ``a``: the one count of a whole matrix.
     The spectrum is the eigenvalues, or with ``vectors`` the
     ``EigenDecomposition``, in ``a``'s units, an eigenvalue past the largest
-    float at +-inf; ``overwrite`` and ``vectors`` as in ``_eigenvalues``."""
+    float at +-inf; with ``esd`` the eigenvalues are divided by sqrt(n) in
+    the solve's units first, the ESD's values, which hold where an
+    eigenvalue would not. ``overwrite`` and ``vectors`` as in
+    ``_eigenvalues``."""
     _check_tol_rel(tol_rel)
     A, power = _unit_scale(as_sym_matrix(a))
     spectrum = _eigenvalues(A, overwrite=overwrite or power != 0, vectors=vectors)
     vals = spectrum.eigenvalues if vectors else spectrum
     ine = spectrum_inertia(vals, tol_rel)
+    if esd:
+        vals /= math.sqrt(len(vals))
     if power:
         with np.errstate(over="ignore"):
             np.ldexp(vals, power, out=vals)
-    return spectrum, ine._replace(tol=math.ldexp(ine.tol, power))
+    return spectrum, ine._replace(tol=_band_in_units(ine.tol, power))
+
+
+def _band_in_units(theta: float, power: int) -> float:
+    """theta times 2^power: a band counted at unit scale, in the input's
+    units. A band past the largest float raises InvalidInput."""
+    try:
+        return math.ldexp(theta, power)
+    except OverflowError:
+        raise InvalidInput(f"the zero band theta = {theta!r} * 2^{power} exceeds the largest float") from None
 
 
 def _unit_scale(A):
@@ -476,7 +495,8 @@ class CliqueBlocks:
     ``@`` act as on the n x n matrix, so ``_perron_bracket`` takes either,
     and ``A @ x`` costs O(n r). Flags that are not a boolean vector, blocks
     of other shapes, a ``D`` that is not symmetric, a non-finite entry or a
-    gamma that is not positive raise InvalidInput."""
+    gamma that is not positive raise InvalidInput. Their bracket starts in
+    the clique's invariant subspace (``perron_start``)."""
 
     def __init__(self, flags, B, D, gamma: float):
         self.flags, self.gamma = np.asarray(flags), float(gamma)
@@ -494,9 +514,45 @@ class CliqueBlocks:
         return len(self.flags)
 
     def head(self, k: int) -> "CliqueBlocks":
-        """The blocks of the first k points."""
+        """The blocks of the first k points: these blocks at k = n."""
+        if k == len(self):
+            return self
         c = int(np.searchsorted(self.inside, k))
         return CliqueBlocks(self.flags[:k], self.B[:k - c, :c], self.D[:k - c, :k - c], self.gamma)
+
+    @functools.cached_property
+    def gram(self) -> tuple:
+        """(s, H) = (B 1, B B^T), shared by ``perron_start`` and the pivot of
+        all n points."""
+        return self.B.sum(axis=1), self.B @ self.B.T
+
+    def perron_start(self) -> np.ndarray | None:
+        """The ones vector's power iterate under -A, taken in the clique's
+        invariant subspace until it changes by at most the roundoff of one
+        product, (2r + 1) eps, or for 64 products, and expanded once; None
+        where it has an entry <= 0, and with r = 0 or c < 2, where ones is
+        the start. -A maps x = (x_c, x_o) with x_c = alpha 1 + B^T w, the
+        subspace, to such a vector, of alpha' = gamma (alpha (c - 1) + s^T
+        w), w' = -gamma w - x_o and x_o' = -alpha s - H w - D x_o: a (2r +
+        1)-square operator on (alpha, w, x_o), O(r^2) a product."""
+        r, c = self.B.shape
+        if not r or c < 2:
+            return None
+        (s, H), g = self.gram, self.gamma
+        M = np.zeros((2 * r + 1,) * 2)
+        M[0, 0], M[0, 1:r + 1], M[r + 1:, 0] = g * (c - 1), g * s, -s
+        M[1:r + 1, 1:r + 1], M[1:r + 1, r + 1:] = -g * np.eye(r), -np.eye(r)
+        M[r + 1:, 1:r + 1], M[r + 1:, r + 1:] = -H, -self.D
+        z = np.concatenate([[1.0], np.zeros(r), np.ones(r)])  # (alpha, w, x_o) of ones
+        for _ in range(64):
+            y = M @ z
+            y /= np.abs(y).max()
+            if np.abs(y - z).max() <= (2 * r + 1) * _EPS:
+                break
+            z = y
+        x = np.empty(len(self))
+        x[self.inside], x[self.outside] = y[0] + self.B.T @ y[1:r + 1], y[r + 1:]
+        return x if (x > 0).all() else None
 
     def max(self) -> float:
         """The largest entry: 0 on the diagonal, else the largest entry of
@@ -529,10 +585,11 @@ class CliqueBlocks:
         return A
 
 
-def _clique_pivot(B: np.ndarray, D: np.ndarray, gamma: float, theta: float):
+def _clique_pivot(B: np.ndarray, D: np.ndarray, gamma: float, theta: float, gram=None):
     """(s_minus, s_zero, s_plus) at theta of A_k, the k = c + r points of a
     ``CliqueBlocks`` with c >= 2 in the clique, from its blocks ``B`` (r x c)
-    and ``D`` (r x r); None where roundoff could decide one.
+    and ``D`` (r x r), and their ``gram`` where the caller holds it; None
+    where roundoff could decide one.
 
     Clique first, A_k = [[K, B^T], [B, D]], K = gamma (I - J). At an edge
     sigma, K - sigma I has the eigenvalues t = gamma - sigma (c - 1 times)
@@ -550,8 +607,7 @@ def _clique_pivot(B: np.ndarray, D: np.ndarray, gamma: float, theta: float):
     s s^T by 2 c^2 eps ||B||_F^2 (||s|| <= sqrt(c) ||B||_F); u adds k eps
     of its term, the other operations a few eps, eigvalsh r eps ||Sigma||."""
     r, c = B.shape  # r = 0 leaves every array below empty
-    s = B.sum(axis=1)
-    H = B @ B.T
+    s, H = gram or (B.sum(axis=1), B @ B.T)
     b2, d_norm = float(np.trace(H)), float(np.linalg.norm(D))  # ||B||_F^2, ||D||_F
     below = []
     for sigma in (-theta, theta):
@@ -580,9 +636,11 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     outside LAPACK's safe range (``_unit_scale``). The band is theta =
     tol_rel * N * max|lambda| of the block of the largest size N, with
     max|lambda| from a ``_perron_bracket``, or from an eigensolve of that
-    block when there is none. By Cauchy interlacing it bounds the theta of
-    every smaller block, so s_minus and s_plus never decrease along the
-    sizes. Each size k is counted in one of three ways:
+    block when there is none; the bracket of ``CliqueBlocks`` shares their
+    ``gram`` with the pivot of the largest size. By Cauchy interlacing the
+    band bounds the theta of every smaller block, so s_minus and s_plus
+    never decrease along the sizes. Each size k is counted in one of three
+    ways:
 
     - by ``_clique_pivot``, at the band's two edges, from the leading slices
       of the clique's blocks, when c >= 2 of the k points are in the clique
@@ -647,7 +705,8 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     while i < len(counted):
         k, c = counted[i], in_clique[i]
         if offered[i]:
-            pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta)
+            gram = blocks.gram if k == N else None  # the bracket's start formed it
+            pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta, gram)
             if pivot is not None:
                 out.append(Inertia(*pivot, theta))
                 i += 1
@@ -673,7 +732,8 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
         out.append(_band_counts(_eigenvalues(lead(k)), theta))
         i += 1
     out = out if top is None else out + [_band_counts(top, theta)]
-    return [ine._replace(tol=math.ldexp(ine.tol, power)) for ine in out]
+    theta = _band_in_units(theta, power)
+    return [ine._replace(tol=theta) for ine in out]
 
 
 def double_center(s) -> np.ndarray:

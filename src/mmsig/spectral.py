@@ -40,8 +40,8 @@ def esd_and_inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
 
 def _esd_and_inertia(a, tol_rel: float, overwrite: bool = False) -> tuple:
     """``esd_and_inertia``; ``overwrite`` as in ``_eigenvalues``."""
-    vals, ine = _inertia(a, tol_rel, overwrite)
-    return ESD(len(vals), vals / math.sqrt(len(vals))), ine
+    vals, ine = _inertia(a, tol_rel, overwrite, esd=True)
+    return ESD(len(vals), vals), ine
 
 
 def semicircle_cdf(sigma: float, x) -> float | np.ndarray:
@@ -216,10 +216,9 @@ def ratio_summary(
     _check_thresholds(delta_threshold, min_fraction)
     finals = np.asarray([t.final_delta for t in trajectories], dtype=float)
     finite = finals[np.isfinite(finals)]
-    qs = {}
-    if finite.size:
-        for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            qs[f"q{int(q * 100):03d}"] = float(np.quantile(finite, q))
+    levels = (0.0, 0.25, 0.5, 0.75, 1.0)
+    values = np.quantile(finite, levels).tolist() if finite.size else []
+    qs = {f"q{int(q * 100):03d}": v for q, v in zip(levels, values)}
     doc = {
         "trials": len(trajectories),
         "final_delta_quantiles": qs,

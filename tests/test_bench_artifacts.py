@@ -8,9 +8,9 @@ commands. The first request of worker process 0 at seeds 5 and 7 is what
 ``bench_artifacts.json``.
 
 Some bytes depend on the numpy and BLAS build: eigenvalues, coordinates,
-theta columns. The table is keyed by the numpy version and the OpenBLAS
-configuration that the benchmark's worker records, its runtime kernel
-included. On another build only the counts are compared: every integer
+theta columns. The table is keyed by the numpy version, the OpenBLAS
+configuration and the OpenBLAS thread count that the benchmark's worker
+records, its runtime kernel included. On another build only the counts are compared: every integer
 cell of a CSV and every integer or string field of a JSON document. The
 test then says so in a ``BuildMismatchWarning``.
 
@@ -70,14 +70,16 @@ class BuildMismatchWarning(Warning):
 
 
 def _build() -> dict:
-    """numpy's version and OpenBLAS configuration as the benchmark's worker
-    records them: from a fresh process, since tests that import scipy load
-    its own OpenBLAS into this one, and the worker reads the first mapped."""
-    code = "import json, worker; f = worker.blas_facts(); print(json.dumps([f['numpy'], f['openblas']]))"
+    """numpy's version, OpenBLAS configuration and OpenBLAS thread count as
+    the benchmark's worker records them: from a fresh process, since tests
+    that import scipy load its own OpenBLAS into this one, and the worker
+    reads the first mapped. The thread count is part of the build: eigvalsh
+    at order 400 gives other theta bits on one thread than on two."""
+    keys = ("numpy", "openblas", "openblas_threads")
+    code = f"import json, worker; f = worker.blas_facts(); print(json.dumps([f[k] for k in {keys!r}]))"
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT / "perfbench", capture_output=True,
                          text=True, check=True).stdout
-    numpy, openblas = json.loads(out)
-    return {"numpy": numpy, "openblas": openblas}
+    return dict(zip(keys, json.loads(out)))
 
 
 def _integer(cell: str) -> bool:

@@ -526,8 +526,8 @@ def test_a_clique_trial_builds_no_matrix_past_the_chain(rule, measure, monkeypat
     monkeypatch.setattr(mmsig.linalg.CliqueBlocks, "leading", lambda b, k: built.append(k) or real_leading(b, k))
     real_pivot = mmsig.linalg._clique_pivot
 
-    def counted(B, D, gamma, theta):
-        pivot = real_pivot(B, D, gamma, theta)
+    def counted(B, D, gamma, theta, gram=None):
+        pivot = real_pivot(B, D, gamma, theta, gram)
         if pivot is not None:
             pivots.append(B.shape[1] + len(D))
         return pivot

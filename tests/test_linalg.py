@@ -130,6 +130,29 @@ class TestInertia:
         assert esd_and_inertia(S)[1] == ine and ine.counts() == (29, 1, 30)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("j", [-1000, 0, 1000, 1020])
+    def test_the_esd_is_divided_in_the_solves_units(self, j):
+        # at 2^1020 the largest eigenvalue is past the largest float, its
+        # ESD value is not; at scale 0 the values are the bits of
+        # eigvalsh(S) / sqrt(n)
+        S = named_example("sphere", dim=2, n=60, seed=3).s_matrix_on(range(60))
+        want = np.linalg.eigvalsh(S) / math.sqrt(60)
+        got = esd_and_inertia(np.ldexp(S, j))[0].values
+        assert np.isfinite(got).all() and np.array_equal(got, np.ldexp(want, j))
+
+    def test_a_band_past_the_largest_float_is_refused(self):
+        # the counts hold at unit scale; theta = 0.5 * 60 * max|lambda| in
+        # the input's units does not, and raised OverflowError
+        S = np.ldexp(named_example("sphere", dim=2, n=60, seed=3).s_matrix_on(range(60)), 1020)
+        assert inertia(S, tol_rel=1e-9).counts() == (29, 1, 30)
+        with pytest.raises(InvalidInput, match="zero band"):
+            inertia(S, tol_rel=0.5)
+        with pytest.raises(InvalidInput, match="zero band"):
+            prefix_inertias(S, [10, 60], tol_rel=0.5)
+        with pytest.raises(InvalidInput, match="zero band"):
+            esd_and_inertia(S, tol_rel=0.5)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("vectors", [False, True])
     def test_the_spectrum_is_in_the_input_units(self, vectors):
         # solved at unit scale, the eigenvalues are scaled back exactly, and
@@ -1169,8 +1192,8 @@ def _clique_pivots(monkeypatch):
     pivots = []
     real = linalg._clique_pivot
 
-    def counted(B, D, gamma, bound):
-        pivot = real(B, D, gamma, bound)
+    def counted(B, D, gamma, bound, gram=None):
+        pivot = real(B, D, gamma, bound, gram)
         pivots.append((B.shape[1], len(D), pivot is not None))
         return pivot
 
@@ -1242,6 +1265,63 @@ class TestCliquePivot:
         theta = tol_rel * len(blocks) * float(np.abs(spectra[-1]).max())
         assert [i.counts() for i in got] == [count_inertia(vals, theta) for vals in spectra]
         assert len(pivots) > len(blocks) // 2
+
+    def test_the_bracket_starts_in_the_clique_subspace(self, monkeypatch):
+        # the benchmark's trials: iterated in the clique's (2r + 1)-square
+        # operator, the start closes the bracket in at most two products of
+        # the blocks, where the ones vector took about 16. rho is the ones
+        # start's within roundoff, and the bracket holds eigvalsh's max|lambda|
+        products = []
+        real = linalg.CliqueBlocks.__matmul__
+        monkeypatch.setattr(linalg.CliqueBlocks, "__matmul__", lambda b, x: products.append(x) or real(b, x))
+        for seed in range(8):
+            S, _, blocks = self._trial(seed)
+            N = len(S)
+            products.clear()
+            rho_hat, rho_hi = linalg._perron_bracket(blocks)
+            assert 1 <= len(products) <= 2 and 8 * len(blocks.outside) <= N, seed
+            products.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linalg.CliqueBlocks, "perron_start", lambda b: None)
+                ones = linalg._perron_bracket(blocks)[0]
+            assert np.array_equal(products[0], np.ones(N)) and len(products) > 8
+            assert abs(rho_hat - ones) <= (N + 2) * EPS * ones, seed
+            rho = float(np.abs(np.linalg.eigvalsh(S)).max())
+            assert rho_hat <= rho * (1 + N * EPS) and rho <= rho_hi
+
+    @pytest.mark.parametrize("seed", [6, 15])
+    def test_small_trials_count_as_the_exact_oracle(self, seed, monkeypatch):
+        # trials of 80 draws, 3 to 6 points outside the clique: every size
+        # against the band of the subspace start's bracket, which one
+        # product closes, counted as exact integer arithmetic counts it
+        S, sizes, blocks = self._trial(seed, m_max=80)
+        assert len(blocks.outside) >= 3
+        products = []
+        real = linalg.CliqueBlocks.__matmul__
+        monkeypatch.setattr(linalg.CliqueBlocks, "__matmul__", lambda b, x: products.append(x) or real(b, x))
+        got = prefix_inertias(blocks, sizes)
+        assert len(products) <= 2
+        theta = got[-1].tol
+        lo, hi = exact_prefix_below(S, -theta), exact_prefix_below(-S, -theta)
+        assert [i.counts() for i in got] == [(lo[k - 1], k - lo[k - 1] - hi[k - 1], hi[k - 1]) for k in sizes]
+
+    @pytest.mark.parametrize("members", [0, 1, "all", "zero"])
+    def test_without_the_subspace_the_bracket_starts_from_ones(self, members, monkeypatch):
+        # r = 0, c < 2: no start in the subspace; "zero": B = D = 0, where
+        # the start's x_o is 0, not > 0, and the ones start finds no bracket
+        if members == "zero":
+            blocks = linalg.CliqueBlocks(np.arange(6) < 4, np.zeros((2, 4)), np.zeros((2, 2)), 1.0)
+        else:
+            clique = range(40) if members == "all" else [0, 2, 5]
+            model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique=clique)
+            blocks = model.clique_blocks(range(40) if members == "all" else [0] * members + list(range(6, 46)))
+        assert blocks.perron_start() is None
+        products = []
+        real = linalg.CliqueBlocks.__matmul__
+        monkeypatch.setattr(linalg.CliqueBlocks, "__matmul__", lambda b, x: products.append(x) or real(b, x))
+        bracket = linalg._perron_bracket(blocks)
+        assert np.array_equal(products[0], np.ones(len(blocks)))
+        assert (bracket is None) == (members == "zero")
 
     def test_a_large_clique_trial_eigensolves_only_its_other_points(self, monkeypatch):
         # 1717 of the trial's 1748 points are in the clique; its largest
@@ -1461,11 +1541,17 @@ class TestCliqueBlocks:
         real_leading, real_pivot = linalg.CliqueBlocks.leading, linalg._clique_pivot
         monkeypatch.setattr(linalg.CliqueBlocks, "leading", lambda b, k: built.append(k) or real_leading(b, k))
         monkeypatch.setattr(
-            linalg, "_clique_pivot", lambda B, D, g, t: None if len(D) + B.shape[1] == 300 else real_pivot(B, D, g, t)
+            linalg, "_clique_pivot",
+            lambda B, D, g, t, gram=None: None if len(D) + B.shape[1] == 300 else real_pivot(B, D, g, t, gram),
         )
         got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(model.s_matrix_on(range(400)), sizes)
         assert built == [20, 300]
+
+    def test_the_head_of_every_point_is_the_blocks(self):
+        model = CountableRadoModel(edge_prob=0.5, seed=9, planted_clique="quadratic")
+        blocks = model.clique_blocks(range(50))
+        assert blocks.head(50) is blocks and len(blocks.head(49)) == 49
 
     def test_the_dense_leading_blocks_are_the_models(self):
         model = CountableRadoModel(edge_prob=0.5, seed=9, planted_clique="quadratic")
@@ -1823,7 +1909,8 @@ class TestStepsFromTheEmptyBlock:
         A, blocks = _model_blocks(model, range(40))
         real = linalg._clique_pivot
         monkeypatch.setattr(
-            linalg, "_clique_pivot", lambda B, D, g, t: None if len(D) + B.shape[1] == 36 else real(B, D, g, t)
+            linalg, "_clique_pivot",
+            lambda B, D, g, t, gram=None: None if len(D) + B.shape[1] == 36 else real(B, D, g, t, gram),
         )
         self._check_sizes(A, [4, 36, 40], [4, 36], monkeypatch, source=blocks)
 

@@ -327,6 +327,25 @@ class TestRatioExperiment:
         with pytest.raises(InvalidInput):
             ratio_summary(trajectories, min_fraction=0.5)
 
+    def test_summary_quantiles_are_each_levels_own(self):
+        # one np.quantile call for the five levels gives the bits of one
+        # call per level; an infinite final ratio is counted, not ranked
+        class Final:
+            def __init__(self, delta):
+                self.final_delta = delta
+
+        rng = np.random.default_rng(0)
+        for size in [*range(1, 40), *rng.integers(40, 400, 60)]:
+            finals = rng.lognormal(0.0, 1.0, size)
+            finals[rng.random(size) < 0.1] = math.inf
+            doc = ratio_summary([Final(x) for x in finals])
+            finite = finals[np.isfinite(finals)]
+            want = {f"q{int(q * 100):03d}": float(np.quantile(finite, q)) for q in (0.0, 0.25, 0.5, 0.75, 1.0)}
+            got = doc["final_delta_quantiles"]
+            assert list(got) == (list(want) if finite.size else [])
+            assert all(type(v) is float and v.hex() == want[k].hex() for k, v in got.items())
+            assert doc["infinite_final_deltas"] == size - finite.size
+
 
 # The benchmark's ratio request: its measure and planted clique.
 _BENCH_REQUEST = (
