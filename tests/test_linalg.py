@@ -1201,6 +1201,14 @@ def _clique_pivots(monkeypatch):
     return pivots
 
 
+def _block_products(monkeypatch):
+    """The vectors x of each ``CliqueBlocks`` product ``A @ x`` from now on."""
+    products = []
+    real = linalg.CliqueBlocks.__matmul__
+    monkeypatch.setattr(linalg.CliqueBlocks, "__matmul__", lambda b, x: products.append(x) or real(b, x))
+    return products
+
+
 def _model_blocks(model, order):
     """-d^2/2 on ``order`` and the model's ``clique_blocks`` of it, which must
     equal the blocks sliced from the matrix with the oracle's clique mask:
@@ -1271,9 +1279,7 @@ class TestCliquePivot:
         # operator, the start closes the bracket in at most two products of
         # the blocks, where the ones vector took about 16. rho is the ones
         # start's within roundoff, and the bracket holds eigvalsh's max|lambda|
-        products = []
-        real = linalg.CliqueBlocks.__matmul__
-        monkeypatch.setattr(linalg.CliqueBlocks, "__matmul__", lambda b, x: products.append(x) or real(b, x))
+        products = _block_products(monkeypatch)
         for seed in range(8):
             S, _, blocks = self._trial(seed)
             N = len(S)
@@ -1296,9 +1302,7 @@ class TestCliquePivot:
         # product closes, counted as exact integer arithmetic counts it
         S, sizes, blocks = self._trial(seed, m_max=80)
         assert len(blocks.outside) >= 3
-        products = []
-        real = linalg.CliqueBlocks.__matmul__
-        monkeypatch.setattr(linalg.CliqueBlocks, "__matmul__", lambda b, x: products.append(x) or real(b, x))
+        products = _block_products(monkeypatch)
         got = prefix_inertias(blocks, sizes)
         assert len(products) <= 2
         theta = got[-1].tol
@@ -1316,9 +1320,7 @@ class TestCliquePivot:
             model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique=clique)
             blocks = model.clique_blocks(range(40) if members == "all" else [0] * members + list(range(6, 46)))
         assert blocks.perron_start() is None
-        products = []
-        real = linalg.CliqueBlocks.__matmul__
-        monkeypatch.setattr(linalg.CliqueBlocks, "__matmul__", lambda b, x: products.append(x) or real(b, x))
+        products = _block_products(monkeypatch)
         bracket = linalg._perron_bracket(blocks)
         assert np.array_equal(products[0], np.ones(len(blocks)))
         assert (bracket is None) == (members == "zero")
