@@ -14,7 +14,8 @@ leading blocks from them only for the sizes the pivot does not count. Inertia co
 spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
 n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
 against one threshold, from a Perron bracket of max|lambda|, which for
-``CliqueBlocks`` starts in the clique's invariant subspace, at the band's
+``CliqueBlocks`` with all but an eighth of the points in the clique starts
+in the clique's invariant subspace, at the band's
 edges -+theta, or -+e, e = max(theta, sqrt(eps) max|lambda|): through a
 planted clique's closed-form block where its ``CliqueBlocks`` hold all but an
 eighth of the points (``_clique_pivot``), by one Schur chain, and by an
@@ -62,7 +63,8 @@ _WEIGHT_SUM_TOL = 1e-12
 # pivot's two r x r complements then has at most k^2/64 entries, where the
 # chain eigensolves k^2 of them or updates an inverse of order k^2. With more
 # points outside, as at r = k/2, the chain's one-point steps cost less. The
-# share decides the time only: every tier gives the same counts.
+# share decides the time only: every tier gives the same counts. The Perron
+# bracket of such blocks starts in the clique's subspace under the same share.
 _PIVOT_SHARE = 8
 
 # A run of sizes one apart is counted in blocks of at most this many sizes:
@@ -279,7 +281,8 @@ def _perron_bracket(A):
     weighted mean. A power iteration closes the bracket: from the ones vector
     for a matrix, and for ``CliqueBlocks`` from their ``perron_start``, the
     ones vector's iterate in the clique's invariant subspace, or from ones
-    where that has an entry <= 0. ``A`` is a matrix or ``CliqueBlocks``: the
+    where there is none (more than an eighth of the points outside the
+    clique, or an entry <= 0). ``A`` is a matrix or ``CliqueBlocks``: the
     loop reads its order, its largest entry and its products ``A @ x``,
     O(n r) for the blocks.
     """
@@ -530,13 +533,16 @@ class CliqueBlocks:
         """The ones vector's power iterate under -A, taken in the clique's
         invariant subspace until it changes by at most the roundoff of one
         product, (2r + 1) eps, or for 64 products, and expanded once; None
-        where it has an entry <= 0, and with r = 0 or c < 2, where ones is
-        the start. -A maps x = (x_c, x_o) with x_c = alpha 1 + B^T w, the
-        subspace, to such a vector, of alpha' = gamma (alpha (c - 1) + s^T
-        w), w' = -gamma w - x_o and x_o' = -alpha s - H w - D x_o: a (2r +
-        1)-square operator on (alpha, w, x_o), O(r^2) a product."""
+        where it has an entry <= 0, and with r = 0 or r > n / 8
+        (``_PIVOT_SHARE``), where ones is the start. -A maps x = (x_c, x_o)
+        with x_c = alpha 1 + B^T w, the subspace, to such a vector, of
+        alpha' = gamma (alpha (c - 1) + s^T w), w' = -gamma w - x_o and x_o'
+        = -alpha s - H w - D x_o: a (2r + 1)-square operator on (alpha, w,
+        x_o), O(r^2) a product. Its iterates are the ones start's, so it
+        saves work only where that costs less than a product of O(n r), and
+        the pivot of all n points reuses ``gram``: at r <= n / 8."""
         r, c = self.B.shape
-        if not r or c < 2:
+        if not r or _PIVOT_SHARE * r > r + c:  # c >= 7 r >= 7 past this
             return None
         (s, H), g = self.gram, self.gamma
         M = np.zeros((2 * r + 1,) * 2)

@@ -1309,12 +1309,23 @@ class TestCliquePivot:
         lo, hi = exact_prefix_below(S, -theta), exact_prefix_below(-S, -theta)
         assert [i.counts() for i in got] == [(lo[k - 1], k - lo[k - 1] - hi[k - 1], hi[k - 1]) for k in sizes]
 
-    @pytest.mark.parametrize("members", [0, 1, "all", "zero"])
+    @pytest.mark.parametrize("members", [0, 1, "all", "zero", "modular:2", "share"])
     def test_without_the_subspace_the_bracket_starts_from_ones(self, members, monkeypatch):
         # r = 0, c < 2: no start in the subspace; "zero": B = D = 0, where
-        # the start's x_o is 0, not > 0, and the ones start finds no bracket
+        # the start's x_o is 0, not > 0, and the ones start finds no bracket;
+        # "modular:2", half the points outside, and "share", one point past
+        # an eighth: the subspace's product costs more than the blocks'
         if members == "zero":
-            blocks = linalg.CliqueBlocks(np.arange(6) < 4, np.zeros((2, 4)), np.zeros((2, 2)), 1.0)
+            blocks = linalg.CliqueBlocks(np.arange(18) < 16, np.zeros((2, 16)), np.zeros((2, 2)), 1.0)
+        elif members == "modular:2":
+            model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique=ResidueClassClique(2))
+            blocks = model.clique_blocks(range(400))
+            assert len(blocks.outside) == 200
+        elif members == "share":
+            model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique=range(35))
+            blocks = model.clique_blocks([*range(34), *range(35, 40)])
+            assert linalg._PIVOT_SHARE * len(blocks.outside) == len(blocks) + 1
+            assert model.clique_blocks(range(40)).perron_start() is not None  # 5 of 40 outside
         else:
             clique = range(40) if members == "all" else [0, 2, 5]
             model = CountableRadoModel(edge_prob=0.5, seed=4, planted_clique=clique)
