@@ -41,8 +41,6 @@ from .spaces import (
 )
 from .sampling import (
     DiscreteMeasure,
-    SampleTrajectory,
-    gv_sample,
     k_matrix,
     load_measure,
     parse_measure_spec,

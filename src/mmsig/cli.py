@@ -29,7 +29,7 @@ from .constructions import (
     union_space,
 )
 from .errors import InvalidInput, MmsigError, NumericalContractError
-from .linalg import DEFAULT_TOL_REL
+from .linalg import DEFAULT_TOL_REL, _inertia
 from .linalg import inertia  # noqa: F401  unused; perfbench's tracer test still checks this binding
 from .sampling import DiscreteMeasure, load_measure, parse_measure_spec, sample_order
 from .signature import (
@@ -53,8 +53,8 @@ from .spaces import (
     write_distance_csv,
 )
 from .spectral import (
+    ESD,
     _check_thresholds,
-    _esd_and_inertia,
     delta_ratio,
     ks_to_semicircle,
     rado_ratio_trials,
@@ -253,7 +253,8 @@ def cmd_rado(args) -> int:
         raise InvalidInput("the spectral run needs --N >= 1")
     S = model.s_matrix_on(np.arange(args.N))
     edges = int(np.count_nonzero(S == -0.5)) // 2
-    e, ine = _esd_and_inertia(S, args.tol, overwrite=True)
+    vals, ine = _inertia(S, args.tol, esd=True)  # S was built for this count: no copy
+    e = ESD(len(vals), vals)
     sigma = 1.5 * math.sqrt(args.p * (1.0 - args.p))
     ks = ks_to_semicircle(e, sigma)
     write_esd_csv(e, f"{prefix}_esd.csv", comment=_provenance_comment(args))

@@ -26,7 +26,7 @@ from .errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
 from .linalg import DEFAULT_TOL_REL, CliqueBlocks, _inertia, double_center
 from .spaces import (
     FiniteMetricSpace, _distances, _integer, _integers, _min_strict_slack, _pairwise_sq_diffs, _philox, _seed64,
-    from_distance_matrix, from_euclidean_points, s_matrix,
+    _sphere_points, from_distance_matrix, from_euclidean_points, s_matrix,
 )
 
 _EPS_FLOOR = 1e-300
@@ -65,7 +65,7 @@ def _perturb_with_eps(space, seed, tol_rel):
         )
     n = space.n
     S = s_matrix(space)
-    vals, ine = _inertia(double_center(S), tol_rel, overwrite=True)
+    vals, ine = _inertia(double_center(S), tol_rel)
     theta, s_plus = ine.tol, ine.s_plus
     target_minus = n - 1 - s_plus
     if s_plus == n - 1:
@@ -74,14 +74,8 @@ def _perturb_with_eps(space, seed, tol_rel):
     # norm, and theta by tol_rel * n times that. The target_minus-th needs
     need = float(vals[target_minus - 1] + theta) / (1.0 + tol_rel * n)  # to pass -theta
 
-    rng = _philox(seed)
-    for _ in range(100):
-        v = rng.normal(size=(n, n))
-        if np.linalg.matrix_rank(v) == n:
-            break
-    else:
-        raise InvalidInput("could not draw linearly independent directions")
-    g2 = _pairwise_sq_diffs(v)
+    # directions of too low a rank (probability zero) fail the contract below
+    g2 = _pairwise_sq_diffs(_philox(seed).normal(size=(n, n)))
     np.fill_diagonal(g2, 0.0)
     # Rescale directions so |d^2 - d_eps^2| <= eps * d_min; then
     # |d - d_eps| <= eps/2-ish, making the eps-bound condition reachable.
@@ -116,7 +110,7 @@ def _perturb_with_eps(space, seed, tol_rel):
             continue
         # symmetric, hollow, positive and strictly triangular: skips validation
         out = FiniteMetricSpace(D_eps, space.labels)
-        ine = _inertia(double_center(s_matrix(out)), tol_rel, overwrite=True)[1]
+        ine = _inertia(double_center(s_matrix(out)), tol_rel)[1]
         if ine.s_plus == s_plus and ine.s_minus == target_minus:
             return out, eps
         eps *= 0.5
@@ -128,32 +122,20 @@ def prescribed_signature_space(
     """An (n + p + 1)-point space whose centered matrix has signature
     s_minus = n, s_plus = p.
 
-    Samples the points on the unit sphere of R^p (general position and strict
-    triangles hold almost surely; resampled otherwise), then applies the
-    signature-maximizing perturbation.
+    Samples the points on the unit sphere of R^p, in general position with
+    strict triangles almost surely, and applies the signature-maximizing
+    perturbation. A sample in an affine hyperplane, which no perturbation
+    gives its p positive eigenvalues, raises InvalidInput.
     """
+    n, p = _integer(n, "prescribed signature n"), _integer(p, "prescribed signature p")
     if n < 1 or p < 2:
         raise InvalidInput("prescribed signature needs n >= 1 and p >= 2")
-    N = n + p + 1
-    rng = _philox(seed)
-    for attempt in range(100):
-        pts = rng.normal(size=(N, p))
-        norms = np.linalg.norm(pts, axis=1)
-        if (norms == 0).any():
-            continue
-        pts /= norms[:, None]
-        centered = pts - pts.mean(axis=0, keepdims=True)
-        if np.linalg.matrix_rank(centered) < p:
-            continue
-        try:
-            base = from_euclidean_points(pts)
-        except InvalidInput:  # coincident points or a violated triangle
-            continue
-        try:
-            return perturb_to_max_negative(base, seed=(_seed64(seed) ^ (attempt + 1)), tol_rel=tol_rel)
-        except StrictnessViolated:
-            continue
-    raise InvalidInput("could not sample a generic strictly-triangular point set")
+    pts = _sphere_points(p - 1, n + p + 1, seed)
+    if np.linalg.matrix_rank(pts - pts.mean(axis=0, keepdims=True)) < p:
+        raise InvalidInput("the sampled points lie in an affine hyperplane; try another seed")
+    base = from_euclidean_points(pts)
+    # ^ 1 keeps the perturbation's random stream, and so every space built before, bit for bit
+    return perturb_to_max_negative(base, seed=_seed64(seed) ^ 1, tol_rel=tol_rel)
 
 
 # ---------------------------------------------------------------------------

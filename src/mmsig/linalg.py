@@ -322,20 +322,20 @@ def spectrum_inertia(vals, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
 
 def inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """``spectrum_inertia`` of the eigenvalues of a symmetric matrix."""
-    return _inertia(a, tol_rel)[1]
+    return _inertia(np.array(a, dtype=float), tol_rel)[1]
 
 
-def _inertia(a, tol_rel: float, overwrite: bool = False, vectors: bool = False, esd: bool = False) -> tuple:
+def _inertia(a, tol_rel: float, vectors: bool = False, esd: bool = False) -> tuple:
     """(spectrum, ``inertia``) of ``a``: the one count of a whole matrix.
     The spectrum is the eigenvalues, or with ``vectors`` the
     ``EigenDecomposition``, in ``a``'s units, an eigenvalue past the largest
     float at +-inf; with ``esd`` the eigenvalues are divided by sqrt(n) in
     the solve's units first, the ESD's values, which hold where an
-    eigenvalue would not. ``overwrite`` and ``vectors`` as in
-    ``_eigenvalues``."""
+    eigenvalue would not. ``vectors`` as in ``_eigenvalues``. ``a`` is built
+    for this count (``inertia`` copies its caller's) and may be overwritten."""
     _check_tol_rel(tol_rel)
     A, power = _unit_scale(as_sym_matrix(a))
-    spectrum = _eigenvalues(A, overwrite=overwrite or power != 0, vectors=vectors)
+    spectrum = _eigenvalues(A, overwrite=True, vectors=vectors)
     vals = spectrum.eigenvalues if vectors else spectrum
     ine = spectrum_inertia(vals, tol_rel)
     if esd:

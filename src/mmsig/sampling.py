@@ -5,21 +5,22 @@ Sampling is inverse-CDF on the cumulative weight vector driven by a Philox
 counter-based generator, so trajectories are reproducible bit-for-bit across
 platforms given the seed. Countable measures (geometric, super-geometric,
 class-biased) are materialized down to a relative tail below 1e-18, beyond
-the resolution of double-precision uniforms. A sample order is drawn and
-searched ``_CHUNK`` uniforms at a time, keeping only its distinct points.
+the resolution of double-precision uniforms. A sample keeps only its
+distinct points in order of first appearance and where they appeared; its
+draws are searched ``_CHUNK`` uniforms at a time and never held.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
 from .linalg import validate_weights, weighted_center
-from .spaces import FiniteMetricSpace, _frozen, _integer, _integers, _philox, _seed64, s_matrix
+from .spaces import FiniteMetricSpace, _frozen, _integer, _philox, _seed64, s_matrix
 
 _TAIL = 1e-18
 _SUPPORT_MAX = 10**6  # the most points a countable measure materializes
@@ -64,6 +65,7 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteMeasure":
+        n = _integer(n, "uniform measure point count n")
         if n < 1:
             raise InvalidInput("uniform measure needs n >= 1")
         return cls(np.full(n, 1.0 / n), rule={"type": "uniform"})
@@ -176,30 +178,22 @@ def load_measure(path, n: int | None = None) -> DiscreteMeasure:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
-def _draws(measure: DiscreteMeasure, m: int, seed: int):
-    """The m draws of ``gv_sample`` as chunks of ``_CHUNK`` uniforms from one
-    Philox stream, searched in increasing order: each chunk is its points,
-    nondecreasing, and their positions in the sample."""
+def _distinct_draws(measure: DiscreteMeasure, m: int, seed: int) -> tuple:
+    """``(dedup, first_draws)`` of m i.i.d. draws from the measure: the
+    distinct points in order of first appearance and the increasing
+    positions of those appearances, so the dedup of the first k draws is
+    ``dedup[:searchsorted(first_draws, k)]``. The draws, ``_CHUNK`` uniforms
+    of one Philox stream at a time, are searched in increasing order."""
     m = _integer(m, "sample size")
     if m < 0:
         raise InvalidInput("sample size must be nonnegative")
     rng, cum = _philox(seed), measure.cumulative()
-
-    def chunk(start):
-        u = rng.random(min(_CHUNK, m - start))
-        by_u = np.argsort(u)
-        return np.searchsorted(cum, u[by_u], side="right"), by_u + start
-
-    return map(chunk, range(0, m, _CHUNK))
-
-
-def _first_appearances(chunks) -> tuple:
-    """``(dedup, first_draws)`` of a sample given in order as chunks of (points,
-    nondecreasing, and their positions): the distinct points in order of first
-    appearance and those appearances' positions. Only points seen are kept."""
     seen = np.empty(0, np.int64)  # increasing
     dedup, first_draws = [seen], [seen]
-    for points, positions in chunks:
+    for start in range(0, m, _CHUNK):
+        u = rng.random(min(_CHUNK, m - start))
+        by_u = np.argsort(u)
+        points, positions = np.searchsorted(cum, u[by_u], side="right"), by_u + start
         runs = np.flatnonzero(np.diff(points, prepend=points[:1] - 1))  # runs of equal points
         distinct, first = points[runs], np.minimum.reduceat(positions, runs)
         at = np.searchsorted(seen, distinct)
@@ -211,52 +205,11 @@ def _first_appearances(chunks) -> tuple:
     return np.concatenate(dedup), np.concatenate(first_draws)
 
 
-@dataclass(frozen=True)
-class SampleTrajectory:
-    """An i.i.d. sample of point indices plus its repetition-cancelled form.
-
-    ``dedup`` keeps the first occurrence of every index in order of first
-    appearance, mirroring the sampling scheme without repetitions;
-    ``first_draws`` holds the increasing positions in ``raw`` of those first
-    occurrences, so the dedup of ``raw[:m]`` is
-    ``dedup[:searchsorted(first_draws, m)]``. ``sample_order`` computes the
-    same ``dedup`` without holding ``raw``.
-    """
-
-    seed: int
-    raw: np.ndarray
-    dedup: np.ndarray = field(init=False)
-    first_draws: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # ``raw`` may share the caller's memory, so it is a frozen copy; the
-        # other two are built here, so they are frozen in place.
-        raw = _frozen(_integers(self.raw, "sample index"))
-        by = np.argsort(raw)
-        dedup, first = _first_appearances([(raw[by], by)])
-        for name, a in (("raw", raw), ("first_draws", first), ("dedup", dedup)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    @property
-    def m(self) -> int:
-        return self.raw.shape[0]
-
-
-def gv_sample(measure: DiscreteMeasure, m: int, seed: int) -> SampleTrajectory:
-    """Draw m i.i.d. indices from the measure, deterministic in the seed."""
-    chunks = _draws(measure, m, seed)  # reads m, refusing a fraction or m < 0, before the allocation
-    raw = np.empty(int(m), np.int64)
-    for points, positions in chunks:
-        raw[positions] = points
-    return SampleTrajectory(seed=seed, raw=raw)
-
-
 def sample_order(measure: DiscreteMeasure, m: int, seed: int) -> np.ndarray:
     """The nesting order of a sampled trajectory: the distinct indices of m
-    draws in order of first appearance (``gv_sample(...).dedup``), never
-    empty. The draws are searched a chunk at a time and not kept."""
-    order = _first_appearances(_draws(measure, m, seed))[0]
+    draws in order of first appearance, never empty. The draws are searched
+    a chunk at a time and not kept."""
+    order = _distinct_draws(measure, m, seed)[0]
     if order.size == 0:
         raise InvalidInput("empty sample; increase m_max")
     return order

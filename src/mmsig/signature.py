@@ -33,12 +33,12 @@ STABILIZATION_WINDOW = 25
 
 def space_signature(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """Inertia of the -d^2/2 matrix; the space's distance signature."""
-    return _inertia(s_matrix(space), tol_rel, overwrite=True)[1]
+    return _inertia(s_matrix(space), tol_rel)[1]
 
 
 def centered_signature(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> Inertia:
     """Inertia of Pi S Pi; constants are always in the kernel (s_zero >= 1)."""
-    return _inertia(double_center(s_matrix(space)), tol_rel, overwrite=True)[1]
+    return _inertia(double_center(s_matrix(space)), tol_rel)[1]
 
 
 @dataclass(frozen=True)

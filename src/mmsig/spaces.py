@@ -406,19 +406,13 @@ def _tripod_matrix(n: int) -> np.ndarray:
 
 
 def _sphere_points(dim: int, n: int, seed: int) -> np.ndarray:
-    rng = _philox(seed)
-    for _ in range(100):
-        pts = rng.normal(size=(n, dim + 1))
-        norms = np.linalg.norm(pts, axis=1)
-        if (norms == 0).any():
-            continue
-        pts /= norms[:, None]
-        g = np.clip(pts @ pts.T, -1.0, 1.0)
-        off = ~np.eye(n, dtype=bool)
-        if n > 1 and (g[off] >= 1.0).any():
-            continue  # coincident sample, resample
-        return pts
-    raise InvalidInput("could not draw distinct sphere points")
+    """n uniform points on S^dim in R^(dim + 1), from one normalized Gaussian
+    draw; a zero row (probability zero) raises InvalidInput."""
+    pts = _philox(seed).normal(size=(n, dim + 1))
+    norms = np.linalg.norm(pts, axis=1)
+    if (norms == 0).any():
+        raise InvalidInput("a Gaussian draw has a zero row; try another seed")
+    return pts / norms[:, None]
 
 
 def _sphere_matrix(dim: int, n: int, seed: int) -> np.ndarray:

@@ -21,9 +21,9 @@ from .constructions import CountableRadoModel
 from .errors import InvalidInput
 from .linalg import DEFAULT_TOL_REL, Inertia, _inertia, pinned_map
 from .linalg import _eigenvalues, spectrum_inertia  # noqa: F401  unused; perfbench's tracer tests check them
-from .sampling import DiscreteMeasure, _draws, _first_appearances, trial_seed
+from .sampling import DiscreteMeasure, _distinct_draws, trial_seed
 from .signature import limit_signature_trajectory
-from .spaces import _write_csv
+from .spaces import _integer, _write_csv
 
 
 class ESD(NamedTuple):
@@ -34,13 +34,8 @@ class ESD(NamedTuple):
 
 
 def esd_and_inertia(a, tol_rel: float = DEFAULT_TOL_REL) -> tuple:
-    """(ESD, inertia) from one eigensolve; the inertia counts the raw eigenvalues."""
-    return _esd_and_inertia(a, tol_rel)
-
-
-def _esd_and_inertia(a, tol_rel: float, overwrite: bool = False) -> tuple:
-    """``esd_and_inertia``; ``overwrite`` as in ``_eigenvalues``."""
-    vals, ine = _inertia(a, tol_rel, overwrite, esd=True)
+    """(ESD, inertia) of a copy of ``a`` from one eigensolve; the inertia counts the raw eigenvalues."""
+    vals, ine = _inertia(np.array(a, dtype=float), tol_rel, esd=True)
     return ESD(len(vals), vals), ine
 
 
@@ -89,6 +84,7 @@ def delta_ratio(ine: Inertia) -> float:
 
 def default_checkpoints(m_max: int) -> tuple:
     """Geometric checkpoint schedule 16, 32, 64, ..., capped at m_max."""
+    m_max = _integer(m_max, "m_max")
     if m_max < 1:
         raise InvalidInput("m_max must be >= 1")
     pts = []
@@ -138,7 +134,7 @@ def rado_ratio_experiment(
     one zero band; checkpoints that add no new point share a count.
     """
     checkpoints = default_checkpoints(m_max)
-    dedup, first_draws = _first_appearances(_draws(measure, m_max, seed))
+    dedup, first_draws = _distinct_draws(measure, m_max, seed)
     sizes = tuple(int(k) for k in np.searchsorted(first_draws, checkpoints))
     distinct = sorted(set(sizes))
     counted = limit_signature_trajectory(model, dedup, sizes=distinct, tol_rel=tol_rel)
@@ -162,9 +158,10 @@ def rado_ratio_trials(
     expected number of distinct points outside the planted clique among
     ``m_max`` draws. Results do not depend on the route.
     """
+    trials = _integer(trials, "trials")
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    default_checkpoints(m_max)  # refuses m_max < 1 before the power below
+    m_max = default_checkpoints(m_max)[-1]  # an int; m_max < 1 is refused before the power below
     w = measure.weights[~model._clique_flags(np.arange(measure.n))]
     order = float(np.sum(1.0 - (1.0 - w) ** m_max))
 
@@ -214,6 +211,8 @@ def ratio_summary(
     ``min_fraction``, which needs the threshold, a pass/fail verdict.
     """
     _check_thresholds(delta_threshold, min_fraction)
+    if not trajectories:
+        raise InvalidInput("a ratio summary needs trials >= 1")
     finals = np.asarray([t.final_delta for t in trajectories], dtype=float)
     finite = finals[np.isfinite(finals)]
     levels = (0.0, 0.25, 0.5, 0.75, 1.0)

@@ -24,7 +24,7 @@ from mmsig.constructions import (
     union_space,
 )
 from mmsig.linalg import eig_sym, inertia, prefix_inertias
-from mmsig.sampling import DiscreteMeasure, gv_sample, k_matrix, t_matrix
+from mmsig.sampling import DiscreteMeasure, k_matrix, t_matrix
 from mmsig.signature import (
     centered_signature,
     limit_signature_trajectory,
@@ -36,7 +36,9 @@ from mmsig.signature import (
 from mmsig.spaces import from_distance_matrix, from_euclidean_points, named_example
 from mmsig.spectral import delta_ratio, esd_and_inertia, ks_to_semicircle
 
-from util_oracles import b_matrix, random_cospherical_points, random_metric_matrix, random_symmetric
+from util_oracles import (
+    b_matrix, first_appearances_by_unique, random_cospherical_points, random_metric_matrix, random_symmetric, raw_draws,
+)
 
 
 def criterion(num, title):
@@ -240,10 +242,11 @@ def test_criterion_07_property_suites():
     for trial in range(15):
         n = int(rng.integers(2, 8))
         sp = from_distance_matrix(random_metric_matrix(rng, n))
-        traj = gv_sample(DiscreteMeasure.uniform(n), int(rng.integers(1, 30)), seed=trial)
-        raw, ded = inertia(sp.s_matrix_on(traj.raw)), inertia(sp.s_matrix_on(traj.dedup))
+        draws = raw_draws(DiscreteMeasure.uniform(n), int(rng.integers(1, 30)), seed=trial)
+        dedup = first_appearances_by_unique(draws)[0]
+        raw, ded = inertia(sp.s_matrix_on(draws)), inertia(sp.s_matrix_on(dedup))
         assert raw.signature == ded.signature
-        assert raw.s_zero - ded.s_zero == traj.raw.size - traj.dedup.size
+        assert raw.s_zero - ded.s_zero == draws.size - dedup.size
     assert time.time() - t < 30
 
     # measure invariance of the weighted-kernel signature
@@ -317,7 +320,7 @@ def test_criterion_09_class_biased():
     measure = DiscreteMeasure.class_biased(j, level_q=0.9)
     hits = 0
     for trial in range(200):
-        raw = gv_sample(measure, 3000, seed=1000 ^ trial).raw
+        raw = raw_draws(measure, 3000, seed=1000 ^ trial)
         _, first = np.unique(raw, return_index=True)
         dedup = raw[np.sort(first)]
         ine = inertia(model.s_matrix_on(dedup))

@@ -16,12 +16,14 @@ from mmsig import cli, linalg, sampling, spaces, spectral
 from mmsig.cli import main
 from mmsig.constructions import CountableRadoModel
 from mmsig.errors import EpsilonUnderflow, MonotonicityViolation, NoConvergence
-from mmsig.sampling import DiscreteMeasure, gv_sample
+from mmsig.sampling import DiscreteMeasure, sample_order
 from mmsig.signature import embedding_to_json, mds_embed
 from mmsig.spaces import (
     from_distance_matrix, from_euclidean_points, named_example, read_distance_csv,
     write_distance_csv,
 )
+
+from util_oracles import first_appearances_by_unique, raw_draws
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -327,7 +329,7 @@ class TestTrajectory:
         assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
 
     def test_sizes_clipped_to_distinct_draws(self, capsys):
-        distinct = gv_sample(DiscreteMeasure.geometric(0.9), 100, seed=0).dedup.size
+        distinct = sample_order(DiscreteMeasure.geometric(0.9), 100, seed=0).size
         assert run(["trajectory", "--model-p", 0.5, "--m-max", 100, "--sizes", "5:3000"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines()[1:] if line[0].isdigit()]
         assert [int(row.split(",")[0]) for row in rows] == list(range(5, distinct + 1))
@@ -696,9 +698,10 @@ class TestRado:
         checkpoints = spectral.default_checkpoints(600)
         assert len(rows) == 3 * len(checkpoints)
         for t in range(3):
-            sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), 600, sampling.trial_seed(1, t))
-            sizes = [int(k) for k in np.searchsorted(sample.first_draws, checkpoints)]
-            S = model.s_matrix_on(sample.dedup)
+            draws = raw_draws(DiscreteMeasure.class_biased(30, 0.9), 600, sampling.trial_seed(1, t))
+            dedup, first = first_appearances_by_unique(draws)
+            sizes = [int(k) for k in np.searchsorted(first, checkpoints)]
+            S = model.s_matrix_on(dedup)
             general = dict(zip(sorted(set(sizes)), linalg.prefix_inertias(S, sorted(set(sizes)))))
             theta = general[sizes[-1]].tol
             for row, m, k in zip(rows[t * len(sizes):], checkpoints, sizes):

@@ -3,6 +3,7 @@ import math
 import pickle
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -145,31 +146,73 @@ class TestPrescribed:
         with pytest.raises(InvalidInput, match="prescribed signature needs n >= 1 and p >= 2"):
             prescribed_signature_space(1, 1, seed=1)
 
-    def test_only_a_non_strict_sample_is_redrawn(self, monkeypatch):
-        # a sample that the perturbation refuses as non-strict is redrawn, but
-        # any other invalid-input error of the perturbation propagates at once
+    @pytest.mark.parametrize("error", [InvalidInput, StrictnessViolated])
+    def test_a_refusal_of_the_perturbation_propagates(self, error, monkeypatch):
+        # a sample that the perturbation refuses is not drawn again
         calls = []
 
         def refuses(space, seed, tol_rel):
             calls.append(seed)
-            raise InvalidInput("boom")
+            raise error("boom")
 
         monkeypatch.setattr(constructions, "perturb_to_max_negative", refuses)
-        with pytest.raises(InvalidInput, match="^boom$"):
+        with pytest.raises(error, match="^boom$"):
             prescribed_signature_space(1, 2, seed=0)
         assert len(calls) == 1
 
-        real = perturb_to_max_negative
 
-        def refuses_once(space, seed, tol_rel):
-            calls.append(seed)
-            if len(calls) == 2:
-                raise StrictnessViolated("not strict")
-            return real(space, seed=seed, tol_rel=tol_rel)
+def _row_zero(x):
+    x[0] = 0.0
 
-        monkeypatch.setattr(constructions, "perturb_to_max_negative", refuses_once)
-        sp = prescribed_signature_space(1, 2, seed=0)
-        assert len(calls) == 3 and sp.n == 4
+
+def _row_repeated(x):
+    x[1] = x[0]
+
+
+def _in_a_hyperplane(x):
+    x[:, -1] = 0.0
+
+
+def _on_a_line(x):
+    x[:, 1:] = 0.0
+
+
+_PLANAR = np.random.default_rng(5).normal(size=(7, 2))  # 7 points in R^2 need 4 new negatives
+
+
+@pytest.mark.parametrize(
+    "module, degenerate, build, error, message",
+    [
+        (spaces, _row_zero, lambda: named_example("sphere", dim=2, n=5, seed=0), InvalidInput, "zero row"),
+        (spaces, _row_repeated, lambda: named_example("sphere", dim=2, n=5, seed=0), InvalidInput,
+         "points 0 and 1 are at distance 0"),
+        (spaces, _row_zero, lambda: prescribed_signature_space(2, 3, 0), InvalidInput, "zero row"),
+        (spaces, _row_repeated, lambda: prescribed_signature_space(2, 3, 0), InvalidInput, "points 0 and 1 coincide"),
+        (spaces, _in_a_hyperplane, lambda: prescribed_signature_space(2, 3, 0), InvalidInput, "affine hyperplane"),
+        (constructions, _on_a_line, lambda: perturb_to_max_negative(from_euclidean_points(_PLANAR), 0),
+         EpsilonUnderflow, "the signature contract needs a move"),
+    ],
+    ids=["sphere-zero-row", "sphere-repeated-row", "prescribed-zero-row", "prescribed-repeated-row",
+         "prescribed-hyperplane", "perturb-rank-one"],
+)
+def test_a_degenerate_draw_is_drawn_once_and_refused(module, degenerate, build, error, message, monkeypatch):
+    # each site drew again, up to 100 times, on an event of probability
+    # zero; it now draws once and leaves the draw to the checks downstream
+    calls = []
+
+    class Generator:
+        def normal(self, size):
+            calls.append(size)
+            x = np.random.default_rng(1).normal(size=size)
+            degenerate(x)
+            return x
+
+    monkeypatch.setattr(module, "_philox", lambda seed: Generator())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=message):
+            build()
+    assert len(calls) == 1
 
 
 class TestUnionSpace:

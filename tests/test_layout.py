@@ -17,10 +17,12 @@ refactor cannot break the benchmark while these tests pass. Every run of
 ``cli.RUNS`` reads each option it takes, and refuses each option it lacks
 or does not take, so the CLI offers no option that does nothing. Every
 public top-level name in ``src`` is used elsewhere in ``src`` or named in
-the README, so the package exposes nothing that only the tests use. Every
-exception class in ``mmsig.errors`` is caught by name somewhere in ``src``
-or named in the README, so an error raised at one site is an
-``InvalidInput`` whose message names the witness, not a class of its own.
+the README, so the package exposes nothing that only the tests use, and
+every name of the package that the README gives resolves, so the README
+names nothing that is gone. Every exception class in ``mmsig.errors`` is
+caught by name somewhere in ``src`` or named in the README, so an error
+raised at one site is an ``InvalidInput`` whose message names the witness,
+not a class of its own.
 No module reads the environment (``os.environ``, ``os.getenv``), so a run
 is set by its arguments alone and a hidden knob cannot come back unnoticed;
 what the machine offers, such as its usable CPUs, is measured instead.
@@ -107,6 +109,27 @@ def test_every_public_name_is_used_or_documented():
         and not re.search(rf"\b{name}\b", readme)
     ]
     assert unused == []
+
+
+_MODULES = ("linalg", "spaces", "sampling", "signature", "constructions", "spectral", "cli")
+
+
+def _resolves(name):
+    obj = mmsig
+    for part in name.split("."):
+        obj = getattr(obj, part, None)
+    return obj is not None
+
+
+def test_every_name_the_readme_gives_resolves():
+    # Every ``mmsig.<name>`` and every backticked ``<module>.<name>`` of the
+    # README is a name of the package, so the README cannot go on naming a
+    # function that was removed or renamed.
+    readme = (ROOT / "README.md").read_text()
+    names = set(re.findall(r"\bmmsig\.([A-Za-z_]\w*(?:\.\w+)*)", readme))
+    names |= set(re.findall(rf"`(?:mmsig\.)?((?:{'|'.join(_MODULES)})\.[A-Za-z_]\w*)", readme))
+    assert {"cli.main", "named_example", "linalg._inertia", "spectral.esd_and_inertia"} <= names
+    assert [name for name in sorted(names) if not _resolves(name)] == []
 
 
 def test_every_error_class_is_caught_or_documented():
@@ -427,7 +450,6 @@ def test_names_the_benchmark_traces_stay_bound():
                 assert name in vars(cls), f"mmsig.{layer}.{cls_name}.{name}"
     assert mmsig.cli.inertia is mmsig.signature.inertia is mmsig.linalg.inertia
     assert mmsig.spectral.spectrum_inertia is mmsig.linalg.spectrum_inertia
-    assert mmsig.cli._esd_and_inertia is mmsig.spectral._esd_and_inertia
     assert mmsig.spectral._eigenvalues is mmsig.linalg._eigenvalues
 
 
@@ -464,7 +486,7 @@ def test_clique_trial_eigensolves_only_its_other_points(monkeypatch):
     model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
     measure = DiscreteMeasure.class_biased(30, 0.9)
     mmsig.spectral.rado_ratio_experiment(model, measure, m_max=3000, seed=0)
-    dedup = mmsig.sampling.gv_sample(measure, 3000, 0).dedup
+    dedup = mmsig.sampling.sample_order(measure, 3000, 0)
     others = int(np.count_nonzero(~model._clique_flags(dedup)))
     assert orders and max(orders) <= others < len(dedup) // 20
 

@@ -21,7 +21,7 @@ from mmsig.linalg import (
     spectrum_inertia,
     weighted_center,
 )
-from mmsig.sampling import DiscreteMeasure, gv_sample, parse_measure_spec, sample_order, trial_seed
+from mmsig.sampling import DiscreteMeasure, parse_measure_spec, sample_order, trial_seed
 from mmsig.signature import centered_signature, limit_signature_trajectory, space_signature
 from mmsig.spaces import from_distance_matrix, from_euclidean_points, named_example
 from mmsig.spectral import default_checkpoints, esd_and_inertia, rado_ratio_experiment
@@ -36,9 +36,11 @@ from util_oracles import (
     exact_below,
     exact_counts,
     exact_prefix_below,
+    first_appearances_by_unique,
     prefix_counts_by_eigvalsh,
     random_cospherical_points,
     random_symmetric,
+    raw_draws,
     unit_square_corners,
 )
 
@@ -513,7 +515,7 @@ class TestPrefixInertias:
         traj = rado_ratio_experiment(model, measure, 3000, seed=trial_seed(1, 3))
         assert inverses == [] and _empty_steps(steps) == [(traj.dedup_sizes[0], True)]
         assert [(a, k) for a, k, n, _ in steps if n] == list(zip([0, *traj.dedup_sizes], traj.dedup_sizes))
-        S = model.s_matrix_on(gv_sample(measure, 3000, trial_seed(1, 3)).dedup)
+        S = model.s_matrix_on(sample_order(measure, 3000, trial_seed(1, 3)))
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
 
     def test_gapped_model_sizes_are_steps(self, monkeypatch):
@@ -658,9 +660,10 @@ def _class_biased_trial(seed, m_max=3000):
     """-d^2/2 on the dedup sample of one class-biased ratio trial, with its
     distinct checkpoint sizes."""
     model = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
-    sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
-    sizes = np.searchsorted(sample.first_draws, default_checkpoints(m_max))
-    return model.s_matrix_on(sample.dedup), sorted({int(k) for k in sizes})
+    draws = raw_draws(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
+    dedup, first = first_appearances_by_unique(draws)
+    sizes = np.searchsorted(first, default_checkpoints(m_max))
+    return model.s_matrix_on(dedup), sorted({int(k) for k in sizes})
 
 
 def _block_eigensolves(monkeypatch, S):
@@ -1227,9 +1230,10 @@ class TestCliquePivot:
     MODEL = CountableRadoModel(edge_prob=0.5, seed=424242, planted_clique=ResidueClassClique(31))
 
     def _trial(self, seed, m_max=3000):
-        sample = gv_sample(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
-        sizes = np.searchsorted(sample.first_draws, default_checkpoints(m_max))
-        S, blocks = _model_blocks(self.MODEL, sample.dedup)
+        draws = raw_draws(DiscreteMeasure.class_biased(30, 0.9), m_max, trial_seed(seed, 0))
+        dedup, first = first_appearances_by_unique(draws)
+        sizes = np.searchsorted(first, default_checkpoints(m_max))
+        S, blocks = _model_blocks(self.MODEL, dedup)
         return S, sorted({int(k) for k in sizes}), blocks
 
     def test_class_biased_trials_match_eigvalsh(self, monkeypatch):
@@ -1344,7 +1348,7 @@ class TestCliquePivot:
         measure = parse_measure_spec("geometric:0.999")
         orders = _every_eigensolve_order(monkeypatch)
         traj = rado_ratio_experiment(model, measure, m_max=3000, seed=trial_seed(1, 0))
-        dedup = gv_sample(measure, 3000, trial_seed(1, 0)).dedup
+        dedup = sample_order(measure, 3000, trial_seed(1, 0))
         others = int(np.count_nonzero(~model._clique_flags(dedup)))
         assert traj.dedup_sizes[-1] == len(dedup) == 1748 and others == 31
         assert orders and max(orders) <= others

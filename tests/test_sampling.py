@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmsig import sampling
+from mmsig import sampling, spectral
+from mmsig.constructions import CountableRadoModel
 from mmsig.errors import InvalidInput
 from mmsig.linalg import double_center, inertia
 from mmsig.sampling import (
     DiscreteMeasure,
-    gv_sample,
     k_matrix,
     load_measure,
     parse_measure_spec,
@@ -20,10 +20,10 @@ from mmsig.sampling import (
     t_matrix,
     trial_seed,
 )
-from mmsig.spaces import _philox, from_euclidean_points, named_example
+from mmsig.spaces import from_euclidean_points, named_example
 from mmsig.signature import s_matrix
 
-from util_oracles import first_appearances_by_unique, random_metric_matrix
+from util_oracles import first_appearances_by_unique, random_metric_matrix, raw_draws
 
 
 class TestDiscreteMeasure:
@@ -165,16 +165,20 @@ class TestDiscreteMeasure:
 
 
 class TestGvSample:
+    # the sample's repetition-cancelled form, ``sampling._distinct_draws``,
+    # which ``sample_order`` and the ratio trials read
+
     def test_empty(self):
-        traj = gv_sample(DiscreteMeasure.uniform(3), 0, seed=1)
-        assert traj.m == 0 and traj.dedup.size == 0
+        dedup, first = sampling._distinct_draws(DiscreteMeasure.uniform(3), 0, seed=1)
+        assert dedup.size == first.size == 0
+        with pytest.raises(InvalidInput, match="empty sample"):
+            sample_order(DiscreteMeasure.uniform(3), 0, seed=1)
 
     def test_dirac(self):
         w = np.zeros(5)
         w[3] = 1.0
-        traj = gv_sample(DiscreteMeasure(w), 20, seed=9)
-        assert (traj.raw == 3).all()
-        assert traj.dedup.tolist() == [3]
+        dedup, first = sampling._distinct_draws(DiscreteMeasure(w), 20, seed=9)
+        assert dedup.tolist() == [3] and first.tolist() == [0]
 
     def test_zero_weight_last_point_is_never_drawn(self, monkeypatch):
         # cumulative() set only its last entry to 1, so every uniform in
@@ -185,38 +189,38 @@ class TestGvSample:
 
         monkeypatch.setattr(sampling, "_philox", lambda seed: Top())
         measure = DiscreteMeasure([0.5, 0.5 - 2**-40, 0.0])
-        assert gv_sample(measure, 5, seed=0).raw.tolist() == [1] * 5
+        dedup, first = sampling._distinct_draws(measure, 5, seed=0)
+        assert dedup.tolist() == [1] and first.tolist() == [0]
         assert sample_order(measure, 5, seed=0).tolist() == [1]
 
     def test_negative_m_rejected(self):
-        with pytest.raises(InvalidInput):
-            gv_sample(DiscreteMeasure.uniform(2), -1, seed=0)
+        with pytest.raises(InvalidInput, match="nonnegative"):
+            sampling._distinct_draws(DiscreteMeasure.uniform(2), -1, seed=0)
         with pytest.raises(InvalidInput, match="nonnegative"):
             sample_order(DiscreteMeasure.uniform(2), -1, seed=0)
 
     def test_determinism_bit_for_bit(self):
         m = DiscreteMeasure.geometric(0.7)
-        a = gv_sample(m, 500, seed=123)
-        b = gv_sample(m, 500, seed=123)
-        assert np.array_equal(a.raw, b.raw)
-        c = gv_sample(m, 500, seed=124)
-        assert not np.array_equal(a.raw, c.raw)
+        a = sampling._distinct_draws(m, 500, seed=123)
+        b = sampling._distinct_draws(m, 500, seed=123)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        c = sampling._distinct_draws(m, 500, seed=124)
+        assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
     def test_dedup_first_appearance_order(self):
         m = DiscreteMeasure.uniform(6)
-        traj = gv_sample(m, 100, seed=5)
         seen = []
-        for x in traj.raw.tolist():
+        for x in raw_draws(m, 100, seed=5).tolist():
             if x not in seen:
                 seen.append(x)
-        assert traj.dedup.tolist() == seen
+        assert sample_order(m, 100, seed=5).tolist() == seen
 
     def test_coupon_collector_bound(self):
         # analytic oracle: P(all 10 points in 1000 draws) ~ 1 - 10*0.9^1000,
         # far above 0.999; check the hit rate over a fixed seed list
         m = DiscreteMeasure.uniform(10)
         hits = sum(
-            gv_sample(m, 1000, seed=s).dedup.size == 10 for s in range(200)
+            sample_order(m, 1000, seed=s).size == 10 for s in range(200)
         )
         assert hits / 200 >= 0.999
 
@@ -233,7 +237,8 @@ class TestGvSample:
 
 class TestChunkedDraws:
     # the draws are searched and deduplicated a chunk at a time; the sample
-    # must be one Generator.random call's, deduplicated by np.unique
+    # must be one Generator.random call's (``raw_draws``), deduplicated by
+    # np.unique
 
     MEASURES = [
         "uniform", "geometric:0.95", "super_geometric", "class_biased:30:0.9",
@@ -251,17 +256,30 @@ class TestChunkedDraws:
         measure = parse_measure_spec(spec, n=40 if spec == "uniform" else None)
         for m in (0, 1, c - 1, c, c + 1, 3 * c + 5):
             for seed in (0, 3, -1):
-                raw = np.searchsorted(measure.cumulative(), _philox(seed).random(m), side="right")
-                dedup, first = first_appearances_by_unique(raw)
-                sample = gv_sample(measure, m, seed)
-                assert np.array_equal(sample.raw, raw)
-                assert np.array_equal(sample.dedup, dedup)
-                assert np.array_equal(sample.first_draws, first)
+                dedup, first = first_appearances_by_unique(raw_draws(measure, m, seed))
+                got = sampling._distinct_draws(measure, m, seed)
+                assert np.array_equal(got[0], dedup)
+                assert np.array_equal(got[1], first)
                 if m:
                     assert np.array_equal(sample_order(measure, m, seed), dedup)
                 else:
                     with pytest.raises(InvalidInput, match="empty sample"):
                         sample_order(measure, m, seed)
+
+    def test_chunk_boundaries_match_one_whole_draw(self, monkeypatch):
+        # at the package's own chunk size: a sample order, and the first
+        # appearances a ratio trial reads its checkpoint sizes from
+        c = sampling._CHUNK
+        measure, model = DiscreteMeasure.geometric(0.9), CountableRadoModel(edge_prob=0.5, seed=3)
+        real, read = sampling._distinct_draws, []
+        monkeypatch.setattr(spectral, "_distinct_draws", lambda *args: read.append(real(*args)) or read[-1])
+        for m in (1, c - 1, c, c + 1, 2 * c + 7):
+            dedup, first = first_appearances_by_unique(raw_draws(measure, m, 4))
+            assert np.array_equal(sample_order(measure, m, 4), dedup)
+            traj = spectral.rado_ratio_experiment(model, measure, m_max=m, seed=4)
+            assert np.array_equal(read[-1][0], dedup) and np.array_equal(read[-1][1], first)
+            assert traj.dedup_sizes == tuple(int(k) for k in np.searchsorted(first, traj.m_values))
+        assert len(read) == 5
 
     def test_a_sample_order_holds_no_draws(self):
         # 3e6 draws held whole took a 150 MB tracemalloc peak
@@ -282,8 +300,9 @@ class TestDedupInvariance:
 
     def test_single_repeated_point(self):
         sp = named_example("simplex", n=3)
-        traj = gv_sample(DiscreteMeasure([1.0, 0.0, 0.0]), 2, seed=0)
-        raw, ded = inertia(sp.s_matrix_on(traj.raw)), inertia(sp.s_matrix_on(traj.dedup))
+        measure = DiscreteMeasure([1.0, 0.0, 0.0])
+        draws, dedup = raw_draws(measure, 2, seed=0), sample_order(measure, 2, seed=0)
+        raw, ded = inertia(sp.s_matrix_on(draws)), inertia(sp.s_matrix_on(dedup))
         assert raw.counts() == (0, 2, 0)
         assert ded.counts() == (0, 1, 0)
 
@@ -300,11 +319,12 @@ class TestDedupInvariance:
 
     def test_tripod_covered(self):
         sp = named_example("tripod")
-        traj = gv_sample(DiscreteMeasure.uniform(4), 60, seed=3)
-        assert traj.dedup.size == 4
-        raw, ded = inertia(sp.s_matrix_on(traj.raw)), inertia(sp.s_matrix_on(traj.dedup))
+        measure = DiscreteMeasure.uniform(4)
+        draws, dedup = raw_draws(measure, 60, seed=3), sample_order(measure, 60, seed=3)
+        assert dedup.size == 4
+        raw, ded = inertia(sp.s_matrix_on(draws)), inertia(sp.s_matrix_on(dedup))
         assert raw.signature == ded.signature == (1, 3)
-        assert raw.s_zero - ded.s_zero == traj.raw.size - traj.dedup.size
+        assert raw.s_zero - ded.s_zero == draws.size - dedup.size
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -7,7 +7,7 @@ import pytest
 from mmsig import linalg, spaces
 from mmsig.constructions import CountableRadoModel, ResidueClassClique
 from mmsig.errors import InvalidInput
-from mmsig.sampling import DiscreteMeasure, gv_sample, t_matrix
+from mmsig.sampling import DiscreteMeasure, sample_order, t_matrix
 from mmsig.signature import (
     STABILIZATION_WINDOW,
     centered_signature,
@@ -269,7 +269,7 @@ class TestSampledTrajectory:
         model = CountableRadoModel(edge_prob=0.4, seed=21)
         measure = DiscreteMeasure.geometric(0.8)
         traj = sampled_signature_trajectory(model, measure, m_max=200, seed=3)
-        dedup = gv_sample(measure, 200, seed=3).dedup
+        dedup = sample_order(measure, 200, seed=3)
         direct = limit_signature_trajectory(model.metric_on(dedup), np.arange(dedup.size))
         assert traj.sizes == direct.sizes
         assert [i.counts() for i in traj.inertias] == [

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mmsig import spaces
+from mmsig import sampling, spaces
 from mmsig.constructions import (
     CountableRadoModel, IndexClique, QuadraticGapClique, ResidueClassClique, model_from_json, model_to_json,
     perturb_to_max_negative, prescribed_signature_space, union_space,
@@ -13,10 +13,10 @@ from mmsig.constructions import (
 from mmsig.errors import InvalidInput, StrictnessViolated
 from mmsig.linalg import inertia
 from mmsig.sampling import (
-    DiscreteMeasure, SampleTrajectory, gv_sample, parse_measure_spec, sample_order, t_matrix, trial_seed,
+    DiscreteMeasure, parse_measure_spec, sample_order, t_matrix, trial_seed,
 )
 from mmsig.signature import mds_embed
-from mmsig.spectral import rado_ratio_trials, semicircle_cdf
+from mmsig.spectral import default_checkpoints, rado_ratio_experiment, rado_ratio_trials, ratio_summary, semicircle_cdf
 from mmsig.spaces import (
     Graph,
     _min_strict_slack,
@@ -52,13 +52,10 @@ def test_validated_objects_share_no_memory_with_the_caller():
     measure = DiscreteMeasure(w)
     pts = np.array([[0.0, 0.0], [0.6, 1.0]])
     ps = PseudoEuclideanPointSet(n_neg=1, n_pos=1, points=pts)
-    raw = np.array([2, 0, 2, 1])
-    sample = SampleTrajectory(seed=0, raw=raw)
-    B[0, 1], w[0], pts[1, 0], raw[0] = 5.0, 0.7, 0.9, 3
+    B[0, 1], w[0], pts[1, 0] = 5.0, 0.7, 0.9
     assert sp.dist[0, 1] == sp.dist[1, 0] == 2.0
     assert measure.weights[0] == 0.25 and ps.points[1, 0] == 0.6
-    assert sample.raw.tolist() == [2, 0, 2, 1] and sample.dedup.tolist() == [2, 0, 1]
-    for owned in (sp.dist, measure.weights, ps.points, sample.raw):
+    for owned in (sp.dist, measure.weights, ps.points):
         assert not owned.flags.writeable
 
 
@@ -386,11 +383,10 @@ _RADO = CountableRadoModel(0.5, 1)
         (lambda: IndexClique((1, 2)).members([0.5]), "vertex index must be an integer, got 0.5"),
         (lambda: ResidueClassClique(3).members([1.5]), "vertex index must be an integer, got 1.5"),
         (lambda: QuadraticGapClique().members([True]), "vertex index must be an integer, got True"),
-        (lambda: SampleTrajectory(seed=0, raw=[0.5]), "sample index must be an integer, got 0.5"),
     ],
     ids=["graph-edge", "graph-bool", "graph-n", "space", "space-bool", "rado-adjacency", "rado-s",
          "rado-clique-blocks", "rado-metric", "rado-float-array", "index-clique", "modular-clique",
-         "quadratic-clique", "sample"],
+         "quadratic-clique"],
 )
 def test_indices_are_refused_not_truncated(build, message):
     # each site read 0.5 as 0 and 1.9 as 1 (True as 1), and built the object
@@ -408,19 +404,30 @@ _UNIFORM = DiscreteMeasure.uniform(3)
         (lambda: CountableRadoModel(0.5, True), "model seed must be an integer, got True"),
         (lambda: CountableRadoModel(0.5, 0.5), "model seed must be an integer, got 0.5"),
         (lambda: model_from_json('{"p": 0.5, "seed": true}'), "model seed must be an integer, got True"),
-        (lambda: gv_sample(_UNIFORM, 5, 0.5), "seed must be an integer, got 0.5"),
+        (lambda: rado_ratio_experiment(_RADO, _UNIFORM, 5, 0.5), "seed must be an integer, got 0.5"),
         (lambda: sample_order(_UNIFORM, 5, 0.5), "seed must be an integer, got 0.5"),
         (lambda: trial_seed(0.5, 1), "seed must be an integer, got 0.5"),
         (lambda: prescribed_signature_space(1, 2, 0.5), "seed must be an integer, got 0.5"),
-        (lambda: gv_sample(_UNIFORM, 2.5, 0), "sample size must be an integer, got 2.5"),
+        (lambda: sampling._distinct_draws(_UNIFORM, 2.5, 0), "sample size must be an integer, got 2.5"),
         (lambda: sample_order(_UNIFORM, True, 0), "sample size must be an integer, got True"),
+        (lambda: rado_ratio_trials(_RADO, _UNIFORM, 5, trials=True), "trials must be an integer, got True"),
+        (lambda: rado_ratio_trials(_RADO, _UNIFORM, 5, trials=2.5), "trials must be an integer, got 2.5"),
+        (lambda: prescribed_signature_space(True, 3, 0), "prescribed signature n must be an integer, got True"),
+        (lambda: prescribed_signature_space(2, 3.5, 0), "prescribed signature p must be an integer, got 3.5"),
+        (lambda: DiscreteMeasure.uniform(2.5), "uniform measure point count n must be an integer, got 2.5"),
+        (lambda: DiscreteMeasure.uniform(True), "uniform measure point count n must be an integer, got True"),
+        (lambda: default_checkpoints(40.5), "m_max must be an integer, got 40.5"),
+        (lambda: rado_ratio_experiment(_RADO, _UNIFORM, 2.5, 0), "m_max must be an integer, got 2.5"),
     ],
     ids=["model-bool", "model-float", "model-json-bool", "sample", "order", "trial", "prescribed",
-         "sample-size", "order-size"],
+         "sample-size", "order-size", "trials-bool", "trials-fraction", "prescribed-n-bool",
+         "prescribed-p-fraction", "uniform-fraction", "uniform-bool", "checkpoints-fraction", "ratio-m-max"],
 )
 def test_seeds_and_sample_sizes_are_refused_not_truncated(build, message):
     # a bool seed built a model whose JSON did not read back; the other
-    # sites raised TypeError from ``&``, ``^`` or ``np.empty``, or drew True draws
+    # sites raised TypeError from ``&``, ``^`` or ``np.empty``, or drew True
+    # draws. A bool count ran as 1 (trials, prescribed n), a fractional one
+    # raised TypeError, and ``default_checkpoints(40.5)`` ended at 40.5
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         build()
 
@@ -432,9 +439,14 @@ def test_integral_seeds_and_sample_sizes_are_their_integers():
     assert model_to_json(model) == model_to_json(CountableRadoModel(0.5, 3)) == '{"p": 0.5, "seed": 3}'
     for seed in (3.0, np.int64(3), "3", -1, 2**70):
         assert model_from_json(model_to_json(CountableRadoModel(0.5, seed))) == CountableRadoModel(0.5, seed)
-    assert np.array_equal(gv_sample(_UNIFORM, 5.0, 3.0).raw, gv_sample(_UNIFORM, 5, 3).raw)
+    assert np.array_equal(sample_order(_UNIFORM, 5.0, 3.0), sample_order(_UNIFORM, 5, 3))
     assert trial_seed(3.0, 1) == trial_seed(3, 1)
     assert np.array_equal(prescribed_signature_space(1, 2, 3.0).dist, prescribed_signature_space(1, 2, 3).dist)
+    # so are the counts: trials, a prescribed signature, a point count, m_max
+    assert len(rado_ratio_trials(_RADO, _UNIFORM, 5, trials=2.0)) == 2
+    assert np.array_equal(prescribed_signature_space(2.0, 3.0, 0).dist, prescribed_signature_space(2, 3, 0).dist)
+    assert np.array_equal(DiscreteMeasure.uniform(2.0).weights, DiscreteMeasure.uniform(2).weights)
+    assert default_checkpoints(40.0) == default_checkpoints("40") == (16, 32, 40)
 
 
 def _edge_file(text):
@@ -457,6 +469,7 @@ def _edge_file(text):
          "cross distance h must be positive and finite, got inf"),
         (lambda: CountableRadoModel(0.5, 1).s_matrix_on([-1, 2]), "vertex indices must be nonnegative"),
         (lambda: rado_ratio_trials(CountableRadoModel(0.5, 1), _UNIFORM, 10, trials=0), "trials must be >= 1"),
+        (lambda: ratio_summary([], delta_threshold=1.0), "a ratio summary needs trials >= 1"),
         (lambda: DiscreteMeasure.uniform(0), "uniform measure needs n >= 1"),
         (lambda: DiscreteMeasure.class_biased(0), "class count parameter j must be >= 1"),
         (lambda: parse_measure_spec(42), "cannot interpret measure spec 42"),
@@ -472,9 +485,9 @@ def _edge_file(text):
         (lambda: semicircle_cdf(float("inf"), 0.0), "sigma must be positive and finite, got inf"),
     ],
     ids=["edges-three-fields", "edges-not-integer", "edges-comments-only", "union-none", "union-h-zero",
-         "union-h-nan", "union-h-inf", "rado-negative", "ratio-no-trials", "uniform-empty", "class-biased-empty",
-         "measure-spec", "simplex-no-n", "pe-negative", "pe-columns", "pe-nan", "distances-not-square",
-         "distances-nan", "points-1d", "points-inf", "semicircle-nan", "semicircle-inf"],
+         "union-h-nan", "union-h-inf", "rado-negative", "ratio-no-trials", "summary-no-trials", "uniform-empty",
+         "class-biased-empty", "measure-spec", "simplex-no-n", "pe-negative", "pe-columns", "pe-nan",
+         "distances-not-square", "distances-nan", "points-1d", "points-inf", "semicircle-nan", "semicircle-inf"],
 )
 def test_refusals_name_their_witness(build, message, tmp_path, monkeypatch):
     # the non-finite h and sigma slipped past a ``<= 0`` check: the union

@@ -11,7 +11,7 @@ from mmsig import linalg, spectral
 from mmsig.constructions import CountableRadoModel, ResidueClassClique
 from mmsig.errors import InvalidInput
 from mmsig.linalg import Inertia, double_center, inertia, pinned_map
-from mmsig.sampling import DiscreteMeasure, gv_sample, trial_seed
+from mmsig.sampling import DiscreteMeasure, sample_order, trial_seed
 from mmsig.spectral import (
     ESD,
     default_checkpoints,
@@ -25,7 +25,7 @@ from mmsig.spectral import (
     write_ratio_csv,
 )
 
-from util_oracles import prefix_counts_by_eigvalsh, random_symmetric
+from util_oracles import prefix_counts_by_eigvalsh, random_symmetric, raw_draws
 
 
 def semicircle_density(sigma, x):
@@ -151,7 +151,7 @@ class TestRatioExperiment:
         measure = DiscreteMeasure.class_biased(30, 0.9)
         for seed in range(3):
             traj = rado_ratio_experiment(model, measure, m_max=3000, seed=seed)
-            raw = gv_sample(measure, 3000, seed=seed).raw
+            raw = raw_draws(measure, 3000, seed=seed)
             for m, k in zip(traj.m_values, traj.dedup_sizes):
                 prefix = raw[:m]
                 _, first = np.unique(prefix, return_index=True)
@@ -188,7 +188,7 @@ class TestRatioExperiment:
         traj = rado_ratio_experiment(model, measure, m_max=m_max, seed=seed)
         distinct = sorted(set(traj.dedup_sizes))
         assert len(distinct) > 4 and orders == distinct[:first_solved]
-        S = model.s_matrix_on(gv_sample(measure, m_max, seed=seed).dedup)
+        S = model.s_matrix_on(sample_order(measure, m_max, seed=seed))
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
 
     def test_tied_checkpoints_share_one_count(self):
@@ -199,7 +199,7 @@ class TestRatioExperiment:
         assert traj.dedup_sizes == (2, 2, 3, 6, 6)
         assert traj.inertias[0] == traj.inertias[1]
         assert traj.inertias[3] == traj.inertias[4]
-        S = model.s_matrix_on(gv_sample(measure, 200, seed=1).dedup)
+        S = model.s_matrix_on(sample_order(measure, 200, seed=1))
         assert [i.counts() for i in traj.inertias] == prefix_counts_by_eigvalsh(S, traj.dedup_sizes)
         assert traj.deltas == tuple(delta_ratio(i) for i in traj.inertias)
 
@@ -254,7 +254,7 @@ class TestRatioExperiment:
         model = CountableRadoModel(edge_prob=0.5, seed=11)
         measure = DiscreteMeasure.geometric(0.6)
         traj = rado_ratio_experiment(model, measure, m_max=48, seed=5)
-        raw = gv_sample(measure, 48, seed=5).raw
+        raw = raw_draws(measure, 48, seed=5)
         for m, ine in zip(traj.m_values, traj.inertias):
             raw_ine = inertia(model.s_matrix_on(raw[:m]))
             assert raw_ine.signature == ine.signature
@@ -457,7 +457,7 @@ class TestBlasPin:
         rado_ratio_trials(model, measure, m_max=3000, trials=100, seed=5)
         realized = []
         for t in range(100):
-            dedup = gv_sample(measure, 3000, trial_seed(5, t)).dedup
+            dedup = sample_order(measure, 3000, trial_seed(5, t))
             realized.append(np.count_nonzero(~model._clique_flags(dedup)))
         assert orders[0] == pytest.approx(np.mean(realized), rel=0.03)
 

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from mmsig.linalg import CliqueBlocks
+from mmsig.spaces import _philox
 
 
 def charpoly_eigenvalues(A):
@@ -355,6 +356,12 @@ def first_appearances_by_unique(raw):
     raw = np.asarray(raw, dtype=np.int64)
     first = np.sort(np.unique(raw, return_index=True)[1])
     return raw[first], first
+
+
+def raw_draws(measure, m, seed):
+    """The m i.i.d. draws of a sample whole: one ``random`` call of the
+    package's Philox stream, searched in the measure's cumulative weights."""
+    return np.searchsorted(measure.cumulative(), _philox(seed).random(m), side="right")
 
 
 def embedding_json_by_indent(embedding, provenance=None):
