@@ -54,7 +54,6 @@ from .signature import (
     classify_embeddability,
     limit_signature_trajectory,
     mds_embed,
-    sampled_signature_trajectory,
     space_signature,
     verify_isometry,
 )

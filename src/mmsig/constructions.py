@@ -18,12 +18,13 @@ JSON form, so models pickle and round-trip through ``model_to_json``.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EpsilonUnderflow, InvalidInput, StrictnessViolated
-from .linalg import DEFAULT_TOL_REL, CliqueBlocks, _inertia, double_center
+from .linalg import DEFAULT_TOL_REL, _EPS, CliqueBlocks, _inertia, double_center
 from .spaces import (
     FiniteMetricSpace, _distances, _integer, _integers, _min_strict_slack, _pairwise_sq_diffs, _philox, _seed64,
     _sphere_points, from_distance_matrix, from_euclidean_points, s_matrix,
@@ -50,6 +51,7 @@ def perturb_to_max_negative(
     strictly triangular metric whose centered matrix keeps s_plus and reaches
     s_minus = N - 1 - s_plus, with max|d - d_eps| bounded by eps itself. On
     output s_plus(T_eps) = s_plus(T) and s_minus(T_eps) = N - 1 - s_plus(T).
+    Directions that are all equal move no distance and raise EpsilonUnderflow.
     """
     result, _ = _perturb_with_eps(space, seed, tol_rel)
     return result
@@ -76,7 +78,8 @@ def _perturb_with_eps(space, seed, tol_rel):
 
     # directions of too low a rank (probability zero) fail the contract below
     g2 = _pairwise_sq_diffs(_philox(seed).normal(size=(n, n)))
-    np.fill_diagonal(g2, 0.0)
+    if not g2.max() > 0:
+        raise EpsilonUnderflow("every random direction is the same, so no distance can move")
     # Rescale directions so |d^2 - d_eps^2| <= eps * d_min; then
     # |d - d_eps| <= eps/2-ish, making the eps-bound condition reachable.
     offdiag = ~np.eye(n, dtype=bool)
@@ -85,7 +88,7 @@ def _perturb_with_eps(space, seed, tol_rel):
 
     D2 = -2.0 * S  # d^2 to the bit: scaling by -1/2 and back is exact
     weyl = 0.5 * float(np.linalg.norm(double_center(g2)))  # Frobenius >= 2-norm
-    roundoff = n * np.finfo(float).eps * float(np.linalg.norm(D2))  # sqrt/square round trip
+    roundoff = n * _EPS * float(np.linalg.norm(D2))  # sqrt/square round trip
     eps = 0.5 * slack / float(g2.max())  # finite: n >= 3 past the early return
     while True:
         move = eps * weyl + roundoff
@@ -98,21 +101,14 @@ def _perturb_with_eps(space, seed, tol_rel):
             )
         d2 = D2 - eps * g2
         off = d2 + np.eye(n)
-        if (off <= 0).any():
-            eps *= 0.5
-            continue
-        D_eps = _distances(d2)
-        if float(np.abs(D_eps - space.dist).max()) > eps:
-            eps *= 0.5
-            continue
-        if not _min_strict_slack(D_eps)[0] > 0:
-            eps *= 0.5
-            continue
-        # symmetric, hollow, positive and strictly triangular: skips validation
-        out = FiniteMetricSpace(D_eps, space.labels)
-        ine = _inertia(double_center(s_matrix(out)), tol_rel)[1]
-        if ine.s_plus == s_plus and ine.s_minus == target_minus:
-            return out, eps
+        if (off > 0).all():
+            D_eps = _distances(d2)
+            if float(np.abs(D_eps - space.dist).max()) <= eps and _min_strict_slack(D_eps)[0] > 0:
+                # symmetric, hollow, positive and strictly triangular: skips validation
+                out = FiniteMetricSpace(D_eps, space.labels)
+                ine = _inertia(double_center(s_matrix(out)), tol_rel)[1]
+                if ine.s_plus == s_plus and ine.s_minus == target_minus:
+                    return out, eps
         eps *= 0.5
 
 
@@ -259,7 +255,8 @@ class QuadraticGapClique:
 
 def parse_clique_spec(spec):
     """A clique rule from a CLI string (``modular:M``, ``quadratic``), the JSON
-    form that ``spec()`` writes, or a collection of vertex indices."""
+    form that ``spec()`` writes, or a collection of vertex indices. A key
+    other than ``rule`` and ``modulus`` raises InvalidInput naming it."""
     if spec is None or isinstance(spec, (IndexClique, ResidueClassClique, QuadraticGapClique)):
         return spec
     if isinstance(spec, str):
@@ -267,6 +264,9 @@ def parse_clique_spec(spec):
         spec = {"rule": name, "modulus": param} if param else {"rule": name}
     if not isinstance(spec, dict):
         return IndexClique(spec)
+    unread = [key for key in spec if key not in ("rule", "modulus")]
+    if unread:
+        raise InvalidInput(f"clique rule takes no key {unread[0]!r}")
     name, modulus = spec.get("rule"), spec.get("modulus")
     if name == "quadratic":
         if modulus is not None:
@@ -296,7 +296,7 @@ class CountableRadoModel:
     def __post_init__(self):
         object.__setattr__(self, "seed", _integer(self.seed, "model seed"))
         object.__setattr__(self, "planted_clique", parse_clique_spec(self.planted_clique))
-        if not (0.0 < self.edge_prob < 1.0):
+        if not (isinstance(self.edge_prob, numbers.Real) and 0.0 < self.edge_prob < 1.0):
             raise InvalidInput(f"edge probability must be in (0, 1), got {self.edge_prob!r}")
 
     def _clique_flags(self, indices: np.ndarray) -> np.ndarray:
@@ -380,9 +380,20 @@ def model_to_json(model: CountableRadoModel) -> str:
 
 
 def model_from_json(text: str) -> CountableRadoModel:
-    doc = json.loads(text)
+    """The model that ``model_to_json`` wrote: a JSON object of ``p``, ``seed``
+    and an optional ``planted_clique``. Text that is not such an object, a
+    missing value and any other key raise InvalidInput naming the key or field."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"model JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"model JSON must be an object, got {doc!r}")
+    unread = [key for key in doc if key not in ("p", "seed", "planted_clique")]
+    if unread:
+        raise InvalidInput(f"model JSON takes no key {unread[0]!r}")
     return CountableRadoModel(
-        edge_prob=float(doc["p"]),
-        seed=doc["seed"],
+        edge_prob=doc.get("p"),
+        seed=doc.get("seed"),
         planted_clique=doc.get("planted_clique"),
     )

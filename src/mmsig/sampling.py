@@ -128,7 +128,8 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
     """Measure from a spec: a weight array, a JSON-style rule such as
     {"type": "class_biased", "j": 30, "q": 0.9}, or the same rule as the
     string name[:a[:b]]: uniform, geometric:q, super_geometric or
-    class_biased:j[:q], with q defaulting to 0.9 for class_biased.
+    class_biased:j[:q], with q defaulting to 0.9 for class_biased. A key
+    that the rule does not read raises InvalidInput naming it.
 
     ``n`` is the point count of a finite space: the uniform rule needs it,
     and a weight array must have exactly ``n`` entries. With ``n`` None (a
@@ -150,6 +151,11 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
         return measure
     if isinstance(spec, dict):
         kind = spec.get("type")
+        if not isinstance(kind, str) or kind not in _RULE_PARAMS:
+            raise InvalidInput(f"unknown measure rule {kind!r}")
+        unread = [key for key in spec if key not in ("type", *_RULE_PARAMS[kind])]
+        if unread:
+            raise InvalidInput(f"{kind} measure takes no key {unread[0]!r}")
         if kind == "uniform":
             if n is None:
                 raise InvalidInput("uniform measure needs the point count of a finite space")
@@ -164,7 +170,6 @@ def parse_measure_spec(spec, n: int | None = None) -> DiscreteMeasure:
             if "j" not in spec:
                 raise InvalidInput("class_biased needs j, e.g. class_biased:30")
             return DiscreteMeasure.class_biased(spec["j"], _float_param(spec, "q", 0.9))
-        raise InvalidInput(f"unknown measure rule {kind!r}")
     raise InvalidInput(f"cannot interpret measure spec {spec!r}")
 
 

@@ -1,7 +1,8 @@
 """Signature computations: inertia of the -d^2/2 matrix
 (``spaces.s_matrix``) and of its centered form, limit-signature trajectories
 over nested subsets, embeddability classification, and the indefinite
-scaling embedding with isometry check.
+scaling embedding with isometry check. A sampled trajectory is the one along
+``sampling.sample_order``, the distinct draws in order of first appearance.
 
 Sign convention for embeddings: coordinates attached to negative eigenvalues
 come first, matching R^(n,p) with the form -sum_1^n + sum_(n+1)^(n+p).
@@ -23,7 +24,6 @@ from .linalg import (
     prefix_inertias,
 )
 from .linalg import inertia  # noqa: F401  unused; perfbench's tracer test still checks this binding
-from .sampling import DiscreteMeasure, sample_order
 from .spaces import (
     FiniteMetricSpace, PseudoEuclideanPointSet, _distances, _integers, _write_csv, s_matrix,
 )
@@ -100,25 +100,6 @@ def limit_signature_trajectory(
         inertias=tuple(inertias),
         stabilized=stabilized,
     )
-
-
-def sampled_signature_trajectory(
-    source,
-    measure: DiscreteMeasure,
-    m_max: int,
-    seed: int,
-    sizes=None,
-    tol_rel: float = DEFAULT_TOL_REL,
-) -> SignatureTrajectory:
-    """Trajectory along the dedup prefixes of an i.i.d. sample.
-
-    Draws m_max points from the measure and nests the distinct ones in order
-    of first appearance (``sampling.sample_order``). ``source`` is a space or
-    a countable model, as in ``limit_signature_trajectory``. On a space, once
-    the sample covers the support the signature equals the full space's.
-    """
-    order = sample_order(measure, m_max, seed)
-    return limit_signature_trajectory(source, order, sizes=sizes, tol_rel=tol_rel)
 
 
 def mds_embed(space: FiniteMetricSpace, tol_rel: float = DEFAULT_TOL_REL) -> PseudoEuclideanPointSet:

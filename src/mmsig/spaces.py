@@ -63,7 +63,10 @@ def _integers(values, what: str, shape=(-1,)) -> np.ndarray:
     ``shape``, -1 for any length: the one gate for indices callers give. An
     integer array or plain ints are taken whole, other entries by
     ``_integer``; a fraction, a bool or an entry outside int64 raises
-    InvalidInput naming ``what``, where a cast would truncate or wrap it."""
+    InvalidInput naming ``what``, where a cast would truncate or wrap it, and
+    so does a scalar or a string, whose characters are not its indices."""
+    if isinstance(values, str) or not (isinstance(values, np.ndarray) or np.iterable(values)):
+        raise InvalidInput(f"{what} values must form an array of shape {shape}, got {values!r}")
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
         values = np.array(values if isinstance(values, np.ndarray) else list(values), dtype=object)
         if not set(map(type, values.flat)) <= {int}:  # a plain int needs no _integer

@@ -967,6 +967,16 @@ def test_class_biased_j_that_is_not_an_integer_exits_2(j, shown, tmp_path, monke
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
 
 
+def test_a_measure_key_that_no_rule_reads_exits_2(tmp_path, monkeypatch, capsys):
+    # "qq" was ignored: the run exited 0, and its summary recorded "q": 0.9
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "typo.json").write_text(json.dumps({"type": "class_biased", "j": 3, "qq": 0.5}))
+    argv = ["rado", "--ratio", "--p", 0.5, "--measure", "typo.json", "--m-max", 200, "--trials", 2, "--seed", 1]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: typo.json: class_biased measure takes no key 'qq'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["typo.json"]
+
+
 @pytest.mark.parametrize("error", [MonotonicityViolation, NoConvergence, EpsilonUnderflow])
 def test_numerical_contract_failures_exit_1(error, monkeypatch, capsys):
     def fail(*args, **kwargs):

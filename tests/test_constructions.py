@@ -177,6 +177,13 @@ def _on_a_line(x):
     x[:, 1:] = 0.0
 
 
+def _rows_equal(x):
+    x[:] = x[0]
+
+
+_PLAIN_FLOAT = r"[-+.e0-9]+"  # a Python float's repr, not np.float64(...)
+
+
 _PLANAR = np.random.default_rng(5).normal(size=(7, 2))  # 7 points in R^2 need 4 new negatives
 
 
@@ -190,10 +197,13 @@ _PLANAR = np.random.default_rng(5).normal(size=(7, 2))  # 7 points in R^2 need 4
         (spaces, _row_repeated, lambda: prescribed_signature_space(2, 3, 0), InvalidInput, "points 0 and 1 coincide"),
         (spaces, _in_a_hyperplane, lambda: prescribed_signature_space(2, 3, 0), InvalidInput, "affine hyperplane"),
         (constructions, _on_a_line, lambda: perturb_to_max_negative(from_euclidean_points(_PLANAR), 0),
-         EpsilonUnderflow, "the signature contract needs a move"),
+         EpsilonUnderflow, f"^at eps = {_PLAIN_FLOAT} no eigenvalue moves more than {_PLAIN_FLOAT}, "
+                           f"but the signature contract needs a move of {_PLAIN_FLOAT}$"),
+        (constructions, _rows_equal, lambda: perturb_to_max_negative(from_euclidean_points(_PLANAR), 0),
+         EpsilonUnderflow, "^every random direction is the same, so no distance can move$"),
     ],
     ids=["sphere-zero-row", "sphere-repeated-row", "prescribed-zero-row", "prescribed-repeated-row",
-         "prescribed-hyperplane", "perturb-rank-one"],
+         "prescribed-hyperplane", "perturb-rank-one", "perturb-equal-rows"],
 )
 def test_a_degenerate_draw_is_drawn_once_and_refused(module, degenerate, build, error, message, monkeypatch):
     # each site drew again, up to 100 times, on an event of probability

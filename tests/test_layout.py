@@ -9,7 +9,9 @@ LAPACK routine it binds, so the benchmark's tracer sees every eigensolve. Only
 the BLAS pin stay in one place, ``linalg.pinned_map``, which starts a pool
 only for items whose eigensolves are large enough to overlap and otherwise
 runs them in the calling thread, with the same results. Only ``linalg``
-references ``_zero_band``, so the zero band has one owner. A planted
+references ``_zero_band``, so the zero band has one owner, and only
+``linalg`` calls ``np.finfo``, so the machine epsilon has one owner,
+``linalg._EPS``, a Python float. A planted
 clique reaches ``prefix_inertias`` only as ``CliqueBlocks``: it takes no
 clique mask, so the counting has one input form per matrix. The names
 that the benchmark's tracer looks up in the package stay bound, so a
@@ -19,7 +21,8 @@ or does not take, so the CLI offers no option that does nothing. Every
 public top-level name in ``src`` is used elsewhere in ``src`` or named in
 the README, so the package exposes nothing that only the tests use, and
 every name of the package that the README gives resolves, so the README
-names nothing that is gone. Every exception class in ``mmsig.errors`` is
+names nothing that is gone. The README's library example runs and gives
+the values its comments show. Every exception class in ``mmsig.errors`` is
 caught by name somewhere in ``src`` or named in the README, so an error
 raised at one site is an ``InvalidInput`` whose message names the witness,
 not a class of its own.
@@ -130,6 +133,24 @@ def test_every_name_the_readme_gives_resolves():
     names |= set(re.findall(rf"`(?:mmsig\.)?((?:{'|'.join(_MODULES)})\.[A-Za-z_]\w*)", readme))
     assert {"cli.main", "named_example", "linalg._inertia", "spectral.esd_and_inertia"} <= names
     assert [name for name in sorted(names) if not _resolves(name)] == []
+
+
+def test_the_readme_library_example_runs():
+    # each expression statement of the block gives the value its comment shows
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, shown = block.splitlines(), {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            shown[lines[node.end_lineno - 1].partition("# ")[2]] = value
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert 0 <= shown.pop("~1e-15") < 1e-12
+    assert list(shown) == ["(1, 0, 3)", "'pseudo(1, 2)'", "(3, 2)", "(43, (18, 25))"]
+    assert all(value == ast.literal_eval(comment) for comment, value in shown.items())
+    embedding = namespace["embedding"]  # "1 negative + 2 positive axes"
+    assert (embedding.n_neg, embedding.n_pos) == (1, 2)
 
 
 def test_every_error_class_is_caught_or_documented():
@@ -347,6 +368,14 @@ def test_only_linalg_references_the_zero_band():
     assert users == ["linalg.py"]
 
 
+def test_only_linalg_calls_finfo():
+    # one owner of the machine epsilon, ``linalg._EPS``: a module's own
+    # ``np.finfo(float).eps`` is an np.float64, whose repr reached an error
+    # message as ``np.float64(...)``
+    users = sorted(path.name for path in SRC.glob("*.py") if "finfo" in path.read_text())
+    assert users == ["linalg.py"]
+
+
 def _eigensolves(tree):
     """Calls of ``_eigenvalues`` or of a numpy eigensolver, by any spelling."""
     solvers = {"_eigenvalues", "eigh", "eigvalsh", "eig", "eigvals"}
@@ -470,8 +499,8 @@ def test_every_prefix_eigensolve_is_traced(monkeypatch):
     mmsig.spectral.rado_ratio_experiment(
         model, DiscreteMeasure.class_biased(30, 0.9), m_max=3000, seed=0
     )
-    mmsig.signature.sampled_signature_trajectory(
-        model, DiscreteMeasure.geometric(0.99), m_max=3000, seed=5
+    mmsig.signature.limit_signature_trajectory(
+        model, mmsig.sampling.sample_order(DiscreteMeasure.geometric(0.99), 3000, seed=5)
     )
     assert len(lapack) > 5 and lapack == traced
 

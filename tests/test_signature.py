@@ -16,7 +16,6 @@ from mmsig.signature import (
     limit_signature_trajectory,
     mds_embed,
     s_matrix,
-    sampled_signature_trajectory,
     space_signature,
     verify_isometry,
     write_trajectory_csv,
@@ -158,7 +157,7 @@ class TestTrajectory:
         # from 4 points on, so a sample that covers them all ends on a
         # plateau of more than STABILIZATION_WINDOW steps
         sp = from_euclidean_points(np.random.default_rng(4).normal(size=(30, 2)))
-        traj = sampled_signature_trajectory(sp, DiscreteMeasure.uniform(30), m_max=2000, seed=2)
+        traj = limit_signature_trajectory(sp, sample_order(DiscreteMeasure.uniform(30), 2000, seed=2))
         assert len(traj.sizes) == 30 > STABILIZATION_WINDOW
         assert traj.inertias[-1].signature == space_signature(sp).signature == (1, 3)
         assert traj.stabilized == (1, 3)
@@ -258,8 +257,8 @@ class TestSampledTrajectory:
     def test_monotone_and_deterministic(self):
         model = CountableRadoModel(edge_prob=0.5, seed=13)
         measure = DiscreteMeasure.geometric(0.9)
-        a = sampled_signature_trajectory(model, measure, m_max=400, seed=6)
-        b = sampled_signature_trajectory(model, measure, m_max=400, seed=6)
+        a = limit_signature_trajectory(model, sample_order(measure, 400, seed=6))
+        b = limit_signature_trajectory(model, sample_order(measure, 400, seed=6))
         assert a.sizes == b.sizes
         assert [i.counts() for i in a.inertias] == [i.counts() for i in b.inertias]
         sigs = [i.signature for i in a.inertias]
@@ -268,7 +267,7 @@ class TestSampledTrajectory:
     def test_matches_direct_metric_on_dedup(self):
         model = CountableRadoModel(edge_prob=0.4, seed=21)
         measure = DiscreteMeasure.geometric(0.8)
-        traj = sampled_signature_trajectory(model, measure, m_max=200, seed=3)
+        traj = limit_signature_trajectory(model, sample_order(measure, 200, seed=3))
         dedup = sample_order(measure, 200, seed=3)
         direct = limit_signature_trajectory(model.metric_on(dedup), np.arange(dedup.size))
         assert traj.sizes == direct.sizes
@@ -283,15 +282,15 @@ class TestSampledTrajectory:
 
         monkeypatch.setattr(spaces, "_check_triangle", scan)
         model = CountableRadoModel(edge_prob=0.5, seed=13, planted_clique=ResidueClassClique(5))
-        traj = sampled_signature_trajectory(
-            model, DiscreteMeasure.geometric(0.9), m_max=200, seed=2
+        traj = limit_signature_trajectory(
+            model, sample_order(DiscreteMeasure.geometric(0.9), 200, seed=2)
         )
         assert len(traj.sizes) == traj.sizes[-1] > 1
 
     def test_empty_sample_rejected(self):
         for source in (CountableRadoModel(edge_prob=0.5, seed=1), named_example("tripod")):
             with pytest.raises(InvalidInput):
-                sampled_signature_trajectory(source, DiscreteMeasure.geometric(0.5), 0, seed=1)
+                limit_signature_trajectory(source, sample_order(DiscreteMeasure.geometric(0.5), 0, seed=1))
 
 
 class TestMdsEmbed:

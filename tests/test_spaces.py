@@ -8,6 +8,7 @@ import pytest
 from mmsig import sampling, spaces
 from mmsig.constructions import (
     CountableRadoModel, IndexClique, QuadraticGapClique, ResidueClassClique, model_from_json, model_to_json,
+    parse_clique_spec,
     perturb_to_max_negative, prescribed_signature_space, union_space,
 )
 from mmsig.errors import InvalidInput, StrictnessViolated
@@ -483,15 +484,33 @@ def _edge_file(text):
         (lambda: from_euclidean_points([[0.0, np.inf], [1.0, 0.0]]), "points have non-finite coordinates"),
         (lambda: semicircle_cdf(float("nan"), 0.0), "sigma must be positive and finite, got nan"),
         (lambda: semicircle_cdf(float("inf"), 0.0), "sigma must be positive and finite, got inf"),
+        (lambda: parse_measure_spec({"type": "class_biased", "j": 3, "qq": 0.5}),
+         "class_biased measure takes no key 'qq'"),
+        (lambda: parse_clique_spec({"rule": "modular", "modulus": 3, "mod": 5}), "clique rule takes no key 'mod'"),
+        (lambda: parse_clique_spec(5), "clique index values must form an array of shape (-1,), got 5"),
+        (lambda: IndexClique("105"), "clique index values must form an array of shape (-1,), got '105'"),
+        (lambda: CountableRadoModel("0.5", 1), "edge probability must be in (0, 1), got '0.5'"),
+        (lambda: model_from_json('{"p": 0.5, "seed": 1, "clique": [0, 1]}'), "model JSON takes no key 'clique'"),
+        (lambda: model_from_json('{"p": 0.5}'), "model seed must be an integer, got None"),
+        (lambda: model_from_json('{"seed": 1}'), "edge probability must be in (0, 1), got None"),
+        (lambda: model_from_json("not json"), "model JSON: Expecting value: line 1 column 1 (char 0)"),
+        (lambda: model_from_json("[0.5, 1]"), "model JSON must be an object, got [0.5, 1]"),
+        (lambda: model_from_json('{"p": 0.5, "seed": 1, "planted_clique": 5}'),
+         "clique index values must form an array of shape (-1,), got 5"),
     ],
     ids=["edges-three-fields", "edges-not-integer", "edges-comments-only", "union-none", "union-h-zero",
          "union-h-nan", "union-h-inf", "rado-negative", "ratio-no-trials", "summary-no-trials", "uniform-empty",
          "class-biased-empty", "measure-spec", "simplex-no-n", "pe-negative", "pe-columns", "pe-nan",
-         "distances-not-square", "distances-nan", "points-1d", "points-inf", "semicircle-nan", "semicircle-inf"],
+         "distances-not-square", "distances-nan", "points-1d", "points-inf", "semicircle-nan", "semicircle-inf",
+         "measure-unread-key", "clique-unread-key", "clique-scalar", "clique-string", "model-p-string", "model-unread-key",
+         "model-missing-seed", "model-missing-p", "model-not-json", "model-not-object", "model-clique-scalar"],
 )
 def test_refusals_name_their_witness(build, message, tmp_path, monkeypatch):
     # the non-finite h and sigma slipped past a ``<= 0`` check: the union
-    # wrote the component back or blamed the matrix, and the CDF read nan
+    # wrote the component back or blamed the matrix, and the CDF read nan.
+    # A spec key that no rule reads was ignored, so a typo ran the default;
+    # a model JSON or clique of the wrong shape raised KeyError, TypeError
+    # or JSONDecodeError, and the string "105" planted the clique (0, 1, 5)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
         build()
