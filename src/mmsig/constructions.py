@@ -142,7 +142,13 @@ def union_space(components, h: float) -> FiniteMetricSpace:
     """Disjoint union with distance h between points of different components.
 
     Each component must have diameter at most 2h, which is exactly what the
-    triangle inequality needs.
+    triangle inequality needs, in floating point too, so the union skips the
+    triangle scan. A triple within one component passed that component's
+    scan, against a tolerance no larger than the union's, since the union's
+    diameter is at least the component's. A triple across components needs
+    d(i,k) <= h + h, which the diameter gives, since h + h is exact, or h <=
+    d(i,j) + h, which holds since rounding is monotone. The other checks of
+    ``from_distance_matrix`` hold as they do for the components and h > 0.
     """
     comps = list(components)
     if not comps:
@@ -163,7 +169,7 @@ def union_space(components, h: float) -> FiniteMetricSpace:
         labels.extend(f"c{ci}:{lab}" for lab in comp.labels)
         at += comp.n
     np.fill_diagonal(D, 0.0)
-    return from_distance_matrix(D, labels=labels)
+    return FiniteMetricSpace(D, labels)
 
 
 def union_r_matrix(components, h: float) -> np.ndarray:

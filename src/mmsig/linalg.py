@@ -9,22 +9,23 @@ it, a leading block of one, or a matrix built symmetric from such blocks,
 and validates nothing; ``eig_sym`` is its validating form with
 eigenvectors. ``prefix_inertias`` also takes a matrix as ``CliqueBlocks``,
 the blocks a countable model with a planted clique builds without the n x n
-matrix, which check their own shapes and entries when made; it writes dense
-leading blocks from them only for the sizes the pivot does not count. Inertia counting uses the eigenvalue
-spectrum as the source of truth, with the zero threshold ``theta = tol_rel *
-n * max|lambda|``; ``prefix_inertias`` counts a family of leading blocks
-against one threshold, from a Perron bracket of max|lambda|, which for
-``CliqueBlocks`` with all but an eighth of the points in the clique starts
-in the clique's invariant subspace, at the band's
-edges -+theta, or -+e, e = max(theta, sqrt(eps) max|lambda|): through a
-planted clique's closed-form block where its ``CliqueBlocks`` hold all but an
-eighth of the points (``_clique_pivot``), by one Schur chain, and by an
-eigensolve where the chain refuses a size. The chain (``_chain_step``) holds
-the inverses of A_a -+ e I of its last counted size a, or none at the empty
-block, a = 0; each step adds the counts of its complement by Haynsworth
-additivity, of a gapped size from its eigenvalues and of the sizes of a run
-from the signs of its leading minors, certified from the step's residual,
-and writes the inverses by the block formula, their one source.
+matrix, which check their own shapes and entries when made; it writes one
+dense leading block from them, for the sizes the pivot leaves. Inertia
+counting uses the eigenvalue spectrum as the source of truth, with the zero
+threshold ``theta = tol_rel * n * max|lambda|``; ``prefix_inertias`` counts
+a family of leading blocks against one threshold, from a Perron bracket of
+max|lambda|, which for ``CliqueBlocks`` with all but an eighth of the points
+in the clique starts in the clique's invariant subspace, at the band's edges
+-+theta, or -+e, e = max(theta, sqrt(eps) max|lambda|): through a planted
+clique's closed-form block where its ``CliqueBlocks`` hold all but an eighth
+of the points (``_clique_pivot``), first, then by one Schur chain over the
+sizes it leaves, and by an eigensolve where the chain refuses a size. The
+chain (``_chain_step``) holds the inverses of A_a -+ e I of its last counted
+size a, or none at the empty block, a = 0; each step adds the counts of its
+complement by Haynsworth additivity, of a gapped size from its eigenvalues
+and of the sizes of a run from the signs of its leading minors, certified
+from the step's residual, and writes the inverses by the block formula,
+their one source.
 ``_clique_pivot`` forms the complement of the shifted clique block at each
 edge from leading slices of the blocks, of the order of the points outside
 the clique, and updates nothing.
@@ -645,32 +646,32 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     block when there is none; the bracket of ``CliqueBlocks`` shares their
     ``gram`` with the pivot of the largest size. By Cauchy interlacing the
     band bounds the theta of every smaller block, so s_minus and s_plus
-    never decrease along the sizes. Each size k is counted in one of three
-    ways:
+    never decrease along the sizes. Two passes count each size k in one of
+    three ways:
 
-    - by ``_clique_pivot``, at the band's two edges, from the leading slices
-      of the clique's blocks, when c >= 2 of the k points are in the clique
-      and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``). A size
-      whose edge lies within the pivot's roundoff of an eigenvalue goes to
-      the chain;
-    - by the chain (``_chain_step``), at the edges -+e, e = max(theta,
-      floor), floor = sqrt(eps) max|lambda|. It holds the inverses of A_a -+
-      e I of its anchor a, the last size it counted, and steps through a
-      block of a run of sizes one apart after a, of at most 32 sizes
-      (``_RUN_SIZES``, a run split evenly), or to the next size k where a >=
-      k / 2. Every other size steps from the empty block, a = 0: the first,
-      one more than twice the size of its anchor (a wider step costs more),
-      one refused from a held anchor, and one after a step that keeps no
-      inverses, unless the pivot takes it. Below the floor a size is kept
-      only where its counts at -+floor agree: it reads (below, 0, k - below)
-      at theta, and is eigensolved otherwise, the chain going on;
+    - first by ``_clique_pivot``, at the band's two edges, from the leading
+      slices of the clique's blocks, when c >= 2 of the k points are in the
+      clique and the r = k - c others are at most k / 8 (``_PIVOT_SHARE``).
+      A size whose edge lies within the pivot's roundoff of an eigenvalue is
+      left to the chain;
+    - then by the chain (``_chain_step``) over the sizes left, at the edges
+      -+e, e = max(theta, floor), floor = sqrt(eps) max|lambda|. It holds
+      the inverses of A_a -+ e I of its anchor a, the last size it counted,
+      and steps through a block of a run of sizes one apart after a, of at
+      most 32 sizes (``_RUN_SIZES``, a run split evenly), or to the next size
+      k where a >= k / 2. Every other size steps from the empty block, a =
+      0: the first, one more than twice the size of its anchor (a wider step
+      costs more), one refused from a held anchor, and one after a step that
+      keeps no inverses. Below the floor a size is kept only where its
+      counts at -+floor agree: it reads (below, 0, k - below) at theta, and
+      is eigensolved otherwise, the chain going on;
     - by an eigensolve otherwise: a size refused from the empty block, or
-      one that no held anchor reaches where no later size may step from it.
+      the chain's last size where no held anchor reaches it.
 
-    The chain reads dense leading blocks only, written from ``CliqueBlocks``
-    when it first needs one, at the largest size that does not take the
-    pivot, and again at a larger size whose pivot is refused. It holds the
-    inverses up to the largest size below N that it counts.
+    The pivot reads the blocks and updates nothing, so the chain knows its
+    sizes before it starts. It reads dense leading blocks only, written from
+    ``CliqueBlocks`` once, at its largest size, or at N for the band's
+    eigensolve, and holds the inverses up to its largest size below N.
     """
     _check_tol_rel(tol_rel)
     A = a if isinstance(a, CliqueBlocks) else as_sym_matrix(a)
@@ -682,64 +683,52 @@ def prefix_inertias(a, sizes, tol_rel: float = DEFAULT_TOL_REL) -> list:
     N = sizes[-1]
     A, power = _unit_scale(A.head(N) if isinstance(A, CliqueBlocks) else A[:N, :N])
     blocks, dense = (A, None) if isinstance(A, CliqueBlocks) else (None, A)  # dense: the leading blocks the chain reads
-    inside = blocks.inside if blocks is not None else np.empty(0, dtype=int)
-    in_clique = np.searchsorted(inside, sizes).tolist()
-    offered = [c >= 2 and _PIVOT_SHARE * (k - c) <= k for k, c in zip(sizes, in_clique)]
-    chain_top = max((k for k, o in zip(sizes, offered) if not o), default=0)
-
-    def lead(k):
-        nonlocal dense
-        if dense is None or len(dense) < k:
-            dense = blocks.leading(max(k, chain_top))
-        return dense[:k, :k]
-
-    rho, top = _perron_bracket(dense if blocks is None else blocks), None
+    rho, top = _perron_bracket(A), None
     if rho is None:  # not -d^2/2-like, or no closed bracket: the band's eigensolve
-        top = _eigenvalues(lead(N))
+        dense = dense if blocks is None else blocks.leading(N)
+        top = _eigenvalues(dense)
         rho = (float(np.abs(top).max()),) * 2
     theta, floor = _zero_band(N, tol_rel, rho[0]), _BORDER_FLOOR * rho[1]
     band = (max(theta, floor), floor, math.sqrt(N) * rho[1])  # ||A_N||_F <= sqrt(N) max|lambda|
-    counted = sizes if top is None else sizes[:-1]
-    # ahead[i]: how many sizes one apart, none offered to the pivot, start at counted[i]
-    ahead = [0] * (len(counted) + 1)
-    for i in reversed(range(len(counted))):
-        if not offered[i]:
-            ahead[i] = 1 + (ahead[i + 1] if counted[i + 1:i + 2] == [counted[i] + 1] else 0)
-    V = np.empty((2,) + (max((k for k, o in zip(counted, offered) if not o and k < N), default=0),) * 2)
+    out = {} if top is None else {N: _band_counts(top, theta)}  # the counts of each size
+    if blocks is not None:  # the pivot pass: it reads the blocks and updates nothing
+        for k, c in zip(sizes, np.searchsorted(blocks.inside, sizes).tolist()):
+            if k not in out and c >= 2 and _PIVOT_SHARE * (k - c) <= k:
+                gram = blocks.gram if k == N else None  # the bracket's start formed it
+                pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta, gram)
+                if pivot is not None:
+                    out[k] = Inertia(*pivot, theta)
+    chain = [k for k in sizes if k not in out]  # the chain pass: the sizes left, refused pivots too
+    if chain and dense is None:
+        dense = blocks.leading(chain[-1])
+    # ahead[i]: how many of the chain's sizes, one apart, start at chain[i]
+    ahead = [0] * (len(chain) + 1)
+    for i in reversed(range(len(chain))):
+        ahead[i] = 1 + (ahead[i + 1] if chain[i + 1:i + 2] == [chain[i] + 1] else 0)
+    V = np.empty((2,) + (max((k for k in chain if k < N), default=0),) * 2)
     empty = (0, (0, 0), np.zeros(2))  # the chain's anchor where V holds no inverses
-    anchor, out, i = empty, [], 0
-    while i < len(counted):
-        k, c = counted[i], in_clique[i]
-        if offered[i]:
-            gram = blocks.gram if k == N else None  # the bracket's start formed it
-            pivot = _clique_pivot(blocks.B[:k - c, :c], blocks.D[:k - c, :k - c], blocks.gamma, theta, gram)
-            if pivot is not None:
-                out.append(Inertia(*pivot, theta))
-                i += 1
-                continue
-            offered[i] = False  # refused: the chain counts k, and holds its inverses too
-            if len(V[0]) < k < N:
-                V = np.pad(V, ((0, 0), (0, k - len(V[0])), (0, k - len(V[0]))))
+    anchor, i = empty, 0
+    while i < len(chain):
+        k = chain[i]
         if 2 * anchor[0] < k:  # a wider step costs more than one from the empty block
             anchor = empty
         j = -(-ahead[i] // -(-ahead[i] // _RUN_SIZES)) if k == anchor[0] + 1 and ahead[i] > 1 else 1
-        if band[0] > 0 and (anchor[0] or j > 1 or not all(offered[i + 1:])):  # else no later size steps from k
-            a = anchor[0]
-            got, anchor, _ = _chain_step(lead(counted[i + j - 1]), V, anchor, band, j > 1)
+        if band[0] > 0 and (anchor[0] or j > 1 or i + 1 < len(chain)):  # else no later size steps from k
+            a, last = anchor[0], chain[i + j - 1]
+            got, anchor, _ = _chain_step(dense[:last, :last], V, anchor, band, j > 1)
             anchor = anchor or empty
-            for size, (lo, hi) in zip(counted[i:], got):
+            for size, (lo, hi) in zip(chain[i:], got):
                 if theta >= floor or lo == hi:
-                    out.append(Inertia(lo, hi - lo, size - hi, theta))
+                    out[size] = Inertia(lo, hi - lo, size - hi, theta)
                 else:  # an eigenvalue within the floor of 0
-                    out.append(_band_counts(_eigenvalues(lead(size)), theta))
+                    out[size] = _band_counts(_eigenvalues(dense[:size, :size]), theta)
             i += len(got)
             if got or a:  # k, refused from a held anchor, steps again from the empty block
                 continue
-        out.append(_band_counts(_eigenvalues(lead(k)), theta))
+        out[k] = _band_counts(_eigenvalues(dense[:k, :k]), theta)
         i += 1
-    out = out if top is None else out + [_band_counts(top, theta)]
     theta = _band_in_units(theta, power)
-    return [ine._replace(tol=theta) for ine in out]
+    return [out[k]._replace(tol=theta) for k in sizes]
 
 
 def double_center(s) -> np.ndarray:

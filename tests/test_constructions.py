@@ -275,6 +275,25 @@ class TestUnionSpace:
         out = union_space([named_example("simplex", n=2), named_example("simplex", n=2)], h=1.0)
         assert out.labels[0].startswith("c0:") and out.labels[-1].startswith("c1:")
 
+    @pytest.mark.parametrize("comps, h", [
+        ([named_example("sphere", dim=2, n=40, seed=s) for s in (1, 2)], 2.0),
+        ([named_example("tripod"), named_example("simplex", n=3), named_example("tripod")], 1.0),  # diameter 2h
+        ([named_example("sphere", dim=3, n=30, seed=4), named_example("tripod")], math.pi / 2),
+    ])
+    def test_a_union_skips_the_triangle_scan(self, comps, h, monkeypatch):
+        # components of diameter at most 2h make the union a metric in
+        # floating point too: it is built without the scan, and equals the
+        # union the validated path builds from its distances and labels
+        scans = []
+        real = spaces._check_triangle
+        monkeypatch.setattr(spaces, "_check_triangle", lambda D: scans.append(len(D)) or real(D))
+        out = union_space(comps, h)
+        assert scans == []
+        checked = spaces.from_distance_matrix(out.dist, labels=out.labels)
+        assert np.array_equal(out.dist, checked.dist) and out.labels == checked.labels
+        with pytest.raises(InvalidInput, match="has diameter"):
+            union_space(comps, np.nextafter(max(c.diameter for c in comps) / 2, 0))
+
 
 class TestRadoModel:
     def test_validation(self):

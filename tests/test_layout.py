@@ -284,9 +284,9 @@ def test_no_module_inverts_a_matrix():
 
 
 def test_only_the_chain_step_writes_the_inverses():
-    # prefix_inertias keeps the chain's inverses in its buffer V and passes
-    # it to _chain_step alone, which steps from them and writes the next;
-    # np.pad grows V with what the steps wrote. No function of any module
+    # prefix_inertias allocates the chain's inverses in its buffer V once, at
+    # the largest order they need, and passes it to _chain_step alone, which
+    # steps from them and writes the next. No function of any module
     # assigns to an entry of V.
     writers, callees = set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -298,7 +298,7 @@ def test_only_the_chain_step_writes_the_inverses():
                     writers.add(func.name)
                 if isinstance(node, ast.Call) and any(getattr(arg, "id", None) == "V" for arg in node.args):
                     callees.add(ast.unparse(node.func))
-    assert writers == {"_chain_step"} and callees == {"_chain_step", "np.pad"}
+    assert writers == {"_chain_step"} and callees == {"_chain_step"}
 
 
 def _squarings_of_dist(tree):

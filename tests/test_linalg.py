@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsig import linalg
 from mmsig.constructions import CountableRadoModel, ResidueClassClique
@@ -732,9 +734,10 @@ class TestParityCounts:
         assert got[3].counts() == (1, 1, 2) and got[6].counts() == (2, 2, 3)
         # the largest block is the band's eigensolve (no Perron bracket); the
         # run's first step counts sizes 1 to 3 and refuses its 4th minor, 0.
-        # Each size from 4 on steps from the empty block, which refuses it,
-        # since an edge is an eigenvalue of each, and is eigensolved
-        assert steps == [(0, N - 1, 3, False)] + [(0, k, 0, False) for k in range(4, N)]
+        # Each size from 4 to 8 steps from the empty block, which refuses it,
+        # since an edge is an eigenvalue of each, and is eigensolved; 9, the
+        # chain's last size, from which nothing steps, is eigensolved alone
+        assert steps == [(0, N - 1, 3, False)] + [(0, k, 0, False) for k in range(4, N - 1)]
         assert orders == [N, *range(4, N)]
 
     @pytest.mark.parametrize("tol_rel", [1e-12, 0.0])
@@ -1547,10 +1550,11 @@ class TestCliqueBlocks:
         assert orders == [1]  # the one point's block; the pivot takes c >= 2
 
     def test_a_refused_pivot_counts_on_a_lazy_dense_block(self, monkeypatch):
-        # sizes 10 and 20 hold fewer than two clique points: the chain builds
-        # the dense block of 20 for both. 200, 300 and 400 have 20 points
-        # outside, at most an eighth; a pivot refused at 300 builds the block
-        # of 300, and nothing larger is built, not even for the largest size
+        # sizes 10 and 20 hold fewer than two clique points, and 200, 300 and
+        # 400 have 20 points outside, at most an eighth. The pivot pass
+        # refuses 300, so the chain counts 10, 20 and 300 on the one dense
+        # block of 300, and nothing larger is built, not even for the largest
+        # size
         model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(20, 400))
         blocks = model.clique_blocks(range(400))
         sizes = [10, 20, 200, 300, 400]
@@ -1563,7 +1567,7 @@ class TestCliqueBlocks:
         )
         got = prefix_inertias(blocks, sizes)
         assert [i.counts() for i in got] == prefix_counts_by_eigvalsh(model.s_matrix_on(range(400)), sizes)
-        assert built == [20, 300]
+        assert built == [300]
 
     def test_the_head_of_every_point_is_the_blocks(self):
         model = CountableRadoModel(edge_prob=0.5, seed=9, planted_clique="quadratic")
@@ -1919,7 +1923,8 @@ class TestStepsFromTheEmptyBlock:
     def test_a_refused_clique_pivot_above_order_32(self, monkeypatch):
         # 36 points, 4 outside the clique, are offered to the pivot, which
         # is refused here: 36, more than twice 4, steps from the empty block,
-        # in a buffer grown for it, and 40, with 8 points outside, from 36.
+        # in a buffer of the chain's largest size below 40, and 40, with 8
+        # points outside, from 36.
         # Its smallest |lambda| is near gamma, an eigenvalue of the clique
         # block
         model = CountableRadoModel(edge_prob=0.5, seed=2, planted_clique=range(4, 36))
@@ -1952,3 +1957,67 @@ class TestStepsFromTheEmptyBlock:
         self._check_inverses(held)
         mags = np.abs(np.linalg.eigvalsh(A[:emptied[-1], :emptied[-1]]))
         assert TestStepsAtTheBandEdges._check(A, sizes, [mags.min(), np.median(mags)], source)["empty"] > 0
+
+
+@st.composite
+def _clique_cases(draw):
+    """(model, order, sizes, tol_rel, refused): a model whose planted clique
+    leaves at most a quarter of n <= 64 points outside it, an order of them,
+    increasing sizes, each of 1..n kept at a drawn rate, a tol_rel of 0 or
+    1e-14 to 1e-4, and the sizes whose pivot a spy refuses."""
+    n = draw(st.integers(2, 64))
+    outside = draw(st.permutations(range(n)))[:draw(st.integers(0, n // 4))]
+    model = CountableRadoModel(edge_prob=0.5, seed=draw(st.integers(0, 2**16)),
+                               planted_clique=sorted(set(range(n)) - set(outside)))
+    rate = draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    kept = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    sizes = [k for k, u in enumerate(kept, start=1) if u < rate] or [n]
+    power = draw(st.integers(-15, -5))  # 10^-15 stands for 0
+    tol_rel = 0.0 if power == -15 else draw(st.floats(1.0, 10.0)) * 10.0**power
+    return model, draw(st.permutations(range(n))), sizes, tol_rel, draw(st.sets(st.sampled_from(sizes)))
+
+
+class TestTwoPasses:
+    # The pivot pass counts the sizes it takes, and the chain pass exactly
+    # the sizes left, the refused ones too, which a spy draws here from the
+    # sizes offered to the pivot. Every size counts as eigvalsh does but
+    # where an eigenvalue lies within eigvalsh's backward error of an edge,
+    # LAPACK's p(n) eps ||A|| with p(n) = 4 n: a computed eigenvalue within
+    # twice that, as the exact one may lie within once, and the gap between
+    # the bracket's band and the oracle's. The chain writes one dense block,
+    # at its largest size, and one buffer of inverses, at its largest size
+    # below N.
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=_clique_cases())
+    def test_the_chain_counts_exactly_the_sizes_the_pivot_leaves(self, case):
+        model, order, sizes, tol_rel, refused = case
+        S, blocks = model.s_matrix_on(order), model.clique_blocks(order)
+        pivoted, built, buffers = [], [], []
+        real_pivot, real_leading, real_step = linalg._clique_pivot, linalg.CliqueBlocks.leading, linalg._chain_step
+
+        def pivot(B, D, gamma, theta, gram=None):
+            k = B.shape[1] + len(D)
+            got = None if k in refused else real_pivot(B, D, gamma, theta, gram)
+            pivoted.extend([k] if got is not None else [])
+            return got
+
+        def step(A, V, anchor, band, run):
+            buffers.append(V)
+            return real_step(A, V, anchor, band, run)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_clique_pivot", pivot)
+            mp.setattr(linalg.CliqueBlocks, "leading", lambda b, k: built.append(k) or real_leading(b, k))
+            mp.setattr(linalg, "_chain_step", step)
+            got = prefix_inertias(blocks, sizes, tol_rel)
+        N, chain = sizes[-1], [k for k in sizes if k not in pivoted]
+        held = max([k for k in chain if k < N], default=0)  # the order of the chain's inverses
+        assert built == chain[-1:]
+        assert all(V is buffers[0] and V.shape == (2, held, held) for V in buffers)
+        rho = float(np.abs(np.linalg.eigvalsh(S[:N, :N])).max())
+        theta = tol_rel * N * rho  # the oracle's band
+        for k, ine, want in zip(sizes, got, prefix_counts_by_eigvalsh(S, sizes, tol_rel)):
+            edges = np.abs(np.abs(np.linalg.eigvalsh(S[:k, :k])) - theta)
+            if edges.min() > 2 * 4 * k * EPS * rho + abs(got[-1].tol - theta):
+                assert ine.counts() == want, (k, tol_rel)
